@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -376,16 +375,10 @@ def cmd_bench(args) -> int:
     if args.warmup:
         _simulate_once(_bench_scenario(base, scenario_data, scenario_path.parent, args.seed), warmup=False)
 
-    def one_run(i: int) -> ExecutionTrace:
-        scenario = _bench_scenario(base, scenario_data, scenario_path.parent, args.seed + i)
-        return run_mpc(scenario)
-
     t0 = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            traces = list(pool.map(one_run, range(args.n)))
-    else:
-        traces = [one_run(i) for i in range(args.n)]
+    traces = [
+        run_mpc(_bench_scenario(base, scenario_data, scenario_path.parent, args.seed + i)) for i in range(args.n)
+    ]
     bench_wall = time.perf_counter() - t0
 
     per_traj = np.array([sum(t.replan_wall_times()) for t in traces])
@@ -394,7 +387,6 @@ def cmd_bench(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "n_runs": args.n,
         "warmup": args.warmup,
-        "threads": args.threads,
         "per_trajectory_mean_s": float(per_traj.mean()),
         "per_trajectory_std_s": float(per_traj.std(ddof=1)) if args.n > 1 else 0.0,
         "per_replan_mean_s": float(per_replan.mean()),
@@ -474,7 +466,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON overlay merged onto the scenario")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers for batch commands")
     warm = parser.add_mutually_exclusive_group()
     warm.add_argument("--warmup", dest="warmup", action="store_true", default=True)
     warm.add_argument("--no-warmup", dest="warmup", action="store_false")

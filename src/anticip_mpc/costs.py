@@ -37,7 +37,6 @@ Array = np.ndarray
 DIST_EPS = 1e-6  # Mahalanobis denominator regularizer; the raw formula is singular at contact
 HESS_FLOOR = 1e-8
 _CURV_GUARD = 1e-3  # scale guard when curvature is a gradient outer product
-_ORIENT_FD_H = 1e-6
 _TINY = 1e-12
 
 
@@ -202,9 +201,9 @@ def goal_probabilities(eef_position: Array, ctx: LegibilityContext) -> Array:
 
 
 def _legibility_logits(eef: Array, goals: Array, start: Array) -> Array:
-    """(N, G) logits ||G - S||^2 - ||G - Q||^2."""
+    """(..., N, G) logits ||G - S||^2 - ||G - Q||^2 for end-effector points (..., N, 3)."""
     vs = np.sum((goals - start[:, None, :]) ** 2, axis=-1)
-    vq = np.sum((goals - eef[:, None, :]) ** 2, axis=-1)
+    vq = np.sum((goals - eef[..., None, :]) ** 2, axis=-1)
     return vs - vq
 
 
@@ -242,8 +241,8 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
     """Weighted sum of the six terms with gradient and Gauss-Newton curvature.
 
     Cartesian terms are chained through positional Jacobians; the goal
-    orientation term is differentiated by central finite differences. Pass
-    u=None at a terminal knot (no control there).
+    orientation term is differentiated exactly through the joints' world
+    axes. Pass u=None at a terminal knot (no control there).
     """
     q = _check_q(model, q)
     n = model.n_joints
@@ -329,29 +328,38 @@ class KnotCostEvaluator:
 
     # -- values ------------------------------------------------------------
 
-    def value(self, xs: Array, us: Optional[Array] = None) -> float:
-        total = float(np.sum(self.state_values(xs)))
-        if us is not None and len(us) > 0 and self.weights.w_smooth > 0:
-            total += self.weights.w_smooth * float(np.sum(us * us))
+    def value(self, xs: Array, us: Optional[Array] = None):
+        """Total cost of a trajectory, or of a stack of candidate trajectories.
+
+        xs has shape (..., N, n) and us (..., N-1, n); the result has the
+        leading shape, a scalar for a single (N, n) trajectory. All rows go
+        through one batched FK call.
+        """
+        total = np.sum(self.state_values(xs), axis=-1)
+        if us is not None and self.weights.w_smooth > 0:
+            total = total + self.weights.w_smooth * np.sum(us * us, axis=(-2, -1))
         return total
 
     def state_values(self, xs: Array) -> Array:
-        """Per-knot state-dependent cost (everything except smoothness)."""
+        """Per-knot state-dependent cost (everything except smoothness), (..., N)."""
         xs = np.asarray(xs, dtype=float)
-        fk = fk_batch(self.model, xs)
-        return self._state_values_from_fk(fk)
+        lead = xs.shape[:-1]
+        fk = fk_batch(self.model, xs.reshape(-1, xs.shape[-1]))
+        positions = fk.positions.reshape(lead + fk.positions.shape[1:])
+        return self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
 
-    def _state_values_from_fk(self, fk: BatchFk) -> Array:
+    def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
+        """Knot costs from frame positions (..., N, F, 3) and end-effector
+        rotations (..., N, 3, 3); the per-knot context broadcasts over the
+        leading axes."""
         w = self.weights
-        N = fk.positions.shape[0]
-        vals = np.zeros(N)
-        p_eef = fk.positions[:, self.model.eef_frame]
+        vals = np.zeros(positions.shape[:-2])
+        p_eef = positions[..., self.model.eef_frame, :]
 
         if w.w_dist > 0 and self.n_human > 0:
-            d = fk.positions[:, self._tracked][:, None, :, :] - self.mu[:, :, None, :]  # (N,H,R,3)
-            sd = np.einsum("nhij,nhrj->nhri", self.cov_inv, d)
-            m = np.einsum("nhri,nhri->nhr", d, sd)
-            vals += w.w_dist * np.sum(1.0 / (m + DIST_EPS), axis=(1, 2))
+            d = positions[..., None, self._tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
+            m = np.einsum("...i,...i->...", d, d @ self.cov_inv)  # d^T S^-1 d
+            vals += w.w_dist * np.sum(1.0 / (m + DIST_EPS), axis=(-2, -1))
 
         if w.w_vis > 0:
             theta, _, _ = self._visibility_terms(p_eef)
@@ -359,37 +367,37 @@ class KnotCostEvaluator:
 
         if w.w_leg > 0:
             probs = self._goal_probs(p_eef)
-            vals += w.w_leg * (1.0 - probs[:, self.goal_index])
+            vals += w.w_leg * (1.0 - probs[..., self.goal_index])
 
         if w.w_nom > 0:
-            vals += w.w_nom * np.linalg.norm(p_eef - self.nominal, axis=1)
+            vals += w.w_nom * np.linalg.norm(p_eef - self.nominal, axis=-1)
 
         if w.w_goal > 0:
             vals += w.w_goal * (
-                np.linalg.norm(p_eef - self.goal_p, axis=1) + self._orientation_error(fk.eef_rotations)
+                np.linalg.norm(p_eef - self.goal_p, axis=-1) + self._orientation_error(eef_rotations)
             )
 
         return vals
 
     def _orientation_error(self, eef_rotations: Array) -> Array:
-        dot_sq = 0.25 * (np.einsum("nij,nij->n", self.goal_R, eef_rotations) + 1.0)
+        dot_sq = 0.25 * (np.einsum("nij,...nij->...n", self.goal_R, eef_rotations) + 1.0)
         return 1.0 - dot_sq
 
     def _visibility_terms(self, p_eef: Array):
         """Angles plus the pieces the gradient needs."""
         a = self.gaze - self.mu[:, self.head_index]  # (N, 3)
         b = p_eef - self.mu[:, self.head_index]
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
+        na = np.linalg.norm(a, axis=-1)
+        nb = np.linalg.norm(b, axis=-1)
         if np.any(na < 1e-9) or np.any(nb < 1e-9):
             raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
         ahat = a / na[:, None]
-        bhat = b / nb[:, None]
-        t = np.clip(np.sum(ahat * bhat, axis=1), -1.0, 1.0)
+        bhat = b / nb[..., None]
+        t = np.clip(np.sum(ahat * bhat, axis=-1), -1.0, 1.0)
         theta = np.arccos(t)
         # grad of theta wrt p_eef: -(ahat - t bhat) / (|b| sin theta); zero at the kink
-        u_perp = ahat - t[:, None] * bhat
-        sin_theta = np.linalg.norm(u_perp, axis=1)
+        u_perp = ahat - t[..., None] * bhat
+        sin_theta = np.linalg.norm(u_perp, axis=-1)
         ok = sin_theta > 1e-9
         g = np.zeros_like(b)
         g[ok] = -u_perp[ok] / (nb[ok] * sin_theta[ok])[:, None]
@@ -397,9 +405,9 @@ class KnotCostEvaluator:
 
     def _goal_probs(self, p_eef: Array) -> Array:
         logits = _legibility_logits(p_eef, self.goals, self.leg_start)
-        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=1, keepdims=True)
+        return e / np.sum(e, axis=-1, keepdims=True)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -459,28 +467,27 @@ class KnotCostEvaluator:
             gp, hp = _norm_grad_curv(p_eef - self.goal_p)
             gx += w.w_goal * np.einsum("ni,nia->na", gp, Je)
             hxx += w.w_goal * np.einsum("nia,nij,njb->nab", Je, hp, Je)
-            o_val, g_or = self._orientation_terms(xs, fk)
+            o_val, g_or = self._orientation_terms(fk)
             gx += w.w_goal * g_or
             h_or = g_or[:, :, None] * g_or[:, None, :] / (2.0 * np.maximum(o_val, _CURV_GUARD))[:, None, None]
             hxx += w.w_goal * h_or
 
         return gx, hxx
 
-    def _orientation_terms(self, xs: Array, fk: BatchFk) -> tuple[Array, Array]:
-        """Orientation error 1 - <q_goal, q_eef>^2 and its central-difference
-        gradient w.r.t. the joint vector, one batched FK call for all knots."""
-        N, n = xs.shape
-        h = _ORIENT_FD_H
-        o_val = self._orientation_error(fk.eef_rotations)
+    def _orientation_terms(self, fk: BatchFk) -> tuple[Array, Array]:
+        """Orientation error 1 - <q_goal, q_eef>^2 and its exact gradient
+        w.r.t. the joint vector.
 
-        pert = np.repeat(xs[:, None, :], 2 * n, axis=1)
-        eye = np.eye(n)
-        pert[:, :n, :] += h * eye
-        pert[:, n:, :] -= h * eye
-        rots = fk_batch(self.model, pert.reshape(N * 2 * n, n)).eef_rotations.reshape(N, 2 * n, 3, 3)
-        dot_sq = 0.25 * (np.einsum("nij,nkij->nk", self.goal_R, rots) + 1.0)
-        o_pert = 1.0 - dot_sq
-        g = (o_pert[:, :n] - o_pert[:, n:]) / (2.0 * h)
+        Turning joint j rotates the end effector about the joint's world axis
+        w_j, so dR/dq_j = [w_j]x R and d/dq_j of the error is
+        -tr(R_g^T [w_j]x R) / 4 = w_j . s / 4, with s the axial vector of
+        R R_g^T - (R R_g^T)^T.
+        """
+        R = fk.eef_rotations
+        o_val = self._orientation_error(R)
+        m = R @ np.swapaxes(self.goal_R, 1, 2)
+        s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+        g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:

@@ -87,17 +87,6 @@ def quat_from_matrix(R: Array) -> Array:
     return q
 
 
-def rotation_about_axis(axis: Array, angles: Array) -> Array:
-    """Rodrigues rotation matrices (..., 3, 3) about a fixed unit axis."""
-    a = np.asarray(axis, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    aa = np.outer(a, a)
-    c = np.cos(th)[..., None, None]
-    s = np.sin(th)[..., None, None]
-    return c * np.eye(3) + s * K + (1 - c) * aa
-
-
 # ---------------------------------------------------------------------------
 # model and poses
 
@@ -223,23 +212,20 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     """Vectorized FK over a batch of joint vectors, shape (B, n_joints)."""
     qs = np.asarray(qs, dtype=float)
     B, n = qs.shape
-    R = np.broadcast_to(model._base_rotation, (B, 3, 3)).copy()
-    p = np.broadcast_to(model.base_position, (B, 3)).copy()
-    positions = np.empty((B, n + 1, 3))
-    axes_world = np.empty((B, n, 3))
-    positions[:, 0] = p
-    eye = np.eye(3)
-    skews = model._rot_skew
-    outers = model._rot_outer
     c = np.cos(qs)[:, :, None, None]
     s = np.sin(qs)[:, :, None, None]
+    joint_rots = c * np.eye(3) + s * model._rot_skew + (1.0 - c) * model._rot_outer  # (B, n, 3, 3)
+    # frame_rots[:, j] is the world rotation of frame j, before joint j turns
+    frame_rots = np.empty((B, n + 1, 3, 3))
+    frame_rots[:, 0] = model._base_rotation
     for j in range(n):
-        axes_world[:, j] = R @ model.axes[j]
-        Rj = c[:, j] * eye + s[:, j] * skews[j] + (1.0 - c[:, j]) * outers[j]
-        R = R @ Rj
-        p = p + R @ model.offsets[j]
-        positions[:, j + 1] = p
-    return BatchFk(positions, axes_world, R)
+        np.matmul(frame_rots[:, j], joint_rots[:, j], out=frame_rots[:, j + 1])
+    axes_world = (frame_rots[:, :n] @ model.axes[:, :, None])[..., 0]
+    steps = np.empty((B, n + 1, 3))
+    steps[:, 0] = model.base_position
+    steps[:, 1:] = (frame_rots[:, 1:] @ model.offsets[:, :, None])[..., 0]
+    positions = np.cumsum(steps, axis=1)  # sequential sums, as the chain adds them
+    return BatchFk(positions, axes_world, frame_rots[:, n])
 
 
 def forward_kinematics(model: RobotModel, q) -> FkResult:
@@ -317,11 +303,11 @@ def model_from_dict(data: dict) -> RobotModel:
 
 
 def load_robot_model(path) -> RobotModel:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"robot model {path}: {exc}") from exc
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"robot model {path}: {exc}") from exc
     return model_from_dict(data)
 
 

@@ -65,6 +65,14 @@ class MpcConfig:
     goal_position_tol: float = 0.01
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            try:
+                v = float(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"mpc.{name} must be a number: {exc}") from exc
+            if not np.isfinite(v):
+                raise InvalidInputError(f"mpc.{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
         if self.dt <= 0 or self.task_duration <= 0:
             raise InvalidInputError("dt and task_duration must be positive")
         _as_steps(self.horizon, self.dt, "horizon")
@@ -74,6 +82,13 @@ class MpcConfig:
             raise InvalidInputError("horizon must be at least the replan period")
         if self.goal_position_tol <= 0:
             raise InvalidInputError("goal_position_tol must be positive")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MpcConfig":
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise InvalidInputError(f"unknown mpc config keys: {sorted(unknown)}")
+        return cls(**data)
 
     @property
     def horizon_knots(self) -> int:
@@ -518,7 +533,7 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
             legibility_goals=np.asarray(data["legibility"]["goals"], dtype=float),
             legibility_goal_index=int(data["legibility"]["goal_index"]),
             weights=CostWeights.from_dict(data["weights"]),
-            mpc=MpcConfig(**data.get("mpc", {})),
+            mpc=MpcConfig.from_dict(data.get("mpc", {})),
             prediction=prediction,
             nominal=nominal,
             ground_truth=ground_truth,

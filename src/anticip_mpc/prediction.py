@@ -304,11 +304,11 @@ def synthesize_reach(config: ReachConfig) -> HumanPrediction:
 
 def load_prediction(path) -> HumanPrediction:
     """Load and validate a prediction JSON file."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"prediction {path}: {exc}") from exc
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"prediction {path}: {exc}") from exc
     return prediction_from_dict(data)
 
 

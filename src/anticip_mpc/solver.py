@@ -26,7 +26,6 @@ from .kinematics import RobotModel
 Array = np.ndarray
 
 _REG_MIN = 1e-6
-_REG_CAP = 1e6
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 
@@ -56,7 +55,11 @@ class SolverConfig:
 class TrajectoryCost(Protocol):
     """Cost interface the solver optimizes against."""
 
-    def value(self, xs: Array, us: Optional[Array] = None) -> float: ...
+    def value(self, xs: Array, us: Optional[Array] = None):
+        """Total cost with a leading candidate axis: states (A, N, n) and
+        controls (A, N-1, n) give costs (A,). A single trajectory, (N, n) and
+        (N-1, n) without the axis, gives a scalar."""
+        ...
 
     def state_values(self, xs: Array) -> Array: ...
 
@@ -78,13 +81,13 @@ class QuadraticCost:
         ref = np.asarray(self.x_ref, dtype=float)
         return ref[idx] if ref.ndim == 2 else ref
 
-    def value(self, xs, us=None) -> float:
-        e = xs - (self.x_ref if np.ndim(self.x_ref) == 2 else self.x_ref[None, :])
+    def value(self, xs, us=None):
+        e = xs - self.x_ref
         Qf = self.Q if self.Qf is None else self.Qf
-        total = float(np.einsum("ni,ij,nj->", e[:-1], self.Q, e[:-1]))
-        total += float(e[-1] @ Qf @ e[-1])
-        if us is not None and len(us) > 0:
-            total += float(np.einsum("ni,ij,nj->", us, self.R, us))
+        total = np.einsum("...ni,ij,...nj->...", e[..., :-1, :], self.Q, e[..., :-1, :])
+        total = total + np.einsum("...i,ij,...j->...", e[..., -1, :], Qf, e[..., -1, :])
+        if us is not None:
+            total = total + np.einsum("...ni,ij,...nj->...", us, self.R, us)
         return total
 
     def state_values(self, xs) -> Array:
@@ -229,8 +232,8 @@ def linear_warm_start(problem: TrajectoryProblem) -> Array:
 
 
 def bound_violations(problem: TrajectoryProblem, us: Array) -> Array:
-    """Signed violations c, shape (2, M, n): [0] = u - upper, [1] = lower - u."""
-    return np.stack([us - problem.u_upper, problem.u_lower - us])
+    """Signed violations c, shape (..., 2, M, n): [0] = u - upper, [1] = lower - u."""
+    return np.stack([us - problem.u_upper, problem.u_lower - us], axis=-3)
 
 
 def max_bound_violation(problem: TrajectoryProblem, us: Array) -> float:
@@ -262,12 +265,13 @@ def al_update(
     return duals, penalty
 
 
-def _al_objective(problem, cost_value: float, us: Array, duals: Array, penalty: float) -> float:
+def _al_objective(problem, cost_value, us: Array, duals: Array, penalty: float):
+    """Augmented objective of controls (..., M, n) whose cost is cost_value (...)."""
     if penalty <= 0:
         return cost_value
     c = bound_violations(problem, us)
     proj = np.maximum(0.0, duals + penalty * c)
-    return cost_value + float(np.sum(proj**2 - duals**2)) / (2.0 * penalty)
+    return cost_value + np.sum(proj**2 - duals**2, axis=(-3, -2, -1)) / (2.0 * penalty)
 
 
 def _al_control_terms(problem, us: Array, duals: Array, penalty: float) -> tuple[Array, Array]:
@@ -327,12 +331,14 @@ def backward_pass(
     penalty: float = 0.0,
     reg: float = 0.0,
     derivs: Optional[_Derivs] = None,
+    reg_cap: float = SolverConfig.reg_cap,
 ) -> BackwardPassResult:
     """Riccati-style sweep producing affine feedback gains.
 
     Q_uu blocks are Levenberg-Marquardt shifted until they factorize: the
-    shift starts at zero, jumps to 1e-6 on the first failure and grows by 10x
-    per failure; exceeding the cap aborts with a SolverError.
+    shift starts at the given reg, jumps to 1e-6 on the first failure from
+    zero and grows by 10x per failure; exceeding reg_cap aborts with a
+    SolverError.
     """
     if derivs is None:
         M = problem.n_knots - 1
@@ -379,9 +385,9 @@ def backward_pass(
         if not failed:
             return BackwardPassResult(k, K, max(0.0, -(d1 + 0.5 * d2)), grad_inf, reg)
         reg = _REG_MIN if reg == 0.0 else reg * 10.0
-        if reg > _REG_CAP:
+        if reg > reg_cap:
             raise SolverError(
-                f"backward pass regularization exceeded cap {_REG_CAP:g}; "
+                f"backward pass regularization exceeded cap {reg_cap:g}; "
                 "the local model cannot be made positive definite"
             )
 
@@ -395,11 +401,13 @@ def forward_pass(
     penalty: float = 0.0,
     incumbent_cost: Optional[float] = None,
 ) -> ForwardPassResult:
-    """Line-searched rollout of the affine policy.
+    """Line-searched rollout of the affine policy, all step lengths at once.
 
-    Tries alpha in {1, 1/2, ..., 2^-10} and accepts the first candidate whose
-    actual decrease is at least 1e-4 * alpha * expected_decrease. Returns the
-    incumbent with accepted=False when no step qualifies.
+    Rolls the policy out for every alpha in {1, 1/2, ..., 2^-10} together and
+    scores the stack with one cost call. A candidate whose states are not
+    finite is scored as the incumbent and never accepted. Returns the largest
+    alpha whose actual decrease is at least 1e-4 * alpha * expected_decrease,
+    or the incumbent with accepted=False when no step qualifies.
     """
     M = problem.n_knots - 1
     if duals is None:
@@ -408,22 +416,25 @@ def forward_pass(
         incumbent_cost = _al_objective(problem, problem.cost.value(states, controls), controls, duals, penalty)
 
     dt = problem.dt
-    for alpha in 2.0 ** -np.arange(_N_ALPHAS):
-        xs_new = np.empty_like(states)
-        us_new = np.empty_like(controls)
-        x = states[0]
-        xs_new[0] = x
+    alphas = 2.0 ** -np.arange(_N_ALPHAS)
+    xs = np.empty((_N_ALPHAS,) + states.shape)
+    us = np.empty((_N_ALPHAS,) + controls.shape)
+    xs[:, 0] = states[0]
+    # large steps may overflow; those candidates are masked out below
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            u = controls[t] + alpha * gains.k[t] + gains.K[t] @ (x - states[t])
-            us_new[t] = u
-            x = x + u * dt
-            xs_new[t + 1] = x
-        if not np.all(np.isfinite(xs_new)):
-            continue
-        cost_new = _al_objective(problem, problem.cost.value(xs_new, us_new), us_new, duals, penalty)
-        if incumbent_cost - cost_new >= _ARMIJO * alpha * gains.expected_decrease:
-            return ForwardPassResult(xs_new, us_new, cost_new, float(alpha), True)
-    return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
+            u = controls[t] + alphas[:, None] * gains.k[t] + (xs[:, t] - states[t]) @ gains.K[t].T
+            us[:, t] = u
+            xs[:, t + 1] = xs[:, t] + u * dt
+    finite = np.all(np.isfinite(xs), axis=(1, 2))
+    xs[~finite] = states
+    us[~finite] = controls
+    costs = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
+    passed = finite & (incumbent_cost - costs >= _ARMIJO * alphas * gains.expected_decrease)
+    if not np.any(passed):
+        return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
+    i = int(np.argmax(passed))
+    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +490,7 @@ def solve(
             total_iters += 1
             if derivs is None:
                 derivs = _assemble_derivs(problem, xs, us, duals, penalty)
-            bp = backward_pass(problem, xs, us, duals, penalty, reg=reg, derivs=derivs)
+            bp = backward_pass(problem, xs, us, duals, penalty, reg=reg, derivs=derivs, reg_cap=config.reg_cap)
             reg = bp.reg_used
             grad_inf = bp.grad_inf
             if bp.grad_inf < config.grad_tol:
@@ -515,7 +526,7 @@ def solve(
     return SolveResult(
         states=xs,
         controls=us,
-        total_cost=problem.cost.value(xs, us),
+        total_cost=float(problem.cost.value(xs, us)),
         iterations=total_iters,
         outer_iterations=outer_done,
         converged=converged,

@@ -2,11 +2,16 @@
 
 Deliberately simple and self-contained: the Riccati recursion here shares no
 code with the iLQR solver, and the homogeneous-transform FK chain uses the
-matrix exponential instead of a closed-form rotation.
+matrix exponential instead of a closed-form rotation. The loop versions of
+vectorized solver and kinematics code (per-joint FK, one-alpha-at-a-time line
+search) are kept here as references for the batched forms.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from anticip_mpc.kinematics import quat_to_matrix
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _al_objective
 
 
 def lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt):
@@ -111,3 +116,48 @@ def fk_transform_chain(axes, offsets, base_position, base_rotation, q):
         T = T @ rot @ trans
         positions.append(T[:3, 3].copy())
     return np.array(positions), T[:3, :3]
+
+
+def rotation_about_axis(axis, angle):
+    """Rodrigues rotation matrix about a fixed unit axis."""
+    a = np.asarray(axis, dtype=float)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.cos(angle) * np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * np.outer(a, a)
+
+
+def fk_rodrigues_chain(model, q):
+    """Joint-by-joint FK: frame positions (n+1, 3), world joint axes (n, 3)
+    and the end-effector rotation, one Rodrigues rotation per joint."""
+    R = quat_to_matrix(model.base_orientation)
+    p = np.asarray(model.base_position, dtype=float).copy()
+    positions = [p.copy()]
+    axes_world = []
+    for axis, offset, angle in zip(model.axes, model.offsets, q):
+        axes_world.append(R @ axis)
+        R = R @ rotation_about_axis(axis, angle)
+        p = p + R @ offset
+        positions.append(p.copy())
+    return np.array(positions), np.array(axes_world), R
+
+
+def line_search_loop(problem, states, controls, gains, duals, penalty, incumbent_cost):
+    """Sequential backtracking line search: one rollout and one cost call per
+    step length, from alpha = 1 down, returning the first that passes Armijo
+    as (states, controls, cost, alpha, accepted)."""
+    M = problem.n_knots - 1
+    for alpha in 2.0 ** -np.arange(_N_ALPHAS):
+        xs_new = np.empty_like(states)
+        us_new = np.empty_like(controls)
+        x = states[0]
+        xs_new[0] = x
+        for t in range(M):
+            u = controls[t] + alpha * gains.k[t] + gains.K[t] @ (x - states[t])
+            us_new[t] = u
+            x = x + u * problem.dt
+            xs_new[t + 1] = x
+        if not np.all(np.isfinite(xs_new)):
+            continue
+        cost_new = _al_objective(problem, problem.cost.value(xs_new, us_new), us_new, duals, penalty)
+        if incumbent_cost - cost_new >= _ARMIJO * alpha * gains.expected_decrease:
+            return xs_new, us_new, cost_new, float(alpha), True
+    return states, controls, incumbent_cost, 0.0, False

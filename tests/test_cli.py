@@ -64,6 +64,27 @@ class TestPlan:
         assert run_cli("plan", "--scenario", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+class TestMalformedScenario:
+    @pytest.mark.parametrize(
+        "overlay",
+        [
+            {"mpc": {"bogus": 1}},
+            {"mpc": {"dt": float("nan")}},
+            {"robot_model": "no_such_robot.json"},
+        ],
+        ids=["unknown_mpc_key", "nan_dt", "missing_robot_model"],
+    )
+    def test_simulate_exits_invalid_input(self, workspace, tmp_path, overlay, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))  # NaN is written as the JSON extension token
+        code = run_cli(
+            "simulate", "--scenario", workspace / "scenario.json", "--config", config,
+            "--out", tmp_path / "sim", "--no-warmup",
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_replan_records(self, workspace, tmp_path):
         out = tmp_path / "sim"
@@ -158,15 +179,6 @@ class TestBench:
         assert summary["per_trajectory_mean_s"] > 0
         rows = list(csv.reader((out / "bench.csv").open()))
         assert len(rows) == 3  # header + one per requested run, warm-up excluded
-
-    def test_worker_threads(self, workspace, tmp_path):
-        out = tmp_path / "bench_mt"
-        code = run_cli(
-            "bench", "--scenario", workspace / "scenario.json", "--out", out,
-            "--n", 2, "--threads", 2, "--no-warmup",
-        )
-        assert code == EXIT_OK
-        assert json.loads((out / "bench.json").read_text())["threads"] == 2
 
 
 class TestSolverFailureExit:

@@ -317,6 +317,49 @@ class TestBatchedEvaluator:
             np.testing.assert_allclose(gx[i], res.grad_x, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(hxx[i], res.hess_xx, rtol=1e-9, atol=1e-12)
 
+    def test_candidate_axis_matches_per_trajectory(self, seven_dof):
+        rng = np.random.default_rng(13)
+        weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
+        qs = rng.uniform(-1.2, 1.2, (5, 7))
+        contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
+        ev = KnotCostEvaluator(seven_dof, contexts)
+        xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
+        us = rng.uniform(-1, 1, (11, 4, 7))
+        values = ev.value(xs, us)
+        assert values.shape == (11,)
+        expected = [ev.value(x, u) for x, u in zip(xs, us)]
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+    def test_exact_orientation_gradient_matches_central_difference(self):
+        from anticip_mpc.kinematics import fk_batch
+
+        from conftest import random_chain
+
+        rng = np.random.default_rng(14)
+        h = 1e-5
+        for _ in range(5):
+            model = random_chain(rng, 7)  # random, non-identity base orientation
+            assert not np.allclose(model.base_orientation, [1, 0, 0, 0])
+            qs = rng.uniform(-np.pi, np.pi, (3, 7))
+            # random_context draws each goal orientation from a random quaternion,
+            # off every joint and base axis
+            contexts = [
+                random_context(rng, model, q, weights=CostWeights(w_goal=1.0), goal_index=0)
+                for q in qs
+            ]
+            ev = KnotCostEvaluator(model, contexts)
+            o_val, g = ev._orientation_terms(fk_batch(model, qs))
+            g_fd = np.empty_like(g)
+            for j in range(7):
+                dq = np.zeros(7)
+                dq[j] = h
+                o_p = ev._orientation_error(fk_batch(model, qs + dq).eef_rotations)
+                o_m = ev._orientation_error(fk_batch(model, qs - dq).eef_rotations)
+                g_fd[:, j] = (o_p - o_m) / (2 * h)
+            assert np.all(o_val > 1e-3)
+            for k in range(3):
+                assert np.linalg.norm(g[k] - g_fd[k]) / np.linalg.norm(g_fd[k]) < 1e-6
+
     def test_rejects_mixed_weights(self, seven_dof):
         rng = np.random.default_rng(12)
         c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0))

@@ -17,7 +17,7 @@ from anticip_mpc.kinematics import (
 )
 
 from conftest import random_chain
-from oracles import fk_transform_chain
+from oracles import fk_rodrigues_chain, fk_transform_chain
 
 
 class TestForwardKinematics:
@@ -61,6 +61,18 @@ class TestForwardKinematics:
                 q,
             )
             np.testing.assert_allclose(fk.frame_positions, positions, atol=1e-10)
+
+    def test_batch_matches_per_joint_rodrigues_chain(self):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            model = random_chain(rng, int(rng.integers(1, 9)))
+            qs = rng.uniform(-np.pi, np.pi, (5, model.n_joints))
+            fk = fk_batch(model, qs)
+            for b, q in enumerate(qs):
+                positions, axes_world, R = fk_rodrigues_chain(model, q)
+                np.testing.assert_allclose(fk.positions[b], positions, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(fk.joint_axes_world[b], axes_world, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(fk.eef_rotations[b], R, rtol=0, atol=1e-12)
 
     def test_rejects_bad_joint_vectors(self, planar_model):
         with pytest.raises(InvalidInputError):

@@ -14,10 +14,16 @@ from anticip_mpc import (
     rollout,
     solve,
 )
-from anticip_mpc.solver import bound_violations, linear_warm_start, max_bound_violation
+from anticip_mpc.solver import (
+    BackwardPassResult,
+    _al_objective,
+    bound_violations,
+    linear_warm_start,
+    max_bound_violation,
+)
 
 from conftest import random_context
-from oracles import dense_qp_solution, lqr_tracking_solution
+from oracles import dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
 def quadratic_problem(rng, n=None, n_knots=None, bounds=10.0):
@@ -180,6 +186,83 @@ class TestForwardPass:
             assert fp.cost <= incumbent + 1e-12
 
 
+def assert_matches_loop(problem, xs, us, bp, duals, penalty, J=None):
+    """Batched forward pass against the one-alpha-at-a-time reference."""
+    if J is None:
+        J = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
+    fp = forward_pass(problem, xs, us, bp, duals, penalty, incumbent_cost=J)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(
+            problem, xs, us, bp, duals, penalty, J
+        )
+    assert fp.accepted == ref_accepted
+    assert fp.step_length == ref_alpha
+    np.testing.assert_allclose(fp.states, ref_xs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fp.controls, ref_us, rtol=1e-12, atol=1e-12)
+    assert np.isclose(fp.cost, ref_cost, rtol=1e-12, atol=1e-12)
+    return fp
+
+
+def seven_dof_problem(rng, model, weights, n_knots=6):
+    contexts = [
+        random_context(rng, model, rng.uniform(-0.5, 0.5, 7), weights=weights, goal_index=0)
+        for _ in range(n_knots)
+    ]
+    return TrajectoryProblem.from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
+
+
+class TestBatchedLineSearch:
+    def test_matches_loop_on_quadratic_problems(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            problem, _ = quadratic_problem(rng, bounds=float(rng.uniform(0.3, 2.0)))
+            M, n = problem.n_knots - 1, problem.n_dims
+            us = rng.uniform(-1, 1, (M, n))
+            xs = rollout(problem, us)
+            duals = rng.uniform(0, 1, (2, M, n)) * (rng.uniform() < 0.5)
+            penalty = float(rng.choice([0.0, 1.0, 10.0]))
+            bp = backward_pass(problem, xs, us, duals, penalty)
+            assert_matches_loop(problem, xs, us, bp, duals, penalty)
+
+    def test_matches_loop_along_seven_dof_iterations(self, seven_dof):
+        rng = np.random.default_rng(18)
+        accepted_alphas = set()
+        for _ in range(3):
+            problem = seven_dof_problem(rng, seven_dof, CostWeights(*rng.uniform(0.05, 1.0, 6)))
+            us = rng.uniform(-0.5, 0.5, (5, 7))
+            xs = rollout(problem, us)
+            duals = np.zeros((2, 5, 7))
+            for _ in range(8):
+                bp = backward_pass(problem, xs, us, duals, 1.0)
+                fp = assert_matches_loop(problem, xs, us, bp, duals, 1.0)
+                accepted_alphas.add(fp.step_length)
+                xs, us = fp.states, fp.controls
+        assert len(accepted_alphas) > 1  # the search backtracked at least once
+
+    def test_non_finite_large_steps_are_skipped(self, seven_dof):
+        # steps so long that alpha = 1 overflows the states, while every
+        # shorter step stays finite (joint angles enter the cost only
+        # through sin and cos, and smoothness is off)
+        rng = np.random.default_rng(19)
+        problem = seven_dof_problem(rng, seven_dof, CostWeights(0.5, 0.05, 0.5, 1.0, 0.0, 1.0))
+        us = np.zeros((5, 7))
+        xs = rollout(problem, us)
+        duals = np.zeros((2, 5, 7))
+        huge = BackwardPassResult(
+            k=np.full((5, 7), 1.5e308), K=np.zeros((5, 7, 7)), expected_decrease=0.0, grad_inf=1.0, reg_used=0.0
+        )
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(rollout(problem, us + huge.k)))
+        assert np.all(np.isfinite(rollout(problem, us + 0.5 * huge.k)))
+        # an incumbent that every finite candidate beats: the first finite step wins
+        fp = assert_matches_loop(problem, xs, us, huge, duals, 0.0, J=1e6)
+        assert fp.accepted and fp.step_length == 0.5
+        # an incumbent no candidate beats: nothing is accepted and the incumbent returns
+        fp = assert_matches_loop(problem, xs, us, huge, duals, 0.0, J=-1e6)
+        assert not fp.accepted and fp.step_length == 0.0
+        assert fp.states is xs and fp.controls is us
+
+
 class TestMonotonicity:
     def test_accepted_costs_non_increasing_at_fixed_duals(self, seven_dof):
         rng = np.random.default_rng(11)
@@ -309,6 +392,27 @@ class TestSolve:
         assert not result.converged
         assert result.iterations == 1
         assert_dynamically_feasible(problem, result)
+
+
+class TestRegularizationCap:
+    def test_configured_cap_stops_the_backward_pass(self):
+        # negative control weight: Q_uu factorizes only with a shift above 2
+        n = 2
+        problem = TrajectoryProblem(
+            n_knots=5,
+            dt=0.1,
+            x0=np.zeros(n),
+            cost=QuadraticCost(Q=np.eye(n), R=-np.eye(n), x_ref=np.ones(n)),
+            u_lower=-10.0 * np.ones(n),
+            u_upper=10.0 * np.ones(n),
+        )
+        us = np.zeros((4, n))
+        xs = rollout(problem, us)
+        assert backward_pass(problem, xs, us).reg_used > 2.0  # the default cap allows the shift
+        with pytest.raises(SolverError, match="backward pass"):
+            backward_pass(problem, xs, us, reg_cap=1e-7)
+        with pytest.raises(SolverError, match="backward pass"):
+            solve(problem, config=SolverConfig(reg_cap=1e-7))
 
 
 class TestConfigAndHelpers:
