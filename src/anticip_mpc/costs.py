@@ -53,7 +53,10 @@ class CostWeights:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            v = float(getattr(self, name))
+            try:
+                v = float(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"{name} must be a number: {exc}") from exc
             if not np.isfinite(v) or v < 0:
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
@@ -102,8 +105,11 @@ class GoalSpec:
     orientation: Array  # unit quaternion (w, x, y, z)
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
-        q = np.asarray(self.orientation, dtype=float).reshape(4)
+        p = np.asarray(self.position, dtype=float)
+        q = np.asarray(self.orientation, dtype=float)
+        if p.size != 3 or q.size != 4:
+            raise InvalidInputError("goal position must be a 3-vector and orientation a quaternion")
+        p, q = p.reshape(3), q.reshape(4)
         if abs(np.linalg.norm(q) - 1.0) > 1e-9:
             raise InvalidInputError("goal orientation must be a unit quaternion")
         object.__setattr__(self, "position", p)
@@ -362,8 +368,8 @@ class KnotCostEvaluator:
             vals += w.w_dist * np.sum(1.0 / (m + DIST_EPS), axis=(-2, -1))
 
         if w.w_vis > 0:
-            theta, _, _ = self._visibility_terms(p_eef)
-            vals += w.w_vis * theta / self.sigma_head
+            _, _, cos_theta, _ = self._gaze_rays(p_eef)
+            vals += w.w_vis * np.arccos(cos_theta) / self.sigma_head
 
         if w.w_leg > 0:
             probs = self._goal_probs(p_eef)
@@ -383,8 +389,10 @@ class KnotCostEvaluator:
         dot_sq = 0.25 * (np.einsum("nij,...nij->...n", self.goal_R, eef_rotations) + 1.0)
         return 1.0 - dot_sq
 
-    def _visibility_terms(self, p_eef: Array):
-        """Angles plus the pieces the gradient needs."""
+    def _gaze_rays(self, p_eef: Array):
+        """Unit rays from the head to the gazed object and to the end effector,
+        the cosine of the gaze angle between them, and the end-effector ray
+        length."""
         a = self.gaze - self.mu[:, self.head_index]  # (N, 3)
         b = p_eef - self.mu[:, self.head_index]
         na = np.linalg.norm(a, axis=-1)
@@ -393,15 +401,7 @@ class KnotCostEvaluator:
             raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
         ahat = a / na[:, None]
         bhat = b / nb[..., None]
-        t = np.clip(np.sum(ahat * bhat, axis=-1), -1.0, 1.0)
-        theta = np.arccos(t)
-        # grad of theta wrt p_eef: -(ahat - t bhat) / (|b| sin theta); zero at the kink
-        u_perp = ahat - t[..., None] * bhat
-        sin_theta = np.linalg.norm(u_perp, axis=-1)
-        ok = sin_theta > 1e-9
-        g = np.zeros_like(b)
-        g[ok] = -u_perp[ok] / (nb[ok] * sin_theta[ok])[:, None]
-        return theta, g, nb
+        return ahat, bhat, np.clip(np.sum(ahat * bhat, axis=-1), -1.0, 1.0), nb
 
     def _goal_probs(self, p_eef: Array) -> Array:
         logits = _legibility_logits(p_eef, self.goals, self.leg_start)
@@ -412,65 +412,75 @@ class KnotCostEvaluator:
     # -- derivatives ---------------------------------------------------------
 
     def state_derivatives(self, xs: Array) -> tuple[Array, Array]:
-        """Gradient (N, n) and PSD curvature (N, n, n) of the per-knot state cost."""
+        """Gradient (N, n) and PSD curvature (N, n, n) of the per-knot state cost.
+
+        Every Cartesian term adds its gradient and Gauss-Newton curvature to
+        its frame's row of g (N, F, 3) and P (N, F, 3, 3); one product with
+        the positional Jacobians then gives sum_f J_f^T g_f and
+        sum_f J_f^T P_f J_f. The goal orientation term is added in joint space.
+        """
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
         w = self.weights
         fk = fk_batch(self.model, xs)
-        J = position_jacobians(fk, self._jframes)
-        Jt = J[:, : self._n_tracked]  # (N, R, 3, n)
-        Je = J[:, -1]  # (N, 3, n)
+        J = position_jacobians(fk, self._jframes)  # (N, F, 3, n): tracked frames, then the end effector
+        F = J.shape[1]
         p_eef = fk.positions[:, self.model.eef_frame]
 
-        gx = np.zeros((N, n))
-        hxx = np.tile(HESS_FLOOR * np.eye(n), (N, 1, 1))
+        g = np.zeros((N, F, 3))
+        P = np.zeros((N, F, 3, 3))
+        g_eef, P_eef = g[:, -1], P[:, -1]  # views: the end-effector terms add in place
 
         if w.w_dist > 0 and self.n_human > 0:
-            d = fk.positions[:, self._tracked][:, None, :, :] - self.mu[:, :, None, :]
-            sd = np.einsum("nhij,nhrj->nhri", self.cov_inv, d)
-            m = np.einsum("nhri,nhri->nhr", d, sd)
-            denom = m + DIST_EPS
-            v = np.einsum("nhri,nria->nhra", sd, Jt)  # (N, H, R, n)
-            gx += w.w_dist * np.einsum("nhr,nhra->na", -2.0 / denom**2, v)
+            R = self._n_tracked
+            d = fk.positions[:, self._tracked][:, None, :, :] - self.mu[:, :, None, :]  # (N, H, R, 3)
+            sd = d @ self.cov_inv  # S^-1 d
+            denom = np.sum(d * sd, axis=-1) + DIST_EPS  # (N, H, R)
+            g[:, :R] = w.w_dist * np.sum((-2.0 / denom**2)[..., None] * sd, axis=1)
             # curvature with the sign of the off-axis part flipped positive:
-            # 8 v v^T / denom^3 + 2 J^T S^-1 J / denom^2. Keeping the full
+            # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
             # magnitude of both pieces stops line-search overshoot against the
             # proximity barrier, which otherwise stalls the inner loop
-            hxx += w.w_dist * np.einsum("nhr,nhra,nhrb->nab", 8.0 / denom**3, v, v)
-            w_off = np.einsum("nhr,nhij->nrij", 2.0 / denom**2, self.cov_inv)
-            hxx += w.w_dist * np.einsum("nria,nrij,nrjb->nab", Jt, w_off, Jt)
+            sd_r = np.swapaxes(sd, 1, 2)  # (N, R, H, 3)
+            outer = np.swapaxes(sd_r, 2, 3) @ ((8.0 / denom**3).transpose(0, 2, 1)[..., None] * sd_r)
+            cov_part = (2.0 / denom**2).transpose(0, 2, 1) @ self.cov_inv.reshape(N, -1, 9)
+            P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:
-            theta, g_p, _ = self._visibility_terms(p_eef)
-            g_p = g_p / self.sigma_head[:, None]
-            c_vis = theta / self.sigma_head
-            gx += w.w_vis * np.einsum("ni,nia->na", g_p, Je)
-            hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_vis, _CURV_GUARD))[:, None, None]
-            hxx += w.w_vis * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+            ahat, bhat, cos_theta, nb = self._gaze_rays(p_eef)
+            # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
+            u_perp = ahat - cos_theta[:, None] * bhat
+            sin_theta = np.linalg.norm(u_perp, axis=-1)
+            ok = sin_theta > 1e-9
+            g_p = np.zeros_like(u_perp)
+            g_p[ok] = -u_perp[ok] / (nb[ok] * sin_theta[ok] * self.sigma_head[ok])[:, None]
+            c_vis = np.arccos(cos_theta) / self.sigma_head
+            g_eef += w.w_vis * g_p
+            P_eef += w.w_vis * _gauss_newton(g_p, c_vis)
 
         if w.w_leg > 0:
             probs = self._goal_probs(p_eef)
             p_r = probs[:, self.goal_index]
             mean_goal = np.einsum("ng,ngi->ni", probs, self.goals)
             g_p = -2.0 * p_r[:, None] * (self.goals[:, self.goal_index] - mean_goal)
-            c_leg = 1.0 - p_r
-            gx += w.w_leg * np.einsum("ni,nia->na", g_p, Je)
-            hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_leg, _CURV_GUARD))[:, None, None]
-            hxx += w.w_leg * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+            g_eef += w.w_leg * g_p
+            P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
 
-        if w.w_nom > 0:
-            gp, hp = _norm_grad_curv(p_eef - self.nominal)
-            gx += w.w_nom * np.einsum("ni,nia->na", gp, Je)
-            hxx += w.w_nom * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, self.goal_p)):
+            if weight > 0:
+                gp, hp = _norm_grad_curv(p_eef - target)
+                g_eef += weight * gp
+                P_eef += weight * hp
+
+        Jf = J.reshape(N, 3 * F, n)
+        gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
+        hxx = np.swapaxes(Jf, 1, 2) @ (P @ J).reshape(N, 3 * F, n)
+        hxx += HESS_FLOOR * np.eye(n)
 
         if w.w_goal > 0:
-            gp, hp = _norm_grad_curv(p_eef - self.goal_p)
-            gx += w.w_goal * np.einsum("ni,nia->na", gp, Je)
-            hxx += w.w_goal * np.einsum("nia,nij,njb->nab", Je, hp, Je)
             o_val, g_or = self._orientation_terms(fk)
             gx += w.w_goal * g_or
-            h_or = g_or[:, :, None] * g_or[:, None, :] / (2.0 * np.maximum(o_val, _CURV_GUARD))[:, None, None]
-            hxx += w.w_goal * h_or
+            hxx += w.w_goal * _gauss_newton(g_or, o_val)
 
         return gx, hxx
 
@@ -498,6 +508,12 @@ class KnotCostEvaluator:
         gu = 2.0 * w * us
         huu = np.tile((2.0 * w + HESS_FLOOR) * np.eye(n), (M, 1, 1))
         return gu, huu
+
+
+def _gauss_newton(grad: Array, value: Array) -> Array:
+    """PSD curvature g g^T / (2 c) of a nonnegative term c with gradient g,
+    batched over rows; c is floored so the curvature stays bounded."""
+    return grad[:, :, None] * grad[:, None, :] / (2.0 * np.maximum(value, _CURV_GUARD))[:, None, None]
 
 
 def _norm_grad_curv(r: Array) -> tuple[Array, Array]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,7 +139,10 @@ class Scenario:
         self.goal_q = np.asarray(self.goal_q, dtype=float).reshape(-1)
         if self.start_q.shape != (n,) or self.goal_q.shape != (n,):
             raise InvalidInputError("start_q and goal_q must match the robot joint count")
-        self.gaze_object = np.asarray(self.gaze_object, dtype=float).reshape(3)
+        self.gaze_object = np.asarray(self.gaze_object, dtype=float)
+        if self.gaze_object.size != 3:
+            raise InvalidInputError(f"gaze_object must be a 3-vector, got shape {self.gaze_object.shape}")
+        self.gaze_object = self.gaze_object.reshape(3)
         self.legibility_goals = np.atleast_2d(np.asarray(self.legibility_goals, dtype=float))
         if not 0 <= int(self.legibility_goal_index) < self.legibility_goals.shape[0]:
             raise InvalidInputError("legibility_goal_index out of range")
@@ -500,6 +504,23 @@ def _load_human_source(entry, base: Path) -> tuple[HumanPrediction, Optional[Rea
     raise InvalidInputError("prediction must be a file path, inline dict, or {'synthesize': ...}")
 
 
+def _float_array(value, name: str) -> Array:
+    """A scenario field as a finite float array."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"scenario {name} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"scenario {name} must be finite")
+    return arr
+
+
+def _int_field(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"scenario {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict, base: Path) -> Scenario:
     try:
         model_entry = data["robot_model"]
@@ -512,26 +533,31 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         ground_truth = None
         if data.get("ground_truth") is not None:
             ground_truth, _ = _load_human_source(data["ground_truth"], base)
-        goal_q = np.asarray(data["goal_q"], dtype=float)
+        goal_q = _float_array(data["goal_q"], "goal_q")
         goal_entry = data.get("goal_pose", "derive")
         if goal_entry == "derive":
             pose = forward_kinematics(model, goal_q).eef_pose
             goal = GoalSpec(pose.position, pose.orientation)
-        else:
+        elif isinstance(goal_entry, dict):
             goal = GoalSpec(
-                np.asarray(goal_entry["position"], dtype=float),
-                np.asarray(goal_entry["orientation"], dtype=float),
+                _float_array(goal_entry["position"], "goal_pose.position"),
+                _float_array(goal_entry["orientation"], "goal_pose.orientation"),
             )
+        else:
+            raise InvalidInputError("scenario goal_pose must be 'derive' or an object with position and orientation")
         nominal_entry = data.get("nominal", "derive")
-        nominal = None if nominal_entry in ("derive", None) else np.asarray(nominal_entry, dtype=float)
+        nominal = None if nominal_entry in ("derive", None) else _float_array(nominal_entry, "nominal")
+        legibility = data["legibility"]
+        if not isinstance(legibility, dict):
+            raise InvalidInputError("scenario legibility must be an object with goals and goal_index")
         return Scenario(
             model=model,
-            start_q=np.asarray(data["start_q"], dtype=float),
+            start_q=_float_array(data["start_q"], "start_q"),
             goal_q=goal_q,
             goal=goal,
-            gaze_object=np.asarray(data["gaze_object"], dtype=float),
-            legibility_goals=np.asarray(data["legibility"]["goals"], dtype=float),
-            legibility_goal_index=int(data["legibility"]["goal_index"]),
+            gaze_object=_float_array(data["gaze_object"], "gaze_object"),
+            legibility_goals=_float_array(legibility["goals"], "legibility.goals"),
+            legibility_goal_index=_int_field(legibility["goal_index"], "legibility.goal_index"),
             weights=CostWeights.from_dict(data["weights"]),
             mpc=MpcConfig.from_dict(data.get("mpc", {})),
             prediction=prediction,
@@ -539,7 +565,7 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
             ground_truth=ground_truth,
             solver=SolverConfig.from_dict(data.get("solver", {})),
             synthesis=synthesis,
-            seed=int(data.get("seed", 0)),
+            seed=_int_field(data.get("seed", 0), "seed"),
         )
     except KeyError as exc:
         raise InvalidInputError(f"scenario missing required key: {exc}") from exc

@@ -13,6 +13,7 @@ the signed violation.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
@@ -40,6 +41,22 @@ class SolverConfig:
     init_penalty: float = 1.0
     penalty_scale: float = 10.0
     reg_cap: float = 1e6
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name in ("max_inner_iters", "max_outer_iters"):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                    raise InvalidInputError(f"solver.{name} must be a positive integer, got {value!r}")
+                setattr(self, name, int(value))
+                continue
+            try:
+                v = float(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"solver.{name} must be a number: {exc}") from exc
+            if not np.isfinite(v):
+                raise InvalidInputError(f"solver.{name} must be finite, got {v}")
+            setattr(self, name, v)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
@@ -339,6 +356,11 @@ def backward_pass(
     shift starts at the given reg, jumps to 1e-6 on the first failure from
     zero and grows by 10x per failure; exceeding reg_cap aborts with a
     SolverError.
+
+    k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_ux come from the same shifted Q_uu, so
+    the full value update of Tassa, Erez & Todorov (2012) loses its cross
+    terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
+    decrease at a full step is -q_u^T k / 2.
     """
     if derivs is None:
         M = problem.n_knots - 1
@@ -349,41 +371,35 @@ def backward_pass(
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
-    eye = np.eye(n)
+    # column 0 holds the gradient and columns 1: the curvature, so one solve
+    # gives [k | K] and one product updates [v_x | V_xx]
+    hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
+    gu = np.zeros((M, n, n + 1))
+    gu[:, :, 0] = derivs.gu
+    huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2))
 
     while True:
-        k = np.empty((M, n))
-        K = np.empty((M, n, n))
-        vx = derivs.gx[-1].copy()
-        vxx = derivs.hxx[-1].copy()
-        d1 = 0.0
-        d2 = 0.0
-        grad_inf = 0.0
-        failed = False
+        huu_reg = huu + reg * np.eye(n)
+        q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
+        kK = np.empty((M, n, n + 1))  # [k | K]
+        v = hx[-1].copy()  # [v_x | V_xx]
+        v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
         for t in range(M - 1, -1, -1):
-            # A = I, B = dt * I for the single-integrator chain
-            qx = derivs.gx[t] + vx
-            qu = derivs.gu[t] + dt * vx
-            qxx = derivs.hxx[t] + vxx
-            qux = dt * vxx
-            quu = derivs.huu[t] + dt * dt * vxx + reg * eye
+            # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
+            # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]
+            q[t] = gu[t] + dt * v
+            quu = huu_reg[t] + dt * dt * v[:, 1:]
             try:
-                chol = np.linalg.cholesky(0.5 * (quu + quu.T))
+                np.linalg.cholesky(quu)  # the positive-definiteness test
             except np.linalg.LinAlgError:
-                failed = True
                 break
-            rhs = np.column_stack([qu, qux])
-            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-            k[t] = -sol[:, 0]
-            K[t] = -sol[:, 1:]
-            d1 += float(qu @ k[t])
-            d2 += float(k[t] @ quu @ k[t])
-            grad_inf = max(grad_inf, float(np.max(np.abs(qu))))
-            vx = qx + K[t].T @ quu @ k[t] + K[t].T @ qu + qux.T @ k[t]
-            vxx = qxx + K[t].T @ quu @ K[t] + K[t].T @ qux + qux.T @ K[t]
-            vxx = 0.5 * (vxx + vxx.T)
-        if not failed:
-            return BackwardPassResult(k, K, max(0.0, -(d1 + 0.5 * d2)), grad_inf, reg)
+            kK[t] = -np.linalg.solve(quu, q[t])
+            v = hx[t] + v + q[t, :, 1:] @ kK[t]
+            v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
+        else:
+            qu, k = q[:, :, 0], kK[:, :, 0]
+            decrease = max(0.0, -0.5 * float(np.sum(qu * k)))
+            return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.max(np.abs(qu))), reg)
         reg = _REG_MIN if reg == 0.0 else reg * 10.0
         if reg > reg_cap:
             raise SolverError(

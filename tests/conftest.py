@@ -72,7 +72,7 @@ def random_context(
             HumanJointGaussian(eef + rng.uniform(-0.8, 0.8, 3), random_spd(rng))
             for _ in range(n_human)
         )
-        head = human[0].mean
+        head = human[0].mean if human else eef + rng.uniform(-0.8, 0.8, 3)
         gaze = head + rng.uniform(-0.8, 0.8, 3)
         a = gaze - head
         b = eef - head

@@ -4,14 +4,17 @@ Deliberately simple and self-contained: the Riccati recursion here shares no
 code with the iLQR solver, and the homogeneous-transform FK chain uses the
 matrix exponential instead of a closed-form rotation. The loop versions of
 vectorized solver and kinematics code (per-joint FK, one-alpha-at-a-time line
-search) are kept here as references for the batched forms.
+search) are kept here as references for the batched forms, as are the
+per-term cost derivative chain and the full-form Riccati value update that the
+solver's hot path simplifies.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from anticip_mpc.kinematics import quat_to_matrix
-from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _al_objective
+from anticip_mpc.costs import _CURV_GUARD, _TINY, DIST_EPS, HESS_FLOOR
+from anticip_mpc.kinematics import fk_batch, position_jacobians, quat_to_matrix
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
 
 
 def lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt):
@@ -161,3 +164,130 @@ def line_search_loop(problem, states, controls, gains, duals, penalty, incumbent
         if incumbent_cost - cost_new >= _ARMIJO * alpha * gains.expected_decrease:
             return xs_new, us_new, cost_new, float(alpha), True
     return states, controls, incumbent_cost, 0.0, False
+
+
+def state_derivatives_per_term(ev, xs):
+    """Gradient (N, n) and curvature (N, n, n) of a KnotCostEvaluator's state
+    cost, each Cartesian term chained through its own Jacobian product."""
+
+    def norm_grad_curv(r):
+        nr = np.linalg.norm(r, axis=1)
+        safe = np.maximum(nr, _TINY)
+        rhat = r / safe[:, None]
+        g = np.where(nr[:, None] > _TINY, rhat, 0.0)
+        hp = (np.eye(3)[None] - rhat[:, :, None] * rhat[:, None, :]) / np.maximum(nr, _CURV_GUARD)[:, None, None]
+        return g, hp
+
+    xs = np.asarray(xs, dtype=float)
+    N, n = xs.shape
+    w = ev.weights
+    fk = fk_batch(ev.model, xs)
+    tracked = np.asarray(ev.model.tracked_frames, dtype=int)
+    J = position_jacobians(fk, np.concatenate([tracked, [ev.model.eef_frame]]))
+    Jt = J[:, : len(tracked)]
+    Je = J[:, -1]
+    p_eef = fk.positions[:, ev.model.eef_frame]
+
+    gx = np.zeros((N, n))
+    hxx = np.tile(HESS_FLOOR * np.eye(n), (N, 1, 1))
+
+    if w.w_dist > 0 and ev.n_human > 0:
+        d = fk.positions[:, tracked][:, None, :, :] - ev.mu[:, :, None, :]
+        sd = np.einsum("nhij,nhrj->nhri", ev.cov_inv, d)
+        m = np.einsum("nhri,nhri->nhr", d, sd)
+        denom = m + DIST_EPS
+        v = np.einsum("nhri,nria->nhra", sd, Jt)
+        gx += w.w_dist * np.einsum("nhr,nhra->na", -2.0 / denom**2, v)
+        hxx += w.w_dist * np.einsum("nhr,nhra,nhrb->nab", 8.0 / denom**3, v, v)
+        w_off = np.einsum("nhr,nhij->nrij", 2.0 / denom**2, ev.cov_inv)
+        hxx += w.w_dist * np.einsum("nria,nrij,nrjb->nab", Jt, w_off, Jt)
+
+    if w.w_vis > 0:
+        a = ev.gaze - ev.mu[:, ev.head_index]
+        b = p_eef - ev.mu[:, ev.head_index]
+        nb = np.linalg.norm(b, axis=-1)
+        ahat = a / np.linalg.norm(a, axis=-1)[:, None]
+        bhat = b / nb[:, None]
+        t = np.clip(np.sum(ahat * bhat, axis=-1), -1.0, 1.0)
+        theta = np.arccos(t)
+        u_perp = ahat - t[:, None] * bhat
+        sin_theta = np.linalg.norm(u_perp, axis=-1)
+        ok = sin_theta > 1e-9
+        g_p = np.zeros_like(b)
+        g_p[ok] = -u_perp[ok] / (nb[ok] * sin_theta[ok])[:, None]
+        g_p = g_p / ev.sigma_head[:, None]
+        c_vis = theta / ev.sigma_head
+        gx += w.w_vis * np.einsum("ni,nia->na", g_p, Je)
+        hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_vis, _CURV_GUARD))[:, None, None]
+        hxx += w.w_vis * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+
+    if w.w_leg > 0:
+        probs = ev._goal_probs(p_eef)
+        p_r = probs[:, ev.goal_index]
+        mean_goal = np.einsum("ng,ngi->ni", probs, ev.goals)
+        g_p = -2.0 * p_r[:, None] * (ev.goals[:, ev.goal_index] - mean_goal)
+        c_leg = 1.0 - p_r
+        gx += w.w_leg * np.einsum("ni,nia->na", g_p, Je)
+        hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_leg, _CURV_GUARD))[:, None, None]
+        hxx += w.w_leg * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+
+    for weight, target in ((w.w_nom, ev.nominal), (w.w_goal, ev.goal_p)):
+        if weight > 0:
+            gp, hp = norm_grad_curv(p_eef - target)
+            gx += weight * np.einsum("ni,nia->na", gp, Je)
+            hxx += weight * np.einsum("nia,nij,njb->nab", Je, hp, Je)
+
+    if w.w_goal > 0:
+        R = fk.eef_rotations
+        o_val = 1.0 - 0.25 * (np.einsum("nij,nij->n", ev.goal_R, R) + 1.0)
+        mr = R @ np.swapaxes(ev.goal_R, 1, 2)
+        s = np.stack([mr[:, 2, 1] - mr[:, 1, 2], mr[:, 0, 2] - mr[:, 2, 0], mr[:, 1, 0] - mr[:, 0, 1]], axis=1)
+        g_or = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
+        gx += w.w_goal * g_or
+        hxx += w.w_goal * g_or[:, :, None] * g_or[:, None, :] / (2.0 * np.maximum(o_val, _CURV_GUARD))[:, None, None]
+
+    return gx, hxx
+
+
+def backward_pass_full_form(problem, derivs, reg=0.0, reg_cap=1e6):
+    """Riccati sweep with the full value update of Tassa, Erez & Todorov 2012:
+    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K,
+    with k and K from two triangular solves on the Cholesky factor of Q_uu.
+    Returns (k, K, expected_decrease, grad_inf, reg) or raises ValueError
+    past reg_cap."""
+    n = problem.n_dims
+    M = problem.n_knots - 1
+    dt = problem.dt
+    eye = np.eye(n)
+    while True:
+        k = np.empty((M, n))
+        K = np.empty((M, n, n))
+        vx = derivs.gx[-1].copy()
+        vxx = derivs.hxx[-1].copy()
+        d1 = d2 = grad_inf = 0.0
+        failed = False
+        for t in range(M - 1, -1, -1):
+            qx = derivs.gx[t] + vx
+            qu = derivs.gu[t] + dt * vx
+            qxx = derivs.hxx[t] + vxx
+            qux = dt * vxx
+            quu = derivs.huu[t] + dt * dt * vxx + reg * eye
+            try:
+                chol = np.linalg.cholesky(0.5 * (quu + quu.T))
+            except np.linalg.LinAlgError:
+                failed = True
+                break
+            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, np.column_stack([qu, qux])))
+            k[t] = -sol[:, 0]
+            K[t] = -sol[:, 1:]
+            d1 += float(qu @ k[t])
+            d2 += float(k[t] @ quu @ k[t])
+            grad_inf = max(grad_inf, float(np.max(np.abs(qu))))
+            vx = qx + K[t].T @ quu @ k[t] + K[t].T @ qu + qux.T @ k[t]
+            vxx = qxx + K[t].T @ quu @ K[t] + K[t].T @ qux + qux.T @ K[t]
+            vxx = 0.5 * (vxx + vxx.T)
+        if not failed:
+            return k, K, max(0.0, -(d1 + 0.5 * d2)), grad_inf, reg
+        reg = _REG_MIN if reg == 0.0 else reg * 10.0
+        if reg > reg_cap:
+            raise ValueError("regularization exceeded its cap")

@@ -71,8 +71,21 @@ class TestMalformedScenario:
             {"mpc": {"bogus": 1}},
             {"mpc": {"dt": float("nan")}},
             {"robot_model": "no_such_robot.json"},
+            {"weights": {"w_dist": "heavy"}},
+            {"legibility": [[0.622, -0.524, 0.323]]},
+            {"gaze_object": [0.75, 0.05]},
+            {"start_q": "home"},
+            {"nominal": "straight"},
+            {"legibility": {"goal_index": 0.5}},
+            {"seed": "seven"},
+            {"goal_pose": "up"},
+            {"goal_pose": {"position": [0.6, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}},
         ],
-        ids=["unknown_mpc_key", "nan_dt", "missing_robot_model"],
+        ids=[
+            "unknown_mpc_key", "nan_dt", "missing_robot_model", "string_weight",
+            "list_legibility", "two_vector_gaze", "string_start_q", "string_nominal",
+            "fractional_goal_index", "string_seed", "string_goal_pose", "two_vector_goal_position",
+        ],
     )
     def test_simulate_exits_invalid_input(self, workspace, tmp_path, overlay, capsys):
         config = tmp_path / "overlay.json"

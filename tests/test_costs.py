@@ -22,6 +22,7 @@ from anticip_mpc import (
 from anticip_mpc.prediction import HumanJointGaussian
 
 from conftest import random_context
+from oracles import state_derivatives_per_term
 
 
 def one_link_model(offset):
@@ -316,6 +317,27 @@ class TestBatchedEvaluator:
             res = total_knot_cost(seven_dof, qs[i], None, ctx)
             np.testing.assert_allclose(gx[i], res.grad_x, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(hxx[i], res.hess_xx, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n_human", [0, 5, 17])
+    def test_derivatives_match_per_term_reference(self, seven_dof, n_human):
+        rng = np.random.default_rng(15 + n_human)
+        names = list(CostWeights.__dataclass_fields__)
+        human_terms = ("w_dist", "w_vis")
+        for zeroed in [None] + names:
+            w = dict(zip(names, rng.uniform(0.1, 2.0, 6)))
+            for name in names:
+                if name == zeroed or (n_human == 0 and name in human_terms):
+                    w[name] = 0.0
+            weights = CostWeights(**w)
+            qs = rng.uniform(-1.2, 1.2, (6, 7))
+            contexts = [
+                random_context(rng, seven_dof, q, weights=weights, n_human=n_human, goal_index=1) for q in qs
+            ]
+            ev = KnotCostEvaluator(seven_dof, contexts)
+            gx, hxx = ev.state_derivatives(qs)
+            gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
+            for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_candidate_axis_matches_per_trajectory(self, seven_dof):
         rng = np.random.default_rng(13)

@@ -17,13 +17,14 @@ from anticip_mpc import (
 from anticip_mpc.solver import (
     BackwardPassResult,
     _al_objective,
+    _assemble_derivs,
     bound_violations,
     linear_warm_start,
     max_bound_violation,
 )
 
 from conftest import random_context
-from oracles import dense_qp_solution, line_search_loop, lqr_tracking_solution
+from oracles import backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
 def quadratic_problem(rng, n=None, n_knots=None, bounds=10.0):
@@ -151,6 +152,42 @@ class TestRiccatiOracle:
             us = rng.uniform(-1, 1, (problem.n_knots - 1, problem.n_dims))
             bp = backward_pass(problem, rollout(problem, us), us)
             assert bp.expected_decrease >= 0.0
+
+
+class TestRiccatiFullForm:
+    @staticmethod
+    def assert_matches_full_form(problem, xs, us, duals=None, penalty=0.0):
+        derivs = _assemble_derivs(problem, xs, us, np.zeros((2,) + us.shape) if duals is None else duals, penalty)
+        bp = backward_pass(problem, xs, us, derivs=derivs)
+        k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs)
+        assert bp.reg_used == reg
+        for got, ref in ((bp.k, k), (bp.K, K)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        assert abs(bp.expected_decrease - decrease) <= 1e-10 * decrease
+        assert abs(bp.grad_inf - grad_inf) <= 1e-10 * grad_inf
+        return reg
+
+    def test_matches_full_form_on_quadratic_problems(self):
+        rng = np.random.default_rng(17)
+        for i in range(30):
+            problem, _ = quadratic_problem(rng, bounds=1.0)
+            us = rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims))
+            duals = rng.uniform(0.0, 1.0, (2,) + us.shape) if i % 2 else None
+            self.assert_matches_full_form(problem, rollout(problem, us), us, duals, penalty=float(i % 2))
+
+    def test_matches_full_form_with_regularization(self):
+        # the negative-R problem of TestRegularizationCap: Q_uu needs a shift above 2
+        n = 2
+        problem = TrajectoryProblem(
+            n_knots=5,
+            dt=0.1,
+            x0=np.zeros(n),
+            cost=QuadraticCost(Q=np.eye(n), R=-np.eye(n), x_ref=np.ones(n)),
+            u_lower=-10.0 * np.ones(n),
+            u_upper=10.0 * np.ones(n),
+        )
+        us = np.zeros((4, n))
+        assert self.assert_matches_full_form(problem, rollout(problem, us), us) > 0.0
 
 
 class TestForwardPass:
@@ -431,6 +468,23 @@ class TestConfigAndHelpers:
         assert config == SolverConfig()
         with pytest.raises(InvalidInputError):
             SolverConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"max_inner_iters": "x"},
+            {"max_outer_iters": 2.5},
+            {"max_inner_iters": 0},
+            {"max_outer_iters": True},
+            {"cost_tol": float("nan")},
+            {"grad_tol": "tight"},
+            {"reg_cap": float("inf")},
+            {"penalty_scale": None},
+        ],
+    )
+    def test_config_rejects_malformed_values(self, entry):
+        with pytest.raises(InvalidInputError):
+            SolverConfig.from_dict(entry)
 
     def test_violation_helpers(self):
         rng = np.random.default_rng(16)
