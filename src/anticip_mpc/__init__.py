@@ -8,6 +8,7 @@ iLQR solver inside a receding-horizon loop, with evaluation metrics and a CLI.
 from .costs import (
     CostWeights,
     GoalSpec,
+    HorizonContext,
     KnotContext,
     KnotCostEvaluator,
     LegibilityContext,
@@ -17,6 +18,7 @@ from .costs import (
     legibility_cost,
     nominal_cost,
     smoothness_cost,
+    stack_contexts,
     total_knot_cost,
     visibility_cost,
 )
@@ -43,7 +45,6 @@ from .mpc import (
     ExecutionTrace,
     MpcConfig,
     Scenario,
-    build_knot_contexts,
     build_problem,
     derive_nominal,
     load_scenario,

@@ -143,6 +143,62 @@ class KnotContext:
         object.__setattr__(self, "t", float(self.t))
 
 
+@dataclass(frozen=True)
+class HorizonContext:
+    """Per-knot arrays the trajectory cost reads, one row per knot; per-task
+    rows (gaze, legibility, goal) may be broadcast views."""
+
+    means: Array  # (N, H, 3) human joint means; H may be 0
+    covs: Array  # (N, H, 3, 3) human joint covariances
+    gaze: Array  # (N, 3) point the human is assumed to look at
+    nominal: Array  # (N, 3) nominal end-effector positions
+    leg_start: Array  # (N, 3) legibility start point
+    leg_goals: Array  # (N, G, 3) candidate goals
+    goal_index: int  # the true goal among them
+    goal_position: Array  # (N, 3)
+    goal_rotation: Array  # (N, 3, 3) goal orientation as a rotation matrix
+    weights: CostWeights
+    head_index: int = 0
+
+
+def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
+    """Stack per-knot contexts into one HorizonContext.
+
+    All contexts must share one CostWeights, one human joint count, one head
+    index and one goal set layout; human frames, gaze, nominal points and
+    goals vary per knot.
+    """
+    contexts = list(contexts)
+    if not contexts:
+        raise InvalidInputError("need at least one knot context")
+    first = contexts[0]
+    if any(c.weights != first.weights for c in contexts):
+        raise InvalidInputError("all knot contexts must share the same weights")
+    H = len(first.human_frame)
+    if any(len(c.human_frame) != H for c in contexts):
+        raise InvalidInputError("all knot contexts must have the same human joint count")
+    if H > 0 and any(c.head_index != first.head_index for c in contexts):
+        raise InvalidInputError("all knot contexts must share one head index")
+    G = first.legibility.goals.shape[0]
+    gi = first.legibility.goal_index
+    if any(c.legibility.goals.shape[0] != G or c.legibility.goal_index != gi for c in contexts):
+        raise InvalidInputError("all knot contexts must share the legibility goal layout")
+    N = len(contexts)
+    return HorizonContext(
+        means=np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3),
+        covs=np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3),
+        gaze=np.array([c.gaze_object for c in contexts]),
+        nominal=np.array([c.nominal for c in contexts]),
+        leg_start=np.array([c.legibility.start for c in contexts]),
+        leg_goals=np.array([c.legibility.goals for c in contexts]),
+        goal_index=gi,
+        goal_position=np.array([c.goal.position for c in contexts]),
+        goal_rotation=np.array([quat_to_matrix(c.goal.orientation) for c in contexts]),
+        weights=first.weights,
+        head_index=first.head_index,
+    )
+
+
 # ---------------------------------------------------------------------------
 # scalar cost terms
 
@@ -252,7 +308,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
     """
     q = _check_q(model, q)
     n = model.n_joints
-    ev = KnotCostEvaluator(model, [ctx])
+    ev = KnotCostEvaluator(model, stack_contexts([ctx]))
     value = float(ev.state_values(q[None, :])[0])
     gx, hxx = ev.state_derivatives(q[None, :])
     gx, hxx = gx[0], hxx[0]
@@ -275,57 +331,25 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
 
 
 class KnotCostEvaluator:
-    """Evaluates the knot cost over whole trajectories with batched FK.
+    """Evaluates the knot cost over whole trajectories with batched FK."""
 
-    All contexts must share one CostWeights, one head index, and one goal
-    set size; human frames, gaze, nominal points and times vary per knot.
-    """
-
-    def __init__(self, model: RobotModel, contexts: Sequence[KnotContext]):
-        contexts = list(contexts)
-        if not contexts:
-            raise InvalidInputError("need at least one knot context")
+    def __init__(self, model: RobotModel, horizon: HorizonContext):
         self.model = model
-        self.contexts = contexts
-        w = contexts[0].weights
-        if any(c.weights != w for c in contexts):
-            raise InvalidInputError("all knot contexts must share the same weights")
-        self.weights = w
-        N = len(contexts)
-        self.n_knots = N
-
-        H = len(contexts[0].human_frame)
-        if any(len(c.human_frame) != H for c in contexts):
-            raise InvalidInputError("all knot contexts must have the same human joint count")
-        self.n_human = H
-        if H > 0:
-            head = contexts[0].head_index
-            if any(c.head_index != head for c in contexts):
-                raise InvalidInputError("all knot contexts must share one head index")
-            self.head_index = head
-            self.mu = np.array([[g.mean for g in c.human_frame] for c in contexts])  # (N, H, 3)
-            covs = np.array([[g.cov for g in c.human_frame] for c in contexts])
-            self.cov_inv = np.linalg.inv(covs)
-            self.sigma_head = np.sqrt(np.trace(covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
+        w = self.weights = horizon.weights
+        self.n_human = horizon.means.shape[1]
+        if self.n_human > 0:
+            head = self.head_index = horizon.head_index
+            self.mu = horizon.means  # (N, H, 3)
+            self.cov_inv = np.linalg.inv(horizon.covs)
+            self.sigma_head = np.sqrt(np.trace(horizon.covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
         elif w.w_dist > 0 or w.w_vis > 0:
             raise InvalidInputError("human-centric weights require human frames in every context")
 
-        self.gaze = np.array([c.gaze_object for c in contexts])  # (N, 3)
-        self.nominal = np.array([c.nominal for c in contexts])  # (N, 3)
-
-        G = contexts[0].legibility.goals.shape[0]
-        gi = contexts[0].legibility.goal_index
-        if any(c.legibility.goals.shape[0] != G or c.legibility.goal_index != gi for c in contexts):
-            raise InvalidInputError("all knot contexts must share the legibility goal layout")
-        self.goal_index = gi
-        self.goals = np.array([c.legibility.goals for c in contexts])  # (N, G, 3)
-        self.leg_start = np.array([c.legibility.start for c in contexts])  # (N, 3)
-
-        self.goal_p = np.array([c.goal.position for c in contexts])  # (N, 3)
-        self.goal_q = np.array([c.goal.orientation for c in contexts])  # (N, 4)
+        self.gaze, self.nominal, self.goal_p = horizon.gaze, horizon.nominal, horizon.goal_position
+        self.leg_start, self.goals, self.goal_index = horizon.leg_start, horizon.leg_goals, horizon.goal_index
         # orientation error via <q1,q2>^2 = (tr(R1^T R2) + 1) / 4, no quaternion
         # extraction needed in the hot path
-        self.goal_R = np.array([quat_to_matrix(c.goal.orientation) for c in contexts])  # (N, 3, 3)
+        self.goal_R = horizon.goal_rotation
 
         tracked = np.asarray(model.tracked_frames, dtype=int)
         self._jframes = np.concatenate([tracked, [model.eef_frame]])

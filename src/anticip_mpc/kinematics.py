@@ -236,6 +236,10 @@ def forward_kinematics(model: RobotModel, q) -> FkResult:
     return FkResult(fk.positions[0], pose)
 
 
+_NEXT = np.array([1, 2, 0])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
+_PREV = np.array([2, 0, 1])
+
+
 def position_jacobians(fk: BatchFk, frames) -> Array:
     """Positional Jacobians (B, len(frames), 3, n) from a batched FK result.
 
@@ -243,11 +247,13 @@ def position_jacobians(fk: BatchFk, frames) -> Array:
     """
     frames = np.asarray(frames, dtype=int)
     n = fk.joint_axes_world.shape[1]
-    lever = fk.positions[:, frames][:, :, None, :] - fk.positions[:, None, :n, :]
-    cols = np.cross(fk.joint_axes_world[:, None, :, :], lever)  # (B, F, n, 3)
-    mask = np.arange(n)[None, :] < frames[:, None]  # (F, n)
-    cols = cols * mask[None, :, :, None]
-    return np.swapaxes(cols, 2, 3)  # (B, F, 3, n)
+    # (B, F, 3, n) levers and (B, 1, 3, n) axes; the cross product is written
+    # out because np.cross spends most of its time on axis bookkeeping here
+    lever = fk.positions[:, frames, :, None] - np.swapaxes(fk.positions[:, None, :n, :], 2, 3)
+    a = np.swapaxes(fk.joint_axes_world, 1, 2)[:, None]
+    J = a[:, :, _NEXT] * lever[:, :, _PREV] - a[:, :, _PREV] * lever[:, :, _NEXT]
+    J *= (np.arange(n)[None, :] < frames[:, None])[None, :, None, :]  # joint j moves frame f only if j < f
+    return J
 
 
 def position_jacobian(model: RobotModel, q, frame: int) -> Array:

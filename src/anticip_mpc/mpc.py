@@ -1,7 +1,7 @@
 """Receding-horizon planning loop and scenario definitions.
 
-Each replan slices the human prediction over the lookahead window, assembles
-per-knot cost contexts, solves the fixed-horizon problem warm-started from
+Each replan slices the human prediction over the lookahead window into
+per-knot cost arrays, solves the fixed-horizon problem warm-started from
 the previous plan, then executes a prefix under simulated position control
 (the executed motion tracks the plan exactly). The executed human follows
 the prediction means unless the scenario supplies a separate ground truth.
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostWeights, GoalSpec, KnotContext, LegibilityContext
+from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
 from .errors import InvalidInputError
 from .kinematics import (
     RobotModel,
@@ -28,6 +28,7 @@ from .kinematics import (
     forward_kinematics,
     load_robot_model,
     model_from_dict,
+    quat_to_matrix,
 )
 from .prediction import (
     HumanPrediction,
@@ -35,7 +36,6 @@ from .prediction import (
     load_prediction,
     prediction_from_dict,
     slice_horizon,
-    slice_horizon_arrays,
     synthesize_reach,
 )
 from .solver import SolverConfig, SolveResult, TrajectoryProblem, solve
@@ -182,39 +182,6 @@ def warm_start_shift(controls: Array, steps_executed: int, n_controls: int, lowe
     return np.clip(out, lower, upper)
 
 
-def build_knot_contexts(
-    scenario: Scenario,
-    nominal: Array,
-    legibility: LegibilityContext,
-    t_start: float,
-    n_knots: int,
-) -> list[KnotContext]:
-    """Per-knot contexts for a window starting at t_start.
-
-    The nominal path is indexed by absolute time and clamped to its final
-    point; human frames come from the prediction slice at the knot times.
-    """
-    cfg = scenario.mpc
-    frames = slice_horizon(scenario.prediction, t_start, n_knots, cfg.dt)
-    contexts = []
-    for i in range(n_knots):
-        t = t_start + i * cfg.dt
-        idx = min(int(round(t / cfg.dt)), len(nominal) - 1)
-        contexts.append(
-            KnotContext(
-                human_frame=tuple(frames[i]),
-                gaze_object=scenario.gaze_object,
-                nominal=nominal[idx],
-                legibility=legibility,
-                goal=scenario.goal,
-                weights=scenario.weights,
-                t=t,
-                head_index=scenario.prediction.head_index,
-            )
-        )
-    return contexts
-
-
 def task_legibility_context(scenario: Scenario) -> LegibilityContext:
     """Legibility context with the start point fixed at the task-start eef."""
     start_eef = forward_kinematics(scenario.model, scenario.start_q).eef_pose.position
@@ -239,12 +206,38 @@ def build_problem(
     nominal: Optional[Array] = None,
     legibility: Optional[LegibilityContext] = None,
 ) -> TrajectoryProblem:
+    """Fixed-horizon problem for a window starting at t_start.
+
+    Human means and covariances are sliced from the prediction at the knot
+    times; the nominal path is indexed by absolute time and clamped to its
+    final point; the per-task values are broadcast over the knots.
+    """
     nominal = resolve_nominal(scenario) if nominal is None else nominal
     legibility = task_legibility_context(scenario) if legibility is None else legibility
-    contexts = build_knot_contexts(scenario, nominal, legibility, t_start, n_knots)
-    return TrajectoryProblem.from_contexts(
-        scenario.model, n_knots, scenario.mpc.dt, x0, contexts, q_goal=scenario.goal_q
+    cfg = scenario.mpc
+    model = scenario.model
+    means, covs = slice_horizon(scenario.prediction, t_start, n_knots, cfg.dt)
+    t = t_start + np.arange(n_knots) * cfg.dt
+    idx = np.minimum(np.round(t / cfg.dt).astype(int), len(nominal) - 1)
+
+    def per_knot(value: Array) -> Array:
+        return np.broadcast_to(value, (n_knots,) + value.shape)
+
+    horizon = HorizonContext(
+        means=means,
+        covs=covs,
+        gaze=per_knot(scenario.gaze_object),
+        nominal=nominal[idx],
+        leg_start=per_knot(legibility.start),
+        leg_goals=per_knot(legibility.goals),
+        goal_index=legibility.goal_index,
+        goal_position=per_knot(scenario.goal.position),
+        goal_rotation=per_knot(quat_to_matrix(scenario.goal.orientation)),
+        weights=scenario.weights,
+        head_index=scenario.prediction.head_index,
     )
+    cost = KnotCostEvaluator(model, horizon)
+    return TrajectoryProblem(n_knots, cfg.dt, x0, cost, model.vel_lower, model.vel_upper, q_goal=scenario.goal_q)
 
 
 @dataclass
@@ -385,7 +378,7 @@ class ExecutionTrace:
 
 def _human_means_at(pred: HumanPrediction, n_points: int, dt: float) -> Array:
     # executed-motion grid starts at t=0 regardless of where the prediction begins
-    means, _ = slice_horizon_arrays(pred, max(0.0, pred.t0), n_points, dt)
+    means, _ = slice_horizon(pred, max(0.0, pred.t0), n_points, dt)
     return means
 
 

@@ -36,6 +36,21 @@ def _check_covariance(cov: Array, where: str = "") -> Array:
     return cov
 
 
+def _check_covariances(covs: Array) -> None:
+    """Check a (T, H, 3, 3) stack in one pass: finite, symmetric and
+    positive definite. On failure, name the first bad (frame, joint)."""
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(covs - np.swapaxes(covs, -1, -2)), initial=0.0)
+    if np.all(np.isfinite(covs)) and asym <= _SYM_TOL:
+        try:
+            np.linalg.cholesky(covs)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    for t, h in np.ndindex(covs.shape[:2]):
+        _check_covariance(covs[t, h], f" at frame {t}, joint {h}")
+
+
 @dataclass(frozen=True)
 class HumanJointGaussian:
     """Gaussian estimate of one human joint position, meters."""
@@ -80,9 +95,11 @@ class HumanPrediction:
             raise InvalidInputError("head_index out of range")
         if not self.dt > 0:
             raise InvalidInputError("dt must be positive")
-        for t in range(T):
-            for h in range(H):
-                _check_covariance(covs[t, h], f" at frame {t}, joint {h}")
+        bad = ~np.all(np.isfinite(means), axis=-1)
+        if np.any(bad):
+            t, h = np.argwhere(bad)[0]
+            raise InvalidInputError(f"mean at frame {t}, joint {h} must be finite")
+        _check_covariances(covs)
         means.setflags(write=False)
         covs.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -104,25 +121,6 @@ class HumanPrediction:
     def t_end(self) -> float:
         return self.t0 + (self.n_frames - 1) * self.dt
 
-    def frame(self, idx: int) -> list[HumanJointGaussian]:
-        return [HumanJointGaussian(self.means[idx, h], self.covs[idx, h]) for h in range(self.n_joints)]
-
-    @property
-    def frames(self) -> list[list[HumanJointGaussian]]:
-        """Per-timestep lists of joint Gaussians (built from the array storage)."""
-        return [self.frame(t) for t in range(self.n_frames)]
-
-
-def _floor_pd(cov: Array) -> Array:
-    """Symmetrize and clamp eigenvalues so the matrix stays PD."""
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] >= _EIG_FLOOR:
-        return cov
-    vals = np.maximum(vals, _EIG_FLOOR)
-    cov = (vecs * vals) @ vecs.T
-    return 0.5 * (cov + cov.T)
-
 
 def slice_horizon(
     pred: HumanPrediction,
@@ -130,56 +128,69 @@ def slice_horizon(
     n_knots: int,
     dt: float,
     hold_growth: float = 1.5,
-) -> list[list[HumanJointGaussian]]:
-    """Serve n_knots frames at t_start, t_start + dt, ... from a prediction.
+) -> tuple[Array, Array]:
+    """Means (n_knots, H, 3) and covariances (n_knots, H, 3, 3) at t_start,
+    t_start + dt, ... from a prediction.
 
     Off-grid times interpolate means and covariances linearly (covariances
     re-symmetrized and eigenvalue-floored). Times past the last frame hold
     the last mean and inflate its covariance by hold_growth per overrun grid
-    step (fractional overruns use a fractional exponent).
+    step (fractional overruns use a fractional exponent); an inflation that
+    overflows is rejected.
     """
-    means, covs = slice_horizon_arrays(pred, t_start, n_knots, dt, hold_growth)
-    return [
-        [HumanJointGaussian(means[k, h], covs[k, h]) for h in range(pred.n_joints)]
-        for k in range(n_knots)
-    ]
-
-
-def slice_horizon_arrays(
-    pred: HumanPrediction,
-    t_start: float,
-    n_knots: int,
-    dt: float,
-    hold_growth: float = 1.5,
-) -> tuple[Array, Array]:
     if n_knots < 1 or dt <= 0:
         raise InvalidInputError("n_knots must be >= 1 and dt > 0")
     if hold_growth < 1.0:
         raise InvalidInputError("hold_growth must be >= 1")
     rel0 = (t_start - pred.t0) / pred.dt
-    if rel0 < -1e-9:
+    if not rel0 >= -1e-9:
         raise InvalidInputError(f"t_start={t_start} precedes the prediction start {pred.t0}")
+    rel0 = max(rel0, 0.0)  # a start within the tolerance would otherwise index frame -1
     T = pred.n_frames
-    H = pred.n_joints
-    out_means = np.empty((n_knots, H, 3))
-    out_covs = np.empty((n_knots, H, 3, 3))
-    for k in range(n_knots):
-        s = rel0 + k * dt / pred.dt
-        snapped = round(s)
-        if abs(s - snapped) < 1e-9 and 0 <= snapped <= T - 1:
-            out_means[k] = pred.means[snapped]
-            out_covs[k] = pred.covs[snapped]
-        elif s <= T - 1:
-            i0 = int(np.floor(s))
-            w = s - i0
-            out_means[k] = (1 - w) * pred.means[i0] + w * pred.means[i0 + 1]
-            for h in range(H):
-                c = (1 - w) * pred.covs[i0, h] + w * pred.covs[i0 + 1, h]
-                out_covs[k, h] = _floor_pd(c)
-        else:
-            factor = hold_growth ** (s - (T - 1))
-            out_means[k] = pred.means[-1]
-            out_covs[k] = pred.covs[-1] * factor
+    s = rel0 + np.arange(n_knots) * dt / pred.dt  # knot times in grid steps
+    snapped = np.round(s)
+    on_grid = (np.abs(s - snapped) < 1e-9) & (snapped >= 0) & (snapped <= T - 1)
+    held = ~on_grid & (s > T - 1)
+    interp = ~on_grid & ~held
+
+    out_means = np.empty((n_knots,) + pred.means.shape[1:])
+    out_covs = np.empty((n_knots,) + pred.covs.shape[1:])
+    idx = snapped[on_grid].astype(int)
+    out_means[on_grid] = pred.means[idx]
+    out_covs[on_grid] = pred.covs[idx]
+
+    if np.any(interp):
+        i0 = np.floor(s[interp]).astype(int)
+        w = (s[interp] - i0)[:, None, None]
+        out_means[interp] = (1 - w) * pred.means[i0] + w * pred.means[i0 + 1]
+        w = w[..., None]
+        c = (1 - w) * pred.covs[i0] + w * pred.covs[i0 + 1]
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
+        vals, vecs = np.linalg.eigh(c)
+        low = vals[..., 0] < _EIG_FLOOR  # clamp those eigenvalues so every covariance stays PD
+        if np.any(low):
+            vecs = vecs[low]
+            c_low = (vecs * np.maximum(vals[low], _EIG_FLOOR)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+            c[low] = 0.5 * (c_low + np.swapaxes(c_low, -1, -2))
+        out_covs[interp] = c
+
+    if np.any(held):
+        overrun = s[held] - (T - 1)
+        try:
+            factor = np.array([hold_growth**x for x in overrun.tolist()])
+            with np.errstate(over="ignore"):
+                inflated = pred.covs[-1] * factor[:, None, None, None]
+            finite = np.all(np.isfinite(inflated))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidInputError(
+                f"the horizon runs {overrun.max() * pred.dt:g} s ({overrun.max():g} grid steps) past "
+                f"the prediction's last frame at t={pred.t_end:g} s; the held covariance, inflated "
+                f"by {hold_growth:g} per step, is not finite"
+            )
+        out_means[held] = pred.means[-1]
+        out_covs[held] = inflated
     return out_means, out_covs
 
 

@@ -16,13 +16,11 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
-from .costs import KnotContext, KnotCostEvaluator
 from .errors import InvalidInputError, SolverError
-from .kinematics import RobotModel
 
 Array = np.ndarray
 
@@ -78,8 +76,6 @@ class TrajectoryCost(Protocol):
         (N-1, n) without the axis, gives a scalar."""
         ...
 
-    def state_values(self, xs: Array) -> Array: ...
-
     def state_derivatives(self, xs: Array) -> tuple[Array, Array]: ...
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]: ...
@@ -107,13 +103,6 @@ class QuadraticCost:
             total = total + np.einsum("...ni,ij,...nj->...", us, self.R, us)
         return total
 
-    def state_values(self, xs) -> Array:
-        e = xs - (self.x_ref if np.ndim(self.x_ref) == 2 else self.x_ref[None, :])
-        Qf = self.Q if self.Qf is None else self.Qf
-        vals = np.einsum("ni,ij,nj->n", e, self.Q, e)
-        vals[-1] = e[-1] @ Qf @ e[-1]
-        return vals
-
     def state_derivatives(self, xs) -> tuple[Array, Array]:
         N, n = xs.shape
         e = xs - (self.x_ref if np.ndim(self.x_ref) == 2 else self.x_ref[None, :])
@@ -139,8 +128,6 @@ class TrajectoryProblem:
     cost: TrajectoryCost
     u_lower: Array
     u_upper: Array
-    model: Optional[RobotModel] = None
-    knot_contexts: Optional[list] = None
     q_goal: Optional[Array] = None  # joint-space goal for the linear warm start
 
     def __post_init__(self):
@@ -160,37 +147,10 @@ class TrajectoryProblem:
             self.q_goal = np.asarray(self.q_goal, dtype=float).reshape(-1)
             if self.q_goal.shape != (n,):
                 raise InvalidInputError("q_goal must match the state dimension")
-        if self.knot_contexts is not None and len(self.knot_contexts) != self.n_knots:
-            raise InvalidInputError("knot_contexts length must equal n_knots")
 
     @property
     def n_dims(self) -> int:
         return self.x0.shape[0]
-
-    @classmethod
-    def from_contexts(
-        cls,
-        model: RobotModel,
-        n_knots: int,
-        dt: float,
-        x0,
-        contexts: Sequence[KnotContext],
-        q_goal=None,
-    ) -> "TrajectoryProblem":
-        contexts = list(contexts)
-        if len(contexts) != n_knots:
-            raise InvalidInputError("need one knot context per knot")
-        return cls(
-            n_knots=n_knots,
-            dt=dt,
-            x0=x0,
-            cost=KnotCostEvaluator(model, contexts),
-            u_lower=model.vel_lower,
-            u_upper=model.vel_upper,
-            model=model,
-            knot_contexts=contexts,
-            q_goal=q_goal,
-        )
 
 
 @dataclass
@@ -317,9 +277,10 @@ class BackwardPassResult:
 class ForwardPassResult:
     states: Array
     controls: Array
-    cost: float
+    cost: float  # augmented objective
     step_length: float  # 0.0 when no step was accepted
     accepted: bool
+    raw_cost: Optional[float] = None  # cost before the bound penalty; None when no step was accepted
 
 
 @dataclass
@@ -445,12 +406,13 @@ def forward_pass(
     finite = np.all(np.isfinite(xs), axis=(1, 2))
     xs[~finite] = states
     us[~finite] = controls
-    costs = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
+    raw = problem.cost.value(xs, us)
+    costs = _al_objective(problem, raw, us, duals, penalty)
     passed = finite & (incumbent_cost - costs >= _ARMIJO * alphas * gains.expected_decrease)
     if not np.any(passed):
         return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
     i = int(np.argmax(passed))
-    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True)
+    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True, float(raw[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +446,9 @@ def solve(
             raise InvalidInputError(f"initial controls must have shape ({M}, {n})")
     xs = rollout(problem, us)
 
-    true_cost = problem.cost.value(xs, us)
-    if not np.isfinite(true_cost):
-        raise SolverError(f"warm start has non-finite cost {true_cost}")
+    cost = problem.cost.value(xs, us)  # of the current iterate, before the bound penalty
+    if not np.isfinite(cost):
+        raise SolverError(f"warm start has non-finite cost {cost}")
 
     duals = np.zeros((2, M, n))
     penalty = config.init_penalty
@@ -499,7 +461,7 @@ def solve(
 
     for _ in range(config.max_outer_iters):
         outer_done += 1
-        J = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
+        J = _al_objective(problem, cost, us, duals, penalty)
         inner_converged = False
         derivs = None
         for _ in range(config.max_inner_iters):
@@ -515,7 +477,7 @@ def solve(
             fp = forward_pass(problem, xs, us, bp, duals, penalty, incumbent_cost=J)
             if fp.accepted:
                 dJ = J - fp.cost
-                xs, us, J = fp.states, fp.controls, fp.cost
+                xs, us, J, cost = fp.states, fp.controls, fp.cost, fp.raw_cost
                 derivs = None
                 if fp.step_length >= 2.0**-5:
                     reg = 0.0 if reg <= _REG_MIN else reg / 10.0
@@ -542,7 +504,7 @@ def solve(
     return SolveResult(
         states=xs,
         controls=us,
-        total_cost=float(problem.cost.value(xs, us)),
+        total_cost=float(cost),
         iterations=total_iters,
         outer_iterations=outer_done,
         converged=converged,

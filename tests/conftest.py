@@ -5,10 +5,13 @@ from anticip_mpc import (
     CostWeights,
     GoalSpec,
     KnotContext,
+    KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
+    TrajectoryProblem,
     default_robot_model,
     forward_kinematics,
+    stack_contexts,
 )
 from anticip_mpc.prediction import HumanJointGaussian
 
@@ -103,3 +106,17 @@ def random_context(
             t=float(rng.uniform(0, 5)),
             head_index=0,
         )
+
+
+def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contexts, q_goal=None) -> TrajectoryProblem:
+    """Trajectory problem whose cost is the evaluator over stacked knot contexts."""
+    assert len(contexts) == n_knots
+    return TrajectoryProblem(
+        n_knots=n_knots,
+        dt=dt,
+        x0=x0,
+        cost=KnotCostEvaluator(model, stack_contexts(contexts)),
+        u_lower=model.vel_lower,
+        u_upper=model.vel_upper,
+        q_goal=q_goal,
+    )

@@ -3,8 +3,9 @@
 Deliberately simple and self-contained: the Riccati recursion here shares no
 code with the iLQR solver, and the homogeneous-transform FK chain uses the
 matrix exponential instead of a closed-form rotation. The loop versions of
-vectorized solver and kinematics code (per-joint FK, one-alpha-at-a-time line
-search) are kept here as references for the batched forms, as are the
+vectorized solver, kinematics and prediction code (per-joint FK, np.cross
+Jacobians, one-alpha-at-a-time line search, per-knot and per-joint horizon
+slicing) are kept here as references for the batched forms, as are the
 per-term cost derivative chain and the full-form Riccati value update that the
 solver's hot path simplifies.
 """
@@ -14,6 +15,7 @@ from scipy.linalg import expm
 
 from anticip_mpc.costs import _CURV_GUARD, _TINY, DIST_EPS, HESS_FLOOR
 from anticip_mpc.kinematics import fk_batch, position_jacobians, quat_to_matrix
+from anticip_mpc.prediction import _EIG_FLOOR
 from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
 
 
@@ -141,6 +143,54 @@ def fk_rodrigues_chain(model, q):
         p = p + R @ offset
         positions.append(p.copy())
     return np.array(positions), np.array(axes_world), R
+
+
+def position_jacobians_cross(fk, frames):
+    """Positional Jacobians (B, F, 3, n) with np.cross over (B, F, n, 3) levers."""
+    frames = np.asarray(frames, dtype=int)
+    n = fk.joint_axes_world.shape[1]
+    lever = fk.positions[:, frames][:, :, None, :] - fk.positions[:, None, :n, :]
+    cols = np.cross(fk.joint_axes_world[:, None, :, :], lever)  # (B, F, n, 3)
+    mask = np.arange(n)[None, :] < frames[:, None]  # (F, n)
+    cols = cols * mask[None, :, :, None]
+    return np.swapaxes(cols, 2, 3)
+
+
+def floor_pd(cov):
+    """Symmetrize one 3x3 matrix and clamp its eigenvalues so it stays PD."""
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] >= _EIG_FLOOR:
+        return cov
+    vals = np.maximum(vals, _EIG_FLOOR)
+    cov = (vecs * vals) @ vecs.T
+    return 0.5 * (cov + cov.T)
+
+
+def slice_horizon_loop(pred, t_start, n_knots, dt, hold_growth=1.5):
+    """Horizon slice one knot and one joint at a time: on-grid knots copy the
+    frame, off-grid knots interpolate and floor each covariance, knots past
+    the last frame hold it and inflate the covariance by hold_growth per step."""
+    rel0 = (t_start - pred.t0) / pred.dt
+    T, H = pred.n_frames, pred.n_joints
+    out_means = np.empty((n_knots, H, 3))
+    out_covs = np.empty((n_knots, H, 3, 3))
+    for k in range(n_knots):
+        s = rel0 + k * dt / pred.dt
+        snapped = round(s)
+        if abs(s - snapped) < 1e-9 and 0 <= snapped <= T - 1:
+            out_means[k] = pred.means[snapped]
+            out_covs[k] = pred.covs[snapped]
+        elif s <= T - 1:
+            i0 = int(np.floor(s))
+            w = s - i0
+            out_means[k] = (1 - w) * pred.means[i0] + w * pred.means[i0 + 1]
+            for h in range(H):
+                out_covs[k, h] = floor_pd((1 - w) * pred.covs[i0, h] + w * pred.covs[i0 + 1, h])
+        else:
+            out_means[k] = pred.means[-1]
+            out_covs[k] = pred.covs[-1] * hold_growth ** (s - (T - 1))
+    return out_means, out_covs
 
 
 def line_search_loop(problem, states, controls, gains, duals, penalty, incumbent_cost):

@@ -64,7 +64,33 @@ class TestPlan:
         assert run_cli("plan", "--scenario", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+# two synthesized frames 0.001 s apart: a 2 s task holds the last one for
+# ~2000 grid steps, and the 1.5-per-step covariance inflation overflows
+SHORT_PREDICTION = {"prediction": {"synthesize": {"duration": 0.001, "dt": 0.001}}}
+
+
 class TestMalformedScenario:
+    def test_plan_past_prediction_end_exits_invalid_input(self, workspace, tmp_path, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(SHORT_PREDICTION))
+        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "plan")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "past the prediction's last frame" in err
+
+    def test_nan_prediction_mean_exits_invalid_input(self, workspace, tmp_path, capsys):
+        data = json.loads((workspace / "prediction.json").read_text())
+        data["frames"][2][1]["mean"][0] = float("nan")
+        (tmp_path / "prediction.json").write_text(json.dumps(data))  # NaN as the JSON extension token
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": str(tmp_path / "prediction.json")}))
+        code = run_cli("simulate", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "sim")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "mean at frame 2, joint 1 must be finite" in err
+
     @pytest.mark.parametrize(
         "overlay",
         [
@@ -80,11 +106,13 @@ class TestMalformedScenario:
             {"seed": "seven"},
             {"goal_pose": "up"},
             {"goal_pose": {"position": [0.6, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}},
+            SHORT_PREDICTION,
         ],
         ids=[
             "unknown_mpc_key", "nan_dt", "missing_robot_model", "string_weight",
             "list_legibility", "two_vector_gaze", "string_start_q", "string_nominal",
             "fractional_goal_index", "string_seed", "string_goal_pose", "two_vector_goal_position",
+            "hold_overflow",
         ],
     )
     def test_simulate_exits_invalid_input(self, workspace, tmp_path, overlay, capsys):

@@ -16,6 +16,7 @@ from anticip_mpc import (
     legibility_cost,
     nominal_cost,
     smoothness_cost,
+    stack_contexts,
     total_knot_cost,
     visibility_cost,
 )
@@ -269,7 +270,7 @@ class TestTotalKnotCost:
         assert np.array_equal(res.grad_u, np.zeros(7))
 
 
-def KnotContextWithWeights(ctx, weights):
+def KnotContextWithWeights(ctx, weights, head_index=None):
     from anticip_mpc.costs import KnotContext
 
     return KnotContext(
@@ -280,7 +281,7 @@ def KnotContextWithWeights(ctx, weights):
         goal=ctx.goal,
         weights=weights,
         t=ctx.t,
-        head_index=ctx.head_index,
+        head_index=ctx.head_index if head_index is None else head_index,
     )
 
 
@@ -291,7 +292,7 @@ class TestBatchedEvaluator:
         qs = rng.uniform(-1.2, 1.2, (4, 7))
         us = rng.uniform(-1, 1, (3, 7))
         contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
-        ev = KnotCostEvaluator(seven_dof, contexts)
+        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
 
         expected = 0.0
         for i, ctx in enumerate(contexts):
@@ -311,7 +312,7 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (3, 7))
         contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
-        ev = KnotCostEvaluator(seven_dof, contexts)
+        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
         gx, hxx = ev.state_derivatives(qs)
         for i, ctx in enumerate(contexts):
             res = total_knot_cost(seven_dof, qs[i], None, ctx)
@@ -333,7 +334,7 @@ class TestBatchedEvaluator:
             contexts = [
                 random_context(rng, seven_dof, q, weights=weights, n_human=n_human, goal_index=1) for q in qs
             ]
-            ev = KnotCostEvaluator(seven_dof, contexts)
+            ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
             gx, hxx = ev.state_derivatives(qs)
             gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
             for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
@@ -344,7 +345,7 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (5, 7))
         contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
-        ev = KnotCostEvaluator(seven_dof, contexts)
+        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
         xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
         us = rng.uniform(-1, 1, (11, 4, 7))
         values = ev.value(xs, us)
@@ -369,7 +370,7 @@ class TestBatchedEvaluator:
                 random_context(rng, model, q, weights=CostWeights(w_goal=1.0), goal_index=0)
                 for q in qs
             ]
-            ev = KnotCostEvaluator(model, contexts)
+            ev = KnotCostEvaluator(model, stack_contexts(contexts))
             o_val, g = ev._orientation_terms(fk_batch(model, qs))
             g_fd = np.empty_like(g)
             for j in range(7):
@@ -386,8 +387,37 @@ class TestBatchedEvaluator:
         rng = np.random.default_rng(12)
         c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0))
         c2 = KnotContextWithWeights(c1, CostWeights(w_nom=2.0))
+        with pytest.raises(InvalidInputError, match="same weights"):
+            stack_contexts([c1, c2])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_human": 2}, "human joint count"),
+            ({"goal_index": 1}, "goal layout"),
+            ({"n_goals": 4}, "goal layout"),
+        ],
+    )
+    def test_rejects_mixed_layouts(self, seven_dof, change, message):
+        rng = np.random.default_rng(16)
+        weights = CostWeights(w_nom=1.0)
+        base = {"n_human": 3, "n_goals": 3, "goal_index": 0}
+        c1 = random_context(rng, seven_dof, np.zeros(7), weights=weights, **base)
+        c2 = random_context(rng, seven_dof, np.zeros(7), weights=weights, **{**base, **change})
+        stack_contexts([c1, c1])
+        with pytest.raises(InvalidInputError, match=message):
+            stack_contexts([c1, c2])
+
+    def test_rejects_mixed_head_index(self, seven_dof):
+        rng = np.random.default_rng(17)
+        c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0))
+        c2 = KnotContextWithWeights(c1, c1.weights, head_index=1)
+        with pytest.raises(InvalidInputError, match="head index"):
+            stack_contexts([c1, c2])
+
+    def test_rejects_empty_context_list(self):
         with pytest.raises(InvalidInputError):
-            KnotCostEvaluator(seven_dof, [c1, c2])
+            stack_contexts([])
 
     def test_human_weights_require_human_frames(self, seven_dof):
         from anticip_mpc.costs import KnotContext
@@ -401,8 +431,8 @@ class TestBatchedEvaluator:
             weights=CostWeights(w_dist=1.0),
             t=0.0,
         )
-        with pytest.raises(InvalidInputError):
-            KnotCostEvaluator(seven_dof, [ctx])
+        with pytest.raises(InvalidInputError, match="human frames"):
+            KnotCostEvaluator(seven_dof, stack_contexts([ctx]))
 
 
 class TestWeightValidation:

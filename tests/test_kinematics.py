@@ -17,7 +17,7 @@ from anticip_mpc.kinematics import (
 )
 
 from conftest import random_chain
-from oracles import fk_rodrigues_chain, fk_transform_chain
+from oracles import fk_rodrigues_chain, fk_transform_chain, position_jacobians_cross
 
 
 class TestForwardKinematics:
@@ -135,6 +135,14 @@ class TestPositionJacobian:
                 np.testing.assert_allclose(
                     J[b, fi], position_jacobian(seven_dof, qs[b], frame), atol=1e-12
                 )
+
+    @pytest.mark.parametrize("batch", [1, 6, 66])
+    def test_matches_cross_product_reference_bitwise(self, seven_dof, batch):
+        rng = np.random.default_rng(batch)
+        for model in (seven_dof, random_chain(rng, 7)):
+            fk = fk_batch(model, rng.uniform(-np.pi, np.pi, (batch, 7)))
+            for frames in ([1, 2, 3, 4, 5, 6, 7, 7], [7, 0, 3], list(range(8))):
+                assert np.array_equal(position_jacobians(fk, frames), position_jacobians_cross(fk, frames))
 
     def test_invalid_frame(self, planar_model):
         with pytest.raises(InvalidInputError):

@@ -18,13 +18,16 @@ from anticip_mpc.kinematics import default_robot_model, model_to_dict
 from anticip_mpc.mpc import (
     ExecutionTrace,
     Scenario,
-    build_knot_contexts,
     build_problem,
     load_scenario,
     resolve_nominal,
     scenario_from_dict,
     task_legibility_context,
 )
+from anticip_mpc.costs import KnotContext, KnotCostEvaluator, stack_contexts
+from anticip_mpc.prediction import HumanJointGaussian, HumanPrediction, slice_horizon
+
+from oracles import slice_horizon_loop
 
 
 def make_scenario(seed=0, **overrides) -> Scenario:
@@ -159,26 +162,22 @@ class TestRunMpc:
 
     def test_plans_use_only_future_predictions(self):
         scenario = make_scenario(seed=1)
-        legibility = task_legibility_context(scenario)
-        nominal = resolve_nominal(scenario)
         t_now = 2.0
-        contexts = build_knot_contexts(scenario, nominal, legibility, t_now, 6)
+        means, covs = slice_horizon(scenario.prediction, t_now, 6, scenario.mpc.dt)
 
-        # corrupt every prediction frame strictly before t_now and rebuild
+        # corrupt every prediction frame strictly before t_now and slice again
         pred = scenario.prediction
-        means = pred.means.copy()
+        corrupted = pred.means.copy()
         past = np.array([pred.t0 + i * pred.dt for i in range(pred.n_frames)]) < t_now - 1e-9
-        means[past] += 100.0
-        from anticip_mpc.prediction import HumanPrediction
-
+        corrupted[past] += 100.0
         scenario.prediction = HumanPrediction(
-            pred.joint_names, pred.head_index, means, pred.covs, pred.dt, pred.t0
+            pred.joint_names, pred.head_index, corrupted, pred.covs, pred.dt, pred.t0
         )
-        contexts2 = build_knot_contexts(scenario, nominal, legibility, t_now, 6)
-        for c1, c2 in zip(contexts, contexts2):
-            for g1, g2 in zip(c1.human_frame, c2.human_frame):
-                assert np.array_equal(g1.mean, g2.mean)
-                assert np.array_equal(g1.cov, g2.cov)
+        means2, covs2 = slice_horizon(scenario.prediction, t_now, 6, scenario.mpc.dt)
+        assert np.array_equal(means, means2)
+        assert np.array_equal(covs, covs2)
+        problem = build_problem(scenario, t_now, 6, scenario.start_q)
+        assert np.array_equal(problem.cost.mu, means)
 
     def test_ground_truth_substitution(self):
         gt = default_scenario_dict(seed=9)["prediction"]
@@ -248,3 +247,64 @@ class TestScenarioLoading:
             goal_pose={"position": [0.5, -0.4, 0.3], "orientation": [1.0, 0.0, 0.0, 0.0]},
         )
         np.testing.assert_allclose(scenario.goal.position, [0.5, -0.4, 0.3])
+
+
+def seventeen_joint_scenario(seed=0) -> Scenario:
+    """A 17-joint skeleton on a 0.1 s grid that ends at 5 s, so late horizons
+    hold its last frame."""
+    reach = default_scenario_dict(seed=seed)["prediction"]["synthesize"]
+    reach.update(
+        joint_names=[f"j{i}" for i in range(17)],
+        head_index=10,
+        rest_positions=[[1.05 + 0.01 * i, -0.3 + 0.6 * i / 16, 0.05 + 0.03 * i] for i in range(17)],
+        reach_joint=16,
+        reach_target=[0.78, 0.2, 0.33],
+        duration=5.0,
+        dt=0.1,
+    )
+    return make_scenario(seed=seed, prediction={"synthesize": reach})
+
+
+def knot_context_problem_cost(scenario, t_start, n_knots):
+    """The evaluator built through per-knot KnotContexts, with human frames
+    from the per-joint slicing reference."""
+    cfg = scenario.mpc
+    nominal = resolve_nominal(scenario)
+    legibility = task_legibility_context(scenario)
+    means, covs = slice_horizon_loop(scenario.prediction, t_start, n_knots, cfg.dt)
+    contexts = []
+    for i in range(n_knots):
+        t = t_start + i * cfg.dt
+        contexts.append(
+            KnotContext(
+                human_frame=tuple(HumanJointGaussian(m, c) for m, c in zip(means[i], covs[i])),
+                gaze_object=scenario.gaze_object,
+                nominal=nominal[min(int(round(t / cfg.dt)), len(nominal) - 1)],
+                legibility=legibility,
+                goal=scenario.goal,
+                weights=scenario.weights,
+                t=t,
+                head_index=scenario.prediction.head_index,
+            )
+        )
+    return KnotCostEvaluator(scenario.model, stack_contexts(contexts))
+
+
+@pytest.mark.parametrize("which", ["reference", "seventeen_joints"])
+def test_build_problem_matches_knot_context_route(which):
+    scenario = make_scenario(seed=4) if which == "reference" else seventeen_joint_scenario(seed=4)
+    rng = np.random.default_rng(4)
+    n_knots = scenario.mpc.horizon_knots
+    for t_start in (0.0, 1.5, 4.5):
+        got = build_problem(scenario, t_start, n_knots, scenario.start_q).cost
+        ref = knot_context_problem_cost(scenario, t_start, n_knots)
+        for name in ("mu", "cov_inv", "sigma_head", "gaze", "nominal", "goals", "leg_start", "goal_p", "goal_R"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        for name in ("weights", "head_index", "goal_index", "n_human"):
+            assert getattr(got, name) == getattr(ref, name), name
+        xs = scenario.start_q + rng.uniform(-0.3, 0.3, (11, n_knots, 7))
+        us = rng.uniform(-0.5, 0.5, (11, n_knots - 1, 7))
+        assert np.array_equal(got.value(xs, us), ref.value(xs, us))
+        for a, b in zip(got.state_derivatives(xs[0]), ref.state_derivatives(xs[0])):
+            assert np.array_equal(a, b)
+    assert got.n_human == (5 if which == "reference" else 17)

@@ -12,13 +12,14 @@ from anticip_mpc.prediction import (
     minimum_jerk_profile,
     prediction_means_csv,
     prediction_to_dict,
+    prediction_from_dict,
     save_prediction,
     slice_horizon,
-    slice_horizon_arrays,
     synthesize_reach,
 )
 
 from conftest import random_spd
+from oracles import slice_horizon_loop
 
 
 def make_prediction(n_frames=20, n_joints=5, dt=0.25, seed=0):
@@ -54,6 +55,30 @@ class TestLoading:
         with pytest.raises(InvalidInputError, match="frame 3, joint 1"):
             load_prediction(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean", [0.1, float("nan"), 0.2], "mean at frame 3, joint 1 must be finite"),
+            ("cov", [[1.0, 1e-3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "frame 3, joint 1 is not symmetric"),
+            ("cov", np.diag([1.0, 1.0, -0.1]).tolist(), "frame 3, joint 1 is not positive definite"),
+            ("cov", np.diag([1.0, float("inf"), 1.0]).tolist(), "frame 3, joint 1 must be a finite"),
+        ],
+        ids=["nan_mean", "asymmetric_cov", "non_pd_cov", "infinite_cov"],
+    )
+    def test_from_dict_rejects_bad_entry_naming_frame_and_joint(self, field, value, message):
+        data = prediction_to_dict(make_prediction())
+        data["frames"][3][1][field] = value
+        with pytest.raises(InvalidInputError, match=message):
+            prediction_from_dict(data)
+
+    def test_first_bad_covariance_is_named(self):
+        data = prediction_to_dict(make_prediction())
+        data["frames"][7][0]["cov"] = np.diag([1.0, 1.0, -0.1]).tolist()
+        data["frames"][5][4]["cov"] = np.diag([1.0, 1.0, 0.0]).tolist()
+        data["frames"][5][2]["cov"] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(InvalidInputError, match="frame 5, joint 2 is not symmetric"):
+            prediction_from_dict(data)
+
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 1e-3
@@ -81,13 +106,13 @@ class TestLoading:
 class TestSliceHorizon:
     def test_identity_slice(self):
         pred = make_prediction()
-        means, covs = slice_horizon_arrays(pred, pred.t0, 3, pred.dt)
+        means, covs = slice_horizon(pred, pred.t0, 3, pred.dt)
         assert np.array_equal(means, pred.means[:3])
         assert np.array_equal(covs, pred.covs[:3])
 
     def test_hold_and_inflate(self):
         pred = make_prediction(n_frames=4)
-        means, covs = slice_horizon_arrays(pred, pred.t0, 6, pred.dt, hold_growth=1.5)
+        means, covs = slice_horizon(pred, pred.t0, 6, pred.dt, hold_growth=1.5)
         np.testing.assert_array_equal(means[4], pred.means[-1])
         np.testing.assert_array_equal(means[5], pred.means[-1])
         np.testing.assert_allclose(covs[4], pred.covs[-1] * 1.5, rtol=1e-12)
@@ -97,7 +122,7 @@ class TestSliceHorizon:
         means = np.array([[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
         covs = np.array([[np.eye(3)], [4.0 * np.eye(3)]])
         pred = HumanPrediction(("j0",), 0, means, covs, dt=1.0)
-        m, c = slice_horizon_arrays(pred, 0.5, 1, 1.0)
+        m, c = slice_horizon(pred, 0.5, 1, 1.0)
         np.testing.assert_allclose(m[0, 0], [0.5, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(c[0, 0], 2.5 * np.eye(3), atol=1e-12)
 
@@ -106,16 +131,71 @@ class TestSliceHorizon:
         pred = make_prediction(n_frames=6, seed=5)
         for _ in range(50):
             t0 = float(rng.uniform(0, 6 * pred.dt))
-            frames = slice_horizon(pred, t0, 4, float(rng.uniform(0.05, 0.5)))
-            for frame in frames:
-                for g in frame:
-                    np.linalg.cholesky(g.cov)  # raises if not PD
-                    assert np.max(np.abs(g.cov - g.cov.T)) < 1e-12
+            _, covs = slice_horizon(pred, t0, 4, float(rng.uniform(0.05, 0.5)))
+            np.linalg.cholesky(covs)  # raises if any is not PD
+            assert np.max(np.abs(covs - np.swapaxes(covs, -1, -2))) < 1e-12
+
+    def test_matches_per_joint_reference_bitwise(self):
+        rng = np.random.default_rng(6)
+        seen = set()
+        for seed in range(20):
+            pred = make_prediction(n_frames=8, n_joints=int(rng.integers(1, 18)), dt=0.1, seed=seed)
+            t_start = float(rng.choice([0.0, 0.2, float(rng.uniform(0.0, 0.6))]))
+            dt = float(rng.choice([0.1, 0.25, float(rng.uniform(0.05, 0.3))]))
+            got = slice_horizon(pred, t_start, 6, dt)
+            ref = slice_horizon_loop(pred, t_start, 6, dt)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            s = (t_start - pred.t0) / pred.dt + np.arange(6) * dt / pred.dt
+            on_grid = np.abs(s - np.round(s)) < 1e-9
+            seen |= {"held" if x > pred.n_frames - 1 else "on grid" if g else "interpolated" for x, g in zip(s, on_grid)}
+        assert seen == {"on grid", "interpolated", "held"}
+
+    def test_eigenvalue_floor_matches_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        # PD covariances with one eigenvalue below the 1e-9 floor, along the
+        # same eigenvector in both frames so that interpolation keeps it there
+        rot = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)]
+        covs = np.array([[(r * [4e-10, 1e-2 * (1 + t), 3e-2]) @ r.T for r in rot] for t in range(2)])
+        covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+        means = rng.uniform(-1, 1, (2, 3, 3))
+        pred = HumanPrediction(("a", "b", "c"), 0, means, covs, dt=1.0)
+        got = slice_horizon(pred, 0.0, 4, 0.3)
+        ref = slice_horizon_loop(pred, 0.0, 4, 0.3)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        # the floor fired: interpolated knots now have every eigenvalue at or above it
+        lows = np.linalg.eigvalsh(got[1][1:])[..., 0]
+        assert np.all(lows >= 1e-9 * (1 - 1e-6))
+        w = 0.3
+        plain = (1 - w) * covs[0] + w * covs[1]
+        assert np.min(np.linalg.eigvalsh(plain)[:, 0]) < 1e-9
+        assert not np.array_equal(got[1][1], plain)
+
+    def test_overflowing_hold_rejected(self):
+        means = np.zeros((2, 1, 3))
+        covs = np.array([[np.eye(3)], [np.eye(3)]])
+        pred = HumanPrediction(("j0",), 0, means, covs, dt=0.001)
+        slice_horizon(pred, 0.0, 6, 0.25)  # 1.5^1249 is still finite
+        with pytest.raises(InvalidInputError, match=r"runs 4\.999 s \(4999 grid steps\) past"):
+            slice_horizon(pred, 0.0, 21, 0.25)  # a 5 s task: 1.5^4999 overflows
+
+    def test_non_finite_inflated_covariance_rejected(self):
+        means = np.zeros((2, 1, 3))
+        covs = np.array([[1e308 * np.eye(3)], [1e308 * np.eye(3)]])
+        pred = HumanPrediction(("j0",), 0, means, covs, dt=1.0)
+        slice_horizon(pred, 0.0, 3, 1.0)  # held one step: 1.5e308 is finite
+        with pytest.raises(InvalidInputError, match="not finite"):
+            slice_horizon(pred, 0.0, 4, 1.0)  # held two steps: 2.25e308 overflows
 
     def test_start_before_prediction_rejected(self):
         pred = make_prediction()
         with pytest.raises(InvalidInputError):
             slice_horizon(pred, pred.t0 - 0.1, 3, pred.dt)
+
+    def test_start_within_tolerance_reads_the_first_frame(self):
+        pred = make_prediction()
+        means, covs = slice_horizon(pred, pred.t0 - 1e-9 * pred.dt, 2, pred.dt)
+        assert np.array_equal(means, pred.means[:2])
+        assert np.array_equal(covs, pred.covs[:2])
 
 
 class TestSynthesizeReach:

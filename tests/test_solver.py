@@ -23,7 +23,7 @@ from anticip_mpc.solver import (
     max_bound_violation,
 )
 
-from conftest import random_context
+from conftest import problem_from_contexts, random_context
 from oracles import backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
@@ -245,7 +245,7 @@ def seven_dof_problem(rng, model, weights, n_knots=6):
         random_context(rng, model, rng.uniform(-0.5, 0.5, 7), weights=weights, goal_index=0)
         for _ in range(n_knots)
     ]
-    return TrajectoryProblem.from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
+    return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
 
 
 class TestBatchedLineSearch:
@@ -308,7 +308,7 @@ class TestMonotonicity:
             random_context(rng, seven_dof, rng.uniform(-0.5, 0.5, 7), weights=weights, goal_index=0)
             for _ in range(5)
         ]
-        problem = TrajectoryProblem.from_contexts(seven_dof, 5, 0.25, np.zeros(7), contexts)
+        problem = problem_from_contexts(seven_dof, 5, 0.25, np.zeros(7), contexts)
         us = np.zeros((4, 7))
         xs = rollout(problem, us)
         costs = [problem.cost.value(xs, us)]
@@ -364,7 +364,7 @@ class TestSolve:
             for _ in range(6)
         ]
         q_goal = rng.uniform(-1, 1, 7)
-        problem = TrajectoryProblem.from_contexts(
+        problem = problem_from_contexts(
             seven_dof, 6, 0.25, np.zeros(7), contexts, q_goal=q_goal
         )
         result = solve(problem)
@@ -393,6 +393,45 @@ class TestSolve:
         assert_dynamically_feasible(problem, result)
         # the bound genuinely binds
         assert np.max(result.controls) > 0.9
+
+    def test_scores_each_trajectory_once(self, seven_dof, monkeypatch):
+        """The warm start is scored once and every other cost comes from a
+        forward pass's batched call; the returned cost is the plan's own."""
+        import anticip_mpc.solver as solver_module
+
+        class CountingCost:
+            def __init__(self, cost):
+                self.cost = cost
+                self.value_calls = 0
+
+            def value(self, xs, us=None):
+                self.value_calls += 1
+                return self.cost.value(xs, us)
+
+            def __getattr__(self, name):
+                return getattr(self.cost, name)
+
+        forward_passes = []
+
+        def counting_forward_pass(*args, **kwargs):
+            forward_passes.append(1)
+            return forward_pass(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "forward_pass", counting_forward_pass)
+        rng = np.random.default_rng(21)
+        weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
+        problems = [seven_dof_problem(rng, seven_dof, weights) for _ in range(3)]
+        problems += [quadratic_problem(rng, bounds=0.3)[0] for _ in range(3)]
+        outer = []
+        for problem in problems:
+            cost = problem.cost
+            problem.cost = CountingCost(cost)
+            forward_passes.clear()
+            result = solve(problem)
+            assert problem.cost.value_calls == 1 + len(forward_passes)
+            assert result.total_cost == cost.value(result.states, result.controls)
+            outer.append(result.outer_iterations)
+        assert max(outer) > 1  # the stored cost also carries across outer iterations
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(13)
