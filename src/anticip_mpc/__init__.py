@@ -61,7 +61,6 @@ from .prediction import (
     synthesize_reach,
 )
 from .solver import (
-    QuadraticCost,
     SolveResult,
     SolverConfig,
     TrajectoryProblem,

@@ -16,26 +16,19 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInputError, SolverError
-from .kinematics import default_robot_model, fk_batch, save_robot_model
+from .costs import CostWeights
+from .errors import InvalidInputError, SolverError, read_json
+from .kinematics import default_robot_model, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
-from .mpc import (
-    ExecutionTrace,
-    MpcConfig,
-    Scenario,
-    _human_means_at,
-    build_problem,
-    load_scenario,
-    run_mpc,
-    scenario_from_dict,
-)
+from .mpc import ExecutionTrace, MpcConfig, Scenario, build_problem, deep_update, load_scenario, run_mpc
 from .prediction import ReachConfig, save_prediction, synthesize_reach
-from .solver import SolveResult, solve
+from .solver import SolverConfig, solve
 
 log = logging.getLogger("anticip_mpc")
 
@@ -76,31 +69,16 @@ def _json_dump(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, sort_keys=True) + "\n")
 
 
-def _deep_update(base: dict, overlay: dict) -> dict:
-    out = dict(base)
-    for key, val in overlay.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], val)
-        else:
-            out[key] = val
-    return out
+def _retimed(scenario: Scenario, horizon=None, replan=None) -> Scenario:
+    """`scenario` with its horizon and replan period replaced where given."""
+    changes = {k: v for k, v in (("horizon", horizon), ("replan_period", replan)) if v is not None}
+    return replace(scenario, mpc=replace(scenario.mpc, **changes))
 
 
-def _load_scenario_with_overlay(path: str, config_path) -> Scenario:
-    scenario_path = Path(path)
-    try:
-        data = json.loads(scenario_path.read_text())
-    except FileNotFoundError as exc:
-        raise InvalidInputError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"scenario {path}: {exc}") from exc
-    if config_path:
-        try:
-            overlay = json.loads(Path(config_path).read_text())
-        except (FileNotFoundError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"config {config_path}: {exc}") from exc
-        data = _deep_update(data, overlay)
-    return scenario_from_dict(data, scenario_path.parent)
+def _solver_failure(out: Path, command: str, exc: SolverError) -> int:
+    _json_dump({"error": str(exc), "command": command}, out / f"{command}_diagnostics.json")
+    log.error("solver failed: %s", exc)
+    return EXIT_SOLVER_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +176,8 @@ def cmd_gen_scenario(args) -> int:
         horizon=args.horizon,
         replan=args.replan,
     )
-    if args.config:
-        data = _deep_update(data, json.loads(Path(args.config).read_text()))
+    if args.config is not None:
+        data = deep_update(data, read_json(args.config, "config"))
 
     pred = synthesize_reach(ReachConfig.from_dict(data["prediction"]["synthesize"]))
     pred_path = out / "prediction.json"
@@ -214,62 +192,27 @@ def cmd_gen_scenario(args) -> int:
     return EXIT_OK
 
 
-def _plan_csv(path: Path, scenario: Scenario, result: SolveResult) -> None:
-    model = scenario.model
-    fk = fk_batch(model, result.states)
-    eef = fk.positions[:, model.eef_frame]
-    tracked = fk.positions[:, list(model.tracked_frames)]
-    human = _human_means_at(
-        scenario.ground_truth if scenario.ground_truth is not None else scenario.prediction,
-        len(result.states),
-        scenario.mpc.dt,
-    )
-    dists = np.linalg.norm(tracked[:, None, :, :] - human[:, :, None, :], axis=-1)
-    min_d = dists.reshape(len(result.states), -1).min(axis=1)
-    n = result.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"q{i}" for i in range(n)] + ["eef_x", "eef_y", "eef_z", "min_human_dist"])
-        for i in range(len(result.states)):
-            row = [f"{i * scenario.mpc.dt:.6f}"]
-            row += [f"{v:.9f}" for v in result.states[i]]
-            row += [f"{v:.9f}" for v in eef[i]]
-            row += [f"{min_d[i]:.9f}"]
-            writer.writerow(row)
-
-
 def cmd_plan(args) -> int:
+    """The one-shot plan: a receding-horizon run whose single replan spans the task."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = _load_scenario_with_overlay(args.scenario, args.config)
-    n_knots = scenario.mpc.task_steps + 1
+    scenario = load_scenario(args.scenario, args.config)
+    duration = scenario.mpc.task_duration
     try:
-        problem = build_problem(scenario, 0.0, n_knots, scenario.start_q)
-        result = solve(problem, None, scenario.solver)
+        trace = run_mpc(_retimed(scenario, horizon=duration, replan=duration))
     except SolverError as exc:
-        _json_dump({"error": str(exc), "command": "plan"}, out / "plan_diagnostics.json")
-        log.error("solver failed: %s", exc)
-        return EXIT_SOLVER_FAILURE
+        return _solver_failure(out, "plan", exc)
 
+    result = trace.replans[0].result
     plan_json = out / "plan.json"
     _json_dump({"schema_version": SCHEMA_VERSION, **result.to_dict()}, plan_json)
     plan_csv = out / "plan.csv"
-    _plan_csv(plan_csv, scenario, result)
+    trace.save_csv(plan_csv)
     write_manifest(
         out, "plan", {"scenario": str(args.scenario)}, [args.scenario], [plan_json, plan_csv], args.seed
     )
     print(f"plan: cost={result.total_cost:.4f} converged={result.converged} wall={result.wall_time:.3f}s")
     return EXIT_OK
-
-
-def _apply_mpc_overrides(scenario: Scenario, args) -> Scenario:
-    mpc = scenario.mpc.to_dict()
-    if getattr(args, "horizon", None) is not None:
-        mpc["horizon"] = args.horizon
-    if getattr(args, "replan", None) is not None:
-        mpc["replan_period"] = args.replan
-    scenario.mpc = MpcConfig(**mpc)
-    return scenario
 
 
 def _simulate_once(scenario: Scenario, warmup: bool) -> ExecutionTrace:
@@ -282,13 +225,11 @@ def _simulate_once(scenario: Scenario, warmup: bool) -> ExecutionTrace:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = _apply_mpc_overrides(_load_scenario_with_overlay(args.scenario, args.config), args)
+    scenario = _retimed(load_scenario(args.scenario, args.config), args.horizon, args.replan)
     try:
         trace = _simulate_once(scenario, args.warmup)
     except SolverError as exc:
-        _json_dump({"error": str(exc), "command": "simulate"}, out / "simulate_diagnostics.json")
-        log.error("solver failed: %s", exc)
-        return EXIT_SOLVER_FAILURE
+        return _solver_failure(out, "simulate", exc)
 
     trace_json = out / "trace.json"
     trace.save_json(trace_json)
@@ -313,10 +254,7 @@ def cmd_eval(args) -> int:
     reports: list[MetricsReport] = []
     outputs = []
     for trace_path in args.traces:
-        try:
-            trace = ExecutionTrace.load_json(trace_path)
-        except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-            raise InvalidInputError(f"trace {trace_path}: {exc}") from exc
+        trace = ExecutionTrace.load_json(trace_path)
         report = evaluate_trace(
             trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against
         )
@@ -353,32 +291,28 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_scenario(base: Scenario, scenario_data: dict, base_dir: Path, run_seed: int) -> Scenario:
-    """Re-seed the synthesized human for one benchmark run."""
+def _reseeded(base: Scenario, seed: int) -> Scenario:
+    """`base` with its synthesized human (if any) re-drawn from `seed`."""
     if base.synthesis is None:
         return base
-    data = _deep_update(scenario_data, {"prediction": {"synthesize": {"seed": run_seed}}, "seed": run_seed})
-    return scenario_from_dict(data, base_dir)
+    synthesis = replace(base.synthesis, seed=seed)
+    return replace(base, prediction=synthesize_reach(synthesis), synthesis=synthesis, seed=seed)
 
 
 def cmd_bench(args) -> int:
+    if args.n < 1:
+        raise InvalidInputError(f"--n must be at least 1, got {args.n}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario_path = Path(args.scenario)
-    base = _load_scenario_with_overlay(args.scenario, args.config)
-    scenario_data = json.loads(scenario_path.read_text())
-    if args.config:
-        scenario_data = _deep_update(scenario_data, json.loads(Path(args.config).read_text()))
+    base = load_scenario(args.scenario, args.config)
     if base.synthesis is None:
         log.warning("scenario prediction is not synthesized; bench runs will share one human motion")
 
     if args.warmup:
-        _simulate_once(_bench_scenario(base, scenario_data, scenario_path.parent, args.seed), warmup=False)
+        run_mpc(_reseeded(base, args.seed))
 
     t0 = time.perf_counter()
-    traces = [
-        run_mpc(_bench_scenario(base, scenario_data, scenario_path.parent, args.seed + i)) for i in range(args.n)
-    ]
+    traces = [run_mpc(_reseeded(base, args.seed + i)) for i in range(args.n)]
     bench_wall = time.perf_counter() - t0
 
     per_traj = np.array([sum(t.replan_wall_times()) for t in traces])
@@ -427,16 +361,9 @@ _SCHEMAS = {
         "gaze_object": "[m]*3",
         "legibility": {"goals": "[[m]*3, ...]", "goal_index": "int"},
         "nominal": "'derive' | [[m]*3, ...]",
-        "weights": {k: "float >= 0" for k in DEFAULT_WEIGHTS},
-        "mpc": {
-            "dt": "s", "horizon": "s", "replan_period": "s",
-            "task_duration": "s", "goal_position_tol": "m",
-        },
-        "solver": {
-            "max_inner_iters": "int", "max_outer_iters": "int", "cost_tol": "float",
-            "grad_tol": "float", "constraint_tol": "float", "init_penalty": "float",
-            "penalty_scale": "float",
-        },
+        "weights": {f.name: "float >= 0" for f in fields(CostWeights)},
+        "mpc": {f.name: "float (s)" for f in fields(MpcConfig)} | {"goal_position_tol": "float (m)"},
+        "solver": {f.name: f.type for f in fields(SolverConfig)},
         "prediction": "path | inline prediction | {synthesize: {...}}",
         "ground_truth": "null | same as prediction",
         "seed": "int",
@@ -466,6 +393,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON overlay merged onto the scenario")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--out", default="out", help="output directory")
+
+
+def _add_warmup(parser: argparse.ArgumentParser) -> None:
     warm = parser.add_mutually_exclusive_group()
     warm.add_argument("--warmup", dest="warmup", action="store_true", default=True)
     warm.add_argument("--no-warmup", dest="warmup", action="store_false")
@@ -498,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--horizon", type=float, default=None, help="override horizon, seconds")
     p.add_argument("--replan", type=float, default=None, help="override replan period, seconds")
+    _add_warmup(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="compute the five metrics from trace files")
@@ -512,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=20, help="number of seeded runs")
+    _add_warmup(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_json
 
 Array = np.ndarray
 
@@ -309,12 +309,7 @@ def model_from_dict(data: dict) -> RobotModel:
 
 
 def load_robot_model(path) -> RobotModel:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"robot model {path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path, "robot model"))
 
 
 def save_robot_model(model: RobotModel, path) -> None:

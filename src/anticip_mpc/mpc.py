@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_json
 from .kinematics import (
     RobotModel,
     fk_batch,
@@ -358,7 +358,11 @@ class ExecutionTrace:
 
     @classmethod
     def load_json(cls, path) -> "ExecutionTrace":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        data = read_json(path, "trace")
+        try:
+            return cls.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"trace {path}: {exc!r}") from exc
 
     def save_csv(self, path) -> None:
         """One row per dt: time, q..., eef xyz, min human distance."""
@@ -457,7 +461,7 @@ def run_mpc(scenario: Scenario, solver_config: Optional[SolverConfig] = None) ->
         human_pred=human_pred,
         min_human_dist=dists.reshape(T1, -1).min(axis=1),
         head_index=scenario.prediction.head_index,
-        nominal=nominal[: T1] if len(nominal) >= T1 else _pad_nominal(nominal, T1),
+        nominal=nominal[:T1],  # a nominal path has at least task_steps + 1 points
         gaze_object=scenario.gaze_object,
         legibility_start=legibility.start,
         legibility_goals=legibility.goals,
@@ -470,11 +474,6 @@ def run_mpc(scenario: Scenario, solver_config: Optional[SolverConfig] = None) ->
         dt=cfg.dt,
         seed=scenario.seed,
     )
-
-
-def _pad_nominal(nominal: Array, n_points: int) -> Array:
-    pad = np.tile(nominal[-1], (n_points - len(nominal), 1))
-    return np.vstack([nominal, pad])
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +563,22 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         raise InvalidInputError(f"scenario missing required key: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"scenario {path}: {exc}") from exc
-    except FileNotFoundError as exc:
-        raise InvalidInputError(str(exc)) from exc
-    return scenario_from_dict(data, path.parent)
+def deep_update(base: dict, overlay: dict) -> dict:
+    """`base` with `overlay` merged in, recursing where both hold an object."""
+    out = dict(base)
+    for key, val in overlay.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = deep_update(out[key], val)
+        else:
+            out[key] = val
+    return out
+
+
+def load_scenario(path, overlay_path=None) -> Scenario:
+    """Parse a scenario file, with the JSON object in `overlay_path` (if any)
+    deep-merged onto it. Relative file references resolve against the
+    scenario's directory."""
+    data = read_json(path, "scenario")
+    if overlay_path is not None:
+        data = deep_update(data, read_json(overlay_path, "config"))
+    return scenario_from_dict(data, Path(path).parent)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_json
 
 Array = np.ndarray
 
@@ -271,6 +271,8 @@ def synthesize_reach(config: ReachConfig) -> HumanPrediction:
     perturbations; covariance grows linearly with lookahead."""
     if config.duration <= 0:
         raise InvalidInputError("reach duration must be positive")
+    if not 0 < config.dt < np.inf:
+        raise InvalidInputError(f"reach dt must be positive and finite, got {config.dt}")
     if config.base_cov <= 0:
         raise InvalidInputError("base_cov must be positive")
     rest = np.asarray(config.rest_positions, dtype=float)
@@ -315,12 +317,7 @@ def synthesize_reach(config: ReachConfig) -> HumanPrediction:
 
 def load_prediction(path) -> HumanPrediction:
     """Load and validate a prediction JSON file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"prediction {path}: {exc}") from exc
-    return prediction_from_dict(data)
+    return prediction_from_dict(read_json(path, "prediction"))
 
 
 def prediction_from_dict(data: dict) -> HumanPrediction:

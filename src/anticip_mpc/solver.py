@@ -82,43 +82,6 @@ class TrajectoryCost(Protocol):
 
 
 @dataclass
-class QuadraticCost:
-    """Tracking cost sum (x - ref)^T Q (x - ref) + u^T R u, mostly for tests."""
-
-    Q: Array
-    R: Array
-    x_ref: Array  # (N, n) or (n,)
-    Qf: Optional[Array] = None  # terminal weight; defaults to Q
-
-    def _ref(self, idx) -> Array:
-        ref = np.asarray(self.x_ref, dtype=float)
-        return ref[idx] if ref.ndim == 2 else ref
-
-    def value(self, xs, us=None):
-        e = xs - self.x_ref
-        Qf = self.Q if self.Qf is None else self.Qf
-        total = np.einsum("...ni,ij,...nj->...", e[..., :-1, :], self.Q, e[..., :-1, :])
-        total = total + np.einsum("...i,ij,...j->...", e[..., -1, :], Qf, e[..., -1, :])
-        if us is not None:
-            total = total + np.einsum("...ni,ij,...nj->...", us, self.R, us)
-        return total
-
-    def state_derivatives(self, xs) -> tuple[Array, Array]:
-        N, n = xs.shape
-        e = xs - (self.x_ref if np.ndim(self.x_ref) == 2 else self.x_ref[None, :])
-        Qf = self.Q if self.Qf is None else self.Qf
-        gx = 2.0 * e @ self.Q
-        gx[-1] = 2.0 * Qf @ e[-1]
-        hxx = np.tile(2.0 * self.Q, (N, 1, 1))
-        hxx[-1] = 2.0 * Qf
-        return gx, hxx
-
-    def control_derivatives(self, us) -> tuple[Array, Array]:
-        M = us.shape[0]
-        return 2.0 * us @ self.R, np.tile(2.0 * self.R, (M, 1, 1))
-
-
-@dataclass
 class TrajectoryProblem:
     """Fixed-horizon problem: start state, knot costs, control box bounds."""
 

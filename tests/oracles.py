@@ -10,6 +10,9 @@ per-term cost derivative chain and the full-form Riccati value update that the
 solver's hot path simplifies.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -17,6 +20,40 @@ from anticip_mpc.costs import _CURV_GUARD, _TINY, DIST_EPS, HESS_FLOOR
 from anticip_mpc.kinematics import fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR
 from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
+
+
+@dataclass
+class QuadraticCost:
+    """Tracking cost sum (x - ref)^T Q (x - ref) + u^T R u: a trajectory cost
+    whose optimum the Riccati recursion below gives in closed form."""
+
+    Q: np.ndarray
+    R: np.ndarray
+    x_ref: np.ndarray  # (N, n) or (n,)
+    Qf: Optional[np.ndarray] = None  # terminal weight; defaults to Q
+
+    def value(self, xs, us=None):
+        e = xs - self.x_ref
+        Qf = self.Q if self.Qf is None else self.Qf
+        total = np.einsum("...ni,ij,...nj->...", e[..., :-1, :], self.Q, e[..., :-1, :])
+        total = total + np.einsum("...i,ij,...j->...", e[..., -1, :], Qf, e[..., -1, :])
+        if us is not None:
+            total = total + np.einsum("...ni,ij,...nj->...", us, self.R, us)
+        return total
+
+    def state_derivatives(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        N, n = xs.shape
+        e = xs - (self.x_ref if np.ndim(self.x_ref) == 2 else self.x_ref[None, :])
+        Qf = self.Q if self.Qf is None else self.Qf
+        gx = 2.0 * e @ self.Q
+        gx[-1] = 2.0 * Qf @ e[-1]
+        hxx = np.tile(2.0 * self.Q, (N, 1, 1))
+        hxx[-1] = 2.0 * Qf
+        return gx, hxx
+
+    def control_derivatives(self, us) -> tuple[np.ndarray, np.ndarray]:
+        M = us.shape[0]
+        return 2.0 * us @ self.R, np.tile(2.0 * self.R, (M, 1, 1))
 
 
 def lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, main
-from anticip_mpc.mpc import ExecutionTrace
+from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, main
+from anticip_mpc.costs import CostWeights
+from anticip_mpc.mpc import ExecutionTrace, MpcConfig, load_scenario
+from anticip_mpc.solver import SolverConfig
 
 
 def run_cli(*argv) -> int:
@@ -42,6 +45,22 @@ class TestGenScenario:
     def test_zero_duration_rejected(self, tmp_path):
         assert run_cli("gen-scenario", "--out", tmp_path, "--duration", "0") == EXIT_INVALID_INPUT
 
+    def test_zero_dt_rejected(self, tmp_path, capsys):
+        assert run_cli("gen-scenario", "--out", tmp_path, "--dt", "0") == EXIT_INVALID_INPUT
+        assert "reach dt must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_synthesis_dt_rejected(self, tmp_path, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": {"synthesize": {"dt": float("nan")}}}))
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
+        assert "reach dt must be positive and finite" in capsys.readouterr().err
+
+    def test_missing_config_rejected(self, tmp_path, capsys):
+        code = run_cli("gen-scenario", "--out", tmp_path, "--config", tmp_path / "nope.json")
+        assert code == EXIT_INVALID_INPUT
+        assert "config" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.json").exists()
+
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())
         assert manifest["command"] == "gen-scenario"
@@ -62,6 +81,20 @@ class TestPlan:
 
     def test_missing_scenario_is_invalid_input(self, tmp_path):
         assert run_cli("plan", "--scenario", tmp_path / "nope.json", "--out", tmp_path) == 2
+
+    def test_plan_csv_is_the_one_replan_trace(self, workspace, tmp_path):
+        plan_out, sim_out = tmp_path / "plan", tmp_path / "sim"
+        scenario = workspace / "scenario.json"
+        assert run_cli("plan", "--scenario", scenario, "--out", plan_out) == EXIT_OK
+        assert run_cli(
+            "simulate", "--scenario", scenario, "--out", sim_out,
+            "--horizon", 2.0, "--replan", 2.0, "--no-warmup",
+        ) == EXIT_OK
+        assert (plan_out / "plan.csv").read_bytes() == (sim_out / "trace.csv").read_bytes()
+        trace = json.loads((sim_out / "trace.json").read_text())
+        plan = json.loads((plan_out / "plan.json").read_text())
+        assert len(trace["replans"]) == 1
+        assert plan["states"] == trace["replans"][0]["states"]
 
 
 # two synthesized frames 0.001 s apart: a 2 s task holds the last one for
@@ -124,6 +157,17 @@ class TestMalformedScenario:
         )
         assert code == EXIT_INVALID_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["gen-scenario", "plan", "simulate", "bench"])
+    def test_list_overlay_exits_invalid_input(self, workspace, tmp_path, command, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps([{"seed": 1}]))
+        argv = [command, "--config", config, "--out", tmp_path / "out"]
+        if command != "gen-scenario":
+            argv += ["--scenario", workspace / "scenario.json"]
+        assert run_cli(*argv) == EXIT_INVALID_INPUT
+        assert "expected a JSON object, got list" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -207,6 +251,14 @@ class TestEval:
         bad.write_text("{}")
         assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
 
+    def test_non_numeric_times_rejected(self, traces, tmp_path, capsys):
+        data = json.loads(traces[0].read_text())
+        data["times"] = ["soon"] * len(data["times"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
+        assert "could not convert string to float" in capsys.readouterr().err
+
 
 class TestBench:
     def test_summary_counts_requested_runs(self, workspace, tmp_path):
@@ -221,16 +273,34 @@ class TestBench:
         rows = list(csv.reader((out / "bench.csv").open()))
         assert len(rows) == 3  # header + one per requested run, warm-up excluded
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_run_rejected(self, workspace, tmp_path, n, capsys):
+        code = run_cli("bench", "--scenario", workspace / "scenario.json", "--out", tmp_path, "--n", n)
+        assert code == EXIT_INVALID_INPUT
+        assert "--n must be at least 1" in capsys.readouterr().err
+
+    def test_reseeded_scenario_matches_seed_overlay(self, workspace, tmp_path):
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"prediction": {"synthesize": {"seed": 5}}, "seed": 5}))
+        expected = load_scenario(workspace / "scenario.json", config)
+        base = load_scenario(workspace / "scenario.json")
+        got = _reseeded(base, 5)
+        assert got.seed == 5 and base.seed == 7
+        assert got.synthesis.to_dict() == expected.synthesis.to_dict()
+        assert np.array_equal(got.prediction.means, expected.prediction.means)
+        assert np.array_equal(got.prediction.covs, expected.prediction.covs)
+        assert not np.array_equal(got.prediction.means, base.prediction.means)
+
 
 class TestSolverFailureExit:
     def test_plan_reports_exit_code_3(self, workspace, tmp_path, monkeypatch):
         from anticip_mpc.errors import SolverError
-        import anticip_mpc.cli as cli_mod
+        import anticip_mpc.mpc as mpc_mod
 
         def boom(*args, **kwargs):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "solve", boom)
+        monkeypatch.setattr(mpc_mod, "solve", boom)
         out = tmp_path / "plan"
         code = run_cli("plan", "--scenario", workspace / "scenario.json", "--out", out)
         assert code == 3
@@ -244,6 +314,24 @@ class TestTopLevel:
         data = json.loads(capsys.readouterr().out)
         assert data["schema_version"] == 1
         assert "scenario" in data and "trajectory_csv_columns" in data
+
+    def test_schema_config_keys_match_dataclass_fields(self, capsys):
+        assert run_cli("--schema") == EXIT_OK
+        scenario = json.loads(capsys.readouterr().out)["scenario"]
+        for key, cls in (("weights", CostWeights), ("mpc", MpcConfig), ("solver", SolverConfig)):
+            assert set(scenario[key]) == {f.name for f in dataclasses.fields(cls)}, key
+        assert "reg_cap" in scenario["solver"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-scenario"], ["plan", "--scenario", "s.json"], ["eval", "trace.json"]],
+        ids=["gen-scenario", "plan", "eval"],
+    )
+    def test_warmup_flag_only_on_commands_that_read_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--no-warmup")
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "unrecognized arguments: --no-warmup" in capsys.readouterr().err
 
     def test_no_command_shows_help(self, capsys):
         assert run_cli() == EXIT_INVALID_INPUT

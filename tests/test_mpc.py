@@ -15,10 +15,12 @@ from anticip_mpc import (
 )
 from anticip_mpc.cli import default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, model_to_dict
+from anticip_mpc.errors import read_json
 from anticip_mpc.mpc import (
     ExecutionTrace,
     Scenario,
     build_problem,
+    deep_update,
     load_scenario,
     resolve_nominal,
     scenario_from_dict,
@@ -217,7 +219,69 @@ class TestTraceSerialization:
         assert len(lines) == len(default_trace.times) + 1
 
 
+class TestJsonInput:
+    def test_trace_with_non_numeric_field_rejected(self, default_trace, tmp_path):
+        data = default_trace.to_dict()
+        data["times"] = ["t0"] * len(data["times"])
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError, match="trace .*could not convert"):
+            ExecutionTrace.load_json(path)
+
+    def test_trace_missing_key_rejected(self, default_trace, tmp_path):
+        data = default_trace.to_dict()
+        del data["replans"][0]["grad_inf"]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError, match="grad_inf"):
+            ExecutionTrace.load_json(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file"), ("{", "Expecting"), ("[1, 2]", "expected a JSON object, got list")],
+        ids=["missing", "malformed", "list"],
+    )
+    def test_read_json_rejects(self, tmp_path, text, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"config .*{message}"):
+            read_json(path, "config")
+
+
 class TestScenarioLoading:
+    def test_overlay_deep_merges(self, tmp_path):
+        data = default_scenario_dict(seed=0)
+        data["robot_model"] = model_to_dict(default_robot_model())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"mpc": {"horizon": 2.0}, "prediction": {"synthesize": {"seed": 4}}, "seed": 4}))
+        scenario = load_scenario(path, overlay)
+        assert scenario.mpc.horizon == 2.0
+        assert scenario.mpc.replan_period == data["mpc"]["replan_period"]  # sibling keys kept
+        assert scenario.synthesis.seed == 4 and scenario.seed == 4
+        assert scenario.synthesis.jitter == data["prediction"]["synthesize"]["jitter"]
+        assert load_scenario(path).mpc.horizon == data["mpc"]["horizon"]
+
+    def test_deep_update_replaces_non_objects(self):
+        base = {"a": {"b": 1, "c": [1, 2]}, "d": 5}
+        merged = deep_update(base, {"a": {"c": [3]}, "d": {"e": 1}})
+        assert merged == {"a": {"b": 1, "c": [3]}, "d": {"e": 1}}
+        assert base == {"a": {"b": 1, "c": [1, 2]}, "d": 5}  # inputs untouched
+
+    @pytest.mark.parametrize("overlay", [[{"seed": 3}], "seed", None], ids=["list", "string", "missing"])
+    def test_bad_overlay_rejected(self, tmp_path, overlay):
+        data = default_scenario_dict(seed=0)
+        data["robot_model"] = model_to_dict(default_robot_model())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        config = tmp_path / "overlay.json"
+        if overlay is not None:
+            config.write_text(json.dumps(overlay))
+        with pytest.raises(InvalidInputError, match="config"):
+            load_scenario(path, config)
+
     def test_missing_key_rejected(self, tmp_path):
         data = default_scenario_dict(seed=0)
         data["robot_model"] = model_to_dict(default_robot_model())

@@ -239,6 +239,11 @@ class TestSynthesizeReach:
         with pytest.raises(InvalidInputError):
             synthesize_reach(ReachConfig(duration=0.0))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.25, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(InvalidInputError, match="reach dt must be positive and finite"):
+            synthesize_reach(ReachConfig(dt=dt))
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(InvalidInputError):
             ReachConfig.from_dict({"durration": 2.0})

@@ -4,7 +4,6 @@ import pytest
 from anticip_mpc import (
     CostWeights,
     InvalidInputError,
-    QuadraticCost,
     SolverConfig,
     SolverError,
     TrajectoryProblem,
@@ -24,7 +23,7 @@ from anticip_mpc.solver import (
 )
 
 from conftest import problem_from_contexts, random_context
-from oracles import backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
+from oracles import QuadraticCost, backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
 def quadratic_problem(rng, n=None, n_knots=None, bounds=10.0):
