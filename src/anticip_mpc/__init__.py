@@ -9,18 +9,8 @@ from .costs import (
     CostWeights,
     GoalSpec,
     HorizonContext,
-    KnotContext,
     KnotCostEvaluator,
     LegibilityContext,
-    distance_cost,
-    goal_pose_cost,
-    goal_probabilities,
-    legibility_cost,
-    nominal_cost,
-    smoothness_cost,
-    stack_contexts,
-    total_knot_cost,
-    visibility_cost,
 )
 from .errors import InvalidInputError, SolverError
 from .kinematics import (
@@ -29,7 +19,6 @@ from .kinematics import (
     default_robot_model,
     forward_kinematics,
     load_robot_model,
-    position_jacobian,
     save_robot_model,
 )
 from .metrics import (
@@ -52,7 +41,6 @@ from .mpc import (
     warm_start_shift,
 )
 from .prediction import (
-    HumanJointGaussian,
     HumanPrediction,
     ReachConfig,
     load_prediction,

@@ -1,36 +1,26 @@
-"""Per-knot cost terms and their weighted combination.
+"""The batched six-term knot cost and its inputs.
 
 Six terms are combined into one knot cost: human separation (inverse
 Mahalanobis distance), end-effector visibility (gaze angle over head
 uncertainty), motion legibility (goal-inference probability), deviation from
-a nominal end-effector path, control smoothness, and goal-pose error. Each
-exposes value, gradient and a positive-semidefinite Gauss-Newton curvature
-block with respect to the joint state x and control u at one knot.
-
-:class:`KnotCostEvaluator` evaluates whole trajectories with batched
-kinematics; it is the solver's hot path and must agree with the scalar
-functions, which the test suite checks.
+a nominal end-effector path, control smoothness, and goal-pose error.
+:class:`KnotCostEvaluator` evaluates them over whole trajectories with
+batched kinematics, with gradients and positive-semidefinite Gauss-Newton
+curvature blocks per knot; it reads its per-knot inputs from one
+:class:`HorizonContext` of arrays. The scalar per-knot forms of the same
+terms, which the test suite checks the evaluator against, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .kinematics import (
-    BatchFk,
-    EefPose,
-    RobotModel,
-    _check_q,
-    fk_batch,
-    position_jacobians,
-    quat_normalize,
-    quat_to_matrix,
-)
-from .prediction import HumanJointGaussian
+from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians
 
 Array = np.ndarray
 
@@ -70,9 +60,6 @@ class CostWeights:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def scaled(self, a: float) -> "CostWeights":
-        return CostWeights(**{k: a * v for k, v in self.to_dict().items()})
 
 
 @dataclass(frozen=True)
@@ -117,33 +104,6 @@ class GoalSpec:
 
 
 @dataclass(frozen=True)
-class KnotContext:
-    """Everything the knot cost needs besides the robot state and control."""
-
-    human_frame: tuple  # HumanJointGaussian per human joint (may be empty)
-    gaze_object: Array  # 3-vector the human is assumed to look at
-    nominal: Array  # nominal end-effector position at this knot's time
-    legibility: LegibilityContext
-    goal: GoalSpec
-    weights: CostWeights
-    t: float
-    head_index: int = 0
-
-    def __post_init__(self):
-        frame = tuple(self.human_frame)
-        for g in frame:
-            if not isinstance(g, HumanJointGaussian):
-                raise InvalidInputError("human_frame entries must be HumanJointGaussian")
-        if frame and not 0 <= int(self.head_index) < len(frame):
-            raise InvalidInputError("head_index out of range")
-        object.__setattr__(self, "human_frame", frame)
-        object.__setattr__(self, "gaze_object", np.asarray(self.gaze_object, dtype=float).reshape(3))
-        object.__setattr__(self, "nominal", np.asarray(self.nominal, dtype=float).reshape(3))
-        object.__setattr__(self, "head_index", int(self.head_index))
-        object.__setattr__(self, "t", float(self.t))
-
-
-@dataclass(frozen=True)
 class HorizonContext:
     """Per-knot arrays the trajectory cost reads, one row per knot; per-task
     rows (gaze, legibility, goal) may be broadcast views."""
@@ -161,173 +121,11 @@ class HorizonContext:
     head_index: int = 0
 
 
-def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
-    """Stack per-knot contexts into one HorizonContext.
-
-    All contexts must share one CostWeights, one human joint count, one head
-    index and one goal set layout; human frames, gaze, nominal points and
-    goals vary per knot.
-    """
-    contexts = list(contexts)
-    if not contexts:
-        raise InvalidInputError("need at least one knot context")
-    first = contexts[0]
-    if any(c.weights != first.weights for c in contexts):
-        raise InvalidInputError("all knot contexts must share the same weights")
-    H = len(first.human_frame)
-    if any(len(c.human_frame) != H for c in contexts):
-        raise InvalidInputError("all knot contexts must have the same human joint count")
-    if H > 0 and any(c.head_index != first.head_index for c in contexts):
-        raise InvalidInputError("all knot contexts must share one head index")
-    G = first.legibility.goals.shape[0]
-    gi = first.legibility.goal_index
-    if any(c.legibility.goals.shape[0] != G or c.legibility.goal_index != gi for c in contexts):
-        raise InvalidInputError("all knot contexts must share the legibility goal layout")
-    N = len(contexts)
-    return HorizonContext(
-        means=np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3),
-        covs=np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3),
-        gaze=np.array([c.gaze_object for c in contexts]),
-        nominal=np.array([c.nominal for c in contexts]),
-        leg_start=np.array([c.legibility.start for c in contexts]),
-        leg_goals=np.array([c.legibility.goals for c in contexts]),
-        goal_index=gi,
-        goal_position=np.array([c.goal.position for c in contexts]),
-        goal_rotation=np.array([quat_to_matrix(c.goal.orientation) for c in contexts]),
-        weights=first.weights,
-        head_index=first.head_index,
-    )
-
-
-# ---------------------------------------------------------------------------
-# scalar cost terms
-
-
-def distance_cost(model: RobotModel, q, human_frame: Sequence[HumanJointGaussian]) -> float:
-    """Inverse covariance-scaled separation, summed over human/robot joint pairs.
-
-    sum_h sum_r 1 / (d_hr^T Sigma_h^-1 d_hr + eps) with d_hr the offset between
-    human joint h and tracked robot frame r. Larger separation, smaller cost.
-    """
-    q = _check_q(model, q)
-    fk = fk_batch(model, q[None, :])
-    frames = fk.positions[0, list(model.tracked_frames)]  # (R, 3)
-    total = 0.0
-    for g in human_frame:
-        d = frames - g.mean  # (R, 3)
-        m = np.einsum("ri,ij,rj->r", d, np.linalg.inv(g.cov), d)
-        total += float(np.sum(1.0 / (m + DIST_EPS)))
-    return total
-
-
-def head_position_stddev(head: HumanJointGaussian) -> float:
-    """Rotation-invariant scalar spread of the head estimate, sqrt(tr(cov)/3)."""
-    return float(np.sqrt(np.trace(head.cov) / 3.0))
-
-
-def visibility_cost(model: RobotModel, q, head: HumanJointGaussian, gaze_object) -> float:
-    """Angle at the head between the gazed object and the end effector,
-    divided by the head-position standard deviation."""
-    q = _check_q(model, q)
-    fk = fk_batch(model, q[None, :])
-    p_eef = fk.positions[0, model.eef_frame]
-    return _visibility_angle(np.asarray(gaze_object, dtype=float), head.mean, p_eef) / head_position_stddev(head)
-
-
-def _visibility_angle(gaze_object: Array, head_mean: Array, p_eef: Array) -> float:
-    a = gaze_object - head_mean
-    b = p_eef - head_mean
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-9 or nb < 1e-9:
-        raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
-    t = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.arccos(t))
-
-
-def legibility_cost(eef_position, ctx: LegibilityContext) -> float:
-    """One minus the inferred probability of the true goal given the current
-    end-effector position, using squared-distance path costs. Exponents are
-    shifted by their maximum before exponentiation, so distant goals cannot
-    overflow; the normalized ratio is shift-invariant."""
-    probs = goal_probabilities(np.asarray(eef_position, dtype=float).reshape(3), ctx)
-    return float(1.0 - probs[ctx.goal_index])
-
-
-def goal_probabilities(eef_position: Array, ctx: LegibilityContext) -> Array:
-    """P(G | position) over all candidate goals; sums to one."""
-    logits = _legibility_logits(eef_position[None, :], ctx.goals[None, :, :], ctx.start[None, :])[0]
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
 def _legibility_logits(eef: Array, goals: Array, start: Array) -> Array:
     """(..., N, G) logits ||G - S||^2 - ||G - Q||^2 for end-effector points (..., N, 3)."""
     vs = np.sum((goals - start[:, None, :]) ** 2, axis=-1)
     vq = np.sum((goals - eef[..., None, :]) ** 2, axis=-1)
     return vs - vq
-
-
-def nominal_cost(eef_position, nominal) -> float:
-    """Euclidean distance between actual and nominal end-effector positions."""
-    return float(np.linalg.norm(np.asarray(eef_position, dtype=float) - np.asarray(nominal, dtype=float)))
-
-
-def smoothness_cost(u) -> float:
-    """Squared magnitude of the joint-velocity control."""
-    u = np.asarray(u, dtype=float)
-    return float(np.dot(u, u))
-
-
-def goal_pose_cost(eef: EefPose, goal: GoalSpec) -> float:
-    """Position distance plus the orientation term 1 - <q_goal, q_eef>^2.
-
-    The orientation term lies in [0, 1] and is invariant under negating
-    either quaternion.
-    """
-    dq = float(np.dot(quat_normalize(eef.orientation), goal.orientation))
-    return float(np.linalg.norm(goal.position - eef.position)) + 1.0 - dq * dq
-
-
-@dataclass(frozen=True)
-class KnotCostResult:
-    value: float
-    grad_x: Array
-    grad_u: Array
-    hess_xx: Array
-    hess_uu: Array
-
-
-def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult:
-    """Weighted sum of the six terms with gradient and Gauss-Newton curvature.
-
-    Cartesian terms are chained through positional Jacobians; the goal
-    orientation term is differentiated exactly through the joints' world
-    axes. Pass u=None at a terminal knot (no control there).
-    """
-    q = _check_q(model, q)
-    n = model.n_joints
-    ev = KnotCostEvaluator(model, stack_contexts([ctx]))
-    value = float(ev.state_values(q[None, :])[0])
-    gx, hxx = ev.state_derivatives(q[None, :])
-    gx, hxx = gx[0], hxx[0]
-    if u is None:
-        gu = np.zeros(n)
-        huu = HESS_FLOOR * np.eye(n)
-    else:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape != (n,):
-            raise InvalidInputError(f"control has length {u.shape[0]}, expected {n}")
-        w = ctx.weights.w_smooth
-        value += w * float(np.dot(u, u))
-        gu = 2.0 * w * u
-        huu = (2.0 * w + HESS_FLOOR) * np.eye(n)
-    return KnotCostResult(value, gx, gu, hxx, huu)
-
-
-# ---------------------------------------------------------------------------
-# batched trajectory evaluator (solver hot path)
 
 
 class KnotCostEvaluator:
@@ -365,18 +163,15 @@ class KnotCostEvaluator:
         leading shape, a scalar for a single (N, n) trajectory. All rows go
         through one batched FK call.
         """
-        total = np.sum(self.state_values(xs), axis=-1)
-        if us is not None and self.weights.w_smooth > 0:
-            total = total + self.weights.w_smooth * np.sum(us * us, axis=(-2, -1))
-        return total
-
-    def state_values(self, xs: Array) -> Array:
-        """Per-knot state-dependent cost (everything except smoothness), (..., N)."""
         xs = np.asarray(xs, dtype=float)
         lead = xs.shape[:-1]
         fk = fk_batch(self.model, xs.reshape(-1, xs.shape[-1]))
         positions = fk.positions.reshape(lead + fk.positions.shape[1:])
-        return self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
+        knots = self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
+        total = np.sum(knots, axis=-1)
+        if us is not None and self.weights.w_smooth > 0:
+            total = total + self.weights.w_smooth * np.sum(us * us, axis=(-2, -1))
+        return total
 
     def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
         """Knot costs from frame positions (..., N, F, 3) and end-effector

@@ -27,14 +27,6 @@ _UNIT_TOL = 1e-9
 # quaternion / rotation helpers
 
 
-def quat_normalize(q: Array) -> Array:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
-        raise InvalidInputError("cannot normalize a zero quaternion")
-    return q / n
-
-
 def quat_to_matrix(q: Array) -> Array:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = np.asarray(q, dtype=float)
@@ -254,15 +246,6 @@ def position_jacobians(fk: BatchFk, frames) -> Array:
     J = a[:, :, _NEXT] * lever[:, :, _PREV] - a[:, :, _PREV] * lever[:, :, _NEXT]
     J *= (np.arange(n)[None, :] < frames[:, None])[None, :, None, :]  # joint j moves frame f only if j < f
     return J
-
-
-def position_jacobian(model: RobotModel, q, frame: int) -> Array:
-    """d(frame origin)/dq, a 3 x n_joints matrix."""
-    q = _check_q(model, q)
-    if not 0 <= int(frame) < model.n_frames:
-        raise InvalidInputError(f"frame index {frame} out of range [0, {model.n_frames})")
-    fk = fk_batch(model, q[None, :])
-    return position_jacobians(fk, [int(frame)])[0, 0]
 
 
 # ---------------------------------------------------------------------------

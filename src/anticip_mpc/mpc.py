@@ -250,6 +250,12 @@ class ReplanRecord:
         return {"t_plan": self.t_plan, "wall_time": self.wall_time, **self.result.to_dict()}
 
 
+_PER_STEP_FIELDS = (  # the trace arrays with one row per entry of `times`
+    "states", "eef_positions", "eef_quats", "tracked_positions",
+    "human_true", "human_pred", "min_human_dist", "nominal",
+)
+
+
 @dataclass
 class ExecutionTrace:
     """Executed motion at every dt plus per-replan diagnostics."""
@@ -275,10 +281,6 @@ class ExecutionTrace:
     goal_reached: bool
     dt: float
     seed: int = 0
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
     def replan_wall_times(self) -> list[float]:
         return [r.wall_time for r in self.replans]
@@ -329,17 +331,15 @@ class ExecutionTrace:
             )
             for r in data["replans"]
         ]
+        times = np.asarray(data["times"], dtype=float)
+        per_step = {name: np.asarray(data[name], dtype=float) for name in _PER_STEP_FIELDS}
+        for name, arr in per_step.items():
+            if arr.shape[:1] != times.shape[:1]:
+                raise InvalidInputError(f"{name} has shape {arr.shape}, expected {times.size} rows, one per time")
         return cls(
-            times=np.asarray(data["times"], dtype=float),
-            states=np.asarray(data["states"], dtype=float),
-            eef_positions=np.asarray(data["eef_positions"], dtype=float),
-            eef_quats=np.asarray(data["eef_quats"], dtype=float),
-            tracked_positions=np.asarray(data["tracked_positions"], dtype=float),
-            human_true=np.asarray(data["human_true"], dtype=float),
-            human_pred=np.asarray(data["human_pred"], dtype=float),
-            min_human_dist=np.asarray(data["min_human_dist"], dtype=float),
+            times=times,
+            **per_step,
             head_index=int(data["head_index"]),
-            nominal=np.asarray(data["nominal"], dtype=float),
             gaze_object=np.asarray(data["gaze_object"], dtype=float),
             legibility_start=np.asarray(data["legibility_start"], dtype=float),
             legibility_goals=np.asarray(data["legibility_goals"], dtype=float),

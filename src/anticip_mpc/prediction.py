@@ -8,8 +8,8 @@ desk-scale substitutes.
 
 from __future__ import annotations
 
-import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,21 +49,6 @@ def _check_covariances(covs: Array) -> None:
             pass
     for t, h in np.ndindex(covs.shape[:2]):
         _check_covariance(covs[t, h], f" at frame {t}, joint {h}")
-
-
-@dataclass(frozen=True)
-class HumanJointGaussian:
-    """Gaussian estimate of one human joint position, meters."""
-
-    mean: Array
-    cov: Array
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (3,) or not np.all(np.isfinite(mean)):
-            raise InvalidInputError("mean must be a finite 3-vector")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _check_covariance(self.cov))
 
 
 @dataclass(frozen=True)
@@ -228,18 +213,41 @@ class ReachConfig:
     jitter: float = 0.004  # quasi-static joint perturbation scale, meters
     seed: int = 0
 
+    def __post_init__(self):
+        names = self.joint_names
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise InvalidInputError(f"reach joint_names must be a list of names, got {names!r}")
+        self.joint_names = tuple(names)
+        H = len(names)
+        self.rest_positions = _reach_array(self.rest_positions, "rest_positions", (H, 3))
+        self.reach_target = _reach_array(self.reach_target, "reach_target", (3,))
+        for name in ("head_index", "reach_joint", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InvalidInputError(f"reach {name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))
+        for name in ("head_index", "reach_joint"):
+            if not 0 <= getattr(self, name) < H:
+                raise InvalidInputError(f"reach {name} out of range for {H} joints")
+        if self.seed < 0:
+            raise InvalidInputError(f"reach seed must be >= 0, got {self.seed}")
+        for name in ("duration", "settle", "dt", "t0", "base_cov", "growth_rate", "jitter"):
+            v = getattr(self, name)
+            positive = name in ("duration", "dt", "base_cov")
+            ok = not isinstance(v, bool) and isinstance(v, numbers.Real) and np.isfinite(v)
+            if not ok or (positive and v <= 0):
+                need = "positive and finite" if positive else "a finite number"
+                raise InvalidInputError(f"reach {name} must be {need}, got {v!r}")
+            setattr(self, name, float(v))
+
     @classmethod
     def from_dict(cls, data: dict) -> "ReachConfig":
-        kwargs = dict(data)
-        if "joint_names" in kwargs:
-            kwargs["joint_names"] = tuple(kwargs["joint_names"])
-        for key in ("rest_positions", "reach_target"):
-            if key in kwargs:
-                kwargs[key] = np.asarray(kwargs[key], dtype=float)
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"synthesis parameters must be an object, got {data!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidInputError(f"unknown synthesis parameters: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {
@@ -259,6 +267,16 @@ class ReachConfig:
         }
 
 
+def _reach_array(value, name: str, shape: tuple) -> Array:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"reach {name} must be numeric: {exc}") from exc
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"reach {name} must be a finite array of shape {shape}, got {value!r}")
+    return arr
+
+
 def minimum_jerk_profile(tau: Array) -> Array:
     """Normalized minimum-jerk position profile on [0, 1]."""
     tau = np.clip(tau, 0.0, 1.0)
@@ -269,19 +287,9 @@ def synthesize_reach(config: ReachConfig) -> HumanPrediction:
     """Deterministic (seeded) human reach: one joint follows a minimum-jerk
     path to the target, the others stay quasi-static with small seeded
     perturbations; covariance grows linearly with lookahead."""
-    if config.duration <= 0:
-        raise InvalidInputError("reach duration must be positive")
-    if not 0 < config.dt < np.inf:
-        raise InvalidInputError(f"reach dt must be positive and finite, got {config.dt}")
-    if config.base_cov <= 0:
-        raise InvalidInputError("base_cov must be positive")
-    rest = np.asarray(config.rest_positions, dtype=float)
+    rest = config.rest_positions
     H = rest.shape[0]
-    if rest.shape != (H, 3) or len(config.joint_names) != H:
-        raise InvalidInputError("rest_positions must be (H, 3) matching joint_names")
-    if not 0 <= config.reach_joint < H:
-        raise InvalidInputError("reach_joint out of range")
-    target = np.asarray(config.reach_target, dtype=float).reshape(3)
+    target = config.reach_target
 
     total = config.duration + max(config.settle, 0.0)
     T = int(round(total / config.dt)) + 1
@@ -368,16 +376,3 @@ def prediction_to_dict(pred: HumanPrediction) -> dict:
 def save_prediction(pred: HumanPrediction, path) -> None:
     Path(path).write_text(json.dumps(prediction_to_dict(pred), sort_keys=True) + "\n")
 
-
-def prediction_means_csv(pred: HumanPrediction, path) -> None:
-    """Write the mean trajectories as CSV for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["time"]
-        for name in pred.joint_names:
-            header += [f"{name}_x", f"{name}_y", f"{name}_z"]
-        writer.writerow(header)
-        for t in range(pred.n_frames):
-            row = [f"{pred.t0 + t * pred.dt:.6f}"]
-            row += [f"{v:.9f}" for v in pred.means[t].reshape(-1)]
-            writer.writerow(row)

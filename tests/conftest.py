@@ -4,16 +4,15 @@ import pytest
 from anticip_mpc import (
     CostWeights,
     GoalSpec,
-    KnotContext,
     KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
     TrajectoryProblem,
     default_robot_model,
     forward_kinematics,
-    stack_contexts,
 )
-from anticip_mpc.prediction import HumanJointGaussian
+
+from oracles import HumanJointGaussian, KnotContext, stack_contexts
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Independent references the solver and kinematics are checked against.
+"""Independent references the solver, kinematics and costs are checked against.
 
 Deliberately simple and self-contained: the Riccati recursion here shares no
 code with the iLQR solver, and the homogeneous-transform FK chain uses the
@@ -8,17 +8,36 @@ Jacobians, one-alpha-at-a-time line search, per-knot and per-joint horizon
 slicing) are kept here as references for the batched forms, as are the
 per-term cost derivative chain and the full-form Riccati value update that the
 solver's hot path simplifies.
+
+The per-knot cost model lives here too: one scalar function per cost term,
+per-knot contexts of per-joint Gaussians (``KnotContext``,
+``HumanJointGaussian``) that ``stack_contexts`` turns into the package's
+array ``HorizonContext``, and ``total_knot_cost``, the single-knot weighted
+sum with derivatives. The package itself evaluates costs only through the
+batched ``KnotCostEvaluator``.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from anticip_mpc.costs import _CURV_GUARD, _TINY, DIST_EPS, HESS_FLOOR
-from anticip_mpc.kinematics import fk_batch, position_jacobians, quat_to_matrix
-from anticip_mpc.prediction import _EIG_FLOOR
+from anticip_mpc.costs import (
+    _CURV_GUARD,
+    _TINY,
+    DIST_EPS,
+    HESS_FLOOR,
+    CostWeights,
+    GoalSpec,
+    HorizonContext,
+    KnotCostEvaluator,
+    LegibilityContext,
+    _legibility_logits,
+)
+from anticip_mpc.errors import InvalidInputError
+from anticip_mpc.kinematics import EefPose, RobotModel, _check_q, fk_batch, position_jacobians, quat_to_matrix
+from anticip_mpc.prediction import _EIG_FLOOR, _check_covariance
 from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
 
 
@@ -378,3 +397,219 @@ def backward_pass_full_form(problem, derivs, reg=0.0, reg_cap=1e6):
         reg = _REG_MIN if reg == 0.0 else reg * 10.0
         if reg > reg_cap:
             raise ValueError("regularization exceeded its cap")
+
+
+# ---------------------------------------------------------------------------
+# per-knot cost model
+
+
+@dataclass(frozen=True)
+class HumanJointGaussian:
+    """Gaussian estimate of one human joint position, meters."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape != (3,) or not np.all(np.isfinite(mean)):
+            raise InvalidInputError("mean must be a finite 3-vector")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", _check_covariance(self.cov))
+
+
+@dataclass(frozen=True)
+class KnotContext:
+    """Everything the knot cost needs besides the robot state and control."""
+
+    human_frame: tuple  # HumanJointGaussian per human joint (may be empty)
+    gaze_object: np.ndarray  # 3-vector the human is assumed to look at
+    nominal: np.ndarray  # nominal end-effector position at this knot's time
+    legibility: LegibilityContext
+    goal: GoalSpec
+    weights: CostWeights
+    t: float
+    head_index: int = 0
+
+    def __post_init__(self):
+        frame = tuple(self.human_frame)
+        for g in frame:
+            if not isinstance(g, HumanJointGaussian):
+                raise InvalidInputError("human_frame entries must be HumanJointGaussian")
+        if frame and not 0 <= int(self.head_index) < len(frame):
+            raise InvalidInputError("head_index out of range")
+        object.__setattr__(self, "human_frame", frame)
+        object.__setattr__(self, "gaze_object", np.asarray(self.gaze_object, dtype=float).reshape(3))
+        object.__setattr__(self, "nominal", np.asarray(self.nominal, dtype=float).reshape(3))
+        object.__setattr__(self, "head_index", int(self.head_index))
+        object.__setattr__(self, "t", float(self.t))
+
+
+def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
+    """Stack per-knot contexts into one HorizonContext.
+
+    All contexts must share one CostWeights, one human joint count, one head
+    index and one goal set layout; human frames, gaze, nominal points and
+    goals vary per knot.
+    """
+    contexts = list(contexts)
+    if not contexts:
+        raise InvalidInputError("need at least one knot context")
+    first = contexts[0]
+    if any(c.weights != first.weights for c in contexts):
+        raise InvalidInputError("all knot contexts must share the same weights")
+    H = len(first.human_frame)
+    if any(len(c.human_frame) != H for c in contexts):
+        raise InvalidInputError("all knot contexts must have the same human joint count")
+    if H > 0 and any(c.head_index != first.head_index for c in contexts):
+        raise InvalidInputError("all knot contexts must share one head index")
+    G = first.legibility.goals.shape[0]
+    gi = first.legibility.goal_index
+    if any(c.legibility.goals.shape[0] != G or c.legibility.goal_index != gi for c in contexts):
+        raise InvalidInputError("all knot contexts must share the legibility goal layout")
+    N = len(contexts)
+    return HorizonContext(
+        means=np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3),
+        covs=np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3),
+        gaze=np.array([c.gaze_object for c in contexts]),
+        nominal=np.array([c.nominal for c in contexts]),
+        leg_start=np.array([c.legibility.start for c in contexts]),
+        leg_goals=np.array([c.legibility.goals for c in contexts]),
+        goal_index=gi,
+        goal_position=np.array([c.goal.position for c in contexts]),
+        goal_rotation=np.array([quat_to_matrix(c.goal.orientation) for c in contexts]),
+        weights=first.weights,
+        head_index=first.head_index,
+    )
+
+
+def distance_cost(model: RobotModel, q, human_frame: Sequence[HumanJointGaussian]) -> float:
+    """Inverse covariance-scaled separation, summed over human/robot joint pairs.
+
+    sum_h sum_r 1 / (d_hr^T Sigma_h^-1 d_hr + eps) with d_hr the offset between
+    human joint h and tracked robot frame r. Larger separation, smaller cost.
+    """
+    q = _check_q(model, q)
+    fk = fk_batch(model, q[None, :])
+    frames = fk.positions[0, list(model.tracked_frames)]  # (R, 3)
+    total = 0.0
+    for g in human_frame:
+        d = frames - g.mean  # (R, 3)
+        m = np.einsum("ri,ij,rj->r", d, np.linalg.inv(g.cov), d)
+        total += float(np.sum(1.0 / (m + DIST_EPS)))
+    return total
+
+
+def head_position_stddev(head: HumanJointGaussian) -> float:
+    """Rotation-invariant scalar spread of the head estimate, sqrt(tr(cov)/3)."""
+    return float(np.sqrt(np.trace(head.cov) / 3.0))
+
+
+def visibility_cost(model: RobotModel, q, head: HumanJointGaussian, gaze_object) -> float:
+    """Angle at the head between the gazed object and the end effector,
+    divided by the head-position standard deviation."""
+    q = _check_q(model, q)
+    fk = fk_batch(model, q[None, :])
+    p_eef = fk.positions[0, model.eef_frame]
+    return _visibility_angle(np.asarray(gaze_object, dtype=float), head.mean, p_eef) / head_position_stddev(head)
+
+
+def _visibility_angle(gaze_object, head_mean, p_eef) -> float:
+    a = gaze_object - head_mean
+    b = p_eef - head_mean
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-9 or nb < 1e-9:
+        raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
+    t = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
+    return float(np.arccos(t))
+
+
+def legibility_cost(eef_position, ctx: LegibilityContext) -> float:
+    """One minus the inferred probability of the true goal given the current
+    end-effector position, using squared-distance path costs. Exponents are
+    shifted by their maximum before exponentiation, so distant goals cannot
+    overflow; the normalized ratio is shift-invariant."""
+    probs = goal_probabilities(np.asarray(eef_position, dtype=float).reshape(3), ctx)
+    return float(1.0 - probs[ctx.goal_index])
+
+
+def goal_probabilities(eef_position, ctx: LegibilityContext):
+    """P(G | position) over all candidate goals; sums to one."""
+    logits = _legibility_logits(eef_position[None, :], ctx.goals[None, :, :], ctx.start[None, :])[0]
+    shifted = logits - np.max(logits)
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+def nominal_cost(eef_position, nominal) -> float:
+    """Euclidean distance between actual and nominal end-effector positions."""
+    return float(np.linalg.norm(np.asarray(eef_position, dtype=float) - np.asarray(nominal, dtype=float)))
+
+
+def smoothness_cost(u) -> float:
+    """Squared magnitude of the joint-velocity control."""
+    u = np.asarray(u, dtype=float)
+    return float(np.dot(u, u))
+
+
+def quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(n < 1e-12):
+        raise InvalidInputError("cannot normalize a zero quaternion")
+    return q / n
+
+
+def goal_pose_cost(eef: EefPose, goal: GoalSpec) -> float:
+    """Position distance plus the orientation term 1 - <q_goal, q_eef>^2.
+
+    The orientation term lies in [0, 1] and is invariant under negating
+    either quaternion.
+    """
+    dq = float(np.dot(quat_normalize(eef.orientation), goal.orientation))
+    return float(np.linalg.norm(goal.position - eef.position)) + 1.0 - dq * dq
+
+
+@dataclass(frozen=True)
+class KnotCostResult:
+    value: float
+    grad_x: np.ndarray
+    grad_u: np.ndarray
+    hess_xx: np.ndarray
+    hess_uu: np.ndarray
+
+
+def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult:
+    """Weighted sum of the six terms at one knot, with gradient and
+    Gauss-Newton curvature from the batched evaluator over a one-knot horizon.
+
+    Pass u=None at a terminal knot (no control there).
+    """
+    q = _check_q(model, q)
+    n = model.n_joints
+    ev = KnotCostEvaluator(model, stack_contexts([ctx]))
+    value = float(ev.value(q[None, :]))
+    gx, hxx = ev.state_derivatives(q[None, :])
+    gx, hxx = gx[0], hxx[0]
+    if u is None:
+        gu = np.zeros(n)
+        huu = HESS_FLOOR * np.eye(n)
+    else:
+        u = np.asarray(u, dtype=float).reshape(-1)
+        if u.shape != (n,):
+            raise InvalidInputError(f"control has length {u.shape[0]}, expected {n}")
+        w = ctx.weights.w_smooth
+        value += w * float(np.dot(u, u))
+        gu = 2.0 * w * u
+        huu = (2.0 * w + HESS_FLOOR) * np.eye(n)
+    return KnotCostResult(value, gx, gu, hxx, huu)
+
+
+def position_jacobian(model: RobotModel, q, frame: int):
+    """d(frame origin)/dq, a 3 x n_joints matrix, for one configuration."""
+    q = _check_q(model, q)
+    if not 0 <= int(frame) < model.n_frames:
+        raise InvalidInputError(f"frame index {frame} out of range [0, {model.n_frames})")
+    fk = fk_batch(model, q[None, :])
+    return position_jacobians(fk, [int(frame)])[0, 0]

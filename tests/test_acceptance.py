@@ -14,12 +14,8 @@ from anticip_mpc import (
     EefPose,
     GoalSpec,
     LegibilityContext,
-    goal_pose_cost,
-    goal_probabilities,
-    legibility_cost,
     run_mpc,
     solve,
-    total_knot_cost,
 )
 from anticip_mpc.cli import default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, model_to_dict
@@ -27,7 +23,7 @@ from anticip_mpc.metrics import evaluate_trace, separation_metric
 from anticip_mpc.mpc import build_problem, scenario_from_dict
 
 from conftest import random_context
-from oracles import lqr_tracking_solution
+from oracles import goal_pose_cost, goal_probabilities, legibility_cost, lqr_tracking_solution, total_knot_cost
 from test_solver import quadratic_problem
 
 N_SCENARIOS = 20

@@ -1,8 +1,11 @@
+import ast
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,28 @@ class TestGenScenario:
         config.write_text(json.dumps({"prediction": {"synthesize": {"dt": float("nan")}}}))
         assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
         assert "reach dt must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dt", "fast"),
+            ("seed", "x"),
+            ("joint_names", 5),
+            ("rest_positions", "a"),
+            ("reach_joint", 1.5),
+            ("duration", None),
+            ("jitter", "big"),
+            ("settle", "x"),
+            ("reach_target", [1, 2]),
+        ],
+    )
+    def test_malformed_synthesis_field_rejected(self, tmp_path, capsys, key, value):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": {"synthesize": {key: value}}}))
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"reach {key}" in err
+        assert "Traceback" not in err
 
     def test_missing_config_rejected(self, tmp_path, capsys):
         code = run_cli("gen-scenario", "--out", tmp_path, "--config", tmp_path / "nope.json")
@@ -259,6 +284,16 @@ class TestEval:
         assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
         assert "could not convert string to float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["states", "eef_positions"])
+    def test_truncated_per_step_array_rejected(self, traces, tmp_path, capsys, field):
+        data = json.loads(traces[0].read_text())
+        assert len(data[field]) == len(data["times"]) > 3
+        data[field] = data[field][:3]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
+        assert field in capsys.readouterr().err
+
 
 class TestBench:
     def test_summary_counts_requested_runs(self, workspace, tmp_path):
@@ -345,9 +380,26 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert "anticip-mpc" in proc.stdout
 
-    def test_log_env_var_enables_debug(self, workspace):
-        import os
+    def test_import_loads_no_test_dependencies(self):
+        """scipy and the test oracles are test-only; importing them would
+        add to every process's start-up time."""
+        import anticip_mpc
 
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(anticip_mpc.__file__).resolve().parents[1]
+        code = "import sys, anticip_mpc; print(sorted({m.split('.')[0] for m in sys.modules}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "anticip_mpc" in loaded
+        assert not loaded & {"scipy", "oracles"}
+
+    def test_log_env_var_enables_debug(self, workspace):
         env = dict(os.environ, ANTICIP_MPC_LOG="DEBUG")
         proc = subprocess.run(
             [

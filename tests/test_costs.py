@@ -9,21 +9,23 @@ from anticip_mpc import (
     KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
-    distance_cost,
     forward_kinematics,
+)
+
+from conftest import random_context
+from oracles import (
+    HumanJointGaussian,
+    distance_cost,
     goal_pose_cost,
     goal_probabilities,
     legibility_cost,
     nominal_cost,
     smoothness_cost,
     stack_contexts,
+    state_derivatives_per_term,
     total_knot_cost,
     visibility_cost,
 )
-from anticip_mpc.prediction import HumanJointGaussian
-
-from conftest import random_context
-from oracles import state_derivatives_per_term
 
 
 def one_link_model(offset):
@@ -249,7 +251,8 @@ class TestTotalKnotCost:
         ctx = random_context(rng, seven_dof, q, weights=base)
         v1 = total_knot_cost(seven_dof, q, u, ctx).value
         for a in (0.0, 0.5, 3.0):
-            scaled_ctx = KnotContextWithWeights(ctx, base.scaled(a))
+            scaled = CostWeights(**{k: a * v for k, v in base.to_dict().items()})
+            scaled_ctx = KnotContextWithWeights(ctx, scaled)
             v2 = total_knot_cost(seven_dof, q, u, scaled_ctx).value
             assert np.isclose(v2, a * v1, rtol=1e-10, atol=1e-12)
 
@@ -271,7 +274,7 @@ class TestTotalKnotCost:
 
 
 def KnotContextWithWeights(ctx, weights, head_index=None):
-    from anticip_mpc.costs import KnotContext
+    from oracles import KnotContext
 
     return KnotContext(
         human_frame=ctx.human_frame,
@@ -420,7 +423,7 @@ class TestBatchedEvaluator:
             stack_contexts([])
 
     def test_human_weights_require_human_frames(self, seven_dof):
-        from anticip_mpc.costs import KnotContext
+        from oracles import KnotContext
 
         ctx = KnotContext(
             human_frame=(),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from anticip_mpc import InvalidInputError, forward_kinematics, position_jacobian
+from anticip_mpc import InvalidInputError, forward_kinematics
 from anticip_mpc.kinematics import (
     RobotModel,
     default_robot_model,
@@ -17,7 +17,7 @@ from anticip_mpc.kinematics import (
 )
 
 from conftest import random_chain
-from oracles import fk_rodrigues_chain, fk_transform_chain, position_jacobians_cross
+from oracles import fk_rodrigues_chain, fk_transform_chain, position_jacobian, position_jacobians_cross
 
 
 class TestForwardKinematics:

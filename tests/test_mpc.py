@@ -26,10 +26,10 @@ from anticip_mpc.mpc import (
     scenario_from_dict,
     task_legibility_context,
 )
-from anticip_mpc.costs import KnotContext, KnotCostEvaluator, stack_contexts
-from anticip_mpc.prediction import HumanJointGaussian, HumanPrediction, slice_horizon
+from anticip_mpc.costs import KnotCostEvaluator
+from anticip_mpc.prediction import HumanPrediction, slice_horizon
 
-from oracles import slice_horizon_loop
+from oracles import HumanJointGaussian, KnotContext, slice_horizon_loop, stack_contexts
 
 
 def make_scenario(seed=0, **overrides) -> Scenario:

@@ -5,12 +5,10 @@ import pytest
 
 from anticip_mpc import InvalidInputError
 from anticip_mpc.prediction import (
-    HumanJointGaussian,
     HumanPrediction,
     ReachConfig,
     load_prediction,
     minimum_jerk_profile,
-    prediction_means_csv,
     prediction_to_dict,
     prediction_from_dict,
     save_prediction,
@@ -19,7 +17,7 @@ from anticip_mpc.prediction import (
 )
 
 from conftest import random_spd
-from oracles import slice_horizon_loop
+from oracles import HumanJointGaussian, slice_horizon_loop
 
 
 def make_prediction(n_frames=20, n_joints=5, dt=0.25, seed=0):
@@ -93,14 +91,6 @@ class TestLoading:
         path.write_text(json.dumps(data))
         with pytest.raises(InvalidInputError, match="ragged"):
             load_prediction(path)
-
-    def test_csv_export(self, tmp_path):
-        pred = make_prediction(n_frames=4, n_joints=2)
-        path = tmp_path / "means.csv"
-        prediction_means_csv(pred, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,j0_x,j0_y,j0_z,j1_x,j1_y,j1_z"
-        assert len(lines) == 5
 
 
 class TestSliceHorizon:
@@ -247,3 +237,7 @@ class TestSynthesizeReach:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(InvalidInputError):
             ReachConfig.from_dict({"durration": 2.0})
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(InvalidInputError, match="must be an object"):
+            ReachConfig.from_dict(5)
