@@ -362,7 +362,7 @@ _SCHEMAS = {
         "legibility": {"goals": "[[m]*3, ...]", "goal_index": "int"},
         "nominal": "'derive' | [[m]*3, ...]",
         "weights": {f.name: "float >= 0" for f in fields(CostWeights)},
-        "mpc": {f.name: "float (s)" for f in fields(MpcConfig)} | {"goal_position_tol": "float (m)"},
+        "mpc": {f.name: "float > 0 (s)" for f in fields(MpcConfig)} | {"goal_position_tol": "float > 0 (m)"},
         "solver": {f.name: f.type for f in fields(SolverConfig)},
         "prediction": "path | inline prediction | {synthesize: {...}}",
         "ground_truth": "null | same as prediction",

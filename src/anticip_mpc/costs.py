@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import Fields, InvalidInputError, float_array, integer, number
 from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians
 
 Array = np.ndarray
@@ -31,8 +31,10 @@ _TINY = 1e-12
 
 
 @dataclass(frozen=True)
-class CostWeights:
-    """Nonnegative weights of the six knot-cost terms."""
+class CostWeights(Fields):
+    """Weights of the six knot-cost terms, each a finite number >= 0."""
+
+    section = "weights"
 
     w_dist: float = 0.0
     w_vis: float = 0.0
@@ -43,23 +45,7 @@ class CostWeights:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            try:
-                v = float(getattr(self, name))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"{name} must be a number: {exc}") from exc
-            if not np.isfinite(v) or v < 0:
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostWeights":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown weight keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+            self._check(name, number, 0)
 
 
 @dataclass(frozen=True)
@@ -71,17 +57,14 @@ class LegibilityContext:
     goal_index: int
 
     def __post_init__(self):
-        start = np.asarray(self.start, dtype=float).reshape(3)
-        goals = np.atleast_2d(np.asarray(self.goals, dtype=float))
-        if goals.shape[0] < 1 or goals.shape[1] != 3:
-            raise InvalidInputError("goals must be a nonempty (G, 3) array")
-        if not np.all(np.isfinite(start)) or not np.all(np.isfinite(goals)):
-            raise InvalidInputError("legibility context must be finite")
-        if not 0 <= int(self.goal_index) < goals.shape[0]:
-            raise InvalidInputError("goal_index out of range")
+        start = float_array(self.start, "legibility start", (3,))
+        goals = np.atleast_2d(float_array(self.goals, "legibility goals"))
+        if len(goals) < 1 or goals.shape[1:] != (3,):
+            raise InvalidInputError(f"legibility goals must be a nonempty (G, 3) array, got shape {goals.shape}")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "goals", goals)
-        object.__setattr__(self, "goal_index", int(self.goal_index))
+        goal_index = integer(self.goal_index, "legibility goal_index", 0, len(goals) - 1)
+        object.__setattr__(self, "goal_index", goal_index)
 
 
 @dataclass(frozen=True)
@@ -92,11 +75,8 @@ class GoalSpec:
     orientation: Array  # unit quaternion (w, x, y, z)
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        q = np.asarray(self.orientation, dtype=float)
-        if p.size != 3 or q.size != 4:
-            raise InvalidInputError("goal position must be a 3-vector and orientation a quaternion")
-        p, q = p.reshape(3), q.reshape(4)
+        p = float_array(self.position, "goal_pose.position", (3,))
+        q = float_array(self.orientation, "goal_pose.orientation", (4,))
         if abs(np.linalg.norm(q) - 1.0) > 1e-9:
             raise InvalidInputError("goal orientation must be a unit quaternion")
         object.__setattr__(self, "position", p)

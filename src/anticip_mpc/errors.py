@@ -1,6 +1,25 @@
-"""Exception types shared across the package, and the one JSON input reader."""
+"""Exception types, and the package's one input boundary.
+
+Every value read from outside (a JSON file, a config overlay, a CLI flag) is
+checked here before the planner sees it: :func:`read_json` reads each input
+file, :func:`number`, :func:`integer` and :func:`float_array` check single
+fields, and :class:`Fields` gives the config dataclasses one ``from_dict``
+and ``to_dict``. Numbers must be JSON numbers (never bools or strings) and
+finite; integers must be integers (never ``1.5`` or ``"3"``). A failed check
+raises :class:`InvalidInputError` naming the field, which the CLI reports
+with exit code 2.
+"""
 
 import json
+import math
+
+import numpy as np
+
+
+# the numeric types a JSON number or a NumPy scalar arrives as; a bool is an
+# int, so each check excludes it explicitly
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 class InvalidInputError(ValueError):
@@ -25,3 +44,86 @@ def read_json(path, what: str) -> dict:
     if not isinstance(data, dict):
         raise InvalidInputError(f"{what} {path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def number(value, name: str, low=None, strict: bool = False) -> float:
+    """`value` as a float: a finite real, not a bool or a string, and at least
+    `low` (above it if `strict`) where `low` is given."""
+    try:
+        ok = isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if ok and low is not None:
+        ok = value > low if strict else value >= low
+    if not ok:
+        if low is None:
+            rule = "a finite number"
+        elif strict and low == 0:
+            rule = "positive and finite"
+        else:
+            rule = f"finite and {'>' if strict else '>='} {low:g}"
+        raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def integer(value, name: str, low=None, high=None) -> int:
+    """`value` as an int: an integer, not a bool, `1.5` or `"3"`, within
+    [`low`, `high`] where given."""
+    ok = isinstance(value, _INTEGERS) and not isinstance(value, bool)
+    if not ok or (low is not None and value < low) or (high is not None and value > high):
+        rule = f" in [{low}, {high}]" if high is not None else f" >= {low}" if low is not None else ""
+        raise InvalidInputError(f"{name} must be an integer{rule}, got {value!r}")
+    return int(value)
+
+
+def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
+    """`value` as a float array of numbers (not bools or strings), finite, and
+    of `shape` where given."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers")
+    arr = np.asarray(arr, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return arr
+
+
+class Fields:
+    """Base of the config dataclasses read from JSON objects.
+
+    A subclass checks each field in ``__post_init__`` with :meth:`_check`,
+    so every field's rule sits where the class is declared; messages name
+    the field as ``"<section> <field>"``.
+    """
+
+    section = "config"
+
+    def _check(self, name: str, check, *bounds, **options) -> None:
+        value = check(getattr(self, name), f"{self.section} {name}", *bounds, **options)
+        object.__setattr__(self, name, value)  # config classes may be frozen
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The instance `data` describes; a non-object or an unknown key is rejected."""
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"{cls.section} config must be an object, got {data!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise InvalidInputError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        return cls(**data)
+
+    def to_dict(self) -> dict:
+        """Every field by name, as JSON-ready data."""
+        return {name: _plain(getattr(self, name)) for name in self.__dataclass_fields__}
+
+
+def _plain(value):
+    """`value` as JSON-ready data: arrays and tuples become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, read_json
+from .errors import InvalidInputError, float_array, integer, read_json
 
 Array = np.ndarray
 
@@ -117,26 +117,28 @@ class RobotModel:
     vel_upper: Array
 
     def __post_init__(self):
-        axes = np.atleast_2d(np.asarray(self.axes, dtype=float))
-        offsets = np.atleast_2d(np.asarray(self.offsets, dtype=float))
-        n = axes.shape[0]
-        if axes.shape != (n, 3) or offsets.shape != (n, 3) or n < 1:
-            raise InvalidInputError("axes and offsets must both have shape (n_joints, 3)")
+        axes = float_array(self.axes, "robot joints[].axis")
+        n = len(axes) if axes.ndim == 2 else 0
+        if n < 1 or axes.shape != (n, 3):
+            raise InvalidInputError(f"robot joints[].axis must be n_joints 3-vectors, got shape {axes.shape}")
+        offsets = float_array(self.offsets, "robot joints[].offset", (n, 3))
         norms = np.linalg.norm(axes, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise InvalidInputError("all rotation axes must be unit length")
-        lo = np.asarray(self.vel_lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.vel_upper, dtype=float).reshape(-1)
-        if lo.shape != (n,) or hi.shape != (n,) or not np.all(lo < hi):
+        lo = float_array(self.vel_lower, "robot velocity_bounds.lower", (n,))
+        hi = float_array(self.vel_upper, "robot velocity_bounds.upper", (n,))
+        if not np.all(lo < hi):
             raise InvalidInputError("velocity bounds must satisfy lower < upper elementwise")
-        base_p = np.asarray(self.base_position, dtype=float).reshape(3)
-        base_q = np.asarray(self.base_orientation, dtype=float).reshape(4)
+        base_p = float_array(self.base_position, "robot base_pose.position", (3,))
+        base_q = float_array(self.base_orientation, "robot base_pose.orientation", (4,))
         if abs(np.linalg.norm(base_q) - 1.0) > _UNIT_TOL:
             raise InvalidInputError("base orientation must be a unit quaternion")
-        tracked = tuple(int(f) for f in self.tracked_frames)
-        if not tracked or any(f < 0 or f > n for f in tracked):
-            raise InvalidInputError("tracked_frames must be valid frame indices")
-        if int(self.eef_frame) != n:
+        frames = self.tracked_frames
+        if not isinstance(frames, (list, tuple)) or not frames:
+            raise InvalidInputError(f"robot tracked_frames must be a nonempty list of frames, got {frames!r}")
+        tracked = tuple(integer(f, "robot tracked_frames entry", 0, n) for f in frames)
+        eef_frame = integer(self.eef_frame, "robot eef_frame")
+        if eef_frame != n:
             raise InvalidInputError("eef_frame must be the last frame of the chain")
         for name, val in (
             ("axes", axes),
@@ -149,7 +151,7 @@ class RobotModel:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "tracked_frames", tracked)
-        object.__setattr__(self, "eef_frame", int(self.eef_frame))
+        object.__setattr__(self, "eef_frame", eef_frame)
         # per-joint Rodrigues terms, precomputed once for the FK hot path
         skews = np.zeros((n, 3, 3))
         skews[:, 0, 1] = -axes[:, 2]
@@ -275,17 +277,18 @@ def model_to_dict(model: RobotModel) -> dict:
 def model_from_dict(data: dict) -> RobotModel:
     try:
         joints = data["joints"]
-        if int(data["n_joints"]) != len(joints):
-            raise InvalidInputError("n_joints does not match the joints list")
+        n = integer(data["n_joints"], "robot n_joints", 1)
+        if not isinstance(joints, list) or len(joints) != n:
+            raise InvalidInputError("robot n_joints does not match the joints list")
         return RobotModel(
-            axes=np.array([j["axis"] for j in joints], dtype=float),
-            offsets=np.array([j["offset"] for j in joints], dtype=float),
-            base_position=np.asarray(data["base_pose"]["position"], dtype=float),
-            base_orientation=np.asarray(data["base_pose"]["orientation"], dtype=float),
-            tracked_frames=tuple(data["tracked_frames"]),
-            eef_frame=int(data["eef_frame"]),
-            vel_lower=np.asarray(data["velocity_bounds"]["lower"], dtype=float),
-            vel_upper=np.asarray(data["velocity_bounds"]["upper"], dtype=float),
+            axes=[j["axis"] for j in joints],
+            offsets=[j["offset"] for j in joints],
+            base_position=data["base_pose"]["position"],
+            base_orientation=data["base_pose"]["orientation"],
+            tracked_frames=data["tracked_frames"],
+            eef_frame=data["eef_frame"],
+            vel_lower=data["velocity_bounds"]["lower"],
+            vel_upper=data["velocity_bounds"]["upper"],
         )
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed robot model: {exc}") from exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
-from .errors import InvalidInputError, read_json
+from .errors import Fields, InvalidInputError, float_array, integer, number, read_json
 from .kinematics import (
     RobotModel,
     fk_batch,
@@ -50,14 +49,16 @@ ORIENT_GOAL_TOL = 1e-3
 
 def _as_steps(value: float, dt: float, name: str) -> int:
     steps = value / dt
-    if abs(steps - round(steps)) > 1e-6:
-        raise InvalidInputError(f"{name}={value} must be an integer multiple of dt={dt}")
+    if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-6 and round(steps) >= 1):
+        raise InvalidInputError(f"mpc {name}={value} must be a positive integer multiple of dt={dt}")
     return int(round(steps))
 
 
 @dataclass(frozen=True)
-class MpcConfig:
-    """Timing of the receding-horizon loop (seconds)."""
+class MpcConfig(Fields):
+    """Timing of the receding-horizon loop (seconds); every field is positive."""
+
+    section = "mpc"
 
     dt: float = 0.25
     horizon: float = 1.25
@@ -67,29 +68,12 @@ class MpcConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            try:
-                v = float(getattr(self, name))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"mpc.{name} must be a number: {exc}") from exc
-            if not np.isfinite(v):
-                raise InvalidInputError(f"mpc.{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.dt <= 0 or self.task_duration <= 0:
-            raise InvalidInputError("dt and task_duration must be positive")
+            self._check(name, number, 0, strict=True)
         _as_steps(self.horizon, self.dt, "horizon")
         _as_steps(self.replan_period, self.dt, "replan_period")
         _as_steps(self.task_duration, self.dt, "task_duration")
         if self.horizon < self.replan_period - _GRID_TOL:
-            raise InvalidInputError("horizon must be at least the replan period")
-        if self.goal_position_tol <= 0:
-            raise InvalidInputError("goal_position_tol must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MpcConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown mpc config keys: {sorted(unknown)}")
-        return cls(**data)
+            raise InvalidInputError("mpc horizon must be at least the replan period")
 
     @property
     def horizon_knots(self) -> int:
@@ -102,15 +86,6 @@ class MpcConfig:
     @property
     def task_steps(self) -> int:
         return _as_steps(self.task_duration, self.dt, "task_duration")
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "replan_period": self.replan_period,
-            "task_duration": self.task_duration,
-            "goal_position_tol": self.goal_position_tol,
-        }
 
 
 @dataclass
@@ -135,25 +110,22 @@ class Scenario:
 
     def __post_init__(self):
         n = self.model.n_joints
-        self.start_q = np.asarray(self.start_q, dtype=float).reshape(-1)
-        self.goal_q = np.asarray(self.goal_q, dtype=float).reshape(-1)
-        if self.start_q.shape != (n,) or self.goal_q.shape != (n,):
-            raise InvalidInputError("start_q and goal_q must match the robot joint count")
-        self.gaze_object = np.asarray(self.gaze_object, dtype=float)
-        if self.gaze_object.size != 3:
-            raise InvalidInputError(f"gaze_object must be a 3-vector, got shape {self.gaze_object.shape}")
-        self.gaze_object = self.gaze_object.reshape(3)
-        self.legibility_goals = np.atleast_2d(np.asarray(self.legibility_goals, dtype=float))
-        if not 0 <= int(self.legibility_goal_index) < self.legibility_goals.shape[0]:
-            raise InvalidInputError("legibility_goal_index out of range")
+        self.start_q = float_array(self.start_q, "scenario start_q", (n,))
+        self.goal_q = float_array(self.goal_q, "scenario goal_q", (n,))
+        self.gaze_object = float_array(self.gaze_object, "scenario gaze_object", (3,))
+        goals = np.atleast_2d(float_array(self.legibility_goals, "scenario legibility.goals"))
+        if goals.shape[1:] != (3,):
+            raise InvalidInputError(f"scenario legibility.goals must be a list of 3-vectors, got {goals.shape}")
+        self.legibility_goals = goals
+        self.legibility_goal_index = integer(
+            self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1
+        )
+        self.seed = integer(self.seed, "scenario seed")
         if self.nominal is not None:
-            self.nominal = np.atleast_2d(np.asarray(self.nominal, dtype=float))
-            if self.nominal.shape[1] != 3:
-                raise InvalidInputError("explicit nominal trajectory must be (T, 3)")
-            if self.nominal.shape[0] < self.mpc.task_steps + 1:
-                raise InvalidInputError(
-                    f"explicit nominal trajectory needs >= {self.mpc.task_steps + 1} points"
-                )
+            self.nominal = np.atleast_2d(float_array(self.nominal, "scenario nominal"))
+            if self.nominal.shape[1:] != (3,) or len(self.nominal) <= self.mpc.task_steps:
+                need = f"a (T, 3) path with T >= {self.mpc.task_steps + 1}"
+                raise InvalidInputError(f"scenario nominal must be {need}, got shape {self.nominal.shape}")
 
 
 def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
@@ -246,8 +218,8 @@ class ReplanRecord:
     wall_time: float  # prediction slicing + problem assembly + solve
     result: SolveResult
 
-    def to_dict(self) -> dict:
-        return {"t_plan": self.t_plan, "wall_time": self.wall_time, **self.result.to_dict()}
+    def to_dict(self) -> dict:  # the replan's wall time, not the solve's, is the one kept
+        return {**self.result.to_dict(), "t_plan": self.t_plan, "wall_time": self.wall_time}
 
 
 _PER_STEP_FIELDS = (  # the trace arrays with one row per entry of `times`
@@ -286,71 +258,47 @@ class ExecutionTrace:
         return [r.wall_time for r in self.replans]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "dt": self.dt,
-            "seed": self.seed,
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
-            "eef_positions": self.eef_positions.tolist(),
-            "eef_quats": self.eef_quats.tolist(),
-            "tracked_positions": self.tracked_positions.tolist(),
-            "human_true": self.human_true.tolist(),
-            "human_pred": self.human_pred.tolist(),
-            "min_human_dist": self.min_human_dist.tolist(),
-            "head_index": self.head_index,
-            "nominal": self.nominal.tolist(),
-            "gaze_object": self.gaze_object.tolist(),
-            "legibility_start": self.legibility_start.tolist(),
-            "legibility_goals": self.legibility_goals.tolist(),
-            "legibility_goal_index": self.legibility_goal_index,
-            "goal_position": self.goal_position.tolist(),
-            "goal_orientation": self.goal_orientation.tolist(),
-            "goal_reached": self.goal_reached,
-            "total_wall_time": self.total_wall_time,
-            "replans": [r.to_dict() for r in self.replans],
-        }
+        return {**Fields.to_dict(self), "schema_version": 1, "replans": [r.to_dict() for r in self.replans]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionTrace":
-        replans = [
-            ReplanRecord(
-                t_plan=r["t_plan"],
-                wall_time=r["wall_time"],
-                result=SolveResult(
-                    states=np.asarray(r["states"], dtype=float),
-                    controls=np.asarray(r["controls"], dtype=float),
-                    total_cost=r["total_cost"],
-                    iterations=r["iterations"],
-                    outer_iterations=r["outer_iterations"],
-                    converged=r["converged"],
-                    max_bound_violation=r["max_bound_violation"],
-                    grad_inf=r["grad_inf"],
-                    wall_time=r["wall_time"],
-                ),
+        replans = []
+        for i, r in enumerate(data["replans"]):
+            wall_time = number(r["wall_time"], f"trace replan {i} wall_time", 0)
+            result = SolveResult(
+                states=np.asarray(r["states"], dtype=float),
+                controls=np.asarray(r["controls"], dtype=float),
+                total_cost=r["total_cost"],
+                iterations=r["iterations"],
+                outer_iterations=r["outer_iterations"],
+                converged=r["converged"],
+                max_bound_violation=r["max_bound_violation"],
+                grad_inf=r["grad_inf"],
+                wall_time=wall_time,
             )
-            for r in data["replans"]
-        ]
+            replans.append(ReplanRecord(number(r["t_plan"], f"trace replan {i} t_plan"), wall_time, result))
         times = np.asarray(data["times"], dtype=float)
         per_step = {name: np.asarray(data[name], dtype=float) for name in _PER_STEP_FIELDS}
         for name, arr in per_step.items():
             if arr.shape[:1] != times.shape[:1]:
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected {times.size} rows, one per time")
+        if not isinstance(data["goal_reached"], bool):
+            raise InvalidInputError(f"trace goal_reached must be true or false, got {data['goal_reached']!r}")
         return cls(
             times=times,
             **per_step,
-            head_index=int(data["head_index"]),
+            head_index=integer(data["head_index"], "trace head_index", 0),
             gaze_object=np.asarray(data["gaze_object"], dtype=float),
             legibility_start=np.asarray(data["legibility_start"], dtype=float),
             legibility_goals=np.asarray(data["legibility_goals"], dtype=float),
-            legibility_goal_index=int(data["legibility_goal_index"]),
+            legibility_goal_index=integer(data["legibility_goal_index"], "trace legibility_goal_index", 0),
             goal_position=np.asarray(data["goal_position"], dtype=float),
             goal_orientation=np.asarray(data["goal_orientation"], dtype=float),
             replans=replans,
-            total_wall_time=float(data["total_wall_time"]),
-            goal_reached=bool(data["goal_reached"]),
-            dt=float(data["dt"]),
-            seed=int(data.get("seed", 0)),
+            total_wall_time=number(data["total_wall_time"], "trace total_wall_time", 0),
+            goal_reached=data["goal_reached"],
+            dt=number(data["dt"], "trace dt", 0, strict=True),
+            seed=integer(data.get("seed", 0), "trace seed"),
         )
 
     def save_json(self, path) -> None:
@@ -361,8 +309,10 @@ class ExecutionTrace:
         data = read_json(path, "trace")
         try:
             return cls.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"trace {path}: {exc!r}") from exc
+        except KeyError as exc:
+            raise InvalidInputError(f"trace {path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"trace {path}: {exc}") from exc
 
     def save_csv(self, path) -> None:
         """One row per dt: time, q..., eef xyz, min human distance."""
@@ -496,23 +446,6 @@ def _load_human_source(entry, base: Path) -> tuple[HumanPrediction, Optional[Rea
     raise InvalidInputError("prediction must be a file path, inline dict, or {'synthesize': ...}")
 
 
-def _float_array(value, name: str) -> Array:
-    """A scenario field as a finite float array."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"scenario {name} must be numeric: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"scenario {name} must be finite")
-    return arr
-
-
-def _int_field(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"scenario {name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def scenario_from_dict(data: dict, base: Path) -> Scenario:
     try:
         model_entry = data["robot_model"]
@@ -525,39 +458,35 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         ground_truth = None
         if data.get("ground_truth") is not None:
             ground_truth, _ = _load_human_source(data["ground_truth"], base)
-        goal_q = _float_array(data["goal_q"], "goal_q")
+        goal_q = float_array(data["goal_q"], "scenario goal_q", (model.n_joints,))
         goal_entry = data.get("goal_pose", "derive")
         if goal_entry == "derive":
             pose = forward_kinematics(model, goal_q).eef_pose
             goal = GoalSpec(pose.position, pose.orientation)
         elif isinstance(goal_entry, dict):
-            goal = GoalSpec(
-                _float_array(goal_entry["position"], "goal_pose.position"),
-                _float_array(goal_entry["orientation"], "goal_pose.orientation"),
-            )
+            goal = GoalSpec(goal_entry["position"], goal_entry["orientation"])
         else:
             raise InvalidInputError("scenario goal_pose must be 'derive' or an object with position and orientation")
-        nominal_entry = data.get("nominal", "derive")
-        nominal = None if nominal_entry in ("derive", None) else _float_array(nominal_entry, "nominal")
+        nominal = data.get("nominal", "derive")
         legibility = data["legibility"]
         if not isinstance(legibility, dict):
             raise InvalidInputError("scenario legibility must be an object with goals and goal_index")
         return Scenario(
             model=model,
-            start_q=_float_array(data["start_q"], "start_q"),
+            start_q=data["start_q"],
             goal_q=goal_q,
             goal=goal,
-            gaze_object=_float_array(data["gaze_object"], "gaze_object"),
-            legibility_goals=_float_array(legibility["goals"], "legibility.goals"),
-            legibility_goal_index=_int_field(legibility["goal_index"], "legibility.goal_index"),
+            gaze_object=data["gaze_object"],
+            legibility_goals=legibility["goals"],
+            legibility_goal_index=legibility["goal_index"],
             weights=CostWeights.from_dict(data["weights"]),
             mpc=MpcConfig.from_dict(data.get("mpc", {})),
             prediction=prediction,
-            nominal=nominal,
+            nominal=None if nominal in ("derive", None) else nominal,
             ground_truth=ground_truth,
             solver=SolverConfig.from_dict(data.get("solver", {})),
             synthesis=synthesis,
-            seed=_int_field(data.get("seed", 0), "seed"),
+            seed=data.get("seed", 0),
         )
     except KeyError as exc:
         raise InvalidInputError(f"scenario missing required key: {exc}") from exc

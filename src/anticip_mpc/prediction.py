@@ -9,13 +9,12 @@ desk-scale substitutes.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, read_json
+from .errors import Fields, InvalidInputError, float_array, integer, number, read_json
 
 Array = np.ndarray
 
@@ -74,12 +73,9 @@ class HumanPrediction:
         T, H = means.shape[:2]
         if covs.shape != (T, H, 3, 3):
             raise InvalidInputError("covs must have shape (T, H, 3, 3) matching means")
-        if len(self.joint_names) != H:
+        joint_names = _names(self.joint_names, "prediction joint_names")
+        if len(joint_names) != H:
             raise InvalidInputError("joint_names length must match the joint count")
-        if not 0 <= int(self.head_index) < H:
-            raise InvalidInputError("head_index out of range")
-        if not self.dt > 0:
-            raise InvalidInputError("dt must be positive")
         bad = ~np.all(np.isfinite(means), axis=-1)
         if np.any(bad):
             t, h = np.argwhere(bad)[0]
@@ -89,10 +85,10 @@ class HumanPrediction:
         covs.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "joint_names", tuple(self.joint_names))
-        object.__setattr__(self, "head_index", int(self.head_index))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "joint_names", joint_names)
+        object.__setattr__(self, "head_index", integer(self.head_index, "prediction head_index", 0, H - 1))
+        object.__setattr__(self, "dt", number(self.dt, "prediction dt", 0, strict=True))
+        object.__setattr__(self, "t0", number(self.t0, "prediction t0"))
 
     @property
     def n_frames(self) -> int:
@@ -196,8 +192,10 @@ _DEFAULT_REST = np.array(
 
 
 @dataclass
-class ReachConfig:
+class ReachConfig(Fields):
     """Parameters for a deterministic synthetic human reach."""
+
+    section = "reach"
 
     joint_names: tuple = _DEFAULT_JOINTS
     head_index: int = 0
@@ -214,67 +212,23 @@ class ReachConfig:
     seed: int = 0
 
     def __post_init__(self):
-        names = self.joint_names
-        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-            raise InvalidInputError(f"reach joint_names must be a list of names, got {names!r}")
-        self.joint_names = tuple(names)
-        H = len(names)
-        self.rest_positions = _reach_array(self.rest_positions, "rest_positions", (H, 3))
-        self.reach_target = _reach_array(self.reach_target, "reach_target", (3,))
-        for name in ("head_index", "reach_joint", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise InvalidInputError(f"reach {name} must be an integer, got {v!r}")
-            setattr(self, name, int(v))
+        self._check("joint_names", _names)
+        H = len(self.joint_names)
+        self._check("rest_positions", float_array, (H, 3))
+        self._check("reach_target", float_array, (3,))
         for name in ("head_index", "reach_joint"):
-            if not 0 <= getattr(self, name) < H:
-                raise InvalidInputError(f"reach {name} out of range for {H} joints")
-        if self.seed < 0:
-            raise InvalidInputError(f"reach seed must be >= 0, got {self.seed}")
-        for name in ("duration", "settle", "dt", "t0", "base_cov", "growth_rate", "jitter"):
-            v = getattr(self, name)
-            positive = name in ("duration", "dt", "base_cov")
-            ok = not isinstance(v, bool) and isinstance(v, numbers.Real) and np.isfinite(v)
-            if not ok or (positive and v <= 0):
-                need = "positive and finite" if positive else "a finite number"
-                raise InvalidInputError(f"reach {name} must be {need}, got {v!r}")
-            setattr(self, name, float(v))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReachConfig":
-        if not isinstance(data, dict):
-            raise InvalidInputError(f"synthesis parameters must be an object, got {data!r}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown synthesis parameters: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {
-            "joint_names": list(self.joint_names),
-            "head_index": self.head_index,
-            "rest_positions": np.asarray(self.rest_positions, dtype=float).tolist(),
-            "reach_joint": self.reach_joint,
-            "reach_target": np.asarray(self.reach_target, dtype=float).tolist(),
-            "duration": self.duration,
-            "settle": self.settle,
-            "dt": self.dt,
-            "t0": self.t0,
-            "base_cov": self.base_cov,
-            "growth_rate": self.growth_rate,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
+            self._check(name, integer, 0, H - 1)
+        self._check("seed", integer, 0)
+        for name in ("duration", "dt", "base_cov"):
+            self._check(name, number, 0, strict=True)
+        for name in ("settle", "t0", "growth_rate", "jitter"):
+            self._check(name, number)
 
 
-def _reach_array(value, name: str, shape: tuple) -> Array:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"reach {name} must be numeric: {exc}") from exc
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"reach {name} must be a finite array of shape {shape}, got {value!r}")
-    return arr
+def _names(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise InvalidInputError(f"{name} must be a list of names, got {value!r}")
+    return tuple(value)
 
 
 def minimum_jerk_profile(tau: Array) -> Array:
@@ -330,31 +284,26 @@ def load_prediction(path) -> HumanPrediction:
 
 def prediction_from_dict(data: dict) -> HumanPrediction:
     try:
-        joint_names = tuple(data["joint_names"])
-        frames = data["frames"]
-        head_index = int(data["head_index"])
-        dt = float(data["dt"])
-        t0 = float(data.get("t0", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed prediction: {exc}") from exc
-    if not frames:
-        raise InvalidInputError("prediction has no frames")
+        joint_names = _names(data["joint_names"], "prediction joint_names")
+        frames, head_index, dt = data["frames"], data["head_index"], data["dt"]
+    except KeyError as exc:
+        raise InvalidInputError(f"prediction missing required key: {exc}") from exc
+    if not isinstance(frames, list) or not frames:
+        raise InvalidInputError(f"prediction frames must be a nonempty list, got {frames!r}")
     H = len(joint_names)
     T = len(frames)
     means = np.empty((T, H, 3))
     covs = np.empty((T, H, 3, 3))
     for t, frame in enumerate(frames):
-        if len(frame) != H:
-            raise InvalidInputError(
-                f"frame {t} has {len(frame)} joints, expected {H} (ragged prediction)"
-            )
+        if not isinstance(frame, list) or len(frame) != H:
+            raise InvalidInputError(f"frame {t} must be a list of {H} joints (ragged prediction)")
         for h, entry in enumerate(frame):
             try:
                 means[t, h] = np.asarray(entry["mean"], dtype=float)
                 covs[t, h] = np.asarray(entry["cov"], dtype=float)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidInputError(f"frame {t}, joint {h}: {exc}") from exc
-    return HumanPrediction(joint_names, head_index, means, covs, dt, t0)
+    return HumanPrediction(joint_names, head_index, means, covs, dt, data.get("t0", 0.0))
 
 
 def prediction_to_dict(pred: HumanPrediction) -> dict:

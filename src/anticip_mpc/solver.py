@@ -13,14 +13,13 @@ the signed violation.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
-from .errors import InvalidInputError, SolverError
+from .errors import Fields, InvalidInputError, SolverError, integer, number
 
 Array = np.ndarray
 
@@ -30,7 +29,9 @@ _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 
 
 @dataclass
-class SolverConfig:
+class SolverConfig(Fields):
+    section = "solver"
+
     max_inner_iters: int = 50
     max_outer_iters: int = 6
     cost_tol: float = 1e-4
@@ -41,30 +42,13 @@ class SolverConfig:
     reg_cap: float = 1e6
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if name in ("max_inner_iters", "max_outer_iters"):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                    raise InvalidInputError(f"solver.{name} must be a positive integer, got {value!r}")
-                setattr(self, name, int(value))
-                continue
-            try:
-                v = float(value)
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"solver.{name} must be a number: {exc}") from exc
-            if not np.isfinite(v):
-                raise InvalidInputError(f"solver.{name} must be finite, got {v}")
-            setattr(self, name, v)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        for name in ("max_inner_iters", "max_outer_iters"):
+            self._check(name, integer, 1)
+        for name in ("cost_tol", "grad_tol", "constraint_tol"):
+            self._check(name, number, 0)
+        for name in ("init_penalty", "reg_cap"):
+            self._check(name, number, 0, strict=True)
+        self._check("penalty_scale", number, 1)
 
 
 class TrajectoryCost(Protocol):
@@ -128,18 +112,7 @@ class SolveResult:
     grad_inf: float
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "states": self.states.tolist(),
-            "controls": self.controls.tolist(),
-            "total_cost": self.total_cost,
-            "iterations": self.iterations,
-            "outer_iterations": self.outer_iterations,
-            "converged": self.converged,
-            "max_bound_violation": self.max_bound_violation,
-            "grad_inf": self.grad_inf,
-            "wall_time": self.wall_time,
-        }
+    to_dict = Fields.to_dict
 
 
 def rollout(problem: TrajectoryProblem, controls: Array) -> Array:

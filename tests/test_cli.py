@@ -127,6 +127,31 @@ class TestPlan:
 SHORT_PREDICTION = {"prediction": {"synthesize": {"duration": 0.001, "dt": 0.001}}}
 
 
+# one malformed field per case: (input file, path to the field, value, the field's name in the error)
+MALFORMED_FIELDS = [
+    ("robot", ["n_joints"], "x", "n_joints"),
+    ("robot", ["joints", 2, "axis"], "abc", "axis"),
+    ("robot", ["base_pose", "position"], [0, 0], "base_pose.position"),
+    ("robot", ["tracked_frames"], ["a"], "tracked_frames"),
+    ("robot", ["tracked_frames"], [1.5], "tracked_frames"),
+    ("robot", ["eef_frame"], 7.9, "eef_frame"),
+    ("robot", ["joints", 3, "offset", 1], float("nan"), "offset"),
+    ("prediction", ["frames"], 5, "frames"),
+    ("prediction", ["head_index"], 0.7, "head_index"),
+    ("prediction", ["head_index"], "0", "head_index"),
+    ("prediction", ["joint_names"], "abcde", "joint_names"),
+    ("prediction", ["dt"], True, "prediction dt"),
+    ("prediction", ["dt"], float("inf"), "prediction dt"),
+    ("scenario", ["mpc", "dt"], "0.25", "mpc dt"),
+    ("scenario", ["weights", "w_dist"], True, "w_dist"),
+    ("scenario", ["solver", "cost_tol"], True, "cost_tol"),
+    ("scenario", ["solver", "constraint_tol"], "1e-3", "constraint_tol"),
+    ("scenario", ["solver", "init_penalty"], -1, "init_penalty"),
+    ("scenario", ["solver", "penalty_scale"], 0, "penalty_scale"),
+    ("scenario", ["solver", "reg_cap"], -1, "reg_cap"),
+]
+
+
 class TestMalformedScenario:
     def test_plan_past_prediction_end_exits_invalid_input(self, workspace, tmp_path, capsys):
         config = tmp_path / "overlay.json"
@@ -183,6 +208,50 @@ class TestMalformedScenario:
         assert code == EXIT_INVALID_INPUT
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, path, value, field",
+        MALFORMED_FIELDS,
+        ids=[f"{src}:{'.'.join(map(str, path))}={value!r}" for src, path, value, _ in MALFORMED_FIELDS],
+    )
+    def test_malformed_field_exits_invalid_input_naming_it(
+        self, workspace, tmp_path, capsys, source, path, value, field
+    ):
+        """A malformed robot, prediction or scenario field exits 2 with a
+        message naming the field, not with a traceback."""
+        if source == "scenario":
+            overlay = {path[0]: {path[1]: value}}
+        else:
+            data = json.loads((workspace / f"{source}.json").read_text())
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            edited = tmp_path / f"{source}.json"
+            edited.write_text(json.dumps(data))  # NaN and inf as JSON extension tokens
+            overlay = {"robot_model" if source == "robot" else "prediction": str(edited)}
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "plan")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_zero_replan_period_exits_instead_of_hanging(self, workspace, tmp_path):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"mpc": {"replan_period": 0}}))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "anticip_mpc.cli", "simulate", "--scenario", str(workspace / "scenario.json"),
+                "--config", str(config), "--out", str(tmp_path / "sim"), "--no-warmup",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,  # a run that never advances would otherwise hang the suite
+        )
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert "replan_period" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["gen-scenario", "plan", "simulate", "bench"])
     def test_list_overlay_exits_invalid_input(self, workspace, tmp_path, command, capsys):
@@ -292,7 +361,9 @@ class TestEval:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        assert "InvalidInputError" not in err
 
 
 class TestBench:

@@ -1,0 +1,193 @@
+"""The input boundary: the field checks in ``anticip_mpc.errors`` and a
+mutation test over every loader."""
+
+import copy
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from anticip_mpc.cli import default_reach_config, default_scenario_dict
+from anticip_mpc.errors import Fields, InvalidInputError, float_array, integer, number
+from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
+from anticip_mpc.mpc import scenario_from_dict
+from anticip_mpc.prediction import ReachConfig, prediction_from_dict, prediction_to_dict, synthesize_reach
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value", [0, 2, 0.25, -3.5, np.float64(1.5), np.int64(4)])
+    def test_accepts_finite_reals_as_floats(self, value):
+        out = number(value, "x")
+        assert out == value and type(out) is float
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "0.25", "x", None, float("nan"), float("inf"), -float("inf"), [1.0], 10**400],
+        ids=["true", "false", "numeric_string", "string", "none", "nan", "inf", "-inf", "list", "huge_int"],
+    )
+    def test_rejects_non_numbers_naming_the_field(self, value):
+        with pytest.raises(InvalidInputError, match="w_dist must be a finite number"):
+            number(value, "w_dist")
+
+    def test_bounds(self):
+        assert number(0, "x", 0) == 0.0
+        with pytest.raises(InvalidInputError, match="x must be finite and >= 0, got -1"):
+            number(-1, "x", 0)
+        with pytest.raises(InvalidInputError, match="x must be positive and finite, got 0"):
+            number(0, "x", 0, strict=True)
+        with pytest.raises(InvalidInputError, match="x must be finite and >= 1, got 0.5"):
+            number(0.5, "x", 1)
+        with pytest.raises(InvalidInputError, match="x must be positive and finite, got nan"):
+            number(float("nan"), "x", 0, strict=True)
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [0, 7, -2, np.int64(3)])
+    def test_accepts_integers_as_ints(self, value):
+        out = integer(value, "seed")
+        assert out == value and type(out) is int
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, 1.5, 3.0, "3", None, float("nan"), float("inf"), [1]],
+        ids=["bool", "fractional", "integral_float", "string", "none", "nan", "inf", "list"],
+    )
+    def test_rejects_non_integers_naming_the_field(self, value):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            integer(value, "seed")
+
+    def test_bounds(self):
+        assert integer(0, "i", 0, 4) == 0 and integer(4, "i", 0, 4) == 4
+        with pytest.raises(InvalidInputError, match=r"i must be an integer in \[0, 4\], got 5"):
+            integer(5, "i", 0, 4)
+        with pytest.raises(InvalidInputError, match="i must be an integer >= 1, got 0"):
+            integer(0, "i", 1)
+
+
+class TestFloatArray:
+    def test_accepts_numbers_of_the_shape(self):
+        out = float_array([[1, 2.5, 3]], "a", (1, 3))
+        assert out.dtype == float and out.tolist() == [[1.0, 2.5, 3.0]]
+        assert float_array([], "a").shape == (0,)
+
+    def test_keeps_float_arrays_without_copying(self):
+        arr = np.zeros(3)
+        assert float_array(arr, "a", (3,)) is arr
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([True, False, True], "a must be a rectangular array of numbers"),
+            ("abc", "a must be a rectangular array of numbers"),
+            (["1", "2", "3"], "a must be a rectangular array of numbers"),
+            ([1.0, None, 2.0], "a must be a rectangular array of numbers"),
+            ([[1.0, 2.0], [3.0]], "a must be a rectangular array of numbers"),
+            ([1.0, float("nan"), 2.0], "a must be finite"),
+            ([1.0, 2.0, float("inf")], "a must be finite"),
+            ([1.0, 2.0], r"a must have shape \(3,\), got \(2,\)"),
+            ([[1.0, 2.0, 3.0]], r"a must have shape \(3,\), got \(1, 3\)"),
+            (1.5, r"a must have shape \(3,\), got \(\)"),
+        ],
+        ids=["bools", "string", "strings", "none_entry", "ragged", "nan", "inf", "short", "nested", "scalar"],
+    )
+    def test_rejects(self, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            float_array(value, "a", (3,))
+
+
+@dataclass(frozen=True)
+class Gains(Fields):
+    section = "gains"
+
+    kp: float = 1.0
+    steps: int = 2
+
+    def __post_init__(self):
+        self._check("kp", number, 0, strict=True)
+        self._check("steps", integer, 1)
+
+
+class TestFields:
+    def test_round_trip_and_conversion(self):
+        gains = Gains.from_dict({"kp": 3})
+        assert gains.kp == 3.0 and type(gains.kp) is float
+        assert Gains.from_dict(gains.to_dict()) == gains
+        assert Gains().to_dict() == {"kp": 1.0, "steps": 2}
+
+    def test_arrays_and_tuples_serialize_as_lists(self):
+        data = ReachConfig().to_dict()
+        assert data["joint_names"] == list(ReachConfig().joint_names)
+        assert data["rest_positions"] == ReachConfig().rest_positions.tolist()
+        np.testing.assert_array_equal(ReachConfig.from_dict(data).rest_positions, ReachConfig().rest_positions)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "gains config must be an object"),
+            ({"kd": 1.0}, r"unknown gains config keys: \['kd'\]"),
+            ({"kp": 0}, "gains kp must be positive and finite"),
+            ({"steps": 1.5}, "gains steps must be an integer >= 1"),
+        ],
+    )
+    def test_rejects(self, data, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Gains.from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# mutation test: one field of a valid input replaced by a malformed value
+
+
+def _scenario_dict() -> dict:
+    data = default_scenario_dict(seed=0, duration=2.0)
+    data["robot_model"] = model_to_dict(default_robot_model())
+    return data
+
+
+def _prediction_dict() -> dict:
+    return prediction_to_dict(synthesize_reach(ReachConfig.from_dict(default_reach_config(0, 1.0, 0.25))))
+
+
+_MISSING_DIR = Path(__file__).resolve().parent / "no_such_dir"  # relative file references resolve to nothing
+
+LOADERS = {
+    "scenario": (_scenario_dict(), lambda data: scenario_from_dict(data, _MISSING_DIR)),
+    "robot": (model_to_dict(default_robot_model()), model_from_dict),
+    "prediction": (_prediction_dict(), prediction_from_dict),
+    "synthesis": (default_reach_config(0, 2.0, 0.25), lambda data: synthesize_reach(ReachConfig.from_dict(data))),
+}
+
+MALFORMED = [
+    "x", "1", True, False, None, float("nan"), float("inf"), -float("inf"),
+    -1, -2.5, 0.5, 1.5, [], [0.0, 1.0], [[1.0, 2.0]],
+]
+
+
+@st.composite
+def mutated_input(draw):
+    """A loader name and its valid input with one field, possibly nested,
+    replaced by a malformed value."""
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    data = copy.deepcopy(LOADERS[name][0])
+    node = data
+    key = draw(st.sampled_from(list(node)))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = draw(st.sampled_from(MALFORMED))
+    return name, data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_input())
+def test_malformed_field_loads_or_raises_invalid_input(case):
+    """Loading either succeeds or raises InvalidInputError; any other
+    exception would reach the user as a traceback."""
+    name, data = case
+    try:
+        LOADERS[name][1](data)
+    except InvalidInputError:
+        pass

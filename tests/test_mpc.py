@@ -208,6 +208,15 @@ class TestTraceSerialization:
             loaded.replans[0].result.states, default_trace.replans[0].result.states
         )
 
+    def test_json_round_trip_keeps_replan_wall_times(self, default_trace, tmp_path):
+        """The replan's wall time (slicing, assembly and solve) is the one
+        saved, not the solve's own."""
+        path = tmp_path / "trace.json"
+        default_trace.save_json(path)
+        loaded = ExecutionTrace.load_json(path)
+        assert loaded.replan_wall_times() == default_trace.replan_wall_times()
+        assert [r.t_plan for r in loaded.replans] == [r.t_plan for r in default_trace.replans]
+
     def test_csv_format(self, default_trace, tmp_path):
         path = tmp_path / "trace.csv"
         default_trace.save_csv(path)
