@@ -215,19 +215,14 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _simulate_once(scenario: Scenario, warmup: bool) -> ExecutionTrace:
-    if warmup:
-        problem = build_problem(scenario, 0.0, scenario.mpc.horizon_knots, scenario.start_q)
-        solve(problem, None, scenario.solver)  # discarded: pays one-time cache costs
-    return run_mpc(scenario)
-
-
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenario = _retimed(load_scenario(args.scenario, args.config), args.horizon, args.replan)
     try:
-        trace = _simulate_once(scenario, args.warmup)
+        problem = build_problem(scenario, 0.0, scenario.mpc.horizon_knots, scenario.start_q)
+        solve(problem, None, scenario.solver)  # discarded warm-up: pays one-time cache costs
+        trace = run_mpc(scenario)
     except SolverError as exc:
         return _solver_failure(out, "simulate", exc)
 
@@ -238,7 +233,7 @@ def cmd_simulate(args) -> int:
     write_manifest(
         out,
         "simulate",
-        {"scenario": str(args.scenario), "warmup": args.warmup, "mpc": scenario.mpc.to_dict()},
+        {"scenario": str(args.scenario), "mpc": scenario.mpc.to_dict()},
         [args.scenario],
         [trace_json, trace_csv],
         args.seed,
@@ -308,8 +303,7 @@ def cmd_bench(args) -> int:
     if base.synthesis is None:
         log.warning("scenario prediction is not synthesized; bench runs will share one human motion")
 
-    if args.warmup:
-        run_mpc(_reseeded(base, args.seed))
+    run_mpc(_reseeded(base, args.seed))  # discarded warm-up run
 
     t0 = time.perf_counter()
     traces = [run_mpc(_reseeded(base, args.seed + i)) for i in range(args.n)]
@@ -320,7 +314,6 @@ def cmd_bench(args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_runs": args.n,
-        "warmup": args.warmup,
         "per_trajectory_mean_s": float(per_traj.mean()),
         "per_trajectory_std_s": float(per_traj.std(ddof=1)) if args.n > 1 else 0.0,
         "per_replan_mean_s": float(per_replan.mean()),
@@ -395,12 +388,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
-def _add_warmup(parser: argparse.ArgumentParser) -> None:
-    warm = parser.add_mutually_exclusive_group()
-    warm.add_argument("--warmup", dest="warmup", action="store_true", default=True)
-    warm.add_argument("--no-warmup", dest="warmup", action="store_false")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anticip-mpc",
@@ -428,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--horizon", type=float, default=None, help="override horizon, seconds")
     p.add_argument("--replan", type=float, default=None, help="override replan period, seconds")
-    _add_warmup(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="compute the five metrics from trace files")
@@ -443,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=20, help="number of seeded runs")
-    _add_warmup(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

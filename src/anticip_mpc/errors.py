@@ -2,9 +2,9 @@
 
 Every value read from outside (a JSON file, a config overlay, a CLI flag) is
 checked here before the planner sees it: :func:`read_json` reads each input
-file, :func:`number`, :func:`integer` and :func:`float_array` check single
-fields, and :class:`Fields` gives the config dataclasses one ``from_dict``
-and ``to_dict``. Numbers must be JSON numbers (never bools or strings) and
+file, :func:`number`, :func:`integer`, :func:`boolean` and
+:func:`float_array` check single fields, and :class:`Fields` gives the
+config dataclasses one ``from_dict`` and ``to_dict``. Numbers must be JSON numbers (never bools or strings) and
 finite; integers must be integers (never ``1.5`` or ``"3"``). A failed check
 raises :class:`InvalidInputError` naming the field, which the CLI reports
 with exit code 2.
@@ -76,9 +76,16 @@ def integer(value, name: str, low=None, high=None) -> int:
     return int(value)
 
 
+def boolean(value, name: str) -> bool:
+    """`value` if it is true or false, never a number or a string."""
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
     """`value` as a float array of numbers (not bools or strings), finite, and
-    of `shape` where given."""
+    of `shape` where given; a None in `shape` allows any size on that axis."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
@@ -86,8 +93,11 @@ def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must be a rectangular array of numbers")
     arr = np.asarray(arr, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    if shape is not None and (
+        arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        want = ", ".join("*" if d is None else str(d) for d in shape) + ("," if len(shape) == 1 else "")
+        raise InvalidInputError(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must be finite")
     return arr

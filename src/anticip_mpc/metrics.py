@@ -10,17 +10,13 @@ against the prediction means instead.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .mpc import ExecutionTrace
-
-log = logging.getLogger("anticip_mpc")
 
 Array = np.ndarray
 
@@ -28,42 +24,26 @@ SEPARATION_THRESHOLD = 0.2  # meters
 FOV_HALF_ANGLE = np.pi / 3.0  # radians; central + paracentral human vision
 
 
-def _human_motion(trace: ExecutionTrace, human: Optional[Array], against: str = "truth") -> Array:
-    if human is None:
-        human = trace.human_pred if against == "predicted" else trace.human_true
-    human = np.asarray(human, dtype=float)
-    if human.ndim != 3 or human.shape[0] != len(trace.times) or human.shape[2] != 3:
-        raise InvalidInputError(
-            f"human motion shape {human.shape} is misaligned with the trace grid ({len(trace.times)} steps)"
-        )
-    return human
+def _human_motion(trace: ExecutionTrace, against: str) -> Array:
+    return trace.human_pred if against == "predicted" else trace.human_true
 
 
 def separation_metric(
-    trace: ExecutionTrace,
-    human: Optional[Array] = None,
-    threshold: float = SEPARATION_THRESHOLD,
-    against: str = "truth",
+    trace: ExecutionTrace, threshold: float = SEPARATION_THRESHOLD, against: str = "truth"
 ) -> float:
     """Fraction of timesteps with every human-robot joint pair farther than threshold."""
-    human = _human_motion(trace, human, against)
+    human = _human_motion(trace, against)
     d = np.linalg.norm(trace.tracked_positions[:, None, :, :] - human[:, :, None, :], axis=-1)
     min_d = d.reshape(len(trace.times), -1).min(axis=1)
     return float(np.mean(min_d > threshold))
 
 
 def visibility_metric(
-    trace: ExecutionTrace,
-    human: Optional[Array] = None,
-    gaze_object: Optional[Array] = None,
-    fov_half_angle: float = FOV_HALF_ANGLE,
-    against: str = "truth",
+    trace: ExecutionTrace, fov_half_angle: float = FOV_HALF_ANGLE, against: str = "truth"
 ) -> float:
     """Fraction of timesteps with the end effector inside the gaze cone."""
-    human = _human_motion(trace, human, against)
-    obj = trace.gaze_object if gaze_object is None else np.asarray(gaze_object, dtype=float)
-    head = human[:, trace.head_index]
-    a = obj[None, :] - head
+    head = _human_motion(trace, against)[:, trace.head_index]
+    a = trace.gaze_object[None, :] - head
     b = trace.eef_positions - head
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -111,21 +91,9 @@ def legibility_metric(trace: ExecutionTrace) -> float:
     return float(np.mean(probs))
 
 
-def nominal_metric(trace: ExecutionTrace, nominal: Optional[Array] = None) -> float:
+def nominal_metric(trace: ExecutionTrace) -> float:
     """Sum of squared distances between actual and nominal eef positions."""
-    nominal = trace.nominal if nominal is None else np.atleast_2d(np.asarray(nominal, dtype=float))
-    actual = trace.eef_positions
-    if len(nominal) != len(actual):
-        log.warning(
-            "nominal length %d != trace length %d; clamping to the shorter grid",
-            len(nominal), len(actual),
-        )
-        if len(nominal) < len(actual):
-            pad = np.tile(nominal[-1], (len(actual) - len(nominal), 1))
-            nominal = np.vstack([nominal, pad])
-        else:
-            nominal = nominal[: len(actual)]
-    return float(np.sum((actual - nominal) ** 2))
+    return float(np.sum((trace.eef_positions - trace.nominal) ** 2))
 
 
 def latency_metric(trace: ExecutionTrace) -> tuple[float, list[float]]:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
-from .errors import Fields, InvalidInputError, float_array, integer, number, read_json
+from .errors import Fields, InvalidInputError, boolean, float_array, integer, number, read_json
 from .kinematics import (
     RobotModel,
     fk_batch,
@@ -222,10 +222,22 @@ class ReplanRecord:
         return {**self.result.to_dict(), "t_plan": self.t_plan, "wall_time": self.wall_time}
 
 
-_PER_STEP_FIELDS = (  # the trace arrays with one row per entry of `times`
-    "states", "eef_positions", "eef_quats", "tracked_positions",
-    "human_true", "human_pred", "min_human_dist", "nominal",
-)
+def _replan_from_dict(r: dict, where: str, n: int) -> ReplanRecord:
+    """A replan record of a trace whose robot has n joints."""
+    wall_time = number(r["wall_time"], f"{where} wall_time", 0)
+    states = float_array(r["states"], f"{where} states", (None, n))
+    result = SolveResult(
+        states=states,
+        controls=float_array(r["controls"], f"{where} controls", (len(states) - 1, n)),
+        total_cost=number(r["total_cost"], f"{where} total_cost"),
+        iterations=integer(r["iterations"], f"{where} iterations", 0),
+        outer_iterations=integer(r["outer_iterations"], f"{where} outer_iterations", 0),
+        converged=boolean(r["converged"], f"{where} converged"),
+        max_bound_violation=number(r["max_bound_violation"], f"{where} max_bound_violation", 0),
+        grad_inf=number(r["grad_inf"], f"{where} grad_inf", 0),
+        wall_time=wall_time,
+    )
+    return ReplanRecord(number(r["t_plan"], f"{where} t_plan"), wall_time, result)
 
 
 @dataclass
@@ -262,41 +274,39 @@ class ExecutionTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionTrace":
-        replans = []
-        for i, r in enumerate(data["replans"]):
-            wall_time = number(r["wall_time"], f"trace replan {i} wall_time", 0)
-            result = SolveResult(
-                states=np.asarray(r["states"], dtype=float),
-                controls=np.asarray(r["controls"], dtype=float),
-                total_cost=r["total_cost"],
-                iterations=r["iterations"],
-                outer_iterations=r["outer_iterations"],
-                converged=r["converged"],
-                max_bound_violation=r["max_bound_violation"],
-                grad_inf=r["grad_inf"],
-                wall_time=wall_time,
-            )
-            replans.append(ReplanRecord(number(r["t_plan"], f"trace replan {i} t_plan"), wall_time, result))
-        times = np.asarray(data["times"], dtype=float)
-        per_step = {name: np.asarray(data[name], dtype=float) for name in _PER_STEP_FIELDS}
-        for name, arr in per_step.items():
-            if arr.shape[:1] != times.shape[:1]:
-                raise InvalidInputError(f"{name} has shape {arr.shape}, expected {times.size} rows, one per time")
-        if not isinstance(data["goal_reached"], bool):
-            raise InvalidInputError(f"trace goal_reached must be true or false, got {data['goal_reached']!r}")
+        def array(name, *shape):  # None: any size, read from the array
+            return float_array(data[name], f"trace {name}", shape)
+
+        times = array("times", None)
+        T = len(times)
+        states = array("states", T, None)
+        human_true = array("human_true", T, None, 3)
+        H = human_true.shape[1]
+        goals = array("legibility_goals", None, 3)
+        goal_index = integer(data["legibility_goal_index"], "trace legibility_goal_index", 0, len(goals) - 1)
+        replans = [
+            _replan_from_dict(r, f"trace replan {i}", states.shape[1]) for i, r in enumerate(data["replans"])
+        ]
         return cls(
             times=times,
-            **per_step,
-            head_index=integer(data["head_index"], "trace head_index", 0),
-            gaze_object=np.asarray(data["gaze_object"], dtype=float),
-            legibility_start=np.asarray(data["legibility_start"], dtype=float),
-            legibility_goals=np.asarray(data["legibility_goals"], dtype=float),
-            legibility_goal_index=integer(data["legibility_goal_index"], "trace legibility_goal_index", 0),
-            goal_position=np.asarray(data["goal_position"], dtype=float),
-            goal_orientation=np.asarray(data["goal_orientation"], dtype=float),
+            states=states,
+            eef_positions=array("eef_positions", T, 3),
+            eef_quats=array("eef_quats", T, 4),
+            tracked_positions=array("tracked_positions", T, None, 3),
+            human_true=human_true,
+            human_pred=array("human_pred", T, H, 3),
+            min_human_dist=array("min_human_dist", T),
+            head_index=integer(data["head_index"], "trace head_index", 0, H - 1),
+            nominal=array("nominal", T, 3),
+            gaze_object=array("gaze_object", 3),
+            legibility_start=array("legibility_start", 3),
+            legibility_goals=goals,
+            legibility_goal_index=goal_index,
+            goal_position=array("goal_position", 3),
+            goal_orientation=array("goal_orientation", 4),
             replans=replans,
             total_wall_time=number(data["total_wall_time"], "trace total_wall_time", 0),
-            goal_reached=data["goal_reached"],
+            goal_reached=boolean(data["goal_reached"], "trace goal_reached"),
             dt=number(data["dt"], "trace dt", 0, strict=True),
             seed=integer(data.get("seed", 0), "trace seed"),
         )
@@ -336,7 +346,7 @@ def _human_means_at(pred: HumanPrediction, n_points: int, dt: float) -> Array:
     return means
 
 
-def run_mpc(scenario: Scenario, solver_config: Optional[SolverConfig] = None) -> ExecutionTrace:
+def run_mpc(scenario: Scenario) -> ExecutionTrace:
     """Run the receding-horizon loop and return the executed trace.
 
     Stops at the task duration or once the end effector is inside the goal
@@ -344,7 +354,6 @@ def run_mpc(scenario: Scenario, solver_config: Optional[SolverConfig] = None) ->
     """
     cfg = scenario.mpc
     model = scenario.model
-    sconf = solver_config or scenario.solver
     n_steps = cfg.task_steps
     n_knots = cfg.horizon_knots
     replan_steps = cfg.replan_steps
@@ -370,7 +379,7 @@ def run_mpc(scenario: Scenario, solver_config: Optional[SolverConfig] = None) ->
             init = warm_start_shift(
                 prev_controls, replan_steps, n_knots - 1, model.vel_lower, model.vel_upper
             )
-        result = solve(problem, init, sconf)
+        result = solve(problem, init, scenario.solver)
         wall = time.perf_counter() - t_plan
         replans.append(ReplanRecord(t_plan=t_now, wall_time=wall, result=result))
         log.debug(

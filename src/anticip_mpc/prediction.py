@@ -20,6 +20,7 @@ Array = np.ndarray
 
 _SYM_TOL = 1e-9
 _EIG_FLOOR = 1e-9
+_HOLD_GROWTH = 1.5  # covariance inflation per grid step held past the last frame
 
 
 def _check_covariance(cov: Array, where: str = "") -> Array:
@@ -103,26 +104,18 @@ class HumanPrediction:
         return self.t0 + (self.n_frames - 1) * self.dt
 
 
-def slice_horizon(
-    pred: HumanPrediction,
-    t_start: float,
-    n_knots: int,
-    dt: float,
-    hold_growth: float = 1.5,
-) -> tuple[Array, Array]:
+def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float) -> tuple[Array, Array]:
     """Means (n_knots, H, 3) and covariances (n_knots, H, 3, 3) at t_start,
     t_start + dt, ... from a prediction.
 
     Off-grid times interpolate means and covariances linearly (covariances
     re-symmetrized and eigenvalue-floored). Times past the last frame hold
-    the last mean and inflate its covariance by hold_growth per overrun grid
-    step (fractional overruns use a fractional exponent); an inflation that
+    the last mean and inflate its covariance by 1.5 per overrun grid step
+    (fractional overruns use a fractional exponent); an inflation that
     overflows is rejected.
     """
     if n_knots < 1 or dt <= 0:
         raise InvalidInputError("n_knots must be >= 1 and dt > 0")
-    if hold_growth < 1.0:
-        raise InvalidInputError("hold_growth must be >= 1")
     rel0 = (t_start - pred.t0) / pred.dt
     if not rel0 >= -1e-9:
         raise InvalidInputError(f"t_start={t_start} precedes the prediction start {pred.t0}")
@@ -158,7 +151,7 @@ def slice_horizon(
     if np.any(held):
         overrun = s[held] - (T - 1)
         try:
-            factor = np.array([hold_growth**x for x in overrun.tolist()])
+            factor = np.array([_HOLD_GROWTH**x for x in overrun.tolist()])
             with np.errstate(over="ignore"):
                 inflated = pred.covs[-1] * factor[:, None, None, None]
             finite = np.all(np.isfinite(inflated))
@@ -168,7 +161,7 @@ def slice_horizon(
             raise InvalidInputError(
                 f"the horizon runs {overrun.max() * pred.dt:g} s ({overrun.max():g} grid steps) past "
                 f"the prediction's last frame at t={pred.t_end:g} s; the held covariance, inflated "
-                f"by {hold_growth:g} per step, is not finite"
+                f"by {_HOLD_GROWTH:g} per step, is not finite"
             )
         out_means[held] = pred.means[-1]
         out_covs[held] = inflated
@@ -299,10 +292,14 @@ def prediction_from_dict(data: dict) -> HumanPrediction:
             raise InvalidInputError(f"frame {t} must be a list of {H} joints (ragged prediction)")
         for h, entry in enumerate(frame):
             try:
-                means[t, h] = np.asarray(entry["mean"], dtype=float)
-                covs[t, h] = np.asarray(entry["cov"], dtype=float)
+                mean, cov = np.asarray(entry["mean"]), np.asarray(entry["cov"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidInputError(f"frame {t}, joint {h}: {exc}") from exc
+            numeric = mean.dtype.kind in "iuf" and cov.dtype.kind in "iuf"
+            if not numeric or mean.shape != (3,) or cov.shape != (3, 3):
+                raise InvalidInputError(f"frame {t}, joint {h}: mean must be 3 numbers and cov a 3x3 matrix of numbers")
+            means[t, h] = mean
+            covs[t, h] = cov
     return HumanPrediction(joint_names, head_index, means, covs, dt, data.get("t0", 0.0))
 
 

@@ -154,11 +154,7 @@ def max_bound_violation(problem: TrajectoryProblem, us: Array) -> float:
 
 
 def al_update(
-    duals: Array,
-    penalty: float,
-    violations: Array,
-    prev_max_violation: Optional[float] = None,
-    config: Optional[SolverConfig] = None,
+    duals: Array, penalty: float, violations: Array, prev_max_violation: float, config: SolverConfig
 ) -> tuple[Array, float]:
     """First-order multiplier update with conditional penalty growth.
 
@@ -166,14 +162,11 @@ def al_update(
     only when the worst violation failed to shrink by at least 4x since the
     previous outer iteration (and is still above tolerance).
     """
-    config = config or SolverConfig()
     if penalty <= 0:
         raise InvalidInputError("penalty must be positive")
     duals = np.maximum(0.0, duals + penalty * violations)
     max_viol = float(max(0.0, np.max(violations))) if violations.size else 0.0
-    if max_viol > config.constraint_tol and (
-        prev_max_violation is not None and max_viol > prev_max_violation / 4.0
-    ):
+    if max_viol > config.constraint_tol and max_viol > prev_max_violation / 4.0:
         penalty = penalty * config.penalty_scale
     return duals, penalty
 
@@ -237,34 +230,32 @@ def _assemble_derivs(problem, xs, us, duals, penalty) -> _Derivs:
     return _Derivs(gx, gu, hxx, huu)
 
 
+def _bump_reg(reg: float, reg_cap: float, where: str) -> float:
+    """The next Levenberg-Marquardt shift: 1e-6 from zero, else 10x reg.
+
+    The one regularization schedule of the solver; a shift past reg_cap
+    aborts with a SolverError saying `where` it was needed.
+    """
+    reg = _REG_MIN if reg == 0.0 else reg * 10.0
+    if reg > reg_cap:
+        raise SolverError(f"{where}: regularization exceeded cap {reg_cap:g}")
+    return reg
+
+
 def backward_pass(
-    problem: TrajectoryProblem,
-    states: Array,
-    controls: Array,
-    duals: Optional[Array] = None,
-    penalty: float = 0.0,
-    reg: float = 0.0,
-    derivs: Optional[_Derivs] = None,
-    reg_cap: float = SolverConfig.reg_cap,
+    problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0, reg_cap: float = SolverConfig.reg_cap
 ) -> BackwardPassResult:
-    """Riccati-style sweep producing affine feedback gains.
+    """Riccati-style sweep producing affine feedback gains from the cost
+    derivatives along the current iterate.
 
     Q_uu blocks are Levenberg-Marquardt shifted until they factorize: the
-    shift starts at the given reg, jumps to 1e-6 on the first failure from
-    zero and grows by 10x per failure; exceeding reg_cap aborts with a
-    SolverError.
+    shift starts at the given reg and follows :func:`_bump_reg` per failure.
 
     k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_ux come from the same shifted Q_uu, so
     the full value update of Tassa, Erez & Todorov (2012) loses its cross
     terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
     decrease at a full step is -q_u^T k / 2.
     """
-    if derivs is None:
-        M = problem.n_knots - 1
-        if duals is None:
-            duals = np.zeros((2, M, problem.n_dims))
-        derivs = _assemble_derivs(problem, states, controls, duals, penalty)
-
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
@@ -297,12 +288,7 @@ def backward_pass(
             qu, k = q[:, :, 0], kK[:, :, 0]
             decrease = max(0.0, -0.5 * float(np.sum(qu * k)))
             return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.max(np.abs(qu))), reg)
-        reg = _REG_MIN if reg == 0.0 else reg * 10.0
-        if reg > reg_cap:
-            raise SolverError(
-                f"backward pass regularization exceeded cap {reg_cap:g}; "
-                "the local model cannot be made positive definite"
-            )
+        reg = _bump_reg(reg, reg_cap, "backward pass: the local model cannot be made positive definite")
 
 
 def forward_pass(
@@ -310,9 +296,9 @@ def forward_pass(
     states: Array,
     controls: Array,
     gains: BackwardPassResult,
-    duals: Optional[Array] = None,
-    penalty: float = 0.0,
-    incumbent_cost: Optional[float] = None,
+    duals: Array,
+    penalty: float,
+    incumbent_cost: float,
 ) -> ForwardPassResult:
     """Line-searched rollout of the affine policy, all step lengths at once.
 
@@ -321,13 +307,9 @@ def forward_pass(
     finite is scored as the incumbent and never accepted. Returns the largest
     alpha whose actual decrease is at least 1e-4 * alpha * expected_decrease,
     or the incumbent with accepted=False when no step qualifies.
+    incumbent_cost is the augmented objective of (states, controls).
     """
     M = problem.n_knots - 1
-    if duals is None:
-        duals = np.zeros((2, M, problem.n_dims))
-    if incumbent_cost is None:
-        incumbent_cost = _al_objective(problem, problem.cost.value(states, controls), controls, duals, penalty)
-
     dt = problem.dt
     alphas = 2.0 ** -np.arange(_N_ALPHAS)
     xs = np.empty((_N_ALPHAS,) + states.shape)
@@ -404,13 +386,14 @@ def solve(
             total_iters += 1
             if derivs is None:
                 derivs = _assemble_derivs(problem, xs, us, duals, penalty)
-            bp = backward_pass(problem, xs, us, duals, penalty, reg=reg, derivs=derivs, reg_cap=config.reg_cap)
+            # reg goes by keyword: perfbench's tracer reads the shift a pass started from
+            bp = backward_pass(problem, derivs, reg=reg, reg_cap=config.reg_cap)
             reg = bp.reg_used
             grad_inf = bp.grad_inf
             if bp.grad_inf < config.grad_tol:
                 inner_converged = True
                 break
-            fp = forward_pass(problem, xs, us, bp, duals, penalty, incumbent_cost=J)
+            fp = forward_pass(problem, xs, us, bp, duals, penalty, J)
             if fp.accepted:
                 dJ = J - fp.cost
                 xs, us, J, cost = fp.states, fp.controls, fp.cost, fp.raw_cost
@@ -419,17 +402,12 @@ def solve(
                     reg = 0.0 if reg <= _REG_MIN else reg / 10.0
                 else:
                     # deep backtracking means the local model overshoots
-                    reg = _REG_MIN if reg == 0.0 else reg * 10.0
+                    reg = _bump_reg(reg, config.reg_cap, f"line search backtracked to step {fp.step_length:g}")
                 if abs(dJ) / max(1.0, abs(J)) < config.cost_tol:
                     inner_converged = True
                     break
             else:
-                reg = _REG_MIN if reg == 0.0 else reg * 10.0
-                if reg > config.reg_cap:
-                    raise SolverError(
-                        "line search stalled and regularization exceeded its cap; "
-                        f"best cost {J:.6g}"
-                    )
+                reg = _bump_reg(reg, config.reg_cap, f"line search stalled at cost {J:.6g}")
         viol = max_bound_violation(problem, us)
         if inner_converged and viol < config.constraint_tol:
             converged = True

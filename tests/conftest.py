@@ -8,9 +8,12 @@ from anticip_mpc import (
     LegibilityContext,
     RobotModel,
     TrajectoryProblem,
+    backward_pass,
     default_robot_model,
     forward_kinematics,
+    forward_pass,
 )
+from anticip_mpc.solver import _al_objective, _assemble_derivs
 
 from oracles import HumanJointGaussian, KnotContext, stack_contexts
 
@@ -119,3 +122,19 @@ def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contex
         u_upper=model.vel_upper,
         q_goal=q_goal,
     )
+
+
+def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=0.0, **options):
+    """backward_pass at (xs, us): the derivatives it takes are assembled here,
+    with zero multipliers and no bound penalty unless given."""
+    duals = np.zeros((2,) + us.shape) if duals is None else duals
+    return backward_pass(problem, _assemble_derivs(problem, xs, us, duals, penalty), **options)
+
+
+def forward(problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=0.0, incumbent_cost=None):
+    """forward_pass from (xs, us), scoring the incumbent here unless its
+    augmented cost is given; zero multipliers and no penalty by default."""
+    duals = np.zeros((2,) + us.shape) if duals is None else duals
+    if incumbent_cost is None:
+        incumbent_cost = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
+    return forward_pass(problem, xs, us, gains, duals, penalty, incumbent_cost)

@@ -113,7 +113,7 @@ class TestPlan:
         assert run_cli("plan", "--scenario", scenario, "--out", plan_out) == EXIT_OK
         assert run_cli(
             "simulate", "--scenario", scenario, "--out", sim_out,
-            "--horizon", 2.0, "--replan", 2.0, "--no-warmup",
+            "--horizon", 2.0, "--replan", 2.0,
         ) == EXIT_OK
         assert (plan_out / "plan.csv").read_bytes() == (sim_out / "trace.csv").read_bytes()
         trace = json.loads((sim_out / "trace.json").read_text())
@@ -149,6 +149,25 @@ MALFORMED_FIELDS = [
     ("scenario", ["solver", "init_penalty"], -1, "init_penalty"),
     ("scenario", ["solver", "penalty_scale"], 0, "penalty_scale"),
     ("scenario", ["solver", "reg_cap"], -1, "reg_cap"),
+]
+
+
+# one malformed trace field per case: (path to the field, value, the field's name in the error)
+MALFORMED_TRACE_FIELDS = [
+    (["gaze_object"], [1.0, 2.0], "trace gaze_object"),
+    (["legibility_start"], [[1.0, 2.0, 3.0]], "trace legibility_start"),
+    (["goal_orientation"], [1.0, 0.0, 0.0], "trace goal_orientation"),
+    (["legibility_goals"], [[1.0, 2.0]], "trace legibility_goals"),
+    (["legibility_goal_index"], 5, "trace legibility_goal_index"),
+    (["head_index"], 99, "trace head_index"),
+    (["eef_quats", 0], [1.0, 0.0, 0.0], "trace eef_quats"),
+    (["human_pred", 0], [[0.0, 0.0, 0.0]], "trace human_pred"),
+    (["replans", 0, "total_cost"], "abc", "trace replan 0 total_cost"),
+    (["replans", 0, "converged"], "yes", "trace replan 0 converged"),
+    (["replans", 1, "iterations"], 2.5, "trace replan 1 iterations"),
+    (["replans", 0, "controls"], [[0.0] * 7], "trace replan 0 controls"),
+    (["replans", 0, "states", 1], ["x"] * 7, "trace replan 0 states"),
+    (["replans", 0, "grad_inf"], -1.0, "trace replan 0 grad_inf"),
 ]
 
 
@@ -203,7 +222,7 @@ class TestMalformedScenario:
         config.write_text(json.dumps(overlay))  # NaN is written as the JSON extension token
         code = run_cli(
             "simulate", "--scenario", workspace / "scenario.json", "--config", config,
-            "--out", tmp_path / "sim", "--no-warmup",
+            "--out", tmp_path / "sim",
         )
         assert code == EXIT_INVALID_INPUT
         assert "Traceback" not in capsys.readouterr().err
@@ -243,7 +262,7 @@ class TestMalformedScenario:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "anticip_mpc.cli", "simulate", "--scenario", str(workspace / "scenario.json"),
-                "--config", str(config), "--out", str(tmp_path / "sim"), "--no-warmup",
+                "--config", str(config), "--out", str(tmp_path / "sim"),
             ],
             capture_output=True,
             text=True,
@@ -303,7 +322,7 @@ def traces(workspace, tmp_path_factory):
         config.write_text(json.dumps({"prediction": {"synthesize": {"seed": seed}}}))
         code = run_cli(
             "simulate", "--scenario", workspace / "scenario.json",
-            "--config", config, "--out", out, "--no-warmup",
+            "--config", config, "--out", out,
         )
         assert code == EXIT_OK
         outs.append(out / "trace.json")
@@ -333,7 +352,7 @@ class TestEval:
         sim_out = tmp_path / "sim"
         assert run_cli(
             "simulate", "--scenario", workspace / "scenario.json",
-            "--config", config, "--out", sim_out, "--no-warmup",
+            "--config", config, "--out", sim_out,
         ) == EXIT_OK
         eval_out = tmp_path / "eval"
         assert run_cli("eval", sim_out / "trace.json", "--out", eval_out) == EXIT_OK
@@ -351,7 +370,7 @@ class TestEval:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
-        assert "could not convert string to float" in capsys.readouterr().err
+        assert "trace times must be a rectangular array of numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["states", "eef_positions"])
     def test_truncated_per_step_array_rejected(self, traces, tmp_path, capsys, field):
@@ -364,6 +383,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert field in err
         assert "InvalidInputError" not in err
+
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        MALFORMED_TRACE_FIELDS,
+        ids=[f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in MALFORMED_TRACE_FIELDS],
+    )
+    def test_malformed_trace_field_exits_invalid_input_naming_it(
+        self, traces, tmp_path, capsys, path, value, field
+    ):
+        """A malformed trace field exits 2 with a message naming it, never
+        with a traceback or a silent load."""
+        data = json.loads(traces[0].read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestBench:
@@ -428,17 +470,6 @@ class TestTopLevel:
             assert set(scenario[key]) == {f.name for f in dataclasses.fields(cls)}, key
         assert "reg_cap" in scenario["solver"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["gen-scenario"], ["plan", "--scenario", "s.json"], ["eval", "trace.json"]],
-        ids=["gen-scenario", "plan", "eval"],
-    )
-    def test_warmup_flag_only_on_commands_that_read_it(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, "--no-warmup")
-        assert exc.value.code == EXIT_INVALID_INPUT
-        assert "unrecognized arguments: --no-warmup" in capsys.readouterr().err
-
     def test_no_command_shows_help(self, capsys):
         assert run_cli() == EXIT_INVALID_INPUT
 
@@ -476,7 +507,7 @@ class TestTopLevel:
             [
                 sys.executable, "-m", "anticip_mpc.cli", "simulate",
                 "--scenario", str(workspace / "scenario.json"),
-                "--out", str(workspace / "logrun"), "--no-warmup",
+                "--out", str(workspace / "logrun"),
             ],
             capture_output=True,
             text=True,

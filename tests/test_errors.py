@@ -2,6 +2,8 @@
 mutation test over every loader."""
 
 import copy
+import json
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anticip_mpc.cli import default_reach_config, default_scenario_dict
-from anticip_mpc.errors import Fields, InvalidInputError, float_array, integer, number
+from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
-from anticip_mpc.mpc import scenario_from_dict
+from anticip_mpc.metrics import evaluate_trace
+from anticip_mpc.mpc import ExecutionTrace, run_mpc, scenario_from_dict
 from anticip_mpc.prediction import ReachConfig, prediction_from_dict, prediction_to_dict, synthesize_reach
 
 
@@ -96,6 +99,24 @@ class TestFloatArray:
         with pytest.raises(InvalidInputError, match=message):
             float_array(value, "a", (3,))
 
+    def test_none_in_shape_allows_any_size_on_that_axis(self):
+        assert float_array([[1, 2, 3], [4, 5, 6]], "a", (None, 3)).shape == (2, 3)
+        assert float_array([[1, 2]], "a", (1, None)).shape == (1, 2)
+        with pytest.raises(InvalidInputError, match=r"a must have shape \(\*, 3\), got \(2, 2\)"):
+            float_array([[1, 2], [3, 4]], "a", (None, 3))
+        with pytest.raises(InvalidInputError, match=r"a must have shape \(\*,\), got \(1, 3\)"):
+            float_array([[1, 2, 3]], "a", (None,))
+
+
+class TestBoolean:
+    def test_accepts_bools(self):
+        assert boolean(True, "b") is True and boolean(False, "b") is False
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", "true", None, 1.0, [True]])
+    def test_rejects_everything_else_naming_the_field(self, value):
+        with pytest.raises(InvalidInputError, match="converged must be true or false"):
+            boolean(value, "converged")
+
 
 @dataclass(frozen=True)
 class Gains(Fields):
@@ -152,11 +173,25 @@ def _prediction_dict() -> dict:
 
 _MISSING_DIR = Path(__file__).resolve().parent / "no_such_dir"  # relative file references resolve to nothing
 
+
+def _trace_dict() -> dict:
+    return run_mpc(scenario_from_dict(_scenario_dict(), _MISSING_DIR)).to_dict()
+
+
+def _evaluate_trace_file(data: dict) -> None:
+    """What `eval` runs on a trace: load the JSON file, then score it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        path.write_text(json.dumps(data))  # NaN and inf as JSON extension tokens
+        evaluate_trace(ExecutionTrace.load_json(path))
+
+
 LOADERS = {
     "scenario": (_scenario_dict(), lambda data: scenario_from_dict(data, _MISSING_DIR)),
     "robot": (model_to_dict(default_robot_model()), model_from_dict),
     "prediction": (_prediction_dict(), prediction_from_dict),
     "synthesis": (default_reach_config(0, 2.0, 0.25), lambda data: synthesize_reach(ReachConfig.from_dict(data))),
+    "trace": (_trace_dict(), _evaluate_trace_file),
 }
 
 MALFORMED = [

@@ -103,9 +103,12 @@ class TestSeparationMetric:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_misaligned_grid_rejected(self):
-        trace = make_trace(np.zeros((5, 3)))
-        with pytest.raises(InvalidInputError):
-            separation_metric(trace, human=np.zeros((4, 1, 3)))
+        """Human motion off the trace grid is rejected when the trace loads,
+        before any metric reads it."""
+        data = make_trace(np.zeros((5, 3))).to_dict()
+        data["human_true"] = np.zeros((4, 1, 3)).tolist()
+        with pytest.raises(InvalidInputError, match=r"trace human_true must have shape \(5, \*, 3\), got \(4, 1, 3\)"):
+            ExecutionTrace.from_dict(data)
 
 
 class TestVisibilityMetric:
@@ -202,13 +205,8 @@ class TestNominalMetric:
         a = rng.uniform(-1, 1, (6, 3))
         b = rng.uniform(-1, 1, (6, 3))
         assert np.isclose(
-            nominal_metric(make_trace(a), b), nominal_metric(make_trace(b), a), rtol=1e-12
+            nominal_metric(make_trace(a, nominal=b)), nominal_metric(make_trace(b, nominal=a)), rtol=1e-12
         )
-
-    def test_length_mismatch_clamps_with_warning(self, caplog):
-        trace = make_trace(np.zeros((6, 3)))
-        value = nominal_metric(trace, np.zeros((4, 3)))
-        assert value == 0.0
 
 
 class TestLatencyMetric:

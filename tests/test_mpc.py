@@ -234,7 +234,7 @@ class TestJsonInput:
         data["times"] = ["t0"] * len(data["times"])
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(InvalidInputError, match="trace .*could not convert"):
+        with pytest.raises(InvalidInputError, match="trace .*: trace times must be a rectangular array of numbers"):
             ExecutionTrace.load_json(path)
 
     def test_trace_missing_key_rejected(self, default_trace, tmp_path):

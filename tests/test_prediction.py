@@ -33,6 +33,9 @@ def make_prediction(n_frames=20, n_joints=5, dt=0.25, seed=0):
     )
 
 
+BAD_ENTRY = "frame 3, joint 1: mean must be 3 numbers and cov a 3x3 matrix of numbers"
+
+
 class TestLoading:
     def test_round_trip(self, tmp_path):
         pred = make_prediction()
@@ -60,8 +63,21 @@ class TestLoading:
             ("cov", [[1.0, 1e-3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "frame 3, joint 1 is not symmetric"),
             ("cov", np.diag([1.0, 1.0, -0.1]).tolist(), "frame 3, joint 1 is not positive definite"),
             ("cov", np.diag([1.0, float("inf"), 1.0]).tolist(), "frame 3, joint 1 must be a finite"),
+            # a scalar or a string would otherwise broadcast into every coordinate
+            ("mean", "0.5", BAD_ENTRY),
+            ("mean", True, BAD_ENTRY),
+            ("mean", 0.5, BAD_ENTRY),
+            ("mean", [0.1, 0.2], BAD_ENTRY),
+            ("mean", [[0.1, 0.2, 0.3]], BAD_ENTRY),
+            ("mean", [True, False, True], BAD_ENTRY),
+            ("cov", 1.0, BAD_ENTRY),
+            ("cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], BAD_ENTRY),
+            ("cov", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], BAD_ENTRY),
         ],
-        ids=["nan_mean", "asymmetric_cov", "non_pd_cov", "infinite_cov"],
+        ids=[
+            "nan_mean", "asymmetric_cov", "non_pd_cov", "infinite_cov", "string_mean", "bool_mean",
+            "scalar_mean", "short_mean", "nested_mean", "bool_vector_mean", "scalar_cov", "2x3_cov", "string_cov",
+        ],
     )
     def test_from_dict_rejects_bad_entry_naming_frame_and_joint(self, field, value, message):
         data = prediction_to_dict(make_prediction())
@@ -102,7 +118,7 @@ class TestSliceHorizon:
 
     def test_hold_and_inflate(self):
         pred = make_prediction(n_frames=4)
-        means, covs = slice_horizon(pred, pred.t0, 6, pred.dt, hold_growth=1.5)
+        means, covs = slice_horizon(pred, pred.t0, 6, pred.dt)
         np.testing.assert_array_equal(means[4], pred.means[-1])
         np.testing.assert_array_equal(means[5], pred.means[-1])
         np.testing.assert_allclose(covs[4], pred.covs[-1] * 1.5, rtol=1e-12)

@@ -22,7 +22,7 @@ from anticip_mpc.solver import (
     max_bound_violation,
 )
 
-from conftest import problem_from_contexts, random_context
+from conftest import backward, forward, problem_from_contexts, random_context
 from oracles import QuadraticCost, backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
@@ -123,7 +123,7 @@ class TestRiccatiOracle:
         problem, (Q, R, Qf, x_refs, x0, dt) = quadratic_problem(rng, n=2, n_knots=7)
         _, _, Ks = lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt)
         us = rng.uniform(-1, 1, (6, 2))
-        bp = backward_pass(problem, rollout(problem, us), us)
+        bp = backward(problem, rollout(problem, us), us)
         for t in range(6):
             err = np.linalg.norm(bp.K[t] + Ks[t]) / np.linalg.norm(Ks[t])
             assert err < 1e-8
@@ -139,7 +139,7 @@ class TestRiccatiOracle:
             u_upper=np.ones(n),
         )
         us = np.zeros((n_knots - 1, n))
-        bp = backward_pass(problem, rollout(problem, us), us)
+        bp = backward(problem, rollout(problem, us), us)
         assert np.array_equal(bp.k, np.zeros((4, 2)))
         assert np.array_equal(bp.K, np.zeros((4, 2, 2)))
         assert bp.expected_decrease == 0.0
@@ -149,7 +149,7 @@ class TestRiccatiOracle:
         for _ in range(20):
             problem, _ = quadratic_problem(rng)
             us = rng.uniform(-1, 1, (problem.n_knots - 1, problem.n_dims))
-            bp = backward_pass(problem, rollout(problem, us), us)
+            bp = backward(problem, rollout(problem, us), us)
             assert bp.expected_decrease >= 0.0
 
 
@@ -157,7 +157,7 @@ class TestRiccatiFullForm:
     @staticmethod
     def assert_matches_full_form(problem, xs, us, duals=None, penalty=0.0):
         derivs = _assemble_derivs(problem, xs, us, np.zeros((2,) + us.shape) if duals is None else duals, penalty)
-        bp = backward_pass(problem, xs, us, derivs=derivs)
+        bp = backward_pass(problem, derivs)
         k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs)
         assert bp.reg_used == reg
         for got, ref in ((bp.k, k), (bp.K, K)):
@@ -196,8 +196,8 @@ class TestForwardPass:
         xs_ref, _, _ = lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt)
         us = np.zeros((5, 2))
         xs = rollout(problem, us)
-        bp = backward_pass(problem, xs, us)
-        fp = forward_pass(problem, xs, us, bp)
+        bp = backward(problem, xs, us)
+        fp = forward(problem, xs, us, bp)
         assert fp.accepted and fp.step_length == 1.0
         assert np.max(np.abs(fp.states - xs_ref)) < 1e-6
 
@@ -206,8 +206,8 @@ class TestForwardPass:
         problem, (Q, R, Qf, x_refs, x0, dt) = quadratic_problem(rng, n=1, n_knots=5)
         _, us_opt, _ = lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt)
         xs_opt = rollout(problem, us_opt)
-        bp = backward_pass(problem, xs_opt, us_opt)
-        fp = forward_pass(problem, xs_opt, us_opt, bp)
+        bp = backward(problem, xs_opt, us_opt)
+        fp = forward(problem, xs_opt, us_opt, bp)
         np.testing.assert_allclose(fp.controls, us_opt, atol=1e-9)
 
     def test_accepted_cost_never_worse(self):
@@ -217,8 +217,8 @@ class TestForwardPass:
             us = rng.uniform(-1, 1, (problem.n_knots - 1, problem.n_dims))
             xs = rollout(problem, us)
             incumbent = problem.cost.value(xs, us)
-            bp = backward_pass(problem, xs, us)
-            fp = forward_pass(problem, xs, us, bp)
+            bp = backward(problem, xs, us)
+            fp = forward(problem, xs, us, bp)
             assert fp.cost <= incumbent + 1e-12
 
 
@@ -226,7 +226,7 @@ def assert_matches_loop(problem, xs, us, bp, duals, penalty, J=None):
     """Batched forward pass against the one-alpha-at-a-time reference."""
     if J is None:
         J = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
-    fp = forward_pass(problem, xs, us, bp, duals, penalty, incumbent_cost=J)
+    fp = forward_pass(problem, xs, us, bp, duals, penalty, J)
     with np.errstate(over="ignore", invalid="ignore"):
         ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(
             problem, xs, us, bp, duals, penalty, J
@@ -257,7 +257,7 @@ class TestBatchedLineSearch:
             xs = rollout(problem, us)
             duals = rng.uniform(0, 1, (2, M, n)) * (rng.uniform() < 0.5)
             penalty = float(rng.choice([0.0, 1.0, 10.0]))
-            bp = backward_pass(problem, xs, us, duals, penalty)
+            bp = backward(problem, xs, us, duals, penalty)
             assert_matches_loop(problem, xs, us, bp, duals, penalty)
 
     def test_matches_loop_along_seven_dof_iterations(self, seven_dof):
@@ -269,7 +269,7 @@ class TestBatchedLineSearch:
             xs = rollout(problem, us)
             duals = np.zeros((2, 5, 7))
             for _ in range(8):
-                bp = backward_pass(problem, xs, us, duals, 1.0)
+                bp = backward(problem, xs, us, duals, 1.0)
                 fp = assert_matches_loop(problem, xs, us, bp, duals, 1.0)
                 accepted_alphas.add(fp.step_length)
                 xs, us = fp.states, fp.controls
@@ -312,8 +312,8 @@ class TestMonotonicity:
         xs = rollout(problem, us)
         costs = [problem.cost.value(xs, us)]
         for _ in range(15):
-            bp = backward_pass(problem, xs, us)
-            fp = forward_pass(problem, xs, us, bp, incumbent_cost=costs[-1])
+            bp = backward(problem, xs, us)
+            fp = forward(problem, xs, us, bp, incumbent_cost=costs[-1])
             if not fp.accepted:
                 break
             xs, us = fp.states, fp.controls
@@ -324,35 +324,35 @@ class TestMonotonicity:
 class TestAlUpdate:
     def test_zero_violations_leave_duals_and_penalty(self):
         duals = np.full((2, 3, 2), 0.7)
-        new_duals, penalty = al_update(duals, 2.0, np.zeros((2, 3, 2)), prev_max_violation=0.0)
+        new_duals, penalty = al_update(duals, 2.0, np.zeros((2, 3, 2)), 0.0, SolverConfig())
         assert np.array_equal(new_duals, duals)
         assert penalty == 2.0
 
     def test_dual_update_rule(self):
         duals = np.zeros((2, 1, 1))
         violations = np.full((2, 1, 1), 0.1)
-        new_duals, _ = al_update(duals, 1.0, violations)
+        new_duals, _ = al_update(duals, 1.0, violations, 0.0, SolverConfig())
         np.testing.assert_allclose(new_duals, 0.1)
 
     def test_negative_violation_decays_duals(self):
         duals = np.full((2, 1, 1), 0.05)
         violations = np.full((2, 1, 1), -0.2)
-        new_duals, _ = al_update(duals, 1.0, violations)
+        new_duals, _ = al_update(duals, 1.0, violations, 0.0, SolverConfig())
         assert np.array_equal(new_duals, np.zeros((2, 1, 1)))
 
     def test_stagnating_violation_scales_penalty(self):
         violations = np.full((2, 1, 1), 0.09)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, prev_max_violation=0.1)
+        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1, SolverConfig())
         assert penalty == 10.0
 
     def test_fast_shrink_keeps_penalty(self):
         violations = np.full((2, 1, 1), 0.02)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, prev_max_violation=0.1)
+        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1, SolverConfig())
         assert penalty == 1.0
 
     def test_non_positive_penalty_rejected(self):
         with pytest.raises(InvalidInputError):
-            al_update(np.zeros((2, 1, 1)), 0.0, np.zeros((2, 1, 1)))
+            al_update(np.zeros((2, 1, 1)), 0.0, np.zeros((2, 1, 1)), 0.0, SolverConfig())
 
 
 class TestSolve:
@@ -483,11 +483,32 @@ class TestRegularizationCap:
         )
         us = np.zeros((4, n))
         xs = rollout(problem, us)
-        assert backward_pass(problem, xs, us).reg_used > 2.0  # the default cap allows the shift
+        assert backward(problem, xs, us).reg_used > 2.0  # the default cap allows the shift
         with pytest.raises(SolverError, match="backward pass"):
-            backward_pass(problem, xs, us, reg_cap=1e-7)
+            backward(problem, xs, us, reg_cap=1e-7)
         with pytest.raises(SolverError, match="backward pass"):
             solve(problem, config=SolverConfig(reg_cap=1e-7))
+
+    def test_deep_backtracking_bump_respects_the_cap(self):
+        # the reported state curvature is 1000x too small, so each Newton step
+        # overshoots and the line search accepts only alpha <= 2^-9; every
+        # backward pass factorizes without a shift
+        class Underestimated(QuadraticCost):
+            def state_derivatives(self, xs):
+                gx, hxx = super().state_derivatives(xs)
+                return gx, 1e-3 * hxx
+
+        problem = TrajectoryProblem(
+            n_knots=4,
+            dt=0.25,
+            x0=np.zeros(1),
+            cost=Underestimated(Q=np.eye(1), R=np.zeros((1, 1)), x_ref=np.ones(1)),
+            u_lower=np.array([-1e4]),
+            u_upper=np.array([1e4]),
+        )
+        assert solve(problem).converged  # the default cap leaves room for the bumps
+        with pytest.raises(SolverError, match="line search backtracked"):
+            solve(problem, config=SolverConfig(reg_cap=5e-7))  # below the first shift, 1e-6
 
 
 class TestConfigAndHelpers:
