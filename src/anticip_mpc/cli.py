@@ -9,7 +9,6 @@ outputs so runs can be reproduced. Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -26,7 +25,9 @@ from .costs import CostWeights
 from .errors import InvalidInputError, SolverError, read_json
 from .kinematics import default_robot_model, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
-from .mpc import ExecutionTrace, MpcConfig, Scenario, build_problem, deep_update, load_scenario, run_mpc
+from .mpc import (
+    ExecutionTrace, MpcConfig, Scenario, build_problem, deep_update, load_scenario, run_mpc, write_csv,
+)
 from .prediction import ReachConfig, save_prediction, synthesize_reach
 from .solver import SolverConfig, solve
 
@@ -259,15 +260,12 @@ def cmd_eval(args) -> int:
         outputs.append(report_path)
 
     csv_path = out / "metrics.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trace"] + MetricsReport.csv_header)
-        for trace_path, report in zip(args.traces, reports):
-            writer.writerow([Path(trace_path).stem] + report.csv_row())
-        if len(reports) > 1:
-            vals = np.array([[getattr(r, k) for k in MetricsReport.csv_header] for r in reports])
-            writer.writerow(["mean"] + [f"{v:.6f}" for v in vals.mean(axis=0)])
-            writer.writerow(["std"] + [f"{v:.6f}" for v in vals.std(axis=0, ddof=1)])
+    rows = [[Path(trace_path).stem] + report.csv_row() for trace_path, report in zip(args.traces, reports)]
+    if len(reports) > 1:
+        vals = np.array([[getattr(r, k) for k in MetricsReport.csv_header] for r in reports])
+        rows.append(["mean"] + [f"{v:.6f}" for v in vals.mean(axis=0)])
+        rows.append(["std"] + [f"{v:.6f}" for v in vals.std(axis=0, ddof=1)])
+    write_csv(csv_path, ["trace"] + MetricsReport.csv_header, rows)
     outputs.append(csv_path)
 
     write_manifest(
@@ -324,11 +322,8 @@ def cmd_bench(args) -> int:
     summary_path = out / "bench.json"
     _json_dump(summary, summary_path)
     csv_path = out / "bench.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "planning_time_s", "replans"])
-        for i, t in enumerate(traces):
-            writer.writerow([i, f"{sum(t.replan_wall_times()):.6f}", len(t.replans)])
+    rows = ([i, f"{sum(t.replan_wall_times()):.6f}", len(t.replans)] for i, t in enumerate(traces))
+    write_csv(csv_path, ["run", "planning_time_s", "replans"], rows)
     write_manifest(
         out, "bench", {"n": args.n, "scenario": str(args.scenario)}, [args.scenario],
         [summary_path, csv_path], args.seed,

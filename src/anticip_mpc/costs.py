@@ -6,10 +6,12 @@ uncertainty), motion legibility (goal-inference probability), deviation from
 a nominal end-effector path, control smoothness, and goal-pose error.
 :class:`KnotCostEvaluator` evaluates them over whole trajectories with
 batched kinematics, with gradients and positive-semidefinite Gauss-Newton
-curvature blocks per knot; it reads its per-knot inputs from one
-:class:`HorizonContext` of arrays. The scalar per-knot forms of the same
-terms, which the test suite checks the evaluator against, live in
-``tests/oracles.py``.
+curvature blocks per knot. It reads its inputs from one
+:class:`HorizonContext`: per-knot arrays for what changes from knot to knot
+(the human prediction and the nominal path), and single values for what the
+task fixes (gaze target, legibility goals and start, goal pose, weights and
+head index). The scalar per-knot forms of the same terms, which the test
+suite checks the evaluator against, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Fields, InvalidInputError, float_array, integer, number
-from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians
+from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians, quat_to_matrix
 
 Array = np.ndarray
 
@@ -85,25 +87,22 @@ class GoalSpec:
 
 @dataclass(frozen=True)
 class HorizonContext:
-    """Per-knot arrays the trajectory cost reads, one row per knot; per-task
-    rows (gaze, legibility, goal) may be broadcast views."""
+    """The cost inputs of one horizon: one row per knot for the human
+    prediction and the nominal path, one value for each per-task input."""
 
-    means: Array  # (N, H, 3) human joint means; H may be 0
+    means: Array  # (N, H, 3) human joint means, H >= 1
     covs: Array  # (N, H, 3, 3) human joint covariances
-    gaze: Array  # (N, 3) point the human is assumed to look at
     nominal: Array  # (N, 3) nominal end-effector positions
-    leg_start: Array  # (N, 3) legibility start point
-    leg_goals: Array  # (N, G, 3) candidate goals
-    goal_index: int  # the true goal among them
-    goal_position: Array  # (N, 3)
-    goal_rotation: Array  # (N, 3, 3) goal orientation as a rotation matrix
+    gaze: Array  # (3,) point the human is assumed to look at
+    legibility: LegibilityContext
+    goal: GoalSpec
     weights: CostWeights
-    head_index: int = 0
+    head_index: int
 
 
 def _legibility_logits(eef: Array, goals: Array, start: Array) -> Array:
-    """(..., N, G) logits ||G - S||^2 - ||G - Q||^2 for end-effector points (..., N, 3)."""
-    vs = np.sum((goals - start[:, None, :]) ** 2, axis=-1)
+    """(..., G) logits ||G - S||^2 - ||G - Q||^2 for end-effector points (..., 3)."""
+    vs = np.sum((goals - start) ** 2, axis=-1)
     vq = np.sum((goals - eef[..., None, :]) ** 2, axis=-1)
     return vs - vq
 
@@ -113,21 +112,18 @@ class KnotCostEvaluator:
 
     def __init__(self, model: RobotModel, horizon: HorizonContext):
         self.model = model
-        w = self.weights = horizon.weights
-        self.n_human = horizon.means.shape[1]
-        if self.n_human > 0:
-            head = self.head_index = horizon.head_index
-            self.mu = horizon.means  # (N, H, 3)
-            self.cov_inv = np.linalg.inv(horizon.covs)
-            self.sigma_head = np.sqrt(np.trace(horizon.covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
-        elif w.w_dist > 0 or w.w_vis > 0:
-            raise InvalidInputError("human-centric weights require human frames in every context")
+        self.weights = horizon.weights
+        head = self.head_index = horizon.head_index
+        self.mu = horizon.means  # (N, H, 3)
+        self.cov_inv = np.linalg.inv(horizon.covs)
+        self.sigma_head = np.sqrt(np.trace(horizon.covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
 
-        self.gaze, self.nominal, self.goal_p = horizon.gaze, horizon.nominal, horizon.goal_position
-        self.leg_start, self.goals, self.goal_index = horizon.leg_start, horizon.leg_goals, horizon.goal_index
+        self.gaze, self.nominal, self.goal_p = horizon.gaze, horizon.nominal, horizon.goal.position
+        leg = horizon.legibility
+        self.leg_start, self.goals, self.goal_index = leg.start, leg.goals, leg.goal_index
         # orientation error via <q1,q2>^2 = (tr(R1^T R2) + 1) / 4, no quaternion
         # extraction needed in the hot path
-        self.goal_R = horizon.goal_rotation
+        self.goal_R = quat_to_matrix(horizon.goal.orientation)
 
         tracked = np.asarray(model.tracked_frames, dtype=int)
         self._jframes = np.concatenate([tracked, [model.eef_frame]])
@@ -155,13 +151,13 @@ class KnotCostEvaluator:
 
     def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
         """Knot costs from frame positions (..., N, F, 3) and end-effector
-        rotations (..., N, 3, 3); the per-knot context broadcasts over the
+        rotations (..., N, 3, 3); the per-knot inputs broadcast over the
         leading axes."""
         w = self.weights
         vals = np.zeros(positions.shape[:-2])
         p_eef = positions[..., self.model.eef_frame, :]
 
-        if w.w_dist > 0 and self.n_human > 0:
+        if w.w_dist > 0:
             d = positions[..., None, self._tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
             m = np.einsum("...i,...i->...", d, d @ self.cov_inv)  # d^T S^-1 d
             vals += w.w_dist * np.sum(1.0 / (m + DIST_EPS), axis=(-2, -1))
@@ -185,7 +181,7 @@ class KnotCostEvaluator:
         return vals
 
     def _orientation_error(self, eef_rotations: Array) -> Array:
-        dot_sq = 0.25 * (np.einsum("nij,...nij->...n", self.goal_R, eef_rotations) + 1.0)
+        dot_sq = 0.25 * (np.einsum("ij,...nij->...n", self.goal_R, eef_rotations) + 1.0)
         return 1.0 - dot_sq
 
     def _gaze_rays(self, p_eef: Array):
@@ -230,7 +226,7 @@ class KnotCostEvaluator:
         P = np.zeros((N, F, 3, 3))
         g_eef, P_eef = g[:, -1], P[:, -1]  # views: the end-effector terms add in place
 
-        if w.w_dist > 0 and self.n_human > 0:
+        if w.w_dist > 0:
             R = self._n_tracked
             d = fk.positions[:, self._tracked][:, None, :, :] - self.mu[:, :, None, :]  # (N, H, R, 3)
             sd = d @ self.cov_inv  # S^-1 d
@@ -260,8 +256,8 @@ class KnotCostEvaluator:
         if w.w_leg > 0:
             probs = self._goal_probs(p_eef)
             p_r = probs[:, self.goal_index]
-            mean_goal = np.einsum("ng,ngi->ni", probs, self.goals)
-            g_p = -2.0 * p_r[:, None] * (self.goals[:, self.goal_index] - mean_goal)
+            mean_goal = np.einsum("ng,gi->ni", probs, self.goals)
+            g_p = -2.0 * p_r[:, None] * (self.goals[self.goal_index] - mean_goal)
             g_eef += w.w_leg * g_p
             P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
 
@@ -294,7 +290,7 @@ class KnotCostEvaluator:
         """
         R = fk.eef_rotations
         o_val = self._orientation_error(R)
-        m = R @ np.swapaxes(self.goal_R, 1, 2)
+        m = R @ self.goal_R.T
         s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
         g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g

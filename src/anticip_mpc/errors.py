@@ -83,6 +83,10 @@ def boolean(value, name: str) -> bool:
     return value
 
 
+def _holds_bool(items: list) -> bool:
+    return any(isinstance(v, (bool, np.bool_)) or (isinstance(v, list) and _holds_bool(v)) for v in items)
+
+
 def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
     """`value` as a float array of numbers (not bools or strings), finite, and
     of `shape` where given; a None in `shape` allows any size on that axis."""
@@ -90,7 +94,8 @@ def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    # np.asarray turns a bool among numbers into a number, so a list is searched for one
+    if arr is None or arr.dtype.kind not in "iuf" or (isinstance(value, list) and _holds_bool(value)):
         raise InvalidInputError(f"{name} must be a rectangular array of numbers")
     arr = np.asarray(arr, dtype=float)
     if shape is not None and (

@@ -1,10 +1,11 @@
 """Receding-horizon planning loop and scenario definitions.
 
-Each replan slices the human prediction over the lookahead window into
-per-knot cost arrays, solves the fixed-horizon problem warm-started from
-the previous plan, then executes a prefix under simulated position control
-(the executed motion tracks the plan exactly). The executed human follows
-the prediction means unless the scenario supplies a separate ground truth.
+Each replan slices the human prediction and the nominal path over the
+lookahead window into per-knot cost arrays, solves the fixed-horizon problem
+warm-started from the previous plan, then executes a prefix under simulated
+position control (the executed motion tracks the plan exactly). The executed
+human follows the prediction means unless the scenario supplies a separate
+ground truth.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -21,14 +23,7 @@ import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
 from .errors import Fields, InvalidInputError, boolean, float_array, integer, number, read_json
-from .kinematics import (
-    RobotModel,
-    fk_batch,
-    forward_kinematics,
-    load_robot_model,
-    model_from_dict,
-    quat_to_matrix,
-)
+from .kinematics import RobotModel, fk_batch, forward_kinematics, load_robot_model, model_from_dict
 from .prediction import (
     HumanPrediction,
     ReachConfig,
@@ -90,7 +85,11 @@ class MpcConfig(Fields):
 
 @dataclass
 class Scenario:
-    """Fully resolved planning task: robot, goals, weights, human data."""
+    """Fully resolved planning task: robot, goals, weights, human data.
+
+    ``legibility`` and ``nominal_path`` are resolved on first use, not at
+    load, and kept; ``dataclasses.replace`` gives a scenario that resolves
+    them again."""
 
     model: RobotModel
     start_q: Array
@@ -127,6 +126,19 @@ class Scenario:
                 need = f"a (T, 3) path with T >= {self.mpc.task_steps + 1}"
                 raise InvalidInputError(f"scenario nominal must be {need}, got shape {self.nominal.shape}")
 
+    @cached_property
+    def legibility(self) -> LegibilityContext:
+        """Legibility context with the start point fixed at the task-start eef."""
+        start_eef = forward_kinematics(self.model, self.start_q).eef_pose.position
+        return LegibilityContext(start=start_eef, goals=self.legibility_goals, goal_index=self.legibility_goal_index)
+
+    @cached_property
+    def nominal_path(self) -> Array:
+        """The explicit nominal path, or the one derived from start_q to goal_q."""
+        if self.nominal is not None:
+            return self.nominal
+        return derive_nominal(self.model, self.start_q, self.goal_q, self.mpc.task_steps)
+
 
 def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
     """End-effector positions of the linear joint-space interpolation."""
@@ -154,57 +166,26 @@ def warm_start_shift(controls: Array, steps_executed: int, n_controls: int, lowe
     return np.clip(out, lower, upper)
 
 
-def task_legibility_context(scenario: Scenario) -> LegibilityContext:
-    """Legibility context with the start point fixed at the task-start eef."""
-    start_eef = forward_kinematics(scenario.model, scenario.start_q).eef_pose.position
-    return LegibilityContext(
-        start=start_eef,
-        goals=scenario.legibility_goals,
-        goal_index=scenario.legibility_goal_index,
-    )
-
-
-def resolve_nominal(scenario: Scenario) -> Array:
-    if scenario.nominal is not None:
-        return scenario.nominal
-    return derive_nominal(scenario.model, scenario.start_q, scenario.goal_q, scenario.mpc.task_steps)
-
-
-def build_problem(
-    scenario: Scenario,
-    t_start: float,
-    n_knots: int,
-    x0,
-    nominal: Optional[Array] = None,
-    legibility: Optional[LegibilityContext] = None,
-) -> TrajectoryProblem:
+def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> TrajectoryProblem:
     """Fixed-horizon problem for a window starting at t_start.
 
     Human means and covariances are sliced from the prediction at the knot
     times; the nominal path is indexed by absolute time and clamped to its
-    final point; the per-task values are broadcast over the knots.
+    final point; the per-task values are passed once for all knots.
     """
-    nominal = resolve_nominal(scenario) if nominal is None else nominal
-    legibility = task_legibility_context(scenario) if legibility is None else legibility
     cfg = scenario.mpc
     model = scenario.model
+    nominal = scenario.nominal_path
     means, covs = slice_horizon(scenario.prediction, t_start, n_knots, cfg.dt)
     t = t_start + np.arange(n_knots) * cfg.dt
     idx = np.minimum(np.round(t / cfg.dt).astype(int), len(nominal) - 1)
-
-    def per_knot(value: Array) -> Array:
-        return np.broadcast_to(value, (n_knots,) + value.shape)
-
     horizon = HorizonContext(
         means=means,
         covs=covs,
-        gaze=per_knot(scenario.gaze_object),
         nominal=nominal[idx],
-        leg_start=per_knot(legibility.start),
-        leg_goals=per_knot(legibility.goals),
-        goal_index=legibility.goal_index,
-        goal_position=per_knot(scenario.goal.position),
-        goal_rotation=per_knot(quat_to_matrix(scenario.goal.orientation)),
+        gaze=scenario.gaze_object,
+        legibility=scenario.legibility,
+        goal=scenario.goal,
         weights=scenario.weights,
         head_index=scenario.prediction.head_index,
     )
@@ -327,17 +308,20 @@ class ExecutionTrace:
     def save_csv(self, path) -> None:
         """One row per dt: time, q..., eef xyz, min human distance."""
         n = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["time"] + [f"q{i}" for i in range(n)] + ["eef_x", "eef_y", "eef_z", "min_human_dist"]
-            )
-            for i in range(len(self.times)):
-                row = [f"{self.times[i]:.6f}"]
-                row += [f"{v:.9f}" for v in self.states[i]]
-                row += [f"{v:.9f}" for v in self.eef_positions[i]]
-                row += [f"{self.min_human_dist[i]:.9f}"]
-                writer.writerow(row)
+        header = ["time"] + [f"q{i}" for i in range(n)] + ["eef_x", "eef_y", "eef_z", "min_human_dist"]
+        rows = (
+            [f"{t:.6f}"] + [f"{v:.9f}" for v in (*q, *p, d)]
+            for t, q, p, d in zip(self.times, self.states, self.eef_positions, self.min_human_dist)
+        )
+        write_csv(path, header, rows)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write `header`, then each of `rows`, to the CSV file at `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _human_means_at(pred: HumanPrediction, n_points: int, dt: float) -> Array:
@@ -358,8 +342,9 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     n_knots = cfg.horizon_knots
     replan_steps = cfg.replan_steps
 
-    legibility = task_legibility_context(scenario)
-    nominal = resolve_nominal(scenario)
+    # resolved here, before the first timed replan
+    legibility = scenario.legibility
+    nominal = scenario.nominal_path
 
     executed = [scenario.start_q.copy()]
     replans: list[ReplanRecord] = []
@@ -372,7 +357,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     while step < n_steps and not goal_reached:
         t_now = step * cfg.dt
         t_plan = time.perf_counter()
-        problem = build_problem(scenario, t_now, n_knots, x, nominal, legibility)
+        problem = build_problem(scenario, t_now, n_knots, x)
         if prev_controls is None:
             init = None
         else:

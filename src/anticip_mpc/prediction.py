@@ -72,6 +72,8 @@ class HumanPrediction:
         if means.ndim != 3 or means.shape[2] != 3 or means.shape[0] < 1:
             raise InvalidInputError("means must have shape (T, H, 3) with T >= 1")
         T, H = means.shape[:2]
+        if H < 1:
+            raise InvalidInputError("a prediction needs at least one joint (the head), got none")
         if covs.shape != (T, H, 3, 3):
             raise InvalidInputError("covs must have shape (T, H, 3, 3) matching means")
         joint_names = _names(self.joint_names, "prediction joint_names")

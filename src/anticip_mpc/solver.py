@@ -172,9 +172,7 @@ def al_update(
 
 
 def _al_objective(problem, cost_value, us: Array, duals: Array, penalty: float):
-    """Augmented objective of controls (..., M, n) whose cost is cost_value (...)."""
-    if penalty <= 0:
-        return cost_value
+    """Augmented objective, penalty > 0, of controls (..., M, n) whose cost is cost_value (...)."""
     c = bound_violations(problem, us)
     proj = np.maximum(0.0, duals + penalty * c)
     return cost_value + np.sum(proj**2 - duals**2, axis=(-3, -2, -1)) / (2.0 * penalty)
@@ -223,10 +221,9 @@ class _Derivs:
 def _assemble_derivs(problem, xs, us, duals, penalty) -> _Derivs:
     gx, hxx = problem.cost.state_derivatives(xs)
     gu, huu = problem.cost.control_derivatives(us)
-    if penalty > 0:
-        g_al, c_al = _al_control_terms(problem, us, duals, penalty)
-        gu = gu + g_al
-        huu = huu + c_al[:, :, None] * np.eye(problem.n_dims)[None]
+    g_al, c_al = _al_control_terms(problem, us, duals, penalty)
+    gu = gu + g_al
+    huu = huu + c_al[:, :, None] * np.eye(problem.n_dims)[None]
     return _Derivs(gx, gu, hxx, huu)
 
 

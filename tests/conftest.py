@@ -7,6 +7,7 @@ from anticip_mpc import (
     KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
+    SolverConfig,
     TrajectoryProblem,
     backward_pass,
     default_robot_model,
@@ -61,53 +62,68 @@ def random_spd(rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
     return a @ a.T + (0.2 * scale) ** 2 * np.eye(3)
 
 
-def random_context(
+def random_contexts(
     rng: np.random.Generator,
     model: RobotModel,
-    q: np.ndarray,
+    qs,
     weights: CostWeights | None = None,
     n_human: int = 3,
     n_goals: int = 3,
     goal_index: int | None = None,
-) -> KnotContext:
-    """Generic randomized knot context, resampled away from cost kinks."""
-    eef = forward_kinematics(model, q).eef_pose.position
+) -> list[KnotContext]:
+    """Randomized knot contexts at the joint vectors qs: one per-task part
+    (gaze, legibility, goal, weights) drawn once, then each knot's human
+    frame and nominal point, resampled away from cost kinks."""
+    eefs = [forward_kinematics(model, q).eef_pose.position for q in qs]
+    gaze = eefs[0] + rng.uniform(-1.2, 1.2, 3)
     while True:
-        human = tuple(
-            HumanJointGaussian(eef + rng.uniform(-0.8, 0.8, 3), random_spd(rng))
-            for _ in range(n_human)
+        goal_p = eefs[0] + rng.uniform(-0.5, 0.5, 3)
+        if min(np.linalg.norm(goal_p - eef) for eef in eefs) >= 0.02:
+            break
+    quat = rng.normal(size=4)
+    quat /= np.linalg.norm(quat)
+    goals = eefs[0] + rng.uniform(-0.7, 0.7, (n_goals, 3))
+    start = eefs[0] + rng.uniform(-0.5, 0.5, 3)
+    if weights is None:
+        weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
+    gi = int(rng.integers(n_goals)) if goal_index is None else goal_index
+    legibility = LegibilityContext(start=start, goals=goals, goal_index=gi)
+    goal = GoalSpec(goal_p, quat)
+
+    contexts = []
+    for eef in eefs:
+        while True:
+            human = tuple(
+                HumanJointGaussian(eef + rng.uniform(-0.8, 0.8, 3), random_spd(rng)) for _ in range(n_human)
+            )
+            a = gaze - human[0].mean
+            b = eef - human[0].mean
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            if na < 0.05 or nb < 0.05:
+                continue
+            if np.linalg.norm(np.cross(a / na, b / nb)) < 0.05:
+                continue  # too close to the gaze-angle kink for finite differences
+            nominal = eef + rng.uniform(-0.5, 0.5, 3)
+            if np.linalg.norm(nominal - eef) >= 0.02:
+                break
+        contexts.append(
+            KnotContext(
+                human_frame=human,
+                gaze_object=gaze,
+                nominal=nominal,
+                legibility=legibility,
+                goal=goal,
+                weights=weights,
+                t=float(rng.uniform(0, 5)),
+                head_index=0,
+            )
         )
-        head = human[0].mean if human else eef + rng.uniform(-0.8, 0.8, 3)
-        gaze = head + rng.uniform(-0.8, 0.8, 3)
-        a = gaze - head
-        b = eef - head
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na < 0.05 or nb < 0.05:
-            continue
-        sin_theta = np.linalg.norm(np.cross(a / na, b / nb))
-        if sin_theta < 0.05:
-            continue  # too close to the gaze-angle kink for finite differences
-        nominal = eef + rng.uniform(-0.5, 0.5, 3)
-        goal_p = eef + rng.uniform(-0.5, 0.5, 3)
-        if np.linalg.norm(nominal - eef) < 0.02 or np.linalg.norm(goal_p - eef) < 0.02:
-            continue
-        quat = rng.normal(size=4)
-        quat /= np.linalg.norm(quat)
-        goals = eef + rng.uniform(-0.7, 0.7, (n_goals, 3))
-        start = eef + rng.uniform(-0.5, 0.5, 3)
-        if weights is None:
-            weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
-        gi = int(rng.integers(n_goals)) if goal_index is None else goal_index
-        return KnotContext(
-            human_frame=human,
-            gaze_object=gaze,
-            nominal=nominal,
-            legibility=LegibilityContext(start=start, goals=goals, goal_index=gi),
-            goal=GoalSpec(goal_p, quat),
-            weights=weights,
-            t=float(rng.uniform(0, 5)),
-            head_index=0,
-        )
+    return contexts
+
+
+def random_context(rng: np.random.Generator, model: RobotModel, q: np.ndarray, **options) -> KnotContext:
+    """One randomized knot context with its own per-task part."""
+    return random_contexts(rng, model, [q], **options)[0]
 
 
 def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contexts, q_goal=None) -> TrajectoryProblem:
@@ -124,16 +140,19 @@ def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contex
     )
 
 
-def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=0.0, **options):
+def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=SolverConfig().init_penalty, **options):
     """backward_pass at (xs, us): the derivatives it takes are assembled here,
-    with zero multipliers and no bound penalty unless given."""
+    with zero multipliers and the solver's initial penalty unless given."""
     duals = np.zeros((2,) + us.shape) if duals is None else duals
     return backward_pass(problem, _assemble_derivs(problem, xs, us, duals, penalty), **options)
 
 
-def forward(problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=0.0, incumbent_cost=None):
+def forward(
+    problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=SolverConfig().init_penalty, incumbent_cost=None
+):
     """forward_pass from (xs, us), scoring the incumbent here unless its
-    augmented cost is given; zero multipliers and no penalty by default."""
+    augmented cost is given; zero multipliers and the solver's initial
+    penalty by default."""
     duals = np.zeros((2,) + us.shape) if duals is None else duals
     if incumbent_cost is None:
         incumbent_cost = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)

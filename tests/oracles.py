@@ -297,7 +297,7 @@ def state_derivatives_per_term(ev, xs):
     gx = np.zeros((N, n))
     hxx = np.tile(HESS_FLOOR * np.eye(n), (N, 1, 1))
 
-    if w.w_dist > 0 and ev.n_human > 0:
+    if w.w_dist > 0:
         d = fk.positions[:, tracked][:, None, :, :] - ev.mu[:, :, None, :]
         sd = np.einsum("nhij,nhrj->nhri", ev.cov_inv, d)
         m = np.einsum("nhri,nhri->nhr", d, sd)
@@ -330,8 +330,8 @@ def state_derivatives_per_term(ev, xs):
     if w.w_leg > 0:
         probs = ev._goal_probs(p_eef)
         p_r = probs[:, ev.goal_index]
-        mean_goal = np.einsum("ng,ngi->ni", probs, ev.goals)
-        g_p = -2.0 * p_r[:, None] * (ev.goals[:, ev.goal_index] - mean_goal)
+        mean_goal = np.einsum("ng,gi->ni", probs, ev.goals)
+        g_p = -2.0 * p_r[:, None] * (ev.goals[ev.goal_index] - mean_goal)
         c_leg = 1.0 - p_r
         gx += w.w_leg * np.einsum("ni,nia->na", g_p, Je)
         hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_leg, _CURV_GUARD))[:, None, None]
@@ -345,8 +345,8 @@ def state_derivatives_per_term(ev, xs):
 
     if w.w_goal > 0:
         R = fk.eef_rotations
-        o_val = 1.0 - 0.25 * (np.einsum("nij,nij->n", ev.goal_R, R) + 1.0)
-        mr = R @ np.swapaxes(ev.goal_R, 1, 2)
+        o_val = 1.0 - 0.25 * (np.einsum("ij,nij->n", ev.goal_R, R) + 1.0)
+        mr = R @ ev.goal_R.T
         s = np.stack([mr[:, 2, 1] - mr[:, 1, 2], mr[:, 0, 2] - mr[:, 2, 0], mr[:, 1, 0] - mr[:, 0, 1]], axis=1)
         g_or = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         gx += w.w_goal * g_or
@@ -422,7 +422,7 @@ class HumanJointGaussian:
 class KnotContext:
     """Everything the knot cost needs besides the robot state and control."""
 
-    human_frame: tuple  # HumanJointGaussian per human joint (may be empty)
+    human_frame: tuple  # HumanJointGaussian per human joint, at least one
     gaze_object: np.ndarray  # 3-vector the human is assumed to look at
     nominal: np.ndarray  # nominal end-effector position at this knot's time
     legibility: LegibilityContext
@@ -436,7 +436,7 @@ class KnotContext:
         for g in frame:
             if not isinstance(g, HumanJointGaussian):
                 raise InvalidInputError("human_frame entries must be HumanJointGaussian")
-        if frame and not 0 <= int(self.head_index) < len(frame):
+        if not 0 <= int(self.head_index) < len(frame):
             raise InvalidInputError("head_index out of range")
         object.__setattr__(self, "human_frame", frame)
         object.__setattr__(self, "gaze_object", np.asarray(self.gaze_object, dtype=float).reshape(3))
@@ -448,9 +448,9 @@ class KnotContext:
 def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
     """Stack per-knot contexts into one HorizonContext.
 
-    All contexts must share one CostWeights, one human joint count, one head
-    index and one goal set layout; human frames, gaze, nominal points and
-    goals vary per knot.
+    Human frames and nominal points vary per knot; all contexts must share
+    one CostWeights, one human joint count and head index, and one gaze
+    object, legibility context and goal pose.
     """
     contexts = list(contexts)
     if not contexts:
@@ -461,23 +461,32 @@ def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
     H = len(first.human_frame)
     if any(len(c.human_frame) != H for c in contexts):
         raise InvalidInputError("all knot contexts must have the same human joint count")
-    if H > 0 and any(c.head_index != first.head_index for c in contexts):
+    if any(c.head_index != first.head_index for c in contexts):
         raise InvalidInputError("all knot contexts must share one head index")
-    G = first.legibility.goals.shape[0]
-    gi = first.legibility.goal_index
-    if any(c.legibility.goals.shape[0] != G or c.legibility.goal_index != gi for c in contexts):
-        raise InvalidInputError("all knot contexts must share the legibility goal layout")
+    if any(not np.array_equal(c.gaze_object, first.gaze_object) for c in contexts):
+        raise InvalidInputError("all knot contexts must share one gaze object")
+    leg = first.legibility
+    if any(
+        c.legibility.goal_index != leg.goal_index
+        or not np.array_equal(c.legibility.goals, leg.goals)
+        or not np.array_equal(c.legibility.start, leg.start)
+        for c in contexts
+    ):
+        raise InvalidInputError("all knot contexts must share one legibility context")
+    goal = first.goal
+    if any(
+        not (np.array_equal(c.goal.position, goal.position) and np.array_equal(c.goal.orientation, goal.orientation))
+        for c in contexts
+    ):
+        raise InvalidInputError("all knot contexts must share one goal pose")
     N = len(contexts)
     return HorizonContext(
         means=np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3),
         covs=np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3),
-        gaze=np.array([c.gaze_object for c in contexts]),
         nominal=np.array([c.nominal for c in contexts]),
-        leg_start=np.array([c.legibility.start for c in contexts]),
-        leg_goals=np.array([c.legibility.goals for c in contexts]),
-        goal_index=gi,
-        goal_position=np.array([c.goal.position for c in contexts]),
-        goal_rotation=np.array([quat_to_matrix(c.goal.orientation) for c in contexts]),
+        gaze=first.gaze_object,
+        legibility=leg,
+        goal=goal,
         weights=first.weights,
         head_index=first.head_index,
     )
@@ -536,7 +545,7 @@ def legibility_cost(eef_position, ctx: LegibilityContext) -> float:
 
 def goal_probabilities(eef_position, ctx: LegibilityContext):
     """P(G | position) over all candidate goals; sums to one."""
-    logits = _legibility_logits(eef_position[None, :], ctx.goals[None, :, :], ctx.start[None, :])[0]
+    logits = _legibility_logits(eef_position, ctx.goals, ctx.start)
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)

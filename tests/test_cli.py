@@ -136,6 +136,7 @@ MALFORMED_FIELDS = [
     ("robot", ["tracked_frames"], [1.5], "tracked_frames"),
     ("robot", ["eef_frame"], 7.9, "eef_frame"),
     ("robot", ["joints", 3, "offset", 1], float("nan"), "offset"),
+    ("robot", ["joints", 0, "axis"], [0.0, 0.0, True], "axis"),
     ("prediction", ["frames"], 5, "frames"),
     ("prediction", ["head_index"], 0.7, "head_index"),
     ("prediction", ["head_index"], "0", "head_index"),
@@ -143,6 +144,7 @@ MALFORMED_FIELDS = [
     ("prediction", ["dt"], True, "prediction dt"),
     ("prediction", ["dt"], float("inf"), "prediction dt"),
     ("scenario", ["mpc", "dt"], "0.25", "mpc dt"),
+    ("scenario", ["gaze_object"], [True, 0.05, 0.30], "gaze_object"),
     ("scenario", ["weights", "w_dist"], True, "w_dist"),
     ("scenario", ["solver", "cost_tol"], True, "cost_tol"),
     ("scenario", ["solver", "constraint_tol"], "1e-3", "constraint_tol"),
@@ -168,6 +170,7 @@ MALFORMED_TRACE_FIELDS = [
     (["replans", 0, "controls"], [[0.0] * 7], "trace replan 0 controls"),
     (["replans", 0, "states", 1], ["x"] * 7, "trace replan 0 states"),
     (["replans", 0, "grad_inf"], -1.0, "trace replan 0 grad_inf"),
+    (["states", 0], [False] + [0.0] * 6, "trace states"),
 ]
 
 
@@ -238,7 +241,9 @@ class TestMalformedScenario:
         """A malformed robot, prediction or scenario field exits 2 with a
         message naming the field, not with a traceback."""
         if source == "scenario":
-            overlay = {path[0]: {path[1]: value}}
+            overlay = value
+            for key in reversed(path):
+                overlay = {key: overlay}
         else:
             data = json.loads((workspace / f"{source}.json").read_text())
             node = data
@@ -254,6 +259,18 @@ class TestMalformedScenario:
         assert code == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert field in err
+        assert "Traceback" not in err
+
+    def test_zero_joint_prediction_exits_invalid_input(self, workspace, tmp_path, capsys):
+        data = json.loads((workspace / "prediction.json").read_text())
+        data.update(joint_names=[], frames=[[] for _ in data["frames"]])
+        (tmp_path / "prediction.json").write_text(json.dumps(data))
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": str(tmp_path / "prediction.json")}))
+        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "plan")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "needs at least one joint" in err
         assert "Traceback" not in err
 
     def test_zero_replan_period_exits_instead_of_hanging(self, workspace, tmp_path):

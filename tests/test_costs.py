@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from anticip_mpc import (
     forward_kinematics,
 )
 
-from conftest import random_context
+from conftest import random_context, random_contexts
 from oracles import (
     HumanJointGaussian,
     distance_cost,
@@ -294,7 +296,7 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (4, 7))
         us = rng.uniform(-1, 1, (3, 7))
-        contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
+        contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
         ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
 
         expected = 0.0
@@ -314,7 +316,7 @@ class TestBatchedEvaluator:
         rng = np.random.default_rng(11)
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (3, 7))
-        contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
+        contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
         ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
         gx, hxx = ev.state_derivatives(qs)
         for i, ctx in enumerate(contexts):
@@ -322,21 +324,17 @@ class TestBatchedEvaluator:
             np.testing.assert_allclose(gx[i], res.grad_x, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(hxx[i], res.hess_xx, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("n_human", [0, 5, 17])
+    @pytest.mark.parametrize("n_human", [1, 5, 17])
     def test_derivatives_match_per_term_reference(self, seven_dof, n_human):
         rng = np.random.default_rng(15 + n_human)
         names = list(CostWeights.__dataclass_fields__)
-        human_terms = ("w_dist", "w_vis")
         for zeroed in [None] + names:
             w = dict(zip(names, rng.uniform(0.1, 2.0, 6)))
-            for name in names:
-                if name == zeroed or (n_human == 0 and name in human_terms):
-                    w[name] = 0.0
+            if zeroed is not None:
+                w[zeroed] = 0.0
             weights = CostWeights(**w)
             qs = rng.uniform(-1.2, 1.2, (6, 7))
-            contexts = [
-                random_context(rng, seven_dof, q, weights=weights, n_human=n_human, goal_index=1) for q in qs
-            ]
+            contexts = random_contexts(rng, seven_dof, qs, weights=weights, n_human=n_human, goal_index=1)
             ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
             gx, hxx = ev.state_derivatives(qs)
             gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
@@ -347,7 +345,7 @@ class TestBatchedEvaluator:
         rng = np.random.default_rng(13)
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (5, 7))
-        contexts = [random_context(rng, seven_dof, q, weights=weights, goal_index=0) for q in qs]
+        contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
         ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
         xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
         us = rng.uniform(-1, 1, (11, 4, 7))
@@ -367,12 +365,9 @@ class TestBatchedEvaluator:
             model = random_chain(rng, 7)  # random, non-identity base orientation
             assert not np.allclose(model.base_orientation, [1, 0, 0, 0])
             qs = rng.uniform(-np.pi, np.pi, (3, 7))
-            # random_context draws each goal orientation from a random quaternion,
+            # random_contexts draws the goal orientation from a random quaternion,
             # off every joint and base axis
-            contexts = [
-                random_context(rng, model, q, weights=CostWeights(w_goal=1.0), goal_index=0)
-                for q in qs
-            ]
+            contexts = random_contexts(rng, model, qs, weights=CostWeights(w_goal=1.0), goal_index=0)
             ev = KnotCostEvaluator(model, stack_contexts(contexts))
             o_val, g = ev._orientation_terms(fk_batch(model, qs))
             g_fd = np.empty_like(g)
@@ -396,17 +391,32 @@ class TestBatchedEvaluator:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"n_human": 2}, "human joint count"),
-            ({"goal_index": 1}, "goal layout"),
-            ({"n_goals": 4}, "goal layout"),
+            pytest.param(lambda c: {"human_frame": c.human_frame[:2]}, "human joint count", id="n_human"),
+            pytest.param(
+                lambda c: {"legibility": LegibilityContext(c.legibility.start, c.legibility.goals, 1)},
+                "legibility",
+                id="goal_index",
+            ),
+            pytest.param(
+                lambda c: {"legibility": LegibilityContext(c.legibility.start, c.legibility.goals[:2], 0)},
+                "legibility",
+                id="n_goals",
+            ),
+            pytest.param(
+                lambda c: {"legibility": LegibilityContext(c.legibility.start + 0.1, c.legibility.goals, 0)},
+                "legibility",
+                id="legibility_start",
+            ),
+            pytest.param(lambda c: {"gaze_object": c.gaze_object + 0.1}, "gaze object", id="gaze_object"),
+            pytest.param(
+                lambda c: {"goal": GoalSpec(c.goal.position + 0.1, c.goal.orientation)}, "goal pose", id="goal"
+            ),
         ],
     )
     def test_rejects_mixed_layouts(self, seven_dof, change, message):
         rng = np.random.default_rng(16)
-        weights = CostWeights(w_nom=1.0)
-        base = {"n_human": 3, "n_goals": 3, "goal_index": 0}
-        c1 = random_context(rng, seven_dof, np.zeros(7), weights=weights, **base)
-        c2 = random_context(rng, seven_dof, np.zeros(7), weights=weights, **{**base, **change})
+        c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0), goal_index=0)
+        c2 = dataclasses.replace(c1, **change(c1))
         stack_contexts([c1, c1])
         with pytest.raises(InvalidInputError, match=message):
             stack_contexts([c1, c2])
@@ -421,22 +431,6 @@ class TestBatchedEvaluator:
     def test_rejects_empty_context_list(self):
         with pytest.raises(InvalidInputError):
             stack_contexts([])
-
-    def test_human_weights_require_human_frames(self, seven_dof):
-        from oracles import KnotContext
-
-        ctx = KnotContext(
-            human_frame=(),
-            gaze_object=[1.0, 0.0, 0.0],
-            nominal=[0.5, 0.0, 0.5],
-            legibility=LegibilityContext(start=[0, 0, 0.5], goals=[[0.5, 0, 0.5]], goal_index=0),
-            goal=GoalSpec([0.5, 0, 0.5], [1, 0, 0, 0]),
-            weights=CostWeights(w_dist=1.0),
-            t=0.0,
-        )
-        with pytest.raises(InvalidInputError, match="human frames"):
-            KnotCostEvaluator(seven_dof, stack_contexts([ctx]))
-
 
 class TestWeightValidation:
     def test_negative_weight_rejected(self):

@@ -83,6 +83,8 @@ class TestFloatArray:
         "value, message",
         [
             ([True, False, True], "a must be a rectangular array of numbers"),
+            ([True, 1.0, 2.0], "a must be a rectangular array of numbers"),
+            ([[1.0, 2.0, False]], "a must be a rectangular array of numbers"),
             ("abc", "a must be a rectangular array of numbers"),
             (["1", "2", "3"], "a must be a rectangular array of numbers"),
             ([1.0, None, 2.0], "a must be a rectangular array of numbers"),
@@ -93,7 +95,7 @@ class TestFloatArray:
             ([[1.0, 2.0, 3.0]], r"a must have shape \(3,\), got \(1, 3\)"),
             (1.5, r"a must have shape \(3,\), got \(\)"),
         ],
-        ids=["bools", "string", "strings", "none_entry", "ragged", "nan", "inf", "short", "nested", "scalar"],
+        ids=["bools", "bool_among_numbers", "nested_bool", "string", "strings", "none_entry", "ragged", "nan", "inf", "short", "nested", "scalar"],
     )
     def test_rejects(self, value, message):
         with pytest.raises(InvalidInputError, match=message):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -22,9 +23,7 @@ from anticip_mpc.mpc import (
     build_problem,
     deep_update,
     load_scenario,
-    resolve_nominal,
     scenario_from_dict,
-    task_legibility_context,
 )
 from anticip_mpc.costs import KnotCostEvaluator
 from anticip_mpc.prediction import HumanPrediction, slice_horizon
@@ -314,6 +313,26 @@ class TestScenarioLoading:
         with pytest.raises(InvalidInputError):
             make_scenario(seed=0, nominal=[[0.0, 0.0, 0.0]] * 5)
 
+    def test_legibility_and_nominal_path_resolve_from_the_scenario(self):
+        scenario = make_scenario(seed=0)
+        start = forward_kinematics(scenario.model, scenario.start_q).eef_pose.position
+        assert np.array_equal(scenario.legibility.start, start)
+        assert np.array_equal(scenario.legibility.goals, scenario.legibility_goals)
+        assert scenario.legibility.goal_index == scenario.legibility_goal_index
+        derived = derive_nominal(scenario.model, scenario.start_q, scenario.goal_q, scenario.mpc.task_steps)
+        assert np.array_equal(scenario.nominal_path, derived)
+        assert scenario.nominal_path is scenario.nominal_path  # resolved once
+
+        explicit = make_scenario(seed=0, nominal=(derived + 0.01).tolist())
+        assert np.array_equal(explicit.nominal_path, derived + 0.01)
+
+        longer = dataclasses.replace(scenario, mpc=dataclasses.replace(scenario.mpc, task_duration=6.0))
+        assert len(scenario.nominal_path) == 21 and len(longer.nominal_path) == 25
+        moved = dataclasses.replace(scenario, start_q=scenario.start_q + 0.1)
+        moved_start = forward_kinematics(scenario.model, moved.start_q).eef_pose.position
+        assert np.array_equal(moved.legibility.start, moved_start)
+        assert not np.array_equal(moved.legibility.start, start)
+
     def test_explicit_goal_pose(self):
         scenario = make_scenario(
             seed=0,
@@ -342,8 +361,7 @@ def knot_context_problem_cost(scenario, t_start, n_knots):
     """The evaluator built through per-knot KnotContexts, with human frames
     from the per-joint slicing reference."""
     cfg = scenario.mpc
-    nominal = resolve_nominal(scenario)
-    legibility = task_legibility_context(scenario)
+    nominal = scenario.nominal_path
     means, covs = slice_horizon_loop(scenario.prediction, t_start, n_knots, cfg.dt)
     contexts = []
     for i in range(n_knots):
@@ -353,7 +371,7 @@ def knot_context_problem_cost(scenario, t_start, n_knots):
                 human_frame=tuple(HumanJointGaussian(m, c) for m, c in zip(means[i], covs[i])),
                 gaze_object=scenario.gaze_object,
                 nominal=nominal[min(int(round(t / cfg.dt)), len(nominal) - 1)],
-                legibility=legibility,
+                legibility=scenario.legibility,
                 goal=scenario.goal,
                 weights=scenario.weights,
                 t=t,
@@ -373,11 +391,11 @@ def test_build_problem_matches_knot_context_route(which):
         ref = knot_context_problem_cost(scenario, t_start, n_knots)
         for name in ("mu", "cov_inv", "sigma_head", "gaze", "nominal", "goals", "leg_start", "goal_p", "goal_R"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        for name in ("weights", "head_index", "goal_index", "n_human"):
+        for name in ("weights", "head_index", "goal_index"):
             assert getattr(got, name) == getattr(ref, name), name
         xs = scenario.start_q + rng.uniform(-0.3, 0.3, (11, n_knots, 7))
         us = rng.uniform(-0.5, 0.5, (11, n_knots - 1, 7))
         assert np.array_equal(got.value(xs, us), ref.value(xs, us))
         for a, b in zip(got.state_derivatives(xs[0]), ref.state_derivatives(xs[0])):
             assert np.array_equal(a, b)
-    assert got.n_human == (5 if which == "reference" else 17)
+    assert got.mu.shape[1] == (5 if which == "reference" else 17)

@@ -22,7 +22,7 @@ from anticip_mpc.solver import (
     max_bound_violation,
 )
 
-from conftest import backward, forward, problem_from_contexts, random_context
+from conftest import backward, forward, problem_from_contexts, random_contexts
 from oracles import QuadraticCost, backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
@@ -155,7 +155,7 @@ class TestRiccatiOracle:
 
 class TestRiccatiFullForm:
     @staticmethod
-    def assert_matches_full_form(problem, xs, us, duals=None, penalty=0.0):
+    def assert_matches_full_form(problem, xs, us, duals=None, penalty=SolverConfig().init_penalty):
         derivs = _assemble_derivs(problem, xs, us, np.zeros((2,) + us.shape) if duals is None else duals, penalty)
         bp = backward_pass(problem, derivs)
         k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs)
@@ -172,7 +172,7 @@ class TestRiccatiFullForm:
             problem, _ = quadratic_problem(rng, bounds=1.0)
             us = rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims))
             duals = rng.uniform(0.0, 1.0, (2,) + us.shape) if i % 2 else None
-            self.assert_matches_full_form(problem, rollout(problem, us), us, duals, penalty=float(i % 2))
+            self.assert_matches_full_form(problem, rollout(problem, us), us, duals, penalty=(1.0, 10.0)[i % 2])
 
     def test_matches_full_form_with_regularization(self):
         # the negative-R problem of TestRegularizationCap: Q_uu needs a shift above 2
@@ -240,10 +240,7 @@ def assert_matches_loop(problem, xs, us, bp, duals, penalty, J=None):
 
 
 def seven_dof_problem(rng, model, weights, n_knots=6):
-    contexts = [
-        random_context(rng, model, rng.uniform(-0.5, 0.5, 7), weights=weights, goal_index=0)
-        for _ in range(n_knots)
-    ]
+    contexts = random_contexts(rng, model, rng.uniform(-0.5, 0.5, (n_knots, 7)), weights=weights, goal_index=0)
     return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
 
 
@@ -256,7 +253,7 @@ class TestBatchedLineSearch:
             us = rng.uniform(-1, 1, (M, n))
             xs = rollout(problem, us)
             duals = rng.uniform(0, 1, (2, M, n)) * (rng.uniform() < 0.5)
-            penalty = float(rng.choice([0.0, 1.0, 10.0]))
+            penalty = SolverConfig().init_penalty * float(rng.choice([1.0, 10.0]))
             bp = backward(problem, xs, us, duals, penalty)
             assert_matches_loop(problem, xs, us, bp, duals, penalty)
 
@@ -281,6 +278,9 @@ class TestBatchedLineSearch:
         # through sin and cos, and smoothness is off)
         rng = np.random.default_rng(19)
         problem = seven_dof_problem(rng, seven_dof, CostWeights(0.5, 0.05, 0.5, 1.0, 0.0, 1.0))
+        # unbounded controls keep the bound terms at zero for these huge steps
+        problem.u_lower, problem.u_upper = np.full(7, -np.inf), np.full(7, np.inf)
+        penalty = SolverConfig().init_penalty
         us = np.zeros((5, 7))
         xs = rollout(problem, us)
         duals = np.zeros((2, 5, 7))
@@ -291,10 +291,10 @@ class TestBatchedLineSearch:
             assert not np.all(np.isfinite(rollout(problem, us + huge.k)))
         assert np.all(np.isfinite(rollout(problem, us + 0.5 * huge.k)))
         # an incumbent that every finite candidate beats: the first finite step wins
-        fp = assert_matches_loop(problem, xs, us, huge, duals, 0.0, J=1e6)
+        fp = assert_matches_loop(problem, xs, us, huge, duals, penalty, J=1e6)
         assert fp.accepted and fp.step_length == 0.5
         # an incumbent no candidate beats: nothing is accepted and the incumbent returns
-        fp = assert_matches_loop(problem, xs, us, huge, duals, 0.0, J=-1e6)
+        fp = assert_matches_loop(problem, xs, us, huge, duals, penalty, J=-1e6)
         assert not fp.accepted and fp.step_length == 0.0
         assert fp.states is xs and fp.controls is us
 
@@ -303,17 +303,15 @@ class TestMonotonicity:
     def test_accepted_costs_non_increasing_at_fixed_duals(self, seven_dof):
         rng = np.random.default_rng(11)
         weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
-        contexts = [
-            random_context(rng, seven_dof, rng.uniform(-0.5, 0.5, 7), weights=weights, goal_index=0)
-            for _ in range(5)
-        ]
+        contexts = random_contexts(rng, seven_dof, rng.uniform(-0.5, 0.5, (5, 7)), weights=weights, goal_index=0)
         problem = problem_from_contexts(seven_dof, 5, 0.25, np.zeros(7), contexts)
+        penalty = SolverConfig().init_penalty  # the iterates leave the lower bounds
         us = np.zeros((4, 7))
         xs = rollout(problem, us)
         costs = [problem.cost.value(xs, us)]
         for _ in range(15):
-            bp = backward(problem, xs, us)
-            fp = forward(problem, xs, us, bp, incumbent_cost=costs[-1])
+            bp = backward(problem, xs, us, penalty=penalty)
+            fp = forward(problem, xs, us, bp, penalty=penalty, incumbent_cost=costs[-1])
             if not fp.accepted:
                 break
             xs, us = fp.states, fp.controls
@@ -358,10 +356,7 @@ class TestAlUpdate:
 class TestSolve:
     def test_zero_weights_return_warm_start(self, seven_dof):
         rng = np.random.default_rng(12)
-        contexts = [
-            random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(), goal_index=0)
-            for _ in range(6)
-        ]
+        contexts = random_contexts(rng, seven_dof, np.zeros((6, 7)), weights=CostWeights(), goal_index=0)
         q_goal = rng.uniform(-1, 1, 7)
         problem = problem_from_contexts(
             seven_dof, 6, 0.25, np.zeros(7), contexts, q_goal=q_goal
