@@ -14,10 +14,8 @@ from .costs import (
 )
 from .errors import InvalidInputError, SolverError
 from .kinematics import (
-    EefPose,
     RobotModel,
     default_robot_model,
-    forward_kinematics,
     load_robot_model,
     save_robot_model,
 )

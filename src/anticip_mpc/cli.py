@@ -3,7 +3,8 @@
 Commands: gen-scenario, plan, simulate, eval, bench. Every command writes a
 run manifest (resolved config, input hashes, seed, outputs) next to its
 outputs so runs can be reproduced. Exit codes: 0 success, 2 invalid input,
-3 solver failure. ANTICIP_MPC_LOG sets the log level.
+3 solver failure (with ``<command>_diagnostics.json`` written to ``--out``).
+ANTICIP_MPC_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .errors import InvalidInputError, SolverError, read_json
 from .kinematics import default_robot_model, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
 from .mpc import (
-    ExecutionTrace, MpcConfig, Scenario, build_problem, deep_update, load_scenario, run_mpc, write_csv,
+    ExecutionTrace, MpcConfig, Scenario, deep_update, load_scenario, run_mpc, scenario_from_dict, write_csv,
 )
-from .prediction import ReachConfig, save_prediction, synthesize_reach
-from .solver import SolverConfig, solve
+from .prediction import save_prediction, synthesize_reach
+from .solver import SolverConfig
 
 log = logging.getLogger("anticip_mpc")
 
@@ -74,12 +75,6 @@ def _retimed(scenario: Scenario, horizon=None, replan=None) -> Scenario:
     """`scenario` with its horizon and replan period replaced where given."""
     changes = {k: v for k, v in (("horizon", horizon), ("replan_period", replan)) if v is not None}
     return replace(scenario, mpc=replace(scenario.mpc, **changes))
-
-
-def _solver_failure(out: Path, command: str, exc: SolverError) -> int:
-    _json_dump({"error": str(exc), "command": command}, out / f"{command}_diagnostics.json")
-    log.error("solver failed: %s", exc)
-    return EXIT_SOLVER_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +174,12 @@ def cmd_gen_scenario(args) -> int:
     )
     if args.config is not None:
         data = deep_update(data, read_json(args.config, "config"))
+    scenario = scenario_from_dict(data, out)  # checked before anything else is written
 
-    pred = synthesize_reach(ReachConfig.from_dict(data["prediction"]["synthesize"]))
     pred_path = out / "prediction.json"
-    save_prediction(pred, pred_path)
-
+    save_prediction(scenario.prediction, pred_path)
     scenario_path = out / "scenario.json"
     _json_dump(data, scenario_path)
-    load_scenario(scenario_path)  # round-trip validation before declaring success
 
     write_manifest(out, "gen-scenario", data, [], [robot_path, pred_path, scenario_path], args.seed)
     print(f"wrote {scenario_path}")
@@ -199,20 +192,18 @@ def cmd_plan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario, args.config)
     duration = scenario.mpc.task_duration
-    try:
-        trace = run_mpc(_retimed(scenario, horizon=duration, replan=duration))
-    except SolverError as exc:
-        return _solver_failure(out, "plan", exc)
+    trace = run_mpc(_retimed(scenario, horizon=duration, replan=duration))
 
-    result = trace.replans[0].result
+    replan = trace.replans[0]
+    result = replan.result
     plan_json = out / "plan.json"
-    _json_dump({"schema_version": SCHEMA_VERSION, **result.to_dict()}, plan_json)
+    _json_dump({"schema_version": SCHEMA_VERSION, **result.to_dict(), "wall_time": replan.wall_time}, plan_json)
     plan_csv = out / "plan.csv"
     trace.save_csv(plan_csv)
     write_manifest(
         out, "plan", {"scenario": str(args.scenario)}, [args.scenario], [plan_json, plan_csv], args.seed
     )
-    print(f"plan: cost={result.total_cost:.4f} converged={result.converged} wall={result.wall_time:.3f}s")
+    print(f"plan: cost={result.total_cost:.4f} converged={result.converged} wall={replan.wall_time:.3f}s")
     return EXIT_OK
 
 
@@ -220,12 +211,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenario = _retimed(load_scenario(args.scenario, args.config), args.horizon, args.replan)
-    try:
-        problem = build_problem(scenario, 0.0, scenario.mpc.horizon_knots, scenario.start_q)
-        solve(problem, None, scenario.solver)  # discarded warm-up: pays one-time cache costs
-        trace = run_mpc(scenario)
-    except SolverError as exc:
-        return _solver_failure(out, "simulate", exc)
+    run_mpc(scenario)  # discarded warm-up run: pays one-time cache costs
+    trace = run_mpc(scenario)
 
     trace_json = out / "trace.json"
     trace.save_json(trace_json)
@@ -372,7 +359,7 @@ _SCHEMAS = {
         "frames": "[[{mean: [m]*3, cov: 3x3}, ...] per timestep]",
     },
     "trace": "see ExecutionTrace.to_dict: executed states, eef path, human motion, per-replan records",
-    "metrics_report": {"dst": "[0,1]", "vis": "[0,1]", "leg": "(0,1)", "nom": "m^2", "lat": "s"},
+    "metrics_report": {"dst": "[0,1]", "vis": "[0,1]", "leg": "[0,1]", "nom": "m^2", "lat": "s"},
     "trajectory_csv_columns": ["time", "q0..qn", "eef_x", "eef_y", "eef_z", "min_human_dist"],
 }
 
@@ -447,6 +434,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SolverError as exc:
+        command = args.command.replace("-", "_")
+        _json_dump({"error": str(exc), "command": command}, Path(args.out) / f"{command}_diagnostics.json")
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -280,7 +280,7 @@ class KnotCostEvaluator:
         return gx, hxx
 
     def _orientation_terms(self, fk: BatchFk) -> tuple[Array, Array]:
-        """Orientation error 1 - <q_goal, q_eef>^2 and its exact gradient
+        """Orientation error 1 - <q_g, q_eef>^2 and its exact gradient
         w.r.t. the joint vector.
 
         Turning joint j rotates the end effector about the joint's world axis

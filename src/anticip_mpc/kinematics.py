@@ -80,23 +80,7 @@ def quat_from_matrix(R: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# model and poses
-
-
-@dataclass(frozen=True)
-class EefPose:
-    """End-effector position (meters) and orientation (unit quaternion)."""
-
-    position: Array
-    orientation: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
-        if self.position.shape != (3,) or not np.all(np.isfinite(self.position)):
-            raise InvalidInputError("EefPose position must be a finite 3-vector")
-        if self.orientation.shape != (4,) or abs(np.linalg.norm(self.orientation) - 1.0) > _UNIT_TOL:
-            raise InvalidInputError("EefPose orientation must be a unit quaternion (w, x, y, z)")
+# model
 
 
 @dataclass(frozen=True)
@@ -174,17 +158,11 @@ class RobotModel:
         return self.axes.shape[0] + 1
 
 
-@dataclass(frozen=True)
-class FkResult:
-    frame_positions: Array  # (n_frames, 3)
-    eef_pose: EefPose
-
-
 @dataclass
 class BatchFk:
-    """Forward kinematics of a batch of configurations (internal hot path)."""
+    """Forward kinematics of a batch of configurations."""
 
-    positions: Array  # (B, n_frames, 3)
+    positions: Array  # (B, n_frames, 3) frame origins in base coordinates
     joint_axes_world: Array  # (B, n, 3)
     eef_rotations: Array  # (B, 3, 3)
 
@@ -193,17 +171,9 @@ class BatchFk:
         return quat_from_matrix(self.eef_rotations)
 
 
-def _check_q(model: RobotModel, q) -> Array:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape != (model.n_joints,):
-        raise InvalidInputError(f"joint vector has length {q.shape[0]}, expected {model.n_joints}")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("joint vector must be finite")
-    return q
-
-
 def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
-    """Vectorized FK over a batch of joint vectors, shape (B, n_joints)."""
+    """Vectorized FK over a batch of joint vectors, shape (B, n_joints); a
+    single configuration is a one-row batch."""
     qs = np.asarray(qs, dtype=float)
     B, n = qs.shape
     c = np.cos(qs)[:, :, None, None]
@@ -220,14 +190,6 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     steps[:, 1:] = (frame_rots[:, 1:] @ model.offsets[:, :, None])[..., 0]
     positions = np.cumsum(steps, axis=1)  # sequential sums, as the chain adds them
     return BatchFk(positions, axes_world, frame_rots[:, n])
-
-
-def forward_kinematics(model: RobotModel, q) -> FkResult:
-    """Frame origins in base coordinates plus the end-effector pose."""
-    q = _check_q(model, q)
-    fk = fk_batch(model, q[None, :])
-    pose = EefPose(fk.positions[0, model.eef_frame], fk.eef_quats[0])
-    return FkResult(fk.positions[0], pose)
 
 
 _NEXT = np.array([1, 2, 0])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}

@@ -115,12 +115,10 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("dst", "vis"):
+        for name in ("dst", "vis", "leg"):  # leg is exactly 1.0 with a single candidate goal
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidInputError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.leg < 1.0:
-            raise InvalidInputError(f"leg must lie in (0, 1), got {self.leg}")
         if self.lat < 0:
             raise InvalidInputError("lat must be nonnegative")
 

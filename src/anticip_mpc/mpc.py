@@ -2,10 +2,10 @@
 
 Each replan slices the human prediction and the nominal path over the
 lookahead window into per-knot cost arrays, solves the fixed-horizon problem
-warm-started from the previous plan, then executes a prefix under simulated
-position control (the executed motion tracks the plan exactly). The executed
-human follows the prediction means unless the scenario supplies a separate
-ground truth.
+warm-started from the previous plan (the first replan from the joint-space
+line to the goal), then executes a prefix under simulated position control
+(the executed motion tracks the plan exactly). The executed human follows the
+prediction means unless the scenario supplies a separate ground truth.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
 from .errors import Fields, InvalidInputError, boolean, float_array, integer, number, read_json
-from .kinematics import RobotModel, fk_batch, forward_kinematics, load_robot_model, model_from_dict
+from .kinematics import RobotModel, fk_batch, load_robot_model, model_from_dict
 from .prediction import (
     HumanPrediction,
     ReachConfig,
@@ -83,13 +83,14 @@ class MpcConfig(Fields):
         return _as_steps(self.task_duration, self.dt, "task_duration")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Fully resolved planning task: robot, goals, weights, human data.
 
-    ``legibility`` and ``nominal_path`` are resolved on first use, not at
-    load, and kept; ``dataclasses.replace`` gives a scenario that resolves
-    them again."""
+    A scenario is immutable and its arrays are read-only, so the
+    ``legibility`` and ``nominal_path`` it resolves on first use (not at
+    load) and keeps cannot go stale; ``dataclasses.replace`` gives a
+    scenario that resolves them again."""
 
     model: RobotModel
     start_q: Array
@@ -109,27 +110,33 @@ class Scenario:
 
     def __post_init__(self):
         n = self.model.n_joints
-        self.start_q = float_array(self.start_q, "scenario start_q", (n,))
-        self.goal_q = float_array(self.goal_q, "scenario goal_q", (n,))
-        self.gaze_object = float_array(self.gaze_object, "scenario gaze_object", (3,))
+        arrays = {
+            "start_q": float_array(self.start_q, "scenario start_q", (n,)),
+            "goal_q": float_array(self.goal_q, "scenario goal_q", (n,)),
+            "gaze_object": float_array(self.gaze_object, "scenario gaze_object", (3,)),
+        }
         goals = np.atleast_2d(float_array(self.legibility_goals, "scenario legibility.goals"))
         if goals.shape[1:] != (3,):
             raise InvalidInputError(f"scenario legibility.goals must be a list of 3-vectors, got {goals.shape}")
-        self.legibility_goals = goals
-        self.legibility_goal_index = integer(
-            self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1
-        )
-        self.seed = integer(self.seed, "scenario seed")
+        arrays["legibility_goals"] = goals
+        goal_index = integer(self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1)
+        object.__setattr__(self, "legibility_goal_index", goal_index)
+        object.__setattr__(self, "seed", integer(self.seed, "scenario seed"))
         if self.nominal is not None:
-            self.nominal = np.atleast_2d(float_array(self.nominal, "scenario nominal"))
-            if self.nominal.shape[1:] != (3,) or len(self.nominal) <= self.mpc.task_steps:
+            nominal = np.atleast_2d(float_array(self.nominal, "scenario nominal"))
+            if nominal.shape[1:] != (3,) or len(nominal) <= self.mpc.task_steps:
                 need = f"a (T, 3) path with T >= {self.mpc.task_steps + 1}"
-                raise InvalidInputError(f"scenario nominal must be {need}, got shape {self.nominal.shape}")
+                raise InvalidInputError(f"scenario nominal must be {need}, got shape {nominal.shape}")
+            arrays["nominal"] = nominal
+        for name, arr in arrays.items():
+            arr = arr.copy()  # never a view of the caller's array
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def legibility(self) -> LegibilityContext:
         """Legibility context with the start point fixed at the task-start eef."""
-        start_eef = forward_kinematics(self.model, self.start_q).eef_pose.position
+        start_eef = fk_batch(self.model, self.start_q[None, :]).positions[0, self.model.eef_frame]
         return LegibilityContext(start=start_eef, goals=self.legibility_goals, goal_index=self.legibility_goal_index)
 
     @cached_property
@@ -149,6 +156,14 @@ def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
     alphas = np.linspace(0.0, 1.0, n_steps + 1)
     qs = start_q[None, :] + alphas[:, None] * (goal_q - start_q)[None, :]
     return fk_batch(model, qs).positions[:, model.eef_frame].copy()
+
+
+def linear_warm_start(x0, goal_q, n_controls: int, dt: float, lower, upper) -> Array:
+    """Constant-velocity joint-space line from x0 toward goal_q, clamped: the
+    first replan's warm start."""
+    u = (goal_q - x0) / (n_controls * dt)
+    us = np.tile(u, (n_controls, 1))
+    return np.clip(us, lower, upper)
 
 
 def warm_start_shift(controls: Array, steps_executed: int, n_controls: int, lower, upper) -> Array:
@@ -190,16 +205,16 @@ def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> Traje
         head_index=scenario.prediction.head_index,
     )
     cost = KnotCostEvaluator(model, horizon)
-    return TrajectoryProblem(n_knots, cfg.dt, x0, cost, model.vel_lower, model.vel_upper, q_goal=scenario.goal_q)
+    return TrajectoryProblem(n_knots, cfg.dt, x0, cost, model.vel_lower, model.vel_upper)
 
 
 @dataclass
 class ReplanRecord:
     t_plan: float
-    wall_time: float  # prediction slicing + problem assembly + solve
+    wall_time: float  # warm start + prediction slicing + problem assembly + solve
     result: SolveResult
 
-    def to_dict(self) -> dict:  # the replan's wall time, not the solve's, is the one kept
+    def to_dict(self) -> dict:
         return {**self.result.to_dict(), "t_plan": self.t_plan, "wall_time": self.wall_time}
 
 
@@ -216,7 +231,6 @@ def _replan_from_dict(r: dict, where: str, n: int) -> ReplanRecord:
         converged=boolean(r["converged"], f"{where} converged"),
         max_bound_violation=number(r["max_bound_violation"], f"{where} max_bound_violation", 0),
         grad_inf=number(r["grad_inf"], f"{where} grad_inf", 0),
-        wall_time=wall_time,
     )
     return ReplanRecord(number(r["t_plan"], f"{where} t_plan"), wall_time, result)
 
@@ -359,11 +373,9 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         t_plan = time.perf_counter()
         problem = build_problem(scenario, t_now, n_knots, x)
         if prev_controls is None:
-            init = None
+            init = linear_warm_start(x, scenario.goal_q, n_knots - 1, cfg.dt, model.vel_lower, model.vel_upper)
         else:
-            init = warm_start_shift(
-                prev_controls, replan_steps, n_knots - 1, model.vel_lower, model.vel_upper
-            )
+            init = warm_start_shift(prev_controls, replan_steps, n_knots - 1, model.vel_lower, model.vel_upper)
         result = solve(problem, init, scenario.solver)
         wall = time.perf_counter() - t_plan
         replans.append(ReplanRecord(t_plan=t_now, wall_time=wall, result=result))
@@ -379,9 +391,9 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         prev_controls = result.controls
         step += n_exec
 
-        pose = forward_kinematics(model, x).eef_pose
-        pos_err = float(np.linalg.norm(pose.position - scenario.goal.position))
-        dq = float(np.dot(pose.orientation, scenario.goal.orientation))
+        fk = fk_batch(model, x[None, :])
+        pos_err = float(np.linalg.norm(fk.positions[0, model.eef_frame] - scenario.goal.position))
+        dq = float(np.dot(fk.eef_quats[0], scenario.goal.orientation))
         if pos_err < cfg.goal_position_tol and 1.0 - dq * dq < ORIENT_GOAL_TOL:
             goal_reached = True
 
@@ -455,8 +467,8 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         goal_q = float_array(data["goal_q"], "scenario goal_q", (model.n_joints,))
         goal_entry = data.get("goal_pose", "derive")
         if goal_entry == "derive":
-            pose = forward_kinematics(model, goal_q).eef_pose
-            goal = GoalSpec(pose.position, pose.orientation)
+            fk = fk_batch(model, goal_q[None, :])
+            goal = GoalSpec(fk.positions[0, model.eef_frame], fk.eef_quats[0])
         elif isinstance(goal_entry, dict):
             goal = GoalSpec(goal_entry["position"], goal_entry["orientation"])
         else:

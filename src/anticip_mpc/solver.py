@@ -13,7 +13,6 @@ the signed violation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -75,7 +74,6 @@ class TrajectoryProblem:
     cost: TrajectoryCost
     u_lower: Array
     u_upper: Array
-    q_goal: Optional[Array] = None  # joint-space goal for the linear warm start
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -90,10 +88,6 @@ class TrajectoryProblem:
             raise InvalidInputError("control bounds must match the state dimension")
         if not np.all(self.u_lower < self.u_upper):
             raise InvalidInputError("control bounds must satisfy lower < upper")
-        if self.q_goal is not None:
-            self.q_goal = np.asarray(self.q_goal, dtype=float).reshape(-1)
-            if self.q_goal.shape != (n,):
-                raise InvalidInputError("q_goal must match the state dimension")
 
     @property
     def n_dims(self) -> int:
@@ -110,7 +104,6 @@ class SolveResult:
     converged: bool
     max_bound_violation: float
     grad_inf: float
-    wall_time: float
 
     to_dict = Fields.to_dict
 
@@ -128,16 +121,6 @@ def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
     for t in range(problem.n_knots - 1):
         states[t + 1] = states[t] + controls[t] * problem.dt
     return states
-
-
-def linear_warm_start(problem: TrajectoryProblem) -> Array:
-    """Constant-velocity line toward the joint-space goal, clamped into bounds."""
-    M = problem.n_knots - 1
-    if problem.q_goal is None:
-        return np.zeros((M, problem.n_dims))
-    u = (problem.q_goal - problem.x0) / (M * problem.dt)
-    us = np.tile(u, (M, 1))
-    return np.clip(us, problem.u_lower, problem.u_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +317,23 @@ def forward_pass(
 # outer solve
 
 
-def solve(
-    problem: TrajectoryProblem,
-    initial_controls: Optional[Array] = None,
-    config: Optional[SolverConfig] = None,
-) -> SolveResult:
-    """AL-iLQR solve of the fixed-horizon problem.
+def solve(problem: TrajectoryProblem, initial_controls: Array, config: SolverConfig) -> SolveResult:
+    """AL-iLQR solve of the fixed-horizon problem from the warm start
+    initial_controls, shape (n_knots - 1, n_dims); the planning loop picks it.
 
-    Without initial_controls the warm start is the clamped joint-space line
-    toward the problem's goal. Accepted iterate costs are non-increasing at
-    fixed duals/penalty; on convergence the bound violation is below the
-    constraint tolerance and either the relative cost change or the control
-    gradient is below its tolerance. Hitting the iteration caps returns the
-    best iterate with converged=False.
+    Accepted iterate costs are non-increasing at fixed duals/penalty; on
+    convergence the bound violation is below the constraint tolerance and
+    either the relative cost change or the control gradient is below its
+    tolerance. Hitting the iteration caps returns the best iterate with
+    converged=False. The solve does not time itself; the caller times the
+    replan around it.
     """
-    t_start = time.perf_counter()
-    config = config or SolverConfig()
     M = problem.n_knots - 1
     n = problem.n_dims
 
-    if initial_controls is None:
-        us = linear_warm_start(problem)
-    else:
-        us = np.asarray(initial_controls, dtype=float).copy()
-        if us.shape != (M, n):
-            raise InvalidInputError(f"initial controls must have shape ({M}, {n})")
+    us = np.asarray(initial_controls, dtype=float).copy()
+    if us.shape != (M, n):
+        raise InvalidInputError(f"initial controls must have shape ({M}, {n})")
     xs = rollout(problem, us)
 
     cost = problem.cost.value(xs, us)  # of the current iterate, before the bound penalty
@@ -421,5 +396,4 @@ def solve(
         converged=converged,
         max_bound_violation=max_bound_violation(problem, us),
         grad_inf=float(grad_inf),
-        wall_time=time.perf_counter() - t_start,
     )

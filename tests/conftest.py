@@ -11,9 +11,10 @@ from anticip_mpc import (
     TrajectoryProblem,
     backward_pass,
     default_robot_model,
-    forward_kinematics,
     forward_pass,
+    solve,
 )
+from anticip_mpc.kinematics import fk_batch
 from anticip_mpc.solver import _al_objective, _assemble_derivs
 
 from oracles import HumanJointGaussian, KnotContext, stack_contexts
@@ -74,7 +75,7 @@ def random_contexts(
     """Randomized knot contexts at the joint vectors qs: one per-task part
     (gaze, legibility, goal, weights) drawn once, then each knot's human
     frame and nominal point, resampled away from cost kinks."""
-    eefs = [forward_kinematics(model, q).eef_pose.position for q in qs]
+    eefs = [eef_pose(model, q).position for q in qs]
     gaze = eefs[0] + rng.uniform(-1.2, 1.2, 3)
     while True:
         goal_p = eefs[0] + rng.uniform(-0.5, 0.5, 3)
@@ -126,7 +127,13 @@ def random_context(rng: np.random.Generator, model: RobotModel, q: np.ndarray, *
     return random_contexts(rng, model, [q], **options)[0]
 
 
-def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contexts, q_goal=None) -> TrajectoryProblem:
+def eef_pose(model: RobotModel, q) -> GoalSpec:
+    """End-effector pose of one joint vector, from a one-row fk_batch."""
+    fk = fk_batch(model, np.asarray(q, dtype=float)[None, :])
+    return GoalSpec(fk.positions[0, model.eef_frame], fk.eef_quats[0])
+
+
+def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contexts) -> TrajectoryProblem:
     """Trajectory problem whose cost is the evaluator over stacked knot contexts."""
     assert len(contexts) == n_knots
     return TrajectoryProblem(
@@ -136,8 +143,15 @@ def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contex
         cost=KnotCostEvaluator(model, stack_contexts(contexts)),
         u_lower=model.vel_lower,
         u_upper=model.vel_upper,
-        q_goal=q_goal,
     )
+
+
+def solve_default(problem: TrajectoryProblem, initial_controls=None, config=None):
+    """solve from initial_controls, zero controls unless given, with config,
+    the default SolverConfig unless given."""
+    if initial_controls is None:
+        initial_controls = np.zeros((problem.n_knots - 1, problem.n_dims))
+    return solve(problem, initial_controls, config or SolverConfig())
 
 
 def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=SolverConfig().init_penalty, **options):

@@ -36,7 +36,7 @@ from anticip_mpc.costs import (
     _legibility_logits,
 )
 from anticip_mpc.errors import InvalidInputError
-from anticip_mpc.kinematics import EefPose, RobotModel, _check_q, fk_batch, position_jacobians, quat_to_matrix
+from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR, _check_covariance
 from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
 
@@ -498,7 +498,7 @@ def distance_cost(model: RobotModel, q, human_frame: Sequence[HumanJointGaussian
     sum_h sum_r 1 / (d_hr^T Sigma_h^-1 d_hr + eps) with d_hr the offset between
     human joint h and tracked robot frame r. Larger separation, smaller cost.
     """
-    q = _check_q(model, q)
+    q = np.asarray(q, dtype=float).reshape(-1)
     fk = fk_batch(model, q[None, :])
     frames = fk.positions[0, list(model.tracked_frames)]  # (R, 3)
     total = 0.0
@@ -517,7 +517,7 @@ def head_position_stddev(head: HumanJointGaussian) -> float:
 def visibility_cost(model: RobotModel, q, head: HumanJointGaussian, gaze_object) -> float:
     """Angle at the head between the gazed object and the end effector,
     divided by the head-position standard deviation."""
-    q = _check_q(model, q)
+    q = np.asarray(q, dtype=float).reshape(-1)
     fk = fk_batch(model, q[None, :])
     p_eef = fk.positions[0, model.eef_frame]
     return _visibility_angle(np.asarray(gaze_object, dtype=float), head.mean, p_eef) / head_position_stddev(head)
@@ -570,7 +570,7 @@ def quat_normalize(q):
     return q / n
 
 
-def goal_pose_cost(eef: EefPose, goal: GoalSpec) -> float:
+def goal_pose_cost(eef: GoalSpec, goal: GoalSpec) -> float:
     """Position distance plus the orientation term 1 - <q_goal, q_eef>^2.
 
     The orientation term lies in [0, 1] and is invariant under negating
@@ -595,7 +595,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
 
     Pass u=None at a terminal knot (no control there).
     """
-    q = _check_q(model, q)
+    q = np.asarray(q, dtype=float).reshape(-1)
     n = model.n_joints
     ev = KnotCostEvaluator(model, stack_contexts([ctx]))
     value = float(ev.value(q[None, :]))
@@ -617,7 +617,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
 
 def position_jacobian(model: RobotModel, q, frame: int):
     """d(frame origin)/dq, a 3 x n_joints matrix, for one configuration."""
-    q = _check_q(model, q)
+    q = np.asarray(q, dtype=float).reshape(-1)
     if not 0 <= int(frame) < model.n_frames:
         raise InvalidInputError(f"frame index {frame} out of range [0, {model.n_frames})")
     fk = fk_batch(model, q[None, :])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from anticip_mpc import (
-    EefPose,
     GoalSpec,
     LegibilityContext,
     run_mpc,
@@ -20,9 +19,9 @@ from anticip_mpc import (
 from anticip_mpc.cli import default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, model_to_dict
 from anticip_mpc.metrics import evaluate_trace, separation_metric
-from anticip_mpc.mpc import build_problem, scenario_from_dict
+from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
 
-from conftest import random_context
+from conftest import random_context, solve_default
 from oracles import goal_pose_cost, goal_probabilities, legibility_cost, lqr_tracking_solution, total_knot_cost
 from test_solver import quadratic_problem
 
@@ -76,7 +75,7 @@ def test_solver_riccati_oracle():
     for _ in range(50):
         problem, (Q, R, Qf, x_refs, x0, dt) = quadratic_problem(rng)
         xs_ref, _, _ = lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt)
-        result = solve(problem)
+        result = solve_default(problem)
         err = float(np.max(np.abs(result.states - xs_ref)))
         worst = max(worst, err)
         assert err < 1e-6
@@ -150,7 +149,7 @@ def test_feasibility(latency_batch):
     rng = np.random.default_rng(3)
     for _ in range(10):
         problem, _ = quadratic_problem(rng, bounds=0.5)
-        res = solve(problem)
+        res = solve_default(problem)
         residual = res.states[1:] - res.states[:-1] - res.controls * problem.dt
         assert np.max(np.abs(residual)) <= 1e-12
         if res.converged:
@@ -167,7 +166,9 @@ def test_degenerate_mpc_equivalence():
     scenario = scenario_from_dict(data, Path("."))
     trace = run_mpc(scenario)
     problem = build_problem(scenario, 0.0, scenario.mpc.task_steps + 1, scenario.start_q)
-    result = solve(problem, None, scenario.solver)
+    cfg, model = scenario.mpc, scenario.model
+    warm = linear_warm_start(scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt, model.vel_lower, model.vel_upper)
+    result = solve(problem, warm, scenario.solver)
     assert len(trace.replans) == 1
     assert np.array_equal(trace.states, result.states)
     assert np.array_equal(trace.replans[0].result.controls, result.controls)
@@ -206,9 +207,9 @@ def test_quaternion_invariance():
         q2 /= np.linalg.norm(q2)
         p1 = rng.uniform(-1, 1, 3)
         p2 = rng.uniform(-1, 1, 3)
-        base = goal_pose_cost(EefPose(p1, q1), GoalSpec(p2, q2))
-        assert goal_pose_cost(EefPose(p1, -q1), GoalSpec(p2, q2)) == base
-        assert goal_pose_cost(EefPose(p1, q1), GoalSpec(p2, -q2)) == base
+        base = goal_pose_cost(GoalSpec(p1, q1), GoalSpec(p2, q2))
+        assert goal_pose_cost(GoalSpec(p1, -q1), GoalSpec(p2, q2)) == base
+        assert goal_pose_cost(GoalSpec(p1, q1), GoalSpec(p2, -q2)) == base
     print("\nACCEPTANCE quaternion_invariance: PASS 100 random quaternions, exact equality")
 
 

@@ -86,6 +86,35 @@ class TestGenScenario:
         assert "config" in capsys.readouterr().err
         assert not (tmp_path / "scenario.json").exists()
 
+    def test_prediction_path_overlay(self, tmp_path):
+        """A prediction given as a file path, relative to the output
+        directory, is a valid scenario form."""
+        assert run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--duration", "2.0") == EXIT_OK
+        before = (tmp_path / "prediction.json").read_bytes()
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": "prediction.json"}))
+        code = run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--duration", "2.0", "--config", config)
+        assert code == EXIT_OK
+        assert (tmp_path / "prediction.json").read_bytes() == before
+        assert json.loads((tmp_path / "scenario.json").read_text())["prediction"] == "prediction.json"
+        load_scenario(tmp_path / "scenario.json")
+
+    def test_missing_prediction_path_rejected(self, tmp_path, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": "missing.json"}))
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "prediction" in err and "Traceback" not in err
+        assert not (tmp_path / "scenario.json").exists()
+
+    def test_failing_overlay_writes_no_scenario(self, tmp_path, capsys):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"ground_truth": {"synthesize": {"dt": "fast"}}}))
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
+        assert "reach dt" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.json").exists()
+        assert not (tmp_path / "prediction.json").exists()
+
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())
         assert manifest["command"] == "gen-scenario"
@@ -376,6 +405,17 @@ class TestEval:
         report = json.loads((eval_out / "report_trace.json").read_text())
         assert report["dst"] == 1.0
 
+    def test_single_goal_trace_scores_full_legibility(self, workspace, tmp_path):
+        """With one candidate goal the inferred goal probability is exactly 1."""
+        config = tmp_path / "one_goal.json"
+        config.write_text(json.dumps({"legibility": {"goals": [[0.622, -0.524, 0.323]], "goal_index": 0}}))
+        sim_out, eval_out = tmp_path / "sim", tmp_path / "eval"
+        scenario = workspace / "scenario.json"
+        assert run_cli("simulate", "--scenario", scenario, "--config", config, "--out", sim_out) == EXIT_OK
+        assert run_cli("eval", sim_out / "trace.json", "--out", eval_out) == EXIT_OK
+        report = json.loads((eval_out / "report_trace.json").read_text())
+        assert report["leg"] == 1.0
+
     def test_bad_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -458,7 +498,8 @@ class TestBench:
 
 
 class TestSolverFailureExit:
-    def test_plan_reports_exit_code_3(self, workspace, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+    def test_plan_reports_exit_code_3(self, workspace, tmp_path, monkeypatch, command):
         from anticip_mpc.errors import SolverError
         import anticip_mpc.mpc as mpc_mod
 
@@ -466,11 +507,11 @@ class TestSolverFailureExit:
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(mpc_mod, "solve", boom)
-        out = tmp_path / "plan"
-        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--out", out)
+        out = tmp_path / command
+        code = run_cli(command, "--scenario", workspace / "scenario.json", "--out", out)
         assert code == 3
-        diag = json.loads((out / "plan_diagnostics.json").read_text())
-        assert "synthetic failure" in diag["error"]
+        diag = json.loads((out / f"{command}_diagnostics.json").read_text())
+        assert diag == {"error": "synthetic failure", "command": command}
 
 
 class TestTopLevel:

@@ -5,16 +5,14 @@ import pytest
 
 from anticip_mpc import (
     CostWeights,
-    EefPose,
     GoalSpec,
     InvalidInputError,
     KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
-    forward_kinematics,
 )
 
-from conftest import random_context, random_contexts
+from conftest import eef_pose, random_context, random_contexts
 from oracles import (
     HumanJointGaussian,
     distance_cost,
@@ -182,18 +180,18 @@ class TestSimpleCosts:
 class TestGoalPoseCost:
     def test_zero_at_goal(self):
         quat = np.array([0.5, 0.5, 0.5, 0.5])
-        pose = EefPose([0.1, 0.2, 0.3], quat)
+        pose = GoalSpec([0.1, 0.2, 0.3], quat)
         assert np.isclose(goal_pose_cost(pose, GoalSpec([0.1, 0.2, 0.3], quat)), 0.0, atol=1e-15)
 
     def test_double_cover(self):
         quat = np.array([0.5, 0.5, 0.5, 0.5])
-        pose = EefPose([0.1, 0.2, 0.3], -quat)
+        pose = GoalSpec([0.1, 0.2, 0.3], -quat)
         assert np.isclose(goal_pose_cost(pose, GoalSpec([0.1, 0.2, 0.3], quat)), 0.0, atol=1e-15)
 
     def test_quarter_turn_orientation_term(self):
         goal_q = np.array([1.0, 0.0, 0.0, 0.0])
         eef_q = np.array([np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)])
-        value = goal_pose_cost(EefPose([0.0, 0.0, 0.0], eef_q), GoalSpec([0.0, 0.0, 0.0], goal_q))
+        value = goal_pose_cost(GoalSpec([0.0, 0.0, 0.0], eef_q), GoalSpec([0.0, 0.0, 0.0], goal_q))
         assert np.isclose(value, 0.5, rtol=1e-12)
 
     def test_negation_invariance_is_exact(self):
@@ -204,9 +202,9 @@ class TestGoalPoseCost:
             q2 = rng.normal(size=4)
             q2 /= np.linalg.norm(q2)
             p = rng.uniform(-1, 1, 3)
-            base = goal_pose_cost(EefPose(p, q1), GoalSpec(p, q2))
-            assert goal_pose_cost(EefPose(p, -q1), GoalSpec(p, q2)) == base
-            assert goal_pose_cost(EefPose(p, q1), GoalSpec(p, -q2)) == base
+            base = goal_pose_cost(GoalSpec(p, q1), GoalSpec(p, q2))
+            assert goal_pose_cost(GoalSpec(p, -q1), GoalSpec(p, q2)) == base
+            assert goal_pose_cost(GoalSpec(p, q1), GoalSpec(p, -q2)) == base
 
 
 class TestTotalKnotCost:
@@ -301,14 +299,14 @@ class TestBatchedEvaluator:
 
         expected = 0.0
         for i, ctx in enumerate(contexts):
-            fk = forward_kinematics(seven_dof, qs[i])
-            eef = fk.eef_pose.position
+            pose = eef_pose(seven_dof, qs[i])
+            eef = pose.position
             head = ctx.human_frame[ctx.head_index]
             expected += weights.w_dist * distance_cost(seven_dof, qs[i], ctx.human_frame)
             expected += weights.w_vis * visibility_cost(seven_dof, qs[i], head, ctx.gaze_object)
             expected += weights.w_leg * legibility_cost(eef, ctx.legibility)
             expected += weights.w_nom * nominal_cost(eef, ctx.nominal)
-            expected += weights.w_goal * goal_pose_cost(fk.eef_pose, ctx.goal)
+            expected += weights.w_goal * goal_pose_cost(pose, ctx.goal)
         expected += weights.w_smooth * float(np.sum(us * us))
         assert np.isclose(ev.value(qs, us), expected, rtol=1e-10)
 

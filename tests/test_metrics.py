@@ -53,7 +53,6 @@ def make_trace(
                 converged=True,
                 max_bound_violation=0.0,
                 grad_inf=0.0,
-                wall_time=w,
             ),
         )
         for i, w in enumerate(replan_times)

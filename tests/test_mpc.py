@@ -9,7 +9,6 @@ from anticip_mpc import (
     InvalidInputError,
     MpcConfig,
     derive_nominal,
-    forward_kinematics,
     run_mpc,
     solve,
     warm_start_shift,
@@ -22,12 +21,14 @@ from anticip_mpc.mpc import (
     Scenario,
     build_problem,
     deep_update,
+    linear_warm_start,
     load_scenario,
     scenario_from_dict,
 )
 from anticip_mpc.costs import KnotCostEvaluator
 from anticip_mpc.prediction import HumanPrediction, slice_horizon
 
+from conftest import eef_pose
 from oracles import HumanJointGaussian, KnotContext, slice_horizon_loop, stack_contexts
 
 
@@ -51,13 +52,13 @@ class TestDeriveNominal:
     def test_degenerate_interpolation(self, seven_dof):
         q = np.full(7, 0.3)
         nominal = derive_nominal(seven_dof, q, q, 4)
-        expected = forward_kinematics(seven_dof, q).eef_pose.position
+        expected = eef_pose(seven_dof, q).position
         assert np.array_equal(nominal, np.tile(expected, (5, 1)))
 
     def test_linear_in_joint_space(self, planar_model):
         nominal = derive_nominal(planar_model, [0.0, 0.0], [np.pi / 2, 0.0], 2)
         for i, q0 in enumerate([0.0, np.pi / 4, np.pi / 2]):
-            expected = forward_kinematics(planar_model, [q0, 0.0]).eef_pose.position
+            expected = eef_pose(planar_model, [q0, 0.0]).position
             np.testing.assert_allclose(nominal[i], expected, atol=1e-12)
 
     def test_endpoints_exact(self, seven_dof):
@@ -65,10 +66,10 @@ class TestDeriveNominal:
         start, goal = rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7)
         nominal = derive_nominal(seven_dof, start, goal, 10)
         np.testing.assert_allclose(
-            nominal[0], forward_kinematics(seven_dof, start).eef_pose.position, atol=1e-14
+            nominal[0], eef_pose(seven_dof, start).position, atol=1e-14
         )
         np.testing.assert_allclose(
-            nominal[-1], forward_kinematics(seven_dof, goal).eef_pose.position, atol=1e-14
+            nominal[-1], eef_pose(seven_dof, goal).position, atol=1e-14
         )
 
     def test_dimension_mismatch(self, seven_dof):
@@ -156,7 +157,11 @@ class TestRunMpc:
         )
         trace = run_mpc(scenario)
         problem = build_problem(scenario, 0.0, scenario.mpc.task_steps + 1, scenario.start_q)
-        result = solve(problem, None, scenario.solver)
+        cfg, model = scenario.mpc, scenario.model
+        warm = linear_warm_start(
+            scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt, model.vel_lower, model.vel_upper
+        )
+        result = solve(problem, warm, scenario.solver)
         assert len(trace.replans) == 1
         assert np.array_equal(trace.states, result.states)
         assert np.array_equal(trace.replans[0].result.controls, result.controls)
@@ -171,8 +176,9 @@ class TestRunMpc:
         corrupted = pred.means.copy()
         past = np.array([pred.t0 + i * pred.dt for i in range(pred.n_frames)]) < t_now - 1e-9
         corrupted[past] += 100.0
-        scenario.prediction = HumanPrediction(
-            pred.joint_names, pred.head_index, corrupted, pred.covs, pred.dt, pred.t0
+        scenario = dataclasses.replace(
+            scenario,
+            prediction=HumanPrediction(pred.joint_names, pred.head_index, corrupted, pred.covs, pred.dt, pred.t0),
         )
         means2, covs2 = slice_horizon(scenario.prediction, t_now, 6, scenario.mpc.dt)
         assert np.array_equal(means, means2)
@@ -315,7 +321,7 @@ class TestScenarioLoading:
 
     def test_legibility_and_nominal_path_resolve_from_the_scenario(self):
         scenario = make_scenario(seed=0)
-        start = forward_kinematics(scenario.model, scenario.start_q).eef_pose.position
+        start = eef_pose(scenario.model, scenario.start_q).position
         assert np.array_equal(scenario.legibility.start, start)
         assert np.array_equal(scenario.legibility.goals, scenario.legibility_goals)
         assert scenario.legibility.goal_index == scenario.legibility_goal_index
@@ -329,9 +335,25 @@ class TestScenarioLoading:
         longer = dataclasses.replace(scenario, mpc=dataclasses.replace(scenario.mpc, task_duration=6.0))
         assert len(scenario.nominal_path) == 21 and len(longer.nominal_path) == 25
         moved = dataclasses.replace(scenario, start_q=scenario.start_q + 0.1)
-        moved_start = forward_kinematics(scenario.model, moved.start_q).eef_pose.position
+        moved_start = eef_pose(scenario.model, moved.start_q).position
         assert np.array_equal(moved.legibility.start, moved_start)
         assert not np.array_equal(moved.legibility.start, start)
+
+    def test_scenario_is_frozen_with_read_only_copies(self):
+        """The resolved legibility cannot go stale: nothing it was resolved
+        from can be changed in place or reassigned."""
+        path = derive_nominal(default_robot_model(), np.zeros(7), np.ones(7), 20)
+        scenario = dataclasses.replace(make_scenario(seed=0), nominal=path)
+        start = scenario.legibility.start.copy()
+        with pytest.raises(ValueError):
+            scenario.start_q[0] += 0.3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.start_q = scenario.start_q + 0.3
+        for name in ("start_q", "goal_q", "gaze_object", "legibility_goals", "nominal"):
+            assert not getattr(scenario, name).flags.writeable, name
+        path[0] += 1.0  # the caller's array is copied, not shared
+        assert not np.array_equal(scenario.nominal[0], path[0])
+        assert np.array_equal(scenario.legibility.start, start)
 
     def test_explicit_goal_pose(self):
         scenario = make_scenario(

@@ -18,11 +18,11 @@ from anticip_mpc.solver import (
     _al_objective,
     _assemble_derivs,
     bound_violations,
-    linear_warm_start,
     max_bound_violation,
 )
+from anticip_mpc.mpc import linear_warm_start
 
-from conftest import backward, forward, problem_from_contexts, random_contexts
+from conftest import backward, forward, problem_from_contexts, random_contexts, solve_default
 from oracles import QuadraticCost, backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
 
 
@@ -103,7 +103,7 @@ class TestRiccatiOracle:
             u_upper=np.array([10.0]),
         )
         xs_ref, _, _ = lqr_tracking_solution(Q, R, Q, x_refs, np.zeros(1), 0.25)
-        result = solve(problem)
+        result = solve_default(problem)
         assert result.converged
         assert np.max(np.abs(result.states - xs_ref)) < 1e-6
         assert result.max_bound_violation == 0.0
@@ -113,7 +113,7 @@ class TestRiccatiOracle:
         for _ in range(50):
             problem, (Q, R, Qf, x_refs, x0, dt) = quadratic_problem(rng)
             xs_ref, _, _ = lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt)
-            result = solve(problem)
+            result = solve_default(problem)
             assert np.max(np.abs(result.states - xs_ref)) < 1e-6
             assert result.converged
             assert_dynamically_feasible(problem, result)
@@ -358,14 +358,13 @@ class TestSolve:
         rng = np.random.default_rng(12)
         contexts = random_contexts(rng, seven_dof, np.zeros((6, 7)), weights=CostWeights(), goal_index=0)
         q_goal = rng.uniform(-1, 1, 7)
-        problem = problem_from_contexts(
-            seven_dof, 6, 0.25, np.zeros(7), contexts, q_goal=q_goal
-        )
-        result = solve(problem)
+        problem = problem_from_contexts(seven_dof, 6, 0.25, np.zeros(7), contexts)
+        warm = linear_warm_start(problem.x0, q_goal, 5, 0.25, problem.u_lower, problem.u_upper)
+        result = solve(problem, warm, SolverConfig())
         assert result.converged
         assert result.iterations <= 1
         assert result.total_cost == 0.0
-        assert np.array_equal(result.controls, linear_warm_start(problem))
+        assert np.array_equal(result.controls, warm)
 
     def test_saturated_bounds_converge_within_tolerance(self):
         # tracking reference runs at 2 rad/s but the control bound is 1 rad/s
@@ -379,7 +378,7 @@ class TestSolve:
             u_lower=np.array([-1.0]),
             u_upper=np.array([1.0]),
         )
-        result = solve(problem)
+        result = solve_default(problem)
         assert result.converged
         assert np.all(result.controls <= 1.0 + 1e-4)
         assert np.all(result.controls >= -1.0 - 1e-4)
@@ -421,7 +420,7 @@ class TestSolve:
             cost = problem.cost
             problem.cost = CountingCost(cost)
             forward_passes.clear()
-            result = solve(problem)
+            result = solve_default(problem)
             assert problem.cost.value_calls == 1 + len(forward_passes)
             assert result.total_cost == cost.value(result.states, result.controls)
             outer.append(result.outer_iterations)
@@ -430,8 +429,8 @@ class TestSolve:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(13)
         problem, _ = quadratic_problem(rng, n=2, n_knots=8, bounds=0.8)
-        r1 = solve(problem)
-        r2 = solve(problem)
+        r1 = solve_default(problem)
+        r2 = solve_default(problem)
         assert np.array_equal(r1.states, r2.states)
         assert np.array_equal(r1.controls, r2.controls)
         assert r1.iterations == r2.iterations
@@ -446,19 +445,19 @@ class TestSolve:
             u_upper=np.array([1.0]),
         )
         with np.errstate(over="ignore"), pytest.raises(SolverError):
-            solve(problem)
+            solve_default(problem)
 
     def test_bad_initial_controls_shape(self):
         rng = np.random.default_rng(14)
         problem, _ = quadratic_problem(rng, n=2, n_knots=5)
         with pytest.raises(InvalidInputError):
-            solve(problem, initial_controls=np.zeros((2, 2)))
+            solve(problem, np.zeros((2, 2)), SolverConfig())
 
     def test_iteration_caps_return_best_iterate(self):
         rng = np.random.default_rng(15)
         problem, _ = quadratic_problem(rng, n=2, n_knots=8)
         config = SolverConfig(max_inner_iters=1, max_outer_iters=1)
-        result = solve(problem, config=config)
+        result = solve_default(problem, config=config)
         assert not result.converged
         assert result.iterations == 1
         assert_dynamically_feasible(problem, result)
@@ -482,7 +481,7 @@ class TestRegularizationCap:
         with pytest.raises(SolverError, match="backward pass"):
             backward(problem, xs, us, reg_cap=1e-7)
         with pytest.raises(SolverError, match="backward pass"):
-            solve(problem, config=SolverConfig(reg_cap=1e-7))
+            solve_default(problem, config=SolverConfig(reg_cap=1e-7))
 
     def test_deep_backtracking_bump_respects_the_cap(self):
         # the reported state curvature is 1000x too small, so each Newton step
@@ -501,9 +500,9 @@ class TestRegularizationCap:
             u_lower=np.array([-1e4]),
             u_upper=np.array([1e4]),
         )
-        assert solve(problem).converged  # the default cap leaves room for the bumps
+        assert solve_default(problem).converged  # the default cap leaves room for the bumps
         with pytest.raises(SolverError, match="line search backtracked"):
-            solve(problem, config=SolverConfig(reg_cap=5e-7))  # below the first shift, 1e-6
+            solve_default(problem, config=SolverConfig(reg_cap=5e-7))  # below the first shift, 1e-6
 
 
 class TestConfigAndHelpers:
