@@ -48,7 +48,6 @@ from .prediction import (
 )
 from .solver import (
     SolveResult,
-    SolverConfig,
     TrajectoryProblem,
     al_update,
     backward_pass,

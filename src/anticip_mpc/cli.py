@@ -1,9 +1,10 @@
 """Command-line interface: scenario generation, planning, simulation, metrics.
 
 Commands: gen-scenario, plan, simulate, eval, bench. Every command writes a
-run manifest (resolved config, input hashes, seed, outputs) next to its
-outputs so runs can be reproduced. Exit codes: 0 success, 2 invalid input,
-3 solver failure (with ``<command>_diagnostics.json`` written to ``--out``).
+run manifest (resolved config, input hashes, the seed the run drew from,
+outputs) next to its outputs so runs can be reproduced. Exit codes: 0
+success, 2 invalid input, 3 solver failure (with
+``<command>_diagnostics.json`` written to ``--out``).
 ANTICIP_MPC_LOG sets the log level.
 """
 
@@ -24,13 +25,12 @@ import numpy as np
 from . import __version__
 from .costs import CostWeights
 from .errors import InvalidInputError, SolverError, read_json
-from .kinematics import default_robot_model, save_robot_model
+from .kinematics import default_robot_model, model_to_dict, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
 from .mpc import (
     ExecutionTrace, MpcConfig, Scenario, deep_update, load_scenario, run_mpc, scenario_from_dict, write_csv,
 )
 from .prediction import save_prediction, synthesize_reach
-from .solver import SolverConfig
 
 log = logging.getLogger("anticip_mpc")
 
@@ -69,12 +69,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs, outputs, s
 
 def _json_dump(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, sort_keys=True) + "\n")
-
-
-def _retimed(scenario: Scenario, horizon=None, replan=None) -> Scenario:
-    """`scenario` with its horizon and replan period replaced where given."""
-    changes = {k: v for k, v in (("horizon", horizon), ("replan_period", replan)) if v is not None}
-    return replace(scenario, mpc=replace(scenario.mpc, **changes))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,6 @@ def default_scenario_dict(
             "horizon": horizon,
             "replan_period": replan,
             "task_duration": duration,
-            "goal_position_tol": 0.01,
         },
         "prediction": {"synthesize": default_reach_config(seed, duration + horizon, dt)},
         "ground_truth": None,
@@ -162,9 +155,7 @@ def cmd_gen_scenario(args) -> int:
     if args.duration <= 0:
         raise InvalidInputError("--duration must be positive")
 
-    robot_path = out / "robot.json"
-    save_robot_model(default_robot_model(), robot_path)
-
+    model = default_robot_model()
     data = default_scenario_dict(
         seed=args.seed,
         duration=args.duration,
@@ -174,8 +165,12 @@ def cmd_gen_scenario(args) -> int:
     )
     if args.config is not None:
         data = deep_update(data, read_json(args.config, "config"))
-    scenario = scenario_from_dict(data, out)  # checked before anything else is written
+    # checked with the default model given inline, before anything is written
+    checked = dict(data, robot_model=model_to_dict(model)) if data["robot_model"] == "robot.json" else data
+    scenario = scenario_from_dict(checked, out)
 
+    robot_path = out / "robot.json"
+    save_robot_model(model, robot_path)
     pred_path = out / "prediction.json"
     save_prediction(scenario.prediction, pred_path)
     scenario_path = out / "scenario.json"
@@ -192,7 +187,7 @@ def cmd_plan(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario, args.config)
     duration = scenario.mpc.task_duration
-    trace = run_mpc(_retimed(scenario, horizon=duration, replan=duration))
+    trace = run_mpc(replace(scenario, mpc=replace(scenario.mpc, horizon=duration, replan_period=duration)))
 
     replan = trace.replans[0]
     result = replan.result
@@ -201,7 +196,7 @@ def cmd_plan(args) -> int:
     plan_csv = out / "plan.csv"
     trace.save_csv(plan_csv)
     write_manifest(
-        out, "plan", {"scenario": str(args.scenario)}, [args.scenario], [plan_json, plan_csv], args.seed
+        out, "plan", {"scenario": str(args.scenario)}, [args.scenario], [plan_json, plan_csv], scenario.seed
     )
     print(f"plan: cost={result.total_cost:.4f} converged={result.converged} wall={replan.wall_time:.3f}s")
     return EXIT_OK
@@ -210,7 +205,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = _retimed(load_scenario(args.scenario, args.config), args.horizon, args.replan)
+    scenario = load_scenario(args.scenario, args.config)
     run_mpc(scenario)  # discarded warm-up run: pays one-time cache costs
     trace = run_mpc(scenario)
 
@@ -224,7 +219,7 @@ def cmd_simulate(args) -> int:
         {"scenario": str(args.scenario), "mpc": scenario.mpc.to_dict()},
         [args.scenario],
         [trace_json, trace_csv],
-        args.seed,
+        scenario.seed,
     )
     lat = sum(trace.replan_wall_times())
     print(f"simulate: {len(trace.replans)} replans, planning time {lat:.3f}s, goal_reached={trace.goal_reached}")
@@ -235,9 +230,11 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports: list[MetricsReport] = []
+    seeds = []
     outputs = []
     for trace_path in args.traces:
         trace = ExecutionTrace.load_json(trace_path)
+        seeds.append(trace.seed)
         report = evaluate_trace(
             trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against
         )
@@ -261,7 +258,7 @@ def cmd_eval(args) -> int:
         {"threshold": args.threshold, "fov_half_angle": args.fov, "against": args.against},
         list(args.traces),
         outputs,
-        args.seed,
+        seeds,
     )
     for report in reports:
         print(
@@ -337,8 +334,7 @@ _SCHEMAS = {
         "legibility": {"goals": "[[m]*3, ...]", "goal_index": "int"},
         "nominal": "'derive' | [[m]*3, ...]",
         "weights": {f.name: "float >= 0" for f in fields(CostWeights)},
-        "mpc": {f.name: "float > 0 (s)" for f in fields(MpcConfig)} | {"goal_position_tol": "float > 0 (m)"},
-        "solver": {f.name: f.type for f in fields(SolverConfig)},
+        "mpc": {f.name: "float > 0 (s)" for f in fields(MpcConfig)},
         "prediction": "path | inline prediction | {synthesize: {...}}",
         "ground_truth": "null | same as prediction",
         "seed": "int",
@@ -364,9 +360,12 @@ _SCHEMAS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON overlay merged onto the scenario")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+def _add_common(parser: argparse.ArgumentParser, config: bool = True, seed: bool = False) -> None:
+    """--out, and --config and --seed where the command reads them."""
+    if config:
+        parser.add_argument("--config", default=None, help="JSON overlay merged onto the scenario")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen-scenario", help="write a seeded scenario with a synthetic human")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--duration", type=float, default=5.0, help="task duration, seconds")
     p.add_argument("--dt", type=float, default=0.25)
     p.add_argument("--horizon", type=float, default=1.25)
@@ -395,12 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="receding-horizon run producing an execution trace")
     _add_common(p)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--horizon", type=float, default=None, help="override horizon, seconds")
-    p.add_argument("--replan", type=float, default=None, help="override replan period, seconds")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="compute the five metrics from trace files")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("traces", nargs="+", help="trace JSON files")
     p.add_argument("--threshold", type=float, default=SEPARATION_THRESHOLD, help="separation threshold, m")
     p.add_argument("--fov", type=float, default=FOV_HALF_ANGLE, help="field-of-view half angle, rad")
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="seeded latency benchmark over N simulations")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=20, help="number of seeded runs")
     p.set_defaults(func=cmd_bench)

@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -32,14 +32,16 @@ from .prediction import (
     slice_horizon,
     synthesize_reach,
 )
-from .solver import SolverConfig, SolveResult, TrajectoryProblem, solve
+from .solver import SolveResult, TrajectoryProblem, solve
 
 log = logging.getLogger("anticip_mpc")
 
 Array = np.ndarray
 
 _GRID_TOL = 1e-9
-ORIENT_GOAL_TOL = 1e-3
+# the loop stops once the end effector is this close to the goal pose
+GOAL_POSITION_TOL = 0.01  # m
+ORIENT_GOAL_TOL = 1e-3  # 1 - <q, q_goal>^2
 
 
 def _as_steps(value: float, dt: float, name: str) -> int:
@@ -59,7 +61,6 @@ class MpcConfig(Fields):
     horizon: float = 1.25
     replan_period: float = 0.5
     task_duration: float = 5.0
-    goal_position_tol: float = 0.01
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -104,7 +105,6 @@ class Scenario:
     prediction: HumanPrediction
     nominal: Optional[Array] = None  # explicit eef path; None derives one
     ground_truth: Optional[HumanPrediction] = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
     synthesis: Optional[ReachConfig] = None  # kept for re-seeded benchmark runs
     seed: int = 0
 
@@ -347,8 +347,9 @@ def _human_means_at(pred: HumanPrediction, n_points: int, dt: float) -> Array:
 def run_mpc(scenario: Scenario) -> ExecutionTrace:
     """Run the receding-horizon loop and return the executed trace.
 
-    Stops at the task duration or once the end effector is inside the goal
-    position tolerance with orientation error below 1e-3.
+    Stops at the task duration or once the end effector is within
+    GOAL_POSITION_TOL of the goal position and ORIENT_GOAL_TOL of its
+    orientation.
     """
     cfg = scenario.mpc
     model = scenario.model
@@ -376,7 +377,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
             init = linear_warm_start(x, scenario.goal_q, n_knots - 1, cfg.dt, model.vel_lower, model.vel_upper)
         else:
             init = warm_start_shift(prev_controls, replan_steps, n_knots - 1, model.vel_lower, model.vel_upper)
-        result = solve(problem, init, scenario.solver)
+        result = solve(problem, init)
         wall = time.perf_counter() - t_plan
         replans.append(ReplanRecord(t_plan=t_now, wall_time=wall, result=result))
         log.debug(
@@ -394,7 +395,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         fk = fk_batch(model, x[None, :])
         pos_err = float(np.linalg.norm(fk.positions[0, model.eef_frame] - scenario.goal.position))
         dq = float(np.dot(fk.eef_quats[0], scenario.goal.orientation))
-        if pos_err < cfg.goal_position_tol and 1.0 - dq * dq < ORIENT_GOAL_TOL:
+        if pos_err < GOAL_POSITION_TOL and 1.0 - dq * dq < ORIENT_GOAL_TOL:
             goal_reached = True
 
     states = np.asarray(executed)
@@ -452,7 +453,18 @@ def _load_human_source(entry, base: Path) -> tuple[HumanPrediction, Optional[Rea
     raise InvalidInputError("prediction must be a file path, inline dict, or {'synthesize': ...}")
 
 
+# every top-level key a scenario may hold; any other is rejected, so a
+# misspelled or retired key is never silently ignored
+_SCENARIO_KEYS = frozenset((
+    "schema_version", "robot_model", "start_q", "goal_q", "goal_pose", "gaze_object", "legibility",
+    "nominal", "weights", "mpc", "prediction", "ground_truth", "seed",
+))
+
+
 def scenario_from_dict(data: dict, base: Path) -> Scenario:
+    unknown = set(data) - _SCENARIO_KEYS
+    if unknown:
+        raise InvalidInputError(f"unknown scenario keys: {sorted(unknown)}")
     try:
         model_entry = data["robot_model"]
         model = (
@@ -490,7 +502,6 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
             prediction=prediction,
             nominal=None if nominal in ("derive", None) else nominal,
             ground_truth=ground_truth,
-            solver=SolverConfig.from_dict(data.get("solver", {})),
             synthesis=synthesis,
             seed=data.get("seed", 0),
         )

@@ -9,6 +9,10 @@ loop updates multipliers and the quadratic penalty until the bounds hold.
 Bound constraints use the standard projection form: each bound contributes
 (max(0, lambda + rho c)^2 - lambda^2) / (2 rho) to the objective, where c is
 the signed violation.
+
+The stopping rules and the penalty schedule are fixed module constants:
+_MAX_INNER_ITERS, _MAX_OUTER_ITERS, _COST_TOL, _GRAD_TOL, _CONSTRAINT_TOL,
+_INIT_PENALTY, _PENALTY_SCALE, and the regularization cap _REG_CAP.
 """
 
 from __future__ import annotations
@@ -18,36 +22,21 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, SolverError, integer, number
+from .errors import Fields, InvalidInputError, SolverError
 
 Array = np.ndarray
 
+_MAX_INNER_ITERS = 50  # per outer iteration
+_MAX_OUTER_ITERS = 6
+_COST_TOL = 1e-4  # relative cost change that ends the inner loop
+_GRAD_TOL = 1e-5  # control-gradient infinity norm that ends the inner loop
+_CONSTRAINT_TOL = 1e-4  # bound violation a converged solve stays below
+_INIT_PENALTY = 1.0
+_PENALTY_SCALE = 10.0
 _REG_MIN = 1e-6
+_REG_CAP = 1e6  # a larger shift fails the solve
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
-
-
-@dataclass
-class SolverConfig(Fields):
-    section = "solver"
-
-    max_inner_iters: int = 50
-    max_outer_iters: int = 6
-    cost_tol: float = 1e-4
-    grad_tol: float = 1e-5
-    constraint_tol: float = 1e-4
-    init_penalty: float = 1.0
-    penalty_scale: float = 10.0
-    reg_cap: float = 1e6
-
-    def __post_init__(self):
-        for name in ("max_inner_iters", "max_outer_iters"):
-            self._check(name, integer, 1)
-        for name in ("cost_tol", "grad_tol", "constraint_tol"):
-            self._check(name, number, 0)
-        for name in ("init_penalty", "reg_cap"):
-            self._check(name, number, 0, strict=True)
-        self._check("penalty_scale", number, 1)
 
 
 class TrajectoryCost(Protocol):
@@ -136,9 +125,7 @@ def max_bound_violation(problem: TrajectoryProblem, us: Array) -> float:
     return float(max(0.0, np.max(bound_violations(problem, us))))
 
 
-def al_update(
-    duals: Array, penalty: float, violations: Array, prev_max_violation: float, config: SolverConfig
-) -> tuple[Array, float]:
+def al_update(duals: Array, penalty: float, violations: Array, prev_max_violation: float) -> tuple[Array, float]:
     """First-order multiplier update with conditional penalty growth.
 
     duals' = max(0, duals + penalty * c) per bound; the penalty is scaled up
@@ -149,8 +136,8 @@ def al_update(
         raise InvalidInputError("penalty must be positive")
     duals = np.maximum(0.0, duals + penalty * violations)
     max_viol = float(max(0.0, np.max(violations))) if violations.size else 0.0
-    if max_viol > config.constraint_tol and max_viol > prev_max_violation / 4.0:
-        penalty = penalty * config.penalty_scale
+    if max_viol > _CONSTRAINT_TOL and max_viol > prev_max_violation / 4.0:
+        penalty = penalty * _PENALTY_SCALE
     return duals, penalty
 
 
@@ -210,21 +197,19 @@ def _assemble_derivs(problem, xs, us, duals, penalty) -> _Derivs:
     return _Derivs(gx, gu, hxx, huu)
 
 
-def _bump_reg(reg: float, reg_cap: float, where: str) -> float:
+def _bump_reg(reg: float, where: str) -> float:
     """The next Levenberg-Marquardt shift: 1e-6 from zero, else 10x reg.
 
-    The one regularization schedule of the solver; a shift past reg_cap
+    The one regularization schedule of the solver; a shift past _REG_CAP
     aborts with a SolverError saying `where` it was needed.
     """
     reg = _REG_MIN if reg == 0.0 else reg * 10.0
-    if reg > reg_cap:
-        raise SolverError(f"{where}: regularization exceeded cap {reg_cap:g}")
+    if reg > _REG_CAP:
+        raise SolverError(f"{where}: regularization exceeded cap {_REG_CAP:g}")
     return reg
 
 
-def backward_pass(
-    problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0, reg_cap: float = SolverConfig.reg_cap
-) -> BackwardPassResult:
+def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0) -> BackwardPassResult:
     """Riccati-style sweep producing affine feedback gains from the cost
     derivatives along the current iterate.
 
@@ -268,7 +253,7 @@ def backward_pass(
             qu, k = q[:, :, 0], kK[:, :, 0]
             decrease = max(0.0, -0.5 * float(np.sum(qu * k)))
             return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.max(np.abs(qu))), reg)
-        reg = _bump_reg(reg, reg_cap, "backward pass: the local model cannot be made positive definite")
+        reg = _bump_reg(reg, "backward pass: the local model cannot be made positive definite")
 
 
 def forward_pass(
@@ -317,7 +302,7 @@ def forward_pass(
 # outer solve
 
 
-def solve(problem: TrajectoryProblem, initial_controls: Array, config: SolverConfig) -> SolveResult:
+def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     """AL-iLQR solve of the fixed-horizon problem from the warm start
     initial_controls, shape (n_knots - 1, n_dims); the planning loop picks it.
 
@@ -341,7 +326,7 @@ def solve(problem: TrajectoryProblem, initial_controls: Array, config: SolverCon
         raise SolverError(f"warm start has non-finite cost {cost}")
 
     duals = np.zeros((2, M, n))
-    penalty = config.init_penalty
+    penalty = _INIT_PENALTY
     reg = 0.0
     total_iters = 0
     outer_done = 0
@@ -349,20 +334,20 @@ def solve(problem: TrajectoryProblem, initial_controls: Array, config: SolverCon
     converged = False
     grad_inf = np.inf
 
-    for _ in range(config.max_outer_iters):
+    for _ in range(_MAX_OUTER_ITERS):
         outer_done += 1
         J = _al_objective(problem, cost, us, duals, penalty)
         inner_converged = False
         derivs = None
-        for _ in range(config.max_inner_iters):
+        for _ in range(_MAX_INNER_ITERS):
             total_iters += 1
             if derivs is None:
                 derivs = _assemble_derivs(problem, xs, us, duals, penalty)
             # reg goes by keyword: perfbench's tracer reads the shift a pass started from
-            bp = backward_pass(problem, derivs, reg=reg, reg_cap=config.reg_cap)
+            bp = backward_pass(problem, derivs, reg=reg)
             reg = bp.reg_used
             grad_inf = bp.grad_inf
-            if bp.grad_inf < config.grad_tol:
+            if bp.grad_inf < _GRAD_TOL:
                 inner_converged = True
                 break
             fp = forward_pass(problem, xs, us, bp, duals, penalty, J)
@@ -374,17 +359,17 @@ def solve(problem: TrajectoryProblem, initial_controls: Array, config: SolverCon
                     reg = 0.0 if reg <= _REG_MIN else reg / 10.0
                 else:
                     # deep backtracking means the local model overshoots
-                    reg = _bump_reg(reg, config.reg_cap, f"line search backtracked to step {fp.step_length:g}")
-                if abs(dJ) / max(1.0, abs(J)) < config.cost_tol:
+                    reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
+                if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
                     inner_converged = True
                     break
             else:
-                reg = _bump_reg(reg, config.reg_cap, f"line search stalled at cost {J:.6g}")
+                reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
         viol = max_bound_violation(problem, us)
-        if inner_converged and viol < config.constraint_tol:
+        if inner_converged and viol < _CONSTRAINT_TOL:
             converged = True
             break
-        duals, penalty = al_update(duals, penalty, bound_violations(problem, us), prev_viol, config)
+        duals, penalty = al_update(duals, penalty, bound_violations(problem, us), prev_viol)
         prev_viol = viol
 
     return SolveResult(

@@ -7,7 +7,6 @@ from anticip_mpc import (
     KnotCostEvaluator,
     LegibilityContext,
     RobotModel,
-    SolverConfig,
     TrajectoryProblem,
     backward_pass,
     default_robot_model,
@@ -15,7 +14,7 @@ from anticip_mpc import (
     solve,
 )
 from anticip_mpc.kinematics import fk_batch
-from anticip_mpc.solver import _al_objective, _assemble_derivs
+from anticip_mpc.solver import _INIT_PENALTY, _al_objective, _assemble_derivs
 
 from oracles import HumanJointGaussian, KnotContext, stack_contexts
 
@@ -146,15 +145,14 @@ def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contex
     )
 
 
-def solve_default(problem: TrajectoryProblem, initial_controls=None, config=None):
-    """solve from initial_controls, zero controls unless given, with config,
-    the default SolverConfig unless given."""
+def solve_default(problem: TrajectoryProblem, initial_controls=None):
+    """solve from initial_controls, zero controls unless given."""
     if initial_controls is None:
         initial_controls = np.zeros((problem.n_knots - 1, problem.n_dims))
-    return solve(problem, initial_controls, config or SolverConfig())
+    return solve(problem, initial_controls)
 
 
-def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=SolverConfig().init_penalty, **options):
+def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=_INIT_PENALTY, **options):
     """backward_pass at (xs, us): the derivatives it takes are assembled here,
     with zero multipliers and the solver's initial penalty unless given."""
     duals = np.zeros((2,) + us.shape) if duals is None else duals
@@ -162,7 +160,7 @@ def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=SolverConfi
 
 
 def forward(
-    problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=SolverConfig().init_penalty, incumbent_cost=None
+    problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=_INIT_PENALTY, incumbent_cost=None
 ):
     """forward_pass from (xs, us), scoring the incumbent here unless its
     augmented cost is given; zero multipliers and the solver's initial

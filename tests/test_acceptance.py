@@ -168,7 +168,7 @@ def test_degenerate_mpc_equivalence():
     problem = build_problem(scenario, 0.0, scenario.mpc.task_steps + 1, scenario.start_q)
     cfg, model = scenario.mpc, scenario.model
     warm = linear_warm_start(scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt, model.vel_lower, model.vel_upper)
-    result = solve(problem, warm, scenario.solver)
+    result = solve(problem, warm)
     assert len(trace.replans) == 1
     assert np.array_equal(trace.states, result.states)
     assert np.array_equal(trace.replans[0].result.controls, result.controls)

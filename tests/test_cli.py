@@ -12,8 +12,7 @@ import pytest
 
 from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, main
 from anticip_mpc.costs import CostWeights
-from anticip_mpc.mpc import ExecutionTrace, MpcConfig, load_scenario
-from anticip_mpc.solver import SolverConfig
+from anticip_mpc.mpc import _SCENARIO_KEYS, ExecutionTrace, MpcConfig, load_scenario
 
 
 def run_cli(*argv) -> int:
@@ -27,6 +26,13 @@ def workspace(tmp_path_factory):
     code = run_cli("gen-scenario", "--out", out, "--seed", 7, "--duration", "2.0")
     assert code == EXIT_OK
     return out
+
+
+def one_replan_overlay(directory: Path) -> Path:
+    """An overlay that makes the workspace's 2 s task one replan, as `plan` runs it."""
+    config = directory / "one_replan.json"
+    config.write_text(json.dumps({"mpc": {"horizon": 2.0, "replan_period": 2.0}}))
+    return config
 
 
 def strip_timing(data: dict) -> dict:
@@ -44,6 +50,7 @@ class TestGenScenario:
             assert run_cli("gen-scenario", "--out", tmp_path / sub, "--seed", 3) == EXIT_OK
         for name in ("scenario.json", "prediction.json", "robot.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert json.loads((tmp_path / "a" / "scenario.json").read_text())["robot_model"] == "robot.json"
 
     def test_zero_duration_rejected(self, tmp_path):
         assert run_cli("gen-scenario", "--out", tmp_path, "--duration", "0") == EXIT_INVALID_INPUT
@@ -108,12 +115,13 @@ class TestGenScenario:
         assert not (tmp_path / "scenario.json").exists()
 
     def test_failing_overlay_writes_no_scenario(self, tmp_path, capsys):
+        """The overlay is checked before any file is written, robot.json too."""
         config = tmp_path / "overlay.json"
         config.write_text(json.dumps({"ground_truth": {"synthesize": {"dt": "fast"}}}))
-        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
+        out = tmp_path / "out"
+        assert run_cli("gen-scenario", "--out", out, "--config", config) == EXIT_INVALID_INPUT
         assert "reach dt" in capsys.readouterr().err
-        assert not (tmp_path / "scenario.json").exists()
-        assert not (tmp_path / "prediction.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())
@@ -140,10 +148,8 @@ class TestPlan:
         plan_out, sim_out = tmp_path / "plan", tmp_path / "sim"
         scenario = workspace / "scenario.json"
         assert run_cli("plan", "--scenario", scenario, "--out", plan_out) == EXIT_OK
-        assert run_cli(
-            "simulate", "--scenario", scenario, "--out", sim_out,
-            "--horizon", 2.0, "--replan", 2.0,
-        ) == EXIT_OK
+        config = one_replan_overlay(tmp_path)
+        assert run_cli("simulate", "--scenario", scenario, "--config", config, "--out", sim_out) == EXIT_OK
         assert (plan_out / "plan.csv").read_bytes() == (sim_out / "trace.csv").read_bytes()
         trace = json.loads((sim_out / "trace.json").read_text())
         plan = json.loads((plan_out / "plan.json").read_text())
@@ -175,11 +181,6 @@ MALFORMED_FIELDS = [
     ("scenario", ["mpc", "dt"], "0.25", "mpc dt"),
     ("scenario", ["gaze_object"], [True, 0.05, 0.30], "gaze_object"),
     ("scenario", ["weights", "w_dist"], True, "w_dist"),
-    ("scenario", ["solver", "cost_tol"], True, "cost_tol"),
-    ("scenario", ["solver", "constraint_tol"], "1e-3", "constraint_tol"),
-    ("scenario", ["solver", "init_penalty"], -1, "init_penalty"),
-    ("scenario", ["solver", "penalty_scale"], 0, "penalty_scale"),
-    ("scenario", ["solver", "reg_cap"], -1, "reg_cap"),
 ]
 
 
@@ -329,6 +330,80 @@ class TestMalformedScenario:
         assert "expected a JSON object, got list" in capsys.readouterr().err
 
 
+# retired and misspelled settings: (overlay, the key the error names)
+REMOVED_SETTINGS = [
+    *(({"solver": {key: value}}, "solver") for key, value in (
+        ("max_inner_iters", 5), ("max_outer_iters", 6), ("cost_tol", 1e-4), ("grad_tol", 1e-5),
+        ("constraint_tol", 1e-4), ("init_penalty", 1.0), ("penalty_scale", 10.0), ("reg_cap", 1e6),
+    )),
+    ({"mpc": {"goal_position_tol": 0.02}}, "goal_position_tol"),
+    ({"mcp": {"dt": 0.25}}, "mcp"),
+    ({"solvr": {}}, "solvr"),
+]
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize(
+        "overlay, key", REMOVED_SETTINGS, ids=[json.dumps(overlay) for overlay, _ in REMOVED_SETTINGS]
+    )
+    def test_overlay_exits_invalid_input_naming_the_key(self, workspace, tmp_path, capsys, overlay, key):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path)
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, named", [("solver", "max_inner_iters", "solver"), ("mpc", "goal_position_tol", "goal_position_tol")]
+    )
+    def test_old_scenario_file_exits_invalid_input(self, workspace, tmp_path, capsys, section, key, named):
+        data = json.loads((workspace / "scenario.json").read_text())
+        data["robot_model"] = str(workspace / "robot.json")
+        data.setdefault(section, {})[key] = 5
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert run_cli("simulate", "--scenario", scenario, "--out", tmp_path / "sim") == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("plan", "--seed", 1), ("simulate", "--seed", 5), ("simulate", "--horizon", 2.0),
+         ("simulate", "--replan", 2.0), ("eval", "--config", "x.json")],
+    )
+    def test_removed_flag_exits_invalid_input(self, workspace, traces, tmp_path, capsys, command, flag, value):
+        inputs = [traces[0]] if command == "eval" else ["--scenario", workspace / "scenario.json"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *inputs, flag, value, "--out", tmp_path)
+        assert exc.value.code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
+
+class TestManifestSeed:
+    """A manifest records the seed the run drew from: the scenario's, or each trace's."""
+
+    def test_plan_records_the_scenario_seed(self, workspace, tmp_path):
+        out = tmp_path / "plan"
+        assert run_cli("plan", "--scenario", workspace / "scenario.json", "--out", out) == EXIT_OK
+        assert json.loads((out / "plan_manifest.json").read_text())["seed"] == 7
+
+    def test_simulate_and_eval_record_the_trace_seeds(self, workspace, traces, tmp_path):
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": 11}))
+        sim_out, eval_out = tmp_path / "sim", tmp_path / "eval"
+        scenario = workspace / "scenario.json"
+        assert run_cli("simulate", "--scenario", scenario, "--config", config, "--out", sim_out) == EXIT_OK
+        assert json.loads((sim_out / "simulate_manifest.json").read_text())["seed"] == 11
+        assert run_cli("eval", sim_out / "trace.json", traces[0], "--out", eval_out) == EXIT_OK
+        assert json.loads((eval_out / "eval_manifest.json").read_text())["seed"] == [11, 7]
+
+
 class TestSimulate:
     def test_replan_records(self, workspace, tmp_path):
         out = tmp_path / "sim"
@@ -351,9 +426,8 @@ class TestSimulate:
         sim_out = tmp_path / "sim"
         scenario = workspace / "scenario.json"
         assert run_cli("plan", "--scenario", scenario, "--out", plan_out) == EXIT_OK
-        assert run_cli(
-            "simulate", "--scenario", scenario, "--out", sim_out, "--horizon", 2.0, "--replan", 2.0
-        ) == EXIT_OK
+        config = one_replan_overlay(tmp_path)
+        assert run_cli("simulate", "--scenario", scenario, "--config", config, "--out", sim_out) == EXIT_OK
         plan = json.loads((plan_out / "plan.json").read_text())
         trace = ExecutionTrace.load_json(sim_out / "trace.json")
         assert np.array_equal(trace.states, np.asarray(plan["states"]))
@@ -524,9 +598,9 @@ class TestTopLevel:
     def test_schema_config_keys_match_dataclass_fields(self, capsys):
         assert run_cli("--schema") == EXIT_OK
         scenario = json.loads(capsys.readouterr().out)["scenario"]
-        for key, cls in (("weights", CostWeights), ("mpc", MpcConfig), ("solver", SolverConfig)):
+        for key, cls in (("weights", CostWeights), ("mpc", MpcConfig)):
             assert set(scenario[key]) == {f.name for f in dataclasses.fields(cls)}, key
-        assert "reg_cap" in scenario["solver"]
+        assert set(scenario) | {"schema_version"} == _SCENARIO_KEYS
 
     def test_no_command_shows_help(self, capsys):
         assert run_cli() == EXIT_INVALID_INPUT

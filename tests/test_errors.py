@@ -201,20 +201,27 @@ MALFORMED = [
     -1, -2.5, 0.5, 1.5, [], [0.0, 1.0], [[1.0, 2.0]],
 ]
 
+# top-level keys no scenario holds: retired sections and misspellings
+UNKNOWN_SCENARIO_KEYS = ["solver", "mcp", "solvr", "wieghts", "goal_position_tol"]
+
 
 @st.composite
 def mutated_input(draw):
-    """A loader name and its valid input with one field, possibly nested,
-    replaced by a malformed value."""
+    """A loader name, its valid input with one field, possibly nested,
+    replaced by a malformed value, and whether loading must fail: a scenario
+    may instead gain an unknown top-level key, which is always rejected."""
     name = draw(st.sampled_from(sorted(LOADERS)))
     data = copy.deepcopy(LOADERS[name][0])
+    if name == "scenario" and draw(st.booleans()):
+        data[draw(st.sampled_from(UNKNOWN_SCENARIO_KEYS))] = draw(st.sampled_from(MALFORMED + [{}]))
+        return name, data, True
     node = data
     key = draw(st.sampled_from(list(node)))
     while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
         node = node[key]
         key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
     node[key] = draw(st.sampled_from(MALFORMED))
-    return name, data
+    return name, data, False
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
@@ -222,9 +229,11 @@ def mutated_input(draw):
 @given(mutated_input())
 def test_malformed_field_loads_or_raises_invalid_input(case):
     """Loading either succeeds or raises InvalidInputError; any other
-    exception would reach the user as a traceback."""
-    name, data = case
+    exception would reach the user as a traceback. An unknown scenario key
+    never loads."""
+    name, data, must_fail = case
     try:
         LOADERS[name][1](data)
     except InvalidInputError:
-        pass
+        return
+    assert not must_fail, f"{name} loaded with an unknown key"

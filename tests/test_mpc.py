@@ -16,6 +16,7 @@ from anticip_mpc import (
 from anticip_mpc.cli import default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, model_to_dict
 from anticip_mpc.errors import read_json
+import anticip_mpc.mpc as mpc_module
 from anticip_mpc.mpc import (
     ExecutionTrace,
     Scenario,
@@ -115,8 +116,9 @@ class TestMpcConfig:
 
 
 class TestRunMpc:
-    def test_replan_count_when_goal_never_met(self):
-        scenario = make_scenario(seed=0, mpc={"goal_position_tol": 1e-9})
+    def test_replan_count_when_goal_never_met(self, monkeypatch):
+        monkeypatch.setattr(mpc_module, "GOAL_POSITION_TOL", 1e-9)
+        scenario = make_scenario(seed=0)
         trace = run_mpc(scenario)
         assert len(trace.replans) == int(np.ceil(5.0 / 0.5)) == 10
         assert len(trace.times) == 21
@@ -161,7 +163,7 @@ class TestRunMpc:
         warm = linear_warm_start(
             scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt, model.vel_lower, model.vel_upper
         )
-        result = solve(problem, warm, scenario.solver)
+        result = solve(problem, warm)
         assert len(trace.replans) == 1
         assert np.array_equal(trace.states, result.states)
         assert np.array_equal(trace.replans[0].result.controls, result.controls)

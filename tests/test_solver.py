@@ -4,7 +4,6 @@ import pytest
 from anticip_mpc import (
     CostWeights,
     InvalidInputError,
-    SolverConfig,
     SolverError,
     TrajectoryProblem,
     al_update,
@@ -13,7 +12,9 @@ from anticip_mpc import (
     rollout,
     solve,
 )
+import anticip_mpc.solver as solver_module
 from anticip_mpc.solver import (
+    _INIT_PENALTY,
     BackwardPassResult,
     _al_objective,
     _assemble_derivs,
@@ -155,7 +156,7 @@ class TestRiccatiOracle:
 
 class TestRiccatiFullForm:
     @staticmethod
-    def assert_matches_full_form(problem, xs, us, duals=None, penalty=SolverConfig().init_penalty):
+    def assert_matches_full_form(problem, xs, us, duals=None, penalty=_INIT_PENALTY):
         derivs = _assemble_derivs(problem, xs, us, np.zeros((2,) + us.shape) if duals is None else duals, penalty)
         bp = backward_pass(problem, derivs)
         k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs)
@@ -253,7 +254,7 @@ class TestBatchedLineSearch:
             us = rng.uniform(-1, 1, (M, n))
             xs = rollout(problem, us)
             duals = rng.uniform(0, 1, (2, M, n)) * (rng.uniform() < 0.5)
-            penalty = SolverConfig().init_penalty * float(rng.choice([1.0, 10.0]))
+            penalty = _INIT_PENALTY * float(rng.choice([1.0, 10.0]))
             bp = backward(problem, xs, us, duals, penalty)
             assert_matches_loop(problem, xs, us, bp, duals, penalty)
 
@@ -280,7 +281,7 @@ class TestBatchedLineSearch:
         problem = seven_dof_problem(rng, seven_dof, CostWeights(0.5, 0.05, 0.5, 1.0, 0.0, 1.0))
         # unbounded controls keep the bound terms at zero for these huge steps
         problem.u_lower, problem.u_upper = np.full(7, -np.inf), np.full(7, np.inf)
-        penalty = SolverConfig().init_penalty
+        penalty = _INIT_PENALTY
         us = np.zeros((5, 7))
         xs = rollout(problem, us)
         duals = np.zeros((2, 5, 7))
@@ -305,7 +306,7 @@ class TestMonotonicity:
         weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
         contexts = random_contexts(rng, seven_dof, rng.uniform(-0.5, 0.5, (5, 7)), weights=weights, goal_index=0)
         problem = problem_from_contexts(seven_dof, 5, 0.25, np.zeros(7), contexts)
-        penalty = SolverConfig().init_penalty  # the iterates leave the lower bounds
+        penalty = _INIT_PENALTY  # the iterates leave the lower bounds
         us = np.zeros((4, 7))
         xs = rollout(problem, us)
         costs = [problem.cost.value(xs, us)]
@@ -322,35 +323,35 @@ class TestMonotonicity:
 class TestAlUpdate:
     def test_zero_violations_leave_duals_and_penalty(self):
         duals = np.full((2, 3, 2), 0.7)
-        new_duals, penalty = al_update(duals, 2.0, np.zeros((2, 3, 2)), 0.0, SolverConfig())
+        new_duals, penalty = al_update(duals, 2.0, np.zeros((2, 3, 2)), 0.0)
         assert np.array_equal(new_duals, duals)
         assert penalty == 2.0
 
     def test_dual_update_rule(self):
         duals = np.zeros((2, 1, 1))
         violations = np.full((2, 1, 1), 0.1)
-        new_duals, _ = al_update(duals, 1.0, violations, 0.0, SolverConfig())
+        new_duals, _ = al_update(duals, 1.0, violations, 0.0)
         np.testing.assert_allclose(new_duals, 0.1)
 
     def test_negative_violation_decays_duals(self):
         duals = np.full((2, 1, 1), 0.05)
         violations = np.full((2, 1, 1), -0.2)
-        new_duals, _ = al_update(duals, 1.0, violations, 0.0, SolverConfig())
+        new_duals, _ = al_update(duals, 1.0, violations, 0.0)
         assert np.array_equal(new_duals, np.zeros((2, 1, 1)))
 
     def test_stagnating_violation_scales_penalty(self):
         violations = np.full((2, 1, 1), 0.09)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1, SolverConfig())
+        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1)
         assert penalty == 10.0
 
     def test_fast_shrink_keeps_penalty(self):
         violations = np.full((2, 1, 1), 0.02)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1, SolverConfig())
+        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1)
         assert penalty == 1.0
 
     def test_non_positive_penalty_rejected(self):
         with pytest.raises(InvalidInputError):
-            al_update(np.zeros((2, 1, 1)), 0.0, np.zeros((2, 1, 1)), 0.0, SolverConfig())
+            al_update(np.zeros((2, 1, 1)), 0.0, np.zeros((2, 1, 1)), 0.0)
 
 
 class TestSolve:
@@ -360,7 +361,7 @@ class TestSolve:
         q_goal = rng.uniform(-1, 1, 7)
         problem = problem_from_contexts(seven_dof, 6, 0.25, np.zeros(7), contexts)
         warm = linear_warm_start(problem.x0, q_goal, 5, 0.25, problem.u_lower, problem.u_upper)
-        result = solve(problem, warm, SolverConfig())
+        result = solve(problem, warm)
         assert result.converged
         assert result.iterations <= 1
         assert result.total_cost == 0.0
@@ -390,7 +391,6 @@ class TestSolve:
     def test_scores_each_trajectory_once(self, seven_dof, monkeypatch):
         """The warm start is scored once and every other cost comes from a
         forward pass's batched call; the returned cost is the plan's own."""
-        import anticip_mpc.solver as solver_module
 
         class CountingCost:
             def __init__(self, cost):
@@ -451,20 +451,21 @@ class TestSolve:
         rng = np.random.default_rng(14)
         problem, _ = quadratic_problem(rng, n=2, n_knots=5)
         with pytest.raises(InvalidInputError):
-            solve(problem, np.zeros((2, 2)), SolverConfig())
+            solve(problem, np.zeros((2, 2)))
 
-    def test_iteration_caps_return_best_iterate(self):
+    def test_iteration_caps_return_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(15)
         problem, _ = quadratic_problem(rng, n=2, n_knots=8)
-        config = SolverConfig(max_inner_iters=1, max_outer_iters=1)
-        result = solve_default(problem, config=config)
+        monkeypatch.setattr(solver_module, "_MAX_INNER_ITERS", 1)
+        monkeypatch.setattr(solver_module, "_MAX_OUTER_ITERS", 1)
+        result = solve_default(problem)
         assert not result.converged
         assert result.iterations == 1
         assert_dynamically_feasible(problem, result)
 
 
 class TestRegularizationCap:
-    def test_configured_cap_stops_the_backward_pass(self):
+    def test_configured_cap_stops_the_backward_pass(self, monkeypatch):
         # negative control weight: Q_uu factorizes only with a shift above 2
         n = 2
         problem = TrajectoryProblem(
@@ -478,12 +479,13 @@ class TestRegularizationCap:
         us = np.zeros((4, n))
         xs = rollout(problem, us)
         assert backward(problem, xs, us).reg_used > 2.0  # the default cap allows the shift
+        monkeypatch.setattr(solver_module, "_REG_CAP", 1e-7)
         with pytest.raises(SolverError, match="backward pass"):
-            backward(problem, xs, us, reg_cap=1e-7)
+            backward(problem, xs, us)
         with pytest.raises(SolverError, match="backward pass"):
-            solve_default(problem, config=SolverConfig(reg_cap=1e-7))
+            solve_default(problem)
 
-    def test_deep_backtracking_bump_respects_the_cap(self):
+    def test_deep_backtracking_bump_respects_the_cap(self, monkeypatch):
         # the reported state curvature is 1000x too small, so each Newton step
         # overshoots and the line search accepts only alpha <= 2^-9; every
         # backward pass factorizes without a shift
@@ -501,44 +503,12 @@ class TestRegularizationCap:
             u_upper=np.array([1e4]),
         )
         assert solve_default(problem).converged  # the default cap leaves room for the bumps
+        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)  # below the first shift, 1e-6
         with pytest.raises(SolverError, match="line search backtracked"):
-            solve_default(problem, config=SolverConfig(reg_cap=5e-7))  # below the first shift, 1e-6
+            solve_default(problem)
 
 
 class TestConfigAndHelpers:
-    def test_config_external_keys(self):
-        config = SolverConfig.from_dict(
-            {
-                "max_inner_iters": 50,
-                "max_outer_iters": 6,
-                "cost_tol": 1e-4,
-                "grad_tol": 1e-5,
-                "constraint_tol": 1e-4,
-                "init_penalty": 1.0,
-                "penalty_scale": 10.0,
-            }
-        )
-        assert config == SolverConfig()
-        with pytest.raises(InvalidInputError):
-            SolverConfig.from_dict({"bogus": 1})
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            {"max_inner_iters": "x"},
-            {"max_outer_iters": 2.5},
-            {"max_inner_iters": 0},
-            {"max_outer_iters": True},
-            {"cost_tol": float("nan")},
-            {"grad_tol": "tight"},
-            {"reg_cap": float("inf")},
-            {"penalty_scale": None},
-        ],
-    )
-    def test_config_rejects_malformed_values(self, entry):
-        with pytest.raises(InvalidInputError):
-            SolverConfig.from_dict(entry)
-
     def test_violation_helpers(self):
         rng = np.random.default_rng(16)
         problem, _ = quadratic_problem(rng, n=2, n_knots=4, bounds=1.0)
