@@ -1,7 +1,7 @@
 """Real-time anticipatory motion planning for manipulators near humans.
 
 Weighted human- and task-centric costs (separation, visibility, legibility,
-nominal deviation, smoothness, goal pose) optimized by an augmented-Lagrangian
+nominal deviation, smoothness, goal pose) optimized by a control-limited
 iLQR solver inside a receding-horizon loop, with evaluation metrics and a CLI.
 """
 
@@ -49,7 +49,6 @@ from .prediction import (
 from .solver import (
     SolveResult,
     TrajectoryProblem,
-    al_update,
     backward_pass,
     forward_pass,
     rollout,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .costs import CostWeights
-from .errors import InvalidInputError, SolverError, read_json
+from .errors import SCHEMA_VERSION, InvalidInputError, SolverError, read_json
 from .kinematics import default_robot_model, model_to_dict, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
 from .mpc import (
@@ -34,7 +34,6 @@ from .prediction import save_prediction, synthesize_reach
 
 log = logging.getLogger("anticip_mpc")
 
-SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
@@ -232,19 +231,19 @@ def cmd_eval(args) -> int:
     reports: list[MetricsReport] = []
     seeds = []
     outputs = []
-    for trace_path in args.traces:
+    for i, trace_path in enumerate(args.traces):
         trace = ExecutionTrace.load_json(trace_path)
         seeds.append(trace.seed)
         report = evaluate_trace(
             trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against
         )
         reports.append(report)
-        report_path = out / f"report_{Path(trace_path).stem}.json"
+        report_path = out / f"report_{i}.json"  # by position: simulate names every trace trace.json
         report.save_json(report_path)
         outputs.append(report_path)
 
     csv_path = out / "metrics.csv"
-    rows = [[Path(trace_path).stem] + report.csv_row() for trace_path, report in zip(args.traces, reports)]
+    rows = [[str(trace_path)] + report.csv_row() for trace_path, report in zip(args.traces, reports)]
     if len(reports) > 1:
         vals = np.array([[getattr(r, k) for k in MetricsReport.csv_header] for r in reports])
         rows.append(["mean"] + [f"{v:.6f}" for v in vals.mean(axis=0)])

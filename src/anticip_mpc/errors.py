@@ -22,6 +22,10 @@ _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
+# the version every file the package writes carries, and the only one it reads
+SCHEMA_VERSION = 1
+
+
 class InvalidInputError(ValueError):
     """Raised when user-supplied data violates a documented precondition."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import SCHEMA_VERSION, InvalidInputError
 from .mpc import ExecutionTrace
 
 Array = np.ndarray
@@ -124,7 +124,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "dst": self.dst,
             "vis": self.vis,
             "leg": self.leg,

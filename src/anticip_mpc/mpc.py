@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
-from .errors import Fields, InvalidInputError, boolean, float_array, integer, number, read_json
+from .errors import SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json
 from .kinematics import RobotModel, fk_batch, load_robot_model, model_from_dict
 from .prediction import (
     HumanPrediction,
@@ -158,27 +158,23 @@ def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
     return fk_batch(model, qs).positions[:, model.eef_frame].copy()
 
 
-def linear_warm_start(x0, goal_q, n_controls: int, dt: float, lower, upper) -> Array:
-    """Constant-velocity joint-space line from x0 toward goal_q, clamped: the
-    first replan's warm start."""
+def linear_warm_start(x0, goal_q, n_controls: int, dt: float) -> Array:
+    """Constant-velocity joint-space line from x0 toward goal_q: the first
+    replan's warm start (the solve clips it into the velocity box)."""
     u = (goal_q - x0) / (n_controls * dt)
-    us = np.tile(u, (n_controls, 1))
-    return np.clip(us, lower, upper)
+    return np.tile(u, (n_controls, 1))
 
 
-def warm_start_shift(controls: Array, steps_executed: int, n_controls: int, lower, upper) -> Array:
-    """Shift a previous plan's controls, pad with the final control, clamp."""
+def warm_start_shift(controls: Array, steps_executed: int, n_controls: int) -> Array:
+    """Shift a previous plan's controls and pad with the final control."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if steps_executed < 0 or steps_executed > controls.shape[0]:
         raise InvalidInputError("steps_executed must lie within the previous plan")
     remaining = controls[steps_executed:]
     pad_src = remaining[-1] if len(remaining) else controls[-1]
     if len(remaining) >= n_controls:
-        out = remaining[:n_controls].copy()
-    else:
-        pad = np.tile(pad_src, (n_controls - len(remaining), 1))
-        out = np.vstack([remaining, pad])
-    return np.clip(out, lower, upper)
+        return remaining[:n_controls].copy()
+    return np.vstack([remaining, np.tile(pad_src, (n_controls - len(remaining), 1))])
 
 
 def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> TrajectoryProblem:
@@ -265,12 +261,15 @@ class ExecutionTrace:
         return [r.wall_time for r in self.replans]
 
     def to_dict(self) -> dict:
-        return {**Fields.to_dict(self), "schema_version": 1, "replans": [r.to_dict() for r in self.replans]}
+        replans = [r.to_dict() for r in self.replans]
+        return {**Fields.to_dict(self), "schema_version": SCHEMA_VERSION, "replans": replans}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionTrace":
         def array(name, *shape):  # None: any size, read from the array
             return float_array(data[name], f"trace {name}", shape)
+
+        integer(data.get("schema_version", SCHEMA_VERSION), "trace schema_version", SCHEMA_VERSION, SCHEMA_VERSION)
 
         times = array("times", None)
         T = len(times)
@@ -374,9 +373,9 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         t_plan = time.perf_counter()
         problem = build_problem(scenario, t_now, n_knots, x)
         if prev_controls is None:
-            init = linear_warm_start(x, scenario.goal_q, n_knots - 1, cfg.dt, model.vel_lower, model.vel_upper)
+            init = linear_warm_start(x, scenario.goal_q, n_knots - 1, cfg.dt)
         else:
-            init = warm_start_shift(prev_controls, replan_steps, n_knots - 1, model.vel_lower, model.vel_upper)
+            init = warm_start_shift(prev_controls, replan_steps, n_knots - 1)
         result = solve(problem, init)
         wall = time.perf_counter() - t_plan
         replans.append(ReplanRecord(t_plan=t_now, wall_time=wall, result=result))
@@ -465,6 +464,7 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise InvalidInputError(f"unknown scenario keys: {sorted(unknown)}")
+    integer(data.get("schema_version", SCHEMA_VERSION), "scenario schema_version", SCHEMA_VERSION, SCHEMA_VERSION)
     try:
         model_entry = data["robot_model"]
         model = (

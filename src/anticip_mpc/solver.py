@@ -1,18 +1,20 @@
-"""Augmented-Lagrangian iLQR for fixed-horizon joint-velocity planning.
+"""Control-limited iLQR for fixed-horizon joint-velocity planning.
 
 The problem is a single-integrator chain x_{t+1} = x_t + u_t dt with a fixed
 initial state, per-knot nonlinear costs, and box bounds on the controls. An
 inner iLQR loop (Riccati-style backward pass on local quadratic models plus a
-line-searched forward rollout) minimizes the augmented objective; an outer
-loop updates multipliers and the quadratic penalty until the bounds hold.
+line-searched forward rollout) minimizes the cost; the rollout clamps every
+control into its box, so every iterate is feasible.
 
-Bound constraints use the standard projection form: each bound contributes
-(max(0, lambda + rho c)^2 - lambda^2) / (2 rho) to the objective, where c is
-the signed violation.
+Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
+sits on a bound, and whose descent direction leaves the box, gets no step
+and no feedback, and the free controls solve their own block of Q_uu. While
+some control sits on a bound, the inner loop restarts in a new round, up to
+_MAX_OUTER_ITERS rounds, so a bound the rest of the plan has moved away from
+can be released.
 
-The stopping rules and the penalty schedule are fixed module constants:
-_MAX_INNER_ITERS, _MAX_OUTER_ITERS, _COST_TOL, _GRAD_TOL, _CONSTRAINT_TOL,
-_INIT_PENALTY, _PENALTY_SCALE, and the regularization cap _REG_CAP.
+The stopping rules are fixed module constants: _MAX_INNER_ITERS,
+_MAX_OUTER_ITERS, _COST_TOL, _GRAD_TOL, and the regularization cap _REG_CAP.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ from .errors import Fields, InvalidInputError, SolverError
 
 Array = np.ndarray
 
-_MAX_INNER_ITERS = 50  # per outer iteration
-_MAX_OUTER_ITERS = 6
+_MAX_INNER_ITERS = 50  # per round
+_MAX_OUTER_ITERS = 6  # rounds
 _COST_TOL = 1e-4  # relative cost change that ends the inner loop
-_GRAD_TOL = 1e-5  # control-gradient infinity norm that ends the inner loop
-_CONSTRAINT_TOL = 1e-4  # bound violation a converged solve stays below
-_INIT_PENALTY = 1.0
-_PENALTY_SCALE = 10.0
+_GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the inner loop
 _REG_MIN = 1e-6
 _REG_CAP = 1e6  # a larger shift fails the solve
 _ARMIJO = 1e-4
@@ -113,48 +112,17 @@ def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# augmented-Lagrangian bookkeeping
-
-
-def bound_violations(problem: TrajectoryProblem, us: Array) -> Array:
-    """Signed violations c, shape (..., 2, M, n): [0] = u - upper, [1] = lower - u."""
-    return np.stack([us - problem.u_upper, problem.u_lower - us], axis=-3)
+# bounds
 
 
 def max_bound_violation(problem: TrajectoryProblem, us: Array) -> float:
-    return float(max(0.0, np.max(bound_violations(problem, us))))
+    """How far the worst control lies outside its box; 0 inside."""
+    return float(max(0.0, np.max(us - problem.u_upper), np.max(problem.u_lower - us)))
 
 
-def al_update(duals: Array, penalty: float, violations: Array, prev_max_violation: float) -> tuple[Array, float]:
-    """First-order multiplier update with conditional penalty growth.
-
-    duals' = max(0, duals + penalty * c) per bound; the penalty is scaled up
-    only when the worst violation failed to shrink by at least 4x since the
-    previous outer iteration (and is still above tolerance).
-    """
-    if penalty <= 0:
-        raise InvalidInputError("penalty must be positive")
-    duals = np.maximum(0.0, duals + penalty * violations)
-    max_viol = float(max(0.0, np.max(violations))) if violations.size else 0.0
-    if max_viol > _CONSTRAINT_TOL and max_viol > prev_max_violation / 4.0:
-        penalty = penalty * _PENALTY_SCALE
-    return duals, penalty
-
-
-def _al_objective(problem, cost_value, us: Array, duals: Array, penalty: float):
-    """Augmented objective, penalty > 0, of controls (..., M, n) whose cost is cost_value (...)."""
-    c = bound_violations(problem, us)
-    proj = np.maximum(0.0, duals + penalty * c)
-    return cost_value + np.sum(proj**2 - duals**2, axis=(-3, -2, -1)) / (2.0 * penalty)
-
-
-def _al_control_terms(problem, us: Array, duals: Array, penalty: float) -> tuple[Array, Array]:
-    """Gradient (M, n) and diagonal curvature (M, n) of the bound penalty."""
-    c = bound_violations(problem, us)
-    proj = np.maximum(0.0, duals + penalty * c)
-    grad = proj[0] - proj[1]
-    curv = penalty * ((proj[0] > 0).astype(float) + (proj[1] > 0).astype(float))
-    return grad, curv
+def _bound_side(problem: TrajectoryProblem, us: Array) -> Array:
+    """+1 where a control sits on (or past) its upper bound, -1 on its lower, else 0."""
+    return (us >= problem.u_upper) * 1.0 - (us <= problem.u_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +134,7 @@ class BackwardPassResult:
     k: Array  # (M, n) feedforward steps
     K: Array  # (M, n, n) feedback gains
     expected_decrease: float  # model decrease at a full step, >= 0
-    grad_inf: float  # infinity norm of the control gradient along the trajectory
+    grad_inf: float  # infinity norm of the free controls' gradient along the trajectory
     reg_used: float
 
 
@@ -174,10 +142,9 @@ class BackwardPassResult:
 class ForwardPassResult:
     states: Array
     controls: Array
-    cost: float  # augmented objective
+    cost: float
     step_length: float  # 0.0 when no step was accepted
     accepted: bool
-    raw_cost: Optional[float] = None  # cost before the bound penalty; None when no step was accepted
 
 
 @dataclass
@@ -186,15 +153,15 @@ class _Derivs:
     gu: Array
     hxx: Array
     huu: Array
+    side: Array  # (M, n) _bound_side of the controls
+    on_bound: Array  # (M,) some control of the knot sits on a bound
 
 
-def _assemble_derivs(problem, xs, us, duals, penalty) -> _Derivs:
+def _assemble_derivs(problem, xs, us) -> _Derivs:
     gx, hxx = problem.cost.state_derivatives(xs)
     gu, huu = problem.cost.control_derivatives(us)
-    g_al, c_al = _al_control_terms(problem, us, duals, penalty)
-    gu = gu + g_al
-    huu = huu + c_al[:, :, None] * np.eye(problem.n_dims)[None]
-    return _Derivs(gx, gu, hxx, huu)
+    side = _bound_side(problem, us)
+    return _Derivs(gx, gu, hxx, huu, side, np.any(side != 0.0, axis=1))
 
 
 def _bump_reg(reg: float, where: str) -> float:
@@ -216,14 +183,21 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     Q_uu blocks are Levenberg-Marquardt shifted until they factorize: the
     shift starts at the given reg and follows :func:`_bump_reg` per failure.
 
+    A control on a bound whose descent direction -q_u leaves the box is held
+    (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
+    controls solve their own block of Q_uu, and grad_inf is taken over the
+    free controls only. Knots with no control on a bound skip the rule.
+
     k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_ux come from the same shifted Q_uu, so
     the full value update of Tassa, Erez & Todorov (2012) loses its cross
     terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
-    decrease at a full step is -q_u^T k / 2.
+    decrease at a full step is -q_u^T k / 2. Held rows of k and K are zero,
+    so this holds with Q_ux whole.
     """
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
+    eye = np.eye(n)
     # column 0 holds the gradient and columns 1: the curvature, so one solve
     # gives [k | K] and one product updates [v_x | V_xx]
     hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
@@ -232,7 +206,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2))
 
     while True:
-        huu_reg = huu + reg * np.eye(n)
+        huu_reg = huu + reg * eye
         q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
         kK = np.empty((M, n, n + 1))  # [k | K]
         v = hx[-1].copy()  # [v_x | V_xx]
@@ -242,11 +216,19 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
             # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]
             q[t] = gu[t] + dt * v
             quu = huu_reg[t] + dt * dt * v[:, 1:]
+            rhs = q[t]
+            if derivs.on_bound[t]:
+                free = derivs.side[t] * q[t, :, 0] >= 0.0
+                # identity rows and columns decouple the held controls, and
+                # their zero right-hand side gives them zero steps and gains
+                quu = np.where(free[:, None] & free, quu, eye)
+                q[t, :, 0] *= free  # out of the reported gradient
+                rhs = q[t] * free[:, None]
             try:
                 np.linalg.cholesky(quu)  # the positive-definiteness test
             except np.linalg.LinAlgError:
                 break
-            kK[t] = -np.linalg.solve(quu, q[t])
+            kK[t] = -np.linalg.solve(quu, rhs)
             v = hx[t] + v + q[t, :, 1:] @ kK[t]
             v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
         else:
@@ -261,18 +243,17 @@ def forward_pass(
     states: Array,
     controls: Array,
     gains: BackwardPassResult,
-    duals: Array,
-    penalty: float,
     incumbent_cost: float,
 ) -> ForwardPassResult:
     """Line-searched rollout of the affine policy, all step lengths at once.
 
-    Rolls the policy out for every alpha in {1, 1/2, ..., 2^-10} together and
+    Rolls the policy out for every alpha in {1, 1/2, ..., 2^-10} together,
+    clamping each control into its box before it enters the rollout, and
     scores the stack with one cost call. A candidate whose states are not
     finite is scored as the incumbent and never accepted. Returns the largest
     alpha whose actual decrease is at least 1e-4 * alpha * expected_decrease,
     or the incumbent with accepted=False when no step qualifies.
-    incumbent_cost is the augmented objective of (states, controls).
+    incumbent_cost is the cost of (states, controls).
     """
     M = problem.n_knots - 1
     dt = problem.dt
@@ -284,18 +265,18 @@ def forward_pass(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
             u = controls[t] + alphas[:, None] * gains.k[t] + (xs[:, t] - states[t]) @ gains.K[t].T
+            u = np.minimum(np.maximum(u, problem.u_lower), problem.u_upper)  # np.clip dispatches slower
             us[:, t] = u
             xs[:, t + 1] = xs[:, t] + u * dt
     finite = np.all(np.isfinite(xs), axis=(1, 2))
     xs[~finite] = states
     us[~finite] = controls
-    raw = problem.cost.value(xs, us)
-    costs = _al_objective(problem, raw, us, duals, penalty)
+    costs = problem.cost.value(xs, us)
     passed = finite & (incumbent_cost - costs >= _ARMIJO * alphas * gains.expected_decrease)
     if not np.any(passed):
         return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
     i = int(np.argmax(passed))
-    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True, float(raw[i]))
+    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,57 +284,52 @@ def forward_pass(
 
 
 def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
-    """AL-iLQR solve of the fixed-horizon problem from the warm start
-    initial_controls, shape (n_knots - 1, n_dims); the planning loop picks it.
+    """Clamped iLQR solve of the fixed-horizon problem from the warm start
+    initial_controls, shape (n_knots - 1, n_dims), clipped into the box; the
+    planning loop picks it.
 
-    Accepted iterate costs are non-increasing at fixed duals/penalty; on
-    convergence the bound violation is below the constraint tolerance and
-    either the relative cost change or the control gradient is below its
-    tolerance. Hitting the iteration caps returns the best iterate with
-    converged=False. The solve does not time itself; the caller times the
-    replan around it.
+    Every iterate lies inside the bounds and accepted iterate costs are
+    non-increasing. A round ends when the relative cost change or the free
+    controls' gradient falls below its tolerance (converged), or at the
+    inner iteration cap; a new round starts while some control sits on a
+    bound, up to the round cap. converged is that of the last round. The
+    solve does not time itself; the caller times the replan around it.
     """
     M = problem.n_knots - 1
     n = problem.n_dims
 
-    us = np.asarray(initial_controls, dtype=float).copy()
+    us = np.asarray(initial_controls, dtype=float)
     if us.shape != (M, n):
         raise InvalidInputError(f"initial controls must have shape ({M}, {n})")
+    us = np.clip(us, problem.u_lower, problem.u_upper)
     xs = rollout(problem, us)
 
-    cost = problem.cost.value(xs, us)  # of the current iterate, before the bound penalty
-    if not np.isfinite(cost):
-        raise SolverError(f"warm start has non-finite cost {cost}")
+    J = problem.cost.value(xs, us)
+    if not np.isfinite(J):
+        raise SolverError(f"warm start has non-finite cost {J}")
 
-    duals = np.zeros((2, M, n))
-    penalty = _INIT_PENALTY
     reg = 0.0
     total_iters = 0
-    outer_done = 0
-    prev_viol = max_bound_violation(problem, us)  # warm-start baseline for the shrink test
-    converged = False
     grad_inf = np.inf
+    derivs = None
 
-    for _ in range(_MAX_OUTER_ITERS):
-        outer_done += 1
-        J = _al_objective(problem, cost, us, duals, penalty)
-        inner_converged = False
-        derivs = None
+    for rounds in range(1, _MAX_OUTER_ITERS + 1):
+        converged = False
         for _ in range(_MAX_INNER_ITERS):
             total_iters += 1
             if derivs is None:
-                derivs = _assemble_derivs(problem, xs, us, duals, penalty)
+                derivs = _assemble_derivs(problem, xs, us)
             # reg goes by keyword: perfbench's tracer reads the shift a pass started from
             bp = backward_pass(problem, derivs, reg=reg)
             reg = bp.reg_used
             grad_inf = bp.grad_inf
             if bp.grad_inf < _GRAD_TOL:
-                inner_converged = True
+                converged = True
                 break
-            fp = forward_pass(problem, xs, us, bp, duals, penalty, J)
+            fp = forward_pass(problem, xs, us, bp, J)
             if fp.accepted:
                 dJ = J - fp.cost
-                xs, us, J, cost = fp.states, fp.controls, fp.cost, fp.raw_cost
+                xs, us, J = fp.states, fp.controls, fp.cost
                 derivs = None
                 if fp.step_length >= 2.0**-5:
                     reg = 0.0 if reg <= _REG_MIN else reg / 10.0
@@ -361,23 +337,19 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
                     # deep backtracking means the local model overshoots
                     reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
                 if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
-                    inner_converged = True
+                    converged = True
                     break
             else:
                 reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
-        viol = max_bound_violation(problem, us)
-        if inner_converged and viol < _CONSTRAINT_TOL:
-            converged = True
+        if not np.any(_bound_side(problem, us)):
             break
-        duals, penalty = al_update(duals, penalty, bound_violations(problem, us), prev_viol)
-        prev_viol = viol
 
     return SolveResult(
         states=xs,
         controls=us,
-        total_cost=float(cost),
+        total_cost=float(J),
         iterations=total_iters,
-        outer_iterations=outer_done,
+        outer_iterations=rounds,
         converged=converged,
         max_bound_violation=max_bound_violation(problem, us),
         grad_inf=float(grad_inf),

@@ -14,7 +14,7 @@ from anticip_mpc import (
     solve,
 )
 from anticip_mpc.kinematics import fk_batch
-from anticip_mpc.solver import _INIT_PENALTY, _al_objective, _assemble_derivs
+from anticip_mpc.solver import _assemble_derivs
 
 from oracles import HumanJointGaussian, KnotContext, stack_contexts
 
@@ -152,20 +152,14 @@ def solve_default(problem: TrajectoryProblem, initial_controls=None):
     return solve(problem, initial_controls)
 
 
-def backward(problem: TrajectoryProblem, xs, us, duals=None, penalty=_INIT_PENALTY, **options):
-    """backward_pass at (xs, us): the derivatives it takes are assembled here,
-    with zero multipliers and the solver's initial penalty unless given."""
-    duals = np.zeros((2,) + us.shape) if duals is None else duals
-    return backward_pass(problem, _assemble_derivs(problem, xs, us, duals, penalty), **options)
+def backward(problem: TrajectoryProblem, xs, us, **options):
+    """backward_pass at (xs, us): the derivatives it takes are assembled here."""
+    return backward_pass(problem, _assemble_derivs(problem, xs, us), **options)
 
 
-def forward(
-    problem: TrajectoryProblem, xs, us, gains, duals=None, penalty=_INIT_PENALTY, incumbent_cost=None
-):
-    """forward_pass from (xs, us), scoring the incumbent here unless its
-    augmented cost is given; zero multipliers and the solver's initial
-    penalty by default."""
-    duals = np.zeros((2,) + us.shape) if duals is None else duals
+def forward(problem: TrajectoryProblem, xs, us, gains, incumbent_cost=None):
+    """forward_pass from (xs, us), scoring the incumbent here unless its cost
+    is given."""
     if incumbent_cost is None:
-        incumbent_cost = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
-    return forward_pass(problem, xs, us, gains, duals, penalty, incumbent_cost)
+        incumbent_cost = problem.cost.value(xs, us)
+    return forward_pass(problem, xs, us, gains, incumbent_cost)

@@ -38,7 +38,7 @@ from anticip_mpc.costs import (
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR, _check_covariance
-from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, _al_objective
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN
 
 
 @dataclass
@@ -249,10 +249,11 @@ def slice_horizon_loop(pred, t_start, n_knots, dt, hold_growth=1.5):
     return out_means, out_covs
 
 
-def line_search_loop(problem, states, controls, gains, duals, penalty, incumbent_cost):
+def line_search_loop(problem, states, controls, gains, incumbent_cost):
     """Sequential backtracking line search: one rollout and one cost call per
-    step length, from alpha = 1 down, returning the first that passes Armijo
-    as (states, controls, cost, alpha, accepted)."""
+    step length, from alpha = 1 down, each control clamped into its bounds
+    one component at a time, returning the first that passes Armijo as
+    (states, controls, cost, alpha, accepted)."""
     M = problem.n_knots - 1
     for alpha in 2.0 ** -np.arange(_N_ALPHAS):
         xs_new = np.empty_like(states)
@@ -261,12 +262,13 @@ def line_search_loop(problem, states, controls, gains, duals, penalty, incumbent
         xs_new[0] = x
         for t in range(M):
             u = controls[t] + alpha * gains.k[t] + gains.K[t] @ (x - states[t])
+            u = np.array([min(max(ui, lo), hi) for ui, lo, hi in zip(u, problem.u_lower, problem.u_upper)])
             us_new[t] = u
             x = x + u * problem.dt
             xs_new[t + 1] = x
         if not np.all(np.isfinite(xs_new)):
             continue
-        cost_new = _al_objective(problem, problem.cost.value(xs_new, us_new), us_new, duals, penalty)
+        cost_new = problem.cost.value(xs_new, us_new)
         if incumbent_cost - cost_new >= _ARMIJO * alpha * gains.expected_decrease:
             return xs_new, us_new, cost_new, float(alpha), True
     return states, controls, incumbent_cost, 0.0, False
@@ -355,19 +357,23 @@ def state_derivatives_per_term(ev, xs):
     return gx, hxx
 
 
-def backward_pass_full_form(problem, derivs, reg=0.0, reg_cap=1e6):
+def backward_pass_full_form(problem, derivs, us, reg=0.0, reg_cap=1e6):
     """Riccati sweep with the full value update of Tassa, Erez & Todorov 2012:
-    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K,
-    with k and K from two triangular solves on the Cholesky factor of Q_uu.
-    Returns (k, K, expected_decrease, grad_inf, reg) or raises ValueError
-    past reg_cap."""
+    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K.
+
+    A control of us at or past a bound whose gradient q_u pushes it further
+    out is held (Tassa, Mansard & Todorov 2014): its rows of k and K are
+    zero, and the free controls' rows come from two triangular solves on the
+    Cholesky factor of their own block of Q_uu. grad_inf is taken over the
+    free controls. Returns (k, K, expected_decrease, grad_inf, reg) or raises
+    ValueError past reg_cap."""
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
     eye = np.eye(n)
     while True:
-        k = np.empty((M, n))
-        K = np.empty((M, n, n))
+        k = np.zeros((M, n))
+        K = np.zeros((M, n, n))
         vx = derivs.gx[-1].copy()
         vxx = derivs.hxx[-1].copy()
         d1 = d2 = grad_inf = 0.0
@@ -378,17 +384,25 @@ def backward_pass_full_form(problem, derivs, reg=0.0, reg_cap=1e6):
             qxx = derivs.hxx[t] + vxx
             qux = dt * vxx
             quu = derivs.huu[t] + dt * dt * vxx + reg * eye
-            try:
-                chol = np.linalg.cholesky(0.5 * (quu + quu.T))
-            except np.linalg.LinAlgError:
-                failed = True
-                break
-            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, np.column_stack([qu, qux])))
-            k[t] = -sol[:, 0]
-            K[t] = -sol[:, 1:]
+            held = [
+                (us[t, i] >= problem.u_upper[i] and qu[i] < 0.0) or (us[t, i] <= problem.u_lower[i] and qu[i] > 0.0)
+                for i in range(n)
+            ]
+            free = [i for i in range(n) if not held[i]]
+            if free:
+                quu_ff = quu[np.ix_(free, free)]
+                try:
+                    chol = np.linalg.cholesky(0.5 * (quu_ff + quu_ff.T))
+                except np.linalg.LinAlgError:
+                    failed = True
+                    break
+                rhs = np.column_stack([qu[free], qux[free]])
+                sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+                k[t, free] = -sol[:, 0]
+                K[t, free] = -sol[:, 1:]
+                grad_inf = max(grad_inf, float(np.max(np.abs(qu[free]))))
             d1 += float(qu @ k[t])
             d2 += float(k[t] @ quu @ k[t])
-            grad_inf = max(grad_inf, float(np.max(np.abs(qu))))
             vx = qx + K[t].T @ quu @ k[t] + K[t].T @ qu + qux.T @ k[t]
             vxx = qxx + K[t].T @ quu @ K[t] + K[t].T @ qux + qux.T @ K[t]
             vxx = 0.5 * (vxx + vxx.T)

@@ -214,6 +214,18 @@ class TestMalformedScenario:
         assert "Traceback" not in err
         assert "past the prediction's last frame" in err
 
+    @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1"])
+    def test_other_schema_version_exits_invalid_input(self, workspace, tmp_path, capsys, version):
+        # True == 1 and 1.0 == 1 in Python, so the version is checked as an integer
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"schema_version": version}))
+        code = run_cli("plan", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "plan")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "scenario schema_version" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan" / "plan.json").exists()
+
     def test_nan_prediction_mean_exits_invalid_input(self, workspace, tmp_path, capsys):
         data = json.loads((workspace / "prediction.json").read_text())
         data["frames"][2][1]["mean"][0] = float("nan")
@@ -462,6 +474,20 @@ class TestEval:
         np.testing.assert_allclose(mean_row, per_trace.mean(axis=0), atol=1e-6)
         np.testing.assert_allclose(std_row, per_trace.std(axis=0, ddof=1), atol=1e-6)
 
+    def test_same_named_traces_keep_their_own_reports(self, traces, tmp_path):
+        # every simulate run writes trace.json, so the reports go by position
+        assert len({Path(t).name for t in traces}) == 1
+        out = tmp_path / "eval"
+        assert run_cli("eval", traces[0], traces[1], "--out", out) == EXIT_OK
+        rows = list(csv.reader((out / "metrics.csv").open()))
+        assert [row[0] for row in rows[1:3]] == [str(traces[0]), str(traces[1])]
+        for i, trace in enumerate(traces[:2]):
+            assert run_cli("eval", trace, "--out", tmp_path / f"single{i}") == EXIT_OK
+            single = json.loads((tmp_path / f"single{i}" / "report_0.json").read_text())
+            assert json.loads((out / f"report_{i}.json").read_text()) == single
+        assert (out / "report_0.json").read_text() != (out / "report_1.json").read_text()
+        assert not (out / "report_2.json").exists()
+
     def test_far_human_scores_full_separation(self, workspace, tmp_path):
         config = tmp_path / "far.json"
         rest = (np.array([[1.1, 0, 0.55], [1.1, 0, 0.3], [1.15, 0, 0.05], [0.95, 0.3, 0.25], [0.95, -0.3, 0.25]]) + 50.0).tolist()
@@ -476,7 +502,7 @@ class TestEval:
         ) == EXIT_OK
         eval_out = tmp_path / "eval"
         assert run_cli("eval", sim_out / "trace.json", "--out", eval_out) == EXIT_OK
-        report = json.loads((eval_out / "report_trace.json").read_text())
+        report = json.loads((eval_out / "report_0.json").read_text())
         assert report["dst"] == 1.0
 
     def test_single_goal_trace_scores_full_legibility(self, workspace, tmp_path):
@@ -487,7 +513,7 @@ class TestEval:
         scenario = workspace / "scenario.json"
         assert run_cli("simulate", "--scenario", scenario, "--config", config, "--out", sim_out) == EXIT_OK
         assert run_cli("eval", sim_out / "trace.json", "--out", eval_out) == EXIT_OK
-        report = json.loads((eval_out / "report_trace.json").read_text())
+        report = json.loads((eval_out / "report_0.json").read_text())
         assert report["leg"] == 1.0
 
     def test_bad_trace_rejected(self, tmp_path):
@@ -502,6 +528,18 @@ class TestEval:
         bad.write_text(json.dumps(data))
         assert run_cli("eval", bad, "--out", tmp_path) == EXIT_INVALID_INPUT
         assert "trace times must be a rectangular array of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [2, 0, True, 1.0])
+    def test_other_schema_version_rejected(self, traces, tmp_path, capsys, version):
+        data = json.loads(traces[0].read_text())
+        assert data["schema_version"] == 1
+        data["schema_version"] = version
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("eval", bad, "--out", tmp_path / "eval") == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "trace schema_version" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("field", ["states", "eef_positions"])
     def test_truncated_per_step_array_rejected(self, traces, tmp_path, capsys, field):

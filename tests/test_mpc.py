@@ -81,22 +81,17 @@ class TestDeriveNominal:
 class TestWarmStartShift:
     def test_zero_shift_is_identity(self):
         controls = np.arange(8.0).reshape(4, 2)
-        out = warm_start_shift(controls, 0, 4, -10, 10)
+        out = warm_start_shift(controls, 0, 4)
         assert np.array_equal(out, controls)
 
     def test_shift_and_pad(self):
         controls = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = warm_start_shift(controls, 2, 4, -10, 10)
+        out = warm_start_shift(controls, 2, 4)
         assert np.array_equal(out, np.array([[3.0], [4.0], [4.0], [4.0]]))
-
-    def test_clamped_into_bounds(self):
-        controls = np.array([[5.0], [-7.0]])
-        out = warm_start_shift(controls, 0, 3, -2.0, 2.0)
-        assert np.all(out <= 2.0) and np.all(out >= -2.0)
 
     def test_shift_beyond_plan_rejected(self):
         with pytest.raises(InvalidInputError):
-            warm_start_shift(np.zeros((2, 1)), 3, 4, -1, 1)
+            warm_start_shift(np.zeros((2, 1)), 3, 4)
 
 
 class TestMpcConfig:
@@ -159,10 +154,8 @@ class TestRunMpc:
         )
         trace = run_mpc(scenario)
         problem = build_problem(scenario, 0.0, scenario.mpc.task_steps + 1, scenario.start_q)
-        cfg, model = scenario.mpc, scenario.model
-        warm = linear_warm_start(
-            scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt, model.vel_lower, model.vel_upper
-        )
+        cfg = scenario.mpc
+        warm = linear_warm_start(scenario.start_q, scenario.goal_q, cfg.task_steps, cfg.dt)
         result = solve(problem, warm)
         assert len(trace.replans) == 1
         assert np.array_equal(trace.states, result.states)
@@ -198,7 +191,7 @@ class TestRunMpc:
     def test_all_replans_converge_on_default_scenario(self, default_trace):
         assert all(r.result.converged for r in default_trace.replans)
         for r in default_trace.replans:
-            assert r.result.max_bound_violation < 1e-4
+            assert r.result.max_bound_violation == 0.0
 
 
 class TestTraceSerialization:

@@ -6,7 +6,6 @@ from anticip_mpc import (
     InvalidInputError,
     SolverError,
     TrajectoryProblem,
-    al_update,
     backward_pass,
     forward_pass,
     rollout,
@@ -14,11 +13,8 @@ from anticip_mpc import (
 )
 import anticip_mpc.solver as solver_module
 from anticip_mpc.solver import (
-    _INIT_PENALTY,
     BackwardPassResult,
-    _al_objective,
     _assemble_derivs,
-    bound_violations,
     max_bound_violation,
 )
 from anticip_mpc.mpc import linear_warm_start
@@ -156,24 +152,50 @@ class TestRiccatiOracle:
 
 class TestRiccatiFullForm:
     @staticmethod
-    def assert_matches_full_form(problem, xs, us, duals=None, penalty=_INIT_PENALTY):
-        derivs = _assemble_derivs(problem, xs, us, np.zeros((2,) + us.shape) if duals is None else duals, penalty)
+    def assert_matches_full_form(problem, xs, us):
+        """The solver's backward pass against the full-form oracle; returns the
+        number of held controls (zero rows of k and K)."""
+        derivs = _assemble_derivs(problem, xs, us)
         bp = backward_pass(problem, derivs)
-        k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs)
+        k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs, us)
         assert bp.reg_used == reg
         for got, ref in ((bp.k, k), (bp.K, K)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
         assert abs(bp.expected_decrease - decrease) <= 1e-10 * decrease
         assert abs(bp.grad_inf - grad_inf) <= 1e-10 * grad_inf
-        return reg
+        held = (bp.k == 0.0) & np.all(bp.K == 0.0, axis=2)
+        assert np.array_equal(held, (k == 0.0) & np.all(K == 0.0, axis=2))
+        return int(np.sum(held))
 
     def test_matches_full_form_on_quadratic_problems(self):
         rng = np.random.default_rng(17)
+        held = [0, 0]  # controls past the box, controls on it
         for i in range(30):
             problem, _ = quadratic_problem(rng, bounds=1.0)
             us = rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims))
-            duals = rng.uniform(0.0, 1.0, (2,) + us.shape) if i % 2 else None
-            self.assert_matches_full_form(problem, rollout(problem, us), us, duals, penalty=(1.0, 10.0)[i % 2])
+            if i % 2:
+                us = np.clip(us, problem.u_lower, problem.u_upper)
+            held[i % 2] += self.assert_matches_full_form(problem, rollout(problem, us), us)
+        assert min(held) > 0  # the hold rule fired both past and on the box
+
+    def test_controls_pushed_out_of_the_box_are_held(self):
+        # the reference runs at 2 rad/s against a 1 rad/s bound, so at the
+        # bound every control's descent direction leaves the box
+        n_knots, dt = 5, 0.25
+        problem = TrajectoryProblem(
+            n_knots=n_knots,
+            dt=dt,
+            x0=np.zeros(1),
+            cost=QuadraticCost(Q=np.eye(1), R=0.1 * np.eye(1), x_ref=(2.0 * dt * np.arange(n_knots))[:, None]),
+            u_lower=np.array([-1.0]),
+            u_upper=np.array([1.0]),
+        )
+        us = np.ones((n_knots - 1, 1))
+        xs = rollout(problem, us)
+        bp = backward(problem, xs, us)
+        assert not np.any(bp.k) and not np.any(bp.K)
+        assert bp.grad_inf == 0.0 and bp.expected_decrease == 0.0
+        assert self.assert_matches_full_form(problem, xs, us) == n_knots - 1
 
     def test_matches_full_form_with_regularization(self):
         # the negative-R problem of TestRegularizationCap: Q_uu needs a shift above 2
@@ -187,7 +209,8 @@ class TestRiccatiFullForm:
             u_upper=10.0 * np.ones(n),
         )
         us = np.zeros((4, n))
-        assert self.assert_matches_full_form(problem, rollout(problem, us), us) > 0.0
+        assert backward(problem, rollout(problem, us), us).reg_used > 0.0
+        self.assert_matches_full_form(problem, rollout(problem, us), us)
 
 
 class TestForwardPass:
@@ -223,15 +246,13 @@ class TestForwardPass:
             assert fp.cost <= incumbent + 1e-12
 
 
-def assert_matches_loop(problem, xs, us, bp, duals, penalty, J=None):
+def assert_matches_loop(problem, xs, us, bp, J=None):
     """Batched forward pass against the one-alpha-at-a-time reference."""
     if J is None:
-        J = _al_objective(problem, problem.cost.value(xs, us), us, duals, penalty)
-    fp = forward_pass(problem, xs, us, bp, duals, penalty, J)
+        J = problem.cost.value(xs, us)
+    fp = forward_pass(problem, xs, us, bp, J)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(
-            problem, xs, us, bp, duals, penalty, J
-        )
+        ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(problem, xs, us, bp, J)
     assert fp.accepted == ref_accepted
     assert fp.step_length == ref_alpha
     np.testing.assert_allclose(fp.states, ref_xs, rtol=1e-12, atol=1e-12)
@@ -248,15 +269,16 @@ def seven_dof_problem(rng, model, weights, n_knots=6):
 class TestBatchedLineSearch:
     def test_matches_loop_on_quadratic_problems(self):
         rng = np.random.default_rng(17)
+        clamped = 0
         for _ in range(30):
             problem, _ = quadratic_problem(rng, bounds=float(rng.uniform(0.3, 2.0)))
             M, n = problem.n_knots - 1, problem.n_dims
             us = rng.uniform(-1, 1, (M, n))
             xs = rollout(problem, us)
-            duals = rng.uniform(0, 1, (2, M, n)) * (rng.uniform() < 0.5)
-            penalty = _INIT_PENALTY * float(rng.choice([1.0, 10.0]))
-            bp = backward(problem, xs, us, duals, penalty)
-            assert_matches_loop(problem, xs, us, bp, duals, penalty)
+            bp = backward(problem, xs, us)
+            fp = assert_matches_loop(problem, xs, us, bp)
+            clamped += int(np.sum((fp.controls == problem.u_lower) | (fp.controls == problem.u_upper)))
+        assert clamped > 0  # candidates were clamped into the box
 
     def test_matches_loop_along_seven_dof_iterations(self, seven_dof):
         rng = np.random.default_rng(18)
@@ -265,10 +287,9 @@ class TestBatchedLineSearch:
             problem = seven_dof_problem(rng, seven_dof, CostWeights(*rng.uniform(0.05, 1.0, 6)))
             us = rng.uniform(-0.5, 0.5, (5, 7))
             xs = rollout(problem, us)
-            duals = np.zeros((2, 5, 7))
             for _ in range(8):
-                bp = backward(problem, xs, us, duals, 1.0)
-                fp = assert_matches_loop(problem, xs, us, bp, duals, 1.0)
+                bp = backward(problem, xs, us)
+                fp = assert_matches_loop(problem, xs, us, bp)
                 accepted_alphas.add(fp.step_length)
                 xs, us = fp.states, fp.controls
         assert len(accepted_alphas) > 1  # the search backtracked at least once
@@ -279,12 +300,10 @@ class TestBatchedLineSearch:
         # through sin and cos, and smoothness is off)
         rng = np.random.default_rng(19)
         problem = seven_dof_problem(rng, seven_dof, CostWeights(0.5, 0.05, 0.5, 1.0, 0.0, 1.0))
-        # unbounded controls keep the bound terms at zero for these huge steps
+        # unbounded controls let these huge steps through the clamp
         problem.u_lower, problem.u_upper = np.full(7, -np.inf), np.full(7, np.inf)
-        penalty = _INIT_PENALTY
         us = np.zeros((5, 7))
         xs = rollout(problem, us)
-        duals = np.zeros((2, 5, 7))
         huge = BackwardPassResult(
             k=np.full((5, 7), 1.5e308), K=np.zeros((5, 7, 7)), expected_decrease=0.0, grad_inf=1.0, reg_used=0.0
         )
@@ -292,66 +311,31 @@ class TestBatchedLineSearch:
             assert not np.all(np.isfinite(rollout(problem, us + huge.k)))
         assert np.all(np.isfinite(rollout(problem, us + 0.5 * huge.k)))
         # an incumbent that every finite candidate beats: the first finite step wins
-        fp = assert_matches_loop(problem, xs, us, huge, duals, penalty, J=1e6)
+        fp = assert_matches_loop(problem, xs, us, huge, J=1e6)
         assert fp.accepted and fp.step_length == 0.5
         # an incumbent no candidate beats: nothing is accepted and the incumbent returns
-        fp = assert_matches_loop(problem, xs, us, huge, duals, penalty, J=-1e6)
+        fp = assert_matches_loop(problem, xs, us, huge, J=-1e6)
         assert not fp.accepted and fp.step_length == 0.0
         assert fp.states is xs and fp.controls is us
 
 
 class TestMonotonicity:
-    def test_accepted_costs_non_increasing_at_fixed_duals(self, seven_dof):
+    def test_accepted_costs_non_increasing(self, seven_dof):
         rng = np.random.default_rng(11)
         weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
         contexts = random_contexts(rng, seven_dof, rng.uniform(-0.5, 0.5, (5, 7)), weights=weights, goal_index=0)
         problem = problem_from_contexts(seven_dof, 5, 0.25, np.zeros(7), contexts)
-        penalty = _INIT_PENALTY  # the iterates leave the lower bounds
         us = np.zeros((4, 7))
         xs = rollout(problem, us)
         costs = [problem.cost.value(xs, us)]
         for _ in range(15):
-            bp = backward(problem, xs, us, penalty=penalty)
-            fp = forward(problem, xs, us, bp, penalty=penalty, incumbent_cost=costs[-1])
+            bp = backward(problem, xs, us)
+            fp = forward(problem, xs, us, bp, incumbent_cost=costs[-1])
             if not fp.accepted:
                 break
             xs, us = fp.states, fp.controls
             costs.append(fp.cost)
         assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
-
-
-class TestAlUpdate:
-    def test_zero_violations_leave_duals_and_penalty(self):
-        duals = np.full((2, 3, 2), 0.7)
-        new_duals, penalty = al_update(duals, 2.0, np.zeros((2, 3, 2)), 0.0)
-        assert np.array_equal(new_duals, duals)
-        assert penalty == 2.0
-
-    def test_dual_update_rule(self):
-        duals = np.zeros((2, 1, 1))
-        violations = np.full((2, 1, 1), 0.1)
-        new_duals, _ = al_update(duals, 1.0, violations, 0.0)
-        np.testing.assert_allclose(new_duals, 0.1)
-
-    def test_negative_violation_decays_duals(self):
-        duals = np.full((2, 1, 1), 0.05)
-        violations = np.full((2, 1, 1), -0.2)
-        new_duals, _ = al_update(duals, 1.0, violations, 0.0)
-        assert np.array_equal(new_duals, np.zeros((2, 1, 1)))
-
-    def test_stagnating_violation_scales_penalty(self):
-        violations = np.full((2, 1, 1), 0.09)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1)
-        assert penalty == 10.0
-
-    def test_fast_shrink_keeps_penalty(self):
-        violations = np.full((2, 1, 1), 0.02)
-        _, penalty = al_update(np.zeros((2, 1, 1)), 1.0, violations, 0.1)
-        assert penalty == 1.0
-
-    def test_non_positive_penalty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            al_update(np.zeros((2, 1, 1)), 0.0, np.zeros((2, 1, 1)), 0.0)
 
 
 class TestSolve:
@@ -360,7 +344,7 @@ class TestSolve:
         contexts = random_contexts(rng, seven_dof, np.zeros((6, 7)), weights=CostWeights(), goal_index=0)
         q_goal = rng.uniform(-1, 1, 7)
         problem = problem_from_contexts(seven_dof, 6, 0.25, np.zeros(7), contexts)
-        warm = linear_warm_start(problem.x0, q_goal, 5, 0.25, problem.u_lower, problem.u_upper)
+        warm = linear_warm_start(problem.x0, q_goal, 5, 0.25)
         result = solve(problem, warm)
         assert result.converged
         assert result.iterations <= 1
@@ -381,9 +365,9 @@ class TestSolve:
         )
         result = solve_default(problem)
         assert result.converged
-        assert np.all(result.controls <= 1.0 + 1e-4)
-        assert np.all(result.controls >= -1.0 - 1e-4)
-        assert result.max_bound_violation < 1e-4
+        assert np.all(result.controls <= 1.0)
+        assert np.all(result.controls >= -1.0)
+        assert result.max_bound_violation == 0.0
         assert_dynamically_feasible(problem, result)
         # the bound genuinely binds
         assert np.max(result.controls) > 0.9
@@ -424,7 +408,7 @@ class TestSolve:
             assert problem.cost.value_calls == 1 + len(forward_passes)
             assert result.total_cost == cost.value(result.states, result.controls)
             outer.append(result.outer_iterations)
-        assert max(outer) > 1  # the stored cost also carries across outer iterations
+        assert max(outer) > 1  # the stored cost also carries across rounds
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(13)
@@ -434,6 +418,24 @@ class TestSolve:
         assert np.array_equal(r1.states, r2.states)
         assert np.array_equal(r1.controls, r2.controls)
         assert r1.iterations == r2.iterations
+
+    def test_clamped_into_bounds(self):
+        # the warm start leaves the box on both sides; the zero-cost solve
+        # returns it clipped
+        problem = TrajectoryProblem(
+            n_knots=4,
+            dt=0.25,
+            x0=np.zeros(1),
+            cost=QuadraticCost(Q=np.zeros((1, 1)), R=np.zeros((1, 1)), x_ref=np.zeros(1)),
+            u_lower=np.array([-2.0]),
+            u_upper=np.array([2.0]),
+        )
+        warm = np.array([[5.0], [-7.0], [0.5]])
+        result = solve(problem, warm)
+        assert np.array_equal(result.controls, [[2.0], [-2.0], [0.5]])
+        assert np.array_equal(result.states, rollout(problem, result.controls))
+        assert result.max_bound_violation == 0.0
+        assert np.array_equal(warm, [[5.0], [-7.0], [0.5]])  # the caller's array is left alone
 
     def test_nonfinite_warm_start_cost_raises(self):
         problem = TrajectoryProblem(
@@ -513,11 +515,9 @@ class TestConfigAndHelpers:
         rng = np.random.default_rng(16)
         problem, _ = quadratic_problem(rng, n=2, n_knots=4, bounds=1.0)
         us = np.array([[1.5, 0.0], [0.0, -1.2], [0.5, 0.5]])
-        c = bound_violations(problem, us)
-        assert c.shape == (2, 3, 2)
-        assert np.isclose(max_bound_violation(problem, us), 0.5)
-        assert np.isclose(c[0, 0, 0], 0.5)  # upper side
-        assert np.isclose(c[1, 1, 1], 0.2)  # lower side
+        assert np.isclose(max_bound_violation(problem, us), 0.5)  # upper side
+        assert np.isclose(max_bound_violation(problem, us[1:]), 0.2)  # lower side
+        assert max_bound_violation(problem, us[2:]) == 0.0  # inside the box
 
     def test_problem_validation(self):
         with pytest.raises(InvalidInputError):
