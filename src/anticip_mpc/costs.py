@@ -100,13 +100,6 @@ class HorizonContext:
     head_index: int
 
 
-def _legibility_logits(eef: Array, goals: Array, start: Array) -> Array:
-    """(..., G) logits ||G - S||^2 - ||G - Q||^2 for end-effector points (..., 3)."""
-    vs = np.sum((goals - start) ** 2, axis=-1)
-    vq = np.sum((goals - eef[..., None, :]) ** 2, axis=-1)
-    return vs - vq
-
-
 class KnotCostEvaluator:
     """Evaluates the knot cost over whole trajectories with batched FK."""
 
@@ -124,11 +117,18 @@ class KnotCostEvaluator:
         # orientation error via <q1,q2>^2 = (tr(R1^T R2) + 1) / 4, no quaternion
         # extraction needed in the hot path
         self.goal_R = quat_to_matrix(horizon.goal.orientation)
+        self.leg_vs = np.sum((self.goals - self.leg_start) ** 2, axis=-1)  # the ||G - S||^2 of each logit
+        a = self.gaze - self.mu[:, head]  # head-to-object gaze rays, (N, 3)
+        na = np.linalg.norm(a, axis=-1, keepdims=True)
+        if self.weights.w_vis > 0 and np.any(na < 1e-9):
+            raise InvalidInputError("degenerate gaze ray: the gazed object coincides with the head")
+        self.gaze_hat = a / np.maximum(na, 1e-9)  # the floor only keeps an unused ray finite
 
         tracked = np.asarray(model.tracked_frames, dtype=int)
         self._jframes = np.concatenate([tracked, [model.eef_frame]])
         self._n_tracked = len(tracked)
         self._tracked = tracked
+        self._scored = (np.empty((0, model.n_joints)), None)  # rows of the last value call, their FK
 
     # -- values ------------------------------------------------------------
 
@@ -137,11 +137,13 @@ class KnotCostEvaluator:
 
         xs has shape (..., N, n) and us (..., N-1, n); the result has the
         leading shape, a scalar for a single (N, n) trajectory. All rows go
-        through one batched FK call.
+        through one batched FK call, kept for :meth:`state_derivatives`.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = np.array(xs, dtype=float)  # a copy, so the kept rows cannot change
         lead = xs.shape[:-1]
-        fk = fk_batch(self.model, xs.reshape(-1, xs.shape[-1]))
+        rows = xs.reshape(-1, xs.shape[-1])
+        fk = fk_batch(self.model, rows)
+        self._scored = (rows, fk)
         positions = fk.positions.reshape(lead + fk.positions.shape[1:])
         knots = self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
         total = np.sum(knots, axis=-1)
@@ -188,18 +190,16 @@ class KnotCostEvaluator:
         """Unit rays from the head to the gazed object and to the end effector,
         the cosine of the gaze angle between them, and the end-effector ray
         length."""
-        a = self.gaze - self.mu[:, self.head_index]  # (N, 3)
         b = p_eef - self.mu[:, self.head_index]
-        na = np.linalg.norm(a, axis=-1)
         nb = np.linalg.norm(b, axis=-1)
-        if np.any(na < 1e-9) or np.any(nb < 1e-9):
-            raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
-        ahat = a / na[:, None]
+        if np.any(nb < 1e-9):
+            raise InvalidInputError("degenerate gaze ray: the end effector coincides with the head")
         bhat = b / nb[..., None]
-        return ahat, bhat, np.clip(np.sum(ahat * bhat, axis=-1), -1.0, 1.0), nb
+        return self.gaze_hat, bhat, np.clip(np.sum(self.gaze_hat * bhat, axis=-1), -1.0, 1.0), nb
 
     def _goal_probs(self, p_eef: Array) -> Array:
-        logits = _legibility_logits(p_eef, self.goals, self.leg_start)
+        # logits ||G - S||^2 - ||G - Q||^2 for end-effector points Q (..., 3)
+        logits = self.leg_vs - np.sum((self.goals - p_eef[..., None, :]) ** 2, axis=-1)
         shifted = logits - np.max(logits, axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / np.sum(e, axis=-1, keepdims=True)
@@ -217,7 +217,7 @@ class KnotCostEvaluator:
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
         w = self.weights
-        fk = fk_batch(self.model, xs)
+        fk = self._fk(xs)
         J = position_jacobians(fk, self._jframes)  # (N, F, 3, n): tracked frames, then the end effector
         F = J.shape[1]
         p_eef = fk.positions[:, self.model.eef_frame]
@@ -278,6 +278,18 @@ class KnotCostEvaluator:
             hxx += w.w_goal * _gauss_newton(g_or, o_val)
 
         return gx, hxx
+
+    def _fk(self, xs: Array) -> BatchFk:
+        """FK of a trajectory (N, n): N rows of the last scored stack holding the
+        same values (the line search's accepted candidate), else one fk_batch call."""
+        rows, fk = self._scored
+        N = len(xs)
+        if len(rows) % N == 0:
+            hit = np.flatnonzero(np.all(rows.reshape(-1, N, rows.shape[1]) == xs, axis=(1, 2)))
+            if len(hit):
+                i = slice(hit[0] * N, hit[0] * N + N)
+                return BatchFk(fk.positions[i], fk.joint_axes_world[i], fk.eef_rotations[i])
+        return fk_batch(self.model, xs)
 
     def _orientation_terms(self, fk: BatchFk) -> tuple[Array, Array]:
         """Orientation error 1 - <q_g, q_eef>^2 and its exact gradient

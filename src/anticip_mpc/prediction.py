@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, float_array, integer, number, read_json
+from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json
 
 Array = np.ndarray
 
@@ -285,8 +285,23 @@ def prediction_from_dict(data: dict) -> HumanPrediction:
         raise InvalidInputError(f"prediction missing required key: {exc}") from exc
     if not isinstance(frames, list) or not frames:
         raise InvalidInputError(f"prediction frames must be a nonempty list, got {frames!r}")
-    H = len(joint_names)
+    means, covs = _frame_arrays(frames, len(joint_names))
+    return HumanPrediction(joint_names, head_index, means, covs, dt, data.get("t0", 0.0))
+
+
+def _frame_arrays(frames: list, H: int) -> tuple[Array, Array]:
+    """Means (T, H, 3) and covariances (T, H, 3, 3), parsed in one pass over Python objects (a
+    bool stays a bool); only if that fails does a per-entry pass run, naming the bad entry."""
     T = len(frames)
+    try:
+        means = np.array([[entry["mean"] for entry in frame] for frame in frames], dtype=object)
+        covs = np.array([[entry["cov"] for entry in frame] for frame in frames], dtype=object)
+        kinds = set(map(type, means.flat)) | set(map(type, covs.flat))
+        numbers = all(issubclass(k, (int, float, np.integer, np.floating)) and k is not bool for k in kinds)
+        if numbers and means.shape == (T, H, 3) and covs.shape == (T, H, 3, 3):
+            return means.astype(float), covs.astype(float)
+    except (KeyError, TypeError, ValueError, OverflowError):  # an int too large for a float
+        pass
     means = np.empty((T, H, 3))
     covs = np.empty((T, H, 3, 3))
     for t, frame in enumerate(frames):
@@ -298,11 +313,11 @@ def prediction_from_dict(data: dict) -> HumanPrediction:
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidInputError(f"frame {t}, joint {h}: {exc}") from exc
             numeric = mean.dtype.kind in "iuf" and cov.dtype.kind in "iuf"
-            if not numeric or mean.shape != (3,) or cov.shape != (3, 3):
+            if not numeric or _holds_bool([entry["mean"], entry["cov"]]) or mean.shape != (3,) or cov.shape != (3, 3):
                 raise InvalidInputError(f"frame {t}, joint {h}: mean must be 3 numbers and cov a 3x3 matrix of numbers")
             means[t, h] = mean
             covs[t, h] = cov
-    return HumanPrediction(joint_names, head_index, means, covs, dt, data.get("t0", 0.0))
+    return means, covs
 
 
 def prediction_to_dict(pred: HumanPrediction) -> dict:

@@ -8,13 +8,13 @@ control into its box, so every iterate is feasible.
 
 Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
 sits on a bound, and whose descent direction leaves the box, gets no step
-and no feedback, and the free controls solve their own block of Q_uu. While
-some control sits on a bound, the inner loop restarts in a new round, up to
-_MAX_OUTER_ITERS rounds, so a bound the rest of the plan has moved away from
-can be released.
+and no feedback, and the free controls solve their own block of Q_uu. The
+backward pass decides afresh at every iteration which controls to hold, so a
+bound the rest of the plan has moved away from is released inside the one
+loop.
 
-The stopping rules are fixed module constants: _MAX_INNER_ITERS,
-_MAX_OUTER_ITERS, _COST_TOL, _GRAD_TOL, and the regularization cap _REG_CAP.
+The stopping rules are fixed module constants: _MAX_INNER_ITERS, _COST_TOL,
+_GRAD_TOL, and the regularization cap _REG_CAP.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .errors import Fields, InvalidInputError, SolverError
 
 Array = np.ndarray
 
-_MAX_INNER_ITERS = 50  # per round
-_MAX_OUTER_ITERS = 6  # rounds
-_COST_TOL = 1e-4  # relative cost change that ends the inner loop
-_GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the inner loop
+_MAX_INNER_ITERS = 50
+_COST_TOL = 1e-4  # relative cost change that ends the solve
+_GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the solve
 _REG_MIN = 1e-6
 _REG_CAP = 1e6  # a larger shift fails the solve
 _ARMIJO = 1e-4
@@ -88,7 +87,7 @@ class SolveResult:
     controls: Array  # (N-1, n)
     total_cost: float
     iterations: int
-    outer_iterations: int
+    outer_iterations: int  # always 1; trace schema v1 carries the field
     converged: bool
     max_bound_violation: float
     grad_inf: float
@@ -120,11 +119,6 @@ def max_bound_violation(problem: TrajectoryProblem, us: Array) -> float:
     return float(max(0.0, np.max(us - problem.u_upper), np.max(problem.u_lower - us)))
 
 
-def _bound_side(problem: TrajectoryProblem, us: Array) -> Array:
-    """+1 where a control sits on (or past) its upper bound, -1 on its lower, else 0."""
-    return (us >= problem.u_upper) * 1.0 - (us <= problem.u_lower)
-
-
 # ---------------------------------------------------------------------------
 # iLQR passes
 
@@ -153,14 +147,14 @@ class _Derivs:
     gu: Array
     hxx: Array
     huu: Array
-    side: Array  # (M, n) _bound_side of the controls
+    side: Array  # (M, n) +1 where a control sits on its upper bound, -1 on its lower, else 0
     on_bound: Array  # (M,) some control of the knot sits on a bound
 
 
 def _assemble_derivs(problem, xs, us) -> _Derivs:
     gx, hxx = problem.cost.state_derivatives(xs)
     gu, huu = problem.cost.control_derivatives(us)
-    side = _bound_side(problem, us)
+    side = (us >= problem.u_upper) * 1.0 - (us <= problem.u_lower)
     return _Derivs(gx, gu, hxx, huu, side, np.any(side != 0.0, axis=1))
 
 
@@ -280,7 +274,7 @@ def forward_pass(
 
 
 # ---------------------------------------------------------------------------
-# outer solve
+# solve
 
 
 def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
@@ -289,11 +283,10 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     planning loop picks it.
 
     Every iterate lies inside the bounds and accepted iterate costs are
-    non-increasing. A round ends when the relative cost change or the free
+    non-increasing. The solve ends when the relative cost change or the free
     controls' gradient falls below its tolerance (converged), or at the
-    inner iteration cap; a new round starts while some control sits on a
-    bound, up to the round cap. converged is that of the last round. The
-    solve does not time itself; the caller times the replan around it.
+    iteration cap. The solve does not time itself; the caller times the
+    replan around it.
     """
     M = problem.n_knots - 1
     n = problem.n_dims
@@ -309,48 +302,40 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
         raise SolverError(f"warm start has non-finite cost {J}")
 
     reg = 0.0
-    total_iters = 0
-    grad_inf = np.inf
     derivs = None
 
-    for rounds in range(1, _MAX_OUTER_ITERS + 1):
-        converged = False
-        for _ in range(_MAX_INNER_ITERS):
-            total_iters += 1
-            if derivs is None:
-                derivs = _assemble_derivs(problem, xs, us)
-            # reg goes by keyword: perfbench's tracer reads the shift a pass started from
-            bp = backward_pass(problem, derivs, reg=reg)
-            reg = bp.reg_used
-            grad_inf = bp.grad_inf
-            if bp.grad_inf < _GRAD_TOL:
-                converged = True
-                break
-            fp = forward_pass(problem, xs, us, bp, J)
-            if fp.accepted:
-                dJ = J - fp.cost
-                xs, us, J = fp.states, fp.controls, fp.cost
-                derivs = None
-                if fp.step_length >= 2.0**-5:
-                    reg = 0.0 if reg <= _REG_MIN else reg / 10.0
-                else:
-                    # deep backtracking means the local model overshoots
-                    reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
-                if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
-                    converged = True
-                    break
-            else:
-                reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
-        if not np.any(_bound_side(problem, us)):
+    for iterations in range(1, _MAX_INNER_ITERS + 1):
+        if derivs is None:
+            derivs = _assemble_derivs(problem, xs, us)
+        # reg goes by keyword: perfbench's tracer reads the shift a pass started from
+        bp = backward_pass(problem, derivs, reg=reg)
+        reg = bp.reg_used
+        converged = bp.grad_inf < _GRAD_TOL
+        if converged:
             break
+        fp = forward_pass(problem, xs, us, bp, J)
+        if fp.accepted:
+            dJ = J - fp.cost
+            xs, us, J = fp.states, fp.controls, fp.cost
+            derivs = None
+            if fp.step_length >= 2.0**-5:
+                reg = 0.0 if reg <= _REG_MIN else reg / 10.0
+            else:
+                # deep backtracking means the local model overshoots
+                reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
+            converged = abs(dJ) / max(1.0, abs(J)) < _COST_TOL
+            if converged:
+                break
+        else:
+            reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
 
     return SolveResult(
         states=xs,
         controls=us,
         total_cost=float(J),
-        iterations=total_iters,
-        outer_iterations=rounds,
-        converged=converged,
+        iterations=iterations,
+        outer_iterations=1,
+        converged=bool(converged),
         max_bound_violation=max_bound_violation(problem, us),
-        grad_inf=float(grad_inf),
+        grad_inf=float(bp.grad_inf),
     )

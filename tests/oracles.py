@@ -33,7 +33,6 @@ from anticip_mpc.costs import (
     HorizonContext,
     KnotCostEvaluator,
     LegibilityContext,
-    _legibility_logits,
 )
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
@@ -559,7 +558,8 @@ def legibility_cost(eef_position, ctx: LegibilityContext) -> float:
 
 def goal_probabilities(eef_position, ctx: LegibilityContext):
     """P(G | position) over all candidate goals; sums to one."""
-    logits = _legibility_logits(eef_position, ctx.goals, ctx.start)
+    # logits ||G - S||^2 - ||G - Q||^2
+    logits = np.sum((ctx.goals - ctx.start) ** 2, axis=-1) - np.sum((ctx.goals - eef_position) ** 2, axis=-1)
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)

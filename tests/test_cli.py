@@ -226,9 +226,17 @@ class TestMalformedScenario:
         assert "Traceback" not in err
         assert not (tmp_path / "plan" / "plan.json").exists()
 
-    def test_nan_prediction_mean_exits_invalid_input(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "mean at frame 2, joint 1 must be finite"),
+            (True, "frame 2, joint 1: mean must be 3 numbers"),
+        ],
+        ids=["nan", "bool"],
+    )
+    def test_bad_prediction_mean_exits_invalid_input(self, workspace, tmp_path, capsys, value, message):
         data = json.loads((workspace / "prediction.json").read_text())
-        data["frames"][2][1]["mean"][0] = float("nan")
+        data["frames"][2][1]["mean"][0] = value
         (tmp_path / "prediction.json").write_text(json.dumps(data))  # NaN as the JSON extension token
         config = tmp_path / "overlay.json"
         config.write_text(json.dumps({"prediction": str(tmp_path / "prediction.json")}))
@@ -236,7 +244,7 @@ class TestMalformedScenario:
         assert code == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "mean at frame 2, joint 1 must be finite" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "overlay",

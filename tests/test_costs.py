@@ -352,6 +352,27 @@ class TestBatchedEvaluator:
         expected = [ev.value(x, u) for x, u in zip(xs, us)]
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
+    def test_derivatives_reuse_the_scored_fk(self, seven_dof, monkeypatch):
+        import anticip_mpc.costs as costs_module
+
+        rng = np.random.default_rng(18)
+        weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
+        qs = rng.uniform(-1.2, 1.2, (5, 7))
+        horizon = stack_contexts(random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0))
+        xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
+        fresh = [KnotCostEvaluator(seven_dof, horizon).state_derivatives(x) for x in (xs[3], xs[4] + 0.1)]
+
+        ev = KnotCostEvaluator(seven_dof, horizon)
+        ev.value(xs)
+        xs[4] += 0.1  # changed after scoring: its kept rows no longer match
+        calls = []
+        fk_batch = costs_module.fk_batch
+        monkeypatch.setattr(costs_module, "fk_batch", lambda *args: calls.append(1) or fk_batch(*args))
+        for x, want, fk_calls in zip((xs[3].copy(), xs[4]), fresh, (0, 1)):
+            gx, hxx = ev.state_derivatives(x)
+            assert len(calls) == fk_calls
+            assert np.array_equal(gx, want[0]) and np.array_equal(hxx, want[1])
+
     def test_exact_orientation_gradient_matches_central_difference(self):
         from anticip_mpc.kinematics import fk_batch
 

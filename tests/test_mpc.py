@@ -398,6 +398,19 @@ def knot_context_problem_cost(scenario, t_start, n_knots):
     return KnotCostEvaluator(scenario.model, stack_contexts(contexts))
 
 
+def test_object_at_head_is_rejected_before_the_solve(monkeypatch):
+    scenario = make_scenario(seed=4)
+    cfg = scenario.mpc
+    means, _ = slice_horizon(scenario.prediction, 0.0, cfg.horizon_knots, cfg.dt)
+    scenario = dataclasses.replace(scenario, gaze_object=means[2, scenario.prediction.head_index])
+    assert scenario.weights.w_vis > 0
+    with pytest.raises(InvalidInputError, match="gazed object coincides with the head"):
+        build_problem(scenario, 0.0, cfg.horizon_knots, scenario.start_q)
+    monkeypatch.setattr(mpc_module, "solve", lambda *args, **kwargs: pytest.fail("a solve started"))
+    with pytest.raises(InvalidInputError, match="gazed object coincides with the head"):
+        run_mpc(scenario)
+
+
 @pytest.mark.parametrize("which", ["reference", "seventeen_joints"])
 def test_build_problem_matches_knot_context_route(which):
     scenario = make_scenario(seed=4) if which == "reference" else seventeen_joint_scenario(seed=4)

@@ -70,13 +70,18 @@ class TestLoading:
             ("mean", [0.1, 0.2], BAD_ENTRY),
             ("mean", [[0.1, 0.2, 0.3]], BAD_ENTRY),
             ("mean", [True, False, True], BAD_ENTRY),
+            # a float array would turn a bool among numbers into 0 or 1
+            ("mean", [True, 0.0, 0.0], BAD_ENTRY),
+            ("cov", [[1.0, False, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], BAD_ENTRY),
+            ("mean", [10**400, 0.0, 0.0], BAD_ENTRY),
             ("cov", 1.0, BAD_ENTRY),
             ("cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], BAD_ENTRY),
             ("cov", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], BAD_ENTRY),
         ],
         ids=[
             "nan_mean", "asymmetric_cov", "non_pd_cov", "infinite_cov", "string_mean", "bool_mean",
-            "scalar_mean", "short_mean", "nested_mean", "bool_vector_mean", "scalar_cov", "2x3_cov", "string_cov",
+            "scalar_mean", "short_mean", "nested_mean", "bool_vector_mean", "bool_among_numbers_mean",
+            "bool_among_numbers_cov", "huge_int_mean", "scalar_cov", "2x3_cov", "string_cov",
         ],
     )
     def test_from_dict_rejects_bad_entry_naming_frame_and_joint(self, field, value, message):
@@ -84,6 +89,14 @@ class TestLoading:
         data["frames"][3][1][field] = value
         with pytest.raises(InvalidInputError, match=message):
             prediction_from_dict(data)
+
+    def test_integer_entries_load_as_floats(self):
+        data = prediction_to_dict(make_prediction())
+        data["frames"][3][1] = {"mean": [0, 1, 0], "cov": np.eye(3, dtype=int).tolist()}
+        pred = prediction_from_dict(data)
+        assert pred.means.dtype == float and pred.covs.dtype == float
+        assert np.array_equal(pred.means[3, 1], [0.0, 1.0, 0.0])
+        assert np.array_equal(pred.covs[3, 1], np.eye(3))
 
     def test_first_bad_covariance_is_named(self):
         data = prediction_to_dict(make_prediction())

@@ -374,7 +374,8 @@ class TestSolve:
 
     def test_scores_each_trajectory_once(self, seven_dof, monkeypatch):
         """The warm start is scored once and every other cost comes from a
-        forward pass's batched call; the returned cost is the plan's own."""
+        forward pass's batched call; the returned cost is the plan's own, and
+        every solve is one loop."""
 
         class CountingCost:
             def __init__(self, cost):
@@ -399,7 +400,6 @@ class TestSolve:
         weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
         problems = [seven_dof_problem(rng, seven_dof, weights) for _ in range(3)]
         problems += [quadratic_problem(rng, bounds=0.3)[0] for _ in range(3)]
-        outer = []
         for problem in problems:
             cost = problem.cost
             problem.cost = CountingCost(cost)
@@ -407,8 +407,62 @@ class TestSolve:
             result = solve_default(problem)
             assert problem.cost.value_calls == 1 + len(forward_passes)
             assert result.total_cost == cost.value(result.states, result.controls)
-            outer.append(result.outer_iterations)
-        assert max(outer) > 1  # the stored cost also carries across rounds
+            assert result.outer_iterations == 1
+
+    def test_one_fk_call_per_cost_call(self, seven_dof, monkeypatch):
+        """The derivatives of every iterate reuse the FK its cost call ran."""
+        import anticip_mpc.costs as costs_module
+
+        calls = {"fk": 0, "value": 0}
+        fk_batch = costs_module.fk_batch
+        value = costs_module.KnotCostEvaluator.value
+
+        def counting_fk(*args):
+            calls["fk"] += 1
+            return fk_batch(*args)
+
+        def counting_value(*args):
+            calls["value"] += 1
+            return value(*args)
+
+        monkeypatch.setattr(costs_module, "fk_batch", counting_fk)
+        monkeypatch.setattr(costs_module.KnotCostEvaluator, "value", counting_value)
+        rng = np.random.default_rng(22)
+        weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
+        for _ in range(3):
+            calls.update(fk=0, value=0)
+            result = solve_default(seven_dof_problem(rng, seven_dof, weights))
+            assert result.iterations > 1
+            assert calls["fk"] == calls["value"]
+
+    def test_held_control_is_released_within_one_loop(self):
+        # the reference ramps at 0.8 rad/s inside a 1 rad/s box. The warm
+        # start puts the last control on its upper bound and the others on
+        # the lower one, so the final state lags the reference and the last
+        # control's descent direction leaves the box: it is held. Once the
+        # earlier controls catch up it must come free, without a restart, and
+        # the solve must land on the unconstrained optimum
+        n_knots, dt = 8, 0.25
+        Q, R = np.eye(1), 0.01 * np.eye(1)
+        x_refs = (0.8 * dt * np.arange(n_knots))[:, None]
+        problem = TrajectoryProblem(
+            n_knots=n_knots,
+            dt=dt,
+            x0=np.zeros(1),
+            cost=QuadraticCost(Q=Q, R=R, x_ref=x_refs),
+            u_lower=np.array([-1.0]),
+            u_upper=np.array([1.0]),
+        )
+        warm = -np.ones((n_knots - 1, 1))
+        warm[-1] = 1.0
+        bp = backward(problem, rollout(problem, warm), warm)
+        assert bp.k[-1, 0] == 0.0 and np.all(bp.K[-1] == 0.0)  # held at the start
+        xs_opt, us_opt, _ = lqr_tracking_solution(Q, R, Q, x_refs, problem.x0, dt)
+        assert np.max(np.abs(us_opt)) < 0.95  # the optimum is interior
+        result = solve(problem, warm)
+        assert result.converged and result.outer_iterations == 1
+        assert np.max(np.abs(result.controls - us_opt)) < 1e-6
+        assert np.max(np.abs(result.states - xs_opt)) < 1e-6
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(13)
@@ -459,7 +513,6 @@ class TestSolve:
         rng = np.random.default_rng(15)
         problem, _ = quadratic_problem(rng, n=2, n_knots=8)
         monkeypatch.setattr(solver_module, "_MAX_INNER_ITERS", 1)
-        monkeypatch.setattr(solver_module, "_MAX_OUTER_ITERS", 1)
         result = solve_default(problem)
         assert not result.converged
         assert result.iterations == 1
