@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SCHEMA_VERSION, InvalidInputError
+from .errors import SCHEMA_VERSION, Fields, InvalidInputError
 from .mpc import ExecutionTrace
 
 Array = np.ndarray
@@ -123,16 +123,7 @@ class MetricsReport:
             raise InvalidInputError("lat must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "dst": self.dst,
-            "vis": self.vis,
-            "leg": self.leg,
-            "nom": self.nom,
-            "lat": self.lat,
-            "per_replan": list(self.per_replan),
-            "config": dict(self.config),
-        }
+        return {"schema_version": SCHEMA_VERSION, **Fields.to_dict(self)}
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")

@@ -337,12 +337,6 @@ def write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _human_means_at(pred: HumanPrediction, n_points: int, dt: float) -> Array:
-    # executed-motion grid starts at t=0 regardless of where the prediction begins
-    means, _ = slice_horizon(pred, max(0.0, pred.t0), n_points, dt)
-    return means
-
-
 def run_mpc(scenario: Scenario) -> ExecutionTrace:
     """Run the receding-horizon loop and return the executed trace.
 
@@ -401,9 +395,12 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     T1 = states.shape[0]
     fk = fk_batch(model, states)
     tracked = fk.positions[:, list(model.tracked_frames)]
-    gt = scenario.ground_truth if scenario.ground_truth is not None else scenario.prediction
-    human_true = _human_means_at(gt, T1, cfg.dt)
-    human_pred = _human_means_at(scenario.prediction, T1, cfg.dt)
+    # the executed-motion grid starts at t=0 wherever a prediction begins
+    human_pred, _ = slice_horizon(scenario.prediction, max(0.0, scenario.prediction.t0), T1, cfg.dt)
+    human_true = human_pred
+    if scenario.ground_truth is not None:
+        gt = scenario.ground_truth
+        human_true, _ = slice_horizon(gt, max(0.0, gt.t0), T1, cfg.dt)
     dists = np.linalg.norm(tracked[:, None, :, :] - human_true[:, :, None, :], axis=-1)
     total_wall = time.perf_counter() - t0_wall
 

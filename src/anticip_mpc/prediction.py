@@ -3,7 +3,9 @@
 A prediction is a per-joint Gaussian (mean + covariance) at each timestep on
 a fixed grid. Predictions normally come from an external pose-prediction
 network via JSON files; :func:`synthesize_reach` produces deterministic
-desk-scale substitutes.
+desk-scale substitutes. A :class:`HumanPrediction` checks and conditions its
+covariances once, at construction, so slicing a horizon only interpolates
+between frames and holds the last one.
 """
 
 from __future__ import annotations
@@ -23,32 +25,33 @@ _EIG_FLOOR = 1e-9
 _HOLD_GROWTH = 1.5  # covariance inflation per grid step held past the last frame
 
 
-def _check_covariance(cov: Array, where: str = "") -> Array:
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
-        raise InvalidInputError(f"covariance{where} must be a finite 3x3 matrix")
-    if np.max(np.abs(cov - cov.T)) > _SYM_TOL:
-        raise InvalidInputError(f"covariance{where} is not symmetric")
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise InvalidInputError(f"covariance{where} is not positive definite") from None
-    return cov
-
-
-def _check_covariances(covs: Array) -> None:
-    """Check a (T, H, 3, 3) stack in one pass: finite, symmetric and
-    positive definite. On failure, name the first bad (frame, joint)."""
-    with np.errstate(invalid="ignore"):
-        asym = np.max(np.abs(covs - np.swapaxes(covs, -1, -2)), initial=0.0)
-    if np.all(np.isfinite(covs)) and asym <= _SYM_TOL:
-        try:
-            np.linalg.cholesky(covs)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    for t, h in np.ndindex(covs.shape[:2]):
-        _check_covariance(covs[t, h], f" at frame {t}, joint {h}")
+def _condition_covariances(covs: Array) -> Array:
+    """Check a (T, H, 3, 3) stack in one pass (finite, symmetric within _SYM_TOL, positive
+    definite), naming the first bad (frame, joint), and return it exactly symmetric with no
+    eigenvalue below _EIG_FLOOR."""
+    finite = np.isfinite(covs).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1)) > _SYM_TOL
+        covs = 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
+        # Gershgorin bound on the least eigenvalue: each diagonal entry less its row's other two
+        flat = covs.reshape(covs.shape[:-2] + (9,))
+        lows = (flat[..., ::4] - np.abs(flat[..., [1, 3, 6]]) - np.abs(flat[..., [2, 5, 7]])).min(axis=-1)
+    unsure = finite & ~(lows >= _EIG_FLOOR)  # eigvalsh decides where the bound does not clear the floor
+    if unsure.any():
+        lows[unsure] = np.linalg.eigvalsh(covs[unsure])[:, 0]
+    bad = ~finite | asym | (lows <= 0)
+    if bad.any():
+        t, h = np.argwhere(bad)[0]
+        where = f"covariance at frame {t}, joint {h}"
+        if not finite[t, h]:
+            raise InvalidInputError(f"{where} must be a finite 3x3 matrix")
+        raise InvalidInputError(f"{where} is {'not symmetric' if asym[t, h] else 'not positive definite'}")
+    low = lows < _EIG_FLOOR
+    if low.any():
+        vals, vecs = np.linalg.eigh(covs[low])
+        c = (vecs * np.maximum(vals, _EIG_FLOOR)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+        covs[low] = 0.5 * c + 0.5 * np.swapaxes(c, -1, -2)
+    return covs
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class HumanPrediction:
         if np.any(bad):
             t, h = np.argwhere(bad)[0]
             raise InvalidInputError(f"mean at frame {t}, joint {h} must be finite")
-        _check_covariances(covs)
+        covs = _condition_covariances(covs)
         means.setflags(write=False)
         covs.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -110,11 +113,13 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
     """Means (n_knots, H, 3) and covariances (n_knots, H, 3, 3) at t_start,
     t_start + dt, ... from a prediction.
 
-    Off-grid times interpolate means and covariances linearly (covariances
-    re-symmetrized and eigenvalue-floored). Times past the last frame hold
-    the last mean and inflate its covariance by 1.5 per overrun grid step
-    (fractional overruns use a fractional exponent); an inflation that
-    overflows is rejected.
+    A knot within 1e-9 grid steps of a frame reads that frame; other times
+    up to the last frame interpolate means and covariances linearly, which
+    keeps the covariances conditioned at construction symmetric and above
+    the eigenvalue floor. Times past the last frame hold the last mean and
+    inflate its covariance by 1.5 per overrun grid step (fractional
+    overruns use a fractional exponent); an inflation that overflows is
+    rejected.
     """
     if n_knots < 1 or dt <= 0:
         raise InvalidInputError("n_knots must be >= 1 and dt > 0")
@@ -123,35 +128,21 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
         raise InvalidInputError(f"t_start={t_start} precedes the prediction start {pred.t0}")
     rel0 = max(rel0, 0.0)  # a start within the tolerance would otherwise index frame -1
     T = pred.n_frames
-    s = rel0 + np.arange(n_knots) * dt / pred.dt  # knot times in grid steps
-    snapped = np.round(s)
-    on_grid = (np.abs(s - snapped) < 1e-9) & (snapped >= 0) & (snapped <= T - 1)
-    held = ~on_grid & (s > T - 1)
-    interp = ~on_grid & ~held
+    raw = rel0 + np.arange(n_knots) * dt / pred.dt  # knot times in grid steps
+    s = np.where(np.abs(raw - np.round(raw)) < 1e-9, np.round(raw), raw)
+    held = s > T - 1
+    i0 = np.floor(s[~held]).astype(int)
+    i1 = np.minimum(i0 + 1, T - 1)
+    w = (s[~held] - i0)[:, None, None]  # 0 on the grid
 
     out_means = np.empty((n_knots,) + pred.means.shape[1:])
     out_covs = np.empty((n_knots,) + pred.covs.shape[1:])
-    idx = snapped[on_grid].astype(int)
-    out_means[on_grid] = pred.means[idx]
-    out_covs[on_grid] = pred.covs[idx]
-
-    if np.any(interp):
-        i0 = np.floor(s[interp]).astype(int)
-        w = (s[interp] - i0)[:, None, None]
-        out_means[interp] = (1 - w) * pred.means[i0] + w * pred.means[i0 + 1]
-        w = w[..., None]
-        c = (1 - w) * pred.covs[i0] + w * pred.covs[i0 + 1]
-        c = 0.5 * (c + np.swapaxes(c, -1, -2))
-        vals, vecs = np.linalg.eigh(c)
-        low = vals[..., 0] < _EIG_FLOOR  # clamp those eigenvalues so every covariance stays PD
-        if np.any(low):
-            vecs = vecs[low]
-            c_low = (vecs * np.maximum(vals[low], _EIG_FLOOR)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
-            c[low] = 0.5 * (c_low + np.swapaxes(c_low, -1, -2))
-        out_covs[interp] = c
+    out_means[~held] = (1 - w) * pred.means[i0] + w * pred.means[i1]
+    w = w[..., None]
+    out_covs[~held] = (1 - w) * pred.covs[i0] + w * pred.covs[i1]
 
     if np.any(held):
-        overrun = s[held] - (T - 1)
+        overrun = raw[held] - (T - 1)
         try:
             factor = np.array([_HOLD_GROWTH**x for x in overrun.tolist()])
             with np.errstate(over="ignore"):

@@ -4,10 +4,10 @@ Deliberately simple and self-contained: the Riccati recursion here shares no
 code with the iLQR solver, and the homogeneous-transform FK chain uses the
 matrix exponential instead of a closed-form rotation. The loop versions of
 vectorized solver, kinematics and prediction code (per-joint FK, np.cross
-Jacobians, one-alpha-at-a-time line search, per-knot and per-joint horizon
-slicing) are kept here as references for the batched forms, as are the
-per-term cost derivative chain and the full-form Riccati value update that the
-solver's hot path simplifies.
+Jacobians, one-alpha-at-a-time line search, per-knot horizon slicing,
+per-matrix covariance conditioning) are kept here as references for the
+batched forms, as are the per-term cost derivative chain and the full-form
+Riccati value update that the solver's hot path simplifies.
 
 The per-knot cost model lives here too: one scalar function per cost term,
 per-knot contexts of per-joint Gaussians (``KnotContext``,
@@ -36,7 +36,7 @@ from anticip_mpc.costs import (
 )
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
-from anticip_mpc.prediction import _EIG_FLOOR, _check_covariance
+from anticip_mpc.prediction import _EIG_FLOOR, HumanPrediction
 from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN
 
 
@@ -212,7 +212,8 @@ def position_jacobians_cross(fk, frames):
 
 
 def floor_pd(cov):
-    """Symmetrize one 3x3 matrix and clamp its eigenvalues so it stays PD."""
+    """Symmetrize one 3x3 matrix and clamp its eigenvalues so it stays PD: the
+    conditioning a HumanPrediction gives each covariance at construction."""
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
     if vals[0] >= _EIG_FLOOR:
@@ -223,9 +224,9 @@ def floor_pd(cov):
 
 
 def slice_horizon_loop(pred, t_start, n_knots, dt, hold_growth=1.5):
-    """Horizon slice one knot and one joint at a time: on-grid knots copy the
-    frame, off-grid knots interpolate and floor each covariance, knots past
-    the last frame hold it and inflate the covariance by hold_growth per step."""
+    """Horizon slice one knot at a time: on-grid knots copy the frame,
+    off-grid knots interpolate it, knots past the last frame hold it and
+    inflate the covariance by hold_growth per step."""
     rel0 = (t_start - pred.t0) / pred.dt
     T, H = pred.n_frames, pred.n_joints
     out_means = np.empty((n_knots, H, 3))
@@ -240,8 +241,7 @@ def slice_horizon_loop(pred, t_start, n_knots, dt, hold_growth=1.5):
             i0 = int(np.floor(s))
             w = s - i0
             out_means[k] = (1 - w) * pred.means[i0] + w * pred.means[i0 + 1]
-            for h in range(H):
-                out_covs[k, h] = floor_pd((1 - w) * pred.covs[i0, h] + w * pred.covs[i0 + 1, h])
+            out_covs[k] = (1 - w) * pred.covs[i0] + w * pred.covs[i0 + 1]
         else:
             out_means[k] = pred.means[-1]
             out_covs[k] = pred.covs[-1] * hold_growth ** (s - (T - 1))
@@ -427,8 +427,10 @@ class HumanJointGaussian:
         mean = np.asarray(self.mean, dtype=float)
         if mean.shape != (3,) or not np.all(np.isfinite(mean)):
             raise InvalidInputError("mean must be a finite 3-vector")
+        # checked and conditioned as a prediction's covariances are
+        pred = HumanPrediction(("joint",), 0, mean[None, None], np.asarray(self.cov, dtype=float)[None, None], 1.0)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _check_covariance(self.cov))
+        object.__setattr__(self, "cov", pred.covs[0, 0])
 
 
 @dataclass(frozen=True)

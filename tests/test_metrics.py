@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from anticip_mpc import InvalidInputError
+from anticip_mpc.errors import SCHEMA_VERSION
 from anticip_mpc.metrics import (
     MetricsReport,
     evaluate_trace,
@@ -251,11 +254,23 @@ class TestEvaluateTrace:
         report = evaluate_trace(trace)
         path = tmp_path / "report.json"
         report.save_json(path)
-        import json
-
         data = json.loads(path.read_text())
         assert set(MetricsReport.csv_header) <= set(data)
         assert data["config"]["threshold"] == 0.2
+
+    def test_report_dict_lists_every_field(self):
+        report = evaluate_trace(make_trace(np.cumsum(np.full((5, 3), 0.05), axis=0)))
+        by_hand = {
+            "schema_version": SCHEMA_VERSION,
+            "dst": report.dst,
+            "vis": report.vis,
+            "leg": report.leg,
+            "nom": report.nom,
+            "lat": report.lat,
+            "per_replan": list(report.per_replan),
+            "config": dict(report.config),
+        }
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(by_hand, sort_keys=True)
 
     def test_fraction_bounds_enforced(self):
         with pytest.raises(InvalidInputError):

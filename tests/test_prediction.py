@@ -17,7 +17,7 @@ from anticip_mpc.prediction import (
 )
 
 from conftest import random_spd
-from oracles import HumanJointGaussian, slice_horizon_loop
+from oracles import HumanJointGaussian, floor_pd, slice_horizon_loop
 
 
 def make_prediction(n_frames=20, n_joints=5, dt=0.25, seed=0):
@@ -34,6 +34,8 @@ def make_prediction(n_frames=20, n_joints=5, dt=0.25, seed=0):
 
 
 BAD_ENTRY = "frame 3, joint 1: mean must be 3 numbers and cov a 3x3 matrix of numbers"
+NOT_PD = np.diag([1.0, 1.0, -0.1])
+ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestLoading:
@@ -106,6 +108,32 @@ class TestLoading:
         with pytest.raises(InvalidInputError, match="frame 5, joint 2 is not symmetric"):
             prediction_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (NOT_PD, np.diag([1.0, np.inf, 1.0]), "frame 2, joint 3 is not positive definite"),
+            (ASYMMETRIC, np.diag([1.0, 1.0, 0.0]), "frame 2, joint 3 is not symmetric"),
+            (np.diag([1.0, np.nan, 1.0]), ASYMMETRIC, "frame 2, joint 3 must be a finite"),
+        ],
+        ids=["non_pd_then_infinite", "asymmetric_then_non_pd", "nan_then_asymmetric"],
+    )
+    def test_first_of_two_bad_covariances_is_named(self, first, second, message):
+        # the later entry sits at an earlier joint, so (frame, joint) order decides
+        data = prediction_to_dict(make_prediction())
+        data["frames"][2][3]["cov"] = np.asarray(first).tolist()
+        data["frames"][3][0]["cov"] = np.asarray(second).tolist()
+        with pytest.raises(InvalidInputError, match=message):
+            prediction_from_dict(data)
+
+    def test_covariance_asymmetric_within_tolerance_is_stored_symmetric(self):
+        pred = make_prediction()
+        covs = pred.covs.copy()
+        covs[3, 1, 0, 2] += 5e-10
+        stored = HumanPrediction(pred.joint_names, 0, pred.means, covs, pred.dt).covs
+        assert np.array_equal(stored, np.swapaxes(stored, -1, -2))
+        assert stored[3, 1, 0, 2] == 0.5 * covs[3, 1, 0, 2] + 0.5 * covs[3, 1, 2, 0] != covs[3, 1, 0, 2]
+        assert np.array_equal(stored[4:], covs[4:])
+
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 1e-3
@@ -172,22 +200,24 @@ class TestSliceHorizon:
     def test_eigenvalue_floor_matches_reference_bitwise(self):
         rng = np.random.default_rng(7)
         # PD covariances with one eigenvalue below the 1e-9 floor, along the
-        # same eigenvector in both frames so that interpolation keeps it there
-        rot = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)]
-        covs = np.array([[(r * [4e-10, 1e-2 * (1 + t), 3e-2]) @ r.T for r in rot] for t in range(2)])
+        # same eigenvector in both frames (one of them diagonal), and one well
+        # above it
+        rot = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)] + [np.eye(3)]
+        low = [[(r * [4e-10, 1e-2 * (1 + t), 3e-2]) @ r.T for r in rot] for t in range(2)]
+        covs = np.array([frame + [random_spd(rng)] for frame in low])
         covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-        means = rng.uniform(-1, 1, (2, 3, 3))
-        pred = HumanPrediction(("a", "b", "c"), 0, means, covs, dt=1.0)
+        assert np.max(np.linalg.eigvalsh(covs[:, :4])[..., 0]) < 1e-9 < np.min(np.linalg.eigvalsh(covs[:, 4]))
+        means = rng.uniform(-1, 1, (2, 5, 3))
+        pred = HumanPrediction(("a", "b", "c", "d", "e"), 0, means, covs, dt=1.0)
+        # conditioned once, at construction, as the per-matrix reference floors each
+        for t, h in np.ndindex(2, 5):
+            assert np.array_equal(pred.covs[t, h], floor_pd(covs[t, h]))
         got = slice_horizon(pred, 0.0, 4, 0.3)
         ref = slice_horizon_loop(pred, 0.0, 4, 0.3)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        # the floor fired: interpolated knots now have every eigenvalue at or above it
-        lows = np.linalg.eigvalsh(got[1][1:])[..., 0]
+        # every knot, the on-grid first one included, is at or above the floor
+        lows = np.linalg.eigvalsh(got[1])[..., 0]
         assert np.all(lows >= 1e-9 * (1 - 1e-6))
-        w = 0.3
-        plain = (1 - w) * covs[0] + w * covs[1]
-        assert np.min(np.linalg.eigvalsh(plain)[:, 0]) < 1e-9
-        assert not np.array_equal(got[1][1], plain)
 
     def test_overflowing_hold_rejected(self):
         means = np.zeros((2, 1, 3))
