@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .costs import CostWeights
-from .errors import SCHEMA_VERSION, InvalidInputError, SolverError, read_json
+from .errors import SCHEMA_VERSION, InvalidInputError, SolverError, read_json, write_json
 from .kinematics import default_robot_model, model_to_dict, save_robot_model
 from .metrics import FOV_HALF_ANGLE, SEPARATION_THRESHOLD, MetricsReport, evaluate_trace
 from .mpc import (
     ExecutionTrace, MpcConfig, Scenario, deep_update, load_scenario, run_mpc, scenario_from_dict, write_csv,
 )
-from .prediction import save_prediction, synthesize_reach
+from .prediction import ReachConfig, save_prediction, synthesize_reach
 
 log = logging.getLogger("anticip_mpc")
 
@@ -62,12 +62,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs, outputs, s
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest, indent=2)
     return path
-
-
-def _json_dump(data: dict, path: Path) -> None:
-    path.write_text(json.dumps(data, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -88,35 +84,16 @@ _GOAL_Q = [-0.7, 0.8, 0.0, 1.0, 0.0, 0.6, 0.0]
 
 
 def default_reach_config(seed: int, duration: float, dt: float) -> dict:
-    """Synthetic human seated across the robot, reaching into its workspace."""
-    return {
-        "joint_names": ["head", "torso", "pelvis", "l_hand", "r_hand"],
-        "head_index": 0,
-        "rest_positions": [
-            [1.10, 0.00, 0.55],
-            [1.10, 0.00, 0.30],
-            [1.15, 0.00, 0.05],
-            [0.95, 0.30, 0.25],
-            [0.95, -0.30, 0.25],
-        ],
-        "reach_joint": 4,
-        "reach_target": [0.75, 0.05, 0.30],
-        "duration": duration,
-        "dt": dt,
-        "t0": 0.0,
-        "base_cov": 2.5e-3,  # ~5 cm std, typical short-horizon pose-prediction spread
-        "growth_rate": 0.4,
-        "jitter": 0.004,
-        "seed": seed,
-    }
+    """The default human's ``synthesize`` block (every ReachConfig field), drawn from `seed`."""
+    return ReachConfig(duration=duration, dt=dt, seed=seed).to_dict()
 
 
 def default_scenario_dict(
     seed: int = 0,
-    duration: float = 5.0,
-    dt: float = 0.25,
-    horizon: float = 1.25,
-    replan: float = 0.5,
+    duration: float = MpcConfig.task_duration,
+    dt: float = MpcConfig.dt,
+    horizon: float = MpcConfig.horizon,
+    replan: float = MpcConfig.replan_period,
     robot_model: str = "robot.json",
 ) -> dict:
     return {
@@ -173,7 +150,7 @@ def cmd_gen_scenario(args) -> int:
     pred_path = out / "prediction.json"
     save_prediction(scenario.prediction, pred_path)
     scenario_path = out / "scenario.json"
-    _json_dump(data, scenario_path)
+    write_json(scenario_path, data)
 
     write_manifest(out, "gen-scenario", data, [], [robot_path, pred_path, scenario_path], args.seed)
     print(f"wrote {scenario_path}")
@@ -191,7 +168,7 @@ def cmd_plan(args) -> int:
     replan = trace.replans[0]
     result = replan.result
     plan_json = out / "plan.json"
-    _json_dump({"schema_version": SCHEMA_VERSION, **result.to_dict(), "wall_time": replan.wall_time}, plan_json)
+    write_json(plan_json, {"schema_version": SCHEMA_VERSION, **result.to_dict(), "wall_time": replan.wall_time})
     plan_csv = out / "plan.csv"
     trace.save_csv(plan_csv)
     write_manifest(
@@ -303,7 +280,7 @@ def cmd_bench(args) -> int:
         "bench_wall_s": bench_wall,
     }
     summary_path = out / "bench.json"
-    _json_dump(summary, summary_path)
+    write_json(summary_path, summary)
     csv_path = out / "bench.csv"
     rows = ([i, f"{sum(t.replan_wall_times()):.6f}", len(t.replans)] for i, t in enumerate(traces))
     write_csv(csv_path, ["run", "planning_time_s", "replans"], rows)
@@ -379,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenario", help="write a seeded scenario with a synthetic human")
     _add_common(p, seed=True)
-    p.add_argument("--duration", type=float, default=5.0, help="task duration, seconds")
-    p.add_argument("--dt", type=float, default=0.25)
-    p.add_argument("--horizon", type=float, default=1.25)
-    p.add_argument("--replan", type=float, default=0.5)
+    p.add_argument("--duration", type=float, default=MpcConfig.task_duration, help="task duration, seconds")
+    p.add_argument("--dt", type=float, default=MpcConfig.dt)
+    p.add_argument("--horizon", type=float, default=MpcConfig.horizon)
+    p.add_argument("--replan", type=float, default=MpcConfig.replan_period)
     p.set_defaults(func=cmd_gen_scenario)
 
     p = sub.add_parser("plan", help="one-shot fixed-horizon solve over the full task")
@@ -431,7 +408,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     except SolverError as exc:
         command = args.command.replace("-", "_")
-        _json_dump({"error": str(exc), "command": command}, Path(args.out) / f"{command}_diagnostics.json")
+        write_json(Path(args.out) / f"{command}_diagnostics.json", {"error": str(exc), "command": command})
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

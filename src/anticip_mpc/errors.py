@@ -7,11 +7,13 @@ file, :func:`number`, :func:`integer`, :func:`boolean` and
 config dataclasses one ``from_dict`` and ``to_dict``. Numbers must be JSON numbers (never bools or strings) and
 finite; integers must be integers (never ``1.5`` or ``"3"``). A failed check
 raises :class:`InvalidInputError` naming the field, which the CLI reports
-with exit code 2.
+with exit code 2. Every JSON file the package writes goes through
+:func:`write_json`.
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +50,11 @@ def read_json(path, what: str) -> dict:
     if not isinstance(data, dict):
         raise InvalidInputError(f"{what} {path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def write_json(path, data, indent=None) -> None:
+    """Write `data` to `path` as JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=indent, sort_keys=True) + "\n")
 
 
 def number(value, name: str, low=None, strict: bool = False) -> float:

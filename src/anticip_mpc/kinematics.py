@@ -9,14 +9,12 @@ frame is the end effector. All quaternions use (w, x, y, z) ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, float_array, integer, read_json
+from .errors import InvalidInputError, float_array, integer, read_json, write_json
 
 Array = np.ndarray
 
@@ -261,7 +259,7 @@ def load_robot_model(path) -> RobotModel:
 
 
 def save_robot_model(model: RobotModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(model), indent=2)
 
 
 def default_robot_model() -> RobotModel:

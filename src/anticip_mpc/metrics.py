@@ -9,13 +9,11 @@ against the prediction means instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SCHEMA_VERSION, Fields, InvalidInputError
+from .errors import SCHEMA_VERSION, Fields, InvalidInputError, write_json
 from .mpc import ExecutionTrace
 
 Array = np.ndarray
@@ -126,7 +124,7 @@ class MetricsReport:
         return {"schema_version": SCHEMA_VERSION, **Fields.to_dict(self)}
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     csv_header = ["dst", "vis", "leg", "nom", "lat"]
 

@@ -11,7 +11,6 @@ prediction means unless the scenario supplies a separate ground truth.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -22,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
-from .errors import SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json
+from .errors import (
+    SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json, write_json,
+)
 from .kinematics import RobotModel, fk_batch, load_robot_model, model_from_dict
 from .prediction import (
     HumanPrediction,
@@ -306,7 +307,7 @@ class ExecutionTrace:
         )
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load_json(cls, path) -> "ExecutionTrace":
@@ -442,6 +443,12 @@ def _load_human_source(entry, base: Path) -> tuple[HumanPrediction, Optional[Rea
     if isinstance(entry, str):
         return load_prediction(_resolve(base, entry)), None
     if isinstance(entry, dict) and "synthesize" in entry:
+        extra = sorted(set(entry) - {"synthesize"})
+        if extra:  # e.g. an overlay's inline prediction deep-merged into a synthesized one
+            raise InvalidInputError(
+                f"a human source holding 'synthesize' may hold no other key, got {extra}; "
+                "give an inline prediction as a file path"
+            )
         config = ReachConfig.from_dict(entry["synthesize"])
         return synthesize_reach(config), config
     if isinstance(entry, dict):

@@ -10,13 +10,11 @@ between frames and holds the last one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json
+from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json, write_json
 
 Array = np.ndarray
 
@@ -70,7 +68,7 @@ class HumanPrediction:
     t0: float = 0.0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
+        means = np.array(self.means, dtype=float)  # a copy: the caller's array stays writeable
         covs = np.asarray(self.covs, dtype=float)
         if means.ndim != 3 or means.shape[2] != 3 or means.shape[0] < 1:
             raise InvalidInputError("means must have shape (T, H, 3) with T >= 1")
@@ -166,20 +164,20 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
 
 
 _DEFAULT_JOINTS = ("head", "torso", "pelvis", "l_hand", "r_hand")
-_DEFAULT_REST = np.array(
-    [
-        [0.80, 0.00, 0.55],
-        [0.85, 0.00, 0.35],
-        [0.90, 0.00, 0.10],
-        [0.70, 0.25, 0.25],
-        [0.70, -0.25, 0.25],
-    ]
-)
+_DEFAULT_REST = np.array([  # seated across the table from the robot (x away from its base, z up)
+    [1.10, 0.00, 0.55],
+    [1.10, 0.00, 0.30],
+    [1.15, 0.00, 0.05],
+    [0.95, 0.30, 0.25],
+    [0.95, -0.30, 0.25],
+])
 
 
 @dataclass
 class ReachConfig(Fields):
-    """Parameters for a deterministic synthetic human reach."""
+    """Parameters for a deterministic synthetic human reach. The defaults are the package's one
+    desk-scale human, reaching the right hand into the robot's workspace: ``gen-scenario`` writes
+    them, and a scenario's ``synthesize`` block takes each key it leaves out from them."""
 
     section = "reach"
 
@@ -187,12 +185,12 @@ class ReachConfig(Fields):
     head_index: int = 0
     rest_positions: Array = field(default_factory=lambda: _DEFAULT_REST.copy())
     reach_joint: int = 4
-    reach_target: Array = field(default_factory=lambda: np.array([0.55, 0.15, 0.35]))
+    reach_target: Array = field(default_factory=lambda: np.array([0.75, 0.05, 0.30]))
     duration: float = 5.0
     settle: float = 0.0  # extra seconds held at the target after the reach
     dt: float = 0.25
     t0: float = 0.0
-    base_cov: float = 1e-4  # isotropic variance at zero lookahead, m^2
+    base_cov: float = 2.5e-3  # isotropic variance at zero lookahead, m^2 (~5 cm std)
     growth_rate: float = 0.4  # relative covariance growth per second of lookahead
     jitter: float = 0.004  # quasi-static joint perturbation scale, meters
     seed: int = 0
@@ -328,5 +326,5 @@ def prediction_to_dict(pred: HumanPrediction) -> dict:
 
 
 def save_prediction(pred: HumanPrediction, path) -> None:
-    Path(path).write_text(json.dumps(prediction_to_dict(pred), sort_keys=True) + "\n")
+    write_json(path, prediction_to_dict(pred))
 

@@ -311,6 +311,23 @@ class TestMalformedScenario:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["prediction", "ground_truth"])
+    def test_inline_prediction_onto_synthesized_source_exits_invalid_input(self, workspace, tmp_path, capsys, key):
+        """An overlay's inline prediction deep-merges into the scenario's synthesize block: one
+        source mixing two forms is rejected, naming the extra keys."""
+        data = json.loads((workspace / "scenario.json").read_text())
+        data.update(robot_model=str(workspace / "robot.json"), ground_truth=data["prediction"])
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({key: json.loads((workspace / "prediction.json").read_text())}))
+        code = run_cli("simulate", "--scenario", scenario, "--config", config, "--out", tmp_path / "sim")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "['dt', 'frames', 'head_index', 'joint_names', 't0']" in err and "synthesize" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim" / "trace.json").exists()
+
     def test_zero_joint_prediction_exits_invalid_input(self, workspace, tmp_path, capsys):
         data = json.loads((workspace / "prediction.json").read_text())
         data.update(joint_names=[], frames=[[] for _ in data["frames"]])

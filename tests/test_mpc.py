@@ -13,7 +13,7 @@ from anticip_mpc import (
     solve,
     warm_start_shift,
 )
-from anticip_mpc.cli import default_scenario_dict
+from anticip_mpc.cli import default_reach_config, default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, model_to_dict
 from anticip_mpc.errors import read_json
 import anticip_mpc.mpc as mpc_module
@@ -27,7 +27,7 @@ from anticip_mpc.mpc import (
     scenario_from_dict,
 )
 from anticip_mpc.costs import KnotCostEvaluator
-from anticip_mpc.prediction import HumanPrediction, slice_horizon
+from anticip_mpc.prediction import HumanPrediction, ReachConfig, slice_horizon
 
 from conftest import eef_pose
 from oracles import HumanJointGaussian, KnotContext, slice_horizon_loop, stack_contexts
@@ -272,6 +272,18 @@ class TestScenarioLoading:
         assert scenario.synthesis.seed == 4 and scenario.seed == 4
         assert scenario.synthesis.jitter == data["prediction"]["synthesize"]["jitter"]
         assert load_scenario(path).mpc.horizon == data["mpc"]["horizon"]
+
+    @pytest.mark.parametrize("seed, duration, dt", [(0, 6.25, 0.25), (7, 3.25, 0.1)])
+    def test_default_reach_config_is_the_reach_config_defaults(self, seed, duration, dt):
+        assert default_reach_config(seed, duration, dt) == ReachConfig(seed=seed, duration=duration, dt=dt).to_dict()
+
+    def test_synthesize_keys_left_out_take_the_generated_values(self):
+        """A synthesize block holding only seed, duration and dt is the human gen-scenario writes."""
+        full = make_scenario(seed=3)
+        block = {"seed": 3, "duration": full.synthesis.duration, "dt": full.synthesis.dt}
+        short = make_scenario(seed=3, prediction={"synthesize": block})
+        assert np.array_equal(short.prediction.means, full.prediction.means)
+        assert np.array_equal(short.prediction.covs, full.prediction.covs)
 
     def test_deep_update_replaces_non_objects(self):
         base = {"a": {"b": 1, "c": [1, 2]}, "d": 5}

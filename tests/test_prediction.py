@@ -140,6 +140,16 @@ class TestLoading:
         with pytest.raises(InvalidInputError, match="symmetric"):
             HumanJointGaussian(np.zeros(3), cov)
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        means = np.zeros((2, 1, 3))
+        covs = np.broadcast_to(np.eye(3), (2, 1, 3, 3)).copy()
+        pred = HumanPrediction(("j",), 0, means, covs, 1.0)
+        assert means.flags.writeable and covs.flags.writeable
+        means[0, 0, 0] = 5.0
+        covs[0, 0, 0, 0] = 5.0
+        assert pred.means[0, 0, 0] == 0.0 and pred.covs[0, 0, 0, 0] == 1.0
+        assert not pred.means.flags.writeable and not pred.covs.flags.writeable
+
     def test_ragged_frames_rejected(self, tmp_path):
         pred = make_prediction()
         data = prediction_to_dict(pred)
