@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, float_array, integer, number
+from .errors import Fields, InvalidInputError, float_array, integer, number, store
 from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians, quat_to_matrix
 
 Array = np.ndarray
@@ -63,10 +63,8 @@ class LegibilityContext:
         goals = np.atleast_2d(float_array(self.goals, "legibility goals"))
         if len(goals) < 1 or goals.shape[1:] != (3,):
             raise InvalidInputError(f"legibility goals must be a nonempty (G, 3) array, got shape {goals.shape}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "goals", goals)
         goal_index = integer(self.goal_index, "legibility goal_index", 0, len(goals) - 1)
-        object.__setattr__(self, "goal_index", goal_index)
+        store(self, start=start, goals=goals, goal_index=goal_index)
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ class GoalSpec:
         q = float_array(self.orientation, "goal_pose.orientation", (4,))
         if abs(np.linalg.norm(q) - 1.0) > 1e-9:
             raise InvalidInputError("goal orientation must be a unit quaternion")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", q)
+        store(self, position=p, orientation=q)
 
 
 @dataclass(frozen=True)
@@ -189,11 +186,10 @@ class KnotCostEvaluator:
     def _gaze_rays(self, p_eef: Array):
         """Unit rays from the head to the gazed object and to the end effector,
         the cosine of the gaze angle between them, and the end-effector ray
-        length."""
+        length, floored like the gaze ray's: an end effector at the head gets
+        a zero ray, a right gaze angle and a finite gradient."""
         b = p_eef - self.mu[:, self.head_index]
-        nb = np.linalg.norm(b, axis=-1)
-        if np.any(nb < 1e-9):
-            raise InvalidInputError("degenerate gaze ray: the end effector coincides with the head")
+        nb = np.maximum(np.linalg.norm(b, axis=-1), 1e-9)
         bhat = b / nb[..., None]
         return self.gaze_hat, bhat, np.clip(np.sum(self.gaze_hat * bhat, axis=-1), -1.0, 1.0), nb
 

@@ -3,11 +3,12 @@
 Every value read from outside (a JSON file, a config overlay, a CLI flag) is
 checked here before the planner sees it: :func:`read_json` reads each input
 file, :func:`number`, :func:`integer`, :func:`boolean` and
-:func:`float_array` check single fields, and :class:`Fields` gives the
-config dataclasses one ``from_dict`` and ``to_dict``. Numbers must be JSON numbers (never bools or strings) and
-finite; integers must be integers (never ``1.5`` or ``"3"``). A failed check
-raises :class:`InvalidInputError` naming the field, which the CLI reports
-with exit code 2. Every JSON file the package writes goes through
+:func:`float_array` check single fields, :func:`store` keeps what passed on
+the checked object, and :class:`Fields` gives the config dataclasses one
+``from_dict`` and ``to_dict``. Numbers must be JSON numbers (never bools or
+strings) and finite; integers must be integers (never ``1.5`` or ``"3"``). A
+failed check raises :class:`InvalidInputError` naming the field, which the
+CLI reports with exit code 2. Every JSON file the package writes goes through
 :func:`write_json`.
 """
 
@@ -119,6 +120,16 @@ def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
     return arr
 
 
+def store(obj, **values) -> None:
+    """Set each of `values` on `obj`, frozen dataclass or not. An array is stored as the
+    object's own read-only copy, so the caller's array is never shared and never frozen."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 class Fields:
     """Base of the config dataclasses read from JSON objects.
 
@@ -130,8 +141,7 @@ class Fields:
     section = "config"
 
     def _check(self, name: str, check, *bounds, **options) -> None:
-        value = check(getattr(self, name), f"{self.section} {name}", *bounds, **options)
-        object.__setattr__(self, name, value)  # config classes may be frozen
+        store(self, **{name: check(getattr(self, name), f"{self.section} {name}", *bounds, **options)})
 
     @classmethod
     def from_dict(cls, data: dict):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, float_array, integer, read_json, write_json
+from .errors import InvalidInputError, float_array, integer, read_json, store, write_json
 
 Array = np.ndarray
 
@@ -122,18 +122,6 @@ class RobotModel:
         eef_frame = integer(self.eef_frame, "robot eef_frame")
         if eef_frame != n:
             raise InvalidInputError("eef_frame must be the last frame of the chain")
-        for name, val in (
-            ("axes", axes),
-            ("offsets", offsets),
-            ("base_position", base_p),
-            ("base_orientation", base_q),
-            ("vel_lower", lo),
-            ("vel_upper", hi),
-        ):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "tracked_frames", tracked)
-        object.__setattr__(self, "eef_frame", eef_frame)
         # per-joint Rodrigues terms, precomputed once for the FK hot path
         skews = np.zeros((n, 3, 3))
         skews[:, 0, 1] = -axes[:, 2]
@@ -142,10 +130,11 @@ class RobotModel:
         skews[:, 1, 2] = -axes[:, 0]
         skews[:, 2, 0] = -axes[:, 1]
         skews[:, 2, 1] = axes[:, 0]
-        outers = axes[:, :, None] * axes[:, None, :]
-        object.__setattr__(self, "_rot_skew", skews)
-        object.__setattr__(self, "_rot_outer", outers)
-        object.__setattr__(self, "_base_rotation", quat_to_matrix(base_q))
+        store(
+            self, axes=axes, offsets=offsets, base_position=base_p, base_orientation=base_q,
+            vel_lower=lo, vel_upper=hi, tracked_frames=tracked, eef_frame=eef_frame,
+            _rot_skew=skews, _rot_outer=axes[:, :, None] * axes[:, None, :], _base_rotation=quat_to_matrix(base_q),
+        )
 
     @property
     def n_joints(self) -> int:

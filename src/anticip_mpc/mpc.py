@@ -22,7 +22,7 @@ import numpy as np
 
 from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
 from .errors import (
-    SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json, write_json,
+    SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json, store, write_json,
 )
 from .kinematics import RobotModel, fk_batch, load_robot_model, model_from_dict
 from .prediction import (
@@ -111,28 +111,24 @@ class Scenario:
 
     def __post_init__(self):
         n = self.model.n_joints
-        arrays = {
-            "start_q": float_array(self.start_q, "scenario start_q", (n,)),
-            "goal_q": float_array(self.goal_q, "scenario goal_q", (n,)),
-            "gaze_object": float_array(self.gaze_object, "scenario gaze_object", (3,)),
-        }
+        start_q = float_array(self.start_q, "scenario start_q", (n,))
+        goal_q = float_array(self.goal_q, "scenario goal_q", (n,))
+        gaze_object = float_array(self.gaze_object, "scenario gaze_object", (3,))
         goals = np.atleast_2d(float_array(self.legibility_goals, "scenario legibility.goals"))
         if goals.shape[1:] != (3,):
             raise InvalidInputError(f"scenario legibility.goals must be a list of 3-vectors, got {goals.shape}")
-        arrays["legibility_goals"] = goals
         goal_index = integer(self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1)
-        object.__setattr__(self, "legibility_goal_index", goal_index)
-        object.__setattr__(self, "seed", integer(self.seed, "scenario seed"))
-        if self.nominal is not None:
-            nominal = np.atleast_2d(float_array(self.nominal, "scenario nominal"))
+        seed = integer(self.seed, "scenario seed")
+        nominal = self.nominal
+        if nominal is not None:
+            nominal = np.atleast_2d(float_array(nominal, "scenario nominal"))
             if nominal.shape[1:] != (3,) or len(nominal) <= self.mpc.task_steps:
                 need = f"a (T, 3) path with T >= {self.mpc.task_steps + 1}"
                 raise InvalidInputError(f"scenario nominal must be {need}, got shape {nominal.shape}")
-            arrays["nominal"] = nominal
-        for name, arr in arrays.items():
-            arr = arr.copy()  # never a view of the caller's array
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        store(
+            self, start_q=start_q, goal_q=goal_q, gaze_object=gaze_object, legibility_goals=goals,
+            legibility_goal_index=goal_index, seed=seed, nominal=nominal,
+        )
 
     @cached_property
     def legibility(self) -> LegibilityContext:
@@ -439,21 +435,23 @@ def _resolve(base: Path, ref: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _load_human_source(entry, base: Path) -> tuple[HumanPrediction, Optional[ReachConfig]]:
+def _load_human_source(data: dict, key: str, base: Path) -> tuple[HumanPrediction, Optional[ReachConfig]]:
+    """The human that the scenario's `key` (``prediction`` or ``ground_truth``) describes."""
+    entry = data[key]
     if isinstance(entry, str):
         return load_prediction(_resolve(base, entry)), None
     if isinstance(entry, dict) and "synthesize" in entry:
         extra = sorted(set(entry) - {"synthesize"})
         if extra:  # e.g. an overlay's inline prediction deep-merged into a synthesized one
             raise InvalidInputError(
-                f"a human source holding 'synthesize' may hold no other key, got {extra}; "
-                "give an inline prediction as a file path"
+                f"scenario {key} holding 'synthesize' may hold no other key, got {extra}; "
+                f"give an inline {key} as a file path"
             )
         config = ReachConfig.from_dict(entry["synthesize"])
         return synthesize_reach(config), config
     if isinstance(entry, dict):
         return prediction_from_dict(entry), None
-    raise InvalidInputError("prediction must be a file path, inline dict, or {'synthesize': ...}")
+    raise InvalidInputError(f"scenario {key} must be a file path, inline dict, or {{'synthesize': ...}}")
 
 
 # every top-level key a scenario may hold; any other is rejected, so a
@@ -476,10 +474,10 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
             if isinstance(model_entry, str)
             else model_from_dict(model_entry)
         )
-        prediction, synthesis = _load_human_source(data["prediction"], base)
+        prediction, synthesis = _load_human_source(data, "prediction", base)
         ground_truth = None
         if data.get("ground_truth") is not None:
-            ground_truth, _ = _load_human_source(data["ground_truth"], base)
+            ground_truth, _ = _load_human_source(data, "ground_truth", base)
         goal_q = float_array(data["goal_q"], "scenario goal_q", (model.n_joints,))
         goal_entry = data.get("goal_pose", "derive")
         if goal_entry == "derive":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json, write_json
+from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json, store, write_json
 
 Array = np.ndarray
 
@@ -68,7 +68,7 @@ class HumanPrediction:
     t0: float = 0.0
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=float)  # a copy: the caller's array stays writeable
+        means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covs, dtype=float)
         if means.ndim != 3 or means.shape[2] != 3 or means.shape[0] < 1:
             raise InvalidInputError("means must have shape (T, H, 3) with T >= 1")
@@ -84,15 +84,11 @@ class HumanPrediction:
         if np.any(bad):
             t, h = np.argwhere(bad)[0]
             raise InvalidInputError(f"mean at frame {t}, joint {h} must be finite")
-        covs = _condition_covariances(covs)
-        means.setflags(write=False)
-        covs.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "joint_names", joint_names)
-        object.__setattr__(self, "head_index", integer(self.head_index, "prediction head_index", 0, H - 1))
-        object.__setattr__(self, "dt", number(self.dt, "prediction dt", 0, strict=True))
-        object.__setattr__(self, "t0", number(self.t0, "prediction t0"))
+        store(
+            self, means=means, covs=_condition_covariances(covs), joint_names=joint_names,
+            head_index=integer(self.head_index, "prediction head_index", 0, H - 1),
+            dt=number(self.dt, "prediction dt", 0, strict=True), t0=number(self.t0, "prediction t0"),
+        )
 
     @property
     def n_frames(self) -> int:
@@ -183,7 +179,7 @@ class ReachConfig(Fields):
 
     joint_names: tuple = _DEFAULT_JOINTS
     head_index: int = 0
-    rest_positions: Array = field(default_factory=lambda: _DEFAULT_REST.copy())
+    rest_positions: Array = field(default_factory=lambda: _DEFAULT_REST)  # stored as a copy
     reach_joint: int = 4
     reach_target: Array = field(default_factory=lambda: np.array([0.75, 0.05, 0.30]))
     duration: float = 5.0

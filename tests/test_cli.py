@@ -314,7 +314,7 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("key", ["prediction", "ground_truth"])
     def test_inline_prediction_onto_synthesized_source_exits_invalid_input(self, workspace, tmp_path, capsys, key):
         """An overlay's inline prediction deep-merges into the scenario's synthesize block: one
-        source mixing two forms is rejected, naming the extra keys."""
+        source mixing two forms is rejected, naming the source's key and the extra keys."""
         data = json.loads((workspace / "scenario.json").read_text())
         data.update(robot_model=str(workspace / "robot.json"), ground_truth=data["prediction"])
         scenario = tmp_path / "scenario.json"
@@ -325,6 +325,7 @@ class TestMalformedScenario:
         assert code == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert "['dt', 'frames', 'head_index', 'joint_names', 't0']" in err and "synthesize" in err
+        assert f"scenario {key} holding 'synthesize'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sim" / "trace.json").exists()
 

@@ -463,3 +463,25 @@ class TestWeightValidation:
     def test_round_trip(self):
         w = CostWeights(1, 2, 3, 4, 5, 6)
         assert CostWeights.from_dict(w.to_dict()) == w
+
+
+class TestStoredInputs:
+    """Goal and legibility inputs keep read-only copies of the caller's arrays."""
+
+    def test_goal_spec(self):
+        p, q = np.array([0.5, -0.4, 0.3]), np.array([1.0, 0.0, 0.0, 0.0])
+        goal = GoalSpec(p, q)
+        p += 1.0
+        q[0] = -1.0
+        assert np.array_equal(goal.position, [0.5, -0.4, 0.3])
+        assert np.array_equal(goal.orientation, [1.0, 0.0, 0.0, 0.0])
+        assert not goal.position.flags.writeable and not goal.orientation.flags.writeable
+
+    def test_legibility_context(self):
+        start, goals = np.zeros(3), np.array([[0.6, -0.5, 0.3], [0.7, -0.3, 0.3]])
+        leg = LegibilityContext(start, goals, 0)
+        start += 1.0
+        goals[0] = 0.0
+        assert np.array_equal(leg.start, np.zeros(3))
+        assert np.array_equal(leg.goals, [[0.6, -0.5, 0.3], [0.7, -0.3, 0.3]])
+        assert not leg.start.flags.writeable and not leg.goals.flags.writeable

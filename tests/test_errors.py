@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anticip_mpc.cli import default_reach_config, default_scenario_dict
-from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number
+from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number, store
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
 from anticip_mpc.metrics import evaluate_trace
 from anticip_mpc.mpc import ExecutionTrace, run_mpc, scenario_from_dict
@@ -144,6 +144,21 @@ class TestFields:
         assert data["joint_names"] == list(ReachConfig().joint_names)
         assert data["rest_positions"] == ReachConfig().rest_positions.tolist()
         np.testing.assert_array_equal(ReachConfig.from_dict(data).rest_positions, ReachConfig().rest_positions)
+
+    def test_checked_arrays_are_read_only_copies(self):
+        rest = np.array([[1.1, 0.0, 0.55]])
+        config = ReachConfig(joint_names=("head",), reach_joint=0, rest_positions=rest)
+        rest[0, 0] = 0.0
+        assert rest.flags.writeable
+        assert config.rest_positions[0, 0] == 1.1 and not config.rest_positions.flags.writeable
+        assert not config.reach_target.flags.writeable
+
+    def test_store_sets_frozen_fields_and_copies_only_arrays(self):
+        gains, names, arr = Gains(), ("a", "b"), np.ones(2)
+        store(gains, kp=arr, steps=names)
+        arr[0] = 0.0
+        assert gains.steps is names and gains.kp is not arr
+        assert np.array_equal(gains.kp, [1.0, 1.0]) and not gains.kp.flags.writeable
 
     @pytest.mark.parametrize(
         "data, message",

@@ -222,6 +222,26 @@ class TestModelValidation:
                 vel_upper=np.ones(2),
             )
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        """The model keeps read-only copies; the caller's arrays are neither frozen nor shared."""
+        inputs = {
+            "axes": np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+            "offsets": np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.2]]),
+            "base_position": np.zeros(3),
+            "base_orientation": np.array([1.0, 0.0, 0.0, 0.0]),
+            "vel_lower": -np.ones(2),
+            "vel_upper": np.ones(2),
+        }
+        kept = {name: arr.copy() for name, arr in inputs.items()}
+        model = RobotModel(tracked_frames=(1, 2), eef_frame=2, **inputs)
+        before = fk_batch(model, np.array([[0.3, -0.2]])).positions
+        for name, arr in inputs.items():
+            assert arr.flags.writeable, name
+            arr += 0.5
+            assert np.array_equal(getattr(model, name), kept[name]), name
+            assert not getattr(model, name).flags.writeable, name
+        assert np.array_equal(fk_batch(model, np.array([[0.3, -0.2]])).positions, before)
+
     def test_json_round_trip(self, tmp_path, seven_dof):
         path = tmp_path / "robot.json"
         save_robot_model(seven_dof, path)

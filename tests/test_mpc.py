@@ -14,7 +14,7 @@ from anticip_mpc import (
     warm_start_shift,
 )
 from anticip_mpc.cli import default_reach_config, default_scenario_dict
-from anticip_mpc.kinematics import default_robot_model, model_to_dict
+from anticip_mpc.kinematics import default_robot_model, fk_batch, model_to_dict
 from anticip_mpc.errors import read_json
 import anticip_mpc.mpc as mpc_module
 from anticip_mpc.mpc import (
@@ -421,6 +421,39 @@ def test_object_at_head_is_rejected_before_the_solve(monkeypatch):
     monkeypatch.setattr(mpc_module, "solve", lambda *args, **kwargs: pytest.fail("a solve started"))
     with pytest.raises(InvalidInputError, match="gazed object coincides with the head"):
         run_mpc(scenario)
+
+
+@pytest.mark.parametrize("joint, frame", [("head", 7), ("torso", 4)])
+def test_zero_separation_solves_with_finite_costs(joint, frame):
+    """A predicted joint exactly on a tracked frame of start_q, the end effector (frame 7) for
+    the head: the first knot sits at zero separation, and zero gaze-ray length for the head."""
+    scenario = make_scenario(seed=0)
+    pred = scenario.prediction
+    means = pred.means.copy()
+    means[:, pred.joint_names.index(joint)] = fk_batch(scenario.model, scenario.start_q[None]).positions[0, frame]
+    pred = HumanPrediction(pred.joint_names, pred.head_index, means, pred.covs, pred.dt, pred.t0)
+    scenario = dataclasses.replace(scenario, prediction=pred)
+    assert frame in scenario.model.tracked_frames and scenario.weights.w_vis > 0
+    cfg = scenario.mpc
+    problem = build_problem(scenario, 0.0, cfg.horizon_knots, scenario.start_q)
+    result = solve(problem, linear_warm_start(scenario.start_q, scenario.goal_q, cfg.horizon_knots - 1, cfg.dt))
+    assert np.isfinite(result.total_cost) and np.array_equal(result.states[0], scenario.start_q)
+    for xs in (result.states, np.tile(scenario.start_q, (cfg.horizon_knots, 1))):
+        assert np.isfinite(problem.cost.value(xs, result.controls))
+        gx, hxx = problem.cost.state_derivatives(xs)
+        assert np.isfinite(gx).all() and np.isfinite(hxx).all()
+
+
+def test_goal_at_start_stops_after_one_replan():
+    """With goal_q at start_q (goal pose derived), the first executed steps already meet the
+    goal, so the loop exits early and the shortened trace still round-trips."""
+    scenario = make_scenario(seed=7, goal_q=default_scenario_dict()["start_q"])
+    trace = run_mpc(scenario)
+    assert trace.goal_reached and len(trace.replans) == 1
+    assert len(trace.times) == len(trace.states) == scenario.mpc.replan_steps + 1
+    loaded = ExecutionTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+    assert loaded.goal_reached and len(loaded.replans) == 1
+    assert loaded.to_dict() == trace.to_dict()
 
 
 @pytest.mark.parametrize("which", ["reference", "seventeen_joints"])
