@@ -169,7 +169,7 @@ _DEFAULT_REST = np.array([  # seated across the table from the robot (x away fro
 ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReachConfig(Fields):
     """Parameters for a deterministic synthetic human reach. The defaults are the package's one
     desk-scale human, reaching the right hand into the robot's workspace: ``gen-scenario`` writes

@@ -6,8 +6,9 @@ matrix exponential instead of a closed-form rotation. The loop versions of
 vectorized solver, kinematics and prediction code (per-joint FK, np.cross
 Jacobians, one-alpha-at-a-time line search, per-knot horizon slicing,
 per-matrix covariance conditioning) are kept here as references for the
-batched forms, as are the per-term cost derivative chain and the full-form
-Riccati value update that the solver's hot path simplifies.
+batched forms, as are the per-term cost derivative chain, the full-form
+Riccati value update and the one-call scoring of the line search that the
+solver's hot path simplifies or stages.
 
 The per-knot cost model lives here too: one scalar function per cost term,
 per-knot contexts of per-joint Gaussians (``KnotContext``,
@@ -37,7 +38,7 @@ from anticip_mpc.costs import (
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR, HumanPrediction
-from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, ForwardPassResult
 
 
 @dataclass
@@ -271,6 +272,34 @@ def line_search_loop(problem, states, controls, gains, incumbent_cost):
         if incumbent_cost - cost_new >= _ARMIJO * alpha * gains.expected_decrease:
             return xs_new, us_new, cost_new, float(alpha), True
     return states, controls, incumbent_cost, 0.0, False
+
+
+def forward_pass_one_call(problem, states, controls, gains, incumbent_cost):
+    """The batched line search with the whole stack scored in one cost call:
+    every alpha rolled out together and clamped into the box, non-finite
+    candidates scored as the incumbent, and the largest alpha that passes
+    Armijo returned. The solver's forward_pass scores the same stack in two
+    stages and must match this bit for bit."""
+    M = problem.n_knots - 1
+    alphas = 2.0 ** -np.arange(_N_ALPHAS)
+    xs = np.empty((_N_ALPHAS,) + states.shape)
+    us = np.empty((_N_ALPHAS,) + controls.shape)
+    xs[:, 0] = states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(M):
+            u = controls[t] + alphas[:, None] * gains.k[t] + (xs[:, t] - states[t]) @ gains.K[t].T
+            u = np.minimum(np.maximum(u, problem.u_lower), problem.u_upper)
+            us[:, t] = u
+            xs[:, t + 1] = xs[:, t] + u * problem.dt
+    finite = np.all(np.isfinite(xs), axis=(1, 2))
+    xs[~finite] = states
+    us[~finite] = controls
+    costs = problem.cost.value(xs, us)
+    passed = finite & (incumbent_cost - costs >= _ARMIJO * alphas * gains.expected_decrease)
+    if not np.any(passed):
+        return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
+    i = int(np.argmax(passed))
+    return ForwardPassResult(xs[i], us[i], float(costs[i]), float(alphas[i]), True)
 
 
 def state_derivatives_per_term(ev, xs):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -302,6 +303,15 @@ class TestSynthesizeReach:
     def test_non_positive_or_non_finite_dt_rejected(self, dt):
         with pytest.raises(InvalidInputError, match="reach dt must be positive and finite"):
             synthesize_reach(ReachConfig(dt=dt))
+
+    def test_config_cannot_be_reassigned(self):
+        """Fields are checked once, at construction, so none can be replaced after."""
+        config = ReachConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.dt = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.rest_positions = np.zeros((2, 3))
+        assert config.dt == 0.25 and config.rest_positions.shape == (len(config.joint_names), 3)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,21 @@ from anticip_mpc.solver import (
     _assemble_derivs,
     max_bound_violation,
 )
-from anticip_mpc.mpc import linear_warm_start
+from anticip_mpc.cli import default_scenario_dict
+from anticip_mpc.kinematics import model_to_dict
+from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
 
 from conftest import backward, forward, problem_from_contexts, random_contexts, solve_default
-from oracles import QuadraticCost, backward_pass_full_form, dense_qp_solution, line_search_loop, lqr_tracking_solution
+from oracles import (
+    QuadraticCost,
+    backward_pass_full_form,
+    dense_qp_solution,
+    forward_pass_one_call,
+    line_search_loop,
+    lqr_tracking_solution,
+)
+
+SHORTEST_FIRST_STAGE_STEP = 2.0 ** (1 - solver_module._FIRST_STAGE)
 
 
 def quadratic_problem(rng, n=None, n_knots=None, bounds=10.0):
@@ -247,10 +261,15 @@ class TestForwardPass:
 
 
 def assert_matches_loop(problem, xs, us, bp, J=None):
-    """Batched forward pass against the one-alpha-at-a-time reference."""
+    """Batched forward pass against the one-alpha-at-a-time reference, and
+    bit for bit against the same stack scored in one cost call."""
     if J is None:
         J = problem.cost.value(xs, us)
     fp = forward_pass(problem, xs, us, bp, J)
+    one_call = forward_pass_one_call(problem, xs, us, bp, J)
+    assert (fp.accepted, fp.step_length, fp.cost) == (one_call.accepted, one_call.step_length, one_call.cost)
+    assert np.array_equal(fp.states, one_call.states)
+    assert np.array_equal(fp.controls, one_call.controls)
     with np.errstate(over="ignore", invalid="ignore"):
         ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(problem, xs, us, bp, J)
     assert fp.accepted == ref_accepted
@@ -264,6 +283,16 @@ def assert_matches_loop(problem, xs, us, bp, J=None):
 def seven_dof_problem(rng, model, weights, n_knots=6):
     contexts = random_contexts(rng, model, rng.uniform(-0.5, 0.5, (n_knots, 7)), weights=weights, goal_index=0)
     return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
+
+
+def default_task_problem(model):
+    """The generated default task as one 21-knot problem from its start
+    state; from zero controls, its line searches often find no step in the
+    first stage."""
+    data = default_scenario_dict(seed=0)
+    data["robot_model"] = model_to_dict(model)
+    scenario = scenario_from_dict(data, Path("."))
+    return build_problem(scenario, 0.0, 21, scenario.start_q)
 
 
 class TestBatchedLineSearch:
@@ -293,6 +322,24 @@ class TestBatchedLineSearch:
                 accepted_alphas.add(fp.step_length)
                 xs, us = fp.states, fp.controls
         assert len(accepted_alphas) > 1  # the search backtracked at least once
+
+    def test_each_stage_matches_one_call(self, seven_dof):
+        """The accepted step falls in the first scoring stage, in the second,
+        or nowhere; each outcome is the one-call scoring's, bit for bit."""
+        rng = np.random.default_rng(23)
+        problems = [quadratic_problem(rng)[0] for _ in range(4)]
+        problems += [seven_dof_problem(rng, seven_dof, CostWeights(*rng.uniform(0.05, 1.0, 6))) for _ in range(2)]
+        steps = set()
+        for problem in problems:
+            us = rng.uniform(-0.5, 0.5, (problem.n_knots - 1, problem.n_dims))
+            xs = rollout(problem, us)
+            bp = backward(problem, xs, us)
+            # a step stretched s times overshoots down to alpha ~ 1/s; a reversed one points uphill
+            for stretch in (1.0, 8.0, 16.0, 64.0, -1.0):
+                steps.add(assert_matches_loop(problem, xs, us, replace(bp, k=stretch * bp.k)).step_length)
+        assert 1.0 in steps and SHORTEST_FIRST_STAGE_STEP in steps  # first stage
+        assert any(0.0 < step < SHORTEST_FIRST_STAGE_STEP for step in steps)  # second stage
+        assert 0.0 in steps  # no step
 
     def test_non_finite_large_steps_are_skipped(self, seven_dof):
         # steps so long that alpha = 1 overflows the states, while every
@@ -374,8 +421,9 @@ class TestSolve:
 
     def test_scores_each_trajectory_once(self, seven_dof, monkeypatch):
         """The warm start is scored once and every other cost comes from a
-        forward pass's batched call; the returned cost is the plan's own, and
-        every solve is one loop."""
+        forward pass: one batched call for the first-stage steps, and one more
+        for the shorter steps exactly when none of those passed. The returned
+        cost is the plan's own, and every solve is one loop."""
 
         class CountingCost:
             def __init__(self, cost):
@@ -389,25 +437,30 @@ class TestSolve:
             def __getattr__(self, name):
                 return getattr(self.cost, name)
 
-        forward_passes = []
+        steps = []
 
         def counting_forward_pass(*args, **kwargs):
-            forward_passes.append(1)
-            return forward_pass(*args, **kwargs)
+            fp = forward_pass(*args, **kwargs)
+            steps.append(fp.step_length)
+            return fp
 
         monkeypatch.setattr(solver_module, "forward_pass", counting_forward_pass)
         rng = np.random.default_rng(21)
         weights = CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0)
         problems = [seven_dof_problem(rng, seven_dof, weights) for _ in range(3)]
         problems += [quadratic_problem(rng, bounds=0.3)[0] for _ in range(3)]
+        problems.append(default_task_problem(seven_dof))
         for problem in problems:
             cost = problem.cost
             problem.cost = CountingCost(cost)
-            forward_passes.clear()
+            steps.clear()
             result = solve_default(problem)
-            assert problem.cost.value_calls == 1 + len(forward_passes)
+            # a shorter step, or none, means the first stage found nothing
+            second_stages = sum(step < SHORTEST_FIRST_STAGE_STEP for step in steps)
+            assert problem.cost.value_calls == 1 + len(steps) + second_stages
             assert result.total_cost == cost.value(result.states, result.controls)
             assert result.outer_iterations == 1
+        assert second_stages > 0  # the default task's solve reached the second stage
 
     def test_one_fk_call_per_cost_call(self, seven_dof, monkeypatch):
         """The derivatives of every iterate reuse the FK its cost call ran."""
@@ -434,6 +487,35 @@ class TestSolve:
             result = solve_default(seven_dof_problem(rng, seven_dof, weights))
             assert result.iterations > 1
             assert calls["fk"] == calls["value"]
+
+    def test_derivatives_after_a_second_stage_step_reuse_its_fk(self, seven_dof, monkeypatch):
+        """A step accepted from the second scoring call keeps that call's FK for
+        the new iterate's derivatives: no extra fk_batch, and the same
+        derivatives as from a fresh FK."""
+        import anticip_mpc.costs as costs_module
+
+        fk_calls = []
+        fk_batch = costs_module.fk_batch
+
+        def counting_fk(*args):
+            fk_calls.append(1)
+            return fk_batch(*args)
+
+        monkeypatch.setattr(costs_module, "fk_batch", counting_fk)
+        rng = np.random.default_rng(24)
+        problem = seven_dof_problem(rng, seven_dof, CostWeights(0.5, 0.05, 0.5, 1.0, 0.05, 1.0))
+        us = rng.uniform(-0.5, 0.5, (5, 7))
+        xs = rollout(problem, us)
+        bp = backward(problem, xs, us)
+        fp = forward(problem, xs, us, replace(bp, k=64.0 * bp.k))
+        assert fp.accepted and fp.step_length < SHORTEST_FIRST_STAGE_STEP
+        fk_calls.clear()
+        gx, hxx = problem.cost.state_derivatives(fp.states)
+        assert not fk_calls
+        problem.cost.value(xs)  # the accepted rows are no longer the last scored
+        fresh_gx, fresh_hxx = problem.cost.state_derivatives(fp.states)
+        assert len(fk_calls) == 2
+        assert np.array_equal(gx, fresh_gx) and np.array_equal(hxx, fresh_hxx)
 
     def test_held_control_is_released_within_one_loop(self):
         # the reference ramps at 0.8 rad/s inside a 1 rad/s box. The warm
