@@ -30,6 +30,9 @@ DIST_EPS = 1e-6  # Mahalanobis denominator regularizer; the raw formula is singu
 HESS_FLOOR = 1e-8
 _CURV_GUARD = 1e-3  # scale guard when curvature is a gradient outer product
 _TINY = 1e-12
+_EYE3 = np.eye(3)
+# flat (row-major) indices of m21, m02, m10 and of m12, m20, m01 in a 3x3 matrix
+_AXIAL_PLUS, _AXIAL_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,30 @@ class KnotCostEvaluator:
         # orientation error via <q1,q2>^2 = (tr(R1^T R2) + 1) / 4, no quaternion
         # extraction needed in the hot path
         self.goal_R = quat_to_matrix(horizon.goal.orientation)
-        self.leg_vs = np.sum((self.goals - self.leg_start) ** 2, axis=-1)  # the ||G - S||^2 of each logit
+        # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
+        # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
+        self._leg_slopes = 2.0 * self.goals.T  # (3, G)
+        self._leg_offsets = ((self.goals - self.leg_start) ** 2).sum(axis=-1) - (self.goals**2).sum(axis=-1)
         a = self.gaze - self.mu[:, head]  # head-to-object gaze rays, (N, 3)
-        na = np.linalg.norm(a, axis=-1, keepdims=True)
+        na = _norms(a)[:, None]
         if self.weights.w_vis > 0 and np.any(na < 1e-9):
             raise InvalidInputError("degenerate gaze ray: the gazed object coincides with the head")
         self.gaze_hat = a / np.maximum(na, 1e-9)  # the floor only keeps an unused ray finite
 
-        tracked = np.asarray(model.tracked_frames, dtype=int)
-        self._jframes = np.concatenate([tracked, [model.eef_frame]])
+        tracked, eef = model.tracked_frames, model.eef_frame  # a tuple of ints, an int
+        # one Jacobian per distinct frame: the tracked frames, then the end
+        # effector unless it is tracked too
+        jframes = tracked if eef in tracked else tracked + (eef,)
+        self._jframes, self._eef_row = np.array(jframes), jframes.index(eef)
         self._n_tracked = len(tracked)
-        self._tracked = tracked
-        self._scored = (np.empty((0, model.n_joints)), None)  # rows of the last value call, their FK
+        # contiguous frames index by a slice, which gives a view instead of a copy
+        contiguous = tracked == tuple(range(tracked[0], tracked[0] + len(tracked)))
+        self._tracked = slice(tracked[0], tracked[-1] + 1) if contiguous else np.array(tracked)
+        n = model.n_joints
+        eye = np.eye(n)
+        self._hess_floor = HESS_FLOOR * eye
+        self._huu = (2.0 * self.weights.w_smooth + HESS_FLOOR) * eye
+        self._scored = (np.empty((0, n)), None)  # rows of the last value call, their FK
 
     # -- values ------------------------------------------------------------
 
@@ -143,9 +158,9 @@ class KnotCostEvaluator:
         self._scored = (rows, fk)
         positions = fk.positions.reshape(lead + fk.positions.shape[1:])
         knots = self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
-        total = np.sum(knots, axis=-1)
+        total = knots.sum(axis=-1)
         if us is not None and self.weights.w_smooth > 0:
-            total = total + self.weights.w_smooth * np.sum(us * us, axis=(-2, -1))
+            total = total + self.weights.w_smooth * (us * us).sum(axis=(-2, -1))
         return total
 
     def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
@@ -159,7 +174,7 @@ class KnotCostEvaluator:
         if w.w_dist > 0:
             d = positions[..., None, self._tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
             m = np.einsum("...i,...i->...", d, d @ self.cov_inv)  # d^T S^-1 d
-            vals += w.w_dist * np.sum(1.0 / (m + DIST_EPS), axis=(-2, -1))
+            vals += w.w_dist * (1.0 / (m + DIST_EPS)).sum(axis=(-2, -1))
 
         if w.w_vis > 0:
             _, _, cos_theta, _ = self._gaze_rays(p_eef)
@@ -170,11 +185,11 @@ class KnotCostEvaluator:
             vals += w.w_leg * (1.0 - probs[..., self.goal_index])
 
         if w.w_nom > 0:
-            vals += w.w_nom * np.linalg.norm(p_eef - self.nominal, axis=-1)
+            vals += w.w_nom * _norms(p_eef - self.nominal)
 
         if w.w_goal > 0:
             vals += w.w_goal * (
-                np.linalg.norm(p_eef - self.goal_p, axis=-1) + self._orientation_error(eef_rotations)
+                _norms(p_eef - self.goal_p) + self._orientation_error(eef_rotations)
             )
 
         return vals
@@ -189,16 +204,18 @@ class KnotCostEvaluator:
         length, floored like the gaze ray's: an end effector at the head gets
         a zero ray, a right gaze angle and a finite gradient."""
         b = p_eef - self.mu[:, self.head_index]
-        nb = np.maximum(np.linalg.norm(b, axis=-1), 1e-9)
+        nb = np.maximum(_norms(b), 1e-9)
         bhat = b / nb[..., None]
-        return self.gaze_hat, bhat, np.clip(np.sum(self.gaze_hat * bhat, axis=-1), -1.0, 1.0), nb
+        cos_theta = np.maximum(np.minimum((self.gaze_hat * bhat).sum(axis=-1), 1.0), -1.0)
+        return self.gaze_hat, bhat, cos_theta, nb
 
     def _goal_probs(self, p_eef: Array) -> Array:
-        # logits ||G - S||^2 - ||G - Q||^2 for end-effector points Q (..., 3)
-        logits = self.leg_vs - np.sum((self.goals - p_eef[..., None, :]) ** 2, axis=-1)
-        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        # softmax over goals for end-effector points (..., 3); a term shared by
+        # every logit does not change it
+        logits = p_eef @ self._leg_slopes + self._leg_offsets
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        return e / e.sum(axis=-1, keepdims=True)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -214,37 +231,38 @@ class KnotCostEvaluator:
         N, n = xs.shape
         w = self.weights
         fk = self._fk(xs)
-        J = position_jacobians(fk, self._jframes)  # (N, F, 3, n): tracked frames, then the end effector
+        J = position_jacobians(fk, self._jframes)  # (N, F, 3, n)
         F = J.shape[1]
         p_eef = fk.positions[:, self.model.eef_frame]
 
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
-        g_eef, P_eef = g[:, -1], P[:, -1]  # views: the end-effector terms add in place
+        g_eef, P_eef = g[:, self._eef_row], P[:, self._eef_row]  # views: the end-effector terms add in place
 
         if w.w_dist > 0:
             R = self._n_tracked
-            d = fk.positions[:, self._tracked][:, None, :, :] - self.mu[:, :, None, :]  # (N, H, R, 3)
+            d = fk.positions[:, None, self._tracked] - self.mu[:, :, None, :]  # (N, H, R, 3)
             sd = d @ self.cov_inv  # S^-1 d
-            denom = np.sum(d * sd, axis=-1) + DIST_EPS  # (N, H, R)
-            g[:, :R] = w.w_dist * np.sum((-2.0 / denom**2)[..., None] * sd, axis=1)
+            denom = (d * sd).sum(axis=-1) + DIST_EPS  # (N, H, R)
+            c2 = 2.0 / denom**2
+            g[:, :R] = w.w_dist * ((-c2)[..., None] * sd).sum(axis=1)
             # curvature with the sign of the off-axis part flipped positive:
             # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
             # magnitude of both pieces stops line-search overshoot against the
             # proximity barrier, which otherwise stalls the inner loop
-            sd_r = np.swapaxes(sd, 1, 2)  # (N, R, H, 3)
-            outer = np.swapaxes(sd_r, 2, 3) @ ((8.0 / denom**3).transpose(0, 2, 1)[..., None] * sd_r)
-            cov_part = (2.0 / denom**2).transpose(0, 2, 1) @ self.cov_inv.reshape(N, -1, 9)
+            sd_r = sd.swapaxes(1, 2)  # (N, R, H, 3)
+            outer = sd_r.swapaxes(2, 3) @ ((8.0 / denom**3).transpose(0, 2, 1)[..., None] * sd_r)
+            cov_part = c2.transpose(0, 2, 1) @ self.cov_inv.reshape(N, -1, 9)
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:
             ahat, bhat, cos_theta, nb = self._gaze_rays(p_eef)
             # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
             u_perp = ahat - cos_theta[:, None] * bhat
-            sin_theta = np.linalg.norm(u_perp, axis=-1)
+            sin_theta = _norms(u_perp)
             ok = sin_theta > 1e-9
-            g_p = np.zeros_like(u_perp)
-            g_p[ok] = -u_perp[ok] / (nb[ok] * sin_theta[ok] * self.sigma_head[ok])[:, None]
+            scale = nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
+            g_p = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
             c_vis = np.arccos(cos_theta) / self.sigma_head
             g_eef += w.w_vis * g_p
             P_eef += w.w_vis * _gauss_newton(g_p, c_vis)
@@ -265,8 +283,8 @@ class KnotCostEvaluator:
 
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
-        hxx = np.swapaxes(Jf, 1, 2) @ (P @ J).reshape(N, 3 * F, n)
-        hxx += HESS_FLOOR * np.eye(n)
+        hxx = Jf.swapaxes(1, 2) @ (P @ J).reshape(N, 3 * F, n)
+        hxx += self._hess_floor
 
         if w.w_goal > 0:
             o_val, g_or = self._orientation_terms(fk)
@@ -281,7 +299,7 @@ class KnotCostEvaluator:
         rows, fk = self._scored
         N = len(xs)
         if len(rows) % N == 0:
-            hit = np.flatnonzero(np.all(rows.reshape(-1, N, rows.shape[1]) == xs, axis=(1, 2)))
+            hit = np.flatnonzero((rows.reshape(-1, N, rows.shape[1]) == xs).all(axis=(1, 2)))
             if len(hit):
                 i = slice(hit[0] * N, hit[0] * N + N)
                 return BatchFk(fk.positions[i], fk.joint_axes_world[i], fk.eef_rotations[i])
@@ -298,19 +316,21 @@ class KnotCostEvaluator:
         """
         R = fk.eef_rotations
         o_val = self._orientation_error(R)
-        m = R @ self.goal_R.T
-        s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+        m = (R @ self.goal_R.T).reshape(-1, 9)
+        s = m.take(_AXIAL_PLUS, axis=1) - m.take(_AXIAL_MINUS, axis=1)  # (m21 - m12, m02 - m20, m10 - m01)
         g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""
         us = np.asarray(us, dtype=float)
-        M, n = us.shape
-        w = self.weights.w_smooth
-        gu = 2.0 * w * us
-        huu = np.tile((2.0 * w + HESS_FLOOR) * np.eye(n), (M, 1, 1))
-        return gu, huu
+        return 2.0 * self.weights.w_smooth * us, np.broadcast_to(self._huu, us.shape + us.shape[-1:])
+
+
+def _norms(x: Array) -> Array:
+    """Euclidean norms along the last axis: np.linalg.norm's own formula for
+    real arrays, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _gauss_newton(grad: Array, value: Array) -> Array:
@@ -324,9 +344,9 @@ def _norm_grad_curv(r: Array) -> tuple[Array, Array]:
 
     The exact Hessian (I - rhat rhat^T)/||r|| is already PSD; the norm in the
     denominator is floored to keep curvature bounded near zero."""
-    nr = np.linalg.norm(r, axis=1)
+    nr = _norms(r)
     safe = np.maximum(nr, _TINY)
     rhat = r / safe[:, None]
     g = np.where(nr[:, None] > _TINY, rhat, 0.0)
-    hp = (np.eye(3)[None] - rhat[:, :, None] * rhat[:, None, :]) / np.maximum(nr, _CURV_GUARD)[:, None, None]
+    hp = (_EYE3 - rhat[:, :, None] * rhat[:, None, :]) / np.maximum(nr, _CURV_GUARD)[:, None, None]
     return g, hp

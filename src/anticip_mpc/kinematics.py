@@ -122,7 +122,9 @@ class RobotModel:
         eef_frame = integer(self.eef_frame, "robot eef_frame")
         if eef_frame != n:
             raise InvalidInputError("eef_frame must be the last frame of the chain")
-        # per-joint Rodrigues terms, precomputed once for the FK hot path
+        # per-joint Rodrigues terms aa^T, I - aa^T and [a]x, precomputed once
+        # for the FK hot path
+        outer = axes[:, :, None] * axes[:, None, :]
         skews = np.zeros((n, 3, 3))
         skews[:, 0, 1] = -axes[:, 2]
         skews[:, 0, 2] = axes[:, 1]
@@ -130,10 +132,16 @@ class RobotModel:
         skews[:, 1, 2] = -axes[:, 0]
         skews[:, 2, 0] = -axes[:, 1]
         skews[:, 2, 1] = axes[:, 0]
+        # frame j's columns [axis_j | offset_(j-1)], zero where a frame has none,
+        # so one product turns every joint axis and link step into the world frame
+        frame_cols = np.zeros((n + 1, 3, 2))
+        frame_cols[:n, :, 0] = axes
+        frame_cols[1:, :, 1] = offsets
         store(
             self, axes=axes, offsets=offsets, base_position=base_p, base_orientation=base_q,
             vel_lower=lo, vel_upper=hi, tracked_frames=tracked, eef_frame=eef_frame,
-            _rot_skew=skews, _rot_outer=axes[:, :, None] * axes[:, None, :], _base_rotation=quat_to_matrix(base_q),
+            _rot_outer=outer, _rot_perp=np.eye(3) - outer, _rot_skew=skews, _frame_cols=frame_cols,
+            _base_rotation=quat_to_matrix(base_q),
         )
 
     @property
@@ -165,18 +173,17 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     B, n = qs.shape
     c = np.cos(qs)[:, :, None, None]
     s = np.sin(qs)[:, :, None, None]
-    joint_rots = c * np.eye(3) + s * model._rot_skew + (1.0 - c) * model._rot_outer  # (B, n, 3, 3)
+    joint_rots = model._rot_outer + c * model._rot_perp + s * model._rot_skew  # (B, n, 3, 3)
     # frame_rots[:, j] is the world rotation of frame j, before joint j turns
     frame_rots = np.empty((B, n + 1, 3, 3))
     frame_rots[:, 0] = model._base_rotation
     for j in range(n):
         np.matmul(frame_rots[:, j], joint_rots[:, j], out=frame_rots[:, j + 1])
-    axes_world = (frame_rots[:, :n] @ model.axes[:, :, None])[..., 0]
-    steps = np.empty((B, n + 1, 3))
+    cols = frame_rots @ model._frame_cols  # (B, n + 1, 3, 2): world axes, link steps
+    steps = cols[..., 1]
     steps[:, 0] = model.base_position
-    steps[:, 1:] = (frame_rots[:, 1:] @ model.offsets[:, :, None])[..., 0]
-    positions = np.cumsum(steps, axis=1)  # sequential sums, as the chain adds them
-    return BatchFk(positions, axes_world, frame_rots[:, n])
+    positions = steps.cumsum(axis=1)  # sequential sums, as the chain adds them
+    return BatchFk(positions, cols[:, :n, :, 0], frame_rots[:, n])
 
 
 _NEXT = np.array([1, 2, 0])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
@@ -192,8 +199,8 @@ def position_jacobians(fk: BatchFk, frames) -> Array:
     n = fk.joint_axes_world.shape[1]
     # (B, F, 3, n) levers and (B, 1, 3, n) axes; the cross product is written
     # out because np.cross spends most of its time on axis bookkeeping here
-    lever = fk.positions[:, frames, :, None] - np.swapaxes(fk.positions[:, None, :n, :], 2, 3)
-    a = np.swapaxes(fk.joint_axes_world, 1, 2)[:, None]
+    lever = fk.positions[:, frames, :, None] - fk.positions[:, None, :n, :].swapaxes(2, 3)
+    a = fk.joint_axes_world.swapaxes(1, 2)[:, None]
     J = a[:, :, _NEXT] * lever[:, :, _PREV] - a[:, :, _PREV] * lever[:, :, _NEXT]
     J *= (np.arange(n)[None, :] < frames[:, None])[None, :, None, :]  # joint j moves frame f only if j < f
     return J

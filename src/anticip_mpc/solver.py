@@ -4,9 +4,11 @@ The problem is a single-integrator chain x_{t+1} = x_t + u_t dt with a fixed
 initial state, per-knot nonlinear costs, and box bounds on the controls. An
 inner iLQR loop (Riccati-style backward pass on local quadratic models plus a
 line-searched forward rollout) minimizes the cost; the rollout clamps every
-control into its box, so every iterate is feasible. The line search rolls out
-all its step lengths together and scores the four longest first; the shorter
-ones are scored only when none of those passes.
+control into its box, so every iterate is feasible. The backward pass tests
+positive definiteness once per sweep, with one batched Cholesky of every
+knot's Q_uu. The line search rolls out all its step lengths together and
+scores the four longest first; the shorter ones are scored only when none of
+those passes.
 
 Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
 sits on a bound, and whose descent direction leaves the box, gets no step
@@ -16,7 +18,8 @@ bound the rest of the plan has moved away from is released inside the one
 loop.
 
 The stopping rules are fixed module constants: _MAX_INNER_ITERS, _COST_TOL,
-_GRAD_TOL, and the regularization cap _REG_CAP.
+_GRAD_TOL, and the regularization cap _REG_CAP. A solve that reaches the cap
+after its first backward pass returns its best iterate, not converged.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ _MAX_INNER_ITERS = 50
 _COST_TOL = 1e-4  # relative cost change that ends the solve
 _GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the solve
 _REG_MIN = 1e-6
-_REG_CAP = 1e6  # a larger shift fails the solve
+_REG_CAP = 1e6  # a larger shift ends the solve
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 # alpha in {1, ..., 1/8} are scored first, the rest only if none of them passes:
@@ -160,7 +163,7 @@ def _assemble_derivs(problem, xs, us) -> _Derivs:
     gx, hxx = problem.cost.state_derivatives(xs)
     gu, huu = problem.cost.control_derivatives(us)
     side = (us >= problem.u_upper) * 1.0 - (us <= problem.u_lower)
-    return _Derivs(gx, gu, hxx, huu, side, np.any(side != 0.0, axis=1))
+    return _Derivs(gx, gu, hxx, huu, side, (side != 0.0).any(axis=1))
 
 
 def _bump_reg(reg: float, where: str) -> float:
@@ -179,8 +182,11 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     """Riccati-style sweep producing affine feedback gains from the cost
     derivatives along the current iterate.
 
-    Q_uu blocks are Levenberg-Marquardt shifted until they factorize: the
-    shift starts at the given reg and follows :func:`_bump_reg` per failure.
+    Q_uu blocks are Levenberg-Marquardt shifted until all are positive
+    definite, tested once per sweep by one batched Cholesky after the loop:
+    the shift starts at the given reg and follows :func:`_bump_reg` per
+    failed sweep. A sweep fails the test if any knot fails it alone, so the
+    shift is the one a test at every knot would find.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
@@ -208,33 +214,34 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
         huu_reg = huu + reg * eye
         q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
         kK = np.empty((M, n, n + 1))  # [k | K]
+        quu = np.empty((M, n, n))
         v = hx[-1].copy()  # [v_x | V_xx]
         v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
-        for t in range(M - 1, -1, -1):
-            # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
-            # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]
-            q[t] = gu[t] + dt * v
-            quu = huu_reg[t] + dt * dt * v[:, 1:]
-            rhs = q[t]
-            if derivs.on_bound[t]:
-                free = derivs.side[t] * q[t, :, 0] >= 0.0
-                # identity rows and columns decouple the held controls, and
-                # their zero right-hand side gives them zero steps and gains
-                quu = np.where(free[:, None] & free, quu, eye)
-                q[t, :, 0] *= free  # out of the reported gradient
-                rhs = q[t] * free[:, None]
-            try:
-                np.linalg.cholesky(quu)  # the positive-definiteness test
-            except np.linalg.LinAlgError:
-                break
-            kK[t] = -np.linalg.solve(quu, rhs)
-            v = hx[t] + v + q[t, :, 1:] @ kK[t]
-            v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
-        else:
-            qu, k = q[:, :, 0], kK[:, :, 0]
-            decrease = max(0.0, -0.5 * float(np.sum(qu * k)))
-            return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.max(np.abs(qu))), reg)
-        reg = _bump_reg(reg, "backward pass: the local model cannot be made positive definite")
+        try:
+            with np.errstate(all="ignore"):  # knots past a failed one may overflow
+                for t in range(M - 1, -1, -1):
+                    # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
+                    # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]
+                    np.add(gu[t], dt * v, out=q[t])
+                    np.add(huu_reg[t], dt * dt * v[:, 1:], out=quu[t])
+                    rhs = q[t]
+                    if derivs.on_bound[t]:
+                        free = derivs.side[t] * q[t, :, 0] >= 0.0
+                        # identity rows and columns decouple the held controls, and
+                        # their zero right-hand side gives them zero steps and gains
+                        quu[t] = np.where(free[:, None] & free, quu[t], eye)
+                        q[t, :, 0] *= free  # out of the reported gradient
+                        rhs = q[t] * free[:, None]
+                    np.negative(np.linalg.solve(quu[t], rhs), out=kK[t])
+                    v = hx[t] + v + q[t, :, 1:] @ kK[t]
+                    v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
+            np.linalg.cholesky(quu)  # the positive-definiteness test, once per sweep
+            break
+        except np.linalg.LinAlgError:  # from the test, or from a solve past a failed knot
+            reg = _bump_reg(reg, "backward pass: the local model cannot be made positive definite")
+    qu, k = q[:, :, 0], kK[:, :, 0]
+    decrease = max(0.0, -0.5 * float((qu * k).sum()))
+    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()), reg)
 
 
 def forward_pass(
@@ -261,21 +268,25 @@ def forward_pass(
     xs = np.empty((_N_ALPHAS,) + states.shape)
     us = np.empty((_N_ALPHAS,) + controls.shape)
     xs[:, 0] = states[0]
+    feedforward = controls + alphas[:, None, None] * gains.k  # (A, M, n)
+    KT = gains.K.swapaxes(1, 2)
     # large steps may overflow; those candidates are masked out below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            u = controls[t] + alphas[:, None] * gains.k[t] + (xs[:, t] - states[t]) @ gains.K[t].T
-            u = np.minimum(np.maximum(u, problem.u_lower), problem.u_upper)  # np.clip dispatches slower
-            us[:, t] = u
+            u = us[:, t]
+            np.add(feedforward[:, t], (xs[:, t] - states[t]) @ KT[t], out=u)
+            np.maximum(u, problem.u_lower, out=u)  # np.clip dispatches slower
+            np.minimum(u, problem.u_upper, out=u)
             xs[:, t + 1] = xs[:, t] + u * dt
-    finite = np.all(np.isfinite(xs), axis=(1, 2))
-    xs[~finite] = states
-    us[~finite] = controls
+    finite = np.isfinite(xs).all(axis=(1, 2))
+    if not finite.all():
+        xs[~finite] = states
+        us[~finite] = controls
     required = _ARMIJO * alphas * gains.expected_decrease
     for stage in (slice(0, _FIRST_STAGE), slice(_FIRST_STAGE, _N_ALPHAS)):
         costs = problem.cost.value(xs[stage], us[stage])
         passed = finite[stage] & (incumbent_cost - costs >= required[stage])
-        if np.any(passed):
+        if passed.any():
             i = int(np.argmax(passed))
             a = stage.start + i
             return ForwardPassResult(xs[a], us[a], float(costs[i]), float(alphas[a]), True)
@@ -293,9 +304,12 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
 
     Every iterate lies inside the bounds and accepted iterate costs are
     non-increasing. The solve ends when the relative cost change or the free
-    controls' gradient falls below its tolerance (converged), or at the
-    iteration cap. The solve does not time itself; the caller times the
-    replan around it.
+    controls' gradient falls below its tolerance (converged), at the
+    iteration cap, or when the regularization would pass _REG_CAP: then it
+    returns the best iterate so far, not converged. It raises SolverError
+    only for a warm start with a non-finite cost or whose first backward
+    pass cannot be made positive definite. The solve does not time itself;
+    the caller times the replan around it.
     """
     M = problem.n_knots - 1
     n = problem.n_dims
@@ -311,32 +325,38 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
         raise SolverError(f"warm start has non-finite cost {J}")
 
     reg = 0.0
-    derivs = None
+    derivs = bp = None
 
     for iterations in range(1, _MAX_INNER_ITERS + 1):
-        if derivs is None:
-            derivs = _assemble_derivs(problem, xs, us)
-        # reg goes by keyword: perfbench's tracer reads the shift a pass started from
-        bp = backward_pass(problem, derivs, reg=reg)
-        reg = bp.reg_used
-        converged = bp.grad_inf < _GRAD_TOL
-        if converged:
-            break
-        fp = forward_pass(problem, xs, us, bp, J)
-        if fp.accepted:
-            dJ = J - fp.cost
-            xs, us, J = fp.states, fp.controls, fp.cost
-            derivs = None
-            if fp.step_length >= 2.0**-5:
-                reg = 0.0 if reg <= _REG_MIN else reg / 10.0
-            else:
-                # deep backtracking means the local model overshoots
-                reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
-            converged = abs(dJ) / max(1.0, abs(J)) < _COST_TOL
+        try:
+            if derivs is None:
+                derivs = _assemble_derivs(problem, xs, us)
+            # reg goes by keyword: perfbench's tracer reads the shift a pass started from
+            bp = backward_pass(problem, derivs, reg=reg)
+            reg = bp.reg_used
+            converged = bp.grad_inf < _GRAD_TOL
             if converged:
                 break
-        else:
-            reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
+            fp = forward_pass(problem, xs, us, bp, J)
+            if fp.accepted:
+                dJ = J - fp.cost
+                xs, us, J = fp.states, fp.controls, fp.cost
+                derivs = None
+                converged = abs(dJ) / max(1.0, abs(J)) < _COST_TOL
+                if converged:
+                    break
+                if fp.step_length >= 2.0**-5:
+                    reg = 0.0 if reg <= _REG_MIN else reg / 10.0
+                else:
+                    # deep backtracking means the local model overshoots
+                    reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
+            else:
+                reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
+        except SolverError:
+            if bp is None:
+                raise  # the warm start's local model cannot be made positive definite
+            converged = False  # at the regularization cap: (xs, us) is the best iterate so far
+            break
 
     return SolveResult(
         states=xs,

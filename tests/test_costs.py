@@ -339,6 +339,24 @@ class TestBatchedEvaluator:
             for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("tracked", [(2, 4, 6), (1, 2, 3), (5, 7, 2)])
+    def test_any_tracked_frames(self, seven_dof, tracked):
+        # gapped or contiguous, with or without the end effector, which then
+        # has a Jacobian row of its own or shares its tracked frame's
+        model = dataclasses.replace(seven_dof, tracked_frames=tracked)
+        rng = np.random.default_rng(sum(tracked))
+        weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
+        qs = rng.uniform(-1.2, 1.2, (4, 7))
+        contexts = random_contexts(rng, model, qs, weights=weights, n_human=2, goal_index=0)
+        ev = KnotCostEvaluator(model, stack_contexts(contexts))
+        separation = [KnotContextWithWeights(ctx, CostWeights(w_dist=1.0)) for ctx in contexts]
+        expected = sum(distance_cost(model, q, ctx.human_frame) for q, ctx in zip(qs, contexts))
+        assert np.isclose(KnotCostEvaluator(model, stack_contexts(separation)).value(qs), expected, rtol=1e-10)
+        gx, hxx = ev.state_derivatives(qs)
+        gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
+        for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
     def test_candidate_axis_matches_per_trajectory(self, seven_dof):
         rng = np.random.default_rng(13)
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))

@@ -211,6 +211,30 @@ class TestRiccatiFullForm:
         assert bp.grad_inf == 0.0 and bp.expected_decrease == 0.0
         assert self.assert_matches_full_form(problem, xs, us) == n_knots - 1
 
+    def test_matches_full_form_with_an_indefinite_interior_knot(self):
+        # negative control curvature at knot 2 of 5 only: the sweep passes
+        # knots 4 and 3, fails at 2 and runs on through 1 and 0 before the
+        # one positive-definiteness test of the sweep rejects it
+        class IndefiniteAtKnot2(QuadraticCost):
+            def control_derivatives(self, us):
+                gu, huu = super().control_derivatives(us)
+                huu[2] = -2.0 * np.eye(us.shape[1])
+                return gu, huu
+
+        n = 2
+        problem = TrajectoryProblem(
+            n_knots=6,
+            dt=0.1,
+            x0=np.zeros(n),
+            cost=IndefiniteAtKnot2(Q=np.eye(n), R=0.5 * np.eye(n), x_ref=np.ones(n)),
+            u_lower=-10.0 * np.ones(n),
+            u_upper=10.0 * np.ones(n),
+        )
+        us = np.zeros((5, n))
+        xs = rollout(problem, us)
+        assert backward(problem, xs, us).reg_used > 2.0
+        self.assert_matches_full_form(problem, xs, us)
+
     def test_matches_full_form_with_regularization(self):
         # the negative-R problem of TestRegularizationCap: Q_uu needs a shift above 2
         n = 2
@@ -641,8 +665,13 @@ class TestRegularizationCap:
         )
         assert solve_default(problem).converged  # the default cap leaves room for the bumps
         monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)  # below the first shift, 1e-6
-        with pytest.raises(SolverError, match="line search backtracked"):
-            solve_default(problem)
+        # the first accepted step needs a bump past the cap: the solve keeps that step
+        result = solve_default(problem)
+        assert not result.converged and result.iterations == 1
+        assert result.max_bound_violation == 0.0
+        assert_dynamically_feasible(problem, result)
+        us0 = np.zeros((problem.n_knots - 1, 1))
+        assert result.total_cost < problem.cost.value(rollout(problem, us0), us0)
 
 
 class TestConfigAndHelpers:
