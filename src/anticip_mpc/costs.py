@@ -31,8 +31,6 @@ HESS_FLOOR = 1e-8
 _CURV_GUARD = 1e-3  # scale guard when curvature is a gradient outer product
 _TINY = 1e-12
 _EYE3 = np.eye(3)
-# flat (row-major) indices of m21, m02, m10 and of m12, m20, m01 in a 3x3 matrix
-_AXIAL_PLUS, _AXIAL_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class KnotCostEvaluator:
         # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
         # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
         self._leg_slopes = 2.0 * self.goals.T  # (3, G)
-        self._leg_offsets = ((self.goals - self.leg_start) ** 2).sum(axis=-1) - (self.goals**2).sum(axis=-1)
+        self._leg_offsets = np.sum((self.goals - self.leg_start) ** 2, axis=-1) - np.sum(self.goals**2, axis=-1)
         a = self.gaze - self.mu[:, head]  # head-to-object gaze rays, (N, 3)
         na = _norms(a)[:, None]
         if self.weights.w_vis > 0 and np.any(na < 1e-9):
@@ -133,9 +131,7 @@ class KnotCostEvaluator:
         jframes = tracked if eef in tracked else tracked + (eef,)
         self._jframes, self._eef_row = np.array(jframes), jframes.index(eef)
         self._n_tracked = len(tracked)
-        # contiguous frames index by a slice, which gives a view instead of a copy
-        contiguous = tracked == tuple(range(tracked[0], tracked[0] + len(tracked)))
-        self._tracked = slice(tracked[0], tracked[-1] + 1) if contiguous else np.array(tracked)
+        self._tracked = np.array(tracked)
         n = model.n_joints
         eye = np.eye(n)
         self._hess_floor = HESS_FLOOR * eye
@@ -316,15 +312,15 @@ class KnotCostEvaluator:
         """
         R = fk.eef_rotations
         o_val = self._orientation_error(R)
-        m = (R @ self.goal_R.T).reshape(-1, 9)
-        s = m.take(_AXIAL_PLUS, axis=1) - m.take(_AXIAL_MINUS, axis=1)  # (m21 - m12, m02 - m20, m10 - m01)
+        m = R @ self.goal_R.T
+        s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
         g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""
         us = np.asarray(us, dtype=float)
-        return 2.0 * self.weights.w_smooth * us, np.broadcast_to(self._huu, us.shape + us.shape[-1:])
+        return 2.0 * self.weights.w_smooth * us, np.tile(self._huu, (len(us), 1, 1))
 
 
 def _norms(x: Array) -> Array:

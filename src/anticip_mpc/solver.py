@@ -186,7 +186,11 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     definite, tested once per sweep by one batched Cholesky after the loop:
     the shift starts at the given reg and follows :func:`_bump_reg` per
     failed sweep. A sweep fails the test if any knot fails it alone, so the
-    shift is the one a test at every knot would find.
+    shift is the one a test at every knot would find. The sweep runs with
+    overflow and invalid-value warnings off, because the knots past a failed
+    one may overflow before the test rejects the sweep; a non-finite gain
+    that an accepted sweep could still produce rolls out to non-finite
+    candidates, which the line search rejects.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
@@ -218,7 +222,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
         v = hx[-1].copy()  # [v_x | V_xx]
         v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
         try:
-            with np.errstate(all="ignore"):  # knots past a failed one may overflow
+            with np.errstate(over="ignore", invalid="ignore"):  # knots past a failed one may overflow
                 for t in range(M - 1, -1, -1):
                     # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
                     # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]

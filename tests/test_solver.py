@@ -666,12 +666,71 @@ class TestRegularizationCap:
         assert solve_default(problem).converged  # the default cap leaves room for the bumps
         monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)  # below the first shift, 1e-6
         # the first accepted step needs a bump past the cap: the solve keeps that step
-        result = solve_default(problem)
-        assert not result.converged and result.iterations == 1
+        self.assert_keeps_first_step(problem, solve_default(problem), iterations=1)
+
+    def test_a_later_backward_pass_at_the_cap_keeps_the_accepted_step(self, monkeypatch):
+        # doubled state curvature stops the first step halfway to the optimum;
+        # once the controls move, their curvature turns negative and the second
+        # backward pass needs a shift
+        class TurnsIndefinite(QuadraticCost):
+            def state_derivatives(self, xs):
+                gx, hxx = super().state_derivatives(xs)
+                return gx, 2.0 * hxx
+
+            def control_derivatives(self, us):
+                gu, huu = super().control_derivatives(us)
+                return gu, (-1.0 if np.any(us != 0.0) else 1.0) * huu
+
+        problem = self.two_dims(TurnsIndefinite(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
+        assert backward(problem, *self.first_step(problem)[:2]).reg_used > 0.0  # the cap is what stops it
+        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)
+        self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
+
+    def test_a_stalled_line_search_at_the_cap_keeps_the_accepted_step(self, monkeypatch):
+        # as above, but once the iterate moves its reported gradient turns
+        # round, so every step of the second line search climbs
+        class TurnsRound(QuadraticCost):
+            def state_derivatives(self, xs):
+                gx, hxx = super().state_derivatives(xs)
+                return (-1.0 if np.any(xs != 0.0) else 1.0) * gx, 2.0 * hxx
+
+            def control_derivatives(self, us):
+                gu, huu = super().control_derivatives(us)
+                return (-1.0 if np.any(us != 0.0) else 1.0) * gu, huu
+
+        problem = self.two_dims(TurnsRound(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
+        xs, us, _ = self.first_step(problem)
+        assert not forward(problem, xs, us, backward(problem, xs, us)).accepted
+        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)
+        self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
+
+    @staticmethod
+    def two_dims(cost):
+        n = 2
+        return TrajectoryProblem(
+            n_knots=5, dt=0.1, x0=np.zeros(n), cost=cost, u_lower=-10.0 * np.ones(n), u_upper=10.0 * np.ones(n)
+        )
+
+    @staticmethod
+    def first_step(problem):
+        """The states, controls and cost of the solve's first accepted step
+        from zero controls."""
+        us = np.zeros((problem.n_knots - 1, problem.n_dims))
+        xs = rollout(problem, us)
+        fp = forward(problem, xs, us, backward(problem, xs, us))
+        assert fp.accepted
+        return fp.states, fp.controls, fp.cost
+
+    def assert_keeps_first_step(self, problem, result, iterations):
+        xs, us, cost = self.first_step(problem)
+        assert not result.converged and result.iterations == iterations
+        np.testing.assert_array_equal(result.states, xs)
+        np.testing.assert_array_equal(result.controls, us)
+        assert result.total_cost == cost
         assert result.max_bound_violation == 0.0
         assert_dynamically_feasible(problem, result)
-        us0 = np.zeros((problem.n_knots - 1, 1))
-        assert result.total_cost < problem.cost.value(rollout(problem, us0), us0)
+        us0 = np.zeros_like(us)
+        assert cost < problem.cost.value(rollout(problem, us0), us0)
 
 
 class TestConfigAndHelpers:
