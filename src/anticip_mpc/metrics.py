@@ -44,9 +44,9 @@ def visibility_metric(
     a = trace.gaze_object[None, :] - head
     b = trace.eef_positions - head
     na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na < 1e-9) or np.any(nb < 1e-9):
+    if np.any(na < 1e-9):
         raise InvalidInputError("degenerate gaze ray while evaluating visibility")
+    nb = np.maximum(np.linalg.norm(b, axis=1), 1e-9)  # as in the cost: a zero ray is at pi/2, outside the cone
     cosang = np.clip(np.sum(a * b, axis=1) / (na * nb), -1.0, 1.0)
     return float(np.mean(np.arccos(cosang) <= fov_half_angle))
 

@@ -119,6 +119,9 @@ class Scenario:
             raise InvalidInputError(f"scenario legibility.goals must be a list of 3-vectors, got {goals.shape}")
         goal_index = integer(self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1)
         seed = integer(self.seed, "scenario seed")
+        for key, human in (("prediction", self.prediction), ("ground_truth", self.ground_truth)):
+            if human is not None and not human.t0 <= 1e-9 * human.dt:  # slice_horizon's grid tolerance
+                raise InvalidInputError(f"scenario {key} must start at or before t = 0, got t0={human.t0}")
         nominal = self.nominal
         if nominal is not None:
             nominal = np.atleast_2d(float_array(nominal, "scenario nominal"))
@@ -392,12 +395,10 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     T1 = states.shape[0]
     fk = fk_batch(model, states)
     tracked = fk.positions[:, list(model.tracked_frames)]
-    # the executed-motion grid starts at t=0 wherever a prediction begins
-    human_pred, _ = slice_horizon(scenario.prediction, max(0.0, scenario.prediction.t0), T1, cfg.dt)
+    human_pred, _ = slice_horizon(scenario.prediction, 0.0, T1, cfg.dt)
     human_true = human_pred
     if scenario.ground_truth is not None:
-        gt = scenario.ground_truth
-        human_true, _ = slice_horizon(gt, max(0.0, gt.t0), T1, cfg.dt)
+        human_true, _ = slice_horizon(scenario.ground_truth, 0.0, T1, cfg.dt)
     dists = np.linalg.norm(tracked[:, None, :, :] - human_true[:, :, None, :], axis=-1)
     total_wall = time.perf_counter() - t0_wall
 

@@ -18,8 +18,8 @@ bound the rest of the plan has moved away from is released inside the one
 loop.
 
 The stopping rules are fixed module constants: _MAX_INNER_ITERS, _COST_TOL,
-_GRAD_TOL, and the regularization cap _REG_CAP. A solve that reaches the cap
-after its first backward pass returns its best iterate, not converged.
+_GRAD_TOL, and _REG_CAP, the cap on the shift _next_reg schedules; a solve at
+the cap after its first backward pass returns its best iterate, not converged.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class SolveResult:
     outer_iterations: int  # always 1; trace schema v1 carries the field
     converged: bool
     max_bound_violation: float
-    grad_inf: float
+    grad_inf: float  # from the last backward pass that completed; see solve
 
     to_dict = Fields.to_dict
 
@@ -166,16 +166,13 @@ def _assemble_derivs(problem, xs, us) -> _Derivs:
     return _Derivs(gx, gu, hxx, huu, side, (side != 0.0).any(axis=1))
 
 
-def _bump_reg(reg: float, where: str) -> float:
-    """The next Levenberg-Marquardt shift: 1e-6 from zero, else 10x reg.
-
-    The one regularization schedule of the solver; a shift past _REG_CAP
-    aborts with a SolverError saying `where` it was needed.
-    """
-    reg = _REG_MIN if reg == 0.0 else reg * 10.0
-    if reg > _REG_CAP:
-        raise SolverError(f"{where}: regularization exceeded cap {_REG_CAP:g}")
-    return reg
+def _next_reg(reg: float, step_length: float) -> float:
+    """The next Levenberg-Marquardt shift, the solver's one schedule: tenfold
+    down after a step >= 1/32, to zero from _REG_MIN; tenfold up after a
+    shorter step or none (step_length 0), from _REG_MIN at zero."""
+    if step_length >= 2.0**-5:
+        return 0.0 if reg <= _REG_MIN else reg / 10.0
+    return _REG_MIN if reg == 0.0 else reg * 10.0
 
 
 def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0) -> BackwardPassResult:
@@ -184,7 +181,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
 
     Q_uu blocks are Levenberg-Marquardt shifted until all are positive
     definite, tested once per sweep by one batched Cholesky after the loop:
-    the shift starts at the given reg and follows :func:`_bump_reg` per
+    the shift starts at the given reg and rises by :func:`_next_reg` per
     failed sweep. A sweep fails the test if any knot fails it alone, so the
     shift is the one a test at every knot would find. The sweep runs with
     overflow and invalid-value warnings off, because the knots past a failed
@@ -242,7 +239,10 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
             np.linalg.cholesky(quu)  # the positive-definiteness test, once per sweep
             break
         except np.linalg.LinAlgError:  # from the test, or from a solve past a failed knot
-            reg = _bump_reg(reg, "backward pass: the local model cannot be made positive definite")
+            reg = _next_reg(reg, 0.0)
+            if reg > _REG_CAP:
+                msg = "backward pass: the local model cannot be made positive definite"
+                raise SolverError(f"{msg}: regularization exceeded cap {_REG_CAP:g}")
     qu, k = q[:, :, 0], kK[:, :, 0]
     decrease = max(0.0, -0.5 * float((qu * k).sum()))
     return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()), reg)
@@ -313,7 +313,10 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     returns the best iterate so far, not converged. It raises SolverError
     only for a warm start with a non-finite cost or whose first backward
     pass cannot be made positive definite. The solve does not time itself;
-    the caller times the replan around it.
+    the caller times the replan around it. grad_inf is the free controls'
+    gradient from the last backward pass that completed: at the iterate
+    before the returned one when the solve ends right after an accepted step
+    (the cost-change stop, the iteration cap, the cap in the next backward pass).
     """
     M = problem.n_knots - 1
     n = problem.n_dims
@@ -330,37 +333,32 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
 
     reg = 0.0
     derivs = bp = None
+    converged = False
 
     for iterations in range(1, _MAX_INNER_ITERS + 1):
+        if derivs is None:
+            derivs = _assemble_derivs(problem, xs, us)
         try:
-            if derivs is None:
-                derivs = _assemble_derivs(problem, xs, us)
             # reg goes by keyword: perfbench's tracer reads the shift a pass started from
             bp = backward_pass(problem, derivs, reg=reg)
-            reg = bp.reg_used
-            converged = bp.grad_inf < _GRAD_TOL
-            if converged:
-                break
-            fp = forward_pass(problem, xs, us, bp, J)
-            if fp.accepted:
-                dJ = J - fp.cost
-                xs, us, J = fp.states, fp.controls, fp.cost
-                derivs = None
-                converged = abs(dJ) / max(1.0, abs(J)) < _COST_TOL
-                if converged:
-                    break
-                if fp.step_length >= 2.0**-5:
-                    reg = 0.0 if reg <= _REG_MIN else reg / 10.0
-                else:
-                    # deep backtracking means the local model overshoots
-                    reg = _bump_reg(reg, f"line search backtracked to step {fp.step_length:g}")
-            else:
-                reg = _bump_reg(reg, f"line search stalled at cost {J:.6g}")
         except SolverError:
             if bp is None:
                 raise  # the warm start's local model cannot be made positive definite
-            converged = False  # at the regularization cap: (xs, us) is the best iterate so far
+            break  # at the regularization cap: (xs, us) is the best iterate so far
+        if bp.grad_inf < _GRAD_TOL:
+            converged = True
             break
+        fp = forward_pass(problem, xs, us, bp, J)
+        if fp.accepted:
+            dJ = J - fp.cost
+            xs, us, J = fp.states, fp.controls, fp.cost
+            derivs = None
+            if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
+                converged = True
+                break
+        reg = _next_reg(bp.reg_used, fp.step_length)
+        if reg > _REG_CAP:
+            break  # (xs, us) is the best iterate so far
 
     return SolveResult(
         states=xs,
@@ -368,7 +366,7 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
         total_cost=float(J),
         iterations=iterations,
         outer_iterations=1,
-        converged=bool(converged),
+        converged=converged,
         max_bound_violation=max_bound_violation(problem, us),
         grad_inf=float(bp.grad_inf),
     )

@@ -459,6 +459,16 @@ class TestSimulate:
         tb = strip_timing(json.loads((b / "trace.json").read_text()))
         assert ta == tb
 
+    def test_ground_truth_starting_after_zero_exits_2_at_load(self, workspace, tmp_path, capsys):
+        block = json.loads((workspace / "scenario.json").read_text())["prediction"]["synthesize"]
+        config = tmp_path / "late_truth.json"
+        config.write_text(json.dumps({"ground_truth": {"synthesize": {**block, "t0": 0.5}}}))
+        out = tmp_path / "sim"
+        code = run_cli("simulate", "--scenario", workspace / "scenario.json", "--config", config, "--out", out)
+        assert code == EXIT_INVALID_INPUT
+        assert "scenario ground_truth must start at or before t = 0, got t0=0.5" in capsys.readouterr().err
+        assert not (out / "trace.json").exists()
+
     def test_degenerate_mpc_equals_plan(self, workspace, tmp_path):
         plan_out = tmp_path / "plan"
         sim_out = tmp_path / "sim"
@@ -615,6 +625,25 @@ class TestBench:
         assert summary["per_trajectory_mean_s"] > 0
         rows = list(csv.reader((out / "bench.csv").open()))
         assert len(rows) == 3  # header + one per requested run, warm-up excluded
+
+    def test_file_prediction_shares_one_human_and_warns(self, workspace, tmp_path, monkeypatch, caplog):
+        import anticip_mpc.cli as cli_module
+
+        data = json.loads((workspace / "scenario.json").read_text())
+        data["prediction"] = str(workspace / "prediction.json")
+        data["robot_model"] = str(workspace / "robot.json")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        humans, run_mpc = [], cli_module.run_mpc
+
+        def recording_run_mpc(s):
+            humans.append(s.prediction)
+            return run_mpc(s)
+
+        monkeypatch.setattr(cli_module, "run_mpc", recording_run_mpc)
+        assert run_cli("bench", "--scenario", scenario, "--out", tmp_path / "bench", "--n", 2) == EXIT_OK
+        assert len(humans) == 3 and all(h is humans[0] for h in humans)  # warm-up and two runs
+        assert "bench runs will share one human motion" in caplog.text
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fewer_than_one_run_rejected(self, workspace, tmp_path, n, capsys):

@@ -483,6 +483,16 @@ class TestWeightValidation:
         assert CostWeights.from_dict(w.to_dict()) == w
 
 
+class TestGoalAndLegibilityValidation:
+    def test_non_unit_goal_quaternion_rejected(self):
+        with pytest.raises(InvalidInputError, match="goal orientation must be a unit quaternion"):
+            GoalSpec([0.5, -0.4, 0.3], [1.0, 1.0, 0.0, 0.0])
+
+    def test_empty_legibility_goals_rejected(self):
+        with pytest.raises(InvalidInputError, match="legibility goals must be a nonempty"):
+            LegibilityContext(np.zeros(3), np.zeros((0, 3)), 0)
+
+
 class TestStoredInputs:
     """Goal and legibility inputs keep read-only copies of the caller's arrays."""
 

@@ -209,6 +209,27 @@ class TestModelValidation:
                 vel_upper=[-1.0],
             )
 
+    @pytest.mark.parametrize(
+        "axes, base_orientation, message",
+        [
+            ([[0.0, 0.0, 1.0, 0.0]], [1, 0, 0, 0], r"robot joints\[\]\.axis must be n_joints 3-vectors"),
+            ([[0.0, 0.0, 1.0]], [1, 1, 0, 0], "base orientation must be a unit quaternion"),
+        ],
+        ids=["axis_shape", "base_orientation"],
+    )
+    def test_named_field_rejected(self, axes, base_orientation, message):
+        with pytest.raises(InvalidInputError, match=message):
+            RobotModel(
+                axes=np.array(axes),
+                offsets=np.array([[1.0, 0.0, 0.0]]),
+                base_position=np.zeros(3),
+                base_orientation=base_orientation,
+                tracked_frames=(1,),
+                eef_frame=1,
+                vel_lower=[-1.0],
+                vel_upper=[1.0],
+            )
+
     def test_eef_must_be_last_frame(self):
         with pytest.raises(InvalidInputError):
             RobotModel(

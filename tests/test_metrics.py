@@ -135,7 +135,24 @@ class TestVisibilityMetric:
         assert visibility_metric(trace, fov_half_angle=np.pi / 6) == 0.0
 
 
+    def test_end_effector_at_the_head_is_outside_the_cone(self):
+        # a zero eef ray has a gaze angle of pi/2, as in the visibility cost
+        eef = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        trace = make_trace(eef, human=np.zeros((2, 1, 3)), gaze=[1.0, 0.0, 0.0])
+        assert visibility_metric(trace) == 0.5
+        assert visibility_metric(trace, fov_half_angle=0.51 * np.pi) == 1.0
+
+    def test_gazed_object_at_the_head_rejected(self):
+        trace = make_trace(np.tile([2.0, 0.0, 0.0], (3, 1)), human=np.zeros((3, 1, 3)), gaze=[0.0, 0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="degenerate gaze ray"):
+            visibility_metric(trace)
+
+
 class TestLegibilityMetric:
+    def test_empty_goal_set_rejected(self):
+        with pytest.raises(InvalidInputError, match="goal set must be nonempty"):
+            goal_inference_probabilities(np.zeros((3, 3)), np.zeros(3), np.zeros((0, 3)), 0)
+
     def test_static_at_start_ties_goals(self):
         for k in (2, 4):
             goals = np.random.default_rng(k).uniform(-1, 1, (k, 3))
@@ -275,3 +292,7 @@ class TestEvaluateTrace:
     def test_fraction_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
             MetricsReport(dst=1.2, vis=0.5, leg=0.5, nom=0.0, lat=0.1, per_replan=[0.1])
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(InvalidInputError, match="lat must be nonnegative"):
+            MetricsReport(dst=0.5, vis=0.5, leg=0.5, nom=0.0, lat=-0.1, per_replan=[0.1])

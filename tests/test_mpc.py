@@ -27,7 +27,8 @@ from anticip_mpc.mpc import (
     scenario_from_dict,
 )
 from anticip_mpc.costs import KnotCostEvaluator
-from anticip_mpc.prediction import HumanPrediction, ReachConfig, slice_horizon
+from anticip_mpc.metrics import evaluate_trace
+from anticip_mpc.prediction import HumanPrediction, ReachConfig, prediction_to_dict, slice_horizon
 
 from conftest import eef_pose
 from oracles import HumanJointGaussian, KnotContext, slice_horizon_loop, stack_contexts
@@ -127,6 +128,15 @@ class TestRunMpc:
             stitched.extend(record.result.states[1 : replan_steps + 1])
         stitched = np.asarray(stitched)[: len(trace.states)]
         assert np.array_equal(trace.states, stitched)
+
+    def test_ground_truth_starting_before_zero_is_read_from_t_zero(self):
+        scenario = make_scenario(seed=0)
+        pred = scenario.prediction
+        assert pred.t0 == 0.0 and pred.dt == scenario.mpc.dt
+        early = dataclasses.replace(pred, t0=-pred.dt)  # frame k + 1 lies at t = k dt
+        trace = run_mpc(dataclasses.replace(scenario, ground_truth=early))
+        assert np.array_equal(trace.human_true, early.means[1 : len(trace.times) + 1])
+        assert np.array_equal(trace.human_pred, pred.means[: len(trace.times)])
 
     def test_timestamps_strictly_increasing(self, default_trace):
         assert np.all(np.diff(default_trace.times) > 0)
@@ -362,6 +372,29 @@ class TestScenarioLoading:
         assert not np.array_equal(scenario.nominal[0], path[0])
         assert np.array_equal(scenario.legibility.start, start)
 
+    def test_legibility_goals_must_be_3_vectors(self):
+        with pytest.raises(InvalidInputError, match="scenario legibility.goals must be a list of 3-vectors"):
+            make_scenario(seed=0, legibility={"goals": [[0.6, -0.5]], "goal_index": 0})
+
+    def test_inline_prediction_object_loads(self):
+        synthesized = make_scenario(seed=2)
+        data = default_scenario_dict(seed=2)
+        data["robot_model"] = model_to_dict(default_robot_model())
+        data["prediction"] = prediction_to_dict(synthesized.prediction)
+        scenario = scenario_from_dict(data, Path("."))
+        assert scenario.synthesis is None
+        assert np.array_equal(scenario.prediction.means, synthesized.prediction.means)
+        assert np.array_equal(scenario.prediction.covs, synthesized.prediction.covs)
+
+    @pytest.mark.parametrize("key", ["prediction", "ground_truth"])
+    def test_human_source_starting_after_zero_rejected(self, key):
+        scenario = make_scenario(seed=0)
+        late = dataclasses.replace(scenario.prediction, t0=0.5)
+        with pytest.raises(InvalidInputError, match=f"scenario {key} must start at or before t = 0, got t0=0.5"):
+            dataclasses.replace(scenario, **{key: late})
+        # slice_horizon's tolerance of 1e-9 grid steps lets a start just past zero through
+        dataclasses.replace(scenario, **{key: dataclasses.replace(late, t0=0.5e-9 * late.dt)})
+
     def test_explicit_goal_pose(self):
         scenario = make_scenario(
             seed=0,
@@ -442,6 +475,19 @@ def test_zero_separation_solves_with_finite_costs(joint, frame):
         assert np.isfinite(problem.cost.value(xs, result.controls))
         gx, hxx = problem.cost.state_derivatives(xs)
         assert np.isfinite(gx).all() and np.isfinite(hxx).all()
+
+
+def test_end_effector_at_the_predicted_head_plans_and_evaluates():
+    """The head case above, run through the loop and scored: the first trace
+    point's end effector sits at the head, a zero gaze ray outside the cone."""
+    scenario = make_scenario(seed=0)
+    pred = scenario.prediction
+    means = pred.means.copy()
+    means[:, pred.head_index] = fk_batch(scenario.model, scenario.start_q[None]).positions[0, 7]
+    trace = run_mpc(dataclasses.replace(scenario, prediction=dataclasses.replace(pred, means=means)))
+    assert np.array_equal(trace.eef_positions[0], trace.human_true[0, pred.head_index])
+    report = evaluate_trace(trace)
+    assert 0.0 <= report.vis < 1.0
 
 
 def test_goal_at_start_stops_after_one_replan():

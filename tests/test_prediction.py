@@ -50,6 +50,25 @@ class TestLoading:
         np.testing.assert_allclose(loaded.means, pred.means)
         np.testing.assert_allclose(loaded.covs, pred.covs)
 
+    @pytest.mark.parametrize(
+        "names, means, covs, message",
+        [
+            (("j0",), np.zeros((2, 1, 2)), np.tile(np.eye(3), (2, 1, 1, 1)), r"means must have shape \(T, H, 3\)"),
+            (("j0",), np.zeros((2, 1, 3)), np.tile(np.eye(3), (2, 1, 1)), r"covs must have shape \(T, H, 3, 3\)"),
+            (("j0", "j1"), np.zeros((2, 1, 3)), np.tile(np.eye(3), (2, 1, 1, 1)), "joint_names length must match"),
+        ],
+        ids=["means", "covs", "joint_names"],
+    )
+    def test_array_shapes_checked(self, names, means, covs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            HumanPrediction(names, 0, means, covs, dt=0.25)
+
+    def test_missing_key_named(self):
+        data = prediction_to_dict(make_prediction())
+        del data["frames"]
+        with pytest.raises(InvalidInputError, match="prediction missing required key: 'frames'"):
+            prediction_from_dict(data)
+
     def test_non_pd_covariance_names_frame_and_joint(self, tmp_path):
         pred = make_prediction()
         data = prediction_to_dict(pred)
@@ -250,6 +269,11 @@ class TestSliceHorizon:
         pred = make_prediction()
         with pytest.raises(InvalidInputError):
             slice_horizon(pred, pred.t0 - 0.1, 3, pred.dt)
+
+    @pytest.mark.parametrize("n_knots, dt", [(0, 0.25), (3, 0.0)], ids=["n_knots", "dt"])
+    def test_bad_knot_grid_rejected(self, n_knots, dt):
+        with pytest.raises(InvalidInputError, match="n_knots must be >= 1 and dt > 0"):
+            slice_horizon(make_prediction(), 0.0, n_knots, dt)
 
     def test_start_within_tolerance_reads_the_first_frame(self):
         pred = make_prediction()

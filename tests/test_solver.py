@@ -733,6 +733,22 @@ class TestRegularizationCap:
         assert cost < problem.cost.value(rollout(problem, us0), us0)
 
 
+class TestNextReg:
+    @pytest.mark.parametrize(
+        "reg, step_length, expected",
+        [
+            (0.0, 1.0, 0.0),  # a long step keeps a zero shift
+            (1e-6, 1.0, 0.0),  # at _REG_MIN it falls to zero
+            (1e-3, 2.0**-5, 1e-4),  # 1/32 is still a long step
+            (0.0, 2.0**-6, 1e-6),  # a short step starts the shift at _REG_MIN
+            (1e-5, 0.0, 1e-4),  # no step
+            (1e5, 0.0, 1e6),  # at the cap, not past it
+        ],
+    )
+    def test_schedule(self, reg, step_length, expected):
+        assert solver_module._next_reg(reg, step_length) == expected
+
+
 class TestConfigAndHelpers:
     def test_violation_helpers(self):
         rng = np.random.default_rng(16)
@@ -760,4 +776,23 @@ class TestConfigAndHelpers:
                 cost=QuadraticCost(np.eye(2), np.eye(2), np.zeros(2)),
                 u_lower=-np.ones(2),
                 u_upper=np.ones(2),
+            )
+
+    @pytest.mark.parametrize(
+        "u_lower, u_upper, message",
+        [
+            (-np.ones(3), np.ones(2), "control bounds must match the state dimension"),
+            ([-1.0, 1.0], np.ones(2), "control bounds must satisfy lower < upper"),
+        ],
+        ids=["shape", "order"],
+    )
+    def test_problem_rejects_bad_control_bounds(self, u_lower, u_upper, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TrajectoryProblem(
+                n_knots=4,
+                dt=0.25,
+                x0=np.zeros(2),
+                cost=QuadraticCost(np.eye(2), np.eye(2), np.zeros(2)),
+                u_lower=u_lower,
+                u_upper=u_upper,
             )
