@@ -125,11 +125,18 @@ def default_scenario_dict(
 # commands
 
 
+def _out_dir(path) -> Path:
+    try:  # called after the command's argument checks, so a rejected call creates nothing
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise InvalidInputError(f"--out {path} cannot be used as a directory: {exc.strerror or exc}") from None
+    return Path(path)
+
+
 def cmd_gen_scenario(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.duration <= 0:
         raise InvalidInputError("--duration must be positive")
+    out = _out_dir(args.out)
 
     model = default_robot_model()
     data = default_scenario_dict(
@@ -159,9 +166,8 @@ def cmd_gen_scenario(args) -> int:
 
 def cmd_plan(args) -> int:
     """The one-shot plan: a receding-horizon run whose single replan spans the task."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario, args.config)
+    out = _out_dir(args.out)
     duration = scenario.mpc.task_duration
     trace = run_mpc(replace(scenario, mpc=replace(scenario.mpc, horizon=duration, replan_period=duration)))
 
@@ -179,9 +185,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(args.scenario, args.config)
+    out = _out_dir(args.out)
     run_mpc(scenario)  # discarded warm-up run: pays one-time cache costs
     trace = run_mpc(scenario)
 
@@ -203,13 +208,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    traces = [ExecutionTrace.load_json(trace_path) for trace_path in args.traces]
+    out = _out_dir(args.out)
     reports: list[MetricsReport] = []
     seeds = []
     outputs = []
-    for i, trace_path in enumerate(args.traces):
-        trace = ExecutionTrace.load_json(trace_path)
+    for i, trace in enumerate(traces):
         seeds.append(trace.seed)
         report = evaluate_trace(
             trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against
@@ -255,9 +259,8 @@ def _reseeded(base: Scenario, seed: int) -> Scenario:
 def cmd_bench(args) -> int:
     if args.n < 1:
         raise InvalidInputError(f"--n must be at least 1, got {args.n}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base = load_scenario(args.scenario, args.config)
+    out = _out_dir(args.out)
     if base.synthesis is None:
         log.warning("scenario prediction is not synthesized; bench runs will share one human motion")
 

@@ -4,11 +4,11 @@ The problem is a single-integrator chain x_{t+1} = x_t + u_t dt with a fixed
 initial state, per-knot nonlinear costs, and box bounds on the controls. An
 inner iLQR loop (Riccati-style backward pass on local quadratic models plus a
 line-searched forward rollout) minimizes the cost; the rollout clamps every
-control into its box, so every iterate is feasible. The backward pass tests
-positive definiteness once per sweep, with one batched Cholesky of every
-knot's Q_uu. The line search rolls out all its step lengths together and
-scores the four longest first; the shorter ones are scored only when none of
-those passes.
+control into its box, so every iterate is feasible. The backward pass makes
+one LAPACK solve per knot and tests positive definiteness once per sweep, with
+one batched Cholesky of every knot's Q_uu. The line search rolls out all its
+step lengths together and scores the four longest first, the rest only when
+none of those passes.
 
 Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
 sits on a bound, and whose descent direction leaves the box, gets no step
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import Fields, InvalidInputError, SolverError
 
 Array = np.ndarray
+_lapack_solve = np.linalg._umath_linalg.solve  # np.linalg.solve's gufunc: NaN, not an error, when singular
 
 _MAX_INNER_ITERS = 50
 _COST_TOL = 1e-4  # relative cost change that ends the solve
@@ -40,6 +41,7 @@ _REG_MIN = 1e-6
 _REG_CAP = 1e6  # a larger shift ends the solve
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
+_ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
 # alpha in {1, ..., 1/8} are scored first, the rest only if none of them passes:
 # the largest passing step is >= 1/8 in 50-68% of searches on each benchmark workload
 _FIRST_STAGE = 4
@@ -184,10 +186,10 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     the shift starts at the given reg and rises by :func:`_next_reg` per
     failed sweep. A sweep fails the test if any knot fails it alone, so the
     shift is the one a test at every knot would find. The sweep runs with
-    overflow and invalid-value warnings off, because the knots past a failed
-    one may overflow before the test rejects the sweep; a non-finite gain
-    that an accepted sweep could still produce rolls out to non-finite
-    candidates, which the line search rejects.
+    overflow and invalid-value warnings off: a singular Q_uu gives NaN gains
+    and the knots past a failed one may overflow before the test rejects the
+    sweep; a non-finite gain that an accepted sweep could still produce rolls
+    out to non-finite candidates, which the line search rejects.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
@@ -198,7 +200,8 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     the full value update of Tassa, Erez & Todorov (2012) loses its cross
     terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
     decrease at a full step is -q_u^T k / 2. Held rows of k and K are zero,
-    so this holds with Q_ux whole.
+    so this holds with Q_ux whole. V_xx is symmetrized once, at the last knot:
+    the update -dt^2 V_xx Q_uu^-1 V_xx is symmetric in exact arithmetic.
     """
     n = problem.n_dims
     M = problem.n_knots - 1
@@ -211,38 +214,43 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     gu[:, :, 0] = derivs.gu
     huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2))
 
+    on_bound = derivs.on_bound.tolist()
     while True:
         huu_reg = huu + reg * eye
         q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
-        kK = np.empty((M, n, n + 1))  # [k | K]
+        kK = np.empty((M, n, n + 1))  # [k | K], negated once after the sweep
         quu = np.empty((M, n, n))
         v = hx[-1].copy()  # [v_x | V_xx]
         v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed knot's gains may be non-finite
+            for t in range(M - 1, -1, -1):
+                # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
+                # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
+                qt, quut = q[t], quu[t]
+                np.multiply(dt, v, out=qt)
+                qt += gu[t]
+                np.multiply(dt * dt, v[:, 1:], out=quut)
+                quut += huu_reg[t]
+                rhs = qt
+                if on_bound[t]:
+                    free = derivs.side[t] * qt[:, 0] >= 0.0
+                    # identity rows and columns decouple the held controls, and
+                    # their zero right-hand side gives them zero steps and gains
+                    quu[t] = np.where(free[:, None] & free, quut, eye)
+                    qt[:, 0] *= free  # out of the reported gradient
+                    rhs = qt * free[:, None]
+                _lapack_solve(quut, rhs, out=kK[t])
+                v = hx[t] + v
+                v -= qt[:, 1:] @ kK[t]
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # knots past a failed one may overflow
-                for t in range(M - 1, -1, -1):
-                    # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
-                    # is symmetric and Q_ux^T [k | K] = Q_ux [k | K]
-                    np.add(gu[t], dt * v, out=q[t])
-                    np.add(huu_reg[t], dt * dt * v[:, 1:], out=quu[t])
-                    rhs = q[t]
-                    if derivs.on_bound[t]:
-                        free = derivs.side[t] * q[t, :, 0] >= 0.0
-                        # identity rows and columns decouple the held controls, and
-                        # their zero right-hand side gives them zero steps and gains
-                        quu[t] = np.where(free[:, None] & free, quu[t], eye)
-                        q[t, :, 0] *= free  # out of the reported gradient
-                        rhs = q[t] * free[:, None]
-                    np.negative(np.linalg.solve(quu[t], rhs), out=kK[t])
-                    v = hx[t] + v + q[t, :, 1:] @ kK[t]
-                    v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
             np.linalg.cholesky(quu)  # the positive-definiteness test, once per sweep
             break
-        except np.linalg.LinAlgError:  # from the test, or from a solve past a failed knot
+        except np.linalg.LinAlgError:
             reg = _next_reg(reg, 0.0)
             if reg > _REG_CAP:
                 msg = "backward pass: the local model cannot be made positive definite"
                 raise SolverError(f"{msg}: regularization exceeded cap {_REG_CAP:g}")
+    np.negative(kK, out=kK)
     qu, k = q[:, :, 0], kK[:, :, 0]
     decrease = max(0.0, -0.5 * float((qu * k).sum()))
     return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()), reg)
@@ -268,32 +276,36 @@ def forward_pass(
     """
     M = problem.n_knots - 1
     dt = problem.dt
-    alphas = 2.0 ** -np.arange(_N_ALPHAS)
-    xs = np.empty((_N_ALPHAS,) + states.shape)
-    us = np.empty((_N_ALPHAS,) + controls.shape)
-    xs[:, 0] = states[0]
-    feedforward = controls + alphas[:, None, None] * gains.k  # (A, M, n)
+    xs = np.empty((M + 1, _N_ALPHAS, problem.n_dims))  # time-major: each knot's block is contiguous
+    us = np.empty((M, _N_ALPHAS, problem.n_dims))
+    xs[0] = states[0]
+    feedforward = controls[:, None] + _ALPHAS[:, None] * gains.k[:, None]  # (M, A, n)
     KT = gains.K.swapaxes(1, 2)
+    dx = np.empty((_N_ALPHAS, problem.n_dims))
     # large steps may overflow; those candidates are masked out below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            u = us[:, t]
-            np.add(feedforward[:, t], (xs[:, t] - states[t]) @ KT[t], out=u)
+            u = us[t]
+            np.subtract(xs[t], states[t], out=dx)
+            np.matmul(dx, KT[t], out=u)
+            u += feedforward[t]
             np.maximum(u, problem.u_lower, out=u)  # np.clip dispatches slower
             np.minimum(u, problem.u_upper, out=u)
-            xs[:, t + 1] = xs[:, t] + u * dt
+            np.add(xs[t], u * dt, out=xs[t + 1])
+    xs = np.ascontiguousarray(xs.swapaxes(0, 1))  # a strided stack would change value's sum order
+    us = np.ascontiguousarray(us.swapaxes(0, 1))
     finite = np.isfinite(xs).all(axis=(1, 2))
     if not finite.all():
         xs[~finite] = states
         us[~finite] = controls
-    required = _ARMIJO * alphas * gains.expected_decrease
+    required = _ARMIJO * _ALPHAS * gains.expected_decrease
     for stage in (slice(0, _FIRST_STAGE), slice(_FIRST_STAGE, _N_ALPHAS)):
         costs = problem.cost.value(xs[stage], us[stage])
         passed = finite[stage] & (incumbent_cost - costs >= required[stage])
         if passed.any():
             i = int(np.argmax(passed))
             a = stage.start + i
-            return ForwardPassResult(xs[a], us[a], float(costs[i]), float(alphas[a]), True)
+            return ForwardPassResult(xs[a], us[a], float(costs[i]), float(_ALPHAS[a]), True)
     return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)
 
 

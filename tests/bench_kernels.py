@@ -68,7 +68,8 @@ def test_backward_pass(benchmark, horizon, request):
     benchmark(backward_pass, problem, derivs)
 
 
-def test_forward_pass(benchmark, reference):
-    problem, xs, us = reference
+@pytest.mark.parametrize("horizon", ["reference", "oneshot"])
+def test_forward_pass(benchmark, horizon, request):
+    problem, xs, us = request.getfixturevalue(horizon)
     gains = backward_pass(problem, _assemble_derivs(problem, xs, us))
     benchmark(forward_pass, problem, xs, us, gains, float(problem.cost.value(xs, us)))

@@ -423,6 +423,41 @@ class TestRemovedSettings:
         assert "Traceback" not in err
 
 
+class TestOutDirectory:
+    """--out is created after the argument checks, and a path that cannot be a
+    directory exits 2 naming --out."""
+
+    @pytest.mark.parametrize("command", ["gen-scenario", "plan", "simulate", "eval", "bench"])
+    def test_out_naming_a_file_exits_invalid_input(self, workspace, traces, tmp_path, capsys, command):
+        existing = tmp_path / "existing"
+        existing.write_text("keep")
+        scenario = ["--scenario", workspace / "scenario.json"]
+        inputs = {"gen-scenario": [], "eval": [traces[0]], "bench": ["--n", 1, *scenario]}.get(command, scenario)
+        assert run_cli(command, *inputs, "--out", existing) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "--out" in err and str(existing) in err
+        assert "Traceback" not in err
+        assert existing.read_text() == "keep"
+
+    def test_out_below_a_file_exits_invalid_input(self, tmp_path, capsys):
+        (tmp_path / "existing").write_text("")
+        assert run_cli("gen-scenario", "--out", tmp_path / "existing" / "sub") == EXIT_INVALID_INPUT
+        assert "--out" in capsys.readouterr().err
+
+    def test_rejected_duration_creates_no_directory(self, tmp_path):
+        out = tmp_path / "new"
+        assert run_cli("gen-scenario", "--out", out, "--duration", "-1") == EXIT_INVALID_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "eval", "bench"])
+    def test_missing_input_creates_no_directory(self, tmp_path, command):
+        out = tmp_path / "new"
+        missing = tmp_path / "nope.json"
+        inputs = [missing] if command == "eval" else ["--scenario", missing]
+        assert run_cli(command, *inputs, "--out", out) == EXIT_INVALID_INPUT
+        assert not out.exists()
+
+
 class TestManifestSeed:
     """A manifest records the seed the run drew from: the scenario's, or each trace's."""
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +250,63 @@ class TestRiccatiFullForm:
         us = np.zeros((4, n))
         assert backward(problem, rollout(problem, us), us).reg_used > 0.0
         self.assert_matches_full_form(problem, rollout(problem, us), us)
+
+    def test_matches_full_form_with_a_singular_last_knot(self):
+        # no curvature anywhere, so Q_uu = 0 at the last knot: its solve gives
+        # NaN gains without an error or a warning, and the once-per-sweep test
+        # rejects them like an indefinite block, so the shift stops at _REG_MIN
+        class ZeroCurvature(QuadraticCost):
+            def state_derivatives(self, xs):
+                gx, hxx = super().state_derivatives(xs)
+                return gx, np.zeros_like(hxx)
+
+            def control_derivatives(self, us):
+                gu, huu = super().control_derivatives(us)
+                return gu, np.zeros_like(huu)
+
+        n = 2
+        problem = TrajectoryProblem(
+            n_knots=5,
+            dt=0.1,
+            x0=np.zeros(n),
+            cost=ZeroCurvature(Q=np.eye(n), R=np.eye(n), x_ref=np.ones(n)),
+            u_lower=-10.0 * np.ones(n),
+            u_upper=10.0 * np.ones(n),
+        )
+        us = np.zeros((4, n))
+        xs = rollout(problem, us)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bp = backward(problem, xs, us)
+        assert bp.reg_used == 1e-6 == solver_module._REG_MIN
+        assert np.all(np.isfinite(bp.K)) and np.any(bp.k)
+        self.assert_matches_full_form(problem, xs, us)
+
+
+class TestLapackSolve:
+    """The sweep calls np.linalg.solve's private LAPACK gufunc directly; a numpy
+    release that changes it should fail here, not inside a plan."""
+
+    def test_equals_np_linalg_solve_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(20, 7, 7)) + 4.0 * np.eye(7)
+        b = rng.normal(size=(20, 7, 8))
+        out = np.empty_like(b)
+        solver_module._lapack_solve(a[3], b[3], out=out[3])
+        assert np.array_equal(out[3], np.linalg.solve(a[3], b[3]))
+        assert np.array_equal(solver_module._lapack_solve(a, b), np.linalg.solve(a, b))
+
+    def test_singular_system_gives_non_finite_values_silently(self):
+        a = np.zeros((7, 7))
+        a[:6, :6] = np.eye(6)  # rank 6
+        b = np.ones((7, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = solver_module._lapack_solve(a, b)
+        assert not np.all(np.isfinite(x))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
 
 
 class TestForwardPass:
