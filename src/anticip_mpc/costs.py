@@ -11,7 +11,8 @@ curvature blocks per knot. It reads its inputs from one
 (the human prediction and the nominal path), and single values for what the
 task fixes (gaze target, legibility goals and start, goal pose, weights and
 head index). The scalar per-knot forms of the same terms, which the test
-suite checks the evaluator against, live in ``tests/oracles.py``.
+suite checks the evaluator against, live in ``tests/oracles.py``. The planning
+loop and the metrics measure with this module's goal errors, gaze rays and softmax.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Fields, InvalidInputError, float_array, integer, number, store
-from .kinematics import BatchFk, RobotModel, fk_batch, position_jacobians, quat_to_matrix
+from .kinematics import _UNIT_TOL, BatchFk, RobotModel, fk_batch, position_jacobians, quat_to_matrix
 
 Array = np.ndarray
 
@@ -31,6 +32,7 @@ HESS_FLOOR = 1e-8
 _CURV_GUARD = 1e-3  # scale guard when curvature is a gradient outer product
 _TINY = 1e-12
 _EYE3 = np.eye(3)
+GAZE_FLOOR = 1e-9  # a head-centred ray shorter than this has no direction
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class LegibilityContext:
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """Target end-effector position and orientation."""
+    """Target end-effector position and orientation (rotation matrix R_g)."""
 
     position: Array
     orientation: Array  # unit quaternion (w, x, y, z)
@@ -78,9 +80,15 @@ class GoalSpec:
     def __post_init__(self):
         p = float_array(self.position, "goal_pose.position", (3,))
         q = float_array(self.orientation, "goal_pose.orientation", (4,))
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(q) - 1.0) > _UNIT_TOL:
             raise InvalidInputError("goal orientation must be a unit quaternion")
-        store(self, position=p, orientation=q)
+        store(self, position=p, orientation=q, rotation=quat_to_matrix(q))
+
+    def errors(self, positions: Array, rotations: Array) -> tuple[Array, Array]:
+        """Errors ||p - p_g|| and 1 - <q, q_g>^2 = 1 - (tr(R_g^T R) + 1) / 4 of
+        end-effector positions (..., N, 3) and rotations (..., N, 3, 3)."""
+        dot_sq = 0.25 * (np.einsum("ij,...nij->...n", self.rotation, rotations) + 1.0)
+        return _norms(positions - self.position), 1.0 - dot_sq
 
 
 @dataclass(frozen=True)
@@ -109,21 +117,15 @@ class KnotCostEvaluator:
         self.cov_inv = np.linalg.inv(horizon.covs)
         self.sigma_head = np.sqrt(np.trace(horizon.covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
 
-        self.gaze, self.nominal, self.goal_p = horizon.gaze, horizon.nominal, horizon.goal.position
+        self.gaze, self.nominal, self.goal = horizon.gaze, horizon.nominal, horizon.goal
         leg = horizon.legibility
         self.leg_start, self.goals, self.goal_index = leg.start, leg.goals, leg.goal_index
-        # orientation error via <q1,q2>^2 = (tr(R1^T R2) + 1) / 4, no quaternion
-        # extraction needed in the hot path
-        self.goal_R = quat_to_matrix(horizon.goal.orientation)
         # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
         # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
         self._leg_slopes = 2.0 * self.goals.T  # (3, G)
         self._leg_offsets = np.sum((self.goals - self.leg_start) ** 2, axis=-1) - np.sum(self.goals**2, axis=-1)
-        a = self.gaze - self.mu[:, head]  # head-to-object gaze rays, (N, 3)
-        na = _norms(a)[:, None]
-        if self.weights.w_vis > 0 and np.any(na < 1e-9):
-            raise InvalidInputError("degenerate gaze ray: the gazed object coincides with the head")
-        self.gaze_hat = a / np.maximum(na, 1e-9)  # the floor only keeps an unused ray finite
+        # unit head-to-object gaze rays (N, 3), which only the visibility term reads
+        self.gaze_hat = gaze_directions(self.gaze, self.mu[:, head]) if self.weights.w_vis > 0 else None
 
         tracked, eef = model.tracked_frames, model.eef_frame  # a tuple of ints, an int
         # one Jacobian per distinct frame: the tracked frames, then the end
@@ -173,7 +175,7 @@ class KnotCostEvaluator:
             vals += w.w_dist * (1.0 / (m + DIST_EPS)).sum(axis=(-2, -1))
 
         if w.w_vis > 0:
-            _, _, cos_theta, _ = self._gaze_rays(p_eef)
+            _, cos_theta, _ = gaze_cosines(self.gaze_hat, self.mu[:, self.head_index], p_eef)
             vals += w.w_vis * np.arccos(cos_theta) / self.sigma_head
 
         if w.w_leg > 0:
@@ -184,34 +186,13 @@ class KnotCostEvaluator:
             vals += w.w_nom * _norms(p_eef - self.nominal)
 
         if w.w_goal > 0:
-            vals += w.w_goal * (
-                _norms(p_eef - self.goal_p) + self._orientation_error(eef_rotations)
-            )
+            pos_err, orient_err = self.goal.errors(p_eef, eef_rotations)
+            vals += w.w_goal * (pos_err + orient_err)
 
         return vals
 
-    def _orientation_error(self, eef_rotations: Array) -> Array:
-        dot_sq = 0.25 * (np.einsum("ij,...nij->...n", self.goal_R, eef_rotations) + 1.0)
-        return 1.0 - dot_sq
-
-    def _gaze_rays(self, p_eef: Array):
-        """Unit rays from the head to the gazed object and to the end effector,
-        the cosine of the gaze angle between them, and the end-effector ray
-        length, floored like the gaze ray's: an end effector at the head gets
-        a zero ray, a right gaze angle and a finite gradient."""
-        b = p_eef - self.mu[:, self.head_index]
-        nb = np.maximum(_norms(b), 1e-9)
-        bhat = b / nb[..., None]
-        cos_theta = np.maximum(np.minimum((self.gaze_hat * bhat).sum(axis=-1), 1.0), -1.0)
-        return self.gaze_hat, bhat, cos_theta, nb
-
     def _goal_probs(self, p_eef: Array) -> Array:
-        # softmax over goals for end-effector points (..., 3); a term shared by
-        # every logit does not change it
-        logits = p_eef @ self._leg_slopes + self._leg_offsets
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return softmax(p_eef @ self._leg_slopes + self._leg_offsets)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -252,9 +233,9 @@ class KnotCostEvaluator:
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:
-            ahat, bhat, cos_theta, nb = self._gaze_rays(p_eef)
+            bhat, cos_theta, nb = gaze_cosines(self.gaze_hat, self.mu[:, self.head_index], p_eef)
             # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
-            u_perp = ahat - cos_theta[:, None] * bhat
+            u_perp = self.gaze_hat - cos_theta[:, None] * bhat
             sin_theta = _norms(u_perp)
             ok = sin_theta > 1e-9
             scale = nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
@@ -271,7 +252,7 @@ class KnotCostEvaluator:
             g_eef += w.w_leg * g_p
             P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
 
-        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, self.goal_p)):
+        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, self.goal.position)):
             if weight > 0:
                 gp, hp = _norm_grad_curv(p_eef - target)
                 g_eef += weight * gp
@@ -311,8 +292,8 @@ class KnotCostEvaluator:
         R R_g^T - (R R_g^T)^T.
         """
         R = fk.eef_rotations
-        o_val = self._orientation_error(R)
-        m = R @ self.goal_R.T
+        _, o_val = self.goal.errors(fk.positions[:, self.model.eef_frame], R)
+        m = R @ self.goal.rotation.T
         s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
         g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g
@@ -321,6 +302,33 @@ class KnotCostEvaluator:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""
         us = np.asarray(us, dtype=float)
         return 2.0 * self.weights.w_smooth * us, np.tile(self._huu, (len(us), 1, 1))
+
+
+def gaze_directions(gaze: Array, head: Array) -> Array:
+    """Unit rays (..., 3) from head positions (..., 3) to the gazed object,
+    which must lie GAZE_FLOOR or more from the head."""
+    a = gaze - head
+    na = _norms(a)
+    if np.any(na < GAZE_FLOOR):
+        raise InvalidInputError("degenerate gaze ray: the gazed object coincides with the head")
+    return a / na[..., None]
+
+
+def gaze_cosines(gaze_hat: Array, head: Array, p_eef: Array) -> tuple[Array, Array, Array]:
+    """Unit head-to-end-effector rays, their cosines to the gaze rays, and their
+    lengths floored at GAZE_FLOOR: an end effector at the head gets a zero
+    ray, a right gaze angle and a finite gradient."""
+    b = p_eef - head
+    nb = np.maximum(_norms(b), GAZE_FLOOR)
+    bhat = b / nb[..., None]
+    cos_theta = np.maximum(np.minimum((gaze_hat * bhat).sum(axis=-1), 1.0), -1.0)
+    return bhat, cos_theta, nb
+
+
+def softmax(logits: Array) -> Array:
+    """Max-shifted softmax over the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _norms(x: Array) -> Array:

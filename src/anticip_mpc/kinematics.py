@@ -148,16 +148,12 @@ class RobotModel:
     def n_joints(self) -> int:
         return self.axes.shape[0]
 
-    @property
-    def n_frames(self) -> int:
-        return self.axes.shape[0] + 1
-
 
 @dataclass
 class BatchFk:
     """Forward kinematics of a batch of configurations."""
 
-    positions: Array  # (B, n_frames, 3) frame origins in base coordinates
+    positions: Array  # (B, n + 1, 3) frame origins in base coordinates
     joint_axes_world: Array  # (B, n, 3)
     eef_rotations: Array  # (B, 3, 3)
 

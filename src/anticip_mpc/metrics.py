@@ -4,7 +4,8 @@ Five scalars: separation fraction, end-effector visibility fraction, mean
 goal-inference probability, summed squared deviation from the nominal path,
 and planning latency. Distances and gaze angles are computed against the
 trace's ground-truth human by default; pass against="predicted" to score
-against the prediction means instead.
+against the prediction means instead, with the planner's own human distance,
+gaze rays and softmax, so a metric cannot drift from the cost term it scores.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .costs import gaze_cosines, gaze_directions, softmax
 from .errors import SCHEMA_VERSION, Fields, InvalidInputError, write_json
-from .mpc import ExecutionTrace
+from .mpc import ExecutionTrace, min_human_distance
 
 Array = np.ndarray
 
@@ -30,9 +32,7 @@ def separation_metric(
     trace: ExecutionTrace, threshold: float = SEPARATION_THRESHOLD, against: str = "truth"
 ) -> float:
     """Fraction of timesteps with every human-robot joint pair farther than threshold."""
-    human = _human_motion(trace, against)
-    d = np.linalg.norm(trace.tracked_positions[:, None, :, :] - human[:, :, None, :], axis=-1)
-    min_d = d.reshape(len(trace.times), -1).min(axis=1)
+    min_d = min_human_distance(trace.tracked_positions, _human_motion(trace, against))
     return float(np.mean(min_d > threshold))
 
 
@@ -41,14 +41,8 @@ def visibility_metric(
 ) -> float:
     """Fraction of timesteps with the end effector inside the gaze cone."""
     head = _human_motion(trace, against)[:, trace.head_index]
-    a = trace.gaze_object[None, :] - head
-    b = trace.eef_positions - head
-    na = np.linalg.norm(a, axis=1)
-    if np.any(na < 1e-9):
-        raise InvalidInputError("degenerate gaze ray while evaluating visibility")
-    nb = np.maximum(np.linalg.norm(b, axis=1), 1e-9)  # as in the cost: a zero ray is at pi/2, outside the cone
-    cosang = np.clip(np.sum(a * b, axis=1) / (na * nb), -1.0, 1.0)
-    return float(np.mean(np.arccos(cosang) <= fov_half_angle))
+    _, cos_theta, _ = gaze_cosines(gaze_directions(trace.gaze_object, head), head, trace.eef_positions)
+    return float(np.mean(np.arccos(cos_theta) <= fov_half_angle))
 
 
 def goal_inference_probabilities(
@@ -69,11 +63,7 @@ def goal_inference_probabilities(
     d_traj = path_len**2  # (T,)
     vq = np.sum((goals[None, :, :] - eef_path[:, None, :]) ** 2, axis=-1)  # (T, G)
     vs = np.sum((goals - np.asarray(start, dtype=float)) ** 2, axis=-1)  # (G,)
-    logits = -d_traj[:, None] - vq + vs[None, :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs[:, goal_index]
+    return softmax(-d_traj[:, None] - vq + vs[None, :])[:, goal_index]
 
 
 def legibility_metric(trace: ExecutionTrace) -> float:

@@ -5,7 +5,9 @@ lookahead window into per-knot cost arrays, solves the fixed-horizon problem
 warm-started from the previous plan (the first replan from the joint-space
 line to the goal), then executes a prefix under simulated position control
 (the executed motion tracks the plan exactly). The executed human follows the
-prediction means unless the scenario supplies a separate ground truth.
+prediction means unless the scenario supplies a separate ground truth. The goal
+test uses the cost's :meth:`GoalSpec.errors`, and the separation metric reads
+the trace's human distance through :func:`min_human_distance`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .kinematics import RobotModel, fk_batch, load_robot_model, model_from_dict
 from .prediction import (
+    FRAME_TOL,
     HumanPrediction,
     ReachConfig,
     load_prediction,
@@ -89,7 +92,7 @@ class MpcConfig(Fields):
 class Scenario:
     """Fully resolved planning task: robot, goals, weights, human data.
 
-    A scenario is immutable and its arrays are read-only, so the
+    A scenario is immutable and its arrays are read-only, so the ``goal``,
     ``legibility`` and ``nominal_path`` it resolves on first use (not at
     load) and keeps cannot go stale; ``dataclasses.replace`` gives a
     scenario that resolves them again."""
@@ -97,13 +100,13 @@ class Scenario:
     model: RobotModel
     start_q: Array
     goal_q: Array
-    goal: GoalSpec
     gaze_object: Array
     legibility_goals: Array  # (G, 3)
     legibility_goal_index: int
     weights: CostWeights
     mpc: MpcConfig
     prediction: HumanPrediction
+    goal_pose: Optional[GoalSpec] = None  # explicit goal pose; None derives it from goal_q
     nominal: Optional[Array] = None  # explicit eef path; None derives one
     ground_truth: Optional[HumanPrediction] = None
     synthesis: Optional[ReachConfig] = None  # kept for re-seeded benchmark runs
@@ -120,7 +123,7 @@ class Scenario:
         goal_index = integer(self.legibility_goal_index, "scenario legibility.goal_index", 0, len(goals) - 1)
         seed = integer(self.seed, "scenario seed")
         for key, human in (("prediction", self.prediction), ("ground_truth", self.ground_truth)):
-            if human is not None and not human.t0 <= 1e-9 * human.dt:  # slice_horizon's grid tolerance
+            if human is not None and not human.t0 <= FRAME_TOL * human.dt:
                 raise InvalidInputError(f"scenario {key} must start at or before t = 0, got t0={human.t0}")
         nominal = self.nominal
         if nominal is not None:
@@ -132,6 +135,14 @@ class Scenario:
             self, start_q=start_q, goal_q=goal_q, gaze_object=gaze_object, legibility_goals=goals,
             legibility_goal_index=goal_index, seed=seed, nominal=nominal,
         )
+
+    @cached_property
+    def goal(self) -> GoalSpec:
+        """The explicit goal pose, or the end-effector pose at goal_q."""
+        if self.goal_pose is not None:
+            return self.goal_pose
+        fk = fk_batch(self.model, self.goal_q[None, :])
+        return GoalSpec(fk.positions[0, self.model.eef_frame], fk.eef_quats[0])
 
     @cached_property
     def legibility(self) -> LegibilityContext:
@@ -351,6 +362,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     replan_steps = cfg.replan_steps
 
     # resolved here, before the first timed replan
+    goal = scenario.goal
     legibility = scenario.legibility
     nominal = scenario.nominal_path
 
@@ -386,10 +398,8 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         step += n_exec
 
         fk = fk_batch(model, x[None, :])
-        pos_err = float(np.linalg.norm(fk.positions[0, model.eef_frame] - scenario.goal.position))
-        dq = float(np.dot(fk.eef_quats[0], scenario.goal.orientation))
-        if pos_err < GOAL_POSITION_TOL and 1.0 - dq * dq < ORIENT_GOAL_TOL:
-            goal_reached = True
+        (pos_err,), (orient_err,) = goal.errors(fk.positions[:, model.eef_frame], fk.eef_rotations)
+        goal_reached = bool(pos_err < GOAL_POSITION_TOL and orient_err < ORIENT_GOAL_TOL)
 
     states = np.asarray(executed)
     T1 = states.shape[0]
@@ -399,7 +409,6 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     human_true = human_pred
     if scenario.ground_truth is not None:
         human_true, _ = slice_horizon(scenario.ground_truth, 0.0, T1, cfg.dt)
-    dists = np.linalg.norm(tracked[:, None, :, :] - human_true[:, :, None, :], axis=-1)
     total_wall = time.perf_counter() - t0_wall
 
     return ExecutionTrace(
@@ -410,21 +419,28 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         tracked_positions=tracked.copy(),
         human_true=human_true,
         human_pred=human_pred,
-        min_human_dist=dists.reshape(T1, -1).min(axis=1),
+        min_human_dist=min_human_distance(tracked, human_true),
         head_index=scenario.prediction.head_index,
         nominal=nominal[:T1],  # a nominal path has at least task_steps + 1 points
         gaze_object=scenario.gaze_object,
         legibility_start=legibility.start,
         legibility_goals=legibility.goals,
         legibility_goal_index=legibility.goal_index,
-        goal_position=scenario.goal.position,
-        goal_orientation=scenario.goal.orientation,
+        goal_position=goal.position,
+        goal_orientation=goal.orientation,
         replans=replans,
         total_wall_time=total_wall,
         goal_reached=goal_reached,
         dt=cfg.dt,
         seed=scenario.seed,
     )
+
+
+def min_human_distance(tracked: Array, human: Array) -> Array:
+    """Per-step minimum distance (T,) over every pair of a tracked robot frame
+    (T, R, 3) and a human joint (T, H, 3)."""
+    d = np.linalg.norm(tracked[:, None, :, :] - human[:, :, None, :], axis=-1)
+    return d.reshape(len(d), -1).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +495,11 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         ground_truth = None
         if data.get("ground_truth") is not None:
             ground_truth, _ = _load_human_source(data, "ground_truth", base)
-        goal_q = float_array(data["goal_q"], "scenario goal_q", (model.n_joints,))
-        goal_entry = data.get("goal_pose", "derive")
-        if goal_entry == "derive":
-            fk = fk_batch(model, goal_q[None, :])
-            goal = GoalSpec(fk.positions[0, model.eef_frame], fk.eef_quats[0])
-        elif isinstance(goal_entry, dict):
-            goal = GoalSpec(goal_entry["position"], goal_entry["orientation"])
+        goal_pose = data.get("goal_pose", "derive")
+        if isinstance(goal_pose, dict):
+            goal_pose = GoalSpec(goal_pose["position"], goal_pose["orientation"])
+        elif goal_pose == "derive":
+            goal_pose = None
         else:
             raise InvalidInputError("scenario goal_pose must be 'derive' or an object with position and orientation")
         nominal = data.get("nominal", "derive")
@@ -495,14 +509,14 @@ def scenario_from_dict(data: dict, base: Path) -> Scenario:
         return Scenario(
             model=model,
             start_q=data["start_q"],
-            goal_q=goal_q,
-            goal=goal,
+            goal_q=data["goal_q"],
             gaze_object=data["gaze_object"],
             legibility_goals=legibility["goals"],
             legibility_goal_index=legibility["goal_index"],
             weights=CostWeights.from_dict(data["weights"]),
             mpc=MpcConfig.from_dict(data.get("mpc", {})),
             prediction=prediction,
+            goal_pose=goal_pose,
             nominal=None if nominal in ("derive", None) else nominal,
             ground_truth=ground_truth,
             synthesis=synthesis,

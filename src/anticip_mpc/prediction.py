@@ -19,6 +19,7 @@ from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer
 Array = np.ndarray
 
 _SYM_TOL = 1e-9
+FRAME_TOL = 1e-9  # a time within this many grid steps of a frame reads that frame
 _EIG_FLOOR = 1e-9
 _HOLD_GROWTH = 1.5  # covariance inflation per grid step held past the last frame
 
@@ -98,16 +99,12 @@ class HumanPrediction:
     def n_joints(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + (self.n_frames - 1) * self.dt
-
 
 def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float) -> tuple[Array, Array]:
     """Means (n_knots, H, 3) and covariances (n_knots, H, 3, 3) at t_start,
     t_start + dt, ... from a prediction.
 
-    A knot within 1e-9 grid steps of a frame reads that frame; other times
+    A knot within FRAME_TOL grid steps of a frame reads that frame; other times
     up to the last frame interpolate means and covariances linearly, which
     keeps the covariances conditioned at construction symmetric and above
     the eigenvalue floor. Times past the last frame hold the last mean and
@@ -118,12 +115,12 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
     if n_knots < 1 or dt <= 0:
         raise InvalidInputError("n_knots must be >= 1 and dt > 0")
     rel0 = (t_start - pred.t0) / pred.dt
-    if not rel0 >= -1e-9:
+    if not rel0 >= -FRAME_TOL:
         raise InvalidInputError(f"t_start={t_start} precedes the prediction start {pred.t0}")
     rel0 = max(rel0, 0.0)  # a start within the tolerance would otherwise index frame -1
     T = pred.n_frames
     raw = rel0 + np.arange(n_knots) * dt / pred.dt  # knot times in grid steps
-    s = np.where(np.abs(raw - np.round(raw)) < 1e-9, np.round(raw), raw)
+    s = np.where(np.abs(raw - np.round(raw)) < FRAME_TOL, np.round(raw), raw)
     held = s > T - 1
     i0 = np.floor(s[~held]).astype(int)
     i1 = np.minimum(i0 + 1, T - 1)
@@ -147,7 +144,7 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
         if not finite:
             raise InvalidInputError(
                 f"the horizon runs {overrun.max() * pred.dt:g} s ({overrun.max():g} grid steps) past "
-                f"the prediction's last frame at t={pred.t_end:g} s; the held covariance, inflated "
+                f"the prediction's last frame at t={pred.t0 + (T - 1) * pred.dt:g} s; the held covariance, inflated "
                 f"by {_HOLD_GROWTH:g} per step, is not finite"
             )
         out_means[held] = pred.means[-1]
@@ -201,7 +198,9 @@ class ReachConfig(Fields):
         self._check("seed", integer, 0)
         for name in ("duration", "dt", "base_cov"):
             self._check(name, number, 0, strict=True)
-        for name in ("settle", "t0", "growth_rate", "jitter"):
+        for name in ("settle", "growth_rate"):
+            self._check(name, number, 0)
+        for name in ("t0", "jitter"):
             self._check(name, number)
 
 
@@ -225,7 +224,7 @@ def synthesize_reach(config: ReachConfig) -> HumanPrediction:
     H = rest.shape[0]
     target = config.reach_target
 
-    total = config.duration + max(config.settle, 0.0)
+    total = config.duration + config.settle
     T = int(round(total / config.dt)) + 1
     times = np.arange(T) * config.dt
 

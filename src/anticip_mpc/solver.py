@@ -25,7 +25,6 @@ the cap after its first backward pass returns its best iterate, not converged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
 
 import numpy as np
 
@@ -47,28 +46,18 @@ _ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
 _FIRST_STAGE = 4
 
 
-class TrajectoryCost(Protocol):
-    """Cost interface the solver optimizes against."""
-
-    def value(self, xs: Array, us: Optional[Array] = None):
-        """Total cost with a leading candidate axis: states (A, N, n) and
-        controls (A, N-1, n) give costs (A,). A single trajectory, (N, n) and
-        (N-1, n) without the axis, gives a scalar."""
-        ...
-
-    def state_derivatives(self, xs: Array) -> tuple[Array, Array]: ...
-
-    def control_derivatives(self, us: Array) -> tuple[Array, Array]: ...
-
-
 @dataclass
 class TrajectoryProblem:
-    """Fixed-horizon problem: start state, knot costs, control box bounds."""
+    """Fixed-horizon problem: start state, knot costs, control box bounds.
+
+    The cost has a KnotCostEvaluator's methods; its ``value(xs, us)`` takes
+    states (A, N, n) and controls (A, N-1, n) of A candidates to costs (A,),
+    and a single (N, n) and (N-1, n) trajectory to a scalar."""
 
     n_knots: int
     dt: float
     x0: Array
-    cost: TrajectoryCost
+    cost: object
     u_lower: Array
     u_upper: Array
 

@@ -367,7 +367,7 @@ def state_derivatives_per_term(ev, xs):
         hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_leg, _CURV_GUARD))[:, None, None]
         hxx += w.w_leg * np.einsum("nia,nij,njb->nab", Je, hp, Je)
 
-    for weight, target in ((w.w_nom, ev.nominal), (w.w_goal, ev.goal_p)):
+    for weight, target in ((w.w_nom, ev.nominal), (w.w_goal, ev.goal.position)):
         if weight > 0:
             gp, hp = norm_grad_curv(p_eef - target)
             gx += weight * np.einsum("ni,nia->na", gp, Je)
@@ -375,8 +375,8 @@ def state_derivatives_per_term(ev, xs):
 
     if w.w_goal > 0:
         R = fk.eef_rotations
-        o_val = 1.0 - 0.25 * (np.einsum("ij,nij->n", ev.goal_R, R) + 1.0)
-        mr = R @ ev.goal_R.T
+        o_val = 1.0 - 0.25 * (np.einsum("ij,nij->n", ev.goal.rotation, R) + 1.0)
+        mr = R @ ev.goal.rotation.T
         s = np.stack([mr[:, 2, 1] - mr[:, 1, 2], mr[:, 0, 2] - mr[:, 2, 0], mr[:, 1, 0] - mr[:, 0, 1]], axis=1)
         g_or = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         gx += w.w_goal * g_or
@@ -663,7 +663,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
 def position_jacobian(model: RobotModel, q, frame: int):
     """d(frame origin)/dq, a 3 x n_joints matrix, for one configuration."""
     q = np.asarray(q, dtype=float).reshape(-1)
-    if not 0 <= int(frame) < model.n_frames:
-        raise InvalidInputError(f"frame index {frame} out of range [0, {model.n_frames})")
+    if not 0 <= int(frame) <= model.n_joints:
+        raise InvalidInputError(f"frame index {frame} out of range [0, {model.n_joints}]")
     fk = fk_batch(model, q[None, :])
     return position_jacobians(fk, [int(frame)])[0, 0]

@@ -311,6 +311,19 @@ class TestMalformedScenario:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, value", [("settle", -3), ("growth_rate", -1)])
+    def test_negative_reach_field_exits_invalid_input_naming_it(self, workspace, tmp_path, capsys, name, value):
+        """A negative settle was read as 0, and a negative growth_rate exited
+        naming a covariance; each now exits 2 at load, naming the field."""
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"prediction": {"synthesize": {name: value}}}))
+        code = run_cli("simulate", "--scenario", workspace / "scenario.json", "--config", config, "--out", tmp_path / "sim")
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"reach {name} must be finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim" / "trace.json").exists()
+
     @pytest.mark.parametrize("key", ["prediction", "ground_truth"])
     def test_inline_prediction_onto_synthesized_source_exits_invalid_input(self, workspace, tmp_path, capsys, key):
         """An overlay's inline prediction deep-merges into the scenario's synthesize block: one

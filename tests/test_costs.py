@@ -206,6 +206,24 @@ class TestGoalPoseCost:
             assert goal_pose_cost(GoalSpec(p, -q1), GoalSpec(p, q2)) == base
             assert goal_pose_cost(GoalSpec(p, q1), GoalSpec(p, -q2)) == base
 
+    def test_errors_equal_the_quaternion_form(self):
+        """GoalSpec.errors, read from rotation matrices, equals ||p - p_g|| and
+        1 - <q, q_g>^2 on random poses, over a stack of candidates and knots."""
+        from anticip_mpc.kinematics import quat_to_matrix
+
+        rng = np.random.default_rng(21)
+        qs = rng.normal(size=(5, 4, 4))
+        qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
+        ps = rng.uniform(-1, 1, (5, 4, 3))
+        for _ in range(20):
+            q_g = rng.normal(size=4)
+            goal = GoalSpec(rng.uniform(-1, 1, 3), q_g / np.linalg.norm(q_g))
+            rotations = np.array([[quat_to_matrix(q) for q in row] for row in qs])
+            pos_err, orient_err = goal.errors(ps, rotations)
+            assert pos_err.shape == orient_err.shape == (5, 4)
+            np.testing.assert_allclose(pos_err, np.linalg.norm(ps - goal.position, axis=-1), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(orient_err, 1.0 - (qs @ goal.orientation) ** 2, rtol=0, atol=1e-12)
+
 
 class TestTotalKnotCost:
     def test_zero_weights(self, seven_dof):
@@ -411,8 +429,9 @@ class TestBatchedEvaluator:
             for j in range(7):
                 dq = np.zeros(7)
                 dq[j] = h
-                o_p = ev._orientation_error(fk_batch(model, qs + dq).eef_rotations)
-                o_m = ev._orientation_error(fk_batch(model, qs - dq).eef_rotations)
+                fk_p, fk_m = fk_batch(model, qs + dq), fk_batch(model, qs - dq)
+                o_p = ev.goal.errors(fk_p.positions[:, -1], fk_p.eef_rotations)[1]
+                o_m = ev.goal.errors(fk_m.positions[:, -1], fk_m.eef_rotations)[1]
                 g_fd[:, j] = (o_p - o_m) / (2 * h)
             assert np.all(o_val > 1e-3)
             for k in range(3):

@@ -98,7 +98,7 @@ class TestPositionJacobian:
         for _ in range(6):
             model = random_chain(rng, int(rng.integers(2, 8)))
             q = rng.uniform(-np.pi, np.pi, model.n_joints)
-            frame = int(rng.integers(1, model.n_frames))
+            frame = int(rng.integers(1, model.n_joints + 1))
             J = position_jacobian(model, q, frame)
             J_fd = np.empty_like(J)
             for j in range(model.n_joints):
@@ -113,7 +113,7 @@ class TestPositionJacobian:
         rng = np.random.default_rng(15)
         model = random_chain(rng, 6)
         q = rng.uniform(-np.pi, np.pi, 6)
-        for frame in range(model.n_frames):
+        for frame in range(model.n_joints + 1):
             J = position_jacobian(model, q, frame)
             assert np.array_equal(J[:, frame:], np.zeros((3, 6 - frame)))
 

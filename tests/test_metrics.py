@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from anticip_mpc import InvalidInputError
+from anticip_mpc import CostWeights, GoalSpec, HorizonContext, InvalidInputError, KnotCostEvaluator, LegibilityContext
+from anticip_mpc.kinematics import default_robot_model, fk_batch
 from anticip_mpc.errors import SCHEMA_VERSION
 from anticip_mpc.metrics import (
+    FOV_HALF_ANGLE,
     MetricsReport,
     evaluate_trace,
     goal_inference_probabilities,
@@ -133,6 +135,32 @@ class TestVisibilityMetric:
         trace = make_trace(eef, human=human, gaze=[1.0, 0.0, 0.0])
         assert visibility_metric(trace, fov_half_angle=np.pi / 3) == 1.0
         assert visibility_metric(trace, fov_half_angle=np.pi / 6) == 0.0
+
+    def test_agrees_with_the_visibility_cost_across_the_cone(self):
+        """End effectors just inside and just outside the 60 degree cone: the
+        metric counts a step inside exactly when the visibility cost's gaze
+        angle is at most 60 degrees."""
+        model = default_robot_model()
+        rng = np.random.default_rng(5)
+        q0 = rng.uniform(-1, 1, 7)
+        head = np.array([1.1, 0.0, 0.55])
+        b = fk_batch(model, q0[None]).positions[0, -1] - head
+        k = np.cross(b, [0.0, 0.0, 1.0])
+        k /= np.linalg.norm(k)
+        gaze = head + np.cos(FOV_HALF_ANGLE) * b + np.sin(FOV_HALF_ANGLE) * np.cross(k, b)  # b turned 60 degrees
+        qs = q0 + 1e-3 * rng.standard_normal((40, 7))
+
+        horizon = HorizonContext(
+            means=head[None, None], covs=np.eye(3)[None, None], nominal=np.zeros((1, 3)), gaze=gaze,
+            legibility=LegibilityContext(np.zeros(3), np.zeros((1, 3)), 0),
+            goal=GoalSpec(np.zeros(3), [1.0, 0.0, 0.0, 0.0]), weights=CostWeights(w_vis=1.0), head_index=0,
+        )
+        angles = KnotCostEvaluator(model, horizon).value(qs[:, None])  # unit head sigma: the angle itself
+        inside = angles <= FOV_HALF_ANGLE
+        assert 0 < inside.sum() < len(qs)
+        eef = fk_batch(model, qs).positions[:, -1]
+        for p, seen in zip(eef, inside):
+            assert visibility_metric(make_trace(p[None], human=head[None, None], gaze=gaze)) == float(seen)
 
 
     def test_end_effector_at_the_head_is_outside_the_cone(self):

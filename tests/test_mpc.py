@@ -27,7 +27,7 @@ from anticip_mpc.mpc import (
     scenario_from_dict,
 )
 from anticip_mpc.costs import KnotCostEvaluator
-from anticip_mpc.metrics import evaluate_trace
+from anticip_mpc.metrics import evaluate_trace, separation_metric
 from anticip_mpc.prediction import HumanPrediction, ReachConfig, prediction_to_dict, slice_horizon
 
 from conftest import eef_pose
@@ -197,6 +197,14 @@ class TestRunMpc:
         scenario = make_scenario(seed=0, ground_truth=gt)
         trace = run_mpc(scenario)
         assert not np.array_equal(trace.human_true, trace.human_pred)
+
+    def test_separation_metric_reads_the_trace_distances(self, default_trace):
+        """Each executed distance, taken as the threshold, splits the steps as
+        the trace's min_human_dist does: the two read the same distances."""
+        d = default_trace.min_human_dist
+        assert len(np.unique(d)) > 10
+        for threshold in d:
+            assert separation_metric(default_trace, threshold=threshold) == np.mean(d > threshold)
 
     def test_all_replans_converge_on_default_scenario(self, default_trace):
         assert all(r.result.converged for r in default_trace.replans)
@@ -401,6 +409,30 @@ class TestScenarioLoading:
             goal_pose={"position": [0.5, -0.4, 0.3], "orientation": [1.0, 0.0, 0.0, 0.0]},
         )
         np.testing.assert_allclose(scenario.goal.position, [0.5, -0.4, 0.3])
+        # an explicit goal pose does not follow goal_q
+        moved = dataclasses.replace(scenario, goal_q=scenario.start_q)
+        assert moved.goal is scenario.goal_pose
+
+    def test_derived_goal_pose_resolves_on_first_use(self, monkeypatch):
+        """Like the nominal path, the derived goal pose costs no FK call at load."""
+        monkeypatch.setattr(mpc_module, "fk_batch", lambda *args: pytest.fail("FK while loading"))
+        scenario = make_scenario(seed=3)
+        monkeypatch.undo()
+        expected = eef_pose(scenario.model, scenario.goal_q)
+        assert np.array_equal(scenario.goal.position, expected.position)
+        assert np.array_equal(scenario.goal.orientation, expected.orientation)
+        assert scenario.goal is scenario.goal  # resolved once
+
+    def test_replaced_goal_q_derives_its_goal_pose(self):
+        """A scenario given another goal_q by dataclasses.replace derives the
+        goal pose at FK(goal_q), not the old one."""
+        scenario = make_scenario(seed=3)
+        g = scenario.goal_q + np.array([0.0, -0.3, 0.5, 0.2, 0.0, 0.1, 0.4])
+        moved = dataclasses.replace(scenario, goal_q=g)
+        expected = eef_pose(scenario.model, g)
+        assert np.array_equal(moved.goal.position, expected.position)
+        assert np.array_equal(moved.goal.orientation, expected.orientation)
+        assert np.linalg.norm(moved.goal.position - scenario.goal.position) > 0.1
 
 
 def seventeen_joint_scenario(seed=0) -> Scenario:
@@ -510,8 +542,10 @@ def test_build_problem_matches_knot_context_route(which):
     for t_start in (0.0, 1.5, 4.5):
         got = build_problem(scenario, t_start, n_knots, scenario.start_q).cost
         ref = knot_context_problem_cost(scenario, t_start, n_knots)
-        for name in ("mu", "cov_inv", "sigma_head", "gaze", "nominal", "goals", "leg_start", "goal_p", "goal_R"):
+        for name in ("mu", "cov_inv", "sigma_head", "gaze", "nominal", "goals", "leg_start", "gaze_hat"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        for name in ("position", "orientation", "rotation"):
+            assert np.array_equal(getattr(got.goal, name), getattr(ref.goal, name)), name
         for name in ("weights", "head_index", "goal_index"):
             assert getattr(got, name) == getattr(ref, name), name
         xs = scenario.start_q + rng.uniform(-0.3, 0.3, (11, n_knots, 7))

@@ -319,6 +319,16 @@ class TestSynthesizeReach:
         c = synthesize_reach(ReachConfig(seed=43))
         assert not np.array_equal(a.means, c.means)
 
+    @pytest.mark.parametrize("name, value", [("settle", -3.0), ("growth_rate", -1.0)])
+    def test_negative_settle_or_growth_rate_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"reach {name} must be finite and >= 0"):
+            ReachConfig(**{name: value})
+
+    def test_settle_holds_the_target(self):
+        pred = synthesize_reach(ReachConfig(duration=2.0, settle=1.0, dt=0.25))
+        assert pred.n_frames == 13
+        assert np.array_equal(pred.means[8:, 4], np.broadcast_to(pred.means[8, 4], (5, 3)))
+
     def test_non_positive_duration_rejected(self):
         with pytest.raises(InvalidInputError):
             synthesize_reach(ReachConfig(duration=0.0))
