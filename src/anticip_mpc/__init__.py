@@ -6,11 +6,10 @@ iLQR solver inside a receding-horizon loop, with evaluation metrics and a CLI.
 """
 
 from .costs import (
+    CostTask,
     CostWeights,
     GoalSpec,
-    HorizonContext,
     KnotCostEvaluator,
-    LegibilityContext,
 )
 from .errors import InvalidInputError, SolverError
 from .kinematics import (

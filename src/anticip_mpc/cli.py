@@ -51,6 +51,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _scenario_manifest(args, **config) -> tuple[dict, list]:
+    """The manifest config and inputs of a command that loads --scenario with
+    an optional --config overlay: both paths (null for no overlay), and both
+    files to hash."""
+    overlay = None if args.config is None else str(args.config)
+    inputs = [args.scenario] if args.config is None else [args.scenario, args.config]
+    return {"scenario": str(args.scenario), "config": overlay, **config}, inputs
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, inputs, outputs, seed) -> Path:
     manifest = {
         "artifact_version": __version__,
@@ -177,9 +186,7 @@ def cmd_plan(args) -> int:
     write_json(plan_json, {"schema_version": SCHEMA_VERSION, **result.to_dict(), "wall_time": replan.wall_time})
     plan_csv = out / "plan.csv"
     trace.save_csv(plan_csv)
-    write_manifest(
-        out, "plan", {"scenario": str(args.scenario)}, [args.scenario], [plan_json, plan_csv], scenario.seed
-    )
+    write_manifest(out, "plan", *_scenario_manifest(args), [plan_json, plan_csv], scenario.seed)
     print(f"plan: cost={result.total_cost:.4f} converged={result.converged} wall={replan.wall_time:.3f}s")
     return EXIT_OK
 
@@ -194,14 +201,8 @@ def cmd_simulate(args) -> int:
     trace.save_json(trace_json)
     trace_csv = out / "trace.csv"
     trace.save_csv(trace_csv)
-    write_manifest(
-        out,
-        "simulate",
-        {"scenario": str(args.scenario), "mpc": scenario.mpc.to_dict()},
-        [args.scenario],
-        [trace_json, trace_csv],
-        scenario.seed,
-    )
+    manifest = _scenario_manifest(args, mpc=scenario.mpc.to_dict())
+    write_manifest(out, "simulate", *manifest, [trace_json, trace_csv], scenario.seed)
     lat = sum(trace.replan_wall_times())
     print(f"simulate: {len(trace.replans)} replans, planning time {lat:.3f}s, goal_reached={trace.goal_reached}")
     return EXIT_OK
@@ -287,10 +288,7 @@ def cmd_bench(args) -> int:
     csv_path = out / "bench.csv"
     rows = ([i, f"{sum(t.replan_wall_times()):.6f}", len(t.replans)] for i, t in enumerate(traces))
     write_csv(csv_path, ["run", "planning_time_s", "replans"], rows)
-    write_manifest(
-        out, "bench", {"n": args.n, "scenario": str(args.scenario)}, [args.scenario],
-        [summary_path, csv_path], args.seed,
-    )
+    write_manifest(out, "bench", *_scenario_manifest(args, n=args.n), [summary_path, csv_path], args.seed)
     print(
         f"bench: {args.n} runs, per-trajectory {summary['per_trajectory_mean_s']:.3f}s "
         f"(std {summary['per_trajectory_std_s']:.3f}), per-replan {summary['per_replan_mean_s'] * 1e3:.1f}ms"

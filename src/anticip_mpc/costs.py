@@ -6,13 +6,14 @@ uncertainty), motion legibility (goal-inference probability), deviation from
 a nominal end-effector path, control smoothness, and goal-pose error.
 :class:`KnotCostEvaluator` evaluates them over whole trajectories with
 batched kinematics, with gradients and positive-semidefinite Gauss-Newton
-curvature blocks per knot. It reads its inputs from one
-:class:`HorizonContext`: per-knot arrays for what changes from knot to knot
-(the human prediction and the nominal path), and single values for what the
-task fixes (gaze target, legibility goals and start, goal pose, weights and
-head index). The scalar per-knot forms of the same terms, which the test
-suite checks the evaluator against, live in ``tests/oracles.py``. The planning
-loop and the metrics measure with this module's goal errors, gaze rays and softmax.
+curvature blocks per knot. Its inputs come in two kinds: one
+:class:`CostTask` for what the task fixes (robot, weights, gaze target,
+legibility goals and start, goal pose and head index), built once with the
+constants derived from it, and per-knot arrays for what each horizon slices
+(the human prediction and the nominal path). The scalar per-knot forms of the
+same terms, which the test suite checks the evaluator against, live in
+``tests/oracles.py``. The planning loop and the metrics measure with this
+module's goal errors, gaze rays and softmax.
 """
 
 from __future__ import annotations
@@ -53,24 +54,7 @@ class CostWeights(Fields):
             self._check(name, number, 0)
 
 
-@dataclass(frozen=True)
-class LegibilityContext:
-    """Task-start end-effector position, candidate goals, and the true goal."""
-
-    start: Array  # 3-vector, fixed at task start across replans
-    goals: Array  # (G, 3) candidate goal positions
-    goal_index: int
-
-    def __post_init__(self):
-        start = float_array(self.start, "legibility start", (3,))
-        goals = np.atleast_2d(float_array(self.goals, "legibility goals"))
-        if len(goals) < 1 or goals.shape[1:] != (3,):
-            raise InvalidInputError(f"legibility goals must be a nonempty (G, 3) array, got shape {goals.shape}")
-        goal_index = integer(self.goal_index, "legibility goal_index", 0, len(goals) - 1)
-        store(self, start=start, goals=goals, goal_index=goal_index)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalSpec:
     """Target end-effector position and orientation (rotation matrix R_g)."""
 
@@ -91,54 +75,61 @@ class GoalSpec:
         return _norms(positions - self.position), 1.0 - dot_sq
 
 
-@dataclass(frozen=True)
-class HorizonContext:
-    """The cost inputs of one horizon: one row per knot for the human
-    prediction and the nominal path, one value for each per-task input."""
+@dataclass(frozen=True, eq=False)
+class CostTask:
+    """The cost inputs a task fixes across its replans, and the constants
+    derived from them, built once."""
 
-    means: Array  # (N, H, 3) human joint means, H >= 1
-    covs: Array  # (N, H, 3, 3) human joint covariances
-    nominal: Array  # (N, 3) nominal end-effector positions
-    gaze: Array  # (3,) point the human is assumed to look at
-    legibility: LegibilityContext
-    goal: GoalSpec
+    model: RobotModel
     weights: CostWeights
-    head_index: int
+    gaze: Array  # (3,) point the human is assumed to look at
+    leg_start: Array  # (3,) task-start end-effector position
+    goals: Array  # (G, 3) candidate goal positions
+    goal_index: int  # the true goal among them
+    goal: GoalSpec
+    head_index: int  # the human joint that holds the head
 
-
-class KnotCostEvaluator:
-    """Evaluates the knot cost over whole trajectories with batched FK."""
-
-    def __init__(self, model: RobotModel, horizon: HorizonContext):
-        self.model = model
-        self.weights = horizon.weights
-        head = self.head_index = horizon.head_index
-        self.mu = horizon.means  # (N, H, 3)
-        self.cov_inv = np.linalg.inv(horizon.covs)
-        self.sigma_head = np.sqrt(np.trace(horizon.covs[:, head], axis1=1, axis2=2) / 3.0)  # (N,)
-
-        self.gaze, self.nominal, self.goal = horizon.gaze, horizon.nominal, horizon.goal
-        leg = horizon.legibility
-        self.leg_start, self.goals, self.goal_index = leg.start, leg.goals, leg.goal_index
-        # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
-        # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
-        self._leg_slopes = 2.0 * self.goals.T  # (3, G)
-        self._leg_offsets = np.sum((self.goals - self.leg_start) ** 2, axis=-1) - np.sum(self.goals**2, axis=-1)
-        # unit head-to-object gaze rays (N, 3), which only the visibility term reads
-        self.gaze_hat = gaze_directions(self.gaze, self.mu[:, head]) if self.weights.w_vis > 0 else None
-
+    def __post_init__(self):
+        start = float_array(self.leg_start, "legibility start", (3,))
+        goals = np.atleast_2d(float_array(self.goals, "legibility goals"))
+        if len(goals) < 1 or goals.shape[1:] != (3,):
+            raise InvalidInputError(f"legibility goals must be a nonempty (G, 3) array, got shape {goals.shape}")
+        goal_index = integer(self.goal_index, "legibility goal_index", 0, len(goals) - 1)
+        model, w_smooth = self.model, self.weights.w_smooth
         tracked, eef = model.tracked_frames, model.eef_frame  # a tuple of ints, an int
         # one Jacobian per distinct frame: the tracked frames, then the end
         # effector unless it is tracked too
         jframes = tracked if eef in tracked else tracked + (eef,)
-        self._jframes, self._eef_row = np.array(jframes), jframes.index(eef)
-        self._n_tracked = len(tracked)
-        self._tracked = np.array(tracked)
-        n = model.n_joints
-        eye = np.eye(n)
-        self._hess_floor = HESS_FLOOR * eye
-        self._huu = (2.0 * self.weights.w_smooth + HESS_FLOOR) * eye
-        self._scored = (np.empty((0, n)), None)  # rows of the last value call, their FK
+        eye = np.eye(model.n_joints)
+        store(
+            self, gaze=float_array(self.gaze, "gaze", (3,)), leg_start=start, goals=goals, goal_index=goal_index,
+            head_index=integer(self.head_index, "head_index", 0),
+            # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
+            # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
+            leg_slopes=2.0 * goals.T,  # (3, G)
+            leg_offsets=np.sum((goals - start) ** 2, axis=-1) - np.sum(goals**2, axis=-1),
+            tracked=np.array(tracked), jframes=np.array(jframes), eef_row=jframes.index(eef),
+            hess_floor=HESS_FLOOR * eye, huu=(2.0 * w_smooth + HESS_FLOOR) * eye,
+        )
+
+    def goal_probs(self, p_eef: Array) -> Array:
+        """Inferred probabilities (..., G) of the candidate goals at end-effector points (..., 3)."""
+        return softmax(p_eef @ self.leg_slopes + self.leg_offsets)
+
+
+class KnotCostEvaluator:
+    """Evaluates the knot cost over whole trajectories with batched FK: the
+    task's fixed inputs against one horizon's human prediction (means (N, H, 3),
+    covariances (N, H, 3, 3)) and nominal end-effector path (N, 3)."""
+
+    def __init__(self, task: CostTask, means: Array, covs: Array, nominal: Array):
+        self.task = task
+        self.mu, self.nominal = means, nominal
+        self.cov_inv = np.linalg.inv(covs)
+        self.sigma_head = np.sqrt(np.trace(covs[:, task.head_index], axis1=1, axis2=2) / 3.0)  # (N,)
+        # unit head-to-object gaze rays (N, 3), which only the visibility term reads
+        self.gaze_hat = gaze_directions(task.gaze, means[:, task.head_index]) if task.weights.w_vis > 0 else None
+        self._scored = (np.empty((0, task.model.n_joints)), None)  # rows of the last value call, their FK
 
     # -- values ------------------------------------------------------------
 
@@ -152,47 +143,46 @@ class KnotCostEvaluator:
         xs = np.array(xs, dtype=float)  # a copy, so the kept rows cannot change
         lead = xs.shape[:-1]
         rows = xs.reshape(-1, xs.shape[-1])
-        fk = fk_batch(self.model, rows)
+        fk = fk_batch(self.task.model, rows)
         self._scored = (rows, fk)
         positions = fk.positions.reshape(lead + fk.positions.shape[1:])
         knots = self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
         total = knots.sum(axis=-1)
-        if us is not None and self.weights.w_smooth > 0:
-            total = total + self.weights.w_smooth * (us * us).sum(axis=(-2, -1))
+        w_smooth = self.task.weights.w_smooth
+        if us is not None and w_smooth > 0:
+            total = total + w_smooth * (us * us).sum(axis=(-2, -1))
         return total
 
     def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
         """Knot costs from frame positions (..., N, F, 3) and end-effector
         rotations (..., N, 3, 3); the per-knot inputs broadcast over the
         leading axes."""
-        w = self.weights
+        task = self.task
+        w = task.weights
         vals = np.zeros(positions.shape[:-2])
-        p_eef = positions[..., self.model.eef_frame, :]
+        p_eef = positions[..., task.model.eef_frame, :]
 
         if w.w_dist > 0:
-            d = positions[..., None, self._tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
+            d = positions[..., None, task.tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
             m = np.einsum("...i,...i->...", d, d @ self.cov_inv)  # d^T S^-1 d
             vals += w.w_dist * (1.0 / (m + DIST_EPS)).sum(axis=(-2, -1))
 
         if w.w_vis > 0:
-            _, cos_theta, _ = gaze_cosines(self.gaze_hat, self.mu[:, self.head_index], p_eef)
+            _, cos_theta, _ = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
             vals += w.w_vis * np.arccos(cos_theta) / self.sigma_head
 
         if w.w_leg > 0:
-            probs = self._goal_probs(p_eef)
-            vals += w.w_leg * (1.0 - probs[..., self.goal_index])
+            probs = task.goal_probs(p_eef)
+            vals += w.w_leg * (1.0 - probs[..., task.goal_index])
 
         if w.w_nom > 0:
             vals += w.w_nom * _norms(p_eef - self.nominal)
 
         if w.w_goal > 0:
-            pos_err, orient_err = self.goal.errors(p_eef, eef_rotations)
+            pos_err, orient_err = task.goal.errors(p_eef, eef_rotations)
             vals += w.w_goal * (pos_err + orient_err)
 
         return vals
-
-    def _goal_probs(self, p_eef: Array) -> Array:
-        return softmax(p_eef @ self._leg_slopes + self._leg_offsets)
 
     # -- derivatives ---------------------------------------------------------
 
@@ -206,19 +196,20 @@ class KnotCostEvaluator:
         """
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
-        w = self.weights
+        task = self.task
+        w = task.weights
         fk = self._fk(xs)
-        J = position_jacobians(fk, self._jframes)  # (N, F, 3, n)
+        J = position_jacobians(fk, task.jframes)  # (N, F, 3, n)
         F = J.shape[1]
-        p_eef = fk.positions[:, self.model.eef_frame]
+        p_eef = fk.positions[:, task.model.eef_frame]
 
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
-        g_eef, P_eef = g[:, self._eef_row], P[:, self._eef_row]  # views: the end-effector terms add in place
+        g_eef, P_eef = g[:, task.eef_row], P[:, task.eef_row]  # views: the end-effector terms add in place
 
         if w.w_dist > 0:
-            R = self._n_tracked
-            d = fk.positions[:, None, self._tracked] - self.mu[:, :, None, :]  # (N, H, R, 3)
+            R = len(task.tracked)
+            d = fk.positions[:, None, task.tracked] - self.mu[:, :, None, :]  # (N, H, R, 3)
             sd = d @ self.cov_inv  # S^-1 d
             denom = (d * sd).sum(axis=-1) + DIST_EPS  # (N, H, R)
             c2 = 2.0 / denom**2
@@ -233,7 +224,7 @@ class KnotCostEvaluator:
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:
-            bhat, cos_theta, nb = gaze_cosines(self.gaze_hat, self.mu[:, self.head_index], p_eef)
+            bhat, cos_theta, nb = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
             # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
             u_perp = self.gaze_hat - cos_theta[:, None] * bhat
             sin_theta = _norms(u_perp)
@@ -245,14 +236,14 @@ class KnotCostEvaluator:
             P_eef += w.w_vis * _gauss_newton(g_p, c_vis)
 
         if w.w_leg > 0:
-            probs = self._goal_probs(p_eef)
-            p_r = probs[:, self.goal_index]
-            mean_goal = np.einsum("ng,gi->ni", probs, self.goals)
-            g_p = -2.0 * p_r[:, None] * (self.goals[self.goal_index] - mean_goal)
+            probs = task.goal_probs(p_eef)
+            p_r = probs[:, task.goal_index]
+            mean_goal = np.einsum("ng,gi->ni", probs, task.goals)
+            g_p = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - mean_goal)
             g_eef += w.w_leg * g_p
             P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
 
-        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, self.goal.position)):
+        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, task.goal.position)):
             if weight > 0:
                 gp, hp = _norm_grad_curv(p_eef - target)
                 g_eef += weight * gp
@@ -261,7 +252,7 @@ class KnotCostEvaluator:
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
         hxx = Jf.swapaxes(1, 2) @ (P @ J).reshape(N, 3 * F, n)
-        hxx += self._hess_floor
+        hxx += task.hess_floor
 
         if w.w_goal > 0:
             o_val, g_or = self._orientation_terms(fk)
@@ -280,7 +271,7 @@ class KnotCostEvaluator:
             if len(hit):
                 i = slice(hit[0] * N, hit[0] * N + N)
                 return BatchFk(fk.positions[i], fk.joint_axes_world[i], fk.eef_rotations[i])
-        return fk_batch(self.model, xs)
+        return fk_batch(self.task.model, xs)
 
     def _orientation_terms(self, fk: BatchFk) -> tuple[Array, Array]:
         """Orientation error 1 - <q_g, q_eef>^2 and its exact gradient
@@ -291,9 +282,9 @@ class KnotCostEvaluator:
         -tr(R_g^T [w_j]x R) / 4 = w_j . s / 4, with s the axial vector of
         R R_g^T - (R R_g^T)^T.
         """
-        R = fk.eef_rotations
-        _, o_val = self.goal.errors(fk.positions[:, self.model.eef_frame], R)
-        m = R @ self.goal.rotation.T
+        goal, R = self.task.goal, fk.eef_rotations
+        _, o_val = goal.errors(fk.positions[:, self.task.model.eef_frame], R)
+        m = R @ goal.rotation.T
         s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
         g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         return o_val, g
@@ -301,7 +292,7 @@ class KnotCostEvaluator:
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""
         us = np.asarray(us, dtype=float)
-        return 2.0 * self.weights.w_smooth * us, np.tile(self._huu, (len(us), 1, 1))
+        return 2.0 * self.task.weights.w_smooth * us, np.tile(self.task.huu, (len(us), 1, 1))
 
 
 def gaze_directions(gaze: Array, head: Array) -> Array:

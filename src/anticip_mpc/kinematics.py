@@ -81,7 +81,7 @@ def quat_from_matrix(R: Array) -> Array:
 # model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotModel:
     """Axis-offset serial chain with velocity bounds and tracked frames.
 

@@ -1,13 +1,15 @@
 """Receding-horizon planning loop and scenario definitions.
 
-Each replan slices the human prediction and the nominal path over the
-lookahead window into per-knot cost arrays, solves the fixed-horizon problem
-warm-started from the previous plan (the first replan from the joint-space
-line to the goal), then executes a prefix under simulated position control
-(the executed motion tracks the plan exactly). The executed human follows the
-prediction means unless the scenario supplies a separate ground truth. The goal
-test uses the cost's :meth:`GoalSpec.errors`, and the separation metric reads
-the trace's human distance through :func:`min_human_distance`.
+A scenario resolves the cost's per-task inputs once, as one
+:class:`CostTask`. Each replan slices the human prediction and the nominal
+path over the lookahead window into per-knot cost arrays for an evaluator of
+that task, solves the fixed-horizon problem warm-started from the previous
+plan (the first replan from the joint-space line to the goal), then executes
+a prefix under simulated position control (the executed motion tracks the
+plan exactly). The executed human follows the prediction means unless the
+scenario supplies a separate ground truth. The goal test uses the task's
+:meth:`GoalSpec.errors`, and the separation metric reads the trace's human
+distance through :func:`min_human_distance`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostWeights, GoalSpec, HorizonContext, KnotCostEvaluator, LegibilityContext
+from .costs import CostTask, CostWeights, GoalSpec, KnotCostEvaluator
 from .errors import (
     SCHEMA_VERSION, Fields, InvalidInputError, boolean, float_array, integer, number, read_json, store, write_json,
 )
@@ -42,7 +44,6 @@ log = logging.getLogger("anticip_mpc")
 
 Array = np.ndarray
 
-_GRID_TOL = 1e-9
 # the loop stops once the end effector is this close to the goal pose
 GOAL_POSITION_TOL = 0.01  # m
 ORIENT_GOAL_TOL = 1e-3  # 1 - <q, q_goal>^2
@@ -69,10 +70,10 @@ class MpcConfig(Fields):
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             self._check(name, number, 0, strict=True)
-        _as_steps(self.horizon, self.dt, "horizon")
-        _as_steps(self.replan_period, self.dt, "replan_period")
+        horizon = _as_steps(self.horizon, self.dt, "horizon")
+        replan = _as_steps(self.replan_period, self.dt, "replan_period")
         _as_steps(self.task_duration, self.dt, "task_duration")
-        if self.horizon < self.replan_period - _GRID_TOL:
+        if horizon < replan:  # compared in whole grid steps, as the loop reads them
             raise InvalidInputError("mpc horizon must be at least the replan period")
 
     @property
@@ -88,14 +89,14 @@ class MpcConfig(Fields):
         return _as_steps(self.task_duration, self.dt, "task_duration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Fully resolved planning task: robot, goals, weights, human data.
 
-    A scenario is immutable and its arrays are read-only, so the ``goal``,
-    ``legibility`` and ``nominal_path`` it resolves on first use (not at
-    load) and keeps cannot go stale; ``dataclasses.replace`` gives a
-    scenario that resolves them again."""
+    A scenario is immutable and its arrays are read-only, so the ``task``
+    and ``nominal_path`` it resolves on first use (not at load) and keeps
+    cannot go stale; ``dataclasses.replace`` gives a scenario that resolves
+    them again."""
 
     model: RobotModel
     start_q: Array
@@ -137,18 +138,20 @@ class Scenario:
         )
 
     @cached_property
-    def goal(self) -> GoalSpec:
-        """The explicit goal pose, or the end-effector pose at goal_q."""
-        if self.goal_pose is not None:
-            return self.goal_pose
-        fk = fk_batch(self.model, self.goal_q[None, :])
-        return GoalSpec(fk.positions[0, self.model.eef_frame], fk.eef_quats[0])
-
-    @cached_property
-    def legibility(self) -> LegibilityContext:
-        """Legibility context with the start point fixed at the task-start eef."""
-        start_eef = fk_batch(self.model, self.start_q[None, :]).positions[0, self.model.eef_frame]
-        return LegibilityContext(start=start_eef, goals=self.legibility_goals, goal_index=self.legibility_goal_index)
+    def task(self) -> CostTask:
+        """The cost's per-task inputs, among them the goal pose (the explicit
+        one, or the end-effector pose at goal_q) and the legibility start (the
+        end-effector position at start_q)."""
+        model, eef = self.model, self.model.eef_frame
+        goal = self.goal_pose
+        if goal is None:
+            fk = fk_batch(model, self.goal_q[None, :])
+            goal = GoalSpec(fk.positions[0, eef], fk.eef_quats[0])
+        start = fk_batch(model, self.start_q[None, :]).positions[0, eef]
+        return CostTask(
+            model, self.weights, self.gaze_object, start, self.legibility_goals, self.legibility_goal_index, goal,
+            self.prediction.head_index,
+        )
 
     @cached_property
     def nominal_path(self) -> Array:
@@ -193,7 +196,7 @@ def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> Traje
 
     Human means and covariances are sliced from the prediction at the knot
     times; the nominal path is indexed by absolute time and clamped to its
-    final point; the per-task values are passed once for all knots.
+    final point; the scenario's one task holds the per-task values.
     """
     cfg = scenario.mpc
     model = scenario.model
@@ -201,17 +204,7 @@ def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> Traje
     means, covs = slice_horizon(scenario.prediction, t_start, n_knots, cfg.dt)
     t = t_start + np.arange(n_knots) * cfg.dt
     idx = np.minimum(np.round(t / cfg.dt).astype(int), len(nominal) - 1)
-    horizon = HorizonContext(
-        means=means,
-        covs=covs,
-        nominal=nominal[idx],
-        gaze=scenario.gaze_object,
-        legibility=scenario.legibility,
-        goal=scenario.goal,
-        weights=scenario.weights,
-        head_index=scenario.prediction.head_index,
-    )
-    cost = KnotCostEvaluator(model, horizon)
+    cost = KnotCostEvaluator(scenario.task, means, covs, nominal[idx])
     return TrajectoryProblem(n_knots, cfg.dt, x0, cost, model.vel_lower, model.vel_upper)
 
 
@@ -362,8 +355,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     replan_steps = cfg.replan_steps
 
     # resolved here, before the first timed replan
-    goal = scenario.goal
-    legibility = scenario.legibility
+    task = scenario.task
     nominal = scenario.nominal_path
 
     executed = [scenario.start_q.copy()]
@@ -398,7 +390,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         step += n_exec
 
         fk = fk_batch(model, x[None, :])
-        (pos_err,), (orient_err,) = goal.errors(fk.positions[:, model.eef_frame], fk.eef_rotations)
+        (pos_err,), (orient_err,) = task.goal.errors(fk.positions[:, model.eef_frame], fk.eef_rotations)
         goal_reached = bool(pos_err < GOAL_POSITION_TOL and orient_err < ORIENT_GOAL_TOL)
 
     states = np.asarray(executed)
@@ -420,14 +412,14 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         human_true=human_true,
         human_pred=human_pred,
         min_human_dist=min_human_distance(tracked, human_true),
-        head_index=scenario.prediction.head_index,
+        head_index=task.head_index,
         nominal=nominal[:T1],  # a nominal path has at least task_steps + 1 points
-        gaze_object=scenario.gaze_object,
-        legibility_start=legibility.start,
-        legibility_goals=legibility.goals,
-        legibility_goal_index=legibility.goal_index,
-        goal_position=goal.position,
-        goal_orientation=goal.orientation,
+        gaze_object=task.gaze,
+        legibility_start=task.leg_start,
+        legibility_goals=task.goals,
+        legibility_goal_index=task.goal_index,
+        goal_position=task.goal.position,
+        goal_orientation=task.goal.orientation,
         replans=replans,
         total_wall_time=total_wall,
         goal_reached=goal_reached,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from anticip_mpc import (
+    CostTask,
     CostWeights,
     GoalSpec,
     KnotCostEvaluator,
-    LegibilityContext,
     RobotModel,
     TrajectoryProblem,
     backward_pass,
@@ -71,7 +71,7 @@ def random_contexts(
     n_goals: int = 3,
     goal_index: int | None = None,
 ) -> list[KnotContext]:
-    """Randomized knot contexts at the joint vectors qs: one per-task part
+    """Randomized knot contexts at the joint vectors qs: one cost task
     (gaze, legibility, goal, weights) drawn once, then each knot's human
     frame and nominal point, resampled away from cost kinks."""
     eefs = [eef_pose(model, q).position for q in qs]
@@ -87,8 +87,7 @@ def random_contexts(
     if weights is None:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
     gi = int(rng.integers(n_goals)) if goal_index is None else goal_index
-    legibility = LegibilityContext(start=start, goals=goals, goal_index=gi)
-    goal = GoalSpec(goal_p, quat)
+    task = CostTask(model, weights, gaze, start, goals, gi, GoalSpec(goal_p, quat), head_index=0)
 
     contexts = []
     for eef in eefs:
@@ -106,23 +105,12 @@ def random_contexts(
             nominal = eef + rng.uniform(-0.5, 0.5, 3)
             if np.linalg.norm(nominal - eef) >= 0.02:
                 break
-        contexts.append(
-            KnotContext(
-                human_frame=human,
-                gaze_object=gaze,
-                nominal=nominal,
-                legibility=legibility,
-                goal=goal,
-                weights=weights,
-                t=float(rng.uniform(0, 5)),
-                head_index=0,
-            )
-        )
+        contexts.append(KnotContext(human_frame=human, nominal=nominal, task=task, t=float(rng.uniform(0, 5))))
     return contexts
 
 
 def random_context(rng: np.random.Generator, model: RobotModel, q: np.ndarray, **options) -> KnotContext:
-    """One randomized knot context with its own per-task part."""
+    """One randomized knot context with its own cost task."""
     return random_contexts(rng, model, [q], **options)[0]
 
 
@@ -139,7 +127,7 @@ def problem_from_contexts(model: RobotModel, n_knots: int, dt: float, x0, contex
         n_knots=n_knots,
         dt=dt,
         x0=x0,
-        cost=KnotCostEvaluator(model, stack_contexts(contexts)),
+        cost=KnotCostEvaluator(*stack_contexts(contexts)),
         u_lower=model.vel_lower,
         u_upper=model.vel_upper,
     )

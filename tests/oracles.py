@@ -12,10 +12,11 @@ solver's hot path simplifies or stages.
 
 The per-knot cost model lives here too: one scalar function per cost term,
 per-knot contexts of per-joint Gaussians (``KnotContext``,
-``HumanJointGaussian``) that ``stack_contexts`` turns into the package's
-array ``HorizonContext``, and ``total_knot_cost``, the single-knot weighted
-sum with derivatives. The package itself evaluates costs only through the
-batched ``KnotCostEvaluator``.
+``HumanJointGaussian``) that ``stack_contexts`` turns into the package
+evaluator's inputs (one ``CostTask`` and per-knot arrays), and
+``total_knot_cost``, the single-knot weighted sum with derivatives. The
+package itself evaluates costs only through the batched
+``KnotCostEvaluator``.
 """
 
 from dataclasses import dataclass
@@ -29,11 +30,9 @@ from anticip_mpc.costs import (
     _TINY,
     DIST_EPS,
     HESS_FLOOR,
-    CostWeights,
+    CostTask,
     GoalSpec,
-    HorizonContext,
     KnotCostEvaluator,
-    LegibilityContext,
 )
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
@@ -316,13 +315,14 @@ def state_derivatives_per_term(ev, xs):
 
     xs = np.asarray(xs, dtype=float)
     N, n = xs.shape
-    w = ev.weights
-    fk = fk_batch(ev.model, xs)
-    tracked = np.asarray(ev.model.tracked_frames, dtype=int)
-    J = position_jacobians(fk, np.concatenate([tracked, [ev.model.eef_frame]]))
+    task = ev.task
+    w = task.weights
+    fk = fk_batch(task.model, xs)
+    tracked = np.asarray(task.model.tracked_frames, dtype=int)
+    J = position_jacobians(fk, np.concatenate([tracked, [task.model.eef_frame]]))
     Jt = J[:, : len(tracked)]
     Je = J[:, -1]
-    p_eef = fk.positions[:, ev.model.eef_frame]
+    p_eef = fk.positions[:, task.model.eef_frame]
 
     gx = np.zeros((N, n))
     hxx = np.tile(HESS_FLOOR * np.eye(n), (N, 1, 1))
@@ -339,8 +339,8 @@ def state_derivatives_per_term(ev, xs):
         hxx += w.w_dist * np.einsum("nria,nrij,nrjb->nab", Jt, w_off, Jt)
 
     if w.w_vis > 0:
-        a = ev.gaze - ev.mu[:, ev.head_index]
-        b = p_eef - ev.mu[:, ev.head_index]
+        a = task.gaze - ev.mu[:, task.head_index]
+        b = p_eef - ev.mu[:, task.head_index]
         nb = np.linalg.norm(b, axis=-1)
         ahat = a / np.linalg.norm(a, axis=-1)[:, None]
         bhat = b / nb[:, None]
@@ -358,16 +358,16 @@ def state_derivatives_per_term(ev, xs):
         hxx += w.w_vis * np.einsum("nia,nij,njb->nab", Je, hp, Je)
 
     if w.w_leg > 0:
-        probs = ev._goal_probs(p_eef)
-        p_r = probs[:, ev.goal_index]
-        mean_goal = np.einsum("ng,gi->ni", probs, ev.goals)
-        g_p = -2.0 * p_r[:, None] * (ev.goals[ev.goal_index] - mean_goal)
+        probs = task.goal_probs(p_eef)
+        p_r = probs[:, task.goal_index]
+        mean_goal = np.einsum("ng,gi->ni", probs, task.goals)
+        g_p = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - mean_goal)
         c_leg = 1.0 - p_r
         gx += w.w_leg * np.einsum("ni,nia->na", g_p, Je)
         hp = g_p[:, :, None] * g_p[:, None, :] / (2.0 * np.maximum(c_leg, _CURV_GUARD))[:, None, None]
         hxx += w.w_leg * np.einsum("nia,nij,njb->nab", Je, hp, Je)
 
-    for weight, target in ((w.w_nom, ev.nominal), (w.w_goal, ev.goal.position)):
+    for weight, target in ((w.w_nom, ev.nominal), (w.w_goal, task.goal.position)):
         if weight > 0:
             gp, hp = norm_grad_curv(p_eef - target)
             gx += weight * np.einsum("ni,nia->na", gp, Je)
@@ -375,8 +375,8 @@ def state_derivatives_per_term(ev, xs):
 
     if w.w_goal > 0:
         R = fk.eef_rotations
-        o_val = 1.0 - 0.25 * (np.einsum("ij,nij->n", ev.goal.rotation, R) + 1.0)
-        mr = R @ ev.goal.rotation.T
+        o_val = 1.0 - 0.25 * (np.einsum("ij,nij->n", task.goal.rotation, R) + 1.0)
+        mr = R @ task.goal.rotation.T
         s = np.stack([mr[:, 2, 1] - mr[:, 1, 2], mr[:, 0, 2] - mr[:, 2, 0], mr[:, 1, 0] - mr[:, 0, 1]], axis=1)
         g_or = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
         gx += w.w_goal * g_or
@@ -464,76 +464,46 @@ class HumanJointGaussian:
 
 @dataclass(frozen=True)
 class KnotContext:
-    """Everything the knot cost needs besides the robot state and control."""
+    """One knot's human frame and nominal point, and the task they belong to:
+    everything the knot cost needs besides the robot state and control."""
 
     human_frame: tuple  # HumanJointGaussian per human joint, at least one
-    gaze_object: np.ndarray  # 3-vector the human is assumed to look at
     nominal: np.ndarray  # nominal end-effector position at this knot's time
-    legibility: LegibilityContext
-    goal: GoalSpec
-    weights: CostWeights
+    task: CostTask
     t: float
-    head_index: int = 0
 
     def __post_init__(self):
         frame = tuple(self.human_frame)
         for g in frame:
             if not isinstance(g, HumanJointGaussian):
                 raise InvalidInputError("human_frame entries must be HumanJointGaussian")
-        if not 0 <= int(self.head_index) < len(frame):
+        if not self.task.head_index < len(frame):
             raise InvalidInputError("head_index out of range")
         object.__setattr__(self, "human_frame", frame)
-        object.__setattr__(self, "gaze_object", np.asarray(self.gaze_object, dtype=float).reshape(3))
         object.__setattr__(self, "nominal", np.asarray(self.nominal, dtype=float).reshape(3))
-        object.__setattr__(self, "head_index", int(self.head_index))
         object.__setattr__(self, "t", float(self.t))
 
 
-def stack_contexts(contexts: Sequence[KnotContext]) -> HorizonContext:
-    """Stack per-knot contexts into one HorizonContext.
+def stack_contexts(contexts: Sequence[KnotContext]) -> tuple:
+    """Stack per-knot contexts into a KnotCostEvaluator's arguments: the task,
+    means (N, H, 3), covariances (N, H, 3, 3) and nominal points (N, 3).
 
     Human frames and nominal points vary per knot; all contexts must share
-    one CostWeights, one human joint count and head index, and one gaze
-    object, legibility context and goal pose.
+    one cost task and one human joint count.
     """
     contexts = list(contexts)
     if not contexts:
         raise InvalidInputError("need at least one knot context")
     first = contexts[0]
-    if any(c.weights != first.weights for c in contexts):
-        raise InvalidInputError("all knot contexts must share the same weights")
+    if any(c.task is not first.task for c in contexts):
+        raise InvalidInputError("all knot contexts must share one cost task")
     H = len(first.human_frame)
     if any(len(c.human_frame) != H for c in contexts):
         raise InvalidInputError("all knot contexts must have the same human joint count")
-    if any(c.head_index != first.head_index for c in contexts):
-        raise InvalidInputError("all knot contexts must share one head index")
-    if any(not np.array_equal(c.gaze_object, first.gaze_object) for c in contexts):
-        raise InvalidInputError("all knot contexts must share one gaze object")
-    leg = first.legibility
-    if any(
-        c.legibility.goal_index != leg.goal_index
-        or not np.array_equal(c.legibility.goals, leg.goals)
-        or not np.array_equal(c.legibility.start, leg.start)
-        for c in contexts
-    ):
-        raise InvalidInputError("all knot contexts must share one legibility context")
-    goal = first.goal
-    if any(
-        not (np.array_equal(c.goal.position, goal.position) and np.array_equal(c.goal.orientation, goal.orientation))
-        for c in contexts
-    ):
-        raise InvalidInputError("all knot contexts must share one goal pose")
     N = len(contexts)
-    return HorizonContext(
-        means=np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3),
-        covs=np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3),
-        nominal=np.array([c.nominal for c in contexts]),
-        gaze=first.gaze_object,
-        legibility=leg,
-        goal=goal,
-        weights=first.weights,
-        head_index=first.head_index,
-    )
+    means = np.array([[g.mean for g in c.human_frame] for c in contexts]).reshape(N, H, 3)
+    covs = np.array([[g.cov for g in c.human_frame] for c in contexts]).reshape(N, H, 3, 3)
+    return first.task, means, covs, np.array([c.nominal for c in contexts])
 
 
 def distance_cost(model: RobotModel, q, human_frame: Sequence[HumanJointGaussian]) -> float:
@@ -576,6 +546,21 @@ def _visibility_angle(gaze_object, head_mean, p_eef) -> float:
         raise InvalidInputError("degenerate gaze ray: object or end effector coincides with the head")
     t = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
     return float(np.arccos(t))
+
+
+@dataclass(frozen=True)
+class LegibilityContext:
+    """Task-start end-effector position, candidate goals, and the true goal:
+    the legibility oracle's inputs, which a CostTask holds as ``leg_start``,
+    ``goals`` and ``goal_index``."""
+
+    start: np.ndarray
+    goals: np.ndarray  # (G, 3)
+    goal_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
+        object.__setattr__(self, "goals", np.atleast_2d(np.asarray(self.goals, dtype=float)))
 
 
 def legibility_cost(eef_position, ctx: LegibilityContext) -> float:
@@ -642,7 +627,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     n = model.n_joints
-    ev = KnotCostEvaluator(model, stack_contexts([ctx]))
+    ev = KnotCostEvaluator(*stack_contexts([ctx]))
     value = float(ev.value(q[None, :]))
     gx, hxx = ev.state_derivatives(q[None, :])
     gx, hxx = gx[0], hxx[0]
@@ -653,7 +638,7 @@ def total_knot_cost(model: RobotModel, q, u, ctx: KnotContext) -> KnotCostResult
         u = np.asarray(u, dtype=float).reshape(-1)
         if u.shape != (n,):
             raise InvalidInputError(f"control has length {u.shape[0]}, expected {n}")
-        w = ctx.weights.w_smooth
+        w = ctx.task.weights.w_smooth
         value += w * float(np.dot(u, u))
         gu = 2.0 * w * u
         huu = (2.0 * w + HESS_FLOOR) * np.eye(n)

@@ -12,7 +12,6 @@ import pytest
 
 from anticip_mpc import (
     GoalSpec,
-    LegibilityContext,
     run_mpc,
     solve,
 )
@@ -22,7 +21,9 @@ from anticip_mpc.metrics import evaluate_trace, separation_metric
 from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
 
 from conftest import random_context, solve_default
-from oracles import goal_pose_cost, goal_probabilities, legibility_cost, lqr_tracking_solution, total_knot_cost
+from oracles import (
+    LegibilityContext, goal_pose_cost, goal_probabilities, legibility_cost, lqr_tracking_solution, total_knot_cost,
+)
 from test_solver import quadratic_problem
 
 N_SCENARIOS = 20

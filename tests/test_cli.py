@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, main
+from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, _sha256, main
 from anticip_mpc.costs import CostWeights
 from anticip_mpc.mpc import _SCENARIO_KEYS, ExecutionTrace, MpcConfig, load_scenario
 
@@ -488,6 +488,29 @@ class TestManifestSeed:
         assert json.loads((sim_out / "simulate_manifest.json").read_text())["seed"] == 11
         assert run_cli("eval", sim_out / "trace.json", traces[0], "--out", eval_out) == EXIT_OK
         assert json.loads((eval_out / "eval_manifest.json").read_text())["seed"] == [11, 7]
+
+
+class TestManifestOverlay:
+    """plan, simulate and bench manifests name the --config overlay and hash it beside the scenario."""
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+    def test_overlay_path_and_hash_recorded(self, workspace, tmp_path, command):
+        config = one_replan_overlay(tmp_path)
+        scenario = workspace / "scenario.json"
+        out = tmp_path / command
+        extra = ["--n", 1] if command == "bench" else []
+        assert run_cli(command, "--scenario", scenario, "--config", config, "--out", out, *extra) == EXIT_OK
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["config"]["scenario"] == str(scenario)
+        assert manifest["config"]["config"] == str(config)
+        assert manifest["inputs"] == {str(scenario): _sha256(scenario), str(config): _sha256(config)}
+
+    def test_no_overlay_records_null(self, workspace, tmp_path):
+        scenario = workspace / "scenario.json"
+        assert run_cli("plan", "--scenario", scenario, "--out", tmp_path) == EXIT_OK
+        manifest = json.loads((tmp_path / "plan_manifest.json").read_text())
+        assert manifest["config"] == {"scenario": str(scenario), "config": None}
+        assert list(manifest["inputs"]) == [str(scenario)]
 
 
 class TestSimulate:

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from anticip_mpc import (
+    CostTask,
     CostWeights,
     GoalSpec,
     InvalidInputError,
     KnotCostEvaluator,
-    LegibilityContext,
     RobotModel,
+    default_robot_model,
 )
 
 from conftest import eef_pose, random_context, random_contexts
 from oracles import (
     HumanJointGaussian,
+    LegibilityContext,
     distance_cost,
     goal_pose_cost,
     goal_probabilities,
@@ -270,7 +272,7 @@ class TestTotalKnotCost:
         v1 = total_knot_cost(seven_dof, q, u, ctx).value
         for a in (0.0, 0.5, 3.0):
             scaled = CostWeights(**{k: a * v for k, v in base.to_dict().items()})
-            scaled_ctx = KnotContextWithWeights(ctx, scaled)
+            scaled_ctx = with_task(ctx, weights=scaled)
             v2 = total_knot_cost(seven_dof, q, u, scaled_ctx).value
             assert np.isclose(v2, a * v1, rtol=1e-10, atol=1e-12)
 
@@ -291,19 +293,9 @@ class TestTotalKnotCost:
         assert np.array_equal(res.grad_u, np.zeros(7))
 
 
-def KnotContextWithWeights(ctx, weights, head_index=None):
-    from oracles import KnotContext
-
-    return KnotContext(
-        human_frame=ctx.human_frame,
-        gaze_object=ctx.gaze_object,
-        nominal=ctx.nominal,
-        legibility=ctx.legibility,
-        goal=ctx.goal,
-        weights=weights,
-        t=ctx.t,
-        head_index=ctx.head_index if head_index is None else head_index,
-    )
+def with_task(ctx, **changes):
+    """The knot context `ctx` with its own copy of its task, changed as given."""
+    return dataclasses.replace(ctx, task=dataclasses.replace(ctx.task, **changes))
 
 
 class TestBatchedEvaluator:
@@ -313,18 +305,20 @@ class TestBatchedEvaluator:
         qs = rng.uniform(-1.2, 1.2, (4, 7))
         us = rng.uniform(-1, 1, (3, 7))
         contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
-        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
+        ev = KnotCostEvaluator(*stack_contexts(contexts))
+        task = contexts[0].task
+        legibility = LegibilityContext(task.leg_start, task.goals, task.goal_index)
 
         expected = 0.0
         for i, ctx in enumerate(contexts):
             pose = eef_pose(seven_dof, qs[i])
             eef = pose.position
-            head = ctx.human_frame[ctx.head_index]
+            head = ctx.human_frame[task.head_index]
             expected += weights.w_dist * distance_cost(seven_dof, qs[i], ctx.human_frame)
-            expected += weights.w_vis * visibility_cost(seven_dof, qs[i], head, ctx.gaze_object)
-            expected += weights.w_leg * legibility_cost(eef, ctx.legibility)
+            expected += weights.w_vis * visibility_cost(seven_dof, qs[i], head, task.gaze)
+            expected += weights.w_leg * legibility_cost(eef, legibility)
             expected += weights.w_nom * nominal_cost(eef, ctx.nominal)
-            expected += weights.w_goal * goal_pose_cost(pose, ctx.goal)
+            expected += weights.w_goal * goal_pose_cost(pose, task.goal)
         expected += weights.w_smooth * float(np.sum(us * us))
         assert np.isclose(ev.value(qs, us), expected, rtol=1e-10)
 
@@ -333,7 +327,7 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (3, 7))
         contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
-        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
+        ev = KnotCostEvaluator(*stack_contexts(contexts))
         gx, hxx = ev.state_derivatives(qs)
         for i, ctx in enumerate(contexts):
             res = total_knot_cost(seven_dof, qs[i], None, ctx)
@@ -351,7 +345,7 @@ class TestBatchedEvaluator:
             weights = CostWeights(**w)
             qs = rng.uniform(-1.2, 1.2, (6, 7))
             contexts = random_contexts(rng, seven_dof, qs, weights=weights, n_human=n_human, goal_index=1)
-            ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
+            ev = KnotCostEvaluator(*stack_contexts(contexts))
             gx, hxx = ev.state_derivatives(qs)
             gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
             for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
@@ -366,10 +360,12 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (4, 7))
         contexts = random_contexts(rng, model, qs, weights=weights, n_human=2, goal_index=0)
-        ev = KnotCostEvaluator(model, stack_contexts(contexts))
-        separation = [KnotContextWithWeights(ctx, CostWeights(w_dist=1.0)) for ctx in contexts]
+        task, means, covs, nominal = stack_contexts(contexts)
+        ev = KnotCostEvaluator(task, means, covs, nominal)
+        separation = dataclasses.replace(task, weights=CostWeights(w_dist=1.0))
+        separation = KnotCostEvaluator(separation, means, covs, nominal)
         expected = sum(distance_cost(model, q, ctx.human_frame) for q, ctx in zip(qs, contexts))
-        assert np.isclose(KnotCostEvaluator(model, stack_contexts(separation)).value(qs), expected, rtol=1e-10)
+        assert np.isclose(separation.value(qs), expected, rtol=1e-10)
         gx, hxx = ev.state_derivatives(qs)
         gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
         for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
@@ -380,7 +376,7 @@ class TestBatchedEvaluator:
         weights = CostWeights(*rng.uniform(0.1, 2.0, 6))
         qs = rng.uniform(-1.2, 1.2, (5, 7))
         contexts = random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)
-        ev = KnotCostEvaluator(seven_dof, stack_contexts(contexts))
+        ev = KnotCostEvaluator(*stack_contexts(contexts))
         xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
         us = rng.uniform(-1, 1, (11, 4, 7))
         values = ev.value(xs, us)
@@ -396,9 +392,9 @@ class TestBatchedEvaluator:
         qs = rng.uniform(-1.2, 1.2, (5, 7))
         horizon = stack_contexts(random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0))
         xs = qs + rng.uniform(-0.1, 0.1, (11, 5, 7))
-        fresh = [KnotCostEvaluator(seven_dof, horizon).state_derivatives(x) for x in (xs[3], xs[4] + 0.1)]
+        fresh = [KnotCostEvaluator(*horizon).state_derivatives(x) for x in (xs[3], xs[4] + 0.1)]
 
-        ev = KnotCostEvaluator(seven_dof, horizon)
+        ev = KnotCostEvaluator(*horizon)
         ev.value(xs)
         xs[4] += 0.1  # changed after scoring: its kept rows no longer match
         calls = []
@@ -423,66 +419,50 @@ class TestBatchedEvaluator:
             # random_contexts draws the goal orientation from a random quaternion,
             # off every joint and base axis
             contexts = random_contexts(rng, model, qs, weights=CostWeights(w_goal=1.0), goal_index=0)
-            ev = KnotCostEvaluator(model, stack_contexts(contexts))
+            ev = KnotCostEvaluator(*stack_contexts(contexts))
             o_val, g = ev._orientation_terms(fk_batch(model, qs))
             g_fd = np.empty_like(g)
             for j in range(7):
                 dq = np.zeros(7)
                 dq[j] = h
                 fk_p, fk_m = fk_batch(model, qs + dq), fk_batch(model, qs - dq)
-                o_p = ev.goal.errors(fk_p.positions[:, -1], fk_p.eef_rotations)[1]
-                o_m = ev.goal.errors(fk_m.positions[:, -1], fk_m.eef_rotations)[1]
+                o_p = ev.task.goal.errors(fk_p.positions[:, -1], fk_p.eef_rotations)[1]
+                o_m = ev.task.goal.errors(fk_m.positions[:, -1], fk_m.eef_rotations)[1]
                 g_fd[:, j] = (o_p - o_m) / (2 * h)
             assert np.all(o_val > 1e-3)
             for k in range(3):
                 assert np.linalg.norm(g[k] - g_fd[k]) / np.linalg.norm(g_fd[k]) < 1e-6
 
-    def test_rejects_mixed_weights(self, seven_dof):
-        rng = np.random.default_rng(12)
-        c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0))
-        c2 = KnotContextWithWeights(c1, CostWeights(w_nom=2.0))
-        with pytest.raises(InvalidInputError, match="same weights"):
-            stack_contexts([c1, c2])
-
     @pytest.mark.parametrize(
         "change, message",
         [
-            pytest.param(lambda c: {"human_frame": c.human_frame[:2]}, "human joint count", id="n_human"),
             pytest.param(
-                lambda c: {"legibility": LegibilityContext(c.legibility.start, c.legibility.goals, 1)},
-                "legibility",
-                id="goal_index",
+                lambda c: dataclasses.replace(c, human_frame=c.human_frame[:2]), "human joint count", id="n_human"
             ),
+            pytest.param(lambda c: with_task(c), "one cost task", id="same_values"),
+            pytest.param(lambda c: with_task(c, weights=CostWeights(w_nom=2.0)), "one cost task", id="weights"),
+            pytest.param(lambda c: with_task(c, head_index=1), "one cost task", id="head_index"),
+            pytest.param(lambda c: with_task(c, goal_index=1), "one cost task", id="goal_index"),
+            pytest.param(lambda c: with_task(c, goals=c.task.goals[:2]), "one cost task", id="n_goals"),
             pytest.param(
-                lambda c: {"legibility": LegibilityContext(c.legibility.start, c.legibility.goals[:2], 0)},
-                "legibility",
-                id="n_goals",
+                lambda c: with_task(c, leg_start=c.task.leg_start + 0.1), "one cost task", id="legibility_start"
             ),
+            pytest.param(lambda c: with_task(c, gaze=c.task.gaze + 0.1), "one cost task", id="gaze_object"),
             pytest.param(
-                lambda c: {"legibility": LegibilityContext(c.legibility.start + 0.1, c.legibility.goals, 0)},
-                "legibility",
-                id="legibility_start",
-            ),
-            pytest.param(lambda c: {"gaze_object": c.gaze_object + 0.1}, "gaze object", id="gaze_object"),
-            pytest.param(
-                lambda c: {"goal": GoalSpec(c.goal.position + 0.1, c.goal.orientation)}, "goal pose", id="goal"
+                lambda c: with_task(c, goal=GoalSpec(c.task.goal.position + 0.1, c.task.goal.orientation)),
+                "one cost task",
+                id="goal",
             ),
         ],
     )
     def test_rejects_mixed_layouts(self, seven_dof, change, message):
+        """Knot contexts stack only with one human joint count and one task
+        object, even where two tasks hold equal values."""
         rng = np.random.default_rng(16)
         c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0), goal_index=0)
-        c2 = dataclasses.replace(c1, **change(c1))
         stack_contexts([c1, c1])
         with pytest.raises(InvalidInputError, match=message):
-            stack_contexts([c1, c2])
-
-    def test_rejects_mixed_head_index(self, seven_dof):
-        rng = np.random.default_rng(17)
-        c1 = random_context(rng, seven_dof, np.zeros(7), weights=CostWeights(w_nom=1.0))
-        c2 = KnotContextWithWeights(c1, c1.weights, head_index=1)
-        with pytest.raises(InvalidInputError, match="head index"):
-            stack_contexts([c1, c2])
+            stack_contexts([c1, change(c1)])
 
     def test_rejects_empty_context_list(self):
         with pytest.raises(InvalidInputError):
@@ -502,6 +482,15 @@ class TestWeightValidation:
         assert CostWeights.from_dict(w.to_dict()) == w
 
 
+def make_task(start=(0.0, 0.0, 0.0), goals=((0.6, -0.5, 0.3), (0.7, -0.3, 0.3)), goal_index=0, **changes):
+    """A cost task of the default robot with its legibility inputs as given."""
+    fields = dict(
+        model=default_robot_model(), weights=CostWeights(w_leg=1.0), gaze=[0.75, 0.05, 0.3], leg_start=start,
+        goals=goals, goal_index=goal_index, goal=GoalSpec([0.5, -0.4, 0.3], [1.0, 0.0, 0.0, 0.0]), head_index=0,
+    )
+    return CostTask(**{**fields, **changes})
+
+
 class TestGoalAndLegibilityValidation:
     def test_non_unit_goal_quaternion_rejected(self):
         with pytest.raises(InvalidInputError, match="goal orientation must be a unit quaternion"):
@@ -509,7 +498,21 @@ class TestGoalAndLegibilityValidation:
 
     def test_empty_legibility_goals_rejected(self):
         with pytest.raises(InvalidInputError, match="legibility goals must be a nonempty"):
-            LegibilityContext(np.zeros(3), np.zeros((0, 3)), 0)
+            make_task(goals=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"goals": [[0.6, -0.5]]}, r"legibility goals must be a nonempty \(G, 3\) array", id="goals"),
+            pytest.param({"goal_index": 2}, r"legibility goal_index must be an integer in \[0, 1\]", id="goal_index"),
+            pytest.param({"goal_index": 0.5}, "legibility goal_index must be an integer", id="fractional"),
+            pytest.param({"start": [0.0, 0.0]}, "legibility start", id="start"),
+            pytest.param({"head_index": -1}, "head_index must be an integer >= 0", id="head_index"),
+        ],
+    )
+    def test_task_inputs_are_checked(self, changes, message):
+        with pytest.raises(InvalidInputError, match=message):
+            make_task(**changes)
 
 
 class TestStoredInputs:
@@ -524,11 +527,30 @@ class TestStoredInputs:
         assert np.array_equal(goal.orientation, [1.0, 0.0, 0.0, 0.0])
         assert not goal.position.flags.writeable and not goal.orientation.flags.writeable
 
-    def test_legibility_context(self):
+    def test_cost_task(self):
         start, goals = np.zeros(3), np.array([[0.6, -0.5, 0.3], [0.7, -0.3, 0.3]])
-        leg = LegibilityContext(start, goals, 0)
+        task = make_task(start, goals)
         start += 1.0
         goals[0] = 0.0
-        assert np.array_equal(leg.start, np.zeros(3))
-        assert np.array_equal(leg.goals, [[0.6, -0.5, 0.3], [0.7, -0.3, 0.3]])
-        assert not leg.start.flags.writeable and not leg.goals.flags.writeable
+        assert np.array_equal(task.leg_start, np.zeros(3))
+        assert np.array_equal(task.goals, [[0.6, -0.5, 0.3], [0.7, -0.3, 0.3]])
+        assert not task.leg_start.flags.writeable and not task.goals.flags.writeable
+        assert not task.leg_slopes.flags.writeable and not task.huu.flags.writeable
+
+
+class TestArrayRecordsCompareByIdentity:
+    """Records that hold arrays answer == and hash by identity, without raising."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: GoalSpec([0, 0, 0], [1, 0, 0, 0]), id="GoalSpec"),
+            pytest.param(default_robot_model, id="RobotModel"),
+            pytest.param(make_task, id="CostTask"),
+        ],
+    )
+    def test_eq_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from anticip_mpc import CostWeights, GoalSpec, HorizonContext, InvalidInputError, KnotCostEvaluator, LegibilityContext
+from anticip_mpc import CostTask, CostWeights, GoalSpec, InvalidInputError, KnotCostEvaluator
 from anticip_mpc.kinematics import default_robot_model, fk_batch
 from anticip_mpc.errors import SCHEMA_VERSION
 from anticip_mpc.metrics import (
@@ -150,12 +150,12 @@ class TestVisibilityMetric:
         gaze = head + np.cos(FOV_HALF_ANGLE) * b + np.sin(FOV_HALF_ANGLE) * np.cross(k, b)  # b turned 60 degrees
         qs = q0 + 1e-3 * rng.standard_normal((40, 7))
 
-        horizon = HorizonContext(
-            means=head[None, None], covs=np.eye(3)[None, None], nominal=np.zeros((1, 3)), gaze=gaze,
-            legibility=LegibilityContext(np.zeros(3), np.zeros((1, 3)), 0),
-            goal=GoalSpec(np.zeros(3), [1.0, 0.0, 0.0, 0.0]), weights=CostWeights(w_vis=1.0), head_index=0,
+        task = CostTask(
+            model, CostWeights(w_vis=1.0), gaze, np.zeros(3), np.zeros((1, 3)), 0,
+            GoalSpec(np.zeros(3), [1.0, 0.0, 0.0, 0.0]), head_index=0,
         )
-        angles = KnotCostEvaluator(model, horizon).value(qs[:, None])  # unit head sigma: the angle itself
+        evaluator = KnotCostEvaluator(task, head[None, None], np.eye(3)[None, None], np.zeros((1, 3)))
+        angles = evaluator.value(qs[:, None])  # unit head sigma: the angle itself
         inside = angles <= FOV_HALF_ANGLE
         assert 0 < inside.sum() < len(qs)
         eef = fk_batch(model, qs).positions[:, -1]

@@ -26,12 +26,14 @@ from anticip_mpc.mpc import (
     load_scenario,
     scenario_from_dict,
 )
-from anticip_mpc.costs import KnotCostEvaluator
+from anticip_mpc.costs import CostWeights, KnotCostEvaluator
 from anticip_mpc.metrics import evaluate_trace, separation_metric
 from anticip_mpc.prediction import HumanPrediction, ReachConfig, prediction_to_dict, slice_horizon
 
 from conftest import eef_pose
-from oracles import HumanJointGaussian, KnotContext, slice_horizon_loop, stack_contexts
+from oracles import (
+    HumanJointGaussian, KnotContext, LegibilityContext, legibility_cost, slice_horizon_loop, stack_contexts,
+)
 
 
 def make_scenario(seed=0, **overrides) -> Scenario:
@@ -107,8 +109,14 @@ class TestMpcConfig:
             MpcConfig(replan_period=0.4)
         with pytest.raises(InvalidInputError):
             MpcConfig(horizon=0.3)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="horizon must be at least the replan period"):
             MpcConfig(horizon=0.25, replan_period=0.5)
+
+    @pytest.mark.parametrize("horizon, replan_period", [(0.49999999, 0.5), (0.5, 0.49999999)])
+    def test_horizon_and_replan_period_compare_in_grid_steps(self, horizon, replan_period):
+        """Both read as 2 steps of 0.25 s, so neither order is a horizon shorter than the replan period."""
+        cfg = MpcConfig(horizon=horizon, replan_period=replan_period)
+        assert cfg.horizon_knots - 1 == cfg.replan_steps == 2
 
 
 class TestRunMpc:
@@ -347,9 +355,14 @@ class TestScenarioLoading:
     def test_legibility_and_nominal_path_resolve_from_the_scenario(self):
         scenario = make_scenario(seed=0)
         start = eef_pose(scenario.model, scenario.start_q).position
-        assert np.array_equal(scenario.legibility.start, start)
-        assert np.array_equal(scenario.legibility.goals, scenario.legibility_goals)
-        assert scenario.legibility.goal_index == scenario.legibility_goal_index
+        task = scenario.task
+        assert np.array_equal(task.leg_start, start)
+        assert np.array_equal(task.goals, scenario.legibility_goals)
+        assert task.goal_index == scenario.legibility_goal_index
+        assert np.array_equal(task.gaze, scenario.gaze_object)
+        assert task.model is scenario.model and task.weights is scenario.weights
+        assert task.head_index == scenario.prediction.head_index
+        assert scenario.task is task  # resolved once
         derived = derive_nominal(scenario.model, scenario.start_q, scenario.goal_q, scenario.mpc.task_steps)
         assert np.array_equal(scenario.nominal_path, derived)
         assert scenario.nominal_path is scenario.nominal_path  # resolved once
@@ -361,15 +374,15 @@ class TestScenarioLoading:
         assert len(scenario.nominal_path) == 21 and len(longer.nominal_path) == 25
         moved = dataclasses.replace(scenario, start_q=scenario.start_q + 0.1)
         moved_start = eef_pose(scenario.model, moved.start_q).position
-        assert np.array_equal(moved.legibility.start, moved_start)
-        assert not np.array_equal(moved.legibility.start, start)
+        assert np.array_equal(moved.task.leg_start, moved_start)
+        assert not np.array_equal(moved.task.leg_start, start)
 
     def test_scenario_is_frozen_with_read_only_copies(self):
-        """The resolved legibility cannot go stale: nothing it was resolved
+        """The resolved task cannot go stale: nothing it was resolved
         from can be changed in place or reassigned."""
         path = derive_nominal(default_robot_model(), np.zeros(7), np.ones(7), 20)
         scenario = dataclasses.replace(make_scenario(seed=0), nominal=path)
-        start = scenario.legibility.start.copy()
+        start = scenario.task.leg_start.copy()
         with pytest.raises(ValueError):
             scenario.start_q[0] += 0.3
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -378,7 +391,31 @@ class TestScenarioLoading:
             assert not getattr(scenario, name).flags.writeable, name
         path[0] += 1.0  # the caller's array is copied, not shared
         assert not np.array_equal(scenario.nominal[0], path[0])
-        assert np.array_equal(scenario.legibility.start, start)
+        assert np.array_equal(scenario.task.leg_start, start)
+
+    def test_scenario_compares_by_identity(self):
+        a, b = make_scenario(seed=0), make_scenario(seed=0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_replaced_goal_index_moves_the_legibility_term(self):
+        """A scenario given another true goal by dataclasses.replace resolves a
+        task with that goal, and its evaluator's legibility term scores it."""
+        scenario = dataclasses.replace(make_scenario(seed=0), weights=CostWeights(w_leg=1.0))
+        moved = dataclasses.replace(scenario, legibility_goal_index=1)
+        assert scenario.task.goal_index == 0 and moved.task.goal_index == 1
+        n_knots = scenario.mpc.horizon_knots
+        xs = scenario.start_q + np.random.default_rng(5).uniform(-0.5, 0.5, (n_knots, 7))
+        eefs = fk_batch(scenario.model, xs).positions[:, -1]
+        values = []
+        for s in (scenario, moved):
+            task = s.task
+            legibility = LegibilityContext(task.leg_start, task.goals, task.goal_index)
+            expected = sum(legibility_cost(eef, legibility) for eef in eefs)
+            values.append(build_problem(s, 0.0, n_knots, s.start_q).cost.value(xs))
+            assert np.isclose(values[-1], expected, rtol=1e-12)
+        # two candidate goals: per knot, the two choices' terms add to one
+        assert abs(values[0] - values[1]) > 0.01 and np.isclose(values[0] + values[1], n_knots, rtol=1e-12)
 
     def test_legibility_goals_must_be_3_vectors(self):
         with pytest.raises(InvalidInputError, match="scenario legibility.goals must be a list of 3-vectors"):
@@ -408,10 +445,10 @@ class TestScenarioLoading:
             seed=0,
             goal_pose={"position": [0.5, -0.4, 0.3], "orientation": [1.0, 0.0, 0.0, 0.0]},
         )
-        np.testing.assert_allclose(scenario.goal.position, [0.5, -0.4, 0.3])
+        np.testing.assert_allclose(scenario.task.goal.position, [0.5, -0.4, 0.3])
         # an explicit goal pose does not follow goal_q
         moved = dataclasses.replace(scenario, goal_q=scenario.start_q)
-        assert moved.goal is scenario.goal_pose
+        assert moved.task.goal is scenario.goal_pose
 
     def test_derived_goal_pose_resolves_on_first_use(self, monkeypatch):
         """Like the nominal path, the derived goal pose costs no FK call at load."""
@@ -419,9 +456,9 @@ class TestScenarioLoading:
         scenario = make_scenario(seed=3)
         monkeypatch.undo()
         expected = eef_pose(scenario.model, scenario.goal_q)
-        assert np.array_equal(scenario.goal.position, expected.position)
-        assert np.array_equal(scenario.goal.orientation, expected.orientation)
-        assert scenario.goal is scenario.goal  # resolved once
+        assert np.array_equal(scenario.task.goal.position, expected.position)
+        assert np.array_equal(scenario.task.goal.orientation, expected.orientation)
+        assert scenario.task is scenario.task  # resolved once
 
     def test_replaced_goal_q_derives_its_goal_pose(self):
         """A scenario given another goal_q by dataclasses.replace derives the
@@ -430,9 +467,9 @@ class TestScenarioLoading:
         g = scenario.goal_q + np.array([0.0, -0.3, 0.5, 0.2, 0.0, 0.1, 0.4])
         moved = dataclasses.replace(scenario, goal_q=g)
         expected = eef_pose(scenario.model, g)
-        assert np.array_equal(moved.goal.position, expected.position)
-        assert np.array_equal(moved.goal.orientation, expected.orientation)
-        assert np.linalg.norm(moved.goal.position - scenario.goal.position) > 0.1
+        assert np.array_equal(moved.task.goal.position, expected.position)
+        assert np.array_equal(moved.task.goal.orientation, expected.orientation)
+        assert np.linalg.norm(moved.task.goal.position - scenario.task.goal.position) > 0.1
 
 
 def seventeen_joint_scenario(seed=0) -> Scenario:
@@ -463,16 +500,12 @@ def knot_context_problem_cost(scenario, t_start, n_knots):
         contexts.append(
             KnotContext(
                 human_frame=tuple(HumanJointGaussian(m, c) for m, c in zip(means[i], covs[i])),
-                gaze_object=scenario.gaze_object,
                 nominal=nominal[min(int(round(t / cfg.dt)), len(nominal) - 1)],
-                legibility=scenario.legibility,
-                goal=scenario.goal,
-                weights=scenario.weights,
+                task=scenario.task,
                 t=t,
-                head_index=scenario.prediction.head_index,
             )
         )
-    return KnotCostEvaluator(scenario.model, stack_contexts(contexts))
+    return KnotCostEvaluator(*stack_contexts(contexts))
 
 
 def test_object_at_head_is_rejected_before_the_solve(monkeypatch):
@@ -542,15 +575,33 @@ def test_build_problem_matches_knot_context_route(which):
     for t_start in (0.0, 1.5, 4.5):
         got = build_problem(scenario, t_start, n_knots, scenario.start_q).cost
         ref = knot_context_problem_cost(scenario, t_start, n_knots)
-        for name in ("mu", "cov_inv", "sigma_head", "gaze", "nominal", "goals", "leg_start", "gaze_hat"):
+        for name in ("mu", "cov_inv", "sigma_head", "nominal", "gaze_hat"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        for name in ("position", "orientation", "rotation"):
-            assert np.array_equal(getattr(got.goal, name), getattr(ref.goal, name)), name
-        for name in ("weights", "head_index", "goal_index"):
-            assert getattr(got, name) == getattr(ref, name), name
+        assert got.task is ref.task is scenario.task
         xs = scenario.start_q + rng.uniform(-0.3, 0.3, (11, n_knots, 7))
         us = rng.uniform(-0.5, 0.5, (11, n_knots - 1, 7))
         assert np.array_equal(got.value(xs, us), ref.value(xs, us))
         for a, b in zip(got.state_derivatives(xs[0]), ref.state_derivatives(xs[0])):
             assert np.array_equal(a, b)
     assert got.mu.shape[1] == (5 if which == "reference" else 17)
+
+
+def test_every_replan_shares_the_scenario_task(monkeypatch):
+    """The task is built once per scenario: every replan's evaluator reads the same object."""
+    scenario = make_scenario(seed=2)
+    n_knots = scenario.mpc.horizon_knots
+    first = build_problem(scenario, 0.0, n_knots, scenario.start_q).cost
+    assert first.task is build_problem(scenario, 0.5, n_knots, scenario.start_q).cost.task is scenario.task
+
+    tasks = []
+    build = mpc_module.build_problem
+
+    def recording(*args):
+        problem = build(*args)
+        tasks.append(problem.cost.task)
+        return problem
+
+    monkeypatch.setattr(mpc_module, "build_problem", recording)
+    trace = run_mpc(scenario)
+    assert len(tasks) == len(trace.replans) > 1
+    assert all(task is scenario.task for task in tasks)
