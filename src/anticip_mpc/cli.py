@@ -143,8 +143,8 @@ def _out_dir(path) -> Path:
 
 
 def cmd_gen_scenario(args) -> int:
-    if args.duration <= 0:
-        raise InvalidInputError("--duration must be positive")
+    # the timing flags are checked as the fields they set, before the synthesize block reads them
+    MpcConfig(dt=args.dt, horizon=args.horizon, replan_period=args.replan, task_duration=args.duration)
     out = _out_dir(args.out)
 
     model = default_robot_model()
@@ -210,16 +210,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_eval(args) -> int:
     traces = [ExecutionTrace.load_json(trace_path) for trace_path in args.traces]
+    reports = [
+        evaluate_trace(trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against)
+        for trace in traces
+    ]
     out = _out_dir(args.out)
-    reports: list[MetricsReport] = []
-    seeds = []
     outputs = []
-    for i, trace in enumerate(traces):
-        seeds.append(trace.seed)
-        report = evaluate_trace(
-            trace, threshold=args.threshold, fov_half_angle=args.fov, against=args.against
-        )
-        reports.append(report)
+    for i, report in enumerate(reports):
         report_path = out / f"report_{i}.json"  # by position: simulate names every trace trace.json
         report.save_json(report_path)
         outputs.append(report_path)
@@ -239,7 +236,7 @@ def cmd_eval(args) -> int:
         {"threshold": args.threshold, "fov_half_angle": args.fov, "against": args.against},
         list(args.traces),
         outputs,
-        seeds,
+        [trace.seed for trace in traces],
     )
     for report in reports:
         print(

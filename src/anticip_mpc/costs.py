@@ -6,14 +6,15 @@ uncertainty), motion legibility (goal-inference probability), deviation from
 a nominal end-effector path, control smoothness, and goal-pose error.
 :class:`KnotCostEvaluator` evaluates them over whole trajectories with
 batched kinematics, with gradients and positive-semidefinite Gauss-Newton
-curvature blocks per knot. Its inputs come in two kinds: one
-:class:`CostTask` for what the task fixes (robot, weights, gaze target,
-legibility goals and start, goal pose and head index), built once with the
-constants derived from it, and per-knot arrays for what each horizon slices
-(the human prediction and the nominal path). The scalar per-knot forms of the
-same terms, which the test suite checks the evaluator against, live in
-``tests/oracles.py``. The planning loop and the metrics measure with this
-module's goal errors, gaze rays and softmax.
+curvature blocks per knot that reach joint space through one product with the
+frame Jacobians: positional ones, and the end effector's angular one. Its
+inputs come in two kinds: one :class:`CostTask` for what the task fixes (robot,
+weights, gaze target, legibility goals and start, goal pose and head index),
+built once with the constants derived from it, and per-knot arrays for what
+each horizon slices (the human prediction and the nominal path). The scalar
+per-knot forms of the same terms, which the test suite checks the evaluator
+against, live in ``tests/oracles.py``. The planning loop and the metrics
+measure with this module's goal errors, gaze rays and softmax.
 """
 
 from __future__ import annotations
@@ -189,17 +190,19 @@ class KnotCostEvaluator:
     def state_derivatives(self, xs: Array) -> tuple[Array, Array]:
         """Gradient (N, n) and PSD curvature (N, n, n) of the per-knot state cost.
 
-        Every Cartesian term adds its gradient and Gauss-Newton curvature to
-        its frame's row of g (N, F, 3) and P (N, F, 3, 3); one product with
-        the positional Jacobians then gives sum_f J_f^T g_f and
-        sum_f J_f^T P_f J_f. The goal orientation term is added in joint space.
+        Every term adds its gradient and Gauss-Newton curvature to its row of
+        g (N, F + 1, 3) and P (N, F + 1, 3, 3): a frame's positional row, or for
+        the goal orientation the last row, the end effector's angular one, whose
+        Jacobian has joint j's world axis as column j. One product with the
+        stacked Jacobians then gives sum_f J_f^T g_f and sum_f J_f^T P_f J_f.
         """
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
         task = self.task
         w = task.weights
         fk = self._fk(xs)
-        J = position_jacobians(fk, task.jframes)  # (N, F, 3, n)
+        # positional rows (N, F - 1, 3, n), then the angular row (N, 1, 3, n)
+        J = np.concatenate((position_jacobians(fk, task.jframes), fk.joint_axes_world.swapaxes(1, 2)[:, None]), axis=1)
         F = J.shape[1]
         p_eef = fk.positions[:, task.model.eef_frame]
 
@@ -249,16 +252,18 @@ class KnotCostEvaluator:
                 g_eef += weight * gp
                 P_eef += weight * hp
 
+        if w.w_goal > 0:
+            # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
+            # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
+            m = fk.eef_rotations @ task.goal.rotation.T
+            s4 = 0.25 * np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+            g[:, -1] = w.w_goal * s4
+            P[:, -1] = w.w_goal * _gauss_newton(s4, task.goal.errors(p_eef, fk.eef_rotations)[1])
+
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
         hxx = Jf.swapaxes(1, 2) @ (P @ J).reshape(N, 3 * F, n)
         hxx += task.hess_floor
-
-        if w.w_goal > 0:
-            o_val, g_or = self._orientation_terms(fk)
-            gx += w.w_goal * g_or
-            hxx += w.w_goal * _gauss_newton(g_or, o_val)
-
         return gx, hxx
 
     def _fk(self, xs: Array) -> BatchFk:
@@ -272,22 +277,6 @@ class KnotCostEvaluator:
                 i = slice(hit[0] * N, hit[0] * N + N)
                 return BatchFk(fk.positions[i], fk.joint_axes_world[i], fk.eef_rotations[i])
         return fk_batch(self.task.model, xs)
-
-    def _orientation_terms(self, fk: BatchFk) -> tuple[Array, Array]:
-        """Orientation error 1 - <q_g, q_eef>^2 and its exact gradient
-        w.r.t. the joint vector.
-
-        Turning joint j rotates the end effector about the joint's world axis
-        w_j, so dR/dq_j = [w_j]x R and d/dq_j of the error is
-        -tr(R_g^T [w_j]x R) / 4 = w_j . s / 4, with s the axial vector of
-        R R_g^T - (R R_g^T)^T.
-        """
-        goal, R = self.task.goal, fk.eef_rotations
-        _, o_val = goal.errors(fk.positions[:, self.task.model.eef_frame], R)
-        m = R @ goal.rotation.T
-        s = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
-        g = 0.25 * np.einsum("nji,ni->nj", fk.joint_axes_world, s)
-        return o_val, g
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import gaze_cosines, gaze_directions, softmax
-from .errors import SCHEMA_VERSION, Fields, InvalidInputError, write_json
+from .errors import SCHEMA_VERSION, Fields, InvalidInputError, float_array, number, write_json
 from .mpc import ExecutionTrace, min_human_distance
 
 Array = np.ndarray
@@ -55,8 +55,8 @@ def goal_inference_probabilities(
     normalization over the candidate goals.
     """
     eef_path = np.atleast_2d(np.asarray(eef_path, dtype=float))
-    goals = np.atleast_2d(np.asarray(goals, dtype=float))
-    if goals.shape[0] < 1:
+    goals = float_array(goals, "goal set", (None, 3))
+    if len(goals) < 1:
         raise InvalidInputError("goal set must be nonempty")
     seg = np.linalg.norm(np.diff(eef_path, axis=0), axis=1)
     path_len = np.concatenate([[0.0], np.cumsum(seg)])
@@ -128,9 +128,14 @@ def evaluate_trace(
     fov_half_angle: float = FOV_HALF_ANGLE,
     against: str = "truth",
 ) -> MetricsReport:
-    """All five metrics of one executed trace."""
+    """All five metrics of one executed trace, with threshold > 0 and
+    fov_half_angle in (0, pi]."""
     if against not in ("truth", "predicted"):
         raise InvalidInputError("against must be 'truth' or 'predicted'")
+    threshold = number(threshold, "threshold", 0, strict=True)
+    fov_half_angle = number(fov_half_angle, "fov_half_angle")
+    if not 0 < fov_half_angle <= np.pi:
+        raise InvalidInputError(f"fov_half_angle must be in (0, pi], got {fov_half_angle!r}")
     lat, per_replan = latency_metric(trace)
     return MetricsReport(
         dst=separation_metric(trace, threshold=threshold, against=against),

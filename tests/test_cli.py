@@ -57,7 +57,19 @@ class TestGenScenario:
 
     def test_zero_dt_rejected(self, tmp_path, capsys):
         assert run_cli("gen-scenario", "--out", tmp_path, "--dt", "0") == EXIT_INVALID_INPUT
-        assert "reach dt must be positive and finite" in capsys.readouterr().err
+        assert "mpc dt must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [("--dt", "dt", "nan"), ("--horizon", "horizon", "inf"), ("--replan", "replan_period", "-0.5"),
+         ("--duration", "task_duration", "nan")],
+    )
+    def test_bad_timing_flag_names_its_mpc_field(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "new"
+        assert run_cli("gen-scenario", "--out", out, flag, value) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"mpc {field} must be positive and finite" in err and "reach" not in err
+        assert not out.exists()
 
     def test_nan_synthesis_dt_rejected(self, tmp_path, capsys):
         config = tmp_path / "overlay.json"
@@ -622,6 +634,17 @@ class TestEval:
         assert run_cli("eval", sim_out / "trace.json", "--out", eval_out) == EXIT_OK
         report = json.loads((eval_out / "report_0.json").read_text())
         assert report["leg"] == 1.0
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--threshold", "nan", "threshold must be positive"), ("--threshold", "-1", "threshold must be positive"),
+         ("--fov", "nan", "fov_half_angle must be"), ("--fov", "-0.5", "fov_half_angle must be")],
+    )
+    def test_bad_metric_flag_exits_invalid_input(self, traces, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "eval"
+        assert run_cli("eval", *traces, flag, value, "--out", out) == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -180,6 +180,9 @@ class TestLegibilityMetric:
     def test_empty_goal_set_rejected(self):
         with pytest.raises(InvalidInputError, match="goal set must be nonempty"):
             goal_inference_probabilities(np.zeros((3, 3)), np.zeros(3), np.zeros((0, 3)), 0)
+        # an empty list is an empty goal set too, rejected by its shape
+        with pytest.raises(InvalidInputError, match=r"goal set must have shape \(\*, 3\), got \(0,\)"):
+            goal_inference_probabilities(np.zeros((3, 3)), np.zeros(3), [], 0)
 
     def test_static_at_start_ties_goals(self):
         for k in (2, 4):
@@ -293,6 +296,14 @@ class TestEvaluateTrace:
         trace = make_trace(np.zeros((4, 3)))
         with pytest.raises(InvalidInputError):
             evaluate_trace(trace, against="hallucinated")
+        for value in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(InvalidInputError, match="threshold must be positive and finite"):
+                evaluate_trace(trace, threshold=value)
+        for value in (np.nan, np.inf, 0.0, -0.5, 3.2):
+            with pytest.raises(InvalidInputError, match="fov_half_angle must be"):
+                evaluate_trace(trace, fov_half_angle=value)
+        # the range's closed end: a cone of half-angle pi holds every direction
+        assert evaluate_trace(trace, fov_half_angle=np.pi).vis == 1.0
 
     def test_report_serialization(self, tmp_path):
         trace = make_trace(np.cumsum(np.full((5, 3), 0.05), axis=0))
