@@ -143,23 +143,19 @@ def _out_dir(path) -> Path:
 
 
 def cmd_gen_scenario(args) -> int:
-    # the timing flags are checked as the fields they set, before the synthesize block reads them
-    MpcConfig(dt=args.dt, horizon=args.horizon, replan_period=args.replan, task_duration=args.duration)
-    out = _out_dir(args.out)
-
-    model = default_robot_model()
-    data = default_scenario_dict(
-        seed=args.seed,
-        duration=args.duration,
-        dt=args.dt,
-        horizon=args.horizon,
-        replan=args.replan,
+    overlay = {} if args.config is None else read_json(args.config, "config")
+    # the timing flags under the overlay's mpc object, checked as the fields they set; the
+    # default human spans the task and one horizon past it, on the planner's grid
+    flags = {"dt": args.dt, "horizon": args.horizon, "replan_period": args.replan, "task_duration": args.duration}
+    mpc = MpcConfig.from_dict(deep_update({"mpc": flags}, overlay)["mpc"])
+    data = deep_update(
+        default_scenario_dict(args.seed, mpc.task_duration, mpc.dt, mpc.horizon, mpc.replan_period), overlay
     )
-    if args.config is not None:
-        data = deep_update(data, read_json(args.config, "config"))
+    model = default_robot_model()
     # checked with the default model given inline, before anything is written
     checked = dict(data, robot_model=model_to_dict(model)) if data["robot_model"] == "robot.json" else data
-    scenario = scenario_from_dict(checked, out)
+    scenario = scenario_from_dict(checked, Path(args.out))
+    out = _out_dir(args.out)
 
     robot_path = out / "robot.json"
     save_robot_model(model, robot_path)

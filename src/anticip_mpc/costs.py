@@ -14,7 +14,7 @@ built once with the constants derived from it, and per-knot arrays for what
 each horizon slices (the human prediction and the nominal path). The scalar
 per-knot forms of the same terms, which the test suite checks the evaluator
 against, live in ``tests/oracles.py``. The planning loop and the metrics
-measure with this module's goal errors, gaze rays and softmax.
+measure with this module's goal errors, gaze rays and goal inference.
 """
 
 from __future__ import annotations
@@ -102,13 +102,10 @@ class CostTask:
         # effector unless it is tracked too
         jframes = tracked if eef in tracked else tracked + (eef,)
         eye = np.eye(model.n_joints)
+        leg_slopes, leg_offsets = legibility_logits(start, goals)
         store(
             self, gaze=float_array(self.gaze, "gaze", (3,)), leg_start=start, goals=goals, goal_index=goal_index,
-            head_index=integer(self.head_index, "head_index", 0),
-            # logit ||G - S||^2 - ||G - Q||^2 of goal G at end-effector point Q, less
-            # the -||Q||^2 that every goal shares: Q . 2G + ||G - S||^2 - ||G||^2
-            leg_slopes=2.0 * goals.T,  # (3, G)
-            leg_offsets=np.sum((goals - start) ** 2, axis=-1) - np.sum(goals**2, axis=-1),
+            head_index=integer(self.head_index, "head_index", 0), leg_slopes=leg_slopes, leg_offsets=leg_offsets,
             tracked=np.array(tracked), jframes=np.array(jframes), eef_row=jframes.index(eef),
             hess_floor=HESS_FLOOR * eye, huu=(2.0 * w_smooth + HESS_FLOOR) * eye,
         )
@@ -303,6 +300,13 @@ def gaze_cosines(gaze_hat: Array, head: Array, p_eef: Array) -> tuple[Array, Arr
     bhat = b / nb[..., None]
     cos_theta = np.maximum(np.minimum((gaze_hat * bhat).sum(axis=-1), 1.0), -1.0)
     return bhat, cos_theta, nb
+
+
+def legibility_logits(start: Array, goals: Array) -> tuple[Array, Array]:
+    """Slopes (3, G) and offsets (G,) of the goal-inference logits Q @ slopes + offsets at
+    end-effector points Q: goal G's ||G - S||^2 - ||G - Q||^2 from start S, less the -||Q||^2
+    that every goal shares."""
+    return 2.0 * goals.T, np.sum((goals - start) ** 2, axis=-1) - np.sum(goals**2, axis=-1)
 
 
 def softmax(logits: Array) -> Array:

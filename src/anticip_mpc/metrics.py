@@ -4,8 +4,9 @@ Five scalars: separation fraction, end-effector visibility fraction, mean
 goal-inference probability, summed squared deviation from the nominal path,
 and planning latency. Distances and gaze angles are computed against the
 trace's ground-truth human by default; pass against="predicted" to score
-against the prediction means instead, with the planner's own human distance,
-gaze rays and softmax, so a metric cannot drift from the cost term it scores.
+against the prediction means instead. The metrics measure with the
+planner's own human distance, gaze rays and goal inference, so a metric
+cannot drift from the cost term it scores.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import gaze_cosines, gaze_directions, softmax
+from .costs import gaze_cosines, gaze_directions, legibility_logits, softmax
 from .errors import SCHEMA_VERSION, Fields, InvalidInputError, float_array, number, write_json
 from .mpc import ExecutionTrace, min_human_distance
 
@@ -45,38 +46,21 @@ def visibility_metric(
     return float(np.mean(np.arccos(cos_theta) <= fov_half_angle))
 
 
-def goal_inference_probabilities(
-    eef_path: Array, start: Array, goals: Array, goal_index: int
-) -> Array:
-    """P(true goal | path so far) per timestep, accumulated-path-length form.
-
-    Uses the squared path length as the trajectory cost and squared
-    straight-line distances as cost-to-go; exponents are max-shifted before
-    normalization over the candidate goals.
-    """
-    eef_path = np.atleast_2d(np.asarray(eef_path, dtype=float))
-    goals = float_array(goals, "goal set", (None, 3))
-    if len(goals) < 1:
-        raise InvalidInputError("goal set must be nonempty")
-    seg = np.linalg.norm(np.diff(eef_path, axis=0), axis=1)
-    path_len = np.concatenate([[0.0], np.cumsum(seg)])
-    d_traj = path_len**2  # (T,)
-    vq = np.sum((goals[None, :, :] - eef_path[:, None, :]) ** 2, axis=-1)  # (T, G)
-    vs = np.sum((goals - np.asarray(start, dtype=float)) ** 2, axis=-1)  # (G,)
-    return softmax(-d_traj[:, None] - vq + vs[None, :])[:, goal_index]
-
-
 def legibility_metric(trace: ExecutionTrace) -> float:
-    """Mean inferred probability of the true goal along the executed path."""
+    """Mean inferred probability of the true goal along the executed path.
+
+    The inference is the legibility cost's: a goal's logit is its
+    straight-line cost-to-go from the start less that from the end effector.
+    The accumulated path length that the path-cost form adds to every logit
+    is shared by all goals, so it cancels in the softmax.
+    """
     if len(trace.times) < 2:
         raise InvalidInputError("legibility metric needs at least 2 trace points")
-    probs = goal_inference_probabilities(
-        trace.eef_positions,
-        trace.legibility_start,
-        trace.legibility_goals,
-        trace.legibility_goal_index,
-    )
-    return float(np.mean(probs))
+    goals = float_array(trace.legibility_goals, "goal set", (None, 3))
+    if len(goals) < 1:
+        raise InvalidInputError("goal set must be nonempty")
+    slopes, offsets = legibility_logits(trace.legibility_start, goals)
+    return float(np.mean(softmax(trace.eef_positions @ slopes + offsets)[:, trace.legibility_goal_index]))
 
 
 def nominal_metric(trace: ExecutionTrace) -> float:

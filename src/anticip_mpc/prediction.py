@@ -53,7 +53,7 @@ def _condition_covariances(covs: Array) -> Array:
     return covs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HumanPrediction:
     """Per-joint Gaussian trajectories on a fixed time grid.
 
@@ -166,7 +166,7 @@ _DEFAULT_REST = np.array([  # seated across the table from the robot (x away fro
 ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachConfig(Fields):
     """Parameters for a deterministic synthetic human reach. The defaults are the package's one
     desk-scale human, reaching the right hand into the robot's workspace: ``gen-scenario`` writes

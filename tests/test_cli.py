@@ -126,14 +126,43 @@ class TestGenScenario:
         assert "prediction" in err and "Traceback" not in err
         assert not (tmp_path / "scenario.json").exists()
 
-    def test_failing_overlay_writes_no_scenario(self, tmp_path, capsys):
-        """The overlay is checked before any file is written, robot.json too."""
+    @pytest.mark.parametrize(
+        "overlay, message",
+        [
+            pytest.param({"ground_truth": {"synthesize": {"dt": "fast"}}}, "reach dt", id="synthesize_dt"),
+            pytest.param({"weights": {"w_dist": -1}}, "weights w_dist", id="w_dist"),
+            # the overlay's mpc fields are checked with the timing flags, as the fields they set
+            pytest.param({"mpc": {"dt": float("nan")}}, "mpc dt must be positive and finite", id="mpc_dt"),
+        ],
+    )
+    def test_failing_overlay_creates_no_directory(self, tmp_path, capsys, overlay, message):
+        """The overlay is checked before --out is created, so nothing is written."""
         config = tmp_path / "overlay.json"
-        config.write_text(json.dumps({"ground_truth": {"synthesize": {"dt": "fast"}}}))
+        config.write_text(json.dumps(overlay))
         out = tmp_path / "out"
         assert run_cli("gen-scenario", "--out", out, "--config", config) == EXIT_INVALID_INPUT
-        assert "reach dt" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overlay, duration, dt",
+        [
+            pytest.param({"mpc": {"task_duration": 10.0}}, 11.25, 0.25, id="task_duration"),
+            pytest.param({"mpc": {"dt": 0.125}}, 6.25, 0.125, id="dt"),
+            pytest.param(
+                {"mpc": {"task_duration": 10.0}, "prediction": {"synthesize": {"duration": 12.0, "dt": 0.5}}},
+                12.0, 0.5, id="explicit_synthesize",
+            ),
+        ],
+    )
+    def test_default_human_spans_the_overlay_timing(self, tmp_path, overlay, duration, dt):
+        """The default human covers the task and one horizon past it on the mpc grid, with
+        the overlay's mpc fields merged onto the flags; an explicit synthesize field wins."""
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        assert run_cli("gen-scenario", "--out", tmp_path / "out", "--config", config) == EXIT_OK
+        synthesize = json.loads((tmp_path / "out" / "scenario.json").read_text())["prediction"]["synthesize"]
+        assert (synthesize["duration"], synthesize["dt"]) == (duration, dt)
 
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())

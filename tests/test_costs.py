@@ -9,8 +9,10 @@ from anticip_mpc import (
     GoalSpec,
     InvalidInputError,
     KnotCostEvaluator,
+    ReachConfig,
     RobotModel,
     default_robot_model,
+    synthesize_reach,
 )
 
 from conftest import eef_pose, random_context, random_contexts
@@ -543,6 +545,8 @@ class TestArrayRecordsCompareByIdentity:
             pytest.param(lambda: GoalSpec([0, 0, 0], [1, 0, 0, 0]), id="GoalSpec"),
             pytest.param(default_robot_model, id="RobotModel"),
             pytest.param(make_task, id="CostTask"),
+            pytest.param(ReachConfig, id="ReachConfig"),
+            pytest.param(lambda: synthesize_reach(ReachConfig()), id="HumanPrediction"),
         ],
     )
     def test_eq_and_hash(self, make):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from anticip_mpc import CostTask, CostWeights, GoalSpec, InvalidInputError, KnotCostEvaluator
+from anticip_mpc.costs import legibility_logits, softmax
 from anticip_mpc.kinematics import default_robot_model, fk_batch
 from anticip_mpc.errors import SCHEMA_VERSION
 from anticip_mpc.metrics import (
     FOV_HALF_ANGLE,
     MetricsReport,
     evaluate_trace,
-    goal_inference_probabilities,
     latency_metric,
     legibility_metric,
     nominal_metric,
@@ -178,11 +178,12 @@ class TestVisibilityMetric:
 
 class TestLegibilityMetric:
     def test_empty_goal_set_rejected(self):
+        eef = np.cumsum(np.full((3, 3), 0.1), axis=0)
         with pytest.raises(InvalidInputError, match="goal set must be nonempty"):
-            goal_inference_probabilities(np.zeros((3, 3)), np.zeros(3), np.zeros((0, 3)), 0)
+            legibility_metric(make_trace(eef, goals=np.zeros((0, 3))))
         # an empty list is an empty goal set too, rejected by its shape
         with pytest.raises(InvalidInputError, match=r"goal set must have shape \(\*, 3\), got \(0,\)"):
-            goal_inference_probabilities(np.zeros((3, 3)), np.zeros(3), [], 0)
+            legibility_metric(make_trace(eef, goals=[]))
 
     def test_static_at_start_ties_goals(self):
         for k in (2, 4):
@@ -202,36 +203,45 @@ class TestLegibilityMetric:
         assert legibility_metric(t_straight) > legibility_metric(t_detour)
 
     def test_matches_brute_force(self):
+        """The metric equals the path-cost form computed by hand, whose squared
+        accumulated path length every goal shares, on random paths up to 5 m long."""
         rng = np.random.default_rng(1)
-        goals = rng.uniform(-1, 1, (3, 3))
-        eef = np.cumsum(rng.uniform(-0.1, 0.1, (8, 3)), axis=0)
-        start = eef[0]
-        trace = make_trace(eef, goals=goals, goal_index=1, start=start)
-        value = legibility_metric(trace)
+        for _ in range(24):
+            k = int(rng.integers(2, 6))
+            goals = rng.uniform(-1, 1, (k, 3))
+            gi = int(rng.integers(k))
+            steps = rng.standard_normal((int(rng.integers(2, 12)), 3))
+            lengths = np.linalg.norm(steps, axis=1)
+            steps *= rng.uniform(0.0, 5.0) / lengths.sum()  # the whole path is at most 5 m long
+            eef = np.vstack([rng.uniform(-1, 1, 3), steps]).cumsum(axis=0)
+            start = eef[0]
+            trace = make_trace(eef, goals=goals, goal_index=gi, start=start)
+            value = legibility_metric(trace)
 
-        probs = []
-        for t in range(len(eef)):
-            path_len = sum(
-                np.linalg.norm(eef[i + 1] - eef[i]) for i in range(t)
-            )
-            d = path_len**2
-            weights = []
-            for g in goals:
-                vq = np.sum((g - eef[t]) ** 2)
-                vs = np.sum((g - start) ** 2)
-                weights.append(np.exp(-d - vq) / np.exp(-vs))
-            probs.append(weights[1] / sum(weights))
-        expected = float(np.mean(probs))
-        assert abs(value - expected) <= 1e-10 * max(abs(expected), 1e-30)
+            probs = []
+            for t in range(len(eef)):
+                path_len = sum(np.linalg.norm(eef[i + 1] - eef[i]) for i in range(t))
+                d = path_len**2
+                weights = []
+                for g in goals:
+                    vq = np.sum((g - eef[t]) ** 2)
+                    vs = np.sum((g - start) ** 2)
+                    weights.append(np.exp(-d - vq) / np.exp(-vs))
+                probs.append(weights[gi] / sum(weights))
+            expected = float(np.mean(probs))
+            assert abs(value - expected) <= 1e-10 * max(abs(expected), 1e-30)
 
     def test_path_probabilities_sum_to_one(self):
         rng = np.random.default_rng(2)
         goals = rng.uniform(-1, 1, (4, 3))
         eef = np.cumsum(rng.uniform(-0.2, 0.2, (10, 3)), axis=0)
-        total = np.zeros(10)
-        for gi in range(4):
-            total += goal_inference_probabilities(eef, eef[0], goals, gi)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
+        slopes, offsets = legibility_logits(eef[0], goals)
+        probs = softmax(eef @ slopes + offsets)
+        assert probs.shape == (10, 4)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        # the metric for each goal reads that goal's column
+        means = [legibility_metric(make_trace(eef, goals=goals, goal_index=gi)) for gi in range(4)]
+        np.testing.assert_allclose(means, probs.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_needs_two_points(self):
         trace = make_trace(np.zeros((1, 3)))
