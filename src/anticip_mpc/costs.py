@@ -11,10 +11,14 @@ frame Jacobians: positional ones, and the end effector's angular one. Its
 inputs come in two kinds: one :class:`CostTask` for what the task fixes (robot,
 weights, gaze target, legibility goals and start, goal pose and head index),
 built once with the constants derived from it, and per-knot arrays for what
-each horizon slices (the human prediction and the nominal path). The scalar
-per-knot forms of the same terms, which the test suite checks the evaluator
-against, live in ``tests/oracles.py``. The planning loop and the metrics
-measure with this module's goal errors, gaze rays and goal inference.
+each horizon slices (the human prediction and the nominal path). From these
+each evaluator builds its constants once: the inverse covariances, the head
+spread, the gaze rays, and per knot and human joint the 4x4 form Q with
+(p - mu)^T S^-1 (p - mu) = [p; 1]^T Q [p; 1], so one matrix product scores
+every tracked frame's separation from every joint. The scalar per-knot forms
+of the same terms, which the test suite checks the evaluator against, live in
+``tests/oracles.py``. The planning loop and the metrics measure with this
+module's goal errors, gaze rays and goal inference.
 """
 
 from __future__ import annotations
@@ -123,7 +127,12 @@ class KnotCostEvaluator:
     def __init__(self, task: CostTask, means: Array, covs: Array, nominal: Array):
         self.task = task
         self.mu, self.nominal = means, nominal
-        self.cov_inv = np.linalg.inv(covs)
+        inv = np.linalg.inv(covs)
+        self.cov_inv = 0.5 * (inv + inv.swapaxes(-1, -2))  # exactly symmetric, as Q below must be
+        # Q = [[S^-1, -S^-1 mu], [-mu^T S^-1, mu^T S^-1 mu]] per knot and joint, kept (N, 16, H) for (u u^T) @ Q
+        s_mu = self.cov_inv @ means[..., None]  # (N, H, 3, 1)
+        quad = np.block([[self.cov_inv, -s_mu], [-s_mu.swapaxes(-1, -2), means[..., None, :] @ s_mu]])
+        self.quad = np.ascontiguousarray(quad.reshape(*means.shape[:2], 16).transpose(0, 2, 1))
         self.sigma_head = np.sqrt(np.trace(covs[:, task.head_index], axis1=1, axis2=2) / 3.0)  # (N,)
         # unit head-to-object gaze rays (N, 3), which only the visibility term reads
         self.gaze_hat = gaze_directions(task.gaze, means[:, task.head_index]) if task.weights.w_vis > 0 else None
@@ -161,9 +170,7 @@ class KnotCostEvaluator:
         p_eef = positions[..., task.model.eef_frame, :]
 
         if w.w_dist > 0:
-            d = positions[..., None, task.tracked, :] - self.mu[:, :, None, :]  # (..., N, H, R, 3)
-            m = np.einsum("...i,...i->...", d, d @ self.cov_inv)  # d^T S^-1 d
-            vals += w.w_dist * (1.0 / (m + DIST_EPS)).sum(axis=(-2, -1))
+            vals += w.w_dist * (1.0 / (self._mahalanobis(positions)[0] + DIST_EPS)).sum(axis=(-2, -1))
 
         if w.w_vis > 0:
             _, cos_theta, _ = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
@@ -181,6 +188,14 @@ class KnotCostEvaluator:
             vals += w.w_goal * (pos_err + orient_err)
 
         return vals
+
+    def _mahalanobis(self, positions: Array) -> tuple[Array, Array]:
+        """Squared Mahalanobis distances (..., N, R, H) from the tracked frames of positions (..., N, F, 3)
+        to every human joint, floored at 0 where the expansion cancels, and the frames' points [p; 1]."""
+        p = positions[..., self.task.tracked, :]
+        u = np.concatenate((p, np.ones(p.shape[:-1] + (1,))), axis=-1)
+        uu = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
+        return np.maximum(uu @ self.quad, 0.0), u
 
     # -- derivatives ---------------------------------------------------------
 
@@ -209,18 +224,18 @@ class KnotCostEvaluator:
 
         if w.w_dist > 0:
             R = len(task.tracked)
-            d = fk.positions[:, None, task.tracked] - self.mu[:, :, None, :]  # (N, H, R, 3)
-            sd = d @ self.cov_inv  # S^-1 d
-            denom = (d * sd).sum(axis=-1) + DIST_EPS  # (N, H, R)
+            m, u = self._mahalanobis(fk.positions)  # (N, R, H), (N, R, 4)
+            # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
+            sd = (u @ self.quad.reshape(N, 4, 4, -1)[:, :, :3].reshape(N, 4, -1)).reshape(N, R, 3, -1)
+            denom = m + DIST_EPS
             c2 = 2.0 / denom**2
-            g[:, :R] = w.w_dist * ((-c2)[..., None] * sd).sum(axis=1)
+            g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
             # curvature with the sign of the off-axis part flipped positive:
             # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
             # magnitude of both pieces stops line-search overshoot against the
             # proximity barrier, which otherwise stalls the inner loop
-            sd_r = sd.swapaxes(1, 2)  # (N, R, H, 3)
-            outer = sd_r.swapaxes(2, 3) @ ((8.0 / denom**3).transpose(0, 2, 1)[..., None] * sd_r)
-            cov_part = c2.transpose(0, 2, 1) @ self.cov_inv.reshape(N, -1, 9)
+            outer = sd @ ((8.0 / denom**3)[..., None] * sd.swapaxes(2, 3))
+            cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:

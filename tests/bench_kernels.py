@@ -5,8 +5,10 @@ Tier-1 does not collect this file; run it by naming it:
     PYTHONPATH=src python -m pytest tests/bench_kernels.py
 
 Add ``--benchmark-disable`` to run each case once as a plain test. Every case
-works on the default scenario: the reference horizon (6 knots) or the
-one-shot plan (21 knots), at the first replan's warm start.
+works on the default scenario at the first replan's warm start: the reference
+horizon (6 knots) or the one-shot plan (21 knots), and for the cost kernels
+also the reference horizon against a 17-joint human on a 0.1 s grid, the
+shape of perfbench's ``fullbody`` workload.
 """
 
 from pathlib import Path
@@ -20,10 +22,19 @@ from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
 from anticip_mpc.solver import _assemble_derivs, backward_pass, forward_pass, rollout
 
 
-def _iterate(horizon: float):
-    """The first solve's problem and its warm start (states, controls)."""
+def _iterate(horizon: float, n_human: int = 5):
+    """The first solve's problem and its warm start (states, controls), with
+    the default 5-joint human or a 17-joint skeleton predicted every 0.1 s."""
     data = default_scenario_dict(seed=51000, horizon=horizon, replan=min(horizon, 0.5))
     data["robot_model"] = model_to_dict(default_robot_model())
+    if n_human == 17:
+        data["prediction"]["synthesize"].update(
+            joint_names=[f"j{i}" for i in range(17)],
+            head_index=10,
+            rest_positions=[[1.05 + 0.01 * i, -0.3 + 0.6 * i / 16, 0.05 + 0.03 * i] for i in range(17)],
+            reach_joint=16,
+            dt=0.1,
+        )
     scenario = scenario_from_dict(data, Path("."))
     n_knots = scenario.mpc.horizon_knots
     problem = build_problem(scenario, 0.0, n_knots, scenario.start_q)
@@ -42,6 +53,11 @@ def oneshot():
     return _iterate(5.0)
 
 
+@pytest.fixture(scope="module")
+def fullbody():
+    return _iterate(1.25, n_human=17)
+
+
 @pytest.mark.parametrize("rows", [6, 24, 84])
 def test_fk_batch(benchmark, rows):
     model = default_robot_model()
@@ -49,14 +65,16 @@ def test_fk_batch(benchmark, rows):
     benchmark(fk_batch, model, qs)
 
 
-def test_value(benchmark, reference):
-    problem, xs, us = reference
+@pytest.mark.parametrize("horizon", ["reference", "fullbody"])
+def test_value(benchmark, horizon, request):
+    problem, xs, us = request.getfixturevalue(horizon)
     steps = 2.0 ** -np.arange(4)[:, None, None]  # four candidates, as the line search's first stage
     benchmark(problem.cost.value, xs[None] * (1.0 + 0.01 * steps), us[None] * (1.0 + steps))
 
 
-def test_state_derivatives(benchmark, reference):
-    problem, xs, us = reference
+@pytest.mark.parametrize("horizon", ["reference", "fullbody"])
+def test_state_derivatives(benchmark, horizon, request):
+    problem, xs, us = request.getfixturevalue(horizon)
     problem.cost.value(xs, us)  # derivatives reuse the FK of the scored rows, as in a solve
     benchmark(problem.cost.state_derivatives, xs)
 

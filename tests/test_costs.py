@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticip_mpc import (
     CostTask,
@@ -14,6 +15,9 @@ from anticip_mpc import (
     default_robot_model,
     synthesize_reach,
 )
+from anticip_mpc.costs import DIST_EPS
+from anticip_mpc.kinematics import fk_batch, position_jacobians
+from anticip_mpc.prediction import _EIG_FLOOR
 
 from conftest import eef_pose, random_context, random_contexts
 from oracles import (
@@ -465,6 +469,106 @@ class TestBatchedEvaluator:
     def test_rejects_empty_context_list(self):
         with pytest.raises(InvalidInputError):
             stack_contexts([])
+
+
+SEPARATION_ULPS = 8  # rounding allowed in the expanded d^T S^-1 d and S^-1 d, in ulps of their largest term
+
+
+def separation_bounds(ev, q):
+    """Ranges within which a separation-only evaluator's value, gradient and
+    curvature at one knot q may differ from the difference form's.
+
+    Per (frame, joint) pair: the expanded m = d^T S^-1 d may round by
+    SEPARATION_ULPS ulps of lam (|p| + |mu|)^2, and S^-1 d by as many of
+    lam (|p| + |mu|), with lam the largest eigenvalue of S^-1. The denominator
+    m + DIST_EPS then lies in [lo, hi], lo >= DIST_EPS; each pair's gradient and
+    curvature bounds follow from it through the frame Jacobian's norm, with
+    1e-12 of each term's size for the Jacobian products' own rounding. Returns
+    ((least, greatest) value, gradient bound, curvature bound)."""
+    fk = fk_batch(ev.task.model, q[None])
+    tracked = ev.task.tracked
+    p = fk.positions[0, tracked][:, None]  # (R, 1, 3)
+    jac = np.linalg.norm(position_jacobians(fk, tracked)[0], ord=2, axis=(-2, -1))[:, None]  # (R, 1)
+    X, mu = ev.cov_inv[0], ev.mu[0]
+    d = p - mu  # (R, H, 3)
+    m = np.einsum("rhi,hij,rhj->rh", d, X, d)
+    sd = np.linalg.norm(np.einsum("hij,rhj->rhi", X, d), axis=-1)
+    lam = np.linalg.eigvalsh(X)[:, -1]
+    reach = np.linalg.norm(p, axis=-1) + np.linalg.norm(mu, axis=-1)
+    dsd = SEPARATION_ULPS * np.finfo(float).eps * lam * reach
+    dm = dsd * reach
+    den = m + DIST_EPS
+    lo, hi = np.maximum(m - dm, 0.0) + DIST_EPS, den + dm
+    g_size, h_size = 2.0 * sd / den**2, 8.0 * sd**2 / den**3 + 2.0 * lam / den**2
+    g_err = 2.0 * (dsd / lo**2 + sd * (1.0 / lo**2 - 1.0 / hi**2)) + 1e-12 * g_size
+    h_err = 8.0 * ((2.0 * sd + dsd) * dsd / lo**3 + sd**2 * (1.0 / lo**3 - 1.0 / hi**3))
+    h_err += 2.0 * lam * (1.0 / lo**2 - 1.0 / hi**2) + 1e-12 * h_size
+    return (np.sum(1.0 / hi), np.sum(1.0 / lo)), np.sum(jac * g_err), np.sum(jac**2 * h_err)
+
+
+def assert_separation_matches_oracles(model, q, human):
+    """The evaluator's separation term at joint vector q against the
+    difference forms of tests/oracles.py, within separation_bounds; every
+    denominator at or above DIST_EPS, so no pair scores above 1 / DIST_EPS."""
+    task = make_task(model=model, weights=CostWeights(w_dist=1.0))
+    means = np.array([g.mean for g in human])[None]
+    ev = KnotCostEvaluator(task, means, np.array([g.cov for g in human])[None], np.zeros((1, 3)))
+    q = np.asarray(q, dtype=float)
+    (least, greatest), g_tol, h_tol = separation_bounds(ev, q)
+    value = ev.value(q[None])
+    gx, hxx = ev.state_derivatives(q[None])
+    assert np.isfinite(value) and np.all(np.isfinite(gx)) and np.all(np.isfinite(hxx))
+    assert 0.0 < value
+    assert least * (1 - 1e-12) <= distance_cost(model, q, human) <= greatest * (1 + 1e-12)
+    assert least * (1 - 1e-12) <= value <= greatest * (1 + 1e-12)
+    gx_ref, hxx_ref = state_derivatives_per_term(ev, q[None])
+    assert np.linalg.norm(gx - gx_ref) <= g_tol
+    assert np.linalg.norm(hxx - hxx_ref, ord=2, axis=(-2, -1)).item() <= h_tol
+
+
+class TestSeparationNearContact:
+    """A tracked frame at, and just off, a human joint whose covariance sits at
+    the prediction's eigenvalue floor, with its mean about 1 m from the origin:
+    the largest terms of the expanded distance are ~1e9 there, and their
+    rounding must neither turn the distance negative nor leave it unbounded.
+    At this mean the unfloored expansion rounds below zero at contact (to
+    -3.7e-7 with x86-64 OpenBLAS)."""
+
+    MEAN = np.array([0.55, -0.28, 0.84])
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-7, 1e-4])
+    def test_finite_and_within_rounding_of_the_difference_form(self, gap):
+        direction = np.array([0.3, 0.8, -0.52]) / np.linalg.norm([0.3, 0.8, -0.52])
+        human = [HumanJointGaussian(self.MEAN, _EIG_FLOOR * np.eye(3))]
+        assert np.array_equal(human[0].cov, _EIG_FLOOR * np.eye(3))
+        assert_separation_matches_oracles(one_link_model(self.MEAN + gap * direction), [0.0], human)
+
+
+@st.composite
+def separation_cases(draw):
+    """A joint vector of the default arm and 1, 5 or 17 human joints, each at
+    0-2 m from one tracked frame, with covariance eigenvalues in [1e-9, 1]."""
+    n_human = draw(st.sampled_from([1, 5, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=3 * n_human, max_size=3 * n_human)))
+    dists = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n_human, max_size=n_human)))
+    model = default_robot_model()
+    q = rng.uniform(-1.2, 1.2, 7)
+    frames = fk_batch(model, q[None]).positions[0, list(model.tracked_frames)]
+    directions = rng.normal(size=(n_human, 3))
+    means = frames[rng.integers(len(frames), size=n_human)]
+    means += dists[:, None] * directions / np.linalg.norm(directions, axis=1)[:, None]
+    rotations = np.linalg.qr(rng.normal(size=(n_human, 3, 3)))[0]
+    covs = (rotations * lams.reshape(n_human, 1, 3)) @ rotations.swapaxes(1, 2)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    return model, q, [HumanJointGaussian(mean, cov) for mean, cov in zip(means, covs)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(separation_cases())
+def test_separation_matches_difference_form(case):
+    assert_separation_matches_oracles(*case)
+
 
 class TestWeightValidation:
     def test_negative_weight_rejected(self):
