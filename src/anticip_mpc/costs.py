@@ -15,8 +15,10 @@ each horizon slices (the human prediction and the nominal path). From these
 each evaluator builds its constants once: the inverse covariances, the head
 spread, the gaze rays, and per knot and human joint the 4x4 form Q with
 (p - mu)^T S^-1 (p - mu) = [p; 1]^T Q [p; 1], so one matrix product scores
-every tracked frame's separation from every joint. The scalar per-knot forms
-of the same terms, which the test suite checks the evaluator against, live in
+every tracked frame's separation from every joint. ``value`` keeps its
+stack's term record (FK and each term's intermediates), from which the line
+search's accepted candidate gets its derivatives. The scalar per-knot forms of
+the same terms, which the test suite checks the evaluator against, live in
 ``tests/oracles.py``. The planning loop and the metrics measure with this
 module's goal errors, gaze rays and goal inference.
 """
@@ -24,6 +26,7 @@ module's goal errors, gaze rays and goal inference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -136,58 +139,37 @@ class KnotCostEvaluator:
         self.sigma_head = np.sqrt(np.trace(covs[:, task.head_index], axis1=1, axis2=2) / 3.0)  # (N,)
         # unit head-to-object gaze rays (N, 3), which only the visibility term reads
         self.gaze_hat = gaze_directions(task.gaze, means[:, task.head_index]) if task.weights.w_vis > 0 else None
-        self._scored = (np.empty((0, task.model.n_joints)), None)  # rows of the last value call, their FK
+        # Q's first three columns (N, 4, 3H): u^T of them is (S^-1 (p - mu))^T, the separation gradient's factor
+        self.quad_cols = self.quad.reshape(len(means), 4, 4, -1)[:, :, :3].reshape(len(means), 4, -1)
+        self._kept = None  # the term record of the last value call
 
     # -- values ------------------------------------------------------------
 
-    def value(self, xs: Array, us: Optional[Array] = None):
-        """Total cost of a trajectory, or of a stack of candidate trajectories.
-
-        xs has shape (..., N, n) and us (..., N-1, n); the result has the
-        leading shape, a scalar for a single (N, n) trajectory. All rows go
-        through one batched FK call, kept for :meth:`state_derivatives`.
-        """
-        xs = np.array(xs, dtype=float)  # a copy, so the kept rows cannot change
-        lead = xs.shape[:-1]
-        rows = xs.reshape(-1, xs.shape[-1])
-        fk = fk_batch(self.task.model, rows)
-        self._scored = (rows, fk)
-        positions = fk.positions.reshape(lead + fk.positions.shape[1:])
-        knots = self._state_values_from_fk(positions, fk.eef_rotations.reshape(lead + (3, 3)))
-        total = knots.sum(axis=-1)
-        w_smooth = self.task.weights.w_smooth
-        if us is not None and w_smooth > 0:
-            total = total + w_smooth * (us * us).sum(axis=(-2, -1))
-        return total
-
-    def _state_values_from_fk(self, positions: Array, eef_rotations: Array) -> Array:
-        """Knot costs from frame positions (..., N, F, 3) and end-effector
-        rotations (..., N, 3, 3); the per-knot inputs broadcast over the
-        leading axes."""
-        task = self.task
-        w = task.weights
-        vals = np.zeros(positions.shape[:-2])
-        p_eef = positions[..., task.model.eef_frame, :]
-
+    def _terms(self, xs: Array) -> SimpleNamespace:
+        """The term record of trajectories xs (..., N, n), flattened to C: the rows (C, N, n), their
+        batched FK (frame positions, world joint axes, end-effector rotations) and, for each weighted
+        term, the intermediates that value and state_derivatives both read, each (C, N, ...)."""
+        task, w = self.task, self.task.weights
+        N, n = xs.shape[-2:]
+        fk = fk_batch(task.model, xs.reshape(-1, n))
+        t = SimpleNamespace(xs=xs.reshape(-1, N, n), positions=fk.positions.reshape(-1, N, n + 1, 3))
+        t.axes, t.rotations = fk.joint_axes_world.reshape(-1, N, n, 3), fk.eef_rotations.reshape(-1, N, 3, 3)
+        p_eef = t.positions[..., task.model.eef_frame, :]
         if w.w_dist > 0:
-            vals += w.w_dist * (1.0 / (self._mahalanobis(positions)[0] + DIST_EPS)).sum(axis=(-2, -1))
-
+            m, t.u = self._mahalanobis(t.positions)  # (C, N, R, H), (C, N, R, 4)
+            t.denom = m + DIST_EPS
         if w.w_vis > 0:
-            _, cos_theta, _ = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
-            vals += w.w_vis * np.arccos(cos_theta) / self.sigma_head
-
+            t.bhat, t.cos, t.nb = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
+            t.theta = np.arccos(t.cos)
         if w.w_leg > 0:
-            probs = task.goal_probs(p_eef)
-            vals += w.w_leg * (1.0 - probs[..., task.goal_index])
-
+            t.probs = task.goal_probs(p_eef)
         if w.w_nom > 0:
-            vals += w.w_nom * _norms(p_eef - self.nominal)
-
+            t.r_nom = p_eef - self.nominal
+            t.n_nom = _norms(t.r_nom)
         if w.w_goal > 0:
-            pos_err, orient_err = task.goal.errors(p_eef, eef_rotations)
-            vals += w.w_goal * (pos_err + orient_err)
-
-        return vals
+            t.r_goal = p_eef - task.goal.position
+            t.n_goal, t.orient = task.goal.errors(p_eef, t.rotations)
+        return t
 
     def _mahalanobis(self, positions: Array) -> tuple[Array, Array]:
         """Squared Mahalanobis distances (..., N, R, H) from the tracked frames of positions (..., N, F, 3)
@@ -197,12 +179,40 @@ class KnotCostEvaluator:
         uu = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
         return np.maximum(uu @ self.quad, 0.0), u
 
+    def value(self, xs: Array, us: Optional[Array] = None):
+        """Total cost of a trajectory, or of a stack of candidate trajectories.
+
+        xs has shape (..., N, n) and us (..., N-1, n); the result has the
+        leading shape, a scalar for a single (N, n) trajectory. All rows go
+        through one batched FK call; their term record is kept for :meth:`state_derivatives`.
+        """
+        xs = np.array(xs, dtype=float)  # a copy, so the kept rows cannot change
+        t = self._kept = self._terms(xs)
+        w = self.task.weights
+        vals = np.zeros(t.xs.shape[:-1])  # (C, N) knot costs
+        if w.w_dist > 0:
+            vals += w.w_dist * (1.0 / t.denom).sum(axis=(-2, -1))
+        if w.w_vis > 0:
+            vals += w.w_vis * t.theta / self.sigma_head
+        if w.w_leg > 0:
+            vals += w.w_leg * (1.0 - t.probs[..., self.task.goal_index])
+        if w.w_nom > 0:
+            vals += w.w_nom * t.n_nom
+        if w.w_goal > 0:
+            vals += w.w_goal * (t.n_goal + t.orient)
+        total = vals.sum(axis=-1).reshape(xs.shape[:-2])[()]
+        if us is not None and w.w_smooth > 0:
+            total = total + w.w_smooth * (us * us).sum(axis=(-2, -1))
+        return total
+
     # -- derivatives ---------------------------------------------------------
 
     def state_derivatives(self, xs: Array) -> tuple[Array, Array]:
         """Gradient (N, n) and PSD curvature (N, n, n) of the per-knot state cost.
 
-        Every term adds its gradient and Gauss-Newton curvature to its row of
+        Its term record is the kept stack's entries for the trajectory holding
+        the same values (the line search's accepted candidate), else one of its
+        own. Every term adds its gradient and Gauss-Newton curvature to its row of
         g (N, F + 1, 3) and P (N, F + 1, 3, 3): a frame's positional row, or for
         the goal orientation the last row, the end effector's angular one, whose
         Jacobian has joint j's world axis as column j. One product with the
@@ -210,13 +220,16 @@ class KnotCostEvaluator:
         """
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
-        task = self.task
-        w = task.weights
-        fk = self._fk(xs)
+        task, w = self.task, self.task.weights
+        kept, hit = self._kept, ()
+        if kept is not None and kept.xs.shape[1:] == xs.shape:
+            hit = np.flatnonzero((kept.xs == xs).all(axis=(1, 2)))
+        t, i = (kept, hit[0]) if len(hit) else (self._terms(xs), 0)
+        t = SimpleNamespace(**{k: v[i] for k, v in vars(t).items()})
+        fk = BatchFk(t.positions, t.axes, t.rotations)
         # positional rows (N, F - 1, 3, n), then the angular row (N, 1, 3, n)
-        J = np.concatenate((position_jacobians(fk, task.jframes), fk.joint_axes_world.swapaxes(1, 2)[:, None]), axis=1)
+        J = np.concatenate((position_jacobians(fk, task.jframes), t.axes.swapaxes(1, 2)[:, None]), axis=1)
         F = J.shape[1]
-        p_eef = fk.positions[:, task.model.eef_frame]
 
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
@@ -224,71 +237,56 @@ class KnotCostEvaluator:
 
         if w.w_dist > 0:
             R = len(task.tracked)
-            m, u = self._mahalanobis(fk.positions)  # (N, R, H), (N, R, 4)
             # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
-            sd = (u @ self.quad.reshape(N, 4, 4, -1)[:, :, :3].reshape(N, 4, -1)).reshape(N, R, 3, -1)
-            denom = m + DIST_EPS
-            c2 = 2.0 / denom**2
+            sd = (t.u @ self.quad_cols).reshape(N, R, 3, -1)
+            c2 = 2.0 / t.denom**2
             g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
             # curvature with the sign of the off-axis part flipped positive:
             # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
             # magnitude of both pieces stops line-search overshoot against the
             # proximity barrier, which otherwise stalls the inner loop
-            outer = sd @ ((8.0 / denom**3)[..., None] * sd.swapaxes(2, 3))
+            outer = sd @ ((8.0 / t.denom**3)[..., None] * sd.swapaxes(2, 3))
             cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         if w.w_vis > 0:
-            bhat, cos_theta, nb = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
             # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
-            u_perp = self.gaze_hat - cos_theta[:, None] * bhat
+            u_perp = self.gaze_hat - t.cos[:, None] * t.bhat
             sin_theta = _norms(u_perp)
             ok = sin_theta > 1e-9
-            scale = nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
+            scale = t.nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
             g_p = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
-            c_vis = np.arccos(cos_theta) / self.sigma_head
             g_eef += w.w_vis * g_p
-            P_eef += w.w_vis * _gauss_newton(g_p, c_vis)
+            P_eef += w.w_vis * _gauss_newton(g_p, t.theta / self.sigma_head)
 
         if w.w_leg > 0:
-            probs = task.goal_probs(p_eef)
-            p_r = probs[:, task.goal_index]
-            mean_goal = np.einsum("ng,gi->ni", probs, task.goals)
+            p_r = t.probs[:, task.goal_index]
+            mean_goal = np.einsum("ng,gi->ni", t.probs, task.goals)
             g_p = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - mean_goal)
             g_eef += w.w_leg * g_p
             P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
 
-        for weight, target in ((w.w_nom, self.nominal), (w.w_goal, task.goal.position)):
-            if weight > 0:
-                gp, hp = _norm_grad_curv(p_eef - target)
-                g_eef += weight * gp
-                P_eef += weight * hp
+        if w.w_nom > 0:
+            gp, hp = _norm_grad_curv(t.r_nom, t.n_nom)
+            g_eef += w.w_nom * gp
+            P_eef += w.w_nom * hp
 
         if w.w_goal > 0:
+            gp, hp = _norm_grad_curv(t.r_goal, t.n_goal)
+            g_eef += w.w_goal * gp
+            P_eef += w.w_goal * hp
             # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
             # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
-            m = fk.eef_rotations @ task.goal.rotation.T
+            m = t.rotations @ task.goal.rotation.T
             s4 = 0.25 * np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
             g[:, -1] = w.w_goal * s4
-            P[:, -1] = w.w_goal * _gauss_newton(s4, task.goal.errors(p_eef, fk.eef_rotations)[1])
+            P[:, -1] = w.w_goal * _gauss_newton(s4, t.orient)
 
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
         hxx = Jf.swapaxes(1, 2) @ (P @ J).reshape(N, 3 * F, n)
         hxx += task.hess_floor
         return gx, hxx
-
-    def _fk(self, xs: Array) -> BatchFk:
-        """FK of a trajectory (N, n): N rows of the last scored stack holding the
-        same values (the line search's accepted candidate), else one fk_batch call."""
-        rows, fk = self._scored
-        N = len(xs)
-        if len(rows) % N == 0:
-            hit = np.flatnonzero((rows.reshape(-1, N, rows.shape[1]) == xs).all(axis=(1, 2)))
-            if len(hit):
-                i = slice(hit[0] * N, hit[0] * N + N)
-                return BatchFk(fk.positions[i], fk.joint_axes_world[i], fk.eef_rotations[i])
-        return fk_batch(self.task.model, xs)
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
         """Gradient (M, n) and curvature (M, n, n) of the control cost."""
@@ -342,12 +340,12 @@ def _gauss_newton(grad: Array, value: Array) -> Array:
     return grad[:, :, None] * grad[:, None, :] / (2.0 * np.maximum(value, _CURV_GUARD))[:, None, None]
 
 
-def _norm_grad_curv(r: Array) -> tuple[Array, Array]:
-    """Gradient and PSD curvature of ||r|| w.r.t. r, batched over rows.
+def _norm_grad_curv(r: Array, nr: Array) -> tuple[Array, Array]:
+    """Gradient and PSD curvature of ||r|| w.r.t. r, batched over rows, from r
+    and its norms nr.
 
     The exact Hessian (I - rhat rhat^T)/||r|| is already PSD; the norm in the
     denominator is floored to keep curvature bounded near zero."""
-    nr = _norms(r)
     safe = np.maximum(nr, _TINY)
     rhat = r / safe[:, None]
     g = np.where(nr[:, None] > _TINY, rhat, 0.0)

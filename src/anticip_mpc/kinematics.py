@@ -170,16 +170,17 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     c = np.cos(qs)[:, :, None, None]
     s = np.sin(qs)[:, :, None, None]
     joint_rots = model._rot_outer + c * model._rot_perp + s * model._rot_skew  # (B, n, 3, 3)
-    # frame_rots[:, j] is the world rotation of frame j, before joint j turns
-    frame_rots = np.empty((B, n + 1, 3, 3))
-    frame_rots[:, 0] = model._base_rotation
+    # frame_rots[j] is the world rotation of frame j, before joint j turns
+    frame_rots = np.empty((n + 1, B, 3, 3))
+    frame_rots[0] = model._base_rotation
     for j in range(n):
-        np.matmul(frame_rots[:, j], joint_rots[:, j], out=frame_rots[:, j + 1])
-    cols = frame_rots @ model._frame_cols  # (B, n + 1, 3, 2): world axes, link steps
+        np.matmul(frame_rots[j], joint_rots[:, j], out=frame_rots[j + 1])
+    # one (3B, 3) @ (3, 2) product per frame, then (B, n + 1, 3, 2): world axes, link steps
+    cols = (frame_rots.reshape(n + 1, 3 * B, 3) @ model._frame_cols).reshape(n + 1, B, 3, 2).swapaxes(0, 1)
     steps = cols[..., 1]
     steps[:, 0] = model.base_position
     positions = steps.cumsum(axis=1)  # sequential sums, as the chain adds them
-    return BatchFk(positions, cols[:, :n, :, 0], frame_rots[:, n])
+    return BatchFk(positions, cols[:, :n, :, 0], frame_rots[n])
 
 
 _NEXT = np.array([1, 2, 0])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}

@@ -65,17 +65,50 @@ def test_fk_batch(benchmark, rows):
     benchmark(fk_batch, model, qs)
 
 
+def _first_stage(xs, us):
+    """Four candidates around (xs, us), as the line search's first stage scores them."""
+    steps = 2.0 ** -np.arange(4)[:, None, None]
+    return xs[None] * (1.0 + 0.01 * steps), us[None] * (1.0 + steps)
+
+
 @pytest.mark.parametrize("horizon", ["reference", "fullbody"])
 def test_value(benchmark, horizon, request):
     problem, xs, us = request.getfixturevalue(horizon)
-    steps = 2.0 ** -np.arange(4)[:, None, None]  # four candidates, as the line search's first stage
-    benchmark(problem.cost.value, xs[None] * (1.0 + 0.01 * steps), us[None] * (1.0 + steps))
+    benchmark(problem.cost.value, *_first_stage(xs, us))
 
 
 @pytest.mark.parametrize("horizon", ["reference", "fullbody"])
 def test_state_derivatives(benchmark, horizon, request):
+    """The hit path of a one-trajectory stack: derivatives read the term
+    record that scoring the same trajectory kept, as at a solve's warm start."""
     problem, xs, us = request.getfixturevalue(horizon)
-    problem.cost.value(xs, us)  # derivatives reuse the FK of the scored rows, as in a solve
+    problem.cost.value(xs, us)
+    benchmark(problem.cost.state_derivatives, xs)
+
+
+@pytest.mark.parametrize("horizon", ["reference", "oneshot", "fullbody"])
+def test_scored_then_derivatives(benchmark, horizon, request):
+    """One line-search stage and the next iterate's derivatives: value on the
+    four first-stage candidates, then state_derivatives of the one accepted,
+    which reads the kept term record."""
+    problem, xs, us = request.getfixturevalue(horizon)
+    cand_xs, cand_us = _first_stage(xs, us)
+    accepted = cand_xs[1].copy()
+
+    def scored_then_derivatives():
+        problem.cost.value(cand_xs, cand_us)
+        return problem.cost.state_derivatives(accepted)
+
+    benchmark(scored_then_derivatives)
+
+
+@pytest.mark.parametrize("horizon", ["reference", "oneshot", "fullbody"])
+def test_state_derivatives_miss(benchmark, horizon, request):
+    """Derivatives of a trajectory the kept stack does not hold: a term record
+    of its own, FK included."""
+    problem, xs, us = request.getfixturevalue(horizon)
+    cand_xs, cand_us = _first_stage(xs, us)
+    problem.cost.value(cand_xs, cand_us)
     benchmark(problem.cost.state_derivatives, xs)
 
 

@@ -406,10 +406,43 @@ class TestBatchedEvaluator:
         calls = []
         fk_batch = costs_module.fk_batch
         monkeypatch.setattr(costs_module, "fk_batch", lambda *args: calls.append(1) or fk_batch(*args))
+        # the term intermediates: a hit reads them from the kept record, a miss computes them once
+        term_calls = []
+        term_functions = ((KnotCostEvaluator, "_mahalanobis"), (costs_module, "gaze_cosines"), (CostTask, "goal_probs"))
+        for owner, name in term_functions:
+            counted = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, f=counted, k=name: term_calls.append(k) or f(*args))
         for x, want, fk_calls in zip((xs[3].copy(), xs[4]), fresh, (0, 1)):
             gx, hxx = ev.state_derivatives(x)
             assert len(calls) == fk_calls
+            assert sorted(term_calls) == fk_calls * ["_mahalanobis", "gaze_cosines", "goal_probs"]
             assert np.array_equal(gx, want[0]) and np.array_equal(hxx, want[1])
+
+    @pytest.mark.parametrize("zeroed", [None, *CostWeights.__dataclass_fields__])
+    @pytest.mark.parametrize("lead", [(4,), (7,), (2, 3)], ids=["4_candidates", "7_candidates", "2x3_candidates"])
+    def test_kept_record_derivatives_equal_a_fresh_evaluators(self, seven_dof, monkeypatch, lead, zeroed):
+        """Every candidate of a scored stack gets, from the kept term record and
+        with no FK call, the derivatives of a fresh evaluator bit for bit, with
+        any one term absent from the record."""
+        import anticip_mpc.costs as costs_module
+
+        rng = np.random.default_rng(19)
+        names = list(CostWeights.__dataclass_fields__)
+        weights = CostWeights(*(0.0 if name == zeroed else v for name, v in zip(names, rng.uniform(0.1, 2.0, 6))))
+        qs = rng.uniform(-1.2, 1.2, (5, 7))
+        horizon = stack_contexts(random_contexts(rng, seven_dof, qs, weights=weights, goal_index=1))
+        xs = qs + rng.uniform(-0.1, 0.1, lead + qs.shape)
+        fresh = [KnotCostEvaluator(*horizon).state_derivatives(x) for x in xs.reshape(-1, *qs.shape)]
+
+        ev = KnotCostEvaluator(*horizon)
+        ev.value(xs)
+        calls = []
+        fk_batch = costs_module.fk_batch
+        monkeypatch.setattr(costs_module, "fk_batch", lambda *args: calls.append(1) or fk_batch(*args))
+        for x, (want_gx, want_hxx) in zip(xs.reshape(-1, *qs.shape), fresh):
+            gx, hxx = ev.state_derivatives(x.copy())
+            assert np.array_equal(gx, want_gx) and np.array_equal(hxx, want_hxx)
+        assert not calls
 
     def test_exact_orientation_gradient_matches_central_difference(self):
         from anticip_mpc.kinematics import fk_batch
