@@ -167,7 +167,6 @@ class KnotCostEvaluator:
             t.r_nom = p_eef - self.nominal
             t.n_nom = _norms(t.r_nom)
         if w.w_goal > 0:
-            t.r_goal = p_eef - task.goal.position
             t.n_goal, t.orient = task.goal.errors(p_eef, t.rotations)
         return t
 
@@ -272,7 +271,7 @@ class KnotCostEvaluator:
             P_eef += w.w_nom * hp
 
         if w.w_goal > 0:
-            gp, hp = _norm_grad_curv(t.r_goal, t.n_goal)
+            gp, hp = _norm_grad_curv(t.positions[:, task.model.eef_frame] - task.goal.position, t.n_goal)
             g_eef += w.w_goal * gp
             P_eef += w.w_goal * hp
             # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4

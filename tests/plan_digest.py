@@ -5,7 +5,7 @@ trees and compare the printed lines.
 
     python3 tests/plan_digest.py --seed 3
 
-Each workload's first ``--scenarios`` scenarios of the workload seed (built
+Each workload's first ``N_SCENARIOS`` scenarios of the workload seed (built
 by ``perfbench/workloads.py``, as the benchmark builds them) run through
 ``run_mpc``; the digest covers every replan's states, controls, iterations,
 total cost, ``converged`` and ``grad_inf``. BLAS is pinned to one thread, as
@@ -23,15 +23,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+N_SCENARIOS = 12  # per workload
 
 
-def plan_digest(pkg, workload, seed: int, n_scenarios: int, workdir: Path) -> str:
-    """SHA-256 over every replan of the workload's first n_scenarios scenarios."""
+def plan_digest(pkg, workload, seed: int, workdir: Path) -> str:
+    """SHA-256 over every replan of the workload's first N_SCENARIOS scenarios."""
     import numpy as np
     from workloads import scenario_seeds
 
     digest = hashlib.sha256()
-    inputs = workload.prepare(scenario_seeds(seed, n_scenarios), workdir)
+    inputs = workload.prepare(scenario_seeds(seed, N_SCENARIOS), workdir)
     for scenario in workload.load(pkg, inputs):
         for replan in pkg.mpc.run_mpc(scenario).replans:
             r = replan.result
@@ -45,8 +46,6 @@ def plan_digest(pkg, workload, seed: int, n_scenarios: int, workdir: Path) -> st
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3, help="workload seed, >= 0")
-    parser.add_argument("--scenarios", type=int, default=12, help="scenarios per workload")
-    parser.add_argument("--workload", action="append", help="a workload to digest (default: all)")
     args = parser.parse_args(argv)
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -55,11 +54,10 @@ def main(argv=None) -> int:
     import anticip_mpc
     from workloads import WORKLOADS
 
-    names = args.workload or list(WORKLOADS)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            digest = plan_digest(anticip_mpc, WORKLOADS[name], args.seed, args.scenarios, Path(tmp) / name)
-            print(f"{name} seed {args.seed} scenarios {args.scenarios}: {digest}")
+        for name, workload in WORKLOADS.items():
+            digest = plan_digest(anticip_mpc, workload, args.seed, Path(tmp) / name)
+            print(f"{name} seed {args.seed} scenarios {N_SCENARIOS}: {digest}")
     return 0
 
 

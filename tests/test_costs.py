@@ -418,12 +418,12 @@ class TestBatchedEvaluator:
             assert sorted(term_calls) == fk_calls * ["_mahalanobis", "gaze_cosines", "goal_probs"]
             assert np.array_equal(gx, want[0]) and np.array_equal(hxx, want[1])
 
-    @pytest.mark.parametrize("zeroed", [None, *CostWeights.__dataclass_fields__])
+    @pytest.mark.parametrize("zeroed", [None, "w_dist", "w_vis", "w_leg", "w_nom", "w_goal"])
     @pytest.mark.parametrize("lead", [(4,), (7,), (2, 3)], ids=["4_candidates", "7_candidates", "2x3_candidates"])
     def test_kept_record_derivatives_equal_a_fresh_evaluators(self, seven_dof, monkeypatch, lead, zeroed):
         """Every candidate of a scored stack gets, from the kept term record and
         with no FK call, the derivatives of a fresh evaluator bit for bit, with
-        any one term absent from the record."""
+        any one state term absent from the record."""
         import anticip_mpc.costs as costs_module
 
         rng = np.random.default_rng(19)
