@@ -5,10 +5,10 @@ initial state, per-knot nonlinear costs, and box bounds on the controls. An
 inner iLQR loop (Riccati-style backward pass on local quadratic models plus a
 line-searched forward rollout) minimizes the cost; the rollout clamps every
 control into its box, so every iterate is feasible. The backward pass makes
-one LAPACK solve per knot and tests positive definiteness once per sweep, with
-one batched Cholesky of every knot's Q_uu. The line search rolls out all its
-step lengths together and scores the four longest first, the rest only when
-none of those passes.
+one sweep with one LAPACK solve per knot; the cost's positive definite control
+curvature keeps every Q_uu positive definite, so the sweep needs no repair.
+The line search rolls out all its step lengths together and scores the four
+longest first, the rest only when none of those passes.
 
 Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
 sits on a bound, and whose descent direction leaves the box, gets no step
@@ -18,8 +18,8 @@ bound the rest of the plan has moved away from is released inside the one
 loop.
 
 The stopping rules are fixed module constants: _MAX_INNER_ITERS, _COST_TOL,
-_GRAD_TOL, and _REG_CAP, the cap on the shift _next_reg schedules; a solve at
-the cap after its first backward pass returns its best iterate, not converged.
+_GRAD_TOL, and _REG_CAP, the cap on the damping shift _next_reg schedules
+after short steps; a solve at the cap returns its best iterate, not converged.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class TrajectoryProblem:
 
     The cost has a KnotCostEvaluator's methods; its ``value(xs, us)`` takes
     states (A, N, n) and controls (A, N-1, n) of A candidates to costs (A,),
-    and a single (N, n) and (N-1, n) trajectory to a scalar."""
+    and a single (N, n) and (N-1, n) trajectory to a scalar. Its control
+    curvature huu must be positive definite and its state curvature hxx
+    positive semidefinite, as the package cost's Gauss-Newton model is by
+    construction (CostTask.huu); the backward pass does not repair Q_uu."""
 
     n_knots: int
     dt: float
@@ -170,15 +173,12 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     """Riccati-style sweep producing affine feedback gains from the cost
     derivatives along the current iterate.
 
-    Q_uu blocks are Levenberg-Marquardt shifted until all are positive
-    definite, tested once per sweep by one batched Cholesky after the loop:
-    the shift starts at the given reg and rises by :func:`_next_reg` per
-    failed sweep. A sweep fails the test if any knot fails it alone, so the
-    shift is the one a test at every knot would find. The sweep runs with
-    overflow and invalid-value warnings off: a singular Q_uu gives NaN gains
-    and the knots past a failed one may overflow before the test rejects the
-    sweep; a non-finite gain that an accepted sweep could still produce rolls
-    out to non-finite candidates, which the line search rejects.
+    One sweep at the Levenberg-Marquardt shift reg that solve's damping,
+    :func:`_next_reg`, sets after short steps; reg_used is reg. Q_uu is
+    positive definite at every knot when the cost meets TrajectoryProblem's
+    precondition, so the sweep neither tests nor repairs it. A singular Q_uu
+    or a non-finite derivative gives non-finite gains, which raise
+    SolverError after the sweep.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
@@ -201,44 +201,36 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
     gu = np.zeros((M, n, n + 1))
     gu[:, :, 0] = derivs.gu
-    huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2))
+    huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2)) + reg * eye
 
     on_bound = derivs.on_bound.tolist()
-    while True:
-        huu_reg = huu + reg * eye
-        q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
-        kK = np.empty((M, n, n + 1))  # [k | K], negated once after the sweep
-        quu = np.empty((M, n, n))
-        v = hx[-1].copy()  # [v_x | V_xx]
-        v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
-        with np.errstate(over="ignore", invalid="ignore"):  # a failed knot's gains may be non-finite
-            for t in range(M - 1, -1, -1):
-                # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
-                # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
-                qt, quut = q[t], quu[t]
-                np.multiply(dt, v, out=qt)
-                qt += gu[t]
-                np.multiply(dt * dt, v[:, 1:], out=quut)
-                quut += huu_reg[t]
-                rhs = qt
-                if on_bound[t]:
-                    free = derivs.side[t] * qt[:, 0] >= 0.0
-                    # identity rows and columns decouple the held controls, and
-                    # their zero right-hand side gives them zero steps and gains
-                    quu[t] = np.where(free[:, None] & free, quut, eye)
-                    qt[:, 0] *= free  # out of the reported gradient
-                    rhs = qt * free[:, None]
-                _lapack_solve(quut, rhs, out=kK[t])
-                v = hx[t] + v
-                v -= qt[:, 1:] @ kK[t]
-        try:
-            np.linalg.cholesky(quu)  # the positive-definiteness test, once per sweep
-            break
-        except np.linalg.LinAlgError:
-            reg = _next_reg(reg, 0.0)
-            if reg > _REG_CAP:
-                msg = "backward pass: the local model cannot be made positive definite"
-                raise SolverError(f"{msg}: regularization exceeded cap {_REG_CAP:g}")
+    q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
+    kK = np.empty((M, n, n + 1))  # [k | K], negated once after the sweep
+    quu = np.empty((n, n))  # this knot's Q_uu
+    v = hx[-1].copy()  # [v_x | V_xx]
+    v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite gains are caught after the sweep
+        for t in range(M - 1, -1, -1):
+            # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
+            # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
+            qt = q[t]
+            np.multiply(dt, v, out=qt)
+            qt += gu[t]
+            np.multiply(dt * dt, v[:, 1:], out=quu)
+            quu += huu[t]
+            lhs, rhs = quu, qt
+            if on_bound[t]:
+                free = derivs.side[t] * qt[:, 0] >= 0.0
+                # identity rows and columns decouple the held controls, and
+                # their zero right-hand side gives them zero steps and gains
+                lhs = np.where(free[:, None] & free, quu, eye)
+                qt[:, 0] *= free  # out of the reported gradient
+                rhs = qt * free[:, None]
+            _lapack_solve(lhs, rhs, out=kK[t])
+            v = hx[t] + v
+            v -= qt[:, 1:] @ kK[t]
+    if not np.isfinite(kK).all():
+        raise SolverError("backward pass: non-finite gains; Q_uu is singular or the cost derivatives are not finite")
     np.negative(kK, out=kK)
     qu, k = q[:, :, 0], kK[:, :, 0]
     decrease = max(0.0, -0.5 * float((qu * k).sum()))
@@ -310,14 +302,15 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     Every iterate lies inside the bounds and accepted iterate costs are
     non-increasing. The solve ends when the relative cost change or the free
     controls' gradient falls below its tolerance (converged), at the
-    iteration cap, or when the regularization would pass _REG_CAP: then it
-    returns the best iterate so far, not converged. It raises SolverError
-    only for a warm start with a non-finite cost or whose first backward
-    pass cannot be made positive definite. The solve does not time itself;
-    the caller times the replan around it. grad_inf is the free controls'
-    gradient from the last backward pass that completed: at the iterate
-    before the returned one when the solve ends right after an accepted step
-    (the cost-change stop, the iteration cap, the cap in the next backward pass).
+    iteration cap, when the damping shift would pass _REG_CAP, or at
+    non-finite gains in a later backward pass: then it returns the best
+    iterate so far, not converged. It raises SolverError only for a warm
+    start with a non-finite cost or non-finite gains in its first backward
+    pass. The solve does not time itself; the caller times the replan
+    around it. grad_inf is the free controls' gradient from the last
+    backward pass that completed: at the iterate before the returned one
+    when the solve ends right after an accepted step (the cost-change stop,
+    the iteration cap, non-finite gains in the next backward pass).
     """
     M = problem.n_knots - 1
     n = problem.n_dims
@@ -344,8 +337,8 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
             bp = backward_pass(problem, derivs, reg=reg)
         except SolverError:
             if bp is None:
-                raise  # the warm start's local model cannot be made positive definite
-            break  # at the regularization cap: (xs, us) is the best iterate so far
+                raise  # non-finite gains at the warm start
+            break  # non-finite gains: (xs, us) is the best iterate so far
         if bp.grad_inf < _GRAD_TOL:
             converged = True
             break

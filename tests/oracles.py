@@ -37,7 +37,7 @@ from anticip_mpc.costs import (
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR, HumanPrediction
-from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, _REG_MIN, ForwardPassResult
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, ForwardPassResult
 
 
 @dataclass
@@ -385,60 +385,51 @@ def state_derivatives_per_term(ev, xs):
     return gx, hxx
 
 
-def backward_pass_full_form(problem, derivs, us, reg=0.0, reg_cap=1e6):
+def backward_pass_full_form(problem, derivs, us, reg=0.0):
     """Riccati sweep with the full value update of Tassa, Erez & Todorov 2012:
-    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K.
+    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K,
+    with Q_uu shifted by reg * I.
 
     A control of us at or past a bound whose gradient q_u pushes it further
     out is held (Tassa, Mansard & Todorov 2014): its rows of k and K are
     zero, and the free controls' rows come from two triangular solves on the
-    Cholesky factor of their own block of Q_uu. grad_inf is taken over the
-    free controls. Returns (k, K, expected_decrease, grad_inf, reg) or raises
-    ValueError past reg_cap."""
+    Cholesky factor of their own block of Q_uu, which raises LinAlgError
+    unless that block is positive definite. grad_inf is taken over the free
+    controls. Returns (k, K, expected_decrease, grad_inf)."""
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
     eye = np.eye(n)
-    while True:
-        k = np.zeros((M, n))
-        K = np.zeros((M, n, n))
-        vx = derivs.gx[-1].copy()
-        vxx = derivs.hxx[-1].copy()
-        d1 = d2 = grad_inf = 0.0
-        failed = False
-        for t in range(M - 1, -1, -1):
-            qx = derivs.gx[t] + vx
-            qu = derivs.gu[t] + dt * vx
-            qxx = derivs.hxx[t] + vxx
-            qux = dt * vxx
-            quu = derivs.huu[t] + dt * dt * vxx + reg * eye
-            held = [
-                (us[t, i] >= problem.u_upper[i] and qu[i] < 0.0) or (us[t, i] <= problem.u_lower[i] and qu[i] > 0.0)
-                for i in range(n)
-            ]
-            free = [i for i in range(n) if not held[i]]
-            if free:
-                quu_ff = quu[np.ix_(free, free)]
-                try:
-                    chol = np.linalg.cholesky(0.5 * (quu_ff + quu_ff.T))
-                except np.linalg.LinAlgError:
-                    failed = True
-                    break
-                rhs = np.column_stack([qu[free], qux[free]])
-                sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-                k[t, free] = -sol[:, 0]
-                K[t, free] = -sol[:, 1:]
-                grad_inf = max(grad_inf, float(np.max(np.abs(qu[free]))))
-            d1 += float(qu @ k[t])
-            d2 += float(k[t] @ quu @ k[t])
-            vx = qx + K[t].T @ quu @ k[t] + K[t].T @ qu + qux.T @ k[t]
-            vxx = qxx + K[t].T @ quu @ K[t] + K[t].T @ qux + qux.T @ K[t]
-            vxx = 0.5 * (vxx + vxx.T)
-        if not failed:
-            return k, K, max(0.0, -(d1 + 0.5 * d2)), grad_inf, reg
-        reg = _REG_MIN if reg == 0.0 else reg * 10.0
-        if reg > reg_cap:
-            raise ValueError("regularization exceeded its cap")
+    k = np.zeros((M, n))
+    K = np.zeros((M, n, n))
+    vx = derivs.gx[-1].copy()
+    vxx = derivs.hxx[-1].copy()
+    d1 = d2 = grad_inf = 0.0
+    for t in range(M - 1, -1, -1):
+        qx = derivs.gx[t] + vx
+        qu = derivs.gu[t] + dt * vx
+        qxx = derivs.hxx[t] + vxx
+        qux = dt * vxx
+        quu = derivs.huu[t] + dt * dt * vxx + reg * eye
+        held = [
+            (us[t, i] >= problem.u_upper[i] and qu[i] < 0.0) or (us[t, i] <= problem.u_lower[i] and qu[i] > 0.0)
+            for i in range(n)
+        ]
+        free = [i for i in range(n) if not held[i]]
+        if free:
+            quu_ff = quu[np.ix_(free, free)]
+            chol = np.linalg.cholesky(0.5 * (quu_ff + quu_ff.T))
+            rhs = np.column_stack([qu[free], qux[free]])
+            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            k[t, free] = -sol[:, 0]
+            K[t, free] = -sol[:, 1:]
+            grad_inf = max(grad_inf, float(np.max(np.abs(qu[free]))))
+        d1 += float(qu @ k[t])
+        d2 += float(k[t] @ quu @ k[t])
+        vx = qx + K[t].T @ quu @ k[t] + K[t].T @ qu + qux.T @ k[t]
+        vxx = qxx + K[t].T @ quu @ K[t] + K[t].T @ qux + qux.T @ K[t]
+        vxx = 0.5 * (vxx + vxx.T)
+    return k, K, max(0.0, -(d1 + 0.5 * d2)), grad_inf
 
 
 # ---------------------------------------------------------------------------

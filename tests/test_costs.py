@@ -15,7 +15,7 @@ from anticip_mpc import (
     default_robot_model,
     synthesize_reach,
 )
-from anticip_mpc.costs import DIST_EPS
+from anticip_mpc.costs import DIST_EPS, HESS_FLOOR
 from anticip_mpc.kinematics import fk_batch, position_jacobians
 from anticip_mpc.prediction import _EIG_FLOOR
 
@@ -339,6 +339,26 @@ class TestBatchedEvaluator:
             res = total_knot_cost(seven_dof, qs[i], None, ctx)
             np.testing.assert_allclose(gx[i], res.grad_x, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(hxx[i], res.hess_xx, rtol=1e-9, atol=1e-12)
+
+    def test_curvature_meets_the_solver_precondition(self, seven_dof):
+        # the backward pass does not repair Q_uu: the control curvature must be
+        # positive definite and the state curvature positive semidefinite.
+        # eigvalsh is backward stable, so a computed eigenvalue may fall short
+        # of the exact one by a small multiple of n * eps * ||H||_2
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        for i in range(12):
+            if i % 4 == 0:
+                weights = CostWeights()
+            else:
+                weights = CostWeights(*rng.uniform(0.0, 2.0, 6) * (rng.uniform(size=6) < 0.6))
+            qs = rng.uniform(-1.2, 1.2, (5, 7))
+            ev = KnotCostEvaluator(*stack_contexts(random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)))
+            _, huu = ev.control_derivatives(rng.uniform(-1, 1, (4, 7)))
+            assert np.array_equal(huu, np.tile((2.0 * weights.w_smooth + HESS_FLOOR) * np.eye(7), (4, 1, 1)))
+            _, hxx = ev.state_derivatives(qs)
+            tol = 10 * 7 * eps * np.linalg.norm(hxx, 2, axis=(1, 2))
+            assert np.all(np.linalg.eigvalsh(hxx)[:, 0] >= HESS_FLOOR - tol)
 
     @pytest.mark.parametrize("n_human", [1, 5, 17])
     def test_derivatives_match_per_term_reference(self, seven_dof, n_human):

@@ -15,6 +15,7 @@ from anticip_mpc import (
     rollout,
     solve,
 )
+from anticip_mpc.costs import HESS_FLOOR
 import anticip_mpc.solver as solver_module
 from anticip_mpc.solver import (
     BackwardPassResult,
@@ -146,7 +147,7 @@ class TestRiccatiOracle:
             n_knots=n_knots,
             dt=0.25,
             x0=np.zeros(n),
-            cost=QuadraticCost(Q=np.zeros((n, n)), R=np.zeros((n, n)), x_ref=np.zeros(n)),
+            cost=QuadraticCost(Q=np.zeros((n, n)), R=HESS_FLOOR * np.eye(n), x_ref=np.zeros(n)),
             u_lower=-np.ones(n),
             u_upper=np.ones(n),
         )
@@ -167,12 +168,12 @@ class TestRiccatiOracle:
 
 class TestRiccatiFullForm:
     @staticmethod
-    def assert_matches_full_form(problem, xs, us):
-        """The solver's backward pass against the full-form oracle; returns the
-        number of held controls (zero rows of k and K)."""
+    def assert_matches_full_form(problem, xs, us, reg=0.0):
+        """The solver's backward pass at the shift reg against the full-form
+        oracle; returns the number of held controls (zero rows of k and K)."""
         derivs = _assemble_derivs(problem, xs, us)
-        bp = backward_pass(problem, derivs)
-        k, K, decrease, grad_inf, reg = backward_pass_full_form(problem, derivs, us)
+        bp = backward_pass(problem, derivs, reg=reg)
+        k, K, decrease, grad_inf = backward_pass_full_form(problem, derivs, us, reg=reg)
         assert bp.reg_used == reg
         for got, ref in ((bp.k, k), (bp.K, K)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
@@ -212,49 +213,19 @@ class TestRiccatiFullForm:
         assert bp.grad_inf == 0.0 and bp.expected_decrease == 0.0
         assert self.assert_matches_full_form(problem, xs, us) == n_knots - 1
 
-    def test_matches_full_form_with_an_indefinite_interior_knot(self):
-        # negative control curvature at knot 2 of 5 only: the sweep passes
-        # knots 4 and 3, fails at 2 and runs on through 1 and 0 before the
-        # one positive-definiteness test of the sweep rejects it
-        class IndefiniteAtKnot2(QuadraticCost):
-            def control_derivatives(self, us):
-                gu, huu = super().control_derivatives(us)
-                huu[2] = -2.0 * np.eye(us.shape[1])
-                return gu, huu
-
-        n = 2
-        problem = TrajectoryProblem(
-            n_knots=6,
-            dt=0.1,
-            x0=np.zeros(n),
-            cost=IndefiniteAtKnot2(Q=np.eye(n), R=0.5 * np.eye(n), x_ref=np.ones(n)),
-            u_lower=-10.0 * np.ones(n),
-            u_upper=10.0 * np.ones(n),
-        )
-        us = np.zeros((5, n))
-        xs = rollout(problem, us)
-        assert backward(problem, xs, us).reg_used > 2.0
-        self.assert_matches_full_form(problem, xs, us)
-
     def test_matches_full_form_with_regularization(self):
-        # the negative-R problem of TestRegularizationCap: Q_uu needs a shift above 2
-        n = 2
-        problem = TrajectoryProblem(
-            n_knots=5,
-            dt=0.1,
-            x0=np.zeros(n),
-            cost=QuadraticCost(Q=np.eye(n), R=-np.eye(n), x_ref=np.ones(n)),
-            u_lower=-10.0 * np.ones(n),
-            u_upper=10.0 * np.ones(n),
-        )
-        us = np.zeros((4, n))
-        assert backward(problem, rollout(problem, us), us).reg_used > 0.0
-        self.assert_matches_full_form(problem, rollout(problem, us), us)
+        # the shift solve's damping sets after a short step
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            problem, _ = quadratic_problem(rng, bounds=1.0)
+            us = np.clip(rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims)), -1.0, 1.0)
+            xs = rollout(problem, us)
+            self.assert_matches_full_form(problem, xs, us, reg=1e-3)
+            assert not np.array_equal(backward(problem, xs, us, reg=1e-3).K, backward(problem, xs, us).K)
 
-    def test_matches_full_form_with_a_singular_last_knot(self):
+    def test_a_singular_last_knot_raises(self):
         # no curvature anywhere, so Q_uu = 0 at the last knot: its solve gives
-        # NaN gains without an error or a warning, and the once-per-sweep test
-        # rejects them like an indefinite block, so the shift stops at _REG_MIN
+        # NaN gains without an error or a warning, and the sweep names them
         class ZeroCurvature(QuadraticCost):
             def state_derivatives(self, xs):
                 gx, hxx = super().state_derivatives(xs)
@@ -274,13 +245,12 @@ class TestRiccatiFullForm:
             u_upper=10.0 * np.ones(n),
         )
         us = np.zeros((4, n))
-        xs = rollout(problem, us)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bp = backward(problem, xs, us)
-        assert bp.reg_used == 1e-6 == solver_module._REG_MIN
-        assert np.all(np.isfinite(bp.K)) and np.any(bp.k)
-        self.assert_matches_full_form(problem, xs, us)
+            with pytest.raises(SolverError, match="backward pass"):
+                backward(problem, rollout(problem, us), us)
+            with pytest.raises(SolverError, match="backward pass"):
+                solve_default(problem)
 
 
 class TestLapackSolve:
@@ -367,13 +337,25 @@ def seven_dof_problem(rng, model, weights, n_knots=6):
     return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
 
 
+def default_scenario(model):
+    data = default_scenario_dict(seed=0)
+    data["robot_model"] = model_to_dict(model)
+    return scenario_from_dict(data, Path("."))
+
+
+def default_first_solve(model):
+    """The default scenario's first replan: its problem and linear warm start."""
+    scenario = default_scenario(model)
+    n_knots = scenario.mpc.horizon_knots
+    problem = build_problem(scenario, 0.0, n_knots, scenario.start_q)
+    return problem, linear_warm_start(scenario.start_q, scenario.goal_q, n_knots - 1, scenario.mpc.dt)
+
+
 def default_task_problem(model):
     """The generated default task as one 21-knot problem from its start
     state; from zero controls, its line searches often find no step in the
     first stage."""
-    data = default_scenario_dict(seed=0)
-    data["robot_model"] = model_to_dict(model)
-    scenario = scenario_from_dict(data, Path("."))
+    scenario = default_scenario(model)
     return build_problem(scenario, 0.0, 21, scenario.start_q)
 
 
@@ -638,13 +620,13 @@ class TestSolve:
         assert r1.iterations == r2.iterations
 
     def test_clamped_into_bounds(self):
-        # the warm start leaves the box on both sides; the zero-cost solve
-        # returns it clipped
+        # the warm start leaves the box on both sides; the solve of a cost with
+        # only the package's control floor returns it clipped
         problem = TrajectoryProblem(
             n_knots=4,
             dt=0.25,
             x0=np.zeros(1),
-            cost=QuadraticCost(Q=np.zeros((1, 1)), R=np.zeros((1, 1)), x_ref=np.zeros(1)),
+            cost=QuadraticCost(Q=np.zeros((1, 1)), R=HESS_FLOOR * np.eye(1), x_ref=np.zeros(1)),
             u_lower=np.array([-2.0]),
             u_upper=np.array([2.0]),
         )
@@ -684,30 +666,10 @@ class TestSolve:
 
 
 class TestRegularizationCap:
-    def test_configured_cap_stops_the_backward_pass(self, monkeypatch):
-        # negative control weight: Q_uu factorizes only with a shift above 2
-        n = 2
-        problem = TrajectoryProblem(
-            n_knots=5,
-            dt=0.1,
-            x0=np.zeros(n),
-            cost=QuadraticCost(Q=np.eye(n), R=-np.eye(n), x_ref=np.ones(n)),
-            u_lower=-10.0 * np.ones(n),
-            u_upper=10.0 * np.ones(n),
-        )
-        us = np.zeros((4, n))
-        xs = rollout(problem, us)
-        assert backward(problem, xs, us).reg_used > 2.0  # the default cap allows the shift
-        monkeypatch.setattr(solver_module, "_REG_CAP", 1e-7)
-        with pytest.raises(SolverError, match="backward pass"):
-            backward(problem, xs, us)
-        with pytest.raises(SolverError, match="backward pass"):
-            solve_default(problem)
-
     def test_deep_backtracking_bump_respects_the_cap(self, monkeypatch):
         # the reported state curvature is 1000x too small, so each Newton step
-        # overshoots and the line search accepts only alpha <= 2^-9; every
-        # backward pass factorizes without a shift
+        # overshoots and the line search accepts only alpha <= 2^-9, so only
+        # the damping after those short steps raises the shift
         class Underestimated(QuadraticCost):
             def state_derivatives(self, xs):
                 gx, hxx = super().state_derivatives(xs)
@@ -726,27 +688,10 @@ class TestRegularizationCap:
         # the first accepted step needs a bump past the cap: the solve keeps that step
         self.assert_keeps_first_step(problem, solve_default(problem), iterations=1)
 
-    def test_a_later_backward_pass_at_the_cap_keeps_the_accepted_step(self, monkeypatch):
-        # doubled state curvature stops the first step halfway to the optimum;
-        # once the controls move, their curvature turns negative and the second
-        # backward pass needs a shift
-        class TurnsIndefinite(QuadraticCost):
-            def state_derivatives(self, xs):
-                gx, hxx = super().state_derivatives(xs)
-                return gx, 2.0 * hxx
-
-            def control_derivatives(self, us):
-                gu, huu = super().control_derivatives(us)
-                return gu, (-1.0 if np.any(us != 0.0) else 1.0) * huu
-
-        problem = self.two_dims(TurnsIndefinite(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
-        assert backward(problem, *self.first_step(problem)[:2]).reg_used > 0.0  # the cap is what stops it
-        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)
-        self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
-
     def test_a_stalled_line_search_at_the_cap_keeps_the_accepted_step(self, monkeypatch):
-        # as above, but once the iterate moves its reported gradient turns
-        # round, so every step of the second line search climbs
+        # doubled state curvature stops the first step halfway to the optimum;
+        # once the iterate moves its reported gradient turns round, so every
+        # step of the second line search climbs
         class TurnsRound(QuadraticCost):
             def state_derivatives(self, xs):
                 gx, hxx = super().state_derivatives(xs)
@@ -789,6 +734,46 @@ class TestRegularizationCap:
         assert_dynamically_feasible(problem, result)
         us0 = np.zeros_like(us)
         assert cost < problem.cost.value(rollout(problem, us0), us0)
+
+
+class TestNonFiniteCurvature:
+    """A NaN entry of the cost's state curvature gives the next backward pass
+    non-finite gains, which end the default scenario's first solve at once."""
+
+    @staticmethod
+    def nan_curvature_at(monkeypatch, iterate):
+        """Sets one last-knot hxx entry to NaN in the derivatives the solve
+        assembles at its iterate-th iterate, 0 being the warm start."""
+        assemble, calls = solver_module._assemble_derivs, []
+
+        def with_nan(problem, xs, us):
+            derivs = assemble(problem, xs, us)
+            if len(calls) == iterate:
+                derivs.hxx[-1, 0, 0] = np.nan
+            calls.append(None)
+            return derivs
+
+        monkeypatch.setattr(solver_module, "_assemble_derivs", with_nan)
+
+    def test_at_the_warm_start_raises(self, seven_dof, monkeypatch):
+        problem, warm = default_first_solve(seven_dof)
+        self.nan_curvature_at(monkeypatch, 0)
+        with pytest.raises(SolverError, match="backward pass: non-finite gains"):
+            solve(problem, warm)
+
+    def test_at_the_second_iterate_keeps_the_accepted_step(self, seven_dof, monkeypatch):
+        problem, warm = default_first_solve(seven_dof)
+        us = np.clip(warm, problem.u_lower, problem.u_upper)
+        xs = rollout(problem, us)
+        step = forward(problem, xs, us, backward(problem, xs, us))
+        assert step.accepted
+        self.nan_curvature_at(monkeypatch, 1)
+        result = solve(problem, warm)
+        assert not result.converged and result.iterations == 2
+        np.testing.assert_array_equal(result.controls, step.controls)
+        np.testing.assert_array_equal(result.states, step.states)
+        assert result.total_cost == step.cost
+        assert np.isfinite(result.grad_inf)
 
 
 class TestNextReg:
