@@ -5,22 +5,27 @@ Mahalanobis distance), end-effector visibility (gaze angle over head
 uncertainty), motion legibility (goal-inference probability), deviation from
 a nominal end-effector path, control smoothness, and goal-pose error.
 :class:`KnotCostEvaluator` evaluates them over whole trajectories with
-batched kinematics, with gradients and positive-semidefinite Gauss-Newton
-curvature blocks per knot that reach joint space through one product with the
-frame Jacobians: positional ones, and the end effector's angular one. Its
-inputs come in two kinds: one :class:`CostTask` for what the task fixes (robot,
-weights, gaze target, legibility goals and start, goal pose and head index),
-built once with the constants derived from it, and per-knot arrays for what
-each horizon slices (the human prediction and the nominal path). From these
-each evaluator builds its constants once: the inverse covariances, the head
-spread, the gaze rays, and per knot and human joint the 4x4 form Q with
+batched kinematics. Apart from separation and smoothness, every term is a row
+of one stack of scalars of the end-effector pose: gaze angle / sigma_head,
+1 - p(goal), ||p - nominal||, ||p - goal|| and the orientation error, scored
+with one product with the task's row weights. Their derivatives are one stack
+of unit-weight gradients, and each row's Gauss-Newton curvature is one scale.
+Every term's gradient and positive-semidefinite curvature reach joint space
+through one product with the frame Jacobians: positional ones, and the end
+effector's angular one. Its inputs come in two kinds: one :class:`CostTask`
+for what the task fixes (robot, weights, gaze target, legibility goals and
+start, goal pose and head index), built once with the constants derived from
+it, and per-knot arrays for what each horizon slices (the human prediction and
+the nominal path). From these each evaluator builds its constants once: the
+inverse covariances, the head spread, the gaze rays, the norm rows' targets,
+and per knot and human joint the 4x4 form Q with
 (p - mu)^T S^-1 (p - mu) = [p; 1]^T Q [p; 1], so one matrix product scores
 every tracked frame's separation from every joint. ``value`` keeps its
-stack's term record (FK and each term's intermediates), from which the line
-search's accepted candidate gets its derivatives. The scalar per-knot forms of
-the same terms, which the test suite checks the evaluator against, live in
-``tests/oracles.py``. The planning loop and the metrics measure with this
-module's goal errors, gaze rays and goal inference.
+stack's term record (FK, the row stack and the terms' intermediates), from
+which the line search's accepted candidate gets its derivatives. The scalar
+per-knot forms of the same terms, which the test suite checks the evaluator
+against, live in ``tests/oracles.py``. The planning loop and the metrics
+measure with this module's goal errors, gaze rays and goal inference.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ Array = np.ndarray
 
 DIST_EPS = 1e-6  # Mahalanobis denominator regularizer; the raw formula is singular at contact
 HESS_FLOOR = 1e-8
-_CURV_GUARD = 1e-3  # scale guard when curvature is a gradient outer product
+_CURV_GUARD = 1e-3  # floor of a row's value in its curvature scale, which keeps the curvature bounded
 _TINY = 1e-12
+# curvature scale of each end-effector row along its gradient, in units of w_k / max(c_k, _CURV_GUARD):
+# 1/2 for the Gauss-Newton rank-one rows (gaze, legibility, orientation), -1 for the norms (nominal,
+# goal position), whose isotropic w_k / max(c_k, _CURV_GUARD) I is added apart
+_ROW_CURV = np.array([0.5, 0.5, -1.0, -1.0, 0.5])
 _EYE3 = np.eye(3)
 GAZE_FLOOR = 1e-9  # a head-centred ray shorter than this has no direction
 
@@ -103,7 +112,7 @@ class CostTask:
         if len(goals) < 1 or goals.shape[1:] != (3,):
             raise InvalidInputError(f"legibility goals must be a nonempty (G, 3) array, got shape {goals.shape}")
         goal_index = integer(self.goal_index, "legibility goal_index", 0, len(goals) - 1)
-        model, w_smooth = self.model, self.weights.w_smooth
+        model, w = self.model, self.weights
         tracked, eef = model.tracked_frames, model.eef_frame  # a tuple of ints, an int
         # one Jacobian per distinct frame: the tracked frames, then the end
         # effector unless it is tracked too
@@ -114,7 +123,8 @@ class CostTask:
             self, gaze=float_array(self.gaze, "gaze", (3,)), leg_start=start, goals=goals, goal_index=goal_index,
             head_index=integer(self.head_index, "head_index", 0), leg_slopes=leg_slopes, leg_offsets=leg_offsets,
             tracked=np.array(tracked), jframes=np.array(jframes), eef_row=jframes.index(eef),
-            hess_floor=HESS_FLOOR * eye, huu=(2.0 * w_smooth + HESS_FLOOR) * eye,
+            hess_floor=HESS_FLOOR * eye, huu=(2.0 * w.w_smooth + HESS_FLOOR) * eye,
+            row_weights=np.array([w.w_vis, w.w_leg, w.w_nom, w.w_goal, w.w_goal]),
         )
 
     def goal_probs(self, p_eef: Array) -> Array:
@@ -129,7 +139,7 @@ class KnotCostEvaluator:
 
     def __init__(self, task: CostTask, means: Array, covs: Array, nominal: Array):
         self.task = task
-        self.mu, self.nominal = means, nominal
+        self.mu, self.nominal, self.head = means, nominal, means[:, task.head_index]
         inv = np.linalg.inv(covs)
         self.cov_inv = 0.5 * (inv + inv.swapaxes(-1, -2))  # exactly symmetric, as Q below must be
         # Q = [[S^-1, -S^-1 mu], [-mu^T S^-1, mu^T S^-1 mu]] per knot and joint, kept (N, 16, H) for (u u^T) @ Q
@@ -137,8 +147,10 @@ class KnotCostEvaluator:
         quad = np.block([[self.cov_inv, -s_mu], [-s_mu.swapaxes(-1, -2), means[..., None, :] @ s_mu]])
         self.quad = np.ascontiguousarray(quad.reshape(*means.shape[:2], 16).transpose(0, 2, 1))
         self.sigma_head = np.sqrt(np.trace(covs[:, task.head_index], axis1=1, axis2=2) / 3.0)  # (N,)
-        # unit head-to-object gaze rays (N, 3), which only the visibility term reads
-        self.gaze_hat = gaze_directions(task.gaze, means[:, task.head_index]) if task.weights.w_vis > 0 else None
+        self.gaze_hat = gaze_directions(task.gaze, self.head)  # unit head-to-object rays (N, 3)
+        # the norm rows' targets (N, 2, 3): the nominal point, then the goal position
+        self.targets = np.empty((len(nominal), 2, 3))
+        self.targets[:, 0], self.targets[:, 1] = nominal, task.goal.position
         # Q's first three columns (N, 4, 3H): u^T of them is (S^-1 (p - mu))^T, the separation gradient's factor
         self.quad_cols = self.quad.reshape(len(means), 4, 4, -1)[:, :, :3].reshape(len(means), 4, -1)
         self._kept = None  # the term record of the last value call
@@ -147,27 +159,25 @@ class KnotCostEvaluator:
 
     def _terms(self, xs: Array) -> SimpleNamespace:
         """The term record of trajectories xs (..., N, n), flattened to C: the rows (C, N, n), their
-        batched FK (frame positions, world joint axes, end-effector rotations) and, for each weighted
-        term, the intermediates that value and state_derivatives both read, each (C, N, ...)."""
-        task, w = self.task, self.task.weights
+        batched FK (frame positions, world joint axes, end-effector rotations), the end-effector row
+        stack (C, N, 5) and the intermediates that value and state_derivatives both read, each (C, N, ...)."""
+        task = self.task
         N, n = xs.shape[-2:]
         fk = fk_batch(task.model, xs.reshape(-1, n))
         t = SimpleNamespace(xs=xs.reshape(-1, N, n), positions=fk.positions.reshape(-1, N, n + 1, 3))
         t.axes, t.rotations = fk.joint_axes_world.reshape(-1, N, n, 3), fk.eef_rotations.reshape(-1, N, 3, 3)
         p_eef = t.positions[..., task.model.eef_frame, :]
-        if w.w_dist > 0:
+        if task.weights.w_dist > 0:
             m, t.u = self._mahalanobis(t.positions)  # (C, N, R, H), (C, N, R, 4)
             t.denom = m + DIST_EPS
-        if w.w_vis > 0:
-            t.bhat, t.cos, t.nb = gaze_cosines(self.gaze_hat, self.mu[:, task.head_index], p_eef)
-            t.theta = np.arccos(t.cos)
-        if w.w_leg > 0:
-            t.probs = task.goal_probs(p_eef)
-        if w.w_nom > 0:
-            t.r_nom = p_eef - self.nominal
-            t.n_nom = _norms(t.r_nom)
-        if w.w_goal > 0:
-            t.n_goal, t.orient = task.goal.errors(p_eef, t.rotations)
+        t.bhat, t.cos, t.nb = gaze_cosines(self.gaze_hat, self.head, p_eef)
+        t.probs = task.goal_probs(p_eef)
+        # gaze angle / sigma_head, 1 - p(goal), ||p - nominal||, then the goal errors ||p - goal|| and orientation
+        t.rows = np.empty(t.cos.shape + (5,))
+        t.rows[..., 0] = np.arccos(t.cos) / self.sigma_head
+        t.rows[..., 1] = 1.0 - t.probs[..., task.goal_index]
+        t.rows[..., 2] = _norms(p_eef - self.nominal)
+        t.rows[..., 3], t.rows[..., 4] = task.goal.errors(p_eef, t.rotations)
         return t
 
     def _mahalanobis(self, positions: Array) -> tuple[Array, Array]:
@@ -188,17 +198,9 @@ class KnotCostEvaluator:
         xs = np.array(xs, dtype=float)  # a copy, so the kept rows cannot change
         t = self._kept = self._terms(xs)
         w = self.task.weights
-        vals = np.zeros(t.xs.shape[:-1])  # (C, N) knot costs
+        vals = t.rows @ self.task.row_weights  # (C, N) knot costs
         if w.w_dist > 0:
             vals += w.w_dist * (1.0 / t.denom).sum(axis=(-2, -1))
-        if w.w_vis > 0:
-            vals += w.w_vis * t.theta / self.sigma_head
-        if w.w_leg > 0:
-            vals += w.w_leg * (1.0 - t.probs[..., self.task.goal_index])
-        if w.w_nom > 0:
-            vals += w.w_nom * t.n_nom
-        if w.w_goal > 0:
-            vals += w.w_goal * (t.n_goal + t.orient)
         total = vals.sum(axis=-1).reshape(xs.shape[:-2])[()]
         if us is not None and w.w_smooth > 0:
             total = total + w.w_smooth * (us * us).sum(axis=(-2, -1))
@@ -212,10 +214,15 @@ class KnotCostEvaluator:
         Its term record is the kept stack's entries for the trajectory holding
         the same values (the line search's accepted candidate), else one of its
         own. Every term adds its gradient and Gauss-Newton curvature to its row of
-        g (N, F + 1, 3) and P (N, F + 1, 3, 3): a frame's positional row, or for
-        the goal orientation the last row, the end effector's angular one, whose
-        Jacobian has joint j's world axis as column j. One product with the
-        stacked Jacobians then gives sum_f J_f^T g_f and sum_f J_f^T P_f J_f.
+        g (N, F + 1, 3) and P (N, F + 1, 3, 3): separation to the tracked frames'
+        positional rows; the end-effector rows, from one stack V (N, 5, 3) of
+        unit-weight gradients, sum_k w_k V_k and sum_k s_k V_k V_k^T to the end
+        effector's positional row (rows 0-3) or to the last, angular row, whose
+        Jacobian has joint j's world axis as column j (row 4, the orientation).
+        Row k's scale is s_k = w_k / (2 c_k) for the rank-one rows and -w_k / c_k
+        for the norms, whose curvature (I - rhat rhat^T) / c_k also adds
+        w_k / c_k I; c_k is the row's value floored at _CURV_GUARD. One product
+        with the stacked Jacobians then gives sum_f J_f^T g_f and sum_f J_f^T P_f J_f.
         """
         xs = np.asarray(xs, dtype=float)
         N, n = xs.shape
@@ -232,7 +239,6 @@ class KnotCostEvaluator:
 
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
-        g_eef, P_eef = g[:, task.eef_row], P[:, task.eef_row]  # views: the end-effector terms add in place
 
         if w.w_dist > 0:
             R = len(task.tracked)
@@ -248,38 +254,31 @@ class KnotCostEvaluator:
             cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
             P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
-        if w.w_vis > 0:
-            # grad of theta wrt p_eef: -(ahat - cos bhat) / (|b| sin theta); zero at the kink
-            u_perp = self.gaze_hat - t.cos[:, None] * t.bhat
-            sin_theta = _norms(u_perp)
-            ok = sin_theta > 1e-9
-            scale = t.nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
-            g_p = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
-            g_eef += w.w_vis * g_p
-            P_eef += w.w_vis * _gauss_newton(g_p, t.theta / self.sigma_head)
-
-        if w.w_leg > 0:
-            p_r = t.probs[:, task.goal_index]
-            mean_goal = np.einsum("ng,gi->ni", t.probs, task.goals)
-            g_p = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - mean_goal)
-            g_eef += w.w_leg * g_p
-            P_eef += w.w_leg * _gauss_newton(g_p, 1.0 - p_r)
-
-        if w.w_nom > 0:
-            gp, hp = _norm_grad_curv(t.r_nom, t.n_nom)
-            g_eef += w.w_nom * gp
-            P_eef += w.w_nom * hp
-
-        if w.w_goal > 0:
-            gp, hp = _norm_grad_curv(t.positions[:, task.model.eef_frame] - task.goal.position, t.n_goal)
-            g_eef += w.w_goal * gp
-            P_eef += w.w_goal * hp
-            # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
-            # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
-            m = t.rotations @ task.goal.rotation.T
-            s4 = 0.25 * np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
-            g[:, -1] = w.w_goal * s4
-            P[:, -1] = w.w_goal * _gauss_newton(s4, t.orient)
+        # unit-weight gradients V (N, 5, 3) of the end-effector rows: rows 0-3 w.r.t. the end-effector
+        # position, the orientation row w.r.t. the angular row. The gaze angle's is
+        # -(ahat - cos bhat) / (|b| sin theta sigma_head), zero at the kink; a norm's is rhat, zero at 0
+        V = np.empty((N, 5, 3))
+        u_perp = self.gaze_hat - t.cos[:, None] * t.bhat
+        sin_theta = _norms(u_perp)
+        ok = sin_theta > 1e-9
+        scale = t.nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
+        V[:, 0] = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
+        p_r = t.probs[:, task.goal_index]
+        V[:, 1] = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - t.probs @ task.goals)
+        r = t.positions[:, task.model.eef_frame, None] - self.targets  # p - nominal, p - goal (N, 2, 3)
+        nr = t.rows[:, 2:4, None]
+        V[:, 2:4] = np.where(nr > _TINY, r / np.maximum(nr, _TINY), 0.0)
+        # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
+        # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
+        m = t.rotations @ task.goal.rotation.T
+        V[:, 4] = 0.25 * np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+        wr = task.row_weights
+        wc = wr / np.maximum(t.rows, _CURV_GUARD)  # w_k / c_k (N, 5)
+        sV = (wc * _ROW_CURV)[:, :, None] * V
+        g[:, task.eef_row] += wr[:4] @ V[:, :4]
+        P[:, task.eef_row] += V[:, :4].swapaxes(1, 2) @ sV[:, :4] + wc[:, 2:4].sum(axis=1)[:, None, None] * _EYE3
+        g[:, -1] = wr[4] * V[:, 4]
+        P[:, -1] = V[:, 4, :, None] * sV[:, 4, None, :]
 
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
@@ -331,22 +330,3 @@ def _norms(x: Array) -> Array:
     """Euclidean norms along the last axis: np.linalg.norm's own formula for
     real arrays, without its dispatch."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
-def _gauss_newton(grad: Array, value: Array) -> Array:
-    """PSD curvature g g^T / (2 c) of a nonnegative term c with gradient g,
-    batched over rows; c is floored so the curvature stays bounded."""
-    return grad[:, :, None] * grad[:, None, :] / (2.0 * np.maximum(value, _CURV_GUARD))[:, None, None]
-
-
-def _norm_grad_curv(r: Array, nr: Array) -> tuple[Array, Array]:
-    """Gradient and PSD curvature of ||r|| w.r.t. r, batched over rows, from r
-    and its norms nr.
-
-    The exact Hessian (I - rhat rhat^T)/||r|| is already PSD; the norm in the
-    denominator is floored to keep curvature bounded near zero."""
-    safe = np.maximum(nr, _TINY)
-    rhat = r / safe[:, None]
-    g = np.where(nr[:, None] > _TINY, rhat, 0.0)
-    hp = (_EYE3 - rhat[:, :, None] * rhat[:, None, :]) / np.maximum(nr, _CURV_GUARD)[:, None, None]
-    return g, hp

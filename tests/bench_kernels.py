@@ -71,13 +71,13 @@ def _first_stage(xs, us):
     return xs[None] * (1.0 + 0.01 * steps), us[None] * (1.0 + steps)
 
 
-@pytest.mark.parametrize("horizon", ["reference", "fullbody"])
+@pytest.mark.parametrize("horizon", ["reference", "oneshot", "fullbody"])
 def test_value(benchmark, horizon, request):
     problem, xs, us = request.getfixturevalue(horizon)
     benchmark(problem.cost.value, *_first_stage(xs, us))
 
 
-@pytest.mark.parametrize("horizon", ["reference", "fullbody"])
+@pytest.mark.parametrize("horizon", ["reference", "oneshot", "fullbody"])
 def test_state_derivatives(benchmark, horizon, request):
     """The hit path of a one-trajectory stack: derivatives read the term
     record that scoring the same trajectory kept, as at a solve's warm start."""

@@ -1,7 +1,9 @@
 """Plan digests: one SHA-256 per benchmark workload over every replan's plan.
 
 A change meant to leave plans bit-identical shows it here: run this on both
-trees and compare the printed lines.
+trees and compare the printed lines. Beside each digest goes the sum of the
+replans' total costs to 12 significant digits, which shows how far a change
+that moves plans at rounding level moved them.
 
     python3 tests/plan_digest.py --seed 3
 
@@ -26,12 +28,13 @@ ROOT = Path(__file__).resolve().parents[1]
 N_SCENARIOS = 12  # per workload
 
 
-def plan_digest(pkg, workload, seed: int, workdir: Path) -> str:
-    """SHA-256 over every replan of the workload's first N_SCENARIOS scenarios."""
+def plan_digest(pkg, workload, seed: int, workdir: Path) -> tuple[str, float]:
+    """SHA-256 over every replan of the workload's first N_SCENARIOS scenarios,
+    and the sum of those replans' total costs."""
     import numpy as np
     from workloads import scenario_seeds
 
-    digest = hashlib.sha256()
+    digest, total = hashlib.sha256(), 0.0
     inputs = workload.prepare(scenario_seeds(seed, N_SCENARIOS), workdir)
     for scenario in workload.load(pkg, inputs):
         for replan in pkg.mpc.run_mpc(scenario).replans:
@@ -40,7 +43,8 @@ def plan_digest(pkg, workload, seed: int, workdir: Path) -> str:
             digest.update(np.ascontiguousarray(r.controls, dtype=float).tobytes())
             scalars = (r.iterations, float(r.total_cost).hex(), r.converged, float(r.grad_inf).hex())
             digest.update(repr(scalars).encode())
-    return digest.hexdigest()
+            total += float(r.total_cost)
+    return digest.hexdigest(), total
 
 
 def main(argv=None) -> int:
@@ -56,8 +60,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in WORKLOADS.items():
-            digest = plan_digest(anticip_mpc, workload, args.seed, Path(tmp) / name)
-            print(f"{name} seed {args.seed} scenarios {N_SCENARIOS}: {digest}")
+            digest, total = plan_digest(anticip_mpc, workload, args.seed, Path(tmp) / name)
+            print(f"{name} seed {args.seed} scenarios {N_SCENARIOS}: {digest} total_cost {total:.12g}")
     return 0
 
 

@@ -362,13 +362,14 @@ class TestBatchedEvaluator:
 
     @pytest.mark.parametrize("n_human", [1, 5, 17])
     def test_derivatives_match_per_term_reference(self, seven_dof, n_human):
+        # every weight, each one zeroed, and each one alone: every end-effector
+        # row is checked with and without the others
         rng = np.random.default_rng(15 + n_human)
         names = list(CostWeights.__dataclass_fields__)
-        for zeroed in [None] + names:
-            w = dict(zip(names, rng.uniform(0.1, 2.0, 6)))
-            if zeroed is not None:
-                w[zeroed] = 0.0
-            weights = CostWeights(**w)
+        zeroed = [{name: 0.0} for name in names]
+        alone = [{other: 0.0 for other in names if other != name} for name in names]
+        for change in [{}] + zeroed + alone:
+            weights = CostWeights(**(dict(zip(names, rng.uniform(0.1, 2.0, 6))) | change))
             qs = rng.uniform(-1.2, 1.2, (6, 7))
             contexts = random_contexts(rng, seven_dof, qs, weights=weights, n_human=n_human, goal_index=1)
             ev = KnotCostEvaluator(*stack_contexts(contexts))
@@ -376,6 +377,40 @@ class TestBatchedEvaluator:
             gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
             for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("kink", ["nominal", "goal", "gaze"])
+    def test_derivatives_at_the_kinks(self, seven_dof, kink):
+        """At one knot the end effector sits exactly on its nominal point, exactly
+        on the goal pose, or on the head-to-gaze-object ray. The derivatives stay
+        finite and equal the per-term reference, and the kinked row alone adds no
+        gradient at that knot."""
+        rng = np.random.default_rng(21)
+        qs = rng.uniform(-1.2, 1.2, (4, 7))
+        contexts = random_contexts(rng, seven_dof, qs, goal_index=0)
+        k, task = 2, contexts[0].task
+        fk = fk_batch(seven_dof, qs)  # as the evaluator computes it, so the kink is exact
+        p, head = fk.positions[k, seven_dof.eef_frame], contexts[k].human_frame[task.head_index].mean
+        if kink == "nominal":
+            contexts[k] = dataclasses.replace(contexts[k], nominal=p)
+            alone = CostWeights(w_nom=1.0)
+        elif kink == "goal":
+            task = dataclasses.replace(task, goal=GoalSpec(p, fk.eef_quats[k]))
+            alone = CostWeights(w_goal=1.0)
+        else:
+            task = dataclasses.replace(task, gaze=head + 2.0 * (p - head))
+            a, b = task.gaze - head, p - head
+            assert np.linalg.norm(np.cross(a, b)) < 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)  # sin theta
+            alone = CostWeights(w_vis=1.0)
+        for weights in (task.weights, alone):
+            knot_task = dataclasses.replace(task, weights=weights)
+            ev = KnotCostEvaluator(*stack_contexts([dataclasses.replace(c, task=knot_task) for c in contexts]))
+            gx, hxx = ev.state_derivatives(qs)
+            assert np.isfinite(gx).all() and np.isfinite(hxx).all()
+            gx_ref, hxx_ref = state_derivatives_per_term(ev, qs)
+            for got, ref in ((gx, gx_ref), (hxx, hxx_ref)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        # the goal's orientation error is zero there too, so its gradient is rounding
+        np.testing.assert_allclose(gx[k], 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("tracked", [(2, 4, 6), (5, 7, 2)])
     def test_any_tracked_frames(self, seven_dof, tracked):
