@@ -167,9 +167,8 @@ class KnotCostEvaluator:
         t = SimpleNamespace(xs=xs.reshape(-1, N, n), positions=fk.positions.reshape(-1, N, n + 1, 3))
         t.axes, t.rotations = fk.joint_axes_world.reshape(-1, N, n, 3), fk.eef_rotations.reshape(-1, N, 3, 3)
         p_eef = t.positions[..., task.model.eef_frame, :]
-        if task.weights.w_dist > 0:
-            m, t.u = self._mahalanobis(t.positions)  # (C, N, R, H), (C, N, R, 4)
-            t.denom = m + DIST_EPS
+        m, t.u = self._mahalanobis(t.positions)  # (C, N, R, H), (C, N, R, 4)
+        t.denom = m + DIST_EPS
         t.bhat, t.cos, t.nb = gaze_cosines(self.gaze_hat, self.head, p_eef)
         t.probs = task.goal_probs(p_eef)
         # gaze angle / sigma_head, 1 - p(goal), ||p - nominal||, then the goal errors ||p - goal|| and orientation
@@ -199,9 +198,9 @@ class KnotCostEvaluator:
         t = self._kept = self._terms(xs)
         w = self.task.weights
         vals = t.rows @ self.task.row_weights  # (C, N) knot costs
-        if w.w_dist > 0:
-            vals += w.w_dist * (1.0 / t.denom).sum(axis=(-2, -1))
+        vals += w.w_dist * (1.0 / t.denom).sum(axis=(-2, -1))
         total = vals.sum(axis=-1).reshape(xs.shape[:-2])[()]
+        # gated, not scaled: a zero weight times an overflowed control's inf square would be NaN
         if us is not None and w.w_smooth > 0:
             total = total + w.w_smooth * (us * us).sum(axis=(-2, -1))
         return total
@@ -240,19 +239,18 @@ class KnotCostEvaluator:
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
 
-        if w.w_dist > 0:
-            R = len(task.tracked)
-            # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
-            sd = (t.u @ self.quad_cols).reshape(N, R, 3, -1)
-            c2 = 2.0 / t.denom**2
-            g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
-            # curvature with the sign of the off-axis part flipped positive:
-            # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
-            # magnitude of both pieces stops line-search overshoot against the
-            # proximity barrier, which otherwise stalls the inner loop
-            outer = sd @ ((8.0 / t.denom**3)[..., None] * sd.swapaxes(2, 3))
-            cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
-            P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
+        R = len(task.tracked)
+        # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
+        sd = (t.u @ self.quad_cols).reshape(N, R, 3, -1)
+        c2 = 2.0 / t.denom**2
+        g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
+        # curvature with the sign of the off-axis part flipped positive:
+        # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
+        # magnitude of both pieces stops line-search overshoot against the
+        # proximity barrier, which otherwise stalls the inner loop
+        outer = sd @ ((8.0 / t.denom**3)[..., None] * sd.swapaxes(2, 3))
+        cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
+        P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
         # unit-weight gradients V (N, 5, 3) of the end-effector rows: rows 0-3 w.r.t. the end-effector
         # position, the orientation row w.r.t. the angular row. The gaze angle's is
@@ -287,9 +285,9 @@ class KnotCostEvaluator:
         return gx, hxx
 
     def control_derivatives(self, us: Array) -> tuple[Array, Array]:
-        """Gradient (M, n) and curvature (M, n, n) of the control cost."""
-        us = np.asarray(us, dtype=float)
-        return 2.0 * self.task.weights.w_smooth * us, np.tile(self.task.huu, (len(us), 1, 1))
+        """Gradient (M, n) of the control cost, and its curvature (n, n), the
+        same at every knot: the task's read-only huu itself."""
+        return 2.0 * self.task.weights.w_smooth * np.asarray(us, dtype=float), self.task.huu
 
 
 def gaze_directions(gaze: Array, head: Array) -> Array:

@@ -72,21 +72,11 @@ class MpcConfig(Fields):
             self._check(name, number, 0, strict=True)
         horizon = _as_steps(self.horizon, self.dt, "horizon")
         replan = _as_steps(self.replan_period, self.dt, "replan_period")
-        _as_steps(self.task_duration, self.dt, "task_duration")
+        task = _as_steps(self.task_duration, self.dt, "task_duration")
         if horizon < replan:  # compared in whole grid steps, as the loop reads them
             raise InvalidInputError("mpc horizon must be at least the replan period")
-
-    @property
-    def horizon_knots(self) -> int:
-        return _as_steps(self.horizon, self.dt, "horizon") + 1
-
-    @property
-    def replan_steps(self) -> int:
-        return _as_steps(self.replan_period, self.dt, "replan_period")
-
-    @property
-    def task_steps(self) -> int:
-        return _as_steps(self.task_duration, self.dt, "task_duration")
+        # the grid counts the loop reads; to_dict emits only the four fields
+        store(self, horizon_knots=horizon + 1, replan_steps=replan, task_steps=task)
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,10 +52,12 @@ class TrajectoryProblem:
 
     The cost has a KnotCostEvaluator's methods; its ``value(xs, us)`` takes
     states (A, N, n) and controls (A, N-1, n) of A candidates to costs (A,),
-    and a single (N, n) and (N-1, n) trajectory to a scalar. Its control
-    curvature huu must be positive definite and its state curvature hxx
-    positive semidefinite, as the package cost's Gauss-Newton model is by
-    construction (CostTask.huu); the backward pass does not repair Q_uu."""
+    and a single (N, n) and (N-1, n) trajectory to a scalar. Its
+    ``control_derivatives(us)`` gives the gradient (N-1, n) and one control
+    curvature huu (n, n), the same at every knot, which must be positive
+    definite; ``state_derivatives(xs)`` gives a positive semidefinite state
+    curvature hxx (N, n, n). The package cost's Gauss-Newton model is both
+    by construction (CostTask.huu); the backward pass does not repair Q_uu."""
 
     n_knots: int
     dt: float
@@ -145,10 +147,10 @@ class ForwardPassResult:
 
 @dataclass
 class _Derivs:
-    gx: Array
-    gu: Array
-    hxx: Array
-    huu: Array
+    gx: Array  # (N, n)
+    gu: Array  # (M, n)
+    hxx: Array  # (N, n, n)
+    huu: Array  # (n, n), the control curvature of every knot
     side: Array  # (M, n) +1 where a control sits on its upper bound, -1 on its lower, else 0
     on_bound: Array  # (M,) some control of the knot sits on a bound
 
@@ -174,11 +176,12 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     derivatives along the current iterate.
 
     One sweep at the Levenberg-Marquardt shift reg that solve's damping,
-    :func:`_next_reg`, sets after short steps; reg_used is reg. Q_uu is
-    positive definite at every knot when the cost meets TrajectoryProblem's
-    precondition, so the sweep neither tests nor repairs it. A singular Q_uu
-    or a non-finite derivative gives non-finite gains, which raise
-    SolverError after the sweep.
+    :func:`_next_reg`, sets after short steps; reg_used is reg. Each knot's
+    Q_uu is the cost's one control curvature, symmetrized and shifted once
+    per call, plus dt^2 V_xx. It is positive definite at every knot when the
+    cost meets TrajectoryProblem's precondition, so the sweep neither tests
+    nor repairs it. A singular Q_uu or a non-finite derivative gives
+    non-finite gains, which raise SolverError after the sweep.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
@@ -199,9 +202,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     # column 0 holds the gradient and columns 1: the curvature, so one solve
     # gives [k | K] and one product updates [v_x | V_xx]
     hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
-    gu = np.zeros((M, n, n + 1))
-    gu[:, :, 0] = derivs.gu
-    huu = 0.5 * (derivs.huu + np.swapaxes(derivs.huu, 1, 2)) + reg * eye
+    huu = 0.5 * (derivs.huu + derivs.huu.T) + reg * eye
 
     on_bound = derivs.on_bound.tolist()
     q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
@@ -215,9 +216,9 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
             # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
             qt = q[t]
             np.multiply(dt, v, out=qt)
-            qt += gu[t]
+            qt[:, 0] += derivs.gu[t]
             np.multiply(dt * dt, v[:, 1:], out=quu)
-            quu += huu[t]
+            quu += huu
             lhs, rhs = quu, qt
             if on_bound[t]:
                 free = derivs.side[t] * qt[:, 0] >= 0.0

@@ -120,6 +120,19 @@ def test_backward_pass(benchmark, horizon, request):
 
 
 @pytest.mark.parametrize("horizon", ["reference", "oneshot"])
+def test_derivatives_and_backward_pass(benchmark, horizon, request):
+    """One iteration's model and gains: the derivatives, which read the term
+    record that scoring the same trajectory kept, then the backward pass."""
+    problem, xs, us = request.getfixturevalue(horizon)
+    problem.cost.value(xs, us)
+
+    def derivatives_and_backward_pass():
+        return backward_pass(problem, _assemble_derivs(problem, xs, us))
+
+    benchmark(derivatives_and_backward_pass)
+
+
+@pytest.mark.parametrize("horizon", ["reference", "oneshot"])
 def test_forward_pass(benchmark, horizon, request):
     problem, xs, us = request.getfixturevalue(horizon)
     gains = backward_pass(problem, _assemble_derivs(problem, xs, us))

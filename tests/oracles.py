@@ -70,8 +70,7 @@ class QuadraticCost:
         return gx, hxx
 
     def control_derivatives(self, us) -> tuple[np.ndarray, np.ndarray]:
-        M = us.shape[0]
-        return 2.0 * us @ self.R, np.tile(2.0 * self.R, (M, 1, 1))
+        return 2.0 * us @ self.R, 2.0 * self.R
 
 
 def lqr_tracking_solution(Q, R, Qf, x_refs, x0, dt):
@@ -410,7 +409,7 @@ def backward_pass_full_form(problem, derivs, us, reg=0.0):
         qu = derivs.gu[t] + dt * vx
         qxx = derivs.hxx[t] + vxx
         qux = dt * vxx
-        quu = derivs.huu[t] + dt * dt * vxx + reg * eye
+        quu = derivs.huu + dt * dt * vxx + reg * eye
         held = [
             (us[t, i] >= problem.u_upper[i] and qu[i] < 0.0) or (us[t, i] <= problem.u_lower[i] and qu[i] > 0.0)
             for i in range(n)

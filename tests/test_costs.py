@@ -355,7 +355,8 @@ class TestBatchedEvaluator:
             qs = rng.uniform(-1.2, 1.2, (5, 7))
             ev = KnotCostEvaluator(*stack_contexts(random_contexts(rng, seven_dof, qs, weights=weights, goal_index=0)))
             _, huu = ev.control_derivatives(rng.uniform(-1, 1, (4, 7)))
-            assert np.array_equal(huu, np.tile((2.0 * weights.w_smooth + HESS_FLOOR) * np.eye(7), (4, 1, 1)))
+            assert huu is ev.task.huu
+            assert huu.shape == (7, 7) and np.array_equal(huu, (2.0 * weights.w_smooth + HESS_FLOOR) * np.eye(7))
             _, hxx = ev.state_derivatives(qs)
             tol = 10 * 7 * eps * np.linalg.norm(hxx, 2, axis=(1, 2))
             assert np.all(np.linalg.eigvalsh(hxx)[:, 0] >= HESS_FLOOR - tol)
