@@ -38,43 +38,29 @@ def quat_to_matrix(q: Array) -> Array:
 
 
 def quat_from_matrix(R: Array) -> Array:
-    """Unit quaternions (w, x, y, z) for a batch of rotation matrices.
+    """Unit quaternions (w, x, y, z) for a batch of rotation matrices, by
+    Shepperd's method (1978).
 
-    Accepts shape (..., 3, 3) and returns (..., 4). The branch with the
-    largest squared component is used for numerical stability; the sign is
-    canonicalized so w >= 0.
+    Accepts shape (..., 3, 3) and returns (..., 4). The symmetric matrix
+    K = 4 q q^T is written from R's entries; its row with the largest
+    diagonal entry, 4 q_i q, is the best-conditioned multiple of q, so it is
+    normalized and its sign canonicalized so w >= 0.
     """
     R = np.asarray(R, dtype=float)
-    r00, r01, r02 = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
-    r10, r11, r12 = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
-    r20, r21, r22 = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
-
-    # 4 * (w^2, x^2, y^2, z^2), clipped so sqrt never sees negatives
-    tw = np.maximum(1.0 + r00 + r11 + r22, 0.0)
-    tx = np.maximum(1.0 + r00 - r11 - r22, 0.0)
-    ty = np.maximum(1.0 - r00 + r11 - r22, 0.0)
-    tz = np.maximum(1.0 - r00 - r11 + r22, 0.0)
-
-    sw = 2.0 * np.sqrt(tw)
-    sx = 2.0 * np.sqrt(tx)
-    sy = 2.0 * np.sqrt(ty)
-    sz = 2.0 * np.sqrt(tz)
-    safe = lambda s: np.where(s > 0, s, 1.0)  # noqa: E731  (dead lanes masked below)
-
-    cand = np.stack(
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.moveaxis(R, (-2, -1), (0, 1))
+    K = np.stack(
         [
-            np.stack([sw / 4, (r21 - r12) / safe(sw), (r02 - r20) / safe(sw), (r10 - r01) / safe(sw)], axis=-1),
-            np.stack([(r21 - r12) / safe(sx), sx / 4, (r01 + r10) / safe(sx), (r02 + r20) / safe(sx)], axis=-1),
-            np.stack([(r02 - r20) / safe(sy), (r01 + r10) / safe(sy), sy / 4, (r12 + r21) / safe(sy)], axis=-1),
-            np.stack([(r10 - r01) / safe(sz), (r02 + r20) / safe(sz), (r12 + r21) / safe(sz), sz / 4], axis=-1),
+            1 + r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01,
+            r21 - r12, 1 + r00 - r11 - r22, r01 + r10, r02 + r20,
+            r02 - r20, r01 + r10, 1 - r00 + r11 - r22, r12 + r21,
+            r10 - r01, r02 + r20, r12 + r21, 1 - r00 - r11 + r22,
         ],
-        axis=-2,
-    )  # (..., 4 branches, 4)
-    branch = np.argmax(np.stack([tw, tx, ty, tz], axis=-1), axis=-1)
-    q = np.take_along_axis(cand, branch[..., None, None], axis=-2)[..., 0, :]
+        axis=-1,
+    ).reshape(r00.shape + (4, 4))
+    row = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, row[..., None, None], axis=-2)[..., 0, :]
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    q = np.where(q[..., :1] < 0, -q, q)
-    return q
+    return np.where(q[..., :1] < 0, -q, q)
 
 
 # ---------------------------------------------------------------------------

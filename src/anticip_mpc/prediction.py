@@ -112,7 +112,7 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
     overruns use a fractional exponent); an inflation that overflows is
     rejected.
     """
-    if n_knots < 1 or dt <= 0:
+    if n_knots < 1 or not 0 < dt < np.inf:
         raise InvalidInputError("n_knots must be >= 1 and dt > 0")
     rel0 = (t_start - pred.t0) / pred.dt
     if not rel0 >= -FRAME_TOL:

@@ -37,7 +37,7 @@ from anticip_mpc.costs import (
 from anticip_mpc.errors import InvalidInputError
 from anticip_mpc.kinematics import RobotModel, fk_batch, position_jacobians, quat_to_matrix
 from anticip_mpc.prediction import _EIG_FLOOR, HumanPrediction
-from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, ForwardPassResult
+from anticip_mpc.solver import _ARMIJO, _N_ALPHAS, ForwardPassResult, rollout
 
 
 @dataclass
@@ -245,6 +245,16 @@ def slice_horizon_loop(pred, t_start, n_knots, dt, hold_growth=1.5):
             out_means[k] = pred.means[-1]
             out_covs[k] = pred.covs[-1] * hold_growth ** (s - (T - 1))
     return out_means, out_covs
+
+
+def adjoint_gradient(problem, us):
+    """Gradient (N-1, n) of the trajectory cost in the controls, by the adjoint
+    of x_{t+1} = x_t + u_t dt: gu_t + dt * sum_{s > t} gx_s, from the cost's
+    own state and control derivatives (x_0 is fixed, so gx_0 drops out)."""
+    us = np.asarray(us, dtype=float)
+    gx, _ = problem.cost.state_derivatives(rollout(problem, us))
+    gu, _ = problem.cost.control_derivatives(us)
+    return gu + problem.dt * np.cumsum(gx[:0:-1], axis=0)[::-1]
 
 
 def line_search_loop(problem, states, controls, gains, incumbent_cost):

@@ -175,11 +175,27 @@ class TestQuaternions:
         np.testing.assert_allclose(quat_from_matrix(R), q, atol=1e-12)
 
     def test_near_pi_rotations(self):
-        # trace-dominant branch degrades near 180 degrees; other branches take over
+        # the trace-dominant w row of K degrades near 180 degrees; another row takes over
         for axis in np.eye(3):
             R = quat_to_matrix([np.cos(np.pi / 2 - 1e-8), *(np.sin(np.pi / 2 - 1e-8) * axis)])
             q = quat_from_matrix(R)
             np.testing.assert_allclose(quat_to_matrix(q), R, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "axis", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [0.3, -0.5, 0.8], None],
+        ids=["x", "y", "z", "diagonal", "oblique", "identity"],
+    )
+    def test_exact_half_turns(self, axis):
+        # a half-turn has w = 0 exactly, so q comes from one of K's x, y, z rows
+        if axis is None:
+            R = np.eye(3)
+        else:
+            a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+            R = 2 * np.outer(a, a) - np.eye(3)  # Rodrigues at pi
+        q = quat_from_matrix(R)
+        assert abs(np.linalg.norm(q) - 1) < 1e-15
+        assert q[0] >= 0
+        np.testing.assert_allclose(quat_to_matrix(q), R, rtol=0, atol=1e-15)
 
 
 class TestModelValidation:

@@ -270,7 +270,11 @@ class TestSliceHorizon:
         with pytest.raises(InvalidInputError):
             slice_horizon(pred, pred.t0 - 0.1, 3, pred.dt)
 
-    @pytest.mark.parametrize("n_knots, dt", [(0, 0.25), (3, 0.0)], ids=["n_knots", "dt"])
+    @pytest.mark.parametrize(
+        "n_knots, dt",
+        [(0, 0.25), (3, 0.0), (3, -0.25), (3, float("nan")), (3, float("inf"))],
+        ids=["n_knots", "dt", "negative_dt", "nan_dt", "inf_dt"],
+    )
     def test_bad_knot_grid_rejected(self, n_knots, dt):
         with pytest.raises(InvalidInputError, match="n_knots must be >= 1 and dt > 0"):
             slice_horizon(make_prediction(), 0.0, n_knots, dt)

@@ -29,6 +29,7 @@ from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
 from conftest import backward, forward, problem_from_contexts, random_contexts, solve_default
 from oracles import (
     QuadraticCost,
+    adjoint_gradient,
     backward_pass_full_form,
     dense_qp_solution,
     forward_pass_one_call,
@@ -337,8 +338,8 @@ def seven_dof_problem(rng, model, weights, n_knots=6):
     return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
 
 
-def default_scenario(model):
-    data = default_scenario_dict(seed=0)
+def default_scenario(model, seed=0):
+    data = default_scenario_dict(seed=seed)
     data["robot_model"] = model_to_dict(model)
     return scenario_from_dict(data, Path("."))
 
@@ -357,6 +358,31 @@ def default_task_problem(model):
     first stage."""
     scenario = default_scenario(model)
     return build_problem(scenario, 0.0, 21, scenario.start_q)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize(
+        "seed, n_knots", [(0, 6), (1, 6), (0, 21)], ids=["reference-seed0", "reference-seed1", "oneshot"]
+    )
+    def test_matches_central_differences(self, seven_dof, seed, n_knots):
+        """The oracle's adjoint gradient against central differences of the
+        trajectory cost on the first replan's problem, at random controls
+        inside half the velocity box. At h = 1e-6 the worst error read 3.5e-9
+        of the gradient's largest entry (1.2e-9 and 1.1e-9 on reference)."""
+        scenario = default_scenario(seven_dof, seed)
+        problem = build_problem(scenario, 0.0, n_knots, scenario.start_q)
+        rng = np.random.default_rng(seed)
+        us = rng.uniform(0.5 * problem.u_lower, 0.5 * problem.u_upper, (n_knots - 1, problem.n_dims))
+        grad = adjoint_gradient(problem, us)
+        h = 1e-6
+        fd = np.empty_like(us)
+        for i in np.ndindex(us.shape):
+            up, down = us.copy(), us.copy()
+            up[i] += h
+            down[i] -= h
+            cost_up = problem.cost.value(rollout(problem, up), up)
+            fd[i] = (cost_up - problem.cost.value(rollout(problem, down), down)) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
 
 class TestBatchedLineSearch:
