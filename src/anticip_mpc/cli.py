@@ -144,10 +144,8 @@ def _out_dir(path) -> Path:
 
 def cmd_gen_scenario(args) -> int:
     overlay = {} if args.config is None else read_json(args.config, "config")
-    # the timing flags under the overlay's mpc object, checked as the fields they set; the
-    # default human spans the task and one horizon past it, on the planner's grid
-    flags = {"dt": args.dt, "horizon": args.horizon, "replan_period": args.replan, "task_duration": args.duration}
-    mpc = MpcConfig.from_dict(deep_update({"mpc": flags}, overlay)["mpc"])
+    # the default human spans the overlay's task and one horizon past it, on the planner's grid
+    mpc = MpcConfig.from_dict(overlay.get("mpc", {}))
     data = deep_update(
         default_scenario_dict(args.seed, mpc.task_duration, mpc.dt, mpc.horizon, mpc.replan_period), overlay
     )
@@ -258,10 +256,10 @@ def cmd_bench(args) -> int:
     if base.synthesis is None:
         log.warning("scenario prediction is not synthesized; bench runs will share one human motion")
 
-    run_mpc(_reseeded(base, args.seed))  # discarded warm-up run
+    run_mpc(_reseeded(base, base.seed))  # discarded warm-up run
 
     t0 = time.perf_counter()
-    traces = [run_mpc(_reseeded(base, args.seed + i)) for i in range(args.n)]
+    traces = [run_mpc(_reseeded(base, base.seed + i)) for i in range(args.n)]
     bench_wall = time.perf_counter() - t0
 
     per_traj = np.array([sum(t.replan_wall_times()) for t in traces])
@@ -281,7 +279,7 @@ def cmd_bench(args) -> int:
     csv_path = out / "bench.csv"
     rows = ([i, f"{sum(t.replan_wall_times()):.6f}", len(t.replans)] for i, t in enumerate(traces))
     write_csv(csv_path, ["run", "planning_time_s", "replans"], rows)
-    write_manifest(out, "bench", *_scenario_manifest(args, n=args.n), [summary_path, csv_path], args.seed)
+    write_manifest(out, "bench", *_scenario_manifest(args, n=args.n), [summary_path, csv_path], base.seed)
     print(
         f"bench: {args.n} runs, per-trajectory {summary['per_trajectory_mean_s']:.3f}s "
         f"(std {summary['per_trajectory_std_s']:.3f}), per-replan {summary['per_replan_mean_s'] * 1e3:.1f}ms"
@@ -330,12 +328,10 @@ _SCHEMAS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, config: bool = True, seed: bool = False) -> None:
-    """--out, and --config and --seed where the command reads them."""
+def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
+    """--out, and --config where the command reads it."""
     if config:
         parser.add_argument("--config", default=None, help="JSON overlay merged onto the scenario")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -349,11 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen-scenario", help="write a seeded scenario with a synthetic human")
-    _add_common(p, seed=True)
-    p.add_argument("--duration", type=float, default=MpcConfig.task_duration, help="task duration, seconds")
-    p.add_argument("--dt", type=float, default=MpcConfig.dt)
-    p.add_argument("--horizon", type=float, default=MpcConfig.horizon)
-    p.add_argument("--replan", type=float, default=MpcConfig.replan_period)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed of the scenario and its human")
     p.set_defaults(func=cmd_gen_scenario)
 
     p = sub.add_parser("plan", help="one-shot fixed-horizon solve over the full task")
@@ -375,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="seeded latency benchmark over N simulations")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, default=20, help="number of seeded runs")
+    p.add_argument("--n", type=int, default=20, help="number of runs, from the scenario's seed up")
     p.set_defaults(func=cmd_bench)
 
     return parser

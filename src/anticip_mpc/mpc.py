@@ -172,13 +172,10 @@ def linear_warm_start(x0, goal_q, n_controls: int, dt: float) -> Array:
 def warm_start_shift(controls: Array, steps_executed: int, n_controls: int) -> Array:
     """Shift a previous plan's controls and pad with the final control."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if steps_executed < 0 or steps_executed > controls.shape[0]:
-        raise InvalidInputError("steps_executed must lie within the previous plan")
-    remaining = controls[steps_executed:]
-    pad_src = remaining[-1] if len(remaining) else controls[-1]
-    if len(remaining) >= n_controls:
-        return remaining[:n_controls].copy()
-    return np.vstack([remaining, np.tile(pad_src, (n_controls - len(remaining), 1))])
+    k = integer(steps_executed, "steps_executed", 0, controls.shape[0])
+    n = integer(n_controls, "n_controls", 0)
+    kept = controls[k:k + n]
+    return np.vstack([kept, np.tile(controls[-1], (n - len(kept), 1))])
 
 
 def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> TrajectoryProblem:

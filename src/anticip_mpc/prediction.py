@@ -112,8 +112,9 @@ def slice_horizon(pred: HumanPrediction, t_start: float, n_knots: int, dt: float
     overruns use a fractional exponent); an inflation that overflows is
     rejected.
     """
-    if n_knots < 1 or not 0 < dt < np.inf:
-        raise InvalidInputError("n_knots must be >= 1 and dt > 0")
+    t_start = number(t_start, "t_start")
+    n_knots = integer(n_knots, "n_knots", 1)
+    dt = number(dt, "dt", 0, strict=True)
     rel0 = (t_start - pred.t0) / pred.dt
     if not rel0 >= -FRAME_TOL:
         raise InvalidInputError(f"t_start={t_start} precedes the prediction start {pred.t0}")

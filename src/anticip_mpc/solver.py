@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, SolverError
+from .errors import Fields, InvalidInputError, SolverError, integer, number
 
 Array = np.ndarray
 _lapack_solve = np.linalg._umath_linalg.solve  # np.linalg.solve's gufunc: NaN, not an error, when singular
@@ -70,10 +70,8 @@ class TrajectoryProblem:
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         self.u_lower = np.asarray(self.u_lower, dtype=float).reshape(-1)
         self.u_upper = np.asarray(self.u_upper, dtype=float).reshape(-1)
-        if self.n_knots < 2:
-            raise InvalidInputError("n_knots must be >= 2")
-        if not self.dt > 0:
-            raise InvalidInputError("dt must be positive")
+        self.n_knots = integer(self.n_knots, "n_knots", 2)
+        self.dt = number(self.dt, "dt", 0, strict=True)
         n = self.x0.shape[0]
         if self.u_lower.shape != (n,) or self.u_upper.shape != (n,):
             raise InvalidInputError("control bounds must match the state dimension")

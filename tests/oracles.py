@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from anticip_mpc.costs import (
     _CURV_GUARD,
@@ -255,6 +256,28 @@ def adjoint_gradient(problem, us):
     gx, _ = problem.cost.state_derivatives(rollout(problem, us))
     gu, _ = problem.cost.control_derivatives(us)
     return gu + problem.dt * np.cumsum(gx[:0:-1], axis=0)[::-1]
+
+
+def lbfgsb_reference(problem, starts):
+    """An independent optimum of the trajectory cost: L-BFGS-B (Byrd, Lu,
+    Nocedal & Zhu 1995) on the flattened controls, with the velocity box as
+    bounds, `adjoint_gradient` as the gradient and ftol 1e-13, from each of
+    `starts` clipped into the box. Returns the lowest final cost and its
+    controls."""
+    M, n = problem.n_knots - 1, problem.n_dims
+
+    def cost_and_gradient(flat):
+        us = flat.reshape(M, n)
+        return problem.cost.value(rollout(problem, us), us), adjoint_gradient(problem, us).ravel()
+
+    lower, upper = np.tile(problem.u_lower, M), np.tile(problem.u_upper, M)
+    runs = [
+        minimize(cost_and_gradient, np.clip(np.ravel(start), lower, upper), jac=True, method="L-BFGS-B",
+                 bounds=list(zip(lower, upper)), options={"ftol": 1e-13})
+        for start in starts
+    ]
+    best = min(runs, key=lambda run: run.fun)
+    return float(best.fun), best.x.reshape(M, n)
 
 
 def line_search_loop(problem, states, controls, gains, incumbent_cost):

@@ -19,11 +19,19 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def mpc_overlay(directory: Path, **fields) -> Path:
+    """An overlay file in `directory` that sets the given `mpc` fields."""
+    config = directory / "mpc.json"
+    config.write_text(json.dumps({"mpc": fields}))
+    return config
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Generated scenario shared by the command tests (short task for speed)."""
     out = tmp_path_factory.mktemp("ws")
-    code = run_cli("gen-scenario", "--out", out, "--seed", 7, "--duration", "2.0")
+    config = mpc_overlay(tmp_path_factory.mktemp("overlay"), task_duration=2.0)
+    code = run_cli("gen-scenario", "--out", out, "--seed", 7, "--config", config)
     assert code == EXIT_OK
     return out
 
@@ -53,20 +61,23 @@ class TestGenScenario:
         assert json.loads((tmp_path / "a" / "scenario.json").read_text())["robot_model"] == "robot.json"
 
     def test_zero_duration_rejected(self, tmp_path):
-        assert run_cli("gen-scenario", "--out", tmp_path, "--duration", "0") == EXIT_INVALID_INPUT
+        config = mpc_overlay(tmp_path, task_duration=0)
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
 
     def test_zero_dt_rejected(self, tmp_path, capsys):
-        assert run_cli("gen-scenario", "--out", tmp_path, "--dt", "0") == EXIT_INVALID_INPUT
+        config = mpc_overlay(tmp_path, dt=0)
+        assert run_cli("gen-scenario", "--out", tmp_path, "--config", config) == EXIT_INVALID_INPUT
         assert "mpc dt must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, field, value",
-        [("--dt", "dt", "nan"), ("--horizon", "horizon", "inf"), ("--replan", "replan_period", "-0.5"),
-         ("--duration", "task_duration", "nan")],
+        "field, value",
+        [("dt", float("nan")), ("horizon", float("inf")), ("replan_period", -0.5), ("task_duration", float("nan"))],
     )
-    def test_bad_timing_flag_names_its_mpc_field(self, tmp_path, capsys, flag, field, value):
+    def test_bad_timing_field_names_its_mpc_field(self, tmp_path, capsys, field, value):
+        """A bad timing field is named as the mpc field it is, not as the default human it spans."""
         out = tmp_path / "new"
-        assert run_cli("gen-scenario", "--out", out, flag, value) == EXIT_INVALID_INPUT
+        config = mpc_overlay(tmp_path, **{field: value})
+        assert run_cli("gen-scenario", "--out", out, "--config", config) == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert f"mpc {field} must be positive and finite" in err and "reach" not in err
         assert not out.exists()
@@ -108,11 +119,11 @@ class TestGenScenario:
     def test_prediction_path_overlay(self, tmp_path):
         """A prediction given as a file path, relative to the output
         directory, is a valid scenario form."""
-        assert run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--duration", "2.0") == EXIT_OK
+        config = mpc_overlay(tmp_path, task_duration=2.0)
+        assert run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--config", config) == EXIT_OK
         before = (tmp_path / "prediction.json").read_bytes()
-        config = tmp_path / "overlay.json"
-        config.write_text(json.dumps({"prediction": "prediction.json"}))
-        code = run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--duration", "2.0", "--config", config)
+        config.write_text(json.dumps({"mpc": {"task_duration": 2.0}, "prediction": "prediction.json"}))
+        code = run_cli("gen-scenario", "--out", tmp_path, "--seed", 3, "--config", config)
         assert code == EXIT_OK
         assert (tmp_path / "prediction.json").read_bytes() == before
         assert json.loads((tmp_path / "scenario.json").read_text())["prediction"] == "prediction.json"
@@ -131,7 +142,7 @@ class TestGenScenario:
         [
             pytest.param({"ground_truth": {"synthesize": {"dt": "fast"}}}, "reach dt", id="synthesize_dt"),
             pytest.param({"weights": {"w_dist": -1}}, "weights w_dist", id="w_dist"),
-            # the overlay's mpc fields are checked with the timing flags, as the fields they set
+            # the overlay's mpc fields set the default human's span, and are checked as mpc fields
             pytest.param({"mpc": {"dt": float("nan")}}, "mpc dt must be positive and finite", id="mpc_dt"),
         ],
     )
@@ -156,8 +167,8 @@ class TestGenScenario:
         ],
     )
     def test_default_human_spans_the_overlay_timing(self, tmp_path, overlay, duration, dt):
-        """The default human covers the task and one horizon past it on the mpc grid, with
-        the overlay's mpc fields merged onto the flags; an explicit synthesize field wins."""
+        """The default human covers the overlay's task and one horizon past it on its mpc
+        grid; an explicit synthesize field wins."""
         config = tmp_path / "overlay.json"
         config.write_text(json.dumps(overlay))
         assert run_cli("gen-scenario", "--out", tmp_path / "out", "--config", config) == EXIT_OK
@@ -465,16 +476,20 @@ class TestRemovedSettings:
     @pytest.mark.parametrize(
         "command, flag, value",
         [("plan", "--seed", 1), ("simulate", "--seed", 5), ("simulate", "--horizon", 2.0),
-         ("simulate", "--replan", 2.0), ("eval", "--config", "x.json")],
+         ("simulate", "--replan", 2.0), ("eval", "--config", "x.json"), ("gen-scenario", "--duration", 2.0),
+         ("gen-scenario", "--dt", 0.125), ("gen-scenario", "--horizon", 2.0), ("gen-scenario", "--replan", 2.0),
+         ("bench", "--seed", 1)],
     )
     def test_removed_flag_exits_invalid_input(self, workspace, traces, tmp_path, capsys, command, flag, value):
-        inputs = [traces[0]] if command == "eval" else ["--scenario", workspace / "scenario.json"]
+        inputs = {"gen-scenario": [], "eval": [traces[0]]}.get(command, ["--scenario", workspace / "scenario.json"])
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, *inputs, flag, value, "--out", tmp_path)
+            run_cli(command, *inputs, flag, value, "--out", out)
         assert exc.value.code == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOutDirectory:
@@ -500,7 +515,8 @@ class TestOutDirectory:
 
     def test_rejected_duration_creates_no_directory(self, tmp_path):
         out = tmp_path / "new"
-        assert run_cli("gen-scenario", "--out", out, "--duration", "-1") == EXIT_INVALID_INPUT
+        config = mpc_overlay(tmp_path, task_duration=-1)
+        assert run_cli("gen-scenario", "--out", out, "--config", config) == EXIT_INVALID_INPUT
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "eval", "bench"])
@@ -767,6 +783,23 @@ class TestBench:
         assert run_cli("bench", "--scenario", scenario, "--out", tmp_path / "bench", "--n", 2) == EXIT_OK
         assert len(humans) == 3 and all(h is humans[0] for h in humans)  # warm-up and two runs
         assert "bench runs will share one human motion" in caplog.text
+
+    def test_runs_draw_from_the_scenario_seed(self, workspace, tmp_path, monkeypatch):
+        """The warm-up and the first run draw the scenario's own human (seed 7), the second
+        run seed 8, and the manifest records seed 7."""
+        import anticip_mpc.cli as cli_module
+
+        seeds, run_mpc = [], cli_module.run_mpc
+
+        def recording_run_mpc(s):
+            seeds.append((s.seed, s.synthesis.seed))
+            return run_mpc(s)
+
+        monkeypatch.setattr(cli_module, "run_mpc", recording_run_mpc)
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--scenario", workspace / "scenario.json", "--out", out, "--n", 2) == EXIT_OK
+        assert seeds == [(7, 7), (7, 7), (8, 8)]
+        assert json.loads((out / "bench_manifest.json").read_text())["seed"] == 7
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fewer_than_one_run_rejected(self, workspace, tmp_path, n, capsys):

@@ -1,9 +1,11 @@
-"""The input boundary: the field checks in ``anticip_mpc.errors`` and a
-mutation test over every loader."""
+"""The input boundary: the field checks in ``anticip_mpc.errors``, the
+exported functions' argument checks, a mutation test over every loader, and
+one through the command line."""
 
 import copy
 import json
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,12 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from anticip_mpc.cli import default_reach_config, default_scenario_dict
+from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, default_reach_config, default_scenario_dict, main
 from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number, store
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
 from anticip_mpc.metrics import evaluate_trace
-from anticip_mpc.mpc import ExecutionTrace, run_mpc, scenario_from_dict
-from anticip_mpc.prediction import ReachConfig, prediction_from_dict, prediction_to_dict, synthesize_reach
+from anticip_mpc.mpc import ExecutionTrace, run_mpc, scenario_from_dict, warm_start_shift
+from anticip_mpc.prediction import (
+    ReachConfig, prediction_from_dict, prediction_to_dict, slice_horizon, synthesize_reach,
+)
+from anticip_mpc.solver import TrajectoryProblem
 
 
 class TestNumber:
@@ -175,6 +180,41 @@ class TestFields:
 
 
 # ---------------------------------------------------------------------------
+# the exported functions' numeric arguments
+
+
+_PREDICTION = synthesize_reach(ReachConfig())
+_CONTROLS = np.zeros((3, 2))
+
+
+def _problem(n_knots, dt):
+    return TrajectoryProblem(n_knots, dt, np.zeros(2), None, -np.ones(2), np.ones(2))
+
+
+# (the argument the error names, the call)
+BAD_ARGUMENTS = {
+    "slice_horizon-nan_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("nan"), 3, 0.25)),
+    "slice_horizon-inf_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("inf"), 3, 0.25)),
+    "slice_horizon-fractional_n_knots": ("n_knots", lambda: slice_horizon(_PREDICTION, 0.0, 2.5, 0.25)),
+    "slice_horizon-nan_n_knots": ("n_knots", lambda: slice_horizon(_PREDICTION, 0.0, float("nan"), 0.25)),
+    "problem-fractional_n_knots": ("n_knots", lambda: _problem(2.5, 0.25)),
+    "problem-inf_dt": ("dt", lambda: _problem(3, float("inf"))),
+    "warm_start_shift-fractional_steps": ("steps_executed", lambda: warm_start_shift(_CONTROLS, 2.5, 4)),
+    "warm_start_shift-fractional_n_controls": ("n_controls", lambda: warm_start_shift(_CONTROLS, 1, 2.5)),
+}
+
+
+@pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_exported_function_rejects_bad_numeric_argument(name, call):
+    """A NaN or infinite time, or a fractional count, raises InvalidInputError
+    naming the argument, before any arithmetic warns or fails on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            call()
+
+
+# ---------------------------------------------------------------------------
 # mutation test: one field of a valid input replaced by a malformed value
 
 
@@ -220,6 +260,16 @@ MALFORMED = [
 UNKNOWN_SCENARIO_KEYS = ["solver", "mcp", "solvr", "wieghts", "goal_position_tol"]
 
 
+def _replace_one_node(draw, data, values) -> None:
+    """Replace one node of `data`, possibly nested, by a value drawn from `values`."""
+    node = data
+    key = draw(st.sampled_from(list(node)))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = draw(st.sampled_from(values))
+
+
 @st.composite
 def mutated_input(draw):
     """A loader name, its valid input with one field, possibly nested,
@@ -230,12 +280,7 @@ def mutated_input(draw):
     if name == "scenario" and draw(st.booleans()):
         data[draw(st.sampled_from(UNKNOWN_SCENARIO_KEYS))] = draw(st.sampled_from(MALFORMED + [{}]))
         return name, data, True
-    node = data
-    key = draw(st.sampled_from(list(node)))
-    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
-        node = node[key]
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-    node[key] = draw(st.sampled_from(MALFORMED))
+    _replace_one_node(draw, data, MALFORMED)
     return name, data, False
 
 
@@ -252,3 +297,38 @@ def test_malformed_field_loads_or_raises_invalid_input(case):
     except InvalidInputError:
         return
     assert not must_fail, f"{name} loaded with an unknown key"
+
+
+# ---------------------------------------------------------------------------
+# the same through the command line: plan on a scenario, eval on a trace
+
+# never a large finite number: a task duration of 1e12 would size arrays by it
+REPLACEMENTS = [float("nan"), float("inf"), -1, 0, 2.5, "x", None, [], {}, True, [1, 2]]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The default scenario with its robot inline and a 1 s task set by
+    gen-scenario's overlay, and the trace simulate writes from it."""
+    out = tmp_path_factory.mktemp("cli_inputs")
+    config = out / "overlay.json"
+    config.write_text(json.dumps({"mpc": {"task_duration": 1.0}, "robot_model": model_to_dict(default_robot_model())}))
+    assert main(["gen-scenario", "--out", str(out), "--config", str(config)]) == EXIT_OK
+    assert main(["simulate", "--scenario", str(out / "scenario.json"), "--out", str(out)]) == EXIT_OK
+    return {"plan": json.loads((out / "scenario.json").read_text()), "eval": json.loads((out / "trace.json").read_text())}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exits_0_or_2_with_one_node_replaced(cli_inputs, data):
+    """plan on a scenario, or eval on a trace, with one node, possibly nested,
+    replaced: the command runs or rejects the input, and never raises."""
+    command = data.draw(st.sampled_from(sorted(cli_inputs)))
+    doc = copy.deepcopy(cli_inputs[command])
+    _replace_one_node(data.draw, doc, REPLACEMENTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))  # NaN and inf as JSON extension tokens
+        inputs = ["--scenario", str(path)] if command == "plan" else [str(path)]
+        assert main([command, *inputs, "--out", str(Path(tmp) / "out")]) in (EXIT_OK, EXIT_INVALID_INPUT)

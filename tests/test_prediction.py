@@ -271,12 +271,14 @@ class TestSliceHorizon:
             slice_horizon(pred, pred.t0 - 0.1, 3, pred.dt)
 
     @pytest.mark.parametrize(
-        "n_knots, dt",
-        [(0, 0.25), (3, 0.0), (3, -0.25), (3, float("nan")), (3, float("inf"))],
+        "n_knots, dt, message",
+        [(0, 0.25, "n_knots must be an integer >= 1"), (3, 0.0, "dt must be positive and finite"),
+         (3, -0.25, "dt must be positive and finite"), (3, float("nan"), "dt must be positive and finite"),
+         (3, float("inf"), "dt must be positive and finite")],
         ids=["n_knots", "dt", "negative_dt", "nan_dt", "inf_dt"],
     )
-    def test_bad_knot_grid_rejected(self, n_knots, dt):
-        with pytest.raises(InvalidInputError, match="n_knots must be >= 1 and dt > 0"):
+    def test_bad_knot_grid_rejected(self, n_knots, dt, message):
+        with pytest.raises(InvalidInputError, match=message):
             slice_horizon(make_prediction(), 0.0, n_knots, dt)
 
     def test_start_within_tolerance_reads_the_first_frame(self):
