@@ -153,6 +153,11 @@ def cmd_gen_scenario(args) -> int:
     # checked with the default model given inline, before anything is written
     checked = dict(data, robot_model=model_to_dict(model)) if data["robot_model"] == "robot.json" else data
     scenario = scenario_from_dict(checked, Path(args.out))
+    # the default human is drawn from --seed, so the overlay may not name another seed
+    synthesis_seed = None if scenario.synthesis is None else scenario.synthesis.seed
+    for key, seed in (("seed", scenario.seed), ("prediction.synthesize.seed", synthesis_seed)):
+        if seed not in (None, args.seed):
+            raise InvalidInputError(f"config {key}={seed} conflicts with --seed {args.seed}")
     out = _out_dir(args.out)
 
     robot_path = out / "robot.json"

@@ -172,6 +172,8 @@ def linear_warm_start(x0, goal_q, n_controls: int, dt: float) -> Array:
 def warm_start_shift(controls: Array, steps_executed: int, n_controls: int) -> Array:
     """Shift a previous plan's controls and pad with the final control."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    if len(controls) == 0:
+        raise InvalidInputError(f"controls must be a plan of at least one row, got shape {controls.shape}")
     k = integer(steps_executed, "steps_executed", 0, controls.shape[0])
     n = integer(n_controls, "n_controls", 0)
     kept = controls[k:k + n]

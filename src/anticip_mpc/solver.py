@@ -17,9 +17,10 @@ backward pass decides afresh at every iteration which controls to hold, so a
 bound the rest of the plan has moved away from is released inside the one
 loop.
 
-The stopping rules are fixed module constants: _MAX_INNER_ITERS, _COST_TOL,
-_GRAD_TOL, and _REG_CAP, the cap on the damping shift _next_reg schedules
-after short steps; a solve at the cap returns its best iterate, not converged.
+The line search is the solver's one globalization: there is no damping
+shift. The stopping rules are fixed module constants, _MAX_INNER_ITERS,
+_COST_TOL and _GRAD_TOL, and a line search that accepts no step ends the
+solve at its iterate, not converged.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ _lapack_solve = np.linalg._umath_linalg.solve  # np.linalg.solve's gufunc: NaN, 
 _MAX_INNER_ITERS = 50
 _COST_TOL = 1e-4  # relative cost change that ends the solve
 _GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the solve
-_REG_MIN = 1e-6
-_REG_CAP = 1e6  # a larger shift ends the solve
+_REG_MIN = 1e-6  # unused by the solver; only perfbench/tracing.py reads it until ROADMAP item 6 drops reg_bumps
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 _ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
 # alpha in {1, ..., 1/8} are scored first, the rest only if none of them passes:
-# the largest passing step is >= 1/8 in 50-68% of searches on each benchmark workload
+# the largest passing step is >= 1/8 in 53-75% of searches on each benchmark workload
 _FIRST_STAGE = 4
 
 
@@ -131,7 +131,7 @@ class BackwardPassResult:
     K: Array  # (M, n, n) feedback gains
     expected_decrease: float  # model decrease at a full step, >= 0
     grad_inf: float  # infinity norm of the free controls' gradient along the trajectory
-    reg_used: float
+    reg_used: float = 0.0  # always 0; only perfbench/tracing.py reads it until ROADMAP item 6 drops reg_bumps
 
 
 @dataclass
@@ -160,33 +160,23 @@ def _assemble_derivs(problem, xs, us) -> _Derivs:
     return _Derivs(gx, gu, hxx, huu, side, (side != 0.0).any(axis=1))
 
 
-def _next_reg(reg: float, step_length: float) -> float:
-    """The next Levenberg-Marquardt shift, the solver's one schedule: tenfold
-    down after a step >= 1/32, to zero from _REG_MIN; tenfold up after a
-    shorter step or none (step_length 0), from _REG_MIN at zero."""
-    if step_length >= 2.0**-5:
-        return 0.0 if reg <= _REG_MIN else reg / 10.0
-    return _REG_MIN if reg == 0.0 else reg * 10.0
-
-
-def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0) -> BackwardPassResult:
+def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassResult:
     """Riccati-style sweep producing affine feedback gains from the cost
     derivatives along the current iterate.
 
-    One sweep at the Levenberg-Marquardt shift reg that solve's damping,
-    :func:`_next_reg`, sets after short steps; reg_used is reg. Each knot's
-    Q_uu is the cost's one control curvature, symmetrized and shifted once
-    per call, plus dt^2 V_xx. It is positive definite at every knot when the
-    cost meets TrajectoryProblem's precondition, so the sweep neither tests
-    nor repairs it. A singular Q_uu or a non-finite derivative gives
-    non-finite gains, which raise SolverError after the sweep.
+    One undamped sweep. Each knot's Q_uu is the cost's one control
+    curvature, symmetrized once per call, plus dt^2 V_xx. It is positive
+    definite at every knot when the cost meets TrajectoryProblem's
+    precondition, so the sweep neither tests, repairs nor shifts it. A
+    singular Q_uu or a non-finite derivative gives non-finite gains, which
+    raise SolverError after the sweep.
 
     A control on a bound whose descent direction -q_u leaves the box is held
     (Tassa, Mansard & Todorov 2014): its rows of k and K are zero, the free
     controls solve their own block of Q_uu, and grad_inf is taken over the
     free controls only. Knots with no control on a bound skip the rule.
 
-    k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_ux come from the same shifted Q_uu, so
+    k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_ux come from the same Q_uu, so
     the full value update of Tassa, Erez & Todorov (2012) loses its cross
     terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
     decrease at a full step is -q_u^T k / 2. Held rows of k and K are zero,
@@ -200,7 +190,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     # column 0 holds the gradient and columns 1: the curvature, so one solve
     # gives [k | K] and one product updates [v_x | V_xx]
     hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
-    huu = 0.5 * (derivs.huu + derivs.huu.T) + reg * eye
+    huu = 0.5 * (derivs.huu + derivs.huu.T)
 
     on_bound = derivs.on_bound.tolist()
     q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
@@ -233,7 +223,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs, reg: float = 0.0)
     np.negative(kK, out=kK)
     qu, k = q[:, :, 0], kK[:, :, 0]
     decrease = max(0.0, -0.5 * float((qu * k).sum()))
-    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()), reg)
+    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()))
 
 
 def forward_pass(
@@ -300,16 +290,17 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
 
     Every iterate lies inside the bounds and accepted iterate costs are
     non-increasing. The solve ends when the relative cost change or the free
-    controls' gradient falls below its tolerance (converged), at the
-    iteration cap, when the damping shift would pass _REG_CAP, or at
-    non-finite gains in a later backward pass: then it returns the best
-    iterate so far, not converged. It raises SolverError only for a warm
-    start with a non-finite cost or non-finite gains in its first backward
-    pass. The solve does not time itself; the caller times the replan
-    around it. grad_inf is the free controls' gradient from the last
-    backward pass that completed: at the iterate before the returned one
-    when the solve ends right after an accepted step (the cost-change stop,
-    the iteration cap, non-finite gains in the next backward pass).
+    controls' gradient falls below its tolerance (converged); otherwise it
+    returns its last iterate, not converged, at the iteration cap, at the
+    first line search that accepts no step (a stall), or at non-finite gains
+    in a later backward pass. It raises SolverError only for a warm start
+    with a non-finite cost or non-finite gains in its first backward pass.
+    The solve does not time itself; the caller times the replan around it.
+    grad_inf is the free controls' gradient from the last backward pass
+    that completed: at the returned plan when the solve ends on the gradient
+    stop or a stall, at the iterate before it when the solve ends right
+    after an accepted step (the cost-change stop, the iteration cap,
+    non-finite gains in the next backward pass).
     """
     M = problem.n_knots - 1
     n = problem.n_dims
@@ -324,16 +315,13 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     if not np.isfinite(J):
         raise SolverError(f"warm start has non-finite cost {J}")
 
-    reg = 0.0
-    derivs = bp = None
+    bp = None
     converged = False
 
     for iterations in range(1, _MAX_INNER_ITERS + 1):
-        if derivs is None:
-            derivs = _assemble_derivs(problem, xs, us)
+        derivs = _assemble_derivs(problem, xs, us)
         try:
-            # reg goes by keyword: perfbench's tracer reads the shift a pass started from
-            bp = backward_pass(problem, derivs, reg=reg)
+            bp = backward_pass(problem, derivs)
         except SolverError:
             if bp is None:
                 raise  # non-finite gains at the warm start
@@ -342,16 +330,13 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
             converged = True
             break
         fp = forward_pass(problem, xs, us, bp, J)
-        if fp.accepted:
-            dJ = J - fp.cost
-            xs, us, J = fp.states, fp.controls, fp.cost
-            derivs = None
-            if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
-                converged = True
-                break
-        reg = _next_reg(bp.reg_used, fp.step_length)
-        if reg > _REG_CAP:
-            break  # (xs, us) is the best iterate so far
+        if not fp.accepted:
+            break  # a stall: no step lowers the cost along this model
+        dJ = J - fp.cost
+        xs, us, J = fp.states, fp.controls, fp.cost
+        if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
+            converged = True
+            break
 
     return SolveResult(
         states=xs,

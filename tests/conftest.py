@@ -140,9 +140,9 @@ def solve_default(problem: TrajectoryProblem, initial_controls=None):
     return solve(problem, initial_controls)
 
 
-def backward(problem: TrajectoryProblem, xs, us, **options):
+def backward(problem: TrajectoryProblem, xs, us):
     """backward_pass at (xs, us): the derivatives it takes are assembled here."""
-    return backward_pass(problem, _assemble_derivs(problem, xs, us), **options)
+    return backward_pass(problem, _assemble_derivs(problem, xs, us))
 
 
 def forward(problem: TrajectoryProblem, xs, us, gains, incumbent_cost=None):

@@ -417,10 +417,9 @@ def state_derivatives_per_term(ev, xs):
     return gx, hxx
 
 
-def backward_pass_full_form(problem, derivs, us, reg=0.0):
+def backward_pass_full_form(problem, derivs, us):
     """Riccati sweep with the full value update of Tassa, Erez & Todorov 2012:
-    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K,
-    with Q_uu shifted by reg * I.
+    v_x = q_x + K'Q_uu k + K'q_u + Q_ux'k and V_xx = Q_xx + K'Q_uu K + K'Q_ux + Q_ux'K.
 
     A control of us at or past a bound whose gradient q_u pushes it further
     out is held (Tassa, Mansard & Todorov 2014): its rows of k and K are
@@ -431,7 +430,6 @@ def backward_pass_full_form(problem, derivs, us, reg=0.0):
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
-    eye = np.eye(n)
     k = np.zeros((M, n))
     K = np.zeros((M, n, n))
     vx = derivs.gx[-1].copy()
@@ -442,7 +440,7 @@ def backward_pass_full_form(problem, derivs, us, reg=0.0):
         qu = derivs.gu[t] + dt * vx
         qxx = derivs.hxx[t] + vxx
         qux = dt * vxx
-        quu = derivs.huu + dt * dt * vxx + reg * eye
+        quu = derivs.huu + dt * dt * vxx
         held = [
             (us[t, i] >= problem.u_upper[i] and qu[i] < 0.0) or (us[t, i] <= problem.u_lower[i] and qu[i] > 0.0)
             for i in range(n)

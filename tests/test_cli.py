@@ -175,6 +175,24 @@ class TestGenScenario:
         synthesize = json.loads((tmp_path / "out" / "scenario.json").read_text())["prediction"]["synthesize"]
         assert (synthesize["duration"], synthesize["dt"]) == (duration, dt)
 
+    @pytest.mark.parametrize(
+        "overlay, key",
+        [
+            pytest.param({"seed": 3}, "seed", id="seed"),
+            pytest.param({"prediction": {"synthesize": {"seed": 3}}}, "prediction.synthesize.seed", id="synthesize"),
+        ],
+    )
+    def test_overlay_seed_other_than_the_flag_rejected(self, tmp_path, capsys, overlay, key):
+        """The default human is drawn from --seed, so an overlay seed that differs exits 2
+        naming it and writes nothing; one that agrees is accepted."""
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        out = tmp_path / "out"
+        assert run_cli("gen-scenario", "--out", out, "--seed", 7, "--config", config) == EXIT_INVALID_INPUT
+        assert f"config {key}=3 conflicts with --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("gen-scenario", "--out", out, "--seed", 3, "--config", config) == EXIT_OK
+
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())
         assert manifest["command"] == "gen-scenario"

@@ -201,13 +201,15 @@ BAD_ARGUMENTS = {
     "problem-inf_dt": ("dt", lambda: _problem(3, float("inf"))),
     "warm_start_shift-fractional_steps": ("steps_executed", lambda: warm_start_shift(_CONTROLS, 2.5, 4)),
     "warm_start_shift-fractional_n_controls": ("n_controls", lambda: warm_start_shift(_CONTROLS, 1, 2.5)),
+    "warm_start_shift-empty_plan": ("controls", lambda: warm_start_shift(np.zeros((0, 2)), 0, 4)),
 }
 
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_exported_function_rejects_bad_numeric_argument(name, call):
-    """A NaN or infinite time, or a fractional count, raises InvalidInputError
-    naming the argument, before any arithmetic warns or fails on it."""
+    """A NaN or infinite time, a fractional count or an empty plan raises
+    InvalidInputError naming the argument, before any arithmetic warns or
+    fails on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):

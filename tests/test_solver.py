@@ -170,13 +170,12 @@ class TestRiccatiOracle:
 
 class TestRiccatiFullForm:
     @staticmethod
-    def assert_matches_full_form(problem, xs, us, reg=0.0):
-        """The solver's backward pass at the shift reg against the full-form
-        oracle; returns the number of held controls (zero rows of k and K)."""
+    def assert_matches_full_form(problem, xs, us):
+        """The solver's backward pass against the full-form oracle; returns
+        the number of held controls (zero rows of k and K)."""
         derivs = _assemble_derivs(problem, xs, us)
-        bp = backward_pass(problem, derivs, reg=reg)
-        k, K, decrease, grad_inf = backward_pass_full_form(problem, derivs, us, reg=reg)
-        assert bp.reg_used == reg
+        bp = backward_pass(problem, derivs)
+        k, K, decrease, grad_inf = backward_pass_full_form(problem, derivs, us)
         for got, ref in ((bp.k, k), (bp.K, K)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
         assert abs(bp.expected_decrease - decrease) <= 1e-10 * decrease
@@ -214,16 +213,6 @@ class TestRiccatiFullForm:
         assert not np.any(bp.k) and not np.any(bp.K)
         assert bp.grad_inf == 0.0 and bp.expected_decrease == 0.0
         assert self.assert_matches_full_form(problem, xs, us) == n_knots - 1
-
-    def test_matches_full_form_with_regularization(self):
-        # the shift solve's damping sets after a short step
-        rng = np.random.default_rng(18)
-        for _ in range(10):
-            problem, _ = quadratic_problem(rng, bounds=1.0)
-            us = np.clip(rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims)), -1.0, 1.0)
-            xs = rollout(problem, us)
-            self.assert_matches_full_form(problem, xs, us, reg=1e-3)
-            assert not np.array_equal(backward(problem, xs, us, reg=1e-3).K, backward(problem, xs, us).K)
 
     def test_a_singular_last_knot_raises(self):
         # no curvature anywhere, so Q_uu = 0 at the last knot: its solve gives
@@ -717,11 +706,11 @@ class TestSolve:
         assert_dynamically_feasible(problem, result)
 
 
-class TestRegularizationCap:
-    def test_deep_backtracking_bump_respects_the_cap(self, monkeypatch):
+class TestUnconvergedExits:
+    def test_underestimated_curvature_ends_at_the_cap_below_the_warm_start(self):
         # the reported state curvature is 1000x too small, so each Newton step
-        # overshoots and the line search accepts only alpha <= 2^-9, so only
-        # the damping after those short steps raises the shift
+        # overshoots and the line search accepts only short steps: the solve
+        # creeps down to the iteration cap, every step kept
         class Underestimated(QuadraticCost):
             def state_derivatives(self, xs):
                 gx, hxx = super().state_derivatives(xs)
@@ -735,12 +724,14 @@ class TestRegularizationCap:
             u_lower=np.array([-1e4]),
             u_upper=np.array([1e4]),
         )
-        assert solve_default(problem).converged  # the default cap leaves room for the bumps
-        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)  # below the first shift, 1e-6
-        # the first accepted step needs a bump past the cap: the solve keeps that step
-        self.assert_keeps_first_step(problem, solve_default(problem), iterations=1)
+        result = solve_default(problem)
+        assert not result.converged and result.iterations == solver_module._MAX_INNER_ITERS
+        assert result.max_bound_violation == 0.0
+        assert_dynamically_feasible(problem, result)
+        us0 = np.zeros_like(result.controls)
+        assert result.total_cost <= problem.cost.value(rollout(problem, us0), us0)
 
-    def test_a_stalled_line_search_at_the_cap_keeps_the_accepted_step(self, monkeypatch):
+    def test_a_stalled_line_search_keeps_the_accepted_step(self):
         # doubled state curvature stops the first step halfway to the optimum;
         # once the iterate moves its reported gradient turns round, so every
         # step of the second line search climbs
@@ -756,7 +747,6 @@ class TestRegularizationCap:
         problem = self.two_dims(TurnsRound(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
         xs, us, _ = self.first_step(problem)
         assert not forward(problem, xs, us, backward(problem, xs, us)).accepted
-        monkeypatch.setattr(solver_module, "_REG_CAP", 5e-7)
         self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
 
     @staticmethod
@@ -826,22 +816,6 @@ class TestNonFiniteCurvature:
         np.testing.assert_array_equal(result.states, step.states)
         assert result.total_cost == step.cost
         assert np.isfinite(result.grad_inf)
-
-
-class TestNextReg:
-    @pytest.mark.parametrize(
-        "reg, step_length, expected",
-        [
-            (0.0, 1.0, 0.0),  # a long step keeps a zero shift
-            (1e-6, 1.0, 0.0),  # at _REG_MIN it falls to zero
-            (1e-3, 2.0**-5, 1e-4),  # 1/32 is still a long step
-            (0.0, 2.0**-6, 1e-6),  # a short step starts the shift at _REG_MIN
-            (1e-5, 0.0, 1e-4),  # no step
-            (1e5, 0.0, 1e6),  # at the cap, not past it
-        ],
-    )
-    def test_schedule(self, reg, step_length, expected):
-        assert solver_module._next_reg(reg, step_length) == expected
 
 
 class TestConfigAndHelpers:
