@@ -193,6 +193,15 @@ class TestGenScenario:
         assert not out.exists()
         assert run_cli("gen-scenario", "--out", out, "--seed", 3, "--config", config) == EXIT_OK
 
+    def test_each_overlay_seed_checked(self, tmp_path, capsys):
+        """A top-level seed that agrees with --seed does not excuse a synthesize seed that does not."""
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps({"seed": 7, "prediction": {"synthesize": {"seed": 3}}}))
+        out = tmp_path / "out"
+        assert run_cli("gen-scenario", "--out", out, "--seed", 7, "--config", config) == EXIT_INVALID_INPUT
+        assert "config prediction.synthesize.seed=3 conflicts with --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_written(self, workspace):
         manifest = json.loads((workspace / "gen_scenario_manifest.json").read_text())
         assert manifest["command"] == "gen-scenario"

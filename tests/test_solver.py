@@ -214,6 +214,17 @@ class TestRiccatiFullForm:
         assert bp.grad_inf == 0.0 and bp.expected_decrease == 0.0
         assert self.assert_matches_full_form(problem, xs, us) == n_knots - 1
 
+    def test_the_sweep_is_undamped(self):
+        # the solver has no damping shift: backward_pass takes none, and the
+        # reg_used the benchmark tracer reads stays 0
+        rng = np.random.default_rng(18)
+        problem, _ = quadratic_problem(rng, bounds=1.0)
+        us = np.clip(rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims)), -1.0, 1.0)
+        derivs = _assemble_derivs(problem, rollout(problem, us), us)
+        assert backward_pass(problem, derivs).reg_used == 0.0
+        with pytest.raises(TypeError):
+            backward_pass(problem, derivs, reg=1e-3)
+
     def test_a_singular_last_knot_raises(self):
         # no curvature anywhere, so Q_uu = 0 at the last knot: its solve gives
         # NaN gains without an error or a warning, and the sweep names them
@@ -705,6 +716,17 @@ class TestSolve:
         assert result.iterations == 1
         assert_dynamically_feasible(problem, result)
 
+    def test_at_the_cap_grad_inf_is_the_previous_iterates(self, monkeypatch):
+        # a one-iteration solve ends right after its accepted step, so its
+        # gradient is the warm start's, not the returned plan's
+        rng = np.random.default_rng(15)
+        problem, _ = quadratic_problem(rng, n=2, n_knots=8)
+        monkeypatch.setattr(solver_module, "_MAX_INNER_ITERS", 1)
+        result = solve_default(problem)
+        us0 = np.zeros_like(result.controls)
+        assert not result.converged and not np.array_equal(result.controls, us0)
+        assert result.grad_inf == backward(problem, rollout(problem, us0), us0).grad_inf
+
 
 class TestUnconvergedExits:
     def test_underestimated_curvature_ends_at_the_cap_below_the_warm_start(self):
@@ -732,9 +754,46 @@ class TestUnconvergedExits:
         assert result.total_cost <= problem.cost.value(rollout(problem, us0), us0)
 
     def test_a_stalled_line_search_keeps_the_accepted_step(self):
-        # doubled state curvature stops the first step halfway to the optimum;
-        # once the iterate moves its reported gradient turns round, so every
-        # step of the second line search climbs
+        problem = self.turns_round()
+        xs, us, _ = self.first_step(problem)
+        assert not forward(problem, xs, us, backward(problem, xs, us)).accepted
+        self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
+
+    def test_a_stall_reports_the_gradient_at_the_returned_plan(self):
+        problem = self.turns_round()
+        result = solve_default(problem)
+        assert not result.converged
+        assert result.grad_inf == backward(problem, result.states, result.controls).grad_inf
+
+    def test_a_failed_first_search_returns_the_warm_start(self):
+        # the reported gradients point uphill everywhere, so no step of the
+        # first line search lowers the cost
+        class Uphill(QuadraticCost):
+            def state_derivatives(self, xs):
+                gx, hxx = super().state_derivatives(xs)
+                return -gx, hxx
+
+            def control_derivatives(self, us):
+                gu, huu = super().control_derivatives(us)
+                return -gu, huu
+
+        problem = self.two_dims(Uphill(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
+        result = solve_default(problem)
+        us0 = np.zeros((problem.n_knots - 1, problem.n_dims))
+        xs0 = rollout(problem, us0)
+        assert not result.converged and result.iterations == 1
+        np.testing.assert_array_equal(result.controls, us0)
+        np.testing.assert_array_equal(result.states, xs0)
+        assert result.total_cost == problem.cost.value(xs0, us0)
+        assert result.grad_inf == backward(problem, xs0, us0).grad_inf > solver_module._GRAD_TOL
+
+    @classmethod
+    def turns_round(cls):
+        """A problem whose solve stalls at its second line search: doubled
+        state curvature stops the first step halfway to the optimum; once the
+        iterate moves its reported gradient turns round, so every step of the
+        second line search climbs."""
+
         class TurnsRound(QuadraticCost):
             def state_derivatives(self, xs):
                 gx, hxx = super().state_derivatives(xs)
@@ -744,10 +803,7 @@ class TestUnconvergedExits:
                 gu, huu = super().control_derivatives(us)
                 return (-1.0 if np.any(us != 0.0) else 1.0) * gu, huu
 
-        problem = self.two_dims(TurnsRound(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
-        xs, us, _ = self.first_step(problem)
-        assert not forward(problem, xs, us, backward(problem, xs, us)).accepted
-        self.assert_keeps_first_step(problem, solve_default(problem), iterations=2)
+        return cls.two_dims(TurnsRound(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.ones(2)))
 
     @staticmethod
     def two_dims(cost):
