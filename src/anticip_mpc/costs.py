@@ -50,6 +50,7 @@ _TINY = 1e-12
 # goal position), whose isotropic w_k / max(c_k, _CURV_GUARD) I is added apart
 _ROW_CURV = np.array([0.5, 0.5, -1.0, -1.0, 0.5])
 _EYE3 = np.eye(3)
+_AXIAL_PLUS, _AXIAL_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])  # flat indices of a 3x3 skew part
 GAZE_FLOOR = 1e-9  # a head-centred ray shorter than this has no direction
 
 
@@ -230,25 +231,27 @@ class KnotCostEvaluator:
         if kept is not None and kept.xs.shape[1:] == xs.shape:
             hit = np.flatnonzero((kept.xs == xs).all(axis=(1, 2)))
         t, i = (kept, hit[0]) if len(hit) else (self._terms(xs), 0)
-        t = SimpleNamespace(**{k: v[i] for k, v in vars(t).items()})
-        fk = BatchFk(t.positions, t.axes, t.rotations)
+        positions, axes, rotations, u, denom = t.positions[i], t.axes[i], t.rotations[i], t.u[i], t.denom[i]
+        bhat, cos, nb, probs, rows = t.bhat[i], t.cos[i], t.nb[i], t.probs[i], t.rows[i]
         # positional rows (N, F - 1, 3, n), then the angular row (N, 1, 3, n)
-        J = np.concatenate((position_jacobians(fk, task.jframes), t.axes.swapaxes(1, 2)[:, None]), axis=1)
-        F = J.shape[1]
+        F = len(task.jframes) + 1
+        J = np.empty((N, F, 3, n))
+        J[:, :-1] = position_jacobians(BatchFk(positions, axes, rotations), task.jframes)
+        J[:, -1] = axes.swapaxes(1, 2)
 
         g = np.zeros((N, F, 3))
         P = np.zeros((N, F, 3, 3))
 
         R = len(task.tracked)
         # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
-        sd = (t.u @ self.quad_cols).reshape(N, R, 3, -1)
-        c2 = 2.0 / t.denom**2
+        sd = (u @ self.quad_cols).reshape(N, R, 3, -1)
+        c2 = 2.0 / denom**2
         g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
         # curvature with the sign of the off-axis part flipped positive:
         # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
         # magnitude of both pieces stops line-search overshoot against the
         # proximity barrier, which otherwise stalls the inner loop
-        outer = sd @ ((8.0 / t.denom**3)[..., None] * sd.swapaxes(2, 3))
+        outer = sd @ ((8.0 / denom**3)[..., None] * sd.swapaxes(2, 3))
         cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
         P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
 
@@ -256,22 +259,23 @@ class KnotCostEvaluator:
         # position, the orientation row w.r.t. the angular row. The gaze angle's is
         # -(ahat - cos bhat) / (|b| sin theta sigma_head), zero at the kink; a norm's is rhat, zero at 0
         V = np.empty((N, 5, 3))
-        u_perp = self.gaze_hat - t.cos[:, None] * t.bhat
+        u_perp = self.gaze_hat - cos[:, None] * bhat
         sin_theta = _norms(u_perp)
         ok = sin_theta > 1e-9
-        scale = t.nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
+        scale = nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
         V[:, 0] = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
-        p_r = t.probs[:, task.goal_index]
-        V[:, 1] = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - t.probs @ task.goals)
-        r = t.positions[:, task.model.eef_frame, None] - self.targets  # p - nominal, p - goal (N, 2, 3)
-        nr = t.rows[:, 2:4, None]
+        p_r = probs[:, task.goal_index]
+        V[:, 1] = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - probs @ task.goals)
+        r = positions[:, task.model.eef_frame, None] - self.targets  # p - nominal, p - goal (N, 2, 3)
+        nr = rows[:, 2:4, None]
         V[:, 2:4] = np.where(nr > _TINY, r / np.maximum(nr, _TINY), 0.0)
         # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
-        # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
-        m = t.rotations @ task.goal.rotation.T
-        V[:, 4] = 0.25 * np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+        # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T:
+        # entries (2,1), (0,2), (1,0) less (1,2), (2,0), (0,1) of the row-major flattened product
+        m = (rotations @ task.goal.rotation.T).reshape(N, 9)
+        V[:, 4] = 0.25 * (m[:, _AXIAL_PLUS] - m[:, _AXIAL_MINUS])
         wr = task.row_weights
-        wc = wr / np.maximum(t.rows, _CURV_GUARD)  # w_k / c_k (N, 5)
+        wc = wr / np.maximum(rows, _CURV_GUARD)  # w_k / c_k (N, 5)
         sV = (wc * _ROW_CURV)[:, :, None] * V
         g[:, task.eef_row] += wr[:4] @ V[:, :4]
         P[:, task.eef_row] += V[:, :4].swapaxes(1, 2) @ sV[:, :4] + wc[:, 2:4].sum(axis=1)[:, None, None] * _EYE3

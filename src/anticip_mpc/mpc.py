@@ -157,7 +157,7 @@ def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
     goal_q = np.asarray(goal_q, dtype=float).reshape(-1)
     if start_q.shape != goal_q.shape or start_q.shape != (model.n_joints,):
         raise InvalidInputError("start and goal joint vectors must match the robot")
-    alphas = np.linspace(0.0, 1.0, n_steps + 1)
+    alphas = np.linspace(0.0, 1.0, integer(n_steps, "n_steps", 1) + 1)
     qs = start_q[None, :] + alphas[:, None] * (goal_q - start_q)[None, :]
     return fk_batch(model, qs).positions[:, model.eef_frame].copy()
 

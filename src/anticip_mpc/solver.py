@@ -7,8 +7,12 @@ line-searched forward rollout) minimizes the cost; the rollout clamps every
 control into its box, so every iterate is feasible. The backward pass makes
 one sweep with one LAPACK solve per knot; the cost's positive definite control
 curvature keeps every Q_uu positive definite, so the sweep needs no repair.
-The line search rolls out all its step lengths together and scores the four
-longest first, the rest only when none of those passes.
+The line search rolls out all its step lengths together and scores a first
+stage of the longest in one cost call, the rest only when none of those
+passes. The first stage reaches two halvings past the step the solve's last
+search accepted (four steps in its first search), so a solve whose steps
+stay short still finds each one in a single cost call. Which call scores a
+step never changes its cost, so the split never changes a plan.
 
 Bounds are held the way of Tassa, Mansard & Todorov (2014): a control that
 sits on a bound, and whose descent direction leaves the box, gets no step
@@ -41,8 +45,8 @@ _REG_MIN = 1e-6  # unused by the solver; only perfbench/tracing.py reads it unti
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 _ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
-# alpha in {1, ..., 1/8} are scored first, the rest only if none of them passes:
-# the largest passing step is >= 1/8 in 53-75% of searches on each benchmark workload
+# a solve's first search scores alpha in {1, ..., 1/8} first, the rest only if none of them
+# passes; each later search scores down to a quarter of the step its previous search accepted
 _FIRST_STAGE = 4
 
 
@@ -72,6 +76,8 @@ class TrajectoryProblem:
         self.u_upper = np.asarray(self.u_upper, dtype=float).reshape(-1)
         self.n_knots = integer(self.n_knots, "n_knots", 2)
         self.dt = number(self.dt, "dt", 0, strict=True)
+        if not np.isfinite(self.x0).all():
+            raise InvalidInputError(f"x0 must be finite, got {self.x0.tolist()}")
         n = self.x0.shape[0]
         if self.u_lower.shape != (n,) or self.u_upper.shape != (n,):
             raise InvalidInputError("control bounds must match the state dimension")
@@ -216,8 +222,9 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassRe
                 qt[:, 0] *= free  # out of the reported gradient
                 rhs = qt * free[:, None]
             _lapack_solve(lhs, rhs, out=kK[t])
-            v = hx[t] + v
-            v -= qt[:, 1:] @ kK[t]
+            if t:  # knot 0's value function would feed no gain
+                v = hx[t] + v
+                v -= qt[:, 1:] @ kK[t]
     if not np.isfinite(kK).all():
         raise SolverError("backward pass: non-finite gains; Q_uu is singular or the cost derivatives are not finite")
     np.negative(kK, out=kK)
@@ -232,17 +239,23 @@ def forward_pass(
     controls: Array,
     gains: BackwardPassResult,
     incumbent_cost: float,
+    last_step: float | None = None,
 ) -> ForwardPassResult:
     """Line-searched rollout of the affine policy, all step lengths at once.
 
     Rolls the policy out for every alpha in {1, 1/2, ..., 2^-10} together,
     clamping each control into its box before it enters the rollout. The
-    stack is scored in two cost calls at most: alpha in {1, ..., 1/8} first,
-    the seven shorter steps only if none of those passes. A candidate whose
-    states are not finite is scored as the incumbent and never accepted.
-    Returns the largest alpha whose actual decrease is at least
-    1e-4 * alpha * expected_decrease, or the incumbent with accepted=False
-    when no step qualifies. incumbent_cost is the cost of (states, controls).
+    stack is scored in two cost calls at most: a first stage of the longest
+    steps, the shorter ones only if none of those passes. last_step is the
+    step the previous search of the same solve accepted, 2^-k, or None in a
+    solve's first search; the first stage runs from 1 down to 2^-(k+2), or
+    to 1/8 without it, and takes all eleven steps when k + 2 >= 10. A
+    candidate's cost does not depend on the stack it is scored in, so the
+    split never changes the result. A candidate whose states are not finite
+    is scored as the incumbent and never accepted. Returns the largest alpha
+    whose actual decrease is at least 1e-4 * alpha * expected_decrease, or
+    the incumbent with accepted=False when no step qualifies. incumbent_cost
+    is the cost of (states, controls).
     """
     M = problem.n_knots - 1
     dt = problem.dt
@@ -269,7 +282,10 @@ def forward_pass(
         xs[~finite] = states
         us[~finite] = controls
     required = _ARMIJO * _ALPHAS * gains.expected_decrease
-    for stage in (slice(0, _FIRST_STAGE), slice(_FIRST_STAGE, _N_ALPHAS)):
+    # the steps down to last_step and two halvings past it
+    first = _FIRST_STAGE if last_step is None else min(_N_ALPHAS, int((_ALPHAS >= last_step).sum()) + 2)
+    stages = (slice(0, first), slice(first, _N_ALPHAS)) if first < _N_ALPHAS else (slice(0, _N_ALPHAS),)
+    for stage in stages:
         costs = problem.cost.value(xs[stage], us[stage])
         passed = finite[stage] & (incumbent_cost - costs >= required[stage])
         if passed.any():
@@ -316,6 +332,7 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
         raise SolverError(f"warm start has non-finite cost {J}")
 
     bp = None
+    step = None  # the last accepted step length, which sizes the next search's first stage
     converged = False
 
     for iterations in range(1, _MAX_INNER_ITERS + 1):
@@ -329,11 +346,11 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
         if bp.grad_inf < _GRAD_TOL:
             converged = True
             break
-        fp = forward_pass(problem, xs, us, bp, J)
+        fp = forward_pass(problem, xs, us, bp, J, step)
         if not fp.accepted:
             break  # a stall: no step lowers the cost along this model
         dJ = J - fp.cost
-        xs, us, J = fp.states, fp.controls, fp.cost
+        xs, us, J, step = fp.states, fp.controls, fp.cost, fp.step_length
         if abs(dJ) / max(1.0, abs(J)) < _COST_TOL:
             converged = True
             break

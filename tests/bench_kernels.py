@@ -19,7 +19,7 @@ import pytest
 from anticip_mpc.cli import default_scenario_dict
 from anticip_mpc.kinematics import default_robot_model, fk_batch, model_to_dict
 from anticip_mpc.mpc import build_problem, linear_warm_start, scenario_from_dict
-from anticip_mpc.solver import _assemble_derivs, backward_pass, forward_pass, rollout
+from anticip_mpc.solver import _FIRST_STAGE, _assemble_derivs, backward_pass, forward_pass, rollout
 
 
 def _iterate(horizon: float, n_human: int = 5):
@@ -66,8 +66,8 @@ def test_fk_batch(benchmark, rows):
 
 
 def _first_stage(xs, us):
-    """Four candidates around (xs, us), as the line search's first stage scores them."""
-    steps = 2.0 ** -np.arange(4)[:, None, None]
+    """Candidates around (xs, us), as many as a solve's first line search scores in its first stage."""
+    steps = 2.0 ** -np.arange(_FIRST_STAGE)[:, None, None]
     return xs[None] * (1.0 + 0.01 * steps), us[None] * (1.0 + steps)
 
 
@@ -132,8 +132,11 @@ def test_derivatives_and_backward_pass(benchmark, horizon, request):
     benchmark(derivatives_and_backward_pass)
 
 
+@pytest.mark.parametrize("last_step", [None, 1 / 16], ids=["first-search", "deep-first-stage"])
 @pytest.mark.parametrize("horizon", ["reference", "oneshot"])
-def test_forward_pass(benchmark, horizon, request):
+def test_forward_pass(benchmark, horizon, last_step, request):
+    """A solve's first search (four first-stage steps), and a later one after an
+    accepted step of 1/16, whose first stage scores seven."""
     problem, xs, us = request.getfixturevalue(horizon)
     gains = backward_pass(problem, _assemble_derivs(problem, xs, us))
-    benchmark(forward_pass, problem, xs, us, gains, float(problem.cost.value(xs, us)))
+    benchmark(forward_pass, problem, xs, us, gains, float(problem.cost.value(xs, us)), last_step)

@@ -17,7 +17,7 @@ from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, default_reach_config, d
 from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number, store
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
 from anticip_mpc.metrics import evaluate_trace
-from anticip_mpc.mpc import ExecutionTrace, run_mpc, scenario_from_dict, warm_start_shift
+from anticip_mpc.mpc import ExecutionTrace, derive_nominal, run_mpc, scenario_from_dict, warm_start_shift
 from anticip_mpc.prediction import (
     ReachConfig, prediction_from_dict, prediction_to_dict, slice_horizon, synthesize_reach,
 )
@@ -185,10 +185,12 @@ class TestFields:
 
 _PREDICTION = synthesize_reach(ReachConfig())
 _CONTROLS = np.zeros((3, 2))
+_MODEL = default_robot_model()
+_Q = np.zeros(_MODEL.n_joints)
 
 
-def _problem(n_knots, dt):
-    return TrajectoryProblem(n_knots, dt, np.zeros(2), None, -np.ones(2), np.ones(2))
+def _problem(n_knots, dt, x0=(0.0, 0.0)):
+    return TrajectoryProblem(n_knots, dt, x0, None, -np.ones(2), np.ones(2))
 
 
 # (the argument the error names, the call)
@@ -199,6 +201,11 @@ BAD_ARGUMENTS = {
     "slice_horizon-nan_n_knots": ("n_knots", lambda: slice_horizon(_PREDICTION, 0.0, float("nan"), 0.25)),
     "problem-fractional_n_knots": ("n_knots", lambda: _problem(2.5, 0.25)),
     "problem-inf_dt": ("dt", lambda: _problem(3, float("inf"))),
+    "problem-nan_x0": ("x0", lambda: _problem(3, 0.25, [0.0, float("nan")])),
+    "problem-inf_x0": ("x0", lambda: _problem(3, 0.25, [float("inf"), 0.0])),
+    "derive_nominal-negative_n_steps": ("n_steps", lambda: derive_nominal(_MODEL, _Q, _Q, -3)),
+    "derive_nominal-fractional_n_steps": ("n_steps", lambda: derive_nominal(_MODEL, _Q, _Q, 2.5)),
+    "derive_nominal-bool_n_steps": ("n_steps", lambda: derive_nominal(_MODEL, _Q, _Q, True)),
     "warm_start_shift-fractional_steps": ("steps_executed", lambda: warm_start_shift(_CONTROLS, 2.5, 4)),
     "warm_start_shift-fractional_n_controls": ("n_controls", lambda: warm_start_shift(_CONTROLS, 1, 2.5)),
     "warm_start_shift-empty_plan": ("controls", lambda: warm_start_shift(np.zeros((0, 2)), 0, 4)),
@@ -207,13 +214,18 @@ BAD_ARGUMENTS = {
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_exported_function_rejects_bad_numeric_argument(name, call):
-    """A NaN or infinite time, a fractional count or an empty plan raises
-    InvalidInputError naming the argument, before any arithmetic warns or
-    fails on it."""
+    """A NaN or infinite time or start state, a fractional, negative or
+    boolean count or an empty plan raises InvalidInputError naming the
+    argument, before any arithmetic warns or fails on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):
             call()
+
+
+def test_problem_accepts_infinite_control_bounds():
+    problem = TrajectoryProblem(3, 0.25, np.zeros(2), None, np.full(2, -np.inf), np.full(2, np.inf))
+    assert np.array_equal(problem.u_upper, [np.inf, np.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,14 @@ from oracles import (
     lqr_tracking_solution,
 )
 
-SHORTEST_FIRST_STAGE_STEP = 2.0 ** (1 - solver_module._FIRST_STAGE)
+SHORTEST_FIRST_STAGE_STEP = 2.0 ** (1 - solver_module._FIRST_STAGE)  # a solve's first search
+# the step a solve's previous search accepted, which sets every first-stage depth: 3 to all 11 steps
+LAST_STEPS = [None] + [2.0**-k for k in range(11)]
+
+
+def shortest_first_stage_step(last_step):
+    """The shortest step a search's first cost call scores after accepting last_step."""
+    return SHORTEST_FIRST_STAGE_STEP if last_step is None else max(last_step / 4, 2.0**-10)
 
 
 def quadratic_problem(rng, n=None, n_knots=None, bounds=10.0):
@@ -225,6 +232,20 @@ class TestRiccatiFullForm:
         with pytest.raises(TypeError):
             backward_pass(problem, derivs, reg=1e-3)
 
+    def test_knot_0_state_derivatives_do_not_reach_the_gains(self):
+        # x_0 is fixed, so the sweep stops at knot 0's controls: its state
+        # gradient and curvature would only build a value function no gain reads
+        rng = np.random.default_rng(20)
+        problem, _ = quadratic_problem(rng, bounds=1.0)
+        us = rng.uniform(-1.5, 1.5, (problem.n_knots - 1, problem.n_dims))
+        derivs = _assemble_derivs(problem, rollout(problem, us), us)
+        bp = backward_pass(problem, derivs)
+        derivs.gx[0] += rng.normal(size=problem.n_dims)
+        derivs.hxx[0] *= 10.0
+        perturbed = backward_pass(problem, derivs)
+        assert np.array_equal(bp.k, perturbed.k) and np.array_equal(bp.K, perturbed.K)
+        assert (bp.expected_decrease, bp.grad_inf) == (perturbed.expected_decrease, perturbed.grad_inf)
+
     def test_a_singular_last_knot_raises(self):
         # no curvature anywhere, so Q_uu = 0 at the last knot: its solve gives
         # NaN gains without an error or a warning, and the sweep names them
@@ -315,15 +336,17 @@ class TestForwardPass:
 
 
 def assert_matches_loop(problem, xs, us, bp, J=None):
-    """Batched forward pass against the one-alpha-at-a-time reference, and
-    bit for bit against the same stack scored in one cost call."""
+    """Batched forward pass against the one-alpha-at-a-time reference, and,
+    at every first-stage depth, bit for bit against the same stack scored in
+    one cost call."""
     if J is None:
         J = problem.cost.value(xs, us)
-    fp = forward_pass(problem, xs, us, bp, J)
     one_call = forward_pass_one_call(problem, xs, us, bp, J)
-    assert (fp.accepted, fp.step_length, fp.cost) == (one_call.accepted, one_call.step_length, one_call.cost)
-    assert np.array_equal(fp.states, one_call.states)
-    assert np.array_equal(fp.controls, one_call.controls)
+    for last_step in LAST_STEPS:
+        fp = forward_pass(problem, xs, us, bp, J, last_step)
+        assert (fp.accepted, fp.step_length, fp.cost) == (one_call.accepted, one_call.step_length, one_call.cost)
+        assert np.array_equal(fp.states, one_call.states)
+        assert np.array_equal(fp.controls, one_call.controls)
     with np.errstate(over="ignore", invalid="ignore"):
         ref_xs, ref_us, ref_cost, ref_alpha, ref_accepted = line_search_loop(problem, xs, us, bp, J)
     assert fp.accepted == ref_accepted
@@ -538,8 +561,10 @@ class TestSolve:
     def test_scores_each_trajectory_once(self, seven_dof, monkeypatch):
         """The warm start is scored once and every other cost comes from a
         forward pass: one batched call for the first-stage steps, and one more
-        for the shorter steps exactly when none of those passed. The returned
-        cost is the plan's own, and every solve is one loop."""
+        for the shorter steps exactly when none of those passed. Each search
+        is handed the step its solve's previous search accepted, which sets
+        how deep the first stage reaches. The returned cost is the plan's own,
+        and every solve is one loop."""
 
         class CountingCost:
             def __init__(self, cost):
@@ -553,11 +578,11 @@ class TestSolve:
             def __getattr__(self, name):
                 return getattr(self.cost, name)
 
-        steps = []
+        searches = []  # (the last step a search is handed, the step it accepts)
 
-        def counting_forward_pass(*args, **kwargs):
-            fp = forward_pass(*args, **kwargs)
-            steps.append(fp.step_length)
+        def counting_forward_pass(problem, states, controls, gains, incumbent_cost, last_step=None):
+            fp = forward_pass(problem, states, controls, gains, incumbent_cost, last_step)
+            searches.append((last_step, fp.step_length))
             return fp
 
         monkeypatch.setattr(solver_module, "forward_pass", counting_forward_pass)
@@ -569,11 +594,17 @@ class TestSolve:
         for problem in problems:
             cost = problem.cost
             problem.cost = CountingCost(cost)
-            steps.clear()
+            searches.clear()
             result = solve_default(problem)
-            # a shorter step, or none, means the first stage found nothing
-            second_stages = sum(step < SHORTEST_FIRST_STAGE_STEP for step in steps)
-            assert problem.cost.value_calls == 1 + len(steps) + second_stages
+            handed = [last_step for last_step, _ in searches]
+            assert handed == [None] + [step for _, step in searches[:-1]]
+            # a step shorter than the first stage's shortest, or none, means the first stage found nothing;
+            # a first stage that reaches 2^-10 leaves no second one
+            second_stages = sum(
+                step < shortest_first_stage_step(last_step) and shortest_first_stage_step(last_step) > 2.0**-10
+                for last_step, step in searches
+            )
+            assert problem.cost.value_calls == 1 + len(searches) + second_stages
             assert result.total_cost == cost.value(result.states, result.controls)
             assert result.outer_iterations == 1
         assert second_stages > 0  # the default task's solve reached the second stage
