@@ -22,7 +22,13 @@ and per knot and human joint the 4x4 form Q with
 (p - mu)^T S^-1 (p - mu) = [p; 1]^T Q [p; 1], so one matrix product scores
 every tracked frame's separation from every joint. ``value`` keeps its
 stack's term record (FK, the row stack and the terms' intermediates), from
-which the line search's accepted candidate gets its derivatives. The scalar
+which the line search's accepted candidate gets its derivatives. Two of those
+intermediates serve a value and its gradient at once: the one residual stack
+p - targets gives both norm rows and their unit gradients, and the one product
+R R_g^T of the end-effector and goal rotations gives the orientation row (from
+its trace, by ``GoalSpec.orientation_errors``, the formula's one home) and that
+row's gradient (from its skew part). The evaluator checks the shapes of its
+horizon arrays and the task's head index when it is built. The scalar
 per-knot forms of the same terms, which the test suite checks the evaluator
 against, live in ``tests/oracles.py``. The planning loop and the metrics
 measure with this module's goal errors, gaze rays and goal inference.
@@ -50,7 +56,10 @@ _TINY = 1e-12
 # goal position), whose isotropic w_k / max(c_k, _CURV_GUARD) I is added apart
 _ROW_CURV = np.array([0.5, 0.5, -1.0, -1.0, 0.5])
 _EYE3 = np.eye(3)
-_AXIAL_PLUS, _AXIAL_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])  # flat indices of a 3x3 skew part
+# a quarter of the axial vector of M - M^T from the row-major flattened M: entries (2,1), (0,2), (1,0)
+# (flat 7, 2, 3) less (1,2), (2,0), (0,1) (flat 5, 6, 1), as one product (..., 9) @ (9, 3)
+_AXIAL = np.zeros((9, 3))
+_AXIAL[[7, 2, 3], [0, 1, 2]], _AXIAL[[5, 6, 1], [0, 1, 2]] = 0.25, -0.25
 GAZE_FLOOR = 1e-9  # a head-centred ray shorter than this has no direction
 
 
@@ -87,10 +96,19 @@ class GoalSpec:
         store(self, position=p, orientation=q, rotation=quat_to_matrix(q))
 
     def errors(self, positions: Array, rotations: Array) -> tuple[Array, Array]:
-        """Errors ||p - p_g|| and 1 - <q, q_g>^2 = 1 - (tr(R_g^T R) + 1) / 4 of
-        end-effector positions (..., N, 3) and rotations (..., N, 3, 3)."""
-        dot_sq = 0.25 * (np.einsum("ij,...nij->...n", self.rotation, rotations) + 1.0)
-        return _norms(positions - self.position), 1.0 - dot_sq
+        """Errors ||p - p_g|| and 1 - <q, q_g>^2 of end-effector positions
+        (..., N, 3) and rotations (..., N, 3, 3)."""
+        return _norms(positions - self.position), self.orientation_errors(self.relative(rotations))
+
+    def relative(self, rotations: Array) -> Array:
+        """The rotations (..., 3, 3) relative to the goal's, R R_g^T, as one (3 ..., 3) @ (3, 3) product."""
+        return (rotations.reshape(-1, 3) @ self.rotation.T).reshape(rotations.shape)
+
+    @staticmethod
+    def orientation_errors(relative: Array) -> Array:
+        """1 - <q, q_g>^2 = 1 - (tr(R R_g^T) + 1) / 4 from the rotations relative to the goal's,
+        R R_g^T (..., 3, 3): the trace is the sum of the flattened product's entries 0, 4 and 8."""
+        return 0.75 - 0.25 * np.add.reduce(relative.reshape(relative.shape[:-2] + (9,))[..., ::4], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,24 +154,41 @@ class CostTask:
 class KnotCostEvaluator:
     """Evaluates the knot cost over whole trajectories with batched FK: the
     task's fixed inputs against one horizon's human prediction (means (N, H, 3),
-    covariances (N, H, 3, 3)) and nominal end-effector path (N, 3)."""
+    covariances (N, H, 3, 3)) and nominal end-effector path (N, 3). The shapes
+    and the task's head index are checked here; the values are the loader's to
+    check, so no element is scanned."""
 
     def __init__(self, task: CostTask, means: Array, covs: Array, nominal: Array):
+        means, covs, nominal = (np.asarray(a, dtype=float) for a in (means, covs, nominal))
+        if means.ndim != 3 or means.shape[2] != 3 or not len(means):
+            raise InvalidInputError(f"means must be an (N, H, 3) array with N >= 1, got shape {means.shape}")
+        N, H = means.shape[:2]
+        if covs.shape != (N, H, 3, 3):
+            raise InvalidInputError(f"covs must be an ({N}, {H}, 3, 3) array, one per mean, got shape {covs.shape}")
+        if nominal.shape != (N, 3):
+            raise InvalidInputError(f"nominal must be an ({N}, 3) array, one point per knot, got shape {nominal.shape}")
+        if task.head_index >= H:
+            raise InvalidInputError(f"head_index must be below the prediction's {H} joints, got {task.head_index}")
         self.task = task
         self.mu, self.nominal, self.head = means, nominal, means[:, task.head_index]
         inv = np.linalg.inv(covs)
         self.cov_inv = 0.5 * (inv + inv.swapaxes(-1, -2))  # exactly symmetric, as Q below must be
+        self.cov_inv_flat = self.cov_inv.reshape(N, H, 9)
         # Q = [[S^-1, -S^-1 mu], [-mu^T S^-1, mu^T S^-1 mu]] per knot and joint, kept (N, 16, H) for (u u^T) @ Q
         s_mu = self.cov_inv @ means[..., None]  # (N, H, 3, 1)
-        quad = np.block([[self.cov_inv, -s_mu], [-s_mu.swapaxes(-1, -2), means[..., None, :] @ s_mu]])
-        self.quad = np.ascontiguousarray(quad.reshape(*means.shape[:2], 16).transpose(0, 2, 1))
-        self.sigma_head = np.sqrt(np.trace(covs[:, task.head_index], axis1=1, axis2=2) / 3.0)  # (N,)
+        quad = np.empty((N, 4, 4, H))
+        quad[:, :3, :3] = self.cov_inv.transpose(0, 2, 3, 1)
+        quad[:, :3, 3] = quad[:, 3, :3] = -s_mu[..., 0].swapaxes(1, 2)
+        quad[:, 3, 3] = (means[..., None, :] @ s_mu)[..., 0, 0]
+        self.quad = quad.reshape(N, 16, H)
+        head_covs = covs[:, task.head_index].reshape(N, 9)
+        self.sigma_head = np.sqrt(np.add.reduce(head_covs[:, ::4], axis=-1) / 3.0)  # (N,), from the trace
         self.gaze_hat = gaze_directions(task.gaze, self.head)  # unit head-to-object rays (N, 3)
         # the norm rows' targets (N, 2, 3): the nominal point, then the goal position
-        self.targets = np.empty((len(nominal), 2, 3))
+        self.targets = np.empty((N, 2, 3))
         self.targets[:, 0], self.targets[:, 1] = nominal, task.goal.position
         # Q's first three columns (N, 4, 3H): u^T of them is (S^-1 (p - mu))^T, the separation gradient's factor
-        self.quad_cols = self.quad.reshape(len(means), 4, 4, -1)[:, :, :3].reshape(len(means), 4, -1)
+        self.quad_cols = quad[:, :, :3].reshape(N, 4, -1)
         self._kept = None  # the term record of the last value call
 
     # -- values ------------------------------------------------------------
@@ -161,7 +196,10 @@ class KnotCostEvaluator:
     def _terms(self, xs: Array) -> SimpleNamespace:
         """The term record of trajectories xs (..., N, n), flattened to C: the rows (C, N, n), their
         batched FK (frame positions, world joint axes, end-effector rotations), the end-effector row
-        stack (C, N, 5) and the intermediates that value and state_derivatives both read, each (C, N, ...)."""
+        stack (C, N, 5) and the intermediates that value and state_derivatives both read, each (C, N, ...).
+        Among them, the norm rows' one residual stack resid = p - targets (C, N, 2, 3) gives both norm
+        rows and their gradients, and the one product rrg = R R_g^T (C, N, 3, 3) gives the orientation
+        row (GoalSpec.orientation_errors, from its trace) and that row's gradient (from its skew part)."""
         task = self.task
         N, n = xs.shape[-2:]
         fk = fk_batch(task.model, xs.reshape(-1, n))
@@ -172,19 +210,23 @@ class KnotCostEvaluator:
         t.denom = m + DIST_EPS
         t.bhat, t.cos, t.nb = gaze_cosines(self.gaze_hat, self.head, p_eef)
         t.probs = task.goal_probs(p_eef)
+        t.resid = p_eef[..., None, :] - self.targets  # p - nominal, p - goal
+        t.rrg = task.goal.relative(t.rotations)
         # gaze angle / sigma_head, 1 - p(goal), ||p - nominal||, then the goal errors ||p - goal|| and orientation
-        t.rows = np.empty(t.cos.shape + (5,))
-        t.rows[..., 0] = np.arccos(t.cos) / self.sigma_head
-        t.rows[..., 1] = 1.0 - t.probs[..., task.goal_index]
-        t.rows[..., 2] = _norms(p_eef - self.nominal)
-        t.rows[..., 3], t.rows[..., 4] = task.goal.errors(p_eef, t.rotations)
+        t.rows = rows = np.empty(t.cos.shape + (5,))
+        np.divide(np.arccos(t.cos), self.sigma_head, out=rows[..., 0])
+        np.subtract(1.0, t.probs[..., task.goal_index], out=rows[..., 1])
+        _norms(t.resid, out=rows[..., 2:4])
+        rows[..., 4] = task.goal.orientation_errors(t.rrg)
         return t
 
     def _mahalanobis(self, positions: Array) -> tuple[Array, Array]:
         """Squared Mahalanobis distances (..., N, R, H) from the tracked frames of positions (..., N, F, 3)
         to every human joint, floored at 0 where the expansion cancels, and the frames' points [p; 1]."""
-        p = positions[..., self.task.tracked, :]
-        u = np.concatenate((p, np.ones(p.shape[:-1] + (1,))), axis=-1)
+        tracked = self.task.tracked
+        u = np.empty(positions.shape[:-2] + (len(tracked), 4))
+        u[..., :3] = positions[..., tracked, :]
+        u[..., 3] = 1.0
         uu = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
         return np.maximum(uu @ self.quad, 0.0), u
 
@@ -199,11 +241,11 @@ class KnotCostEvaluator:
         t = self._kept = self._terms(xs)
         w = self.task.weights
         vals = t.rows @ self.task.row_weights  # (C, N) knot costs
-        vals += w.w_dist * (1.0 / t.denom).sum(axis=(-2, -1))
-        total = vals.sum(axis=-1).reshape(xs.shape[:-2])[()]
+        vals += w.w_dist * np.add.reduce(1.0 / t.denom, axis=(-2, -1))
+        total = np.add.reduce(vals, axis=-1).reshape(xs.shape[:-2])[()]
         # gated, not scaled: a zero weight times an overflowed control's inf square would be NaN
         if us is not None and w.w_smooth > 0:
-            total = total + w.w_smooth * (us * us).sum(axis=(-2, -1))
+            total = total + w.w_smooth * np.add.reduce(us * us, axis=(-2, -1))
         return total
 
     # -- derivatives ---------------------------------------------------------
@@ -213,12 +255,15 @@ class KnotCostEvaluator:
 
         Its term record is the kept stack's entries for the trajectory holding
         the same values (the line search's accepted candidate), else one of its
-        own. Every term adds its gradient and Gauss-Newton curvature to its row of
-        g (N, F + 1, 3) and P (N, F + 1, 3, 3): separation to the tracked frames'
-        positional rows; the end-effector rows, from one stack V (N, 5, 3) of
-        unit-weight gradients, sum_k w_k V_k and sum_k s_k V_k V_k^T to the end
-        effector's positional row (rows 0-3) or to the last, angular row, whose
-        Jacobian has joint j's world axis as column j (row 4, the orientation).
+        own; the norm rows' gradients read its residuals p - targets and the
+        orientation row's its product R R_g^T, so neither is formed twice.
+        Every term adds its gradient and Gauss-Newton curvature to its row of
+        g (N, F + 1, 3) and P (N, F + 1, 3, 3): separation to the tracked
+        frames' positional rows; the end-effector rows, from one stack
+        V (N, 5, 3) of unit-weight gradients, sum_k w_k V_k and
+        sum_k s_k V_k V_k^T to the end effector's positional row (rows 0-3) or
+        to the last, angular row, whose Jacobian has joint j's world axis as
+        column j (row 4, the orientation).
         Row k's scale is s_k = w_k / (2 c_k) for the rank-one rows and -w_k / c_k
         for the norms, whose curvature (I - rhat rhat^T) / c_k also adds
         w_k / c_k I; c_k is the row's value floored at _CURV_GUARD. One product
@@ -229,10 +274,11 @@ class KnotCostEvaluator:
         task, w = self.task, self.task.weights
         kept, hit = self._kept, ()
         if kept is not None and kept.xs.shape[1:] == xs.shape:
-            hit = np.flatnonzero((kept.xs == xs).all(axis=(1, 2)))
+            hit = np.logical_and.reduce(kept.xs == xs, axis=(1, 2)).nonzero()[0]
         t, i = (kept, hit[0]) if len(hit) else (self._terms(xs), 0)
         positions, axes, rotations, u, denom = t.positions[i], t.axes[i], t.rotations[i], t.u[i], t.denom[i]
         bhat, cos, nb, probs, rows = t.bhat[i], t.cos[i], t.nb[i], t.probs[i], t.rows[i]
+        resid, rrg = t.resid[i], t.rrg[i]
         # positional rows (N, F - 1, 3, n), then the angular row (N, 1, 3, n)
         F = len(task.jframes) + 1
         J = np.empty((N, F, 3, n))
@@ -246,41 +292,38 @@ class KnotCostEvaluator:
         # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
         sd = (u @ self.quad_cols).reshape(N, R, 3, -1)
         c2 = 2.0 / denom**2
-        g[:, :R] = -w.w_dist * (sd @ c2[..., None])[..., 0]
+        np.multiply(-w.w_dist, (sd @ c2[..., None])[..., 0], out=g[:, :R])
         # curvature with the sign of the off-axis part flipped positive:
         # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
         # magnitude of both pieces stops line-search overshoot against the
         # proximity barrier, which otherwise stalls the inner loop
         outer = sd @ ((8.0 / denom**3)[..., None] * sd.swapaxes(2, 3))
-        cov_part = c2 @ self.cov_inv.reshape(N, -1, 9)
-        P[:, :R] = w.w_dist * (outer + cov_part.reshape(N, R, 3, 3))
+        cov_part = c2 @ self.cov_inv_flat
+        np.multiply(w.w_dist, outer + cov_part.reshape(N, R, 3, 3), out=P[:, :R])
 
         # unit-weight gradients V (N, 5, 3) of the end-effector rows: rows 0-3 w.r.t. the end-effector
         # position, the orientation row w.r.t. the angular row. The gaze angle's is
-        # -(ahat - cos bhat) / (|b| sin theta sigma_head), zero at the kink; a norm's is rhat, zero at 0
+        # (cos bhat - ahat) / (|b| sin theta sigma_head), a norm's rhat = r / ||r||; each is zeroed at its
+        # kink by a mask product, with its divisor floored there so that the masked quotient stays finite
         V = np.empty((N, 5, 3))
-        u_perp = self.gaze_hat - cos[:, None] * bhat
-        sin_theta = _norms(u_perp)
-        ok = sin_theta > 1e-9
-        scale = nb * np.where(ok, sin_theta, 1.0) * self.sigma_head
-        V[:, 0] = np.where(ok[:, None], -u_perp / scale[:, None], 0.0)
+        v = cos[:, None] * bhat - self.gaze_hat
+        sin_theta = _norms(v)
+        scale = nb * np.maximum(sin_theta, 1e-9) * self.sigma_head
+        np.multiply(v / scale[:, None], (sin_theta > 1e-9)[:, None], out=V[:, 0])
         p_r = probs[:, task.goal_index]
-        V[:, 1] = -2.0 * p_r[:, None] * (task.goals[task.goal_index] - probs @ task.goals)
-        r = positions[:, task.model.eef_frame, None] - self.targets  # p - nominal, p - goal (N, 2, 3)
+        np.multiply(-2.0 * p_r[:, None], task.goals[task.goal_index] - probs @ task.goals, out=V[:, 1])
         nr = rows[:, 2:4, None]
-        V[:, 2:4] = np.where(nr > _TINY, r / np.maximum(nr, _TINY), 0.0)
+        np.multiply(resid / np.maximum(nr, _TINY), nr > _TINY, out=V[:, 2:4])
         # joint j turns the end effector about its world axis a_j, so d/dq_j of 1 - (tr(R_g^T R) + 1) / 4
-        # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T:
-        # entries (2,1), (0,2), (1,0) less (1,2), (2,0), (0,1) of the row-major flattened product
-        m = (rotations @ task.goal.rotation.T).reshape(N, 9)
-        V[:, 4] = 0.25 * (m[:, _AXIAL_PLUS] - m[:, _AXIAL_MINUS])
+        # is -tr(R_g^T [a_j]x R) / 4 = a_j . s / 4, with s the axial vector of R R_g^T - (R R_g^T)^T
+        np.matmul(rrg.reshape(N, 9), _AXIAL, out=V[:, 4])
         wr = task.row_weights
         wc = wr / np.maximum(rows, _CURV_GUARD)  # w_k / c_k (N, 5)
         sV = (wc * _ROW_CURV)[:, :, None] * V
         g[:, task.eef_row] += wr[:4] @ V[:, :4]
-        P[:, task.eef_row] += V[:, :4].swapaxes(1, 2) @ sV[:, :4] + wc[:, 2:4].sum(axis=1)[:, None, None] * _EYE3
-        g[:, -1] = wr[4] * V[:, 4]
-        P[:, -1] = V[:, 4, :, None] * sV[:, 4, None, :]
+        P[:, task.eef_row] += V[:, :4].swapaxes(1, 2) @ sV[:, :4] + (wc[:, 2] + wc[:, 3])[:, None, None] * _EYE3
+        np.multiply(wr[4], V[:, 4], out=g[:, -1])
+        np.multiply(V[:, 4, :, None], sV[:, 4, None, :], out=P[:, -1])
 
         Jf = J.reshape(N, 3 * F, n)
         gx = (g.reshape(N, 1, 3 * F) @ Jf)[:, 0]
@@ -299,7 +342,7 @@ def gaze_directions(gaze: Array, head: Array) -> Array:
     which must lie GAZE_FLOOR or more from the head."""
     a = gaze - head
     na = _norms(a)
-    if np.any(na < GAZE_FLOOR):
+    if np.logical_or.reduce(na < GAZE_FLOOR, axis=None):
         raise InvalidInputError("degenerate gaze ray: the gazed object coincides with the head")
     return a / na[..., None]
 
@@ -311,7 +354,7 @@ def gaze_cosines(gaze_hat: Array, head: Array, p_eef: Array) -> tuple[Array, Arr
     b = p_eef - head
     nb = np.maximum(_norms(b), GAZE_FLOOR)
     bhat = b / nb[..., None]
-    cos_theta = np.maximum(np.minimum((gaze_hat * bhat).sum(axis=-1), 1.0), -1.0)
+    cos_theta = np.maximum(np.minimum(np.add.reduce(gaze_hat * bhat, axis=-1), 1.0), -1.0)
     return bhat, cos_theta, nb
 
 
@@ -324,11 +367,11 @@ def legibility_logits(start: Array, goals: Array) -> tuple[Array, Array]:
 
 def softmax(logits: Array) -> Array:
     """Max-shifted softmax over the last axis."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _norms(x: Array) -> Array:
-    """Euclidean norms along the last axis: np.linalg.norm's own formula for
-    real arrays, without its dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def _norms(x: Array, out: Optional[Array] = None) -> Array:
+    """Euclidean norms along the last axis, into out where given: np.linalg.norm's
+    own formula for real arrays, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1), out=out)

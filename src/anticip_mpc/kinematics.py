@@ -108,8 +108,8 @@ class RobotModel:
         eef_frame = integer(self.eef_frame, "robot eef_frame")
         if eef_frame != n:
             raise InvalidInputError("eef_frame must be the last frame of the chain")
-        # per-joint Rodrigues terms aa^T, I - aa^T and [a]x, precomputed once
-        # for the FK hot path
+        # per-joint Rodrigues terms aa^T, I - aa^T and [a]x, flattened and stacked
+        # (n, 3, 9) once for the FK hot path, which weights them by 1, cos q and sin q
         outer = axes[:, :, None] * axes[:, None, :]
         skews = np.zeros((n, 3, 3))
         skews[:, 0, 1] = -axes[:, 2]
@@ -126,8 +126,8 @@ class RobotModel:
         store(
             self, axes=axes, offsets=offsets, base_position=base_p, base_orientation=base_q,
             vel_lower=lo, vel_upper=hi, tracked_frames=tracked, eef_frame=eef_frame,
-            _rot_outer=outer, _rot_perp=np.eye(3) - outer, _rot_skew=skews, _frame_cols=frame_cols,
-            _base_rotation=quat_to_matrix(base_q),
+            _rot_terms=np.stack([outer, np.eye(3) - outer, skews], axis=1).reshape(n, 3, 9),
+            _frame_cols=frame_cols, _base_rotation=quat_to_matrix(base_q),
         )
 
     @property
@@ -153,14 +153,18 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     single configuration is a one-row batch."""
     qs = np.asarray(qs, dtype=float)
     B, n = qs.shape
-    c = np.cos(qs)[:, :, None, None]
-    s = np.sin(qs)[:, :, None, None]
-    joint_rots = model._rot_outer + c * model._rot_perp + s * model._rot_skew  # (B, n, 3, 3)
+    # joint-major Rodrigues weights [1, cos q, sin q] (n, B, 3), so one product with the
+    # model's terms gives every joint rotation aa^T + c (I - aa^T) + s [a]x (n, B, 3, 3)
+    weights = np.empty((n, B, 3))
+    weights[..., 0] = 1.0
+    np.cos(qs.T, out=weights[..., 1])
+    np.sin(qs.T, out=weights[..., 2])
+    joint_rots = (weights @ model._rot_terms).reshape(n, B, 3, 3)
     # frame_rots[j] is the world rotation of frame j, before joint j turns
     frame_rots = np.empty((n + 1, B, 3, 3))
     frame_rots[0] = model._base_rotation
     for j in range(n):
-        np.matmul(frame_rots[j], joint_rots[:, j], out=frame_rots[j + 1])
+        np.matmul(frame_rots[j], joint_rots[j], out=frame_rots[j + 1])
     # one (3B, 3) @ (3, 2) product per frame, then (B, n + 1, 3, 2): world axes, link steps
     cols = (frame_rots.reshape(n + 1, 3 * B, 3) @ model._frame_cols).reshape(n + 1, B, 3, 2).swapaxes(0, 1)
     steps = cols[..., 1]
@@ -169,8 +173,7 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
     return BatchFk(positions, cols[:, :n, :, 0], frame_rots[n])
 
 
-_NEXT = np.array([1, 2, 0])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
-_PREV = np.array([2, 0, 1])
+_WRAP = np.array([0, 1, 2, 0, 1])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}: slices 1:4 and 2:5
 
 
 def position_jacobians(fk: BatchFk, frames) -> Array:
@@ -180,12 +183,14 @@ def position_jacobians(fk: BatchFk, frames) -> Array:
     """
     frames = np.asarray(frames, dtype=int)
     n = fk.joint_axes_world.shape[1]
-    # (B, F, 3, n) levers and (B, 1, 3, n) axes; the cross product is written
+    # (B, F, 5, n) levers and (B, 1, 5, n) axes with components 0, 1, 2, 0, 1, so
+    # the cross product reads its shifted components as slices; it is written
     # out because np.cross spends most of its time on axis bookkeeping here
-    lever = fk.positions[:, frames, :, None] - fk.positions[:, None, :n, :].swapaxes(2, 3)
-    a = fk.joint_axes_world.swapaxes(1, 2)[:, None]
-    J = a[:, :, _NEXT] * lever[:, :, _PREV] - a[:, :, _PREV] * lever[:, :, _NEXT]
-    J *= (np.arange(n)[None, :] < frames[:, None])[None, :, None, :]  # joint j moves frame f only if j < f
+    p = fk.positions[..., _WRAP]
+    lever = p[:, frames, :, None] - p[:, None, :n, :].swapaxes(2, 3)
+    a = fk.joint_axes_world[..., _WRAP].swapaxes(1, 2)[:, None]
+    J = a[:, :, 1:4] * lever[:, :, 2:5] - a[:, :, 2:5] * lever[:, :, 1:4]
+    J *= (np.arange(n) < frames[:, None])[:, None]  # joint j moves frame f only if j < f
     return J
 
 

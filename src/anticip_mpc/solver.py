@@ -29,6 +29,7 @@ solve at its iterate, not converged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ _REG_MIN = 1e-6  # unused by the solver; only perfbench/tracing.py reads it unti
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 _ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
+_ARMIJO_ALPHAS = _ARMIJO * _ALPHAS  # each step's required decrease per unit of expected decrease
+_ASCENDING_ALPHAS = sorted(_ALPHAS.tolist())  # bisect's order
 # a solve's first search scores alpha in {1, ..., 1/8} first, the rest only if none of them
 # passes; each later search scores down to a quarter of the step its previous search accepted
 _FIRST_STAGE = 4
@@ -163,7 +166,7 @@ def _assemble_derivs(problem, xs, us) -> _Derivs:
     gx, hxx = problem.cost.state_derivatives(xs)
     gu, huu = problem.cost.control_derivatives(us)
     side = (us >= problem.u_upper) * 1.0 - (us <= problem.u_lower)
-    return _Derivs(gx, gu, hxx, huu, side, (side != 0.0).any(axis=1))
+    return _Derivs(gx, gu, hxx, huu, side, np.logical_or.reduce(side != 0.0, axis=1))
 
 
 def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassResult:
@@ -192,14 +195,14 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassRe
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
-    eye = np.eye(n)
     # column 0 holds the gradient and columns 1: the curvature, so one solve
     # gives [k | K] and one product updates [v_x | V_xx]
     hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
     huu = 0.5 * (derivs.huu + derivs.huu.T)
 
     on_bound = derivs.on_bound.tolist()
-    q = np.empty((M, n, n + 1))  # [q_u | Q_ux]
+    q = np.zeros((M, n, n + 1))  # [q_u | Q_ux], from the control gradient
+    q[:, :, 0] = derivs.gu
     kK = np.empty((M, n, n + 1))  # [k | K], negated once after the sweep
     quu = np.empty((n, n))  # this knot's Q_uu
     v = hx[-1].copy()  # [v_x | V_xx]
@@ -209,8 +212,7 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassRe
             # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
             # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
             qt = q[t]
-            np.multiply(dt, v, out=qt)
-            qt[:, 0] += derivs.gu[t]
+            qt += dt * v
             np.multiply(dt * dt, v[:, 1:], out=quu)
             quu += huu
             lhs, rhs = quu, qt
@@ -218,19 +220,28 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassRe
                 free = derivs.side[t] * qt[:, 0] >= 0.0
                 # identity rows and columns decouple the held controls, and
                 # their zero right-hand side gives them zero steps and gains
-                lhs = np.where(free[:, None] & free, quu, eye)
+                lhs = np.where(free[:, None] & free, quu, np.eye(n))
                 qt[:, 0] *= free  # out of the reported gradient
                 rhs = qt * free[:, None]
             _lapack_solve(lhs, rhs, out=kK[t])
             if t:  # knot 0's value function would feed no gain
                 v = hx[t] + v
                 v -= qt[:, 1:] @ kK[t]
-    if not np.isfinite(kK).all():
+    if not np.logical_and.reduce(np.isfinite(kK), axis=None):
         raise SolverError("backward pass: non-finite gains; Q_uu is singular or the cost derivatives are not finite")
     np.negative(kK, out=kK)
     qu, k = q[:, :, 0], kK[:, :, 0]
-    decrease = max(0.0, -0.5 * float((qu * k).sum()))
-    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.abs(qu).max()))
+    decrease = max(0.0, -0.5 * float(np.add.reduce(qu * k, axis=None)))
+    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.maximum.reduce(np.abs(qu), axis=None)))
+
+
+def _first_stage_size(last_step: float | None) -> int:
+    """How many of the longest steps a line search scores in its first cost call: _FIRST_STAGE in a
+    solve's first search (last_step None), else every step down to last_step and two halvings past
+    it, at most all of them. Counted by bisection, so any last_step in (0, 1] is placed."""
+    if last_step is None:
+        return _FIRST_STAGE
+    return min(_N_ALPHAS, _N_ALPHAS - bisect_left(_ASCENDING_ALPHAS, last_step) + 2)
 
 
 def forward_pass(
@@ -277,19 +288,18 @@ def forward_pass(
             np.add(xs[t], u * dt, out=xs[t + 1])
     xs = np.ascontiguousarray(xs.swapaxes(0, 1))  # a strided stack would change value's sum order
     us = np.ascontiguousarray(us.swapaxes(0, 1))
-    finite = np.isfinite(xs).all(axis=(1, 2))
-    if not finite.all():
+    finite = np.logical_and.reduce(np.isfinite(xs), axis=(1, 2))
+    if not np.logical_and.reduce(finite):
         xs[~finite] = states
         us[~finite] = controls
-    required = _ARMIJO * _ALPHAS * gains.expected_decrease
-    # the steps down to last_step and two halvings past it
-    first = _FIRST_STAGE if last_step is None else min(_N_ALPHAS, int((_ALPHAS >= last_step).sum()) + 2)
+    required = _ARMIJO_ALPHAS * gains.expected_decrease
+    first = _first_stage_size(last_step)
     stages = (slice(0, first), slice(first, _N_ALPHAS)) if first < _N_ALPHAS else (slice(0, _N_ALPHAS),)
     for stage in stages:
         costs = problem.cost.value(xs[stage], us[stage])
         passed = finite[stage] & (incumbent_cost - costs >= required[stage])
-        if passed.any():
-            i = int(np.argmax(passed))
+        if np.logical_or.reduce(passed):
+            i = int(passed.argmax())
             a = stage.start + i
             return ForwardPassResult(xs[a], us[a], float(costs[i]), float(_ALPHAS[a]), True)
     return ForwardPassResult(states, controls, incumbent_cost, 0.0, False)

@@ -9,6 +9,15 @@ works on the default scenario at the first replan's warm start: the reference
 horizon (6 knots) or the one-shot plan (21 knots), and for the cost kernels
 also the reference horizon against a 17-joint human on a 0.1 s grid, the
 shape of perfbench's ``fullbody`` workload.
+
+These timings show where a kernel's time goes; they cannot show a 10% change.
+On a shared 2-CPU VM, with pytest-benchmark's defaults, cases spread by 25-100%
+of their medians (interquartile range), and even a min-of-5 ``timeit`` of
+``state_derivatives`` on the reference horizon read 149-239 us across four
+runs of one tree. Claim a per-layer gain from perfbench's traced layer
+table instead (``python3 perfbench/run.py --workload W --seed S --seconds 0
+--trace 1``), whose self times are converted to reference speed and whose call
+counts are exact.
 """
 
 from pathlib import Path
@@ -80,7 +89,10 @@ def test_value(benchmark, horizon, request):
 @pytest.mark.parametrize("horizon", ["reference", "oneshot", "fullbody"])
 def test_state_derivatives(benchmark, horizon, request):
     """The hit path of a one-trajectory stack: derivatives read the term
-    record that scoring the same trajectory kept, as at a solve's warm start."""
+    record that scoring the same trajectory kept, as at a solve's warm start:
+    its FK, Mahalanobis forms, gaze cosines and goal probabilities, its
+    residuals p - targets for the norm rows' gradients and its product
+    R R_g^T for the orientation row's."""
     problem, xs, us = request.getfixturevalue(horizon)
     problem.cost.value(xs, us)
     benchmark(problem.cost.state_derivatives, xs)
@@ -90,7 +102,9 @@ def test_state_derivatives(benchmark, horizon, request):
 def test_scored_then_derivatives(benchmark, horizon, request):
     """One line-search stage and the next iterate's derivatives: value on the
     four first-stage candidates, then state_derivatives of the one accepted,
-    which reads the kept term record."""
+    which finds it in the kept term record by content and reads that
+    candidate's entries, the residuals and R R_g^T among them, forming no FK,
+    residual or rotation product of its own."""
     problem, xs, us = request.getfixturevalue(horizon)
     cand_xs, cand_us = _first_stage(xs, us)
     accepted = cand_xs[1].copy()

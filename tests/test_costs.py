@@ -233,6 +233,28 @@ class TestGoalPoseCost:
             np.testing.assert_allclose(orient_err, 1.0 - (qs @ goal.orientation) ** 2, rtol=0, atol=1e-12)
 
 
+    def test_cost_rows_equal_the_goal_errors(self, seven_dof):
+        """The cost's rows 2-4, read from its one residual stack and its one
+        product R R_g^T, equal ||p - nominal|| and GoalSpec.errors on random
+        configurations bit for bit, and the trace form of the orientation error
+        rounds within 1e-15 of the elementwise tr(R_g^T R)."""
+        rng = np.random.default_rng(24)
+        qs = rng.uniform(-np.pi, np.pi, (6, 7))
+        contexts = random_contexts(rng, seven_dof, qs, weights=CostWeights(*rng.uniform(0.1, 2.0, 6)), goal_index=0)
+        ev = KnotCostEvaluator(*stack_contexts(contexts))
+        xs = qs + rng.uniform(-1.0, 1.0, (4, 6, 7))
+        ev.value(xs)
+        fk = fk_batch(seven_dof, xs.reshape(-1, 7))
+        p_eef = fk.positions[:, seven_dof.eef_frame].reshape(4, 6, 3)
+        rotations = fk.eef_rotations.reshape(4, 6, 3, 3)
+        pos_err, orient_err = ev.task.goal.errors(p_eef, rotations)
+        rows = ev._kept.rows
+        assert np.array_equal(rows[..., 2], np.linalg.norm(p_eef - ev.nominal, axis=-1))
+        assert np.array_equal(rows[..., 3], pos_err) and np.array_equal(rows[..., 4], orient_err)
+        elementwise = 1.0 - 0.25 * (np.einsum("ij,...ij->...", ev.task.goal.rotation, rotations) + 1.0)
+        np.testing.assert_allclose(orient_err, elementwise, rtol=0, atol=1e-15)
+
+
 class TestTotalKnotCost:
     def test_zero_weights(self, seven_dof):
         rng = np.random.default_rng(4)

@@ -6,7 +6,7 @@ import copy
 import json
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, default_reach_config, default_scenario_dict, main
+from anticip_mpc.costs import CostTask, CostWeights, GoalSpec, KnotCostEvaluator
 from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number, store
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
 from anticip_mpc.metrics import evaluate_trace
@@ -193,6 +194,17 @@ def _problem(n_knots, dt, x0=(0.0, 0.0)):
     return TrajectoryProblem(n_knots, dt, x0, None, -np.ones(2), np.ones(2))
 
 
+_MEANS, _COVS = slice_horizon(_PREDICTION, 0.0, 3, 0.25)  # (3, H, 3), (3, H, 3, 3)
+_TASK = CostTask(
+    _MODEL, CostWeights(w_dist=1.0), np.full(3, 2.0), np.zeros(3), np.ones((1, 3)), 0,
+    GoalSpec(np.zeros(3), [1.0, 0.0, 0.0, 0.0]), head_index=0,
+)
+
+
+def _evaluator(means=_MEANS, covs=_COVS, nominal=np.zeros((3, 3)), head_index=0):
+    return KnotCostEvaluator(replace(_TASK, head_index=head_index), means, covs, nominal)
+
+
 # (the argument the error names, the call)
 BAD_ARGUMENTS = {
     "slice_horizon-nan_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("nan"), 3, 0.25)),
@@ -209,18 +221,29 @@ BAD_ARGUMENTS = {
     "warm_start_shift-fractional_steps": ("steps_executed", lambda: warm_start_shift(_CONTROLS, 2.5, 4)),
     "warm_start_shift-fractional_n_controls": ("n_controls", lambda: warm_start_shift(_CONTROLS, 1, 2.5)),
     "warm_start_shift-empty_plan": ("controls", lambda: warm_start_shift(np.zeros((0, 2)), 0, 4)),
+    "evaluator-head_index_past_the_joints": ("head_index", lambda: _evaluator(head_index=_MEANS.shape[1])),
+    "evaluator-short_nominal": ("nominal", lambda: _evaluator(nominal=np.zeros((2, 3)))),
+    "evaluator-non_square_covs": ("covs", lambda: _evaluator(covs=_COVS[..., :2])),
+    "evaluator-planar_means": ("means", lambda: _evaluator(means=_MEANS[..., :2])),
+    "evaluator-no_knots": ("means", lambda: _evaluator(means=_MEANS[:0], covs=_COVS[:0], nominal=np.zeros((0, 3)))),
 }
 
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_exported_function_rejects_bad_numeric_argument(name, call):
     """A NaN or infinite time or start state, a fractional, negative or
-    boolean count or an empty plan raises InvalidInputError naming the
+    boolean count, an empty plan, a horizon array of the wrong shape or a
+    head index past the predicted joints raises InvalidInputError naming the
     argument, before any arithmetic warns or fails on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):
             call()
+
+
+def test_evaluator_builds_from_the_valid_horizon():
+    """The horizon the evaluator cases above each break in one argument."""
+    assert _evaluator(head_index=_MEANS.shape[1] - 1).value(np.zeros((3, _MODEL.n_joints))) > 0.0
 
 
 def test_problem_accepts_infinite_control_bounds():

@@ -20,6 +20,7 @@ import anticip_mpc.solver as solver_module
 from anticip_mpc.solver import (
     BackwardPassResult,
     _assemble_derivs,
+    _first_stage_size,
     max_bound_violation,
 )
 from anticip_mpc.cli import default_scenario_dict
@@ -479,6 +480,19 @@ class TestBatchedLineSearch:
         assert 1.0 in steps and SHORTEST_FIRST_STAGE_STEP in steps  # first stage
         assert any(0.0 < step < SHORTEST_FIRST_STAGE_STEP for step in steps)  # second stage
         assert 0.0 in steps  # no step
+
+    @pytest.mark.parametrize(
+        "last_step", [*solver_module._ALPHAS.tolist(), 0.3, 2.0**-10.5, 1e-6],
+        ids=[*(f"2^-{k}" for k in range(solver_module._N_ALPHAS)), "0.3", "2^-10.5", "1e-6"],
+    )
+    def test_first_stage_size_counts_the_steps_down_to_the_last(self, last_step):
+        """The first stage's size, placed by bisection, is the number of steps
+        at least last_step plus two, at most all of them, on the grid and off it."""
+        alphas, n_alphas = solver_module._ALPHAS, solver_module._N_ALPHAS
+        assert _first_stage_size(last_step) == min(n_alphas, int((alphas >= last_step).sum()) + 2)
+
+    def test_first_search_scores_the_fixed_first_stage(self):
+        assert _first_stage_size(None) == solver_module._FIRST_STAGE
 
     def test_non_finite_large_steps_are_skipped(self, seven_dof):
         # steps so long that alpha = 1 overflows the states, while every
