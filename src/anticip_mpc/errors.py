@@ -95,27 +95,27 @@ def boolean(value, name: str) -> bool:
     return value
 
 
-def _holds_bool(items: list) -> bool:
-    return any(isinstance(v, (bool, np.bool_)) or (isinstance(v, list) and _holds_bool(v)) for v in items)
-
-
-def float_array(value, name: str, shape: tuple = None) -> np.ndarray:
-    """`value` as a float array of numbers (not bools or strings), finite, and
-    of `shape` where given; a None in `shape` allows any size on that axis."""
+def float_array(value, name: str, shape: tuple = None, finite: bool = True) -> np.ndarray:
+    """`value` as a float array of numbers (not bools or strings), of `shape` where given (a
+    None in `shape` allows any size on that axis), and finite unless `finite` is false, for a
+    caller that names the first non-finite entry itself."""
     try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    # np.asarray turns a bool among numbers into a number, so a list is searched for one
-    if arr is None or arr.dtype.kind not in "iuf" or (isinstance(value, list) and _holds_bool(value)):
+        if not isinstance(value, np.ndarray):
+            # each element's own type decides: np.asarray would turn a bool among numbers into a number
+            value = np.array(value, dtype=object)
+            if all(issubclass(k, _REALS) and k is not bool for k in set(map(type, value.flat))):
+                value = value.astype(float)
+    except (ValueError, OverflowError):  # ragged nesting, or an integer too large for a float
+        value = None
+    if value is None or value.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must be a rectangular array of numbers")
-    arr = np.asarray(arr, dtype=float)
+    arr = np.asarray(value, dtype=float)
     if shape is not None and (
         arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
     ):
         want = ", ".join("*" if d is None else str(d) for d in shape) + ("," if len(shape) == 1 else "")
         raise InvalidInputError(f"{name} must have shape ({want}), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must be finite")
     return arr
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, _holds_bool, float_array, integer, number, read_json, store, write_json
+from .errors import Fields, InvalidInputError, float_array, integer, number, read_json, store, write_json
 
 Array = np.ndarray
 
@@ -69,8 +69,8 @@ class HumanPrediction:
     t0: float = 0.0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covs, dtype=float)
+        means = float_array(self.means, "prediction means", finite=False)
+        covs = float_array(self.covs, "prediction covs", finite=False)
         if means.ndim != 3 or means.shape[2] != 3 or means.shape[0] < 1:
             raise InvalidInputError("means must have shape (T, H, 3) with T >= 1")
         T, H = means.shape[:2]
@@ -275,17 +275,16 @@ def prediction_from_dict(data: dict) -> HumanPrediction:
 
 
 def _frame_arrays(frames: list, H: int) -> tuple[Array, Array]:
-    """Means (T, H, 3) and covariances (T, H, 3, 3), parsed in one pass over Python objects (a
-    bool stays a bool); only if that fails does a per-entry pass run, naming the bad entry."""
+    """Means (T, H, 3) and covariances (T, H, 3, 3), checked in one pass over the whole
+    frame list; only if that fails does a per-entry pass run, naming the bad entry. Neither
+    checks finiteness, which HumanPrediction reports by frame and joint."""
     T = len(frames)
     try:
-        means = np.array([[entry["mean"] for entry in frame] for frame in frames], dtype=object)
-        covs = np.array([[entry["cov"] for entry in frame] for frame in frames], dtype=object)
-        kinds = set(map(type, means.flat)) | set(map(type, covs.flat))
-        numbers = all(issubclass(k, (int, float, np.integer, np.floating)) and k is not bool for k in kinds)
-        if numbers and means.shape == (T, H, 3) and covs.shape == (T, H, 3, 3):
-            return means.astype(float), covs.astype(float)
-    except (KeyError, TypeError, ValueError, OverflowError):  # an int too large for a float
+        return (
+            float_array([[entry["mean"] for entry in frame] for frame in frames], "means", (T, H, 3), finite=False),
+            float_array([[entry["cov"] for entry in frame] for frame in frames], "covs", (T, H, 3, 3), finite=False),
+        )
+    except (KeyError, TypeError, InvalidInputError):
         pass
     means = np.empty((T, H, 3))
     covs = np.empty((T, H, 3, 3))
@@ -294,14 +293,12 @@ def _frame_arrays(frames: list, H: int) -> tuple[Array, Array]:
             raise InvalidInputError(f"frame {t} must be a list of {H} joints (ragged prediction)")
         for h, entry in enumerate(frame):
             try:
-                mean, cov = np.asarray(entry["mean"]), np.asarray(entry["cov"])
-            except (KeyError, TypeError, ValueError) as exc:
+                means[t, h] = float_array(entry["mean"], "mean", (3,), finite=False)
+                covs[t, h] = float_array(entry["cov"], "cov", (3, 3), finite=False)
+            except (KeyError, TypeError) as exc:
                 raise InvalidInputError(f"frame {t}, joint {h}: {exc}") from exc
-            numeric = mean.dtype.kind in "iuf" and cov.dtype.kind in "iuf"
-            if not numeric or _holds_bool([entry["mean"], entry["cov"]]) or mean.shape != (3,) or cov.shape != (3, 3):
-                raise InvalidInputError(f"frame {t}, joint {h}: mean must be 3 numbers and cov a 3x3 matrix of numbers")
-            means[t, h] = mean
-            covs[t, h] = cov
+            except InvalidInputError:
+                raise InvalidInputError(f"frame {t}, joint {h}: mean must be 3 numbers and cov a 3x3 matrix of numbers") from None
     return means, covs
 
 

@@ -166,11 +166,13 @@ def test_velocity_bounds():
         for horizon, replan in ((1.25, 0.5), (5.0, 5.0)):
             scenario = make_scenario(seed, horizon=horizon, replan=replan)
             trace = run_mpc(scenario)
+            model = scenario.model
             for record in trace.replans:
                 assert record.result.max_bound_violation == 0.0
+                controls = record.result.controls
+                assert np.all(controls >= model.vel_lower) and np.all(controls <= model.vel_upper)
                 n_replans += 1
             velocity = np.diff(trace.states, axis=0) / scenario.mpc.dt
-            model = scenario.model
             excess = max(np.max(velocity - model.vel_upper), np.max(model.vel_lower - velocity))
             assert excess <= 1e-12
             worst = max(worst, excess)

@@ -205,6 +205,10 @@ def _evaluator(means=_MEANS, covs=_COVS, nominal=np.zeros((3, 3)), head_index=0)
     return KnotCostEvaluator(replace(_TASK, head_index=head_index), means, covs, nominal)
 
 
+_MEANS_HOLDING_TRUE = _PREDICTION.means.tolist()
+_MEANS_HOLDING_TRUE[0][0][0] = True
+
+
 # (the argument the error names, the call)
 BAD_ARGUMENTS = {
     "slice_horizon-nan_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("nan"), 3, 0.25)),
@@ -226,15 +230,22 @@ BAD_ARGUMENTS = {
     "evaluator-non_square_covs": ("covs", lambda: _evaluator(covs=_COVS[..., :2])),
     "evaluator-planar_means": ("means", lambda: _evaluator(means=_MEANS[..., :2])),
     "evaluator-no_knots": ("means", lambda: _evaluator(means=_MEANS[:0], covs=_COVS[:0], nominal=np.zeros((0, 3)))),
+    # a bool is an int, so each of these would otherwise read True as 1.0
+    "float_array-true_in_a_tuple": ("x", lambda: float_array((True, 0.0, 0.0), "x")),
+    "float_array-true_in_a_tuple_row": ("x", lambda: float_array([(1.0, True, 0.0)], "x")),
+    "robot-true_in_base_position": ("robot base_pose.position", lambda: replace(_MODEL, base_position=(True, 0.0, 0.0))),
+    "prediction-bool_means": ("prediction means", lambda: replace(_PREDICTION, means=_PREDICTION.means > 0.0)),
+    "prediction-true_in_a_means_tuple": ("prediction means", lambda: replace(_PREDICTION, means=tuple(_MEANS_HOLDING_TRUE))),
 }
 
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_exported_function_rejects_bad_numeric_argument(name, call):
     """A NaN or infinite time or start state, a fractional, negative or
-    boolean count, an empty plan, a horizon array of the wrong shape or a
-    head index past the predicted joints raises InvalidInputError naming the
-    argument, before any arithmetic warns or fails on it."""
+    boolean count, a bool among an array's numbers, an empty plan, a horizon
+    array of the wrong shape or a head index past the predicted joints raises
+    InvalidInputError naming the argument, before any arithmetic warns or
+    fails on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):
