@@ -154,12 +154,14 @@ class CostTask:
 class KnotCostEvaluator:
     """Evaluates the knot cost over whole trajectories with batched FK: the
     task's fixed inputs against one horizon's human prediction (means (N, H, 3),
-    covariances (N, H, 3, 3)) and nominal end-effector path (N, 3). The shapes
-    and the task's head index are checked here; the values are the loader's to
-    check, so no element is scanned."""
+    covariances (N, H, 3, 3)) and nominal end-effector path (N, 3). The shapes,
+    the numeric dtypes and the task's head index are checked here; the values
+    are the loader's to check, so no element of an array is scanned."""
 
     def __init__(self, task: CostTask, means: Array, covs: Array, nominal: Array):
-        means, covs, nominal = (np.asarray(a, dtype=float) for a in (means, covs, nominal))
+        means = float_array(means, "means", finite=False)
+        covs = float_array(covs, "covs", finite=False)
+        nominal = float_array(nominal, "nominal", finite=False)
         if means.ndim != 3 or means.shape[2] != 3 or not len(means):
             raise InvalidInputError(f"means must be an (N, H, 3) array with N >= 1, got shape {means.shape}")
         N, H = means.shape[:2]

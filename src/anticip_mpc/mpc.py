@@ -153,8 +153,8 @@ class Scenario:
 
 def derive_nominal(model: RobotModel, start_q, goal_q, n_steps: int) -> Array:
     """End-effector positions of the linear joint-space interpolation."""
-    start_q = np.asarray(start_q, dtype=float).reshape(-1)
-    goal_q = np.asarray(goal_q, dtype=float).reshape(-1)
+    start_q = float_array(start_q, "start_q").reshape(-1)
+    goal_q = float_array(goal_q, "goal_q").reshape(-1)
     if start_q.shape != goal_q.shape or start_q.shape != (model.n_joints,):
         raise InvalidInputError("start and goal joint vectors must match the robot")
     alphas = np.linspace(0.0, 1.0, integer(n_steps, "n_steps", 1) + 1)
@@ -171,7 +171,7 @@ def linear_warm_start(x0, goal_q, n_controls: int, dt: float) -> Array:
 
 def warm_start_shift(controls: Array, steps_executed: int, n_controls: int) -> Array:
     """Shift a previous plan's controls and pad with the final control."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    controls = np.atleast_2d(float_array(controls, "controls"))
     if len(controls) == 0:
         raise InvalidInputError(f"controls must be a plan of at least one row, got shape {controls.shape}")
     k = integer(steps_executed, "steps_executed", 0, controls.shape[0])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Fields, InvalidInputError, SolverError, integer, number
+from .errors import Fields, InvalidInputError, SolverError, float_array, integer, number
 
 Array = np.ndarray
 _lapack_solve = np.linalg._umath_linalg.solve  # np.linalg.solve's gufunc: NaN, not an error, when singular
@@ -42,7 +42,7 @@ _lapack_solve = np.linalg._umath_linalg.solve  # np.linalg.solve's gufunc: NaN, 
 _MAX_INNER_ITERS = 50
 _COST_TOL = 1e-4  # relative cost change that ends the solve
 _GRAD_TOL = 1e-5  # free-control gradient infinity norm that ends the solve
-_REG_MIN = 1e-6  # unused by the solver; only perfbench/tracing.py reads it until ROADMAP item 6 drops reg_bumps
+_REG_MIN = 1e-6  # unused by the solver; only perfbench/tracing.py reads it until ROADMAP item 18 drops reg_bumps
 _ARMIJO = 1e-4
 _N_ALPHAS = 11  # alpha in {1, 1/2, ..., 2^-10}
 _ALPHAS = 2.0 ** -np.arange(_N_ALPHAS)
@@ -74,13 +74,11 @@ class TrajectoryProblem:
     u_upper: Array
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        self.u_lower = np.asarray(self.u_lower, dtype=float).reshape(-1)
-        self.u_upper = np.asarray(self.u_upper, dtype=float).reshape(-1)
+        self.x0 = float_array(self.x0, "x0").reshape(-1)
+        self.u_lower = float_array(self.u_lower, "u_lower", finite=False).reshape(-1)  # an infinite bound is no bound
+        self.u_upper = float_array(self.u_upper, "u_upper", finite=False).reshape(-1)
         self.n_knots = integer(self.n_knots, "n_knots", 2)
         self.dt = number(self.dt, "dt", 0, strict=True)
-        if not np.isfinite(self.x0).all():
-            raise InvalidInputError(f"x0 must be finite, got {self.x0.tolist()}")
         n = self.x0.shape[0]
         if self.u_lower.shape != (n,) or self.u_upper.shape != (n,):
             raise InvalidInputError("control bounds must match the state dimension")
@@ -108,11 +106,7 @@ class SolveResult:
 
 def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
     """Integrate x_{t+1} = x_t + u_t dt from the fixed start state."""
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape != (problem.n_knots - 1, problem.n_dims):
-        raise InvalidInputError(
-            f"controls must have shape ({problem.n_knots - 1}, {problem.n_dims}), got {controls.shape}"
-        )
+    controls = float_array(controls, "controls", (problem.n_knots - 1, problem.n_dims), finite=False)
     states = np.empty((problem.n_knots, problem.n_dims))
     states[0] = problem.x0
     # step-by-step so the stored states reproduce the update law bit-for-bit
@@ -140,7 +134,7 @@ class BackwardPassResult:
     K: Array  # (M, n, n) feedback gains
     expected_decrease: float  # model decrease at a full step, >= 0
     grad_inf: float  # infinity norm of the free controls' gradient along the trajectory
-    reg_used: float = 0.0  # always 0; only perfbench/tracing.py reads it until ROADMAP item 6 drops reg_bumps
+    reg_used: float = 0.0  # always 0; only perfbench/tracing.py reads it until ROADMAP item 18 drops reg_bumps
 
 
 @dataclass
@@ -331,9 +325,8 @@ def solve(problem: TrajectoryProblem, initial_controls: Array) -> SolveResult:
     M = problem.n_knots - 1
     n = problem.n_dims
 
-    us = np.asarray(initial_controls, dtype=float)
-    if us.shape != (M, n):
-        raise InvalidInputError(f"initial controls must have shape ({M}, {n})")
+    # a non-finite warm start is caught by its cost below
+    us = float_array(initial_controls, "initial controls", (M, n), finite=False)
     us = np.clip(us, problem.u_lower, problem.u_upper)
     xs = rollout(problem, us)
 

@@ -5,6 +5,7 @@ lines and measured numbers.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,24 +160,36 @@ def test_feasibility(latency_batch):
 
 def test_velocity_bounds():
     """No replan returns, and no executed step runs, a velocity outside the
-    box: receding-horizon and one-shot (horizon = replan = task) runs."""
+    box: receding-horizon and one-shot (horizon = replan = task) runs, in the
+    default robot's ±2 rad/s box and in a ±1 rad/s one. Some returned controls
+    sit on a bound of each box, so a control the solve failed to clamp would
+    show."""
     n_replans = 0
     worst = 0.0
-    for seed in range(5):
-        for horizon, replan in ((1.25, 0.5), (5.0, 5.0)):
-            scenario = make_scenario(seed, horizon=horizon, replan=replan)
-            trace = run_mpc(scenario)
-            model = scenario.model
-            for record in trace.replans:
-                assert record.result.max_bound_violation == 0.0
-                controls = record.result.controls
-                assert np.all(controls >= model.vel_lower) and np.all(controls <= model.vel_upper)
-                n_replans += 1
-            velocity = np.diff(trace.states, axis=0) / scenario.mpc.dt
-            excess = max(np.max(velocity - model.vel_upper), np.max(model.vel_lower - velocity))
-            assert excess <= 1e-12
-            worst = max(worst, excess)
-    print(f"\nACCEPTANCE velocity_bounds: PASS {n_replans} replans inside the box, executed excess {worst:.1e} rad/s")
+    on_bound = {}
+    for box in (2.0, 1.0):
+        on_bound[box] = 0
+        for seed in range(5):
+            for horizon, replan in ((1.25, 0.5), (5.0, 5.0)):
+                scenario = make_scenario(seed, horizon=horizon, replan=replan)
+                n = scenario.model.n_joints
+                model = replace(scenario.model, vel_lower=np.full(n, -box), vel_upper=np.full(n, box))
+                trace = run_mpc(replace(scenario, model=model))
+                for record in trace.replans:
+                    assert record.result.max_bound_violation == 0.0
+                    controls = record.result.controls
+                    assert np.all(controls >= model.vel_lower) and np.all(controls <= model.vel_upper)
+                    on_bound[box] += int(np.count_nonzero((controls == model.vel_lower) | (controls == model.vel_upper)))
+                    n_replans += 1
+                velocity = np.diff(trace.states, axis=0) / scenario.mpc.dt
+                excess = max(np.max(velocity - model.vel_upper), np.max(model.vel_lower - velocity))
+                assert excess <= 1e-12
+                worst = max(worst, excess)
+        assert on_bound[box] > 0, f"no returned control reached the ±{box:g} rad/s box, so the check could not fail"
+    print(
+        f"\nACCEPTANCE velocity_bounds: PASS {n_replans} replans inside the box, controls on a bound "
+        f"{on_bound[2.0]} (±2 rad/s) and {on_bound[1.0]} (±1 rad/s), executed excess {worst:.1e} rad/s"
+    )
 
 
 def test_degenerate_mpc_equivalence():

@@ -13,6 +13,7 @@ import pytest
 from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, _sha256, main
 from anticip_mpc.costs import CostWeights
 from anticip_mpc.mpc import _SCENARIO_KEYS, ExecutionTrace, MpcConfig, load_scenario
+from anticip_mpc.prediction import ReachConfig, prediction_to_dict, synthesize_reach
 
 
 def run_cli(*argv) -> int:
@@ -41,6 +42,13 @@ def one_replan_overlay(directory: Path) -> Path:
     config = directory / "one_replan.json"
     config.write_text(json.dumps({"mpc": {"horizon": 2.0, "replan_period": 2.0}}))
     return config
+
+
+def ground_truth_with_a_negative_variance() -> dict:
+    """The default human as an inline prediction whose frame 1, joint 0 covariance is not positive definite."""
+    data = prediction_to_dict(synthesize_reach(ReachConfig()))
+    data["frames"][1][0]["cov"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -0.1]]
+    return data
 
 
 def strip_timing(data: dict) -> dict:
@@ -144,6 +152,8 @@ class TestGenScenario:
             pytest.param({"weights": {"w_dist": -1}}, "weights w_dist", id="w_dist"),
             # the overlay's mpc fields set the default human's span, and are checked as mpc fields
             pytest.param({"mpc": {"dt": float("nan")}}, "mpc dt must be positive and finite", id="mpc_dt"),
+            # an inline ground truth replaces the scenario's null one, so its covariances are checked
+            pytest.param({"ground_truth": ground_truth_with_a_negative_variance()}, "frame 1, joint 0", id="ground_truth_cov"),
         ],
     )
     def test_failing_overlay_creates_no_directory(self, tmp_path, capsys, overlay, message):
@@ -664,6 +674,16 @@ class TestEval:
         assert rows[4][0] == "mean" and rows[5][0] == "std"
         np.testing.assert_allclose(mean_row, per_trace.mean(axis=0), atol=1e-6)
         np.testing.assert_allclose(std_row, per_trace.std(axis=0, ddof=1), atol=1e-6)
+
+    def test_report_and_manifest_are_strict_json(self, traces, tmp_path):
+        """Neither file holds a NaN or Infinity token, which strict JSON readers refuse."""
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "eval"
+        assert run_cli("eval", traces[0], "--out", out) == EXIT_OK
+        for name in ("report_0.json", "eval_manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
 
     def test_same_named_traces_keep_their_own_reports(self, traces, tmp_path):
         # every simulate run writes trace.json, so the reports go by position

@@ -22,7 +22,7 @@ from anticip_mpc.mpc import ExecutionTrace, derive_nominal, run_mpc, scenario_fr
 from anticip_mpc.prediction import (
     ReachConfig, prediction_from_dict, prediction_to_dict, slice_horizon, synthesize_reach,
 )
-from anticip_mpc.solver import TrajectoryProblem
+from anticip_mpc.solver import TrajectoryProblem, rollout, solve
 
 
 class TestNumber:
@@ -209,6 +209,11 @@ _MEANS_HOLDING_TRUE = _PREDICTION.means.tolist()
 _MEANS_HOLDING_TRUE[0][0][0] = True
 
 
+def _planning_problem():
+    """The evaluator's 3-knot horizon as a problem over the robot's joints."""
+    return TrajectoryProblem(3, 0.25, _Q, _evaluator(), _MODEL.vel_lower, _MODEL.vel_upper)
+
+
 # (the argument the error names, the call)
 BAD_ARGUMENTS = {
     "slice_horizon-nan_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("nan"), 3, 0.25)),
@@ -236,13 +241,25 @@ BAD_ARGUMENTS = {
     "robot-true_in_base_position": ("robot base_pose.position", lambda: replace(_MODEL, base_position=(True, 0.0, 0.0))),
     "prediction-bool_means": ("prediction means", lambda: replace(_PREDICTION, means=_PREDICTION.means > 0.0)),
     "prediction-true_in_a_means_tuple": ("prediction means", lambda: replace(_PREDICTION, means=tuple(_MEANS_HOLDING_TRUE))),
+    "problem-true_in_x0": ("x0", lambda: TrajectoryProblem(3, 0.25, (True, 0.0), None, (-1.0, -1.0), (1.0, 1.0))),
+    "problem-false_in_u_lower": ("u_lower", lambda: TrajectoryProblem(3, 0.25, (1.0, 0.0), None, (-1.0, False), (1.0, 1.0))),
+    "problem-true_in_u_upper": ("u_upper", lambda: TrajectoryProblem(3, 0.25, (1.0, 0.0), None, (-1.0, -1.0), (1.0, True))),
+    "warm_start_shift-bool_controls": ("controls", lambda: warm_start_shift(np.array([[True, False]]), 0, 2)),
+    "derive_nominal-true_start_q": ("start_q", lambda: derive_nominal(_MODEL, [True] * _MODEL.n_joints, _Q, 4)),
+    "derive_nominal-bool_goal_q": ("goal_q", lambda: derive_nominal(_MODEL, _Q, _Q > 0.0, 4)),
+    "evaluator-bool_means": ("means", lambda: _evaluator(means=_MEANS > 0.0)),
+    "evaluator-bool_covs": ("covs", lambda: _evaluator(covs=_COVS > 0.0)),
+    "evaluator-bool_nominal": ("nominal", lambda: _evaluator(nominal=np.zeros((3, 3), dtype=bool))),
+    "solve-bool_warm_start": ("initial controls", lambda: solve(_planning_problem(), np.zeros((2, _MODEL.n_joints), dtype=bool))),
+    "rollout-true_controls": ("controls", lambda: rollout(_planning_problem(), [[True] * _MODEL.n_joints] * 2)),
 }
 
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_exported_function_rejects_bad_numeric_argument(name, call):
     """A NaN or infinite time or start state, a fractional, negative or
-    boolean count, a bool among an array's numbers, an empty plan, a horizon
+    boolean count, a bool among an array's numbers or a bool array at any
+    exported entry point, an empty plan, a horizon
     array of the wrong shape or a head index past the predicted joints raises
     InvalidInputError naming the argument, before any arithmetic warns or
     fails on it."""
