@@ -161,7 +161,7 @@ def cmd_gen_scenario(args) -> int:
     out = _out_dir(args.out)
 
     robot_path = out / "robot.json"
-    save_robot_model(model, robot_path)
+    save_robot_model(scenario.model, robot_path)
     pred_path = out / "prediction.json"
     save_prediction(scenario.prediction, pred_path)
     scenario_path = out / "scenario.json"
@@ -328,7 +328,10 @@ _SCHEMAS = {
         "frames": "[[{mean: [m]*3, cov: 3x3}, ...] per timestep]",
     },
     "trace": "see ExecutionTrace.to_dict: executed states, eef path, human motion, per-replan records",
-    "metrics_report": {"dst": "[0,1]", "vis": "[0,1]", "leg": "[0,1]", "nom": "m^2", "lat": "s"},
+    "metrics_report": {
+        "schema_version": "int", "dst": "[0,1]", "vis": "[0,1]", "leg": "[0,1]", "nom": "m^2", "lat": "s",
+        "per_replan": "[s, ...]", "config": {"threshold": "m", "fov_half_angle": "rad", "against": "truth | predicted"},
+    },
     "trajectory_csv_columns": ["time", "q0..qn", "eef_x", "eef_y", "eef_z", "min_human_dist"],
 }
 

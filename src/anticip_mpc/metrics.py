@@ -6,7 +6,8 @@ and planning latency. Distances and gaze angles are computed against the
 trace's ground-truth human by default; pass against="predicted" to score
 against the prediction means instead. The metrics measure with the
 planner's own human distance, gaze rays and goal inference, so a metric
-cannot drift from the cost term it scores.
+cannot drift from the cost term it scores. The trace checked its own fields
+when it was built; each metric checks only the arguments it reads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import gaze_cosines, gaze_directions, legibility_logits, softmax
-from .errors import SCHEMA_VERSION, Fields, InvalidInputError, float_array, number, write_json
+from .errors import SCHEMA_VERSION, Fields, InvalidInputError, number, write_json
 from .mpc import ExecutionTrace, min_human_distance
 
 Array = np.ndarray
@@ -26,13 +27,16 @@ FOV_HALF_ANGLE = np.pi / 3.0  # radians; central + paracentral human vision
 
 
 def _human_motion(trace: ExecutionTrace, against: str) -> Array:
+    if not (isinstance(against, str) and against in ("truth", "predicted")):  # an array would compare per entry
+        raise InvalidInputError(f"against must be 'truth' or 'predicted', got {against!r}")
     return trace.human_pred if against == "predicted" else trace.human_true
 
 
 def separation_metric(
     trace: ExecutionTrace, threshold: float = SEPARATION_THRESHOLD, against: str = "truth"
 ) -> float:
-    """Fraction of timesteps with every human-robot joint pair farther than threshold."""
+    """Fraction of timesteps with every human-robot joint pair farther than threshold (finite, > 0)."""
+    threshold = number(threshold, "threshold", 0, strict=True)
     min_d = min_human_distance(trace.tracked_positions, _human_motion(trace, against))
     return float(np.mean(min_d > threshold))
 
@@ -40,7 +44,10 @@ def separation_metric(
 def visibility_metric(
     trace: ExecutionTrace, fov_half_angle: float = FOV_HALF_ANGLE, against: str = "truth"
 ) -> float:
-    """Fraction of timesteps with the end effector inside the gaze cone."""
+    """Fraction of timesteps with the end effector inside the gaze cone; fov_half_angle is in (0, pi]."""
+    fov_half_angle = number(fov_half_angle, "fov_half_angle")
+    if not 0 < fov_half_angle <= np.pi:
+        raise InvalidInputError(f"fov_half_angle must be in (0, pi], got {fov_half_angle!r}")
     head = _human_motion(trace, against)[:, trace.head_index]
     _, cos_theta, _ = gaze_cosines(gaze_directions(trace.gaze_object, head), head, trace.eef_positions)
     return float(np.mean(np.arccos(cos_theta) <= fov_half_angle))
@@ -54,12 +61,7 @@ def legibility_metric(trace: ExecutionTrace) -> float:
     The accumulated path length that the path-cost form adds to every logit
     is shared by all goals, so it cancels in the softmax.
     """
-    if len(trace.times) < 2:
-        raise InvalidInputError("legibility metric needs at least 2 trace points")
-    goals = float_array(trace.legibility_goals, "goal set", (None, 3))
-    if len(goals) < 1:
-        raise InvalidInputError("goal set must be nonempty")
-    slopes, offsets = legibility_logits(trace.legibility_start, goals)
+    slopes, offsets = legibility_logits(trace.legibility_start, trace.legibility_goals)
     return float(np.mean(softmax(trace.eef_positions @ slopes + offsets)[:, trace.legibility_goal_index]))
 
 
@@ -71,8 +73,6 @@ def nominal_metric(trace: ExecutionTrace) -> float:
 def latency_metric(trace: ExecutionTrace) -> tuple[float, list[float]]:
     """Total planning wall time of the trajectory plus per-replan times."""
     per_replan = trace.replan_wall_times()
-    if not per_replan:
-        raise InvalidInputError("trace has no replan timing records")
     return float(sum(per_replan)), per_replan
 
 
@@ -112,14 +112,7 @@ def evaluate_trace(
     fov_half_angle: float = FOV_HALF_ANGLE,
     against: str = "truth",
 ) -> MetricsReport:
-    """All five metrics of one executed trace, with threshold > 0 and
-    fov_half_angle in (0, pi]."""
-    if against not in ("truth", "predicted"):
-        raise InvalidInputError("against must be 'truth' or 'predicted'")
-    threshold = number(threshold, "threshold", 0, strict=True)
-    fov_half_angle = number(fov_half_angle, "fov_half_angle")
-    if not 0 < fov_half_angle <= np.pi:
-        raise InvalidInputError(f"fov_half_angle must be in (0, pi], got {fov_half_angle!r}")
+    """All five metrics of one executed trace; each metric checks the arguments it reads."""
     lat, per_replan = latency_metric(trace)
     return MetricsReport(
         dst=separation_metric(trace, threshold=threshold, against=against),
@@ -128,9 +121,5 @@ def evaluate_trace(
         nom=nominal_metric(trace),
         lat=lat,
         per_replan=per_replan,
-        config={
-            "threshold": threshold,
-            "fov_half_angle": fov_half_angle,
-            "against": against,
-        },
+        config={"threshold": float(threshold), "fov_half_angle": float(fov_half_angle), "against": against},
     )

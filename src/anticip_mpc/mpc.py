@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -199,56 +199,88 @@ def build_problem(scenario: Scenario, t_start: float, n_knots: int, x0) -> Traje
 
 @dataclass
 class ReplanRecord:
+    """One replan, kept as the record's own checked copy; run_mpc builds it after timing the replan."""
+
     t_plan: float
     wall_time: float  # warm start + prediction slicing + problem assembly + solve
     result: SolveResult
+
+    def __post_init__(self):
+        r = self.result
+        states = float_array(r.states, "replan states", (None, None))
+        result = replace(r)  # a copy, so the caller's result keeps its own arrays
+        store(
+            result, states=states, total_cost=number(r.total_cost, "replan total_cost"),
+            controls=float_array(r.controls, "replan controls", (len(states) - 1, states.shape[1])),
+            converged=boolean(r.converged, "replan converged"), grad_inf=number(r.grad_inf, "replan grad_inf", 0),
+            iterations=integer(r.iterations, "replan iterations", 0),
+            outer_iterations=integer(r.outer_iterations, "replan outer_iterations", 0),
+            max_bound_violation=number(r.max_bound_violation, "replan max_bound_violation", 0),
+        )
+        t_plan = number(self.t_plan, "replan t_plan")
+        store(self, t_plan=t_plan, wall_time=number(self.wall_time, "replan wall_time", 0), result=result)
 
     def to_dict(self) -> dict:
         return {**self.result.to_dict(), "t_plan": self.t_plan, "wall_time": self.wall_time}
 
 
-def _replan_from_dict(r: dict, where: str, n: int) -> ReplanRecord:
-    """A replan record of a trace whose robot has n joints."""
-    wall_time = number(r["wall_time"], f"{where} wall_time", 0)
-    states = float_array(r["states"], f"{where} states", (None, n))
-    result = SolveResult(
-        states=states,
-        controls=float_array(r["controls"], f"{where} controls", (len(states) - 1, n)),
-        total_cost=number(r["total_cost"], f"{where} total_cost"),
-        iterations=integer(r["iterations"], f"{where} iterations", 0),
-        outer_iterations=integer(r["outer_iterations"], f"{where} outer_iterations", 0),
-        converged=boolean(r["converged"], f"{where} converged"),
-        max_bound_violation=number(r["max_bound_violation"], f"{where} max_bound_violation", 0),
-        grad_inf=number(r["grad_inf"], f"{where} grad_inf", 0),
-    )
-    return ReplanRecord(number(r["t_plan"], f"{where} t_plan"), wall_time, result)
-
-
 @dataclass
 class ExecutionTrace:
-    """Executed motion at every dt plus per-replan diagnostics."""
+    """Executed motion at T >= 1 times plus at least one replan record. The
+    constructor checks every field and keeps each array as a read-only copy."""
 
-    times: Array  # (T+1,)
-    states: Array  # (T+1, n)
-    eef_positions: Array  # (T+1, 3)
-    eef_quats: Array  # (T+1, 4)
-    tracked_positions: Array  # (T+1, R, 3) origins of the tracked robot frames
-    human_true: Array  # (T+1, H, 3) executed human motion
-    human_pred: Array  # (T+1, H, 3) prediction means at the executed times
-    min_human_dist: Array  # (T+1,) min over (human joint, tracked frame)
+    times: Array  # (T,)
+    states: Array  # (T, n)
+    eef_positions: Array  # (T, 3)
+    eef_quats: Array  # (T, 4)
+    tracked_positions: Array  # (T, R, 3) origins of the tracked robot frames
+    human_true: Array  # (T, H, 3) executed human motion
+    human_pred: Array  # (T, H, 3) prediction means at the executed times
+    min_human_dist: Array  # (T,) min over (human joint, tracked frame)
     head_index: int
-    nominal: Array  # (T+1, 3) nominal eef positions aligned to the grid
+    nominal: Array  # (T, 3) nominal eef positions aligned to the grid
     gaze_object: Array
     legibility_start: Array
     legibility_goals: Array
     legibility_goal_index: int
     goal_position: Array
     goal_orientation: Array
-    replans: list
+    replans: list  # each replan plans for the trace's n joints
     total_wall_time: float
     goal_reached: bool
     dt: float
     seed: int = 0
+
+    def __post_init__(self):
+        def array(name, *shape):  # None: any size, read from the array
+            return float_array(getattr(self, name), f"trace {name}", shape)
+
+        times = array("times", None)
+        T = len(times)
+        if T < 1:
+            raise InvalidInputError("trace times must hold at least one time")
+        states = array("states", T, None)
+        human_true = array("human_true", T, None, 3)
+        H = human_true.shape[1]
+        goals = array("legibility_goals", None, 3)
+        if not (isinstance(self.replans, list) and self.replans):
+            raise InvalidInputError(f"trace replans must be a nonempty list of replan records, got {self.replans!r}")
+        for i, record in enumerate(self.replans):
+            if not isinstance(record, ReplanRecord):
+                raise InvalidInputError(f"trace replan {i} must be a replan record, got {record!r}")
+            float_array(record.result.states, f"trace replan {i} states", (None, states.shape[1]))
+        store(
+            self, times=times, states=states, eef_positions=array("eef_positions", T, 3),
+            eef_quats=array("eef_quats", T, 4), tracked_positions=array("tracked_positions", T, None, 3),
+            human_true=human_true, human_pred=array("human_pred", T, H, 3), min_human_dist=array("min_human_dist", T),
+            head_index=integer(self.head_index, "trace head_index", 0, H - 1), nominal=array("nominal", T, 3),
+            gaze_object=array("gaze_object", 3), legibility_start=array("legibility_start", 3), legibility_goals=goals,
+            legibility_goal_index=integer(self.legibility_goal_index, "trace legibility_goal_index", 0, len(goals) - 1),
+            goal_position=array("goal_position", 3), goal_orientation=array("goal_orientation", 4),
+            total_wall_time=number(self.total_wall_time, "trace total_wall_time", 0),
+            goal_reached=boolean(self.goal_reached, "trace goal_reached"),
+            dt=number(self.dt, "trace dt", 0, strict=True), seed=integer(self.seed, "trace seed"),
+        )
 
     def replan_wall_times(self) -> list[float]:
         return [r.wall_time for r in self.replans]
@@ -259,44 +291,19 @@ class ExecutionTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionTrace":
-        def array(name, *shape):  # None: any size, read from the array
-            return float_array(data[name], f"trace {name}", shape)
+        """The trace `data` describes; the record constructors check every field."""
+        def record(i, r):  # replan i, named by its place in the trace
+            try:
+                result = SolveResult(**{name: r[name] for name in SolveResult.__dataclass_fields__})
+                return ReplanRecord(r["t_plan"], r["wall_time"], result)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"trace replan {i}{str(exc).removeprefix('replan')}") from exc
 
         integer(data.get("schema_version", SCHEMA_VERSION), "trace schema_version", SCHEMA_VERSION, SCHEMA_VERSION)
-
-        times = array("times", None)
-        T = len(times)
-        states = array("states", T, None)
-        human_true = array("human_true", T, None, 3)
-        H = human_true.shape[1]
-        goals = array("legibility_goals", None, 3)
-        goal_index = integer(data["legibility_goal_index"], "trace legibility_goal_index", 0, len(goals) - 1)
-        replans = [
-            _replan_from_dict(r, f"trace replan {i}", states.shape[1]) for i, r in enumerate(data["replans"])
-        ]
-        return cls(
-            times=times,
-            states=states,
-            eef_positions=array("eef_positions", T, 3),
-            eef_quats=array("eef_quats", T, 4),
-            tracked_positions=array("tracked_positions", T, None, 3),
-            human_true=human_true,
-            human_pred=array("human_pred", T, H, 3),
-            min_human_dist=array("min_human_dist", T),
-            head_index=integer(data["head_index"], "trace head_index", 0, H - 1),
-            nominal=array("nominal", T, 3),
-            gaze_object=array("gaze_object", 3),
-            legibility_start=array("legibility_start", 3),
-            legibility_goals=goals,
-            legibility_goal_index=goal_index,
-            goal_position=array("goal_position", 3),
-            goal_orientation=array("goal_orientation", 4),
-            replans=replans,
-            total_wall_time=number(data["total_wall_time"], "trace total_wall_time", 0),
-            goal_reached=boolean(data["goal_reached"], "trace goal_reached"),
-            dt=number(data["dt"], "trace dt", 0, strict=True),
-            seed=integer(data.get("seed", 0), "trace seed"),
-        )
+        fields = {name: data[name] for name in cls.__dataclass_fields__ if name != "seed"}
+        if isinstance(fields["replans"], list):  # the trace rejects anything else, and any entry not an object
+            fields["replans"] = [record(i, r) if isinstance(r, dict) else r for i, r in enumerate(fields["replans"])]
+        return cls(**fields, seed=data.get("seed", 0))
 
     def save_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -372,8 +379,7 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
         )
 
         n_exec = min(replan_steps, n_steps - step)
-        for i in range(1, n_exec + 1):
-            executed.append(result.states[i].copy())
+        executed.extend(result.states[1:n_exec + 1])
         x = result.states[n_exec].copy()
         prev_controls = result.controls
         step += n_exec
@@ -395,9 +401,9 @@ def run_mpc(scenario: Scenario) -> ExecutionTrace:
     return ExecutionTrace(
         times=np.arange(T1) * cfg.dt,
         states=states,
-        eef_positions=fk.positions[:, model.eef_frame].copy(),
-        eef_quats=fk.eef_quats.copy(),
-        tracked_positions=tracked.copy(),
+        eef_positions=fk.positions[:, model.eef_frame],
+        eef_quats=fk.eef_quats,
+        tracked_positions=tracked,
         human_true=human_true,
         human_pred=human_pred,
         min_human_dist=min_human_distance(tracked, human_true),

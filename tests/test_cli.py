@@ -12,6 +12,8 @@ import pytest
 
 from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, _reseeded, _sha256, main
 from anticip_mpc.costs import CostWeights
+from anticip_mpc.kinematics import default_robot_model, load_robot_model, model_to_dict
+from anticip_mpc.metrics import evaluate_trace
 from anticip_mpc.mpc import _SCENARIO_KEYS, ExecutionTrace, MpcConfig, load_scenario
 from anticip_mpc.prediction import ReachConfig, prediction_to_dict, synthesize_reach
 
@@ -67,6 +69,17 @@ class TestGenScenario:
         for name in ("scenario.json", "prediction.json", "robot.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert json.loads((tmp_path / "a" / "scenario.json").read_text())["robot_model"] == "robot.json"
+
+    def test_robot_file_is_the_scenarios_model(self, tmp_path):
+        """An inline robot_model overlay is the model written to robot.json, not the default robot."""
+        robot = model_to_dict(default_robot_model())
+        robot["velocity_bounds"] = {"lower": [-1.0] * 7, "upper": [1.0] * 7}
+        config = tmp_path / "robot_overlay.json"
+        config.write_text(json.dumps({"robot_model": robot}))
+        out = tmp_path / "out"
+        assert run_cli("gen-scenario", "--out", out, "--config", config) == EXIT_OK
+        written = model_to_dict(load_robot_model(out / "robot.json"))
+        assert written == model_to_dict(load_scenario(out / "scenario.json").model) == robot
 
     def test_zero_duration_rejected(self, tmp_path):
         config = mpc_overlay(tmp_path, task_duration=0)
@@ -290,6 +303,12 @@ MALFORMED_TRACE_FIELDS = [
     (["replans", 0, "states", 1], ["x"] * 7, "trace replan 0 states"),
     (["replans", 0, "grad_inf"], -1.0, "trace replan 0 grad_inf"),
     (["states", 0], [False] + [0.0] * 6, "trace states"),
+    (["replans"], 5, "trace replans"),
+    (["replans"], {"a": 1}, "trace replans"),
+    (["replans"], None, "trace replans"),
+    (["replans"], [], "trace replans"),
+    (["replans"], [5], "trace replan 0"),
+    (["replans"], ["x"], "trace replan 0"),
 ]
 
 
@@ -891,12 +910,16 @@ class TestTopLevel:
         assert data["schema_version"] == 1
         assert "scenario" in data and "trajectory_csv_columns" in data
 
-    def test_schema_config_keys_match_dataclass_fields(self, capsys):
+    def test_schema_config_keys_match_dataclass_fields(self, capsys, traces):
         assert run_cli("--schema") == EXIT_OK
-        scenario = json.loads(capsys.readouterr().out)["scenario"]
+        schemas = json.loads(capsys.readouterr().out)
+        scenario = schemas["scenario"]
         for key, cls in (("weights", CostWeights), ("mpc", MpcConfig)):
             assert set(scenario[key]) == {f.name for f in dataclasses.fields(cls)}, key
         assert set(scenario) | {"schema_version"} == _SCENARIO_KEYS
+        report = evaluate_trace(ExecutionTrace.load_json(traces[0])).to_dict()
+        assert set(schemas["metrics_report"]) == set(report)
+        assert set(schemas["metrics_report"]["config"]) == set(report["config"])
 
     def test_no_command_shows_help(self, capsys):
         assert run_cli() == EXIT_INVALID_INPUT

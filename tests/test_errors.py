@@ -17,8 +17,10 @@ from anticip_mpc.cli import EXIT_INVALID_INPUT, EXIT_OK, default_reach_config, d
 from anticip_mpc.costs import CostTask, CostWeights, GoalSpec, KnotCostEvaluator
 from anticip_mpc.errors import Fields, InvalidInputError, boolean, float_array, integer, number, store
 from anticip_mpc.kinematics import default_robot_model, model_from_dict, model_to_dict
-from anticip_mpc.metrics import evaluate_trace
-from anticip_mpc.mpc import ExecutionTrace, derive_nominal, run_mpc, scenario_from_dict, warm_start_shift
+from anticip_mpc.metrics import evaluate_trace, separation_metric, visibility_metric
+from anticip_mpc.mpc import (
+    ExecutionTrace, MpcConfig, Scenario, derive_nominal, run_mpc, scenario_from_dict, warm_start_shift,
+)
 from anticip_mpc.prediction import (
     ReachConfig, prediction_from_dict, prediction_to_dict, slice_horizon, synthesize_reach,
 )
@@ -214,6 +216,12 @@ def _planning_problem():
     return TrajectoryProblem(3, 0.25, _Q, _evaluator(), _MODEL.vel_lower, _MODEL.vel_upper)
 
 
+# one replan at the robot's zero pose, which is also its goal
+_TRACE = run_mpc(Scenario(
+    _MODEL, _Q, _Q, np.full(3, 2.0), np.ones((1, 3)), 0, CostWeights(), MpcConfig(task_duration=0.5), _PREDICTION,
+))
+
+
 # (the argument the error names, the call)
 BAD_ARGUMENTS = {
     "slice_horizon-nan_t_start": ("t_start", lambda: slice_horizon(_PREDICTION, float("nan"), 3, 0.25)),
@@ -252,6 +260,18 @@ BAD_ARGUMENTS = {
     "evaluator-bool_nominal": ("nominal", lambda: _evaluator(nominal=np.zeros((3, 3), dtype=bool))),
     "solve-bool_warm_start": ("initial controls", lambda: solve(_planning_problem(), np.zeros((2, _MODEL.n_joints), dtype=bool))),
     "rollout-true_controls": ("controls", lambda: rollout(_planning_problem(), [[True] * _MODEL.n_joints] * 2)),
+    "separation_metric-nan_threshold": ("threshold", lambda: separation_metric(_TRACE, float("nan"))),
+    "separation_metric-inf_threshold": ("threshold", lambda: separation_metric(_TRACE, float("inf"))),
+    "separation_metric-true_threshold": ("threshold", lambda: separation_metric(_TRACE, True)),
+    "separation_metric-zero_threshold": ("threshold", lambda: separation_metric(_TRACE, 0.0)),
+    "separation_metric-negative_threshold": ("threshold", lambda: separation_metric(_TRACE, -1.0)),
+    "separation_metric-bogus_against": ("against", lambda: separation_metric(_TRACE, against="bogus")),
+    "visibility_metric-nan_fov": ("fov_half_angle", lambda: visibility_metric(_TRACE, float("nan"))),
+    "visibility_metric-true_fov": ("fov_half_angle", lambda: visibility_metric(_TRACE, True)),
+    "visibility_metric-zero_fov": ("fov_half_angle", lambda: visibility_metric(_TRACE, 0.0)),
+    "visibility_metric-fov_past_pi": ("fov_half_angle", lambda: visibility_metric(_TRACE, 3.2)),
+    "visibility_metric-bogus_against": ("against", lambda: visibility_metric(_TRACE, against="bogus")),
+    "visibility_metric-array_against": ("against", lambda: visibility_metric(_TRACE, against=np.array(["truth"] * 2))),
 }
 
 
@@ -260,7 +280,8 @@ def test_exported_function_rejects_bad_numeric_argument(name, call):
     """A NaN or infinite time or start state, a fractional, negative or
     boolean count, a bool among an array's numbers or a bool array at any
     exported entry point, an empty plan, a horizon
-    array of the wrong shape or a head index past the predicted joints raises
+    array of the wrong shape, a head index past the predicted joints, or a
+    metric's threshold, cone or `against` outside its range raises
     InvalidInputError naming the argument, before any arithmetic warns or
     fails on it."""
     with warnings.catch_warnings():
@@ -272,6 +293,12 @@ def test_exported_function_rejects_bad_numeric_argument(name, call):
 def test_evaluator_builds_from_the_valid_horizon():
     """The horizon the evaluator cases above each break in one argument."""
     assert _evaluator(head_index=_MEANS.shape[1] - 1).value(np.zeros((3, _MODEL.n_joints))) > 0.0
+
+
+def test_metrics_score_the_valid_trace():
+    """The trace the metric cases above each score with one bad argument, at the ranges' edges."""
+    report = evaluate_trace(_TRACE, threshold=1e-9, fov_half_angle=np.pi, against="predicted")
+    assert report.dst == 1.0 and report.vis == 1.0
 
 
 def test_problem_accepts_infinite_control_bounds():

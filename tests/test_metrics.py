@@ -178,12 +178,13 @@ class TestVisibilityMetric:
 
 class TestLegibilityMetric:
     def test_empty_goal_set_rejected(self):
+        """A trace with no candidate goal is rejected when it is built, so no metric reads it."""
         eef = np.cumsum(np.full((3, 3), 0.1), axis=0)
-        with pytest.raises(InvalidInputError, match="goal set must be nonempty"):
-            legibility_metric(make_trace(eef, goals=np.zeros((0, 3))))
+        with pytest.raises(InvalidInputError, match=r"trace legibility_goal_index must be an integer in \[0, -1\]"):
+            make_trace(eef, goals=np.zeros((0, 3)))
         # an empty list is an empty goal set too, rejected by its shape
-        with pytest.raises(InvalidInputError, match=r"goal set must have shape \(\*, 3\), got \(0,\)"):
-            legibility_metric(make_trace(eef, goals=[]))
+        with pytest.raises(InvalidInputError, match=r"trace legibility_goals must have shape \(\*, 3\), got \(0,\)"):
+            make_trace(eef, goals=[])
 
     def test_static_at_start_ties_goals(self):
         for k in (2, 4):
@@ -243,10 +244,15 @@ class TestLegibilityMetric:
         means = [legibility_metric(make_trace(eef, goals=goals, goal_index=gi)) for gi in range(4)]
         np.testing.assert_allclose(means, probs.mean(axis=0), rtol=0, atol=1e-15)
 
-    def test_needs_two_points(self):
-        trace = make_trace(np.zeros((1, 3)))
-        with pytest.raises(InvalidInputError):
-            legibility_metric(trace)
+    def test_one_point_scores_the_goal_probability_there(self):
+        """The path term cancels in the softmax, so a one-point trace scores
+        the true goal's inferred probability at its point."""
+        goals = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        start, point = np.zeros(3), np.array([0.3, 0.1, 0.0])
+        weights = [np.exp(np.sum((g - start) ** 2) - np.sum((g - point) ** 2)) for g in goals]
+        for gi in range(2):
+            trace = make_trace(point[None], goals=goals, goal_index=gi, start=start)
+            assert np.isclose(legibility_metric(trace), weights[gi] / sum(weights), rtol=1e-12)
 
 
 class TestNominalMetric:
@@ -282,9 +288,9 @@ class TestLatencyMetric:
         assert np.isclose(total, 0.123)
 
     def test_missing_records_rejected(self):
-        trace = make_trace(np.zeros((4, 3)), replan_times=())
-        with pytest.raises(InvalidInputError):
-            latency_metric(trace)
+        """A trace with no replan is rejected when it is built, so the latency metric never sums none."""
+        with pytest.raises(InvalidInputError, match="trace replans must be a nonempty list of replan records"):
+            make_trace(np.zeros((4, 3)), replan_times=())
 
 
 class TestEvaluateTrace:

@@ -20,6 +20,7 @@ import anticip_mpc.mpc as mpc_module
 import anticip_mpc.solver as solver_module
 from anticip_mpc.mpc import (
     ExecutionTrace,
+    ReplanRecord,
     Scenario,
     build_problem,
     deep_update,
@@ -262,6 +263,44 @@ class TestTraceSerialization:
         assert header[1:8] == [f"q{i}" for i in range(7)]
         assert header[8:] == ["eef_x", "eef_y", "eef_z", "min_human_dist"]
         assert len(lines) == len(default_trace.times) + 1
+
+
+class TestTraceChecks:
+    """The records check their own fields when built, so a trace from run_mpc,
+    from a file or from hand passes one check."""
+
+    def test_run_mpc_trace_keeps_read_only_copies(self, default_trace):
+        assert not default_trace.states.flags.writeable and not default_trace.human_true.flags.writeable
+        result = default_trace.replans[0].result
+        assert not result.states.flags.writeable and not result.controls.flags.writeable
+
+    def test_replan_record_copies_the_result(self, default_trace):
+        result = default_trace.replans[0].result
+        result = dataclasses.replace(result, states=result.states.copy())
+        record = ReplanRecord(0.0, 0.1, result)
+        result.states[0] = 99.0
+        assert record.result is not result and record.result.states[0, 0] != 99.0
+
+    def test_bad_replan_field_rejected_when_built(self, default_trace):
+        record = default_trace.replans[0]
+        with pytest.raises(InvalidInputError, match="replan wall_time must be finite and >= 0"):
+            dataclasses.replace(record, wall_time=-0.1)
+        with pytest.raises(InvalidInputError, match="replan t_plan must be a finite number"):
+            dataclasses.replace(record, t_plan=float("nan"))
+        with pytest.raises(InvalidInputError, match="replan converged must be true or false"):
+            dataclasses.replace(record, result=dataclasses.replace(record.result, converged=1))
+
+    def test_replan_of_another_width_rejected(self, default_trace):
+        result = default_trace.replans[0].result
+        narrow = dataclasses.replace(result, states=result.states[:, :6], controls=result.controls[:, :6])
+        replans = [*default_trace.replans, ReplanRecord(9.0, 0.1, narrow)]
+        message = rf"trace replan {len(replans) - 1} states must have shape \(\*, 7\), got \(\d+, 6\)"
+        with pytest.raises(InvalidInputError, match=message):
+            dataclasses.replace(default_trace, replans=replans)
+
+    def test_empty_trace_rejected(self, default_trace):
+        with pytest.raises(InvalidInputError, match="trace times must hold at least one time"):
+            dataclasses.replace(default_trace, times=default_trace.times[:0])
 
 
 class TestJsonInput:
