@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Fields, InvalidInputError, float_array, integer, number, store
-from .kinematics import _UNIT_TOL, BatchFk, RobotModel, fk_batch, position_jacobians, quat_to_matrix
+from .kinematics import _UNIT_TOL, BatchFk, RobotModel, fk_batch, joint_mask, position_jacobians, quat_to_matrix
 
 Array = np.ndarray
 
@@ -141,7 +141,8 @@ class CostTask:
         store(
             self, gaze=float_array(self.gaze, "gaze", (3,)), leg_start=start, goals=goals, goal_index=goal_index,
             head_index=integer(self.head_index, "head_index", 0), leg_slopes=leg_slopes, leg_offsets=leg_offsets,
-            tracked=np.array(tracked), jframes=np.array(jframes), eef_row=jframes.index(eef),
+            tracked=np.array(tracked), jframes=np.array(jframes), jmask=joint_mask(jframes, model.n_joints),
+            eef_row=jframes.index(eef),
             hess_floor=HESS_FLOOR * eye, huu=(2.0 * w.w_smooth + HESS_FLOOR) * eye,
             row_weights=np.array([w.w_vis, w.w_leg, w.w_nom, w.w_goal, w.w_goal]),
         )
@@ -284,7 +285,7 @@ class KnotCostEvaluator:
         # positional rows (N, F - 1, 3, n), then the angular row (N, 1, 3, n)
         F = len(task.jframes) + 1
         J = np.empty((N, F, 3, n))
-        J[:, :-1] = position_jacobians(BatchFk(positions, axes, rotations), task.jframes)
+        J[:, :-1] = position_jacobians(BatchFk(positions, axes, rotations), task.jframes, mask=task.jmask)
         J[:, -1] = axes.swapaxes(1, 2)
 
         g = np.zeros((N, F, 3))
@@ -293,15 +294,18 @@ class KnotCostEvaluator:
         R = len(task.tracked)
         # S^-1 d = S^-1 p - S^-1 mu (N, R, 3, H): u against Q's first three columns, which are its rows
         sd = (u @ self.quad_cols).reshape(N, R, 3, -1)
-        c2 = 2.0 / denom**2
-        np.multiply(-w.w_dist, (sd @ c2[..., None])[..., 0], out=g[:, :R])
-        # curvature with the sign of the off-axis part flipped positive:
-        # 8 S^-1d (S^-1d)^T / denom^3 + 2 S^-1 / denom^2. Keeping the full
-        # magnitude of both pieces stops line-search overshoot against the
-        # proximity barrier, which otherwise stalls the inner loop
-        outer = sd @ ((8.0 / denom**3)[..., None] * sd.swapaxes(2, 3))
-        cov_part = c2 @ self.cov_inv_flat
-        np.multiply(w.w_dist, outer + cov_part.reshape(N, R, 3, 3), out=P[:, :R])
+        # gradient -sum_h c2 S^-1d with c2 = 2 w_dist / denom^2, and curvature with the sign of the
+        # off-axis part flipped positive: sum_h 8 w_dist S^-1d (S^-1d)^T / denom^3 + c2 S^-1. Keeping
+        # the full magnitude of both pieces stops line-search overshoot against the proximity barrier,
+        # which otherwise stalls the inner loop. The gradient and the outer products are one product
+        # sd @ [c2 | 4 c2 / denom (S^-1d)^T] (N, R, 3, 4)
+        c2 = (2.0 * w.w_dist) / denom**2
+        rhs = np.empty(c2.shape + (4,))
+        rhs[..., 0] = c2
+        np.multiply((c2 * (4.0 / denom))[..., None], sd.swapaxes(2, 3), out=rhs[..., 1:])
+        sep = sd @ rhs
+        np.negative(sep[..., 0], out=g[:, :R])
+        np.add(sep[..., 1:], (c2 @ self.cov_inv_flat).reshape(N, R, 3, 3), out=P[:, :R])
 
         # unit-weight gradients V (N, 5, 3) of the end-effector rows: rows 0-3 w.r.t. the end-effector
         # position, the orientation row w.r.t. the angular row. The gaze angle's is

@@ -176,13 +176,21 @@ def fk_batch(model: RobotModel, qs: Array) -> BatchFk:
 _WRAP = np.array([0, 1, 2, 0, 1])  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}: slices 1:4 and 2:5
 
 
-def position_jacobians(fk: BatchFk, frames) -> Array:
+def joint_mask(frames, n: int) -> Array:
+    """(F, 1, n) factors of the Jacobian columns of frames: 1.0 where joint j moves frame f (j < f), else 0.0."""
+    return (np.arange(n) < np.asarray(frames, dtype=int)[:, None])[:, None] * 1.0
+
+
+def position_jacobians(fk: BatchFk, frames, *, mask: Array | None = None) -> Array:
     """Positional Jacobians (B, len(frames), 3, n) from a batched FK result.
 
     Column j of frame f is axis_j x (p_f - p_j) for j < f and zero otherwise.
+    mask is joint_mask(frames, n), built here unless the caller keeps it (CostTask does).
     """
     frames = np.asarray(frames, dtype=int)
     n = fk.joint_axes_world.shape[1]
+    if mask is None:
+        mask = joint_mask(frames, n)
     # (B, F, 5, n) levers and (B, 1, 5, n) axes with components 0, 1, 2, 0, 1, so
     # the cross product reads its shifted components as slices; it is written
     # out because np.cross spends most of its time on axis bookkeeping here
@@ -190,7 +198,7 @@ def position_jacobians(fk: BatchFk, frames) -> Array:
     lever = p[:, frames, :, None] - p[:, None, :n, :].swapaxes(2, 3)
     a = fk.joint_axes_world[..., _WRAP].swapaxes(1, 2)[:, None]
     J = a[:, :, 1:4] * lever[:, :, 2:5] - a[:, :, 2:5] * lever[:, :, 1:4]
-    J *= (np.arange(n) < frames[:, None])[:, None]  # joint j moves frame f only if j < f
+    J *= mask  # joint j moves frame f only if j < f
     return J
 
 

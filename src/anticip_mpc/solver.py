@@ -7,6 +7,10 @@ line-searched forward rollout) minimizes the cost; the rollout clamps every
 control into its box, so every iterate is feasible. The backward pass makes
 one sweep with one LAPACK solve per knot; the cost's positive definite control
 curvature keeps every Q_uu positive definite, so the sweep needs no repair.
+The sweep runs in step units, [dt v_x | dt^2 V_xx], and the rollout adds
+x K_t^T to per-knot offsets made in one batched product, so each knot costs
+a few whole-array operations; both differ from the textbook iteration by
+rounding only.
 The line search rolls out all its step lengths together and scores a first
 stage of the longest in one cost call, the rest only when none of those
 passes. The first stage reaches two halvings past the step the solve's last
@@ -183,50 +187,62 @@ def backward_pass(problem: TrajectoryProblem, derivs: _Derivs) -> BackwardPassRe
     the full value update of Tassa, Erez & Todorov (2012) loses its cross
     terms: v_x = q_x + Q_ux^T k, V_xx = Q_xx + Q_ux^T K, and the model
     decrease at a full step is -q_u^T k / 2. Held rows of k and K are zero,
-    so this holds with Q_ux whole. V_xx is symmetrized once, at the last knot:
-    the update -dt^2 V_xx Q_uu^-1 V_xx is symmetric in exact arithmetic.
+    so this holds with Q_ux whole.
+
+    The sweep runs in step units: it carries W = [dt v_x | dt^2 V_xx] and
+    the cost's gradient and curvature scaled the same way, once per call.
+    With A = I and B = dt I, [q_u | dt Q_ux] = [g_u | 0] + W and
+    Q_uu = huu + W[:, 1:], so one solve gives X = [-k | -dt K] and the value
+    update is W = [dt g_x | dt^2 h_xx] + W - W[:, 1:] X. K's 1/dt is applied
+    once, after the sweep. V_xx is symmetrized once, at the last knot: the
+    update -W[:, 1:] Q_uu^-1 W[:, 1:] is symmetric in exact arithmetic.
     """
     n = problem.n_dims
     M = problem.n_knots - 1
     dt = problem.dt
     # column 0 holds the gradient and columns 1: the curvature, so one solve
-    # gives [k | K] and one product updates [v_x | V_xx]
-    hx = np.concatenate([derivs.gx[:, :, None], derivs.hxx], axis=2)  # (N, n, n+1)
-    huu = 0.5 * (derivs.huu + derivs.huu.T)
+    # gives [k | dt K] and one product updates W
+    hx = np.empty((M + 1, n, n + 1))
+    np.multiply(derivs.gx, dt, out=hx[:, :, 0])
+    np.multiply(derivs.hxx, dt * dt, out=hx[:, :, 1:])
+    # [0 | huu] and [* | Q_uu] = [0 | huu] + W: whole (n, n+1) operands keep the add on numpy's
+    # fast same-shape path, which a column block would leave
+    huu = np.zeros((n, n + 1))
+    np.multiply(0.5, derivs.huu + derivs.huu.T, out=huu[:, 1:])
+    Q = np.empty((n, n + 1))
+    quu = Q[:, 1:]  # this knot's Q_uu
 
-    on_bound = derivs.on_bound.tolist()
-    q = np.zeros((M, n, n + 1))  # [q_u | Q_ux], from the control gradient
+    q = np.zeros((M, n, n + 1))  # [q_u | dt Q_ux], from the control gradient
     q[:, :, 0] = derivs.gu
-    kK = np.empty((M, n, n + 1))  # [k | K], negated once after the sweep
-    quu = np.empty((n, n))  # this knot's Q_uu
-    v = hx[-1].copy()  # [v_x | V_xx]
-    v[:, 1:] = 0.5 * (v[:, 1:] + v[:, 1:].T)
+    X = np.empty((M, n, n + 1))  # [-k | -dt K]
+    W = hx[-1].copy()  # [dt v_x | dt^2 V_xx]
+    W[:, 1:] = 0.5 * (W[:, 1:] + W[:, 1:].T)
+    WK = W[:, 1:]  # dt Q_ux at every knot, a view of W
+    WX = np.empty((n, n + 1))  # WK @ X[t]
+    knots = list(zip(q, X, derivs.side, derivs.on_bound.tolist(), hx))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite gains are caught after the sweep
         for t in range(M - 1, -1, -1):
-            # A = I, B = dt * I for the single-integrator chain, so Q_ux = dt * V_xx
-            # is symmetric in exact arithmetic and Q_ux^T [k | K] = Q_ux [k | K]
-            qt = q[t]
-            qt += dt * v
-            np.multiply(dt * dt, v[:, 1:], out=quu)
-            quu += huu
+            qt, Xt, side, on_bound, hxt = knots[t]
+            qt += W
+            np.add(huu, W, out=Q)
             lhs, rhs = quu, qt
-            if on_bound[t]:
-                free = derivs.side[t] * qt[:, 0] >= 0.0
+            if on_bound:
+                free = side * qt[:, 0] >= 0.0
                 # identity rows and columns decouple the held controls, and
                 # their zero right-hand side gives them zero steps and gains
                 lhs = np.where(free[:, None] & free, quu, np.eye(n))
                 qt[:, 0] *= free  # out of the reported gradient
                 rhs = qt * free[:, None]
-            _lapack_solve(lhs, rhs, out=kK[t])
+            _lapack_solve(lhs, rhs, out=Xt)
             if t:  # knot 0's value function would feed no gain
-                v = hx[t] + v
-                v -= qt[:, 1:] @ kK[t]
-    if not np.logical_and.reduce(np.isfinite(kK), axis=None):
+                np.matmul(WK, Xt, out=WX)
+                W += hxt
+                W -= WX
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise SolverError("backward pass: non-finite gains; Q_uu is singular or the cost derivatives are not finite")
-    np.negative(kK, out=kK)
-    qu, k = q[:, :, 0], kK[:, :, 0]
+    qu, k, K = q[:, :, 0], np.negative(X[:, :, 0]), np.multiply(X[:, :, 1:], -1.0 / dt)
     decrease = max(0.0, -0.5 * float(np.add.reduce(qu * k, axis=None)))
-    return BackwardPassResult(k, kK[:, :, 1:], decrease, float(np.maximum.reduce(np.abs(qu), axis=None)))
+    return BackwardPassResult(k, K, decrease, float(np.maximum.reduce(np.abs(qu), axis=None)))
 
 
 def _first_stage_size(last_step: float | None) -> int:
@@ -248,38 +264,54 @@ def forward_pass(
 ) -> ForwardPassResult:
     """Line-searched rollout of the affine policy, all step lengths at once.
 
-    Rolls the policy out for every alpha in {1, 1/2, ..., 2^-10} together,
-    clamping each control into its box before it enters the rollout. The
-    stack is scored in two cost calls at most: a first stage of the longest
-    steps, the shorter ones only if none of those passes. last_step is the
-    step the previous search of the same solve accepted, 2^-k, or None in a
-    solve's first search; the first stage runs from 1 down to 2^-(k+2), or
-    to 1/8 without it, and takes all eleven steps when k + 2 >= 10. A
-    candidate's cost does not depend on the stack it is scored in, so the
-    split never changes the result. A candidate whose states are not finite
-    is scored as the incumbent and never accepted. Returns the largest alpha
-    whose actual decrease is at least 1e-4 * alpha * expected_decrease, or
-    the incumbent with accepted=False when no step qualifies. incumbent_cost
-    is the cost of (states, controls).
+    Rolls the policy u = controls_t + alpha k_t + K_t (x - states_t) out for
+    every alpha in {1, 1/2, ..., 2^-10} together, clamping each control into
+    its box before it enters the rollout. Each control is formed as
+    x K_t^T + c_t(alpha), from offsets c_t(alpha) = controls_t + alpha k_t -
+    states_t K_t^T made for every knot and alpha in one batched product, so
+    it equals the policy's to rounding. The stack is scored in two cost
+    calls at most: a first stage of the longest steps, the shorter ones
+    only if none of those passes. last_step is the step the previous search
+    of the same solve accepted, 2^-k, or None in a solve's first search; the
+    first stage runs from 1 down to 2^-(k+2), or to 1/8 without it, and
+    takes all eleven steps when k + 2 >= 10. A candidate's cost does not
+    depend on the stack it is scored in, so the split never changes the
+    result. A candidate whose states are not finite is scored as the
+    incumbent and never accepted. Returns the largest alpha whose actual
+    decrease is at least 1e-4 * alpha * expected_decrease, or the incumbent
+    with accepted=False when no step qualifies. incumbent_cost is the cost
+    of (states, controls), a finite number. The shapes of states, controls
+    and the gains are checked, not their values.
     """
-    M = problem.n_knots - 1
+    M, n = problem.n_knots - 1, problem.n_dims
+    for name, value, shape in (
+        ("states", states, (M + 1, n)),
+        ("controls", controls, (M, n)),
+        ("gains.k", gains.k, (M, n)),
+        ("gains.K", gains.K, (M, n, n)),
+    ):
+        if np.shape(value) != shape:
+            raise InvalidInputError(f"{name} must be a {shape} array, got shape {np.shape(value)}")
+    incumbent_cost = number(incumbent_cost, "incumbent_cost")
     dt = problem.dt
-    xs = np.empty((M + 1, _N_ALPHAS, problem.n_dims))  # time-major: each knot's block is contiguous
-    us = np.empty((M, _N_ALPHAS, problem.n_dims))
+    xs = np.empty((M + 1, _N_ALPHAS, n))  # time-major: each knot's block is contiguous
     xs[0] = states[0]
-    feedforward = controls[:, None] + _ALPHAS[:, None] * gains.k[:, None]  # (M, A, n)
+    # us holds the offsets c_t(alpha) until each knot's turn adds x K_t^T
     KT = gains.K.swapaxes(1, 2)
-    dx = np.empty((_N_ALPHAS, problem.n_dims))
+    us = controls[:, None] - states[:-1, None] @ KT + _ALPHAS[:, None] * gains.k[:, None]  # (M, A, n)
+    step = np.empty((_N_ALPHAS, n))
+    # the box once per candidate: same-shape operands keep the clamp on numpy's fast path, which
+    # broadcasting a bound would leave (np.clip dispatches slower still)
+    lower, upper = np.empty((2, _N_ALPHAS, n))
+    lower[:], upper[:] = problem.u_lower, problem.u_upper
     # large steps may overflow; those candidates are masked out below
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(M):
-            u = us[t]
-            np.subtract(xs[t], states[t], out=dx)
-            np.matmul(dx, KT[t], out=u)
-            u += feedforward[t]
-            np.maximum(u, problem.u_lower, out=u)  # np.clip dispatches slower
-            np.minimum(u, problem.u_upper, out=u)
-            np.add(xs[t], u * dt, out=xs[t + 1])
+        for x, x_next, u, KTt in zip(xs, xs[1:], us, KT):
+            u += x @ KTt
+            np.maximum(u, lower, out=u)
+            np.minimum(u, upper, out=u)
+            np.multiply(u, dt, out=step)
+            np.add(x, step, out=x_next)
     xs = np.ascontiguousarray(xs.swapaxes(0, 1))  # a strided stack would change value's sum order
     us = np.ascontiguousarray(us.swapaxes(0, 1))
     finite = np.logical_and.reduce(np.isfinite(xs), axis=(1, 2))

@@ -280,23 +280,29 @@ def lbfgsb_reference(problem, starts):
     return float(best.fun), best.x.reshape(M, n)
 
 
+def textbook_rollout(problem, states, controls, gains, alpha):
+    """The policy u = ubar_t + alpha k_t + K_t (x - xbar_t) about the incumbent (xbar, ubar) =
+    (states, controls), rolled out from its start state one knot at a time, each control clamped
+    into its bounds one component at a time: (states, controls)."""
+    xs_new = np.empty_like(states)
+    us_new = np.empty_like(controls)
+    x = states[0]
+    xs_new[0] = x
+    for t in range(problem.n_knots - 1):
+        u = controls[t] + alpha * gains.k[t] + gains.K[t] @ (x - states[t])
+        u = np.array([min(max(ui, lo), hi) for ui, lo, hi in zip(u, problem.u_lower, problem.u_upper)])
+        us_new[t] = u
+        x = x + u * problem.dt
+        xs_new[t + 1] = x
+    return xs_new, us_new
+
+
 def line_search_loop(problem, states, controls, gains, incumbent_cost):
-    """Sequential backtracking line search: one rollout and one cost call per
-    step length, from alpha = 1 down, each control clamped into its bounds
-    one component at a time, returning the first that passes Armijo as
-    (states, controls, cost, alpha, accepted)."""
-    M = problem.n_knots - 1
+    """Sequential backtracking line search: one textbook rollout and one cost
+    call per step length, from alpha = 1 down, returning the first that
+    passes Armijo as (states, controls, cost, alpha, accepted)."""
     for alpha in 2.0 ** -np.arange(_N_ALPHAS):
-        xs_new = np.empty_like(states)
-        us_new = np.empty_like(controls)
-        x = states[0]
-        xs_new[0] = x
-        for t in range(M):
-            u = controls[t] + alpha * gains.k[t] + gains.K[t] @ (x - states[t])
-            u = np.array([min(max(ui, lo), hi) for ui, lo, hi in zip(u, problem.u_lower, problem.u_upper)])
-            us_new[t] = u
-            x = x + u * problem.dt
-            xs_new[t + 1] = x
+        xs_new, us_new = textbook_rollout(problem, states, controls, gains, alpha)
         if not np.all(np.isfinite(xs_new)):
             continue
         cost_new = problem.cost.value(xs_new, us_new)
@@ -309,16 +315,20 @@ def forward_pass_one_call(problem, states, controls, gains, incumbent_cost):
     """The batched line search with the whole stack scored in one cost call:
     every alpha rolled out together and clamped into the box, non-finite
     candidates scored as the incumbent, and the largest alpha that passes
-    Armijo returned. The solver's forward_pass scores the same stack in two
-    stages and must match this bit for bit."""
+    Armijo returned. Each control is x_t K_t^T plus the offset
+    c_t(alpha) = u_t + alpha k_t - x_t K_t^T of the incumbent, the solver's
+    own arithmetic, so the solver's forward_pass, which scores the same
+    stack in two stages, must match this bit for bit."""
     M = problem.n_knots - 1
     alphas = 2.0 ** -np.arange(_N_ALPHAS)
     xs = np.empty((_N_ALPHAS,) + states.shape)
     us = np.empty((_N_ALPHAS,) + controls.shape)
     xs[:, 0] = states[0]
+    KT = gains.K.swapaxes(1, 2)
+    offsets = controls[:, None] - states[:-1, None] @ KT + alphas[:, None] * gains.k[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            u = controls[t] + alphas[:, None] * gains.k[t] + (xs[:, t] - states[t]) @ gains.K[t].T
+            u = offsets[t] + xs[:, t] @ KT[t]
             u = np.minimum(np.maximum(u, problem.u_lower), problem.u_upper)
             us[:, t] = u
             xs[:, t + 1] = xs[:, t] + u * problem.dt

@@ -24,7 +24,7 @@ from anticip_mpc.mpc import (
 from anticip_mpc.prediction import (
     ReachConfig, prediction_from_dict, prediction_to_dict, slice_horizon, synthesize_reach,
 )
-from anticip_mpc.solver import TrajectoryProblem, rollout, solve
+from anticip_mpc.solver import BackwardPassResult, TrajectoryProblem, forward_pass, rollout, solve
 
 
 class TestNumber:
@@ -216,6 +216,15 @@ def _planning_problem():
     return TrajectoryProblem(3, 0.25, _Q, _evaluator(), _MODEL.vel_lower, _MODEL.vel_upper)
 
 
+def _forward_pass(states_rows=3, control_width=None, gain_knots=2, incumbent_cost=1.0):
+    """forward_pass on _planning_problem from zero controls with zero gains, each shape as given."""
+    n = _MODEL.n_joints
+    problem = _planning_problem()
+    states = rollout(problem, np.zeros((2, n)))[:states_rows]
+    gains = BackwardPassResult(np.zeros((gain_knots, n)), np.zeros((gain_knots, n, n)), 1.0, 1.0)
+    return forward_pass(problem, states, np.zeros((2, control_width or n)), gains, incumbent_cost)
+
+
 # one replan at the robot's zero pose, which is also its goal
 _TRACE = run_mpc(Scenario(
     _MODEL, _Q, _Q, np.full(3, 2.0), np.ones((1, 3)), 0, CostWeights(), MpcConfig(task_duration=0.5), _PREDICTION,
@@ -260,6 +269,10 @@ BAD_ARGUMENTS = {
     "evaluator-bool_nominal": ("nominal", lambda: _evaluator(nominal=np.zeros((3, 3), dtype=bool))),
     "solve-bool_warm_start": ("initial controls", lambda: solve(_planning_problem(), np.zeros((2, _MODEL.n_joints), dtype=bool))),
     "rollout-true_controls": ("controls", lambda: rollout(_planning_problem(), [[True] * _MODEL.n_joints] * 2)),
+    "forward_pass-short_states": ("states", lambda: _forward_pass(states_rows=2)),
+    "forward_pass-wide_controls": ("controls", lambda: _forward_pass(control_width=_MODEL.n_joints + 1)),
+    "forward_pass-gains_of_another_horizon": ("gains.k", lambda: _forward_pass(gain_knots=3)),
+    "forward_pass-nan_incumbent_cost": ("incumbent_cost", lambda: _forward_pass(incumbent_cost=float("nan"))),
     "separation_metric-nan_threshold": ("threshold", lambda: separation_metric(_TRACE, float("nan"))),
     "separation_metric-inf_threshold": ("threshold", lambda: separation_metric(_TRACE, float("inf"))),
     "separation_metric-true_threshold": ("threshold", lambda: separation_metric(_TRACE, True)),
@@ -288,6 +301,11 @@ def test_exported_function_rejects_bad_numeric_argument(name, call):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):
             call()
+
+
+def test_forward_pass_runs_on_the_valid_arguments():
+    """The arguments the forward_pass cases above each break in one shape or value."""
+    assert _forward_pass().step_length == 1.0
 
 
 def test_evaluator_builds_from_the_valid_horizon():

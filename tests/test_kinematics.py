@@ -8,6 +8,7 @@ from anticip_mpc.kinematics import (
     RobotModel,
     default_robot_model,
     fk_batch,
+    joint_mask,
     load_robot_model,
     model_to_dict,
     position_jacobians,
@@ -135,7 +136,9 @@ class TestPositionJacobian:
         for model in (seven_dof, random_chain(rng, 7)):
             fk = fk_batch(model, rng.uniform(-np.pi, np.pi, (batch, 7)))
             for frames in ([1, 2, 3, 4, 5, 6, 7, 7], [7, 0, 3], list(range(8))):
-                assert np.array_equal(position_jacobians(fk, frames), position_jacobians_cross(fk, frames))
+                J = position_jacobians_cross(fk, frames)
+                assert np.array_equal(position_jacobians(fk, frames), J)
+                assert np.array_equal(position_jacobians(fk, frames, mask=joint_mask(frames, 7)), J)  # the task's kept mask
 
     def test_invalid_frame(self, planar_model):
         with pytest.raises(InvalidInputError):

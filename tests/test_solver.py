@@ -37,8 +37,10 @@ from oracles import (
     lbfgsb_reference,
     line_search_loop,
     lqr_tracking_solution,
+    textbook_rollout,
 )
 
+ROLLOUT_RTOL = 1e-12  # the offset rollout against the textbook one: they differ by rounding
 SHORTEST_FIRST_STAGE_STEP = 2.0 ** (1 - solver_module._FIRST_STAGE)  # a solve's first search
 # the step a solve's previous search accepted, which sets every first-stage depth: 3 to all 11 steps
 LAST_STEPS = [None] + [2.0**-k for k in range(11)]
@@ -203,6 +205,18 @@ class TestRiccatiFullForm:
             held[i % 2] += self.assert_matches_full_form(problem, rollout(problem, us), us)
         assert min(held) > 0  # the hold rule fired both past and on the box
 
+    def test_matches_full_form_on_a_seven_dof_horizon_with_held_controls(self, seven_dof):
+        # 21 knots at dt = 0.1, which is not a power of two, so the sweep's
+        # step units dt v_x and dt^2 V_xx round; a third of the controls start
+        # on a bound, and light smoothness lets the state cost push some past it
+        rng = np.random.default_rng(21)
+        n_knots = 21
+        weights = CostWeights(*rng.uniform(0.1, 2.0, 4), 0.01, rng.uniform(0.1, 2.0))
+        contexts = random_contexts(rng, seven_dof, rng.uniform(-0.5, 0.5, (n_knots, 7)), weights, goal_index=0)
+        problem = problem_from_contexts(seven_dof, n_knots, 0.1, np.zeros(7), contexts)
+        us = np.clip(rng.uniform(-3.0, 3.0, (n_knots - 1, 7)), problem.u_lower, problem.u_upper)
+        assert self.assert_matches_full_form(problem, rollout(problem, us), us) > 0
+
     def test_controls_pushed_out_of_the_box_are_held(self):
         # the reference runs at 2 rad/s against a 1 rad/s bound, so at the
         # bound every control's descent direction leaves the box
@@ -358,6 +372,32 @@ def assert_matches_loop(problem, xs, us, bp, J=None):
     return fp
 
 
+class RecordingCost:
+    """A cost that keeps a copy of every stack of candidates it scores."""
+
+    def __init__(self, cost):
+        self.cost, self.stacks = cost, []
+
+    def value(self, xs, us=None):
+        self.stacks.append((xs.copy(), us.copy()))
+        return self.cost.value(xs, us)
+
+
+def assert_stack_matches_textbook(problem, xs, us, bp):
+    """Every candidate of the line search's stack, scored in one cost call,
+    against the textbook rollout ubar + alpha k + K (x - xbar) of its step
+    length, to ROLLOUT_RTOL of the stack's largest entry; returns the
+    number of clamped controls."""
+    recorder = RecordingCost(problem.cost)
+    forward_pass(replace(problem, cost=recorder), xs, us, bp, problem.cost.value(xs, us), 2.0**-10)
+    (stack_xs, stack_us), = recorder.stacks
+    for alpha, got_xs, got_us in zip(solver_module._ALPHAS, stack_xs, stack_us):
+        ref_xs, ref_us = textbook_rollout(problem, xs, us, bp, alpha)
+        for got, ref in ((got_xs, ref_xs), (got_us, ref_us)):
+            np.testing.assert_allclose(got, ref, rtol=ROLLOUT_RTOL, atol=ROLLOUT_RTOL * np.max(np.abs(ref)))
+    return int(np.sum((stack_us == problem.u_lower) | (stack_us == problem.u_upper)))
+
+
 def seven_dof_problem(rng, model, weights, n_knots=6):
     contexts = random_contexts(rng, model, rng.uniform(-0.5, 0.5, (n_knots, 7)), weights=weights, goal_index=0)
     return problem_from_contexts(model, n_knots, 0.25, np.zeros(7), contexts)
@@ -462,6 +502,28 @@ class TestBatchedLineSearch:
                 accepted_alphas.add(fp.step_length)
                 xs, us = fp.states, fp.controls
         assert len(accepted_alphas) > 1  # the search backtracked at least once
+
+    def test_every_candidate_matches_the_textbook_rollout(self, seven_dof):
+        """The rollout forms each control from the incumbent's offsets; every
+        step length's candidate equals the textbook policy's to rounding,
+        clamped or not, on the quadratic problems and along 7-DOF iterations."""
+        rng = np.random.default_rng(17)
+        clamped = 0
+        for _ in range(30):
+            problem, _ = quadratic_problem(rng, bounds=float(rng.uniform(0.3, 2.0)))
+            us = rng.uniform(-1, 1, (problem.n_knots - 1, problem.n_dims))
+            xs = rollout(problem, us)
+            clamped += assert_stack_matches_textbook(problem, xs, us, backward(problem, xs, us))
+        assert clamped > 0  # candidates were clamped into the box
+        for _ in range(3):
+            problem = seven_dof_problem(rng, seven_dof, CostWeights(*rng.uniform(0.05, 1.0, 6)))
+            us = rng.uniform(-0.5, 0.5, (5, 7))
+            xs = rollout(problem, us)
+            for _ in range(8):
+                bp = backward(problem, xs, us)
+                assert_stack_matches_textbook(problem, xs, us, bp)
+                fp = forward(problem, xs, us, bp)
+                xs, us = fp.states, fp.controls
 
     def test_each_stage_matches_one_call(self, seven_dof):
         """The accepted step falls in the first scoring stage, in the second,
